@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -125,12 +125,15 @@ class ExecutionBackend(ABC):
         """
 
     @abstractmethod
-    def infer(self, model: Module, vn_set: VirtualNodeSet, x: np.ndarray) -> np.ndarray:
+    def infer(self, model: Module, vn_set: VirtualNodeSet, x: np.ndarray,
+              bounds: Optional[Sequence[Tuple[int, int]]] = None) -> np.ndarray:
         """Run one inference batch sharded across virtual nodes.
 
         Returns logits concatenated in canonical virtual-node order;
         inference is deterministic (no dropout) so results must be identical
-        across backends and mappings.
+        across backends and mappings.  ``bounds`` are the batch's
+        :func:`~repro.core.sharding.shard_indices` when the caller already
+        holds them (the engine memoizes them per batch length).
         """
 
 

@@ -31,7 +31,7 @@ the engine layer regardless of backend.
 from __future__ import annotations
 
 import weakref
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -182,13 +182,14 @@ class FusedBackend(ExecutionBackend):
 
     # -- inference -----------------------------------------------------------
 
-    def infer(self, model: Module, vn_set: VirtualNodeSet, x: np.ndarray) -> np.ndarray:
+    def infer(self, model: Module, vn_set: VirtualNodeSet, x: np.ndarray,
+              bounds: Optional[Sequence[Tuple[int, int]]] = None) -> np.ndarray:
         if not supports_inference(model):
-            return self._reference.infer(model, vn_set, x)
+            return self._reference.infer(model, vn_set, x, bounds)
+        if bounds is None:
+            bounds = shard_indices(vn_set, len(x))
         # Non-empty shards tile the batch contiguously in canonical order, so
         # the request batch already *is* the concatenated run input.
-        segments = [(start, end)
-                    for start, end in shard_indices(vn_set, len(x))
-                    if end > start]
+        segments = [(start, end) for start, end in bounds if end > start]
         run = VectorizedRun(segments, training=False)
         return run.forward(model, x)

@@ -15,7 +15,7 @@ wave and bit for bit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -123,9 +123,12 @@ class ReferenceBackend(ExecutionBackend):
             weighted_loss=weighted_loss,
         )
 
-    def infer(self, model: Module, vn_set: VirtualNodeSet, x: np.ndarray) -> np.ndarray:
+    def infer(self, model: Module, vn_set: VirtualNodeSet, x: np.ndarray,
+              bounds: Optional[Sequence[Tuple[int, int]]] = None) -> np.ndarray:
+        if bounds is None:
+            bounds = shard_indices(vn_set, len(x))
         outputs: List[np.ndarray] = []
-        for start, end in shard_indices(vn_set, len(x)):
+        for start, end in bounds:
             if end > start:
                 outputs.append(model.forward(x[start:end], training=False))
         return np.concatenate(outputs, axis=0)

@@ -11,7 +11,8 @@ that physical half exactly once:
   the current mapping (rebuilt atomically on :meth:`remap`);
 * a precomputed ``device_id -> DeviceSpec`` table, so per-request latency
   accounting never scans the device list;
-* simulated-time queries (:meth:`step_time`, :meth:`inference_latency`);
+* simulated-time queries (:meth:`step_time`, :meth:`inference_latency`)
+  and the per-batch-size serving plan memo (:meth:`inference_plan`);
 * the execution backend (:mod:`repro.core.backends`) that decides *how*
   waves run on the host.
 
@@ -23,11 +24,12 @@ priced with, so schedule arithmetic has one owner.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.backends import ExecutionBackend, get_backend
 from repro.core.mapping import Mapping
 from repro.core.plan import ExecutionPlan
+from repro.core.sharding import shard_indices
 from repro.core.virtual_node import VirtualNodeSet
 from repro.hardware.device import DeviceSpec, get_spec
 from repro.hardware.perfmodel import PerfModel
@@ -59,9 +61,14 @@ class VirtualNodeEngine:
         self._specs: Dict[int, DeviceSpec] = {
             dp.device_id: get_spec(dp.spec_name) for dp in self.plan.device_plans
         }
-        # The plan is immutable per mapping, so its predicted step time is a
-        # constant — compute it once instead of once per training step.
-        self._step_time = self.plan.step_time()
+        # The plan is immutable per mapping, so what is priced from it is
+        # constant until the next install.  Both memos fill on first use: a
+        # serving engine never asks for the training step time, a training
+        # engine never for an inference plan.
+        self._step_time: Optional[float] = None
+        # batch length -> (shard bounds, latency, waves)
+        self._inference_plans: Dict[
+            int, Tuple[List[Tuple[int, int]], float, int]] = {}
 
     # -- queries -------------------------------------------------------------
 
@@ -71,6 +78,8 @@ class VirtualNodeEngine:
 
     def step_time(self) -> float:
         """Simulated synchronous training step time under the current plan."""
+        if self._step_time is None:
+            self._step_time = self.plan.step_time()
         return self._step_time
 
     def inference_latency(self, shard_sizes: Sequence[int]) -> Tuple[float, int]:
@@ -91,6 +100,24 @@ class VirtualNodeEngine:
                 latency = t
                 waves = sum(1 for i in dp.vn_indices if shard_sizes[i] > 0)
         return latency, waves
+
+    def inference_plan(self, batch_size: int,
+                       ) -> Tuple[List[Tuple[int, int]], float, int]:
+        """``(shard bounds, latency, waves)`` for a batch of ``batch_size``.
+
+        The bounds are :func:`~repro.core.sharding.shard_indices` and the
+        latency/waves :meth:`inference_latency` of their sizes, computed
+        once per batch length and mapping — a serving run asks for at most
+        ``max_batch`` distinct lengths, thousands of times each.  Callers
+        must not mutate the returned bounds.
+        """
+        plan = self._inference_plans.get(batch_size)
+        if plan is None:
+            bounds = shard_indices(self.vn_set, batch_size)
+            latency, waves = self.inference_latency(
+                [end - start for start, end in bounds])
+            plan = self._inference_plans[batch_size] = (bounds, latency, waves)
+        return plan
 
     # -- elasticity ----------------------------------------------------------
 

@@ -38,7 +38,6 @@ import numpy as np
 from repro.core.engine import VirtualNodeEngine
 from repro.core.mapping import Mapping
 from repro.core.plan import ExecutionPlan
-from repro.core.sharding import shard_sizes
 from repro.core.state import VirtualNodeState, merged_eval_state, state_layout
 from repro.framework.layers import Module
 from repro.framework.models import Workload
@@ -162,13 +161,12 @@ class InferenceEngine:
         if len(x) == 0:
             raise ValueError("cannot run inference on an empty batch")
         self._ensure_eval_state()
-        vn_set = self.mapping.vn_set
-        logits = self.engine.backend.infer(self.model, vn_set, x)
-
         # Latency: bottleneck device's sequential forward waves (forward pass
         # ~1/3 of a full training wave in the analytic model's spirit; we use
         # the full wave time as a conservative envelope).
-        latency, waves = self.engine.inference_latency(shard_sizes(vn_set, len(x)))
+        engine = self.engine
+        bounds, latency, waves = engine.inference_plan(len(x))
+        logits = engine.backend.infer(self.model, engine.vn_set, x, bounds)
         self.requests_served += 1
         self.sim_time += latency
         return InferenceResult(logits=logits, sim_latency=latency, waves=waves)

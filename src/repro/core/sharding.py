@@ -9,6 +9,7 @@ training, §5.2 "Data sharding") fall out of the same code path.
 
 from __future__ import annotations
 
+import math
 from typing import List, Tuple
 
 import numpy as np
@@ -32,7 +33,7 @@ def shard_sizes(vn_set: VirtualNodeSet, batch_size: int) -> List[int]:
     if batch_size < 0:
         raise ValueError(f"batch_size must be >= 0, got {batch_size}")
     exact = [n.batch_size * batch_size / total for n in vn_set]
-    floors = [int(np.floor(e)) for e in exact]
+    floors = [math.floor(e) for e in exact]
     remainder = batch_size - sum(floors)
     # Largest fractional parts get the leftover examples; ties break on index.
     order = sorted(range(len(exact)), key=lambda i: (floors[i] - exact[i], i))

@@ -18,7 +18,9 @@ inexpressible.  This is the one event loop both now run on:
     oracle**;
   - ``"calendar"`` — a bucketed time wheel (calendar queue) with a heap
     for far-future overflow, auto-tuned from the observed event horizon.
-    O(1) amortized insert, vectorized same-action run extraction.
+    O(1) amortized insert, vectorized same-action run extraction.  A
+    population too small to fill one bucket stays in a plain heap; the
+    wheel is built when the live count outgrows it.
 
   Cancellation is O(1) in both (ETA invalidation: a completion prediction
   that a reallocation obsoletes is cancelled in place, not searched for),
@@ -316,6 +318,9 @@ class _HeapIndex:
     cancellation storm cannot grow the heap without bound.
     """
 
+    structure = "heap"        # see EventQueue.debug_stats
+    promotions = collapses = 0
+
     def __init__(self, slab: _EventSlab) -> None:
         self._slab = slab
         self._heap: List[Tuple[float, int, int]] = []
@@ -360,11 +365,9 @@ class _HeapIndex:
             self._dead -= 1
         return None
 
-    def pop(self) -> Optional[Tuple[float, int, int]]:
-        entry = self.peek()
-        if entry is not None:
-            heapq.heappop(self._heap)
-        return entry
+    def drop_head(self) -> None:
+        """Consume the entry the preceding :meth:`peek` returned."""
+        heapq.heappop(self._heap)
 
     def pop_run(self, until: Optional[float],
                 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -410,6 +413,14 @@ class _CalendarIndex:
     counter forces a rebuild once cancellations dominate, so ETA-
     invalidation storms stay memory-bounded here too.
 
+    A population that would not fill one bucket has nothing to bucket:
+    while at most ``_TARGET_OCC`` events are live they sit in a plain
+    :class:`_HeapIndex` (``_sparse``) and the wheel stays empty.  The
+    insert that crosses the threshold rebuilds onto the wheel (a
+    ``post_many`` wave crossing it is placed by that same rebuild, never
+    through the heap), and a rebuild — or a drain — that finds the
+    population back under it collapses to the heap again.
+
     Pop order is exactly global ``(time, seq)`` — bit-identical to the
     heap oracle; the golden traces and the backend-agreement stress tests
     enforce this.
@@ -427,39 +438,48 @@ class _CalendarIndex:
         self._overflow: List[Tuple[float, int, int]] = []  # (time, seq, handle)
         self._wheel_count = 0     # invariant: sum(len(b) for b in _buckets)
         self._dead = 0            # cancellations since the last rebuild
-        self._positioned = False
+        self._sparse: Optional[_HeapIndex] = _HeapIndex(slab)
+        self.promotions = 0       # sparse heap -> wheel
+        self.collapses = 0        # wheel -> sparse heap
         self._window = 0          # absolute window index of the cursor
         self._cursor = 0          # == _window % _nbuckets
-        self._bucket_top = 0.0    # exclusive upper time bound of the window
         # Prepared view of the cursor's bucket: (handles, slots, seqs,
         # times, aids) sorted by (time, seq); owns its entries (they are
         # out of the bucket list until _unprepare returns the leftovers).
+        # The first _prep_end of them fall in the cursor's window, the rest
+        # in a later rotation.
         self._prep: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray,
                                    np.ndarray, np.ndarray]] = None
+        self._prep_end = 0
         self._pos = 0
 
+    @property
+    def structure(self) -> str:
+        return "heap" if self._sparse is not None else "wheel"
+
     def __len__(self) -> int:
+        if self._sparse is not None:
+            return len(self._sparse)
         n = self._wheel_count + len(self._overflow)
         if self._prep is not None:
             n += len(self._prep[0]) - self._pos
         return n
 
     # -- geometry ------------------------------------------------------------
-
-    def _horizon(self) -> float:
-        """Times at or beyond this go to the overflow heap."""
-        return (self._window + self._nbuckets) * self._width
+    #
+    # An event's window is floor(time / width) — that one expression, scalar
+    # or vectorized, decides its bucket, whether it lies behind the cursor,
+    # beyond the horizon or in a later rotation.  Comparing times against
+    # products like (window + 1) * width instead can disagree with it in
+    # the last ulp when a time sits exactly on a bucket edge, and an event
+    # filed under one rule and looked for under the other fires a whole
+    # rotation late.
 
     def _set_window(self, window: int) -> None:
         self._window = window
         self._cursor = window % self._nbuckets
-        self._bucket_top = (window + 1) * self._width
         self._prep = None
         self._pos = 0
-
-    def _position_at(self, time: float) -> None:
-        self._set_window(math.floor(time / self._width))
-        self._positioned = True
 
     def _unprepare(self) -> None:
         """Return the prepared view's unconsumed entries to their bucket."""
@@ -475,23 +495,27 @@ class _CalendarIndex:
     # -- insertion -----------------------------------------------------------
 
     def insert(self, time: float, seq: int, handle: int) -> None:
+        if self._sparse is not None:
+            self._sparse.insert(time, seq, handle & _SLOT_MASK)
+            if self._slab.live > self._TARGET_OCC:
+                self._promote()
+            return
         if (self._wheel_count + len(self._overflow)
                 > self._nbuckets * self._TARGET_OCC * 4
                 and self._nbuckets < self._MAX_BUCKETS):
             self._unprepare()
             self._rebuild()
-        if not self._positioned:
-            self._position_at(time)
-        if time >= self._horizon():
+        window = math.floor(time / self._width)
+        if window >= self._window + self._nbuckets:
             heapq.heappush(self._overflow, (time, seq, handle))
             return
-        if time < self._window * self._width:
+        if window < self._window:
             # Behind the cursor (legal queue-wise: the runtime, not the
             # queue, enforces clock monotonicity).  Rewind the wheel so
             # the event is found first; later entries just get rescanned.
             self._unprepare()
-            self._position_at(time)
-        bucket = math.floor(time / self._width) % self._nbuckets
+            self._set_window(window)
+        bucket = window % self._nbuckets
         if bucket == self._cursor and self._prep is not None:
             self._unprepare()
         self._buckets[bucket].append(handle)
@@ -500,8 +524,12 @@ class _CalendarIndex:
     def insert_many(self, times: np.ndarray, seq0: int,
                     handles: np.ndarray) -> None:
         n = len(times)
-        if not self._positioned:
-            self._position_at(float(times.min()))
+        if self._sparse is not None:
+            if self._slab.live > self._TARGET_OCC:
+                self._promote(extra=handles)
+            else:
+                self._sparse.insert_many(times, seq0, handles & _SLOT_MASK)
+            return
         if (self._wheel_count + len(self._overflow) + n
                 > self._nbuckets * self._TARGET_OCC * 4
                 and self._nbuckets < self._MAX_BUCKETS):
@@ -511,14 +539,13 @@ class _CalendarIndex:
             self._unprepare()
             self._rebuild(extra=handles)
             return
-        if bool((times < self._window * self._width).any()):
+        windows = np.floor(times / self._width)
+        if bool((windows < self._window).any()):
             self._unprepare()
-            self._position_at(float(times.min()))
-        horizon = self._horizon()
-        near = times < horizon
+            self._set_window(int(windows.min()))
+        near = windows < self._window + self._nbuckets
         if bool(near.any()):
-            idx = (np.floor_divide(times[near], self._width).astype(np.int64)
-                   % self._nbuckets)
+            idx = windows[near].astype(np.int64) % self._nbuckets
             if self._prep is not None and bool((idx == self._cursor).any()):
                 self._unprepare()
             buckets = self._buckets
@@ -560,13 +587,30 @@ class _CalendarIndex:
                 & self._slab.alive[slots])
         return handles[live], slots[live]
 
+    def _promote(self, extra: Optional[np.ndarray] = None) -> None:
+        """Leave the sparse heap: rebuild its live entries onto the wheel."""
+        heap = self._sparse._heap
+        self._sparse = None
+        self.promotions += 1
+        slab = self._slab
+        slots = np.fromiter((e[2] for e in heap), np.int64, len(heap))
+        seqs = np.fromiter((e[1] for e in heap), np.int64, len(heap))
+        # A stale entry's slot may already belong to a newer live event
+        # (indexed by its own entry): match on seq, not on slot liveness.
+        slots = slots[slab.seq[slots] == seqs]
+        handles = (slab.gen[slots] << _SLOT_BITS) | slots
+        if extra is not None:
+            handles = np.concatenate([handles, extra]) if len(heap) else extra
+        self._rebuild(extra=handles)
+
     def _rebuild(self, extra: Optional[np.ndarray] = None) -> None:
         """Retune bucket count/width from the observed event horizon.
 
         Gathers every live entry (plus ``extra`` handles not yet indexed),
         recomputes the geometry, and re-places everything vectorized —
         this is also where stale entries from cancellation storms are
-        physically reclaimed.
+        physically reclaimed, and where a population that no longer fills
+        one bucket collapses back to the sparse heap.
         """
         gathered = self._gather()
         if extra is not None and len(extra):
@@ -574,37 +618,38 @@ class _CalendarIndex:
                         if len(gathered) else extra)
         handles, slots = self._live_filter(gathered)
         count = len(handles)
+        sparse = count <= self._TARGET_OCC
         nbuckets = self._MIN_BUCKETS
         while (nbuckets * self._TARGET_OCC < count
                and nbuckets < self._MAX_BUCKETS):
             nbuckets *= 2
         slab = self._slab
         times = slab.time[slots]
-        if count:
-            lo = float(times.min())
-            span = float(times.max()) - lo
-        else:
-            lo, span = 0.0, 0.0
-        # span/(n-1), not span/n, so the maximum stays inside the horizon.
-        width = span / (nbuckets - 1) if span > 0 else max(self._width, 1.0)
         self._nbuckets = nbuckets
-        self._width = max(width, 1e-12)
         self._buckets = [[] for _ in range(nbuckets)]
         self._overflow = []
         self._wheel_count = 0
         self._dead = 0
         self._prep = None
         self._pos = 0
-        self._positioned = False
-        if not count:
+        if sparse:
+            self._sparse = _HeapIndex(slab)
+            # A sorted list is a valid heap.
+            self._sparse._heap = sorted(zip(
+                times.tolist(), slab.seq[slots].tolist(), slots.tolist()))
+            self.collapses += 1
             return
-        self._position_at(lo)
-        horizon = self._horizon()
-        near = times < horizon
+        lo = float(times.min())
+        span = float(times.max()) - lo
+        # span/(n-1), not span/n, so the maximum stays inside the horizon.
+        width = span / (nbuckets - 1) if span > 0 else max(self._width, 1.0)
+        self._width = max(width, 1e-12)
+        windows = np.floor(times / self._width)
+        self._set_window(int(windows.min()))
+        near = windows < self._window + nbuckets
         near_h = handles[near]
         if len(near_h):
-            idx = (np.floor_divide(times[near], self._width).astype(np.int64)
-                   % nbuckets)
+            idx = windows[near].astype(np.int64) % nbuckets
             order = np.argsort(idx, kind="stable")
             counts = np.bincount(idx, minlength=nbuckets)
             parts = np.split(near_h[order], np.cumsum(counts)[:-1])
@@ -619,6 +664,9 @@ class _CalendarIndex:
 
     def note_dead(self) -> None:
         """An entry was cancelled in place; rebuild when dead dominate."""
+        if self._sparse is not None:
+            self._sparse.note_dead()
+            return
         self._dead += 1
         if self._dead > 64 and self._dead * 2 > len(self):
             self._unprepare()
@@ -638,11 +686,15 @@ class _CalendarIndex:
             times = slab.time[slots]
             seqs = slab.seq[slots]
             order = np.lexsort((seqs, times))
+            times = times[order]
             self._prep = (handles[order], slots[order], seqs[order],
-                          times[order], slab.aid[slots][order])
+                          times, slab.aid[slots][order])
+            self._prep_end = int(np.count_nonzero(
+                np.floor(times / self._width) <= self._window))
         else:
             empty_i = np.empty(0, dtype=np.int64)
             self._prep = (empty_i, empty_i, empty_i, np.empty(0), empty_i)
+            self._prep_end = 0
         self._pos = 0
 
     def _advance(self) -> None:
@@ -650,36 +702,33 @@ class _CalendarIndex:
         self._unprepare()
         self._set_window(self._window + 1)
         overflow = self._overflow
-        horizon = self._horizon()
-        while overflow and overflow[0][0] < horizon:
-            t, seq, handle = heapq.heappop(overflow)
-            bucket = math.floor(t / self._width) % self._nbuckets
-            self._buckets[bucket].append(handle)
+        horizon = self._window + self._nbuckets
+        while overflow:
+            window = math.floor(overflow[0][0] / self._width)
+            if window >= horizon:
+                break
+            self._buckets[window % self._nbuckets].append(
+                heapq.heappop(overflow)[2])
             self._wheel_count += 1
 
     def peek(self) -> Optional[Tuple[float, int, int]]:
+        if self._sparse is not None:
+            return self._sparse.peek()
         slab = self._slab
         if slab.live == 0:
+            self._rebuild()  # drained: collapse back to the sparse heap
             return None
-        if not self._positioned:
-            self._rebuild()
         scanned = 0
         while True:
             if self._prep is None:
                 self._prepare()
-            handles, slots, seqs, times, _aids = self._prep
+            _handles, slots, seqs, times, _aids = self._prep
             pos = self._pos
-            n = len(handles)
-            found = False
-            while pos < n:
-                slot = int(slots[pos])
-                if slab.seq[slot] == seqs[pos]:
-                    if times[pos] < self._bucket_top:
-                        found = True
-                    break  # live but future rotation: nothing this window
+            end = self._prep_end
+            while pos < end and slab.seq[slots[pos]] != seqs[pos]:
                 pos += 1  # cancelled after preparation: skip
             self._pos = pos
-            if found:
+            if pos < end:
                 return (float(times[pos]), int(seqs[pos]), int(slots[pos]))
             self._advance()
             scanned += 1
@@ -688,13 +737,16 @@ class _CalendarIndex:
                 # (deep overflow or a mistuned wheel).  Re-center on the
                 # true minimum and retune — O(live), amortized by the jump.
                 self._rebuild()
+                if self._sparse is not None:
+                    return self._sparse.peek()
                 scanned = 0
 
-    def pop(self) -> Optional[Tuple[float, int, int]]:
-        entry = self.peek()
-        if entry is not None:
+    def drop_head(self) -> None:
+        """Consume the entry the preceding :meth:`peek` returned."""
+        if self._sparse is not None:
+            self._sparse.drop_head()
+        else:
             self._pos += 1
-        return entry
 
     def pop_run(self, until: Optional[float],
                 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -711,9 +763,16 @@ class _CalendarIndex:
         out_times: List[np.ndarray] = []
         out_seqs: List[np.ndarray] = []
         while True:
+            if self._sparse is not None:
+                # Sparse from the start, or the peek that continued the
+                # run collapsed the wheel: the heap finishes it.
+                times, seqs = self._sparse.pop_run(until)
+                out_times.append(times)
+                out_seqs.append(seqs)
+                break
             handles, slots, seqs, times, aids = self._prep
             pos = self._pos
-            end = int(np.searchsorted(times, self._bucket_top, side="left"))
+            end = self._prep_end
             if until is not None:
                 end = min(end,
                           int(np.searchsorted(times, until, side="right")))
@@ -873,7 +932,7 @@ class EventQueue:
         if entry is None:
             return None
         event = self._facade(entry)
-        self._index.pop()
+        self._index.drop_head()
         self._slab.free(entry[2])
         return event
 
@@ -896,18 +955,25 @@ class EventQueue:
         if getattr(action, "__event_batch__", False):
             times, seqs = self._index.pop_run(until)
             return (times, seqs, kind, actor, action, True)
-        self._index.pop()
+        self._index.drop_head()
         self._slab.free(slot)
         return (time, seq, kind, actor, action, False)
 
     # -- introspection -------------------------------------------------------
 
-    def debug_stats(self) -> Dict[str, int]:
-        """Memory-shape counters for the reclamation stress tests."""
+    def debug_stats(self) -> Dict[str, Any]:
+        """Memory-shape counters for the reclamation stress tests, plus
+        which structure orders the events right now (``"heap"`` — also the
+        calendar backend's sparse state — or ``"wheel"``) and how often
+        the calendar backend has switched between the two."""
+        index = self._index
         return {
             "live": self._slab.live,
             "slab_capacity": self._slab.capacity,
-            "index_entries": len(self._index),
+            "index_entries": len(index),
+            "structure": index.structure,
+            "promotions": index.promotions,
+            "collapses": index.collapses,
         }
 
 

@@ -304,12 +304,20 @@ class ServingGateway(RequestRouter):
             t: StreamingHistogram() for t in self.registry.tenant_ids}
 
     def live_tenant_histograms(self) -> Dict[str, StreamingHistogram]:
-        """Per-tenant streaming latency histograms, updated per batch.
+        """Per-tenant streaming latency histograms, current as of this call.
 
         An O(bins) live view of each tenant's latency distribution —
-        dashboards can poll quantiles mid-run without touching the exact
-        per-request lists the final report is computed from.
+        dashboards can poll quantiles mid-run without sorting the exact
+        per-request lists the final report is computed from.  The
+        histograms fold lazily: each poll feeds a tenant's histogram the
+        completions recorded since the previous poll (its ``count`` is the
+        cursor into the append-only latency list), so a run nobody polls
+        pays one fold per tenant, at finalize.
         """
+        for tenant, hist in self._tenant_hists.items():
+            latencies = self._lat_by_tenant[tenant]
+            if hist.count < len(latencies):
+                hist.observe_many(latencies[hist.count:])
         return dict(self._tenant_hists)
 
     # -- the journal ----------------------------------------------------------
@@ -624,19 +632,13 @@ class ServingGateway(RequestRouter):
         journal.emit_many_lines(lines)
 
     def _record_completion(self, records: List[RequestRecord]) -> None:
-        # Incremental per-tenant accounting: append-only latency lists (the
-        # finalize digests read these — no per-call rebuild) plus a live
-        # streaming histogram per tenant.
+        # Incremental per-tenant accounting: append-only latency lists — the
+        # finalize digests and live_tenant_histograms() both read these.
         lat_map = self._lat_by_tenant
-        batch_lat: Dict[str, List[float]] = {}
         for r in records:
             lst = lat_map.get(r.tenant)
             if lst is not None:
-                latency = r.completion_time - r.arrival_time
-                lst.append(latency)
-                batch_lat.setdefault(r.tenant, []).append(latency)
-        for tenant, values in batch_lat.items():
-            self._tenant_hists[tenant].observe_many(values)
+                lst.append(r.completion_time - r.arrival_time)
         if self._journal is None:
             return
         # Sorted key order: arrival < batch_id < completion < dispatch <
@@ -657,6 +659,9 @@ class ServingGateway(RequestRouter):
 
     def _finalize(self) -> None:
         super()._finalize()
+        # The closing fold — one observe_many per tenant for the whole run —
+        # leaves the finished gateway's histograms complete without a poll.
+        self.live_tenant_histograms()
         # Digests come straight from the incremental accumulators:
         # bit-identical to tenant_report over the full record list (same
         # latencies, appended in the same completion order), without

@@ -77,6 +77,12 @@ def summary_stats(values: List[float]) -> Dict[str, float]:
     }
 
 
+def _as_float_array(values: Iterable[float]) -> np.ndarray:
+    """Any iterable of numbers (generators included) as a float ndarray."""
+    return np.asarray(values if isinstance(values, (np.ndarray, list))
+                      else list(values), dtype=float)
+
+
 class LatencyHistogram:
     """Streaming latency accumulator with percentile queries.
 
@@ -105,8 +111,7 @@ class LatencyHistogram:
         self._sorted = None
 
     def observe_many(self, values: Iterable[float]) -> None:
-        arr = np.asarray(values if isinstance(values, (np.ndarray, list))
-                         else list(values), dtype=float)
+        arr = _as_float_array(values)
         if arr.size == 0:
             return
         if bool((arr < 0).any()):
@@ -197,8 +202,9 @@ class StreamingHistogram:
         return np.exp(self._log_min + idx / self._scale)
 
     def observe(self, value: float) -> None:
-        if value < 0:
-            raise ValueError(f"latencies cannot be negative, got {value}")
+        if not 0 <= value < math.inf:  # also false for NaN
+            raise ValueError(
+                f"latencies must be finite and non-negative, got {value}")
         if value <= self.min_value:
             idx = 0
         else:
@@ -211,13 +217,15 @@ class StreamingHistogram:
         self._min = min(self._min, value)
         self._max = max(self._max, value)
 
-    def observe_many(self, values) -> None:
-        arr = np.asarray(values, dtype=float)
+    def observe_many(self, values: Iterable[float]) -> None:
+        arr = _as_float_array(values)
         if arr.size == 0:
             return
-        if bool((arr < 0).any()):
-            bad = float(arr[arr < 0][0])
-            raise ValueError(f"latencies cannot be negative, got {bad}")
+        lo, hi = float(arr.min()), float(arr.max())
+        if not (0 <= lo and hi < math.inf):  # a NaN makes lo NaN
+            bad = float(arr[~((arr >= 0) & (arr < math.inf))][0])
+            raise ValueError(
+                f"latencies must be finite and non-negative, got {bad}")
         idx = np.zeros(arr.shape, dtype=np.int64)
         above = arr > self.min_value
         if bool(above.any()):
@@ -227,8 +235,8 @@ class StreamingHistogram:
         self._counts += np.bincount(idx, minlength=self._nbins)
         self.count += arr.size
         self._sum += float(arr.sum())
-        self._min = min(self._min, float(arr.min()))
-        self._max = max(self._max, float(arr.max()))
+        self._min = min(self._min, lo)
+        self._max = max(self._max, hi)
 
     def __len__(self) -> int:
         return self.count

@@ -285,3 +285,49 @@ class TestChaosDeterminism:
                  trace=str(path), queue_backend=backend)
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestInferencePlanMemo:
+    def test_autoscaled_chaos_run_equals_memo_free_recomputation(
+            self, monkeypatch):
+        """The engine memoizes (shard bounds, latency, waves) per batch
+        length and mapping; autoscaler rescales and chaos remaps must
+        re-price.  Recomputing every plan from scratch serves every request
+        at the same instants on the same devices."""
+        from repro.core.engine import VirtualNodeEngine
+        from repro.core.sharding import shard_indices, shard_sizes
+
+        plan = random_plan(seed=9, duration=2.0, devices=8, crash_rate=1.0,
+                           straggler_rate=0.5, network_rate=0.3,
+                           min_healthy=3)
+        phases = [ServingPhase(0.8, 300.0), ServingPhase(0.6, 2400.0),
+                  ServingPhase(0.6, 300.0)]
+
+        def run():
+            return _run(phases, fault_plan=plan,
+                        recovery=RecoveryPolicy(mode="migrate")).serving
+
+        memoized = run()
+        installs = []
+        install = VirtualNodeEngine._install
+
+        def counting_install(self, *args, **kwargs):
+            installs.append(self)
+            return install(self, *args, **kwargs)
+
+        def memo_free(self, batch_size):
+            sizes = shard_sizes(self.vn_set, batch_size)
+            return (shard_indices(self.vn_set, batch_size),
+                    *self.inference_latency(sizes))
+
+        monkeypatch.setattr(VirtualNodeEngine, "_install", counting_install)
+        monkeypatch.setattr(VirtualNodeEngine, "inference_plan", memo_free)
+        recomputed = run()
+        assert memoized.records == recomputed.records
+        assert memoized.batches == recomputed.batches
+        assert memoized.scaling_events == recomputed.scaling_events
+        # The scenario really remapped the serving engine, by both routes.
+        assert memoized.scaling_events and memoized.failures
+        serving_engine = installs[-1]
+        assert installs.count(serving_engine) > 3
+        assert len({r.devices for r in memoized.records}) > 1

@@ -176,6 +176,33 @@ class TestRemap:
         after = engine.predict(batch).logits
         np.testing.assert_array_equal(before, after)
 
+    def test_remap_reprices_every_memoized_batch_size(self, batch):
+        """The per-batch-size plan memo dies with the mapping it priced."""
+        from repro.core.sharding import shard_indices, shard_sizes
+
+        engine = _engine(num_devices=4, num_vns=4, batch=4)
+        vn_set = engine.mapping.vn_set
+        clusters = [Cluster.homogeneous("V100", 2),
+                    Cluster.homogeneous("RTX2080Ti", 1),
+                    Cluster.homogeneous("V100", 4)]
+        seen = set()
+        for cluster in [None, *clusters]:
+            if cluster is not None:
+                engine.remap(Mapping.even(vn_set, cluster))
+            fresh = InferenceEngine(engine.workload, engine.model,
+                                    engine.mapping)
+            for size in list(range(1, 9)) * 2:  # second pass hits the memo
+                got = engine.predict(batch[:size])
+                latency, waves = fresh.engine.inference_latency(
+                    shard_sizes(vn_set, size))
+                assert (got.sim_latency, got.waves) == (latency, waves)
+                bounds, *_ = engine.engine.inference_plan(size)
+                assert bounds == shard_indices(vn_set, size)
+                np.testing.assert_array_equal(
+                    got.logits, fresh.predict(batch[:size]).logits)
+            seen.add(engine.predict(batch[:8]).sim_latency)
+        assert len(seen) == 3  # 4xV100 twice; the others price differently
+
     def test_remap_vn_set_guard(self, batch):
         engine = _engine()
         other = VirtualNodeSet.even(32, 8)

@@ -61,6 +61,23 @@ class TestBackendAgreement:
             bulk_q.post_many(times, action)
             assert _drain(bulk_q) == _drain(loop_q)
 
+    @pytest.mark.parametrize("width", [10 / 3, 0.1, 0.3, 1 / 7, 2.2, 0.7])
+    def test_times_on_bucket_edges_fire_in_order(self, width):
+        """An evenly spaced wave puts times exactly on the edges of the
+        buckets a rebuild derives from its span.  Filing an event with
+        ``floor_divide`` and looking for it with ``time < (w + 1) * width``
+        disagree there in the last ulp — the event then fired a whole
+        rotation late.  Five of these six widths misordered thousands of
+        events before every decision moved to ``floor(time / width)``."""
+        times = np.arange(10161) * (width / 80)
+        orders = {}
+        for backend in BACKENDS:
+            q = EventQueue(backend=backend)
+            q.post_many(times, lambda t: None)
+            orders[backend] = _drain(q)
+        assert orders["calendar"] == orders["heap"]
+        assert [t for t, _ in orders["heap"]] == times.tolist()
+
     def test_handle_cancellation_agrees_across_backends(self):
         times, cancel = _random_schedule(seed=4, n=1000)
         orders = {}
@@ -122,6 +139,15 @@ class TestBoundedMemory:
         assert stats["slab_capacity"] < 20_000
         # Index structures compact dead entries instead of hoarding them.
         assert stats["index_entries"] <= 2 * survivors + 128
+        if backend == "calendar":
+            # 500-event waves are far above the sparse line: this storm
+            # exercises the wheel's reclamation, not the sparse heap's
+            # (the first waves' ~50 survivors collapse once, then the
+            # population outgrows the line for good).
+            assert stats["structure"] == "wheel"
+            assert stats["promotions"] == stats["collapses"] + 1 == 2
+        else:
+            assert (stats["structure"], stats["promotions"]) == ("heap", 0)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_slab_slots_recycled_after_fire(self, backend):
@@ -201,3 +227,32 @@ class TestBatchDispatchEquivalence:
             return waves
 
         assert run("calendar") == run("heap")
+
+
+class TestStructureObservability:
+    def test_serving_run_never_leaves_the_sparse_heap(self, monkeypatch):
+        """The serve chain keeps one or two events alive: the calendar
+        backend must spend the whole run on its sparse heap."""
+        from repro.elastic import ServingPhase
+        from repro.serving import TenantRegistry, serve_workload
+
+        finished = []
+        original = Runtime.run
+
+        def run(self, until=None):
+            try:
+                return original(self, until)
+            finally:
+                finished.append((self.events_processed,
+                                 self.queue.debug_stats()))
+
+        monkeypatch.setattr(Runtime, "run", run)
+        report = serve_workload(
+            "mlp_synthetic", [ServingPhase(1.0, 2000.0)], pool_devices=4,
+            queue_backend="calendar", tenants=TenantRegistry.from_spec(
+                "prem:class=premium,weight=8,quota=300;flood:share=4"))
+        (events, stats), = finished
+        assert len(report.records) > 1500 and events > 500
+        assert stats["structure"] == "heap"
+        assert stats["promotions"] == 0 and stats["collapses"] == 0
+        assert stats["live"] == 0

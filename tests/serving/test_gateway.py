@@ -5,19 +5,27 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import InferenceEngine, Mapping, VirtualNodeSet
 from repro.data import make_dataset
 from repro.elastic import ServingPhase
 from repro.framework.models import get_workload
-from repro.runtime import read_trace
+from repro.hardware import Cluster
+from repro.runtime import Runtime, read_trace
 from repro.serving import (
     MultiTenantPoissonSource,
     OpenLoopPoissonSource,
+    ServingGateway,
     TenantRegistry,
     TenantTaggingSource,
     audit_journal,
     serve_workload,
 )
-from repro.serving.batcher import AdmissionPolicy, WFQDispatchQueue
+from repro.serving.batcher import (
+    AdmissionPolicy,
+    MicroBatchPolicy,
+    WFQDispatchQueue,
+)
+from repro.telemetry import StreamingHistogram
 from repro.serving.request import Request
 from repro.serving.tenancy import split_phases
 
@@ -333,3 +341,120 @@ class TestIncrementalTenantAccounting:
             [(r.tenant, r.latency) for r in report.records],
             [tenant for _, _, tenant, _ in report.tenant_shed],
         ) == report.tenants
+
+
+class TestLiveTenantHistograms:
+    """The live per-tenant histograms fold lazily: a poll catches each one
+    up from the exact latency lists, and nothing is paid between polls."""
+
+    SPEC = "prem:class=premium,weight=8,quota=300;flood:share=4"
+
+    def _gateway(self, rate=1500.0, duration=1.0, seed=3):
+        registry = TenantRegistry.from_spec(self.SPEC)
+        workload = get_workload("mlp_synthetic")
+        pool = Cluster.homogeneous("V100", 2)
+        engine = InferenceEngine(
+            workload, workload.build_model(seed),
+            Mapping.even(VirtualNodeSet.even(2, 2), pool))
+        examples = make_dataset(workload.dataset, n=512, seed=seed).x_val
+        source = MultiTenantPoissonSource(
+            registry, split_phases([ServingPhase(duration, rate)], registry),
+            examples, seed=seed)
+        return ServingGateway(
+            engine, source, registry, pool=pool,
+            policy=MicroBatchPolicy(max_batch=8, max_wait=0.002))
+
+    @staticmethod
+    def _fold_sizes(monkeypatch):
+        """Record the length of every observe_many from here on."""
+        sizes = []
+        original = StreamingHistogram.observe_many
+
+        def recording(self, values):
+            values = list(values)
+            sizes.append(len(values))
+            return original(self, values)
+
+        monkeypatch.setattr(StreamingHistogram, "observe_many", recording)
+        return sizes
+
+    @staticmethod
+    def _exact(latencies):
+        hist = StreamingHistogram()
+        hist.observe_many(latencies)
+        return hist
+
+    @staticmethod
+    def _same(a, b):
+        return (a.count == b.count and a._min == b._min and a._max == b._max
+                and bool((a._counts == b._counts).all()))
+
+    def _latencies(self, records):
+        out = {t: [] for t in ("prem", "flood")}
+        for r in records:
+            out[r.tenant].append(r.completion_time - r.arrival_time)
+        return out
+
+    def test_polls_mid_run_and_at_the_end_match_the_exact_lists(
+            self, monkeypatch):
+        gateway = self._gateway()
+        sizes = self._fold_sizes(monkeypatch)
+        polls = []
+
+        def poll(t):
+            # Copies: the gateway keeps folding into the live objects.
+            served = len(gateway.report.records)
+            before = len(sizes)
+            view = gateway.live_tenant_histograms()
+            polls.append((served, list(sizes[before:]),
+                          {k: (h.count, h._min, h._max, h._counts.copy())
+                           for k, h in view.items()}))
+
+        runtime = Runtime()
+        runtime.add(gateway)
+        for t in (0.3, 0.6, 0.6):
+            runtime.at(t, poll, kind="poll")
+        runtime.run()
+        records = gateway.report.records
+        assert len(polls) == 3 and 0 < polls[0][0] < polls[1][0] < len(records)
+
+        folded = {"prem": 0, "flood": 0}
+        for served, new_sizes, view in polls:
+            exact = self._latencies(records[:served])
+            for tenant, (count, lo, hi, counts) in view.items():
+                want = self._exact(exact[tenant])
+                assert (count, lo, hi) == (want.count, want._min, want._max)
+                assert (counts == want._counts).all()
+            # Each poll folded exactly the completions since the last one.
+            fresh = [len(exact[t]) - folded[t] for t in ("prem", "flood")]
+            assert sorted(new_sizes) == sorted(n for n in fresh if n)
+            folded = {t: len(exact[t]) for t in folded}
+        assert polls[2][1] == []  # same instant, nothing new: no fold
+
+        exact = self._latencies(records)
+        final = gateway.live_tenant_histograms()
+        assert all(self._same(final[t], self._exact(exact[t])) for t in exact)
+        assert all(final[t].count for t in exact)
+
+    def test_unpolled_run_folds_once_per_tenant_at_finalize(
+            self, monkeypatch):
+        gateway = self._gateway()
+        sizes = self._fold_sizes(monkeypatch)
+        report = gateway.run()
+        exact = self._latencies(report.records)
+        # No per-batch telemetry: the only observe_many calls of the whole
+        # run are the closing folds, one per tenant over its whole list.
+        assert sorted(sizes) == sorted(len(v) for v in exact.values())
+        assert len(report.records) > 1000 and len(report.batches) > 100
+        final = gateway.live_tenant_histograms()
+        assert len(sizes) == 2  # the poll after the run had nothing to fold
+        assert all(self._same(final[t], self._exact(exact[t])) for t in exact)
+
+    def test_a_second_run_starts_from_empty_histograms(self):
+        gateway = self._gateway(duration=0.2)
+        first = gateway.run()
+        assert first.records
+        again = gateway.run()  # drained source: an empty run
+        assert not again.records
+        assert all(h.count == 0
+                   for h in gateway.live_tenant_histograms().values())

@@ -199,3 +199,30 @@ class TestStreamingHistogram:
         assert 0.0 <= hist.percentile(99) <= 5.0
         with pytest.raises(ValueError):
             hist.observe(-1.0)
+
+    def test_observe_many_accepts_any_iterable(self):
+        from repro.telemetry import StreamingHistogram
+
+        values = [0.004, 0.001, 0.009]
+        from_list, from_gen = StreamingHistogram(), StreamingHistogram()
+        from_list.observe_many(values)
+        from_gen.observe_many(v for v in values)
+        from_gen.observe_many(iter(()))  # empty: a no-op, not an error
+        assert from_gen.stats() == from_list.stats()
+        assert (from_gen._counts == from_list._counts).all()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf"), -0.5])
+    def test_non_finite_and_negative_values_rejected(self, bad):
+        from repro.telemetry import StreamingHistogram
+
+        hist = StreamingHistogram()
+        hist.observe_many([0.002, 0.003])
+        before = (hist.stats(), hist._counts.copy())
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            hist.observe(bad)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            hist.observe_many([0.1, bad, 0.2])
+        # A rejected call leaves the summary untouched, not poisoned.
+        assert hist.stats() == before[0]
+        assert (hist._counts == before[1]).all()
