@@ -198,6 +198,18 @@ class _LegacyGateway(ServingGateway):
                 wait_limit = wait_limit / 2
         return self._shed_reason(request, depth_limit, wait_limit)
 
+    def _shed_reason(self, request, depth_limit, wait_limit):
+        if depth_limit is not None and len(self._pending) >= depth_limit:
+            return "depth"
+        if wait_limit is not None and self._service_estimate > 0:
+            backlog = max(0.0, self._server_free - request.arrival_time)
+            batches_ahead = (
+                len(self._pending) // self._policy_now().max_batch + 1)
+            estimate = backlog + batches_ahead * self._service_estimate
+            if estimate > wait_limit:
+                return "wait"
+        return None
+
     def _record_shed(self, request, reason):
         RequestRouter._record_shed(self, request, reason)
         tenant = request.tenant if request.tenant is not None else ""

@@ -777,6 +777,9 @@ def _cmd_audit(args) -> int:
         title=f"journal audit: {audit['requests']} served, "
               f"{audit['shed']} shed "
               f"({audit['dispatcher'] or 'unknown'} dispatcher)"))
+    if audit.get("torn_tail"):
+        print(f"note: the journal ends in {audit['torn_tail']} torn "
+              f"(unparsable) line; the table covers the intact prefix")
     return 0
 
 

@@ -163,9 +163,13 @@ class ClusterConditions:
 
     def bottleneck_speed(self, device_ids: Iterable[int]) -> float:
         """Speed of the slowest device in a synchronous group (1.0 if clean)."""
-        if not self._speed and not self._derate:
+        speed, derate = self._speed, self._derate
+        if not speed and not derate:
             return 1.0
-        return min((self.device_speed(d) for d in device_ids), default=1.0)
+        slowest = 1.0  # every factor is in (0, 1], so no product exceeds it
+        for d in device_ids:
+            slowest = min(slowest, speed.get(d, 1.0) * derate.get(d, 1.0))
+        return slowest
 
     def effective_capacity(self, device_ids: Iterable[int]) -> float:
         """Sum of derate-only speeds over a group — the sustained fraction of

@@ -41,10 +41,14 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
     Union,
 )
 
-__all__ = ["EventTrace", "open_trace", "read_trace"]
+__all__ = ["EventTrace", "load_trace", "open_trace", "read_trace"]
+
+# json.dumps(..., sort_keys=True) builds a JSONEncoder per call; this is it.
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 class EventTrace:
@@ -72,14 +76,13 @@ class EventTrace:
         self.sample = sample
         self.events_written = 0   # lines emitted (post-sampling)
         self.events_seen = 0      # events offered (pre-sampling)
+        self._fragments: Dict[Tuple[str, str], Tuple[str, str]] = {}  # see _line_parts
         if isinstance(destination, str):
             self._path = destination
         else:
             self._fh = destination
         if sample > 1:
-            self._buffer.append(
-                json.dumps({"meta": {"sample": sample}}, sort_keys=True)
-                + "\n")
+            self._buffer.append(_encode({"meta": {"sample": sample}}) + "\n")
 
     def _handle(self) -> IO[str]:
         if self._fh is None:
@@ -90,18 +93,33 @@ class EventTrace:
             self._owns = True
         return self._fh
 
+    def _line_parts(self, actor: str, kind: str) -> Tuple[str, str]:
+        """The constant ``(prefix, middle)`` of an ``(actor, kind)`` line:
+        ``prefix + payload + middle + seq + ', "t": ' + repr(t) + '}\\n'``
+        is byte for byte ``json.dumps(record, sort_keys=True)`` (key order
+        actor < data < kind < seq < t; a float's ``repr`` is json's)."""
+        parts = self._fragments.get((actor, kind))
+        if parts is None:
+            parts = self._fragments[actor, kind] = (
+                f'{{"actor": {json.dumps(actor)}, "data": ',
+                f', "kind": {json.dumps(kind)}, "seq": ')
+        return parts
+
     def emit(self, t: float, seq: int, kind: str, actor: str,
              data: Optional[Dict[str, Any]] = None) -> None:
-        """Journal one fired event as a JSONL line."""
+        """Journal one fired event as a JSONL line; ``t`` is written as a
+        float (``emit(0, ...)`` gives ``"t": 0.0``) and must be finite."""
+        t = float(t)  # float()/int(): numpy scalars repr as 'np.float64(1.0)'
+        if t - t != 0.0:  # inf or nan (their repr is not JSON), without a call
+            raise ValueError(f"event time must be finite, got {t!r}")
         seen = self.events_seen
         self.events_seen = seen + 1
         if seen % self.sample:
             return
-        line = json.dumps(
-            {"t": t, "seq": seq, "kind": kind, "actor": actor,
-             "data": data or {}},
-            sort_keys=True)
-        self._buffer.append(line + "\n")
+        prefix, middle = self._line_parts(actor, kind)
+        payload = _encode(data) if data else "{}"
+        self._buffer.append(
+            f'{prefix}{payload}{middle}{int(seq)}, "t": {t!r}}}\n')
         self.events_written += 1
         if len(self._buffer) >= self._buffer_lines:
             self.flush()
@@ -110,8 +128,7 @@ class EventTrace:
         """Journal a batch-dispatched run of events (empty ``data``).
 
         ``times``/``seqs`` are the parallel arrays a batched run fired
-        with.  Lines are formatted without per-event ``json.dumps`` but
-        are byte-identical to what :meth:`emit` would have produced.
+        with; the lines are byte-identical to per-event :meth:`emit`.
         """
         n = len(times)
         if n == 0:
@@ -126,12 +143,10 @@ class EventTrace:
             else list(times[first::sample])
         s_list = seqs[first::sample].tolist() if hasattr(seqs, "tolist") \
             else list(seqs[first::sample])
-        # Key order matches json.dumps(sort_keys=True): actor < data <
-        # kind < seq < t; float repr matches json's float formatting.
-        prefix = (f'{{"actor": {json.dumps(actor)}, "data": {{}}, '
-                  f'"kind": {json.dumps(kind)}, "seq": ')
+        prefix, middle = self._line_parts(actor, kind)
+        head = f'{prefix}{{}}{middle}'
         buffer = self._buffer
-        buffer.extend(f'{prefix}{s}, "t": {t!r}}}\n'
+        buffer.extend(f'{head}{s}, "t": {t!r}}}\n'
                       for t, s in zip(t_list, s_list))
         self.events_written += len(t_list)
         if len(buffer) >= self._buffer_lines:
@@ -142,13 +157,10 @@ class EventTrace:
                        data_json: Sequence[str]) -> None:
         """Journal a run of events that each carry a payload.
 
-        The data-carrying sibling of :meth:`emit_many`: ``data_json[i]``
-        is event ``i``'s payload *already formatted* as a JSON object
-        string with its keys in sorted order (the caller formats a whole
-        wave in one pass).  The assembled lines are byte-identical to
-        what per-event :meth:`emit` calls would have produced, and the
-        sampling and buffering counters advance exactly as if each event
-        had been offered individually.
+        ``data_json[i]`` is event ``i``'s payload *already formatted* as a
+        JSON object string with its keys in sorted order (the caller
+        formats a whole wave in one pass).  Lines, sampling and buffering
+        counters come out exactly as from per-event :meth:`emit` calls.
         """
         n = len(times)
         if n == 0:
@@ -167,11 +179,10 @@ class EventTrace:
             times = times[first::sample]
             seqs = seqs[first::sample]
             data_json = data_json[first::sample]
-        prefix = (f'{{"actor": {json.dumps(actor)}, "data": ')
-        kind_part = f', "kind": {json.dumps(kind)}, "seq": '
+        prefix, middle = self._line_parts(actor, kind)
         buffer = self._buffer
         buffer.extend(
-            f'{prefix}{d}{kind_part}{s}, "t": {t!r}}}\n'
+            f'{prefix}{d}{middle}{s}, "t": {t!r}}}\n'
             for t, s, d in zip(times, seqs, data_json))
         self.events_written += len(data_json)
         if len(buffer) >= self._buffer_lines:
@@ -245,18 +256,33 @@ def open_trace(trace: Union[str, "EventTrace", None],
         yield trace
 
 
-def read_trace(path: str) -> list:
-    """Load a JSONL timeline back into a list of event dicts.
+def load_trace(path: str) -> Tuple[list, int]:
+    """Load a JSONL timeline: ``(events, torn)``.
 
     Metadata lines (``{"meta": ...}``, written by sampled traces) are
-    skipped: the result contains events only.
+    skipped.  ``torn`` is 1 when the final line does not parse — what a
+    ``kill -9`` mid-write leaves — and the events are the intact prefix;
+    an unparsable line *before* the last is damage and raises.
     """
-    events = []
+    events, torn = [], None
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            if torn is not None:
+                raise torn
+            try:
                 record = json.loads(line)
-                if "meta" not in record:
-                    events.append(record)
-    return events
+            except ValueError as exc:
+                torn = ValueError(f"{path}:{number}: unparsable line "
+                                  f"before the end of the file ({exc})")
+                continue
+            if "meta" not in record:
+                events.append(record)
+    return events, int(torn is not None)
+
+
+def read_trace(path: str) -> list:
+    """The events of a JSONL timeline (see :func:`load_trace`)."""
+    return load_trace(path)[0]

@@ -44,7 +44,7 @@ from repro.core.inference import InferenceEngine
 from repro.elastic.trace import ServingPhase, serving_arrival_times
 from repro.hardware.cluster import Cluster
 from repro.runtime import EventTrace
-from repro.runtime.trace import read_trace
+from repro.runtime.trace import load_trace
 from repro.serving.autoscaler import LatencyAutoscaler
 from repro.serving.batcher import (
     AdmissionPolicy,
@@ -409,7 +409,7 @@ class ServingGateway(RequestRouter):
                 return
             self._enqueue(self.source.take_arrivals(nxt))
 
-    def _should_shed(self, request: Request) -> Optional[str]:
+    def _should_shed(self, request: Request, in_force: MicroBatchPolicy) -> Optional[str]:
         """Tenant-aware shedding: premium-within-quota is never shed.
 
         Every arrival draws on its tenant's token bucket first (the meter
@@ -422,8 +422,6 @@ class ServingGateway(RequestRouter):
         gateway is not actually overloaded.
         """
         policy = self.admission
-        if policy is None:
-            return None
         tenant = request.tenant
         bucket = self._buckets.get(tenant)
         within_quota = (bucket.take(request.arrival_time)
@@ -434,12 +432,12 @@ class ServingGateway(RequestRouter):
             return None
         depth_limit = policy.max_queue_depth
         wait_limit = policy.max_estimated_wait
-        if not premium and self._brownout_active():
+        if in_force is not self.policy and not premium:  # browned out
             if depth_limit is not None:
                 depth_limit = max(1, depth_limit // 2)
             if wait_limit is not None:
                 wait_limit = wait_limit / 2
-        return self._shed_reason(request, depth_limit, wait_limit)
+        return self._shed_reason(request, depth_limit, wait_limit, in_force.max_batch)
 
     def _enqueue_wave(self, wave: ArrivalWave) -> int:
         """Tenant-aware wave admission: the gateway's batched fast path.
@@ -492,7 +490,8 @@ class ServingGateway(RequestRouter):
 
         depth_limit = policy.max_queue_depth
         wait_limit = policy.max_estimated_wait
-        brown = self._brownout_active()
+        in_force = self._policy_now()
+        brown = in_force is not self.policy
         be_depth, be_wait = depth_limit, wait_limit  # non-premium limits
         if brown:
             if depth_limit is not None:
@@ -542,7 +541,7 @@ class ServingGateway(RequestRouter):
             prem_l = prem.tolist()
             idx_l = None if idx is None else idx.tolist()
             depth = len(self._pending)
-            max_batch = self._policy_now().max_batch
+            max_batch = in_force.max_batch
             server_free = self._server_free
             estimate = self._service_estimate
             for j, t in enumerate(t_list):
@@ -696,7 +695,8 @@ def audit_journal(path: str) -> Dict[str, object]:
     dispatcher: Optional[str] = None
     pairs: List[Tuple[Optional[str], float]] = []
     sheds: List[str] = []
-    for event in read_trace(path):
+    events, torn = load_trace(path)
+    for event in events:
         kind = event.get("kind")
         data = event.get("data", {})
         if kind == "registry":
@@ -715,4 +715,5 @@ def audit_journal(path: str) -> Dict[str, object]:
         "requests": len(pairs),
         "shed": len(sheds),
         "tenants": tenant_report(registry, pairs, sheds),
+        **({"torn_tail": torn} if torn else {}),  # absent when intact
     }

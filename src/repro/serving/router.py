@@ -550,7 +550,7 @@ class RequestRouter:
                                 max_wait=self.policy.max_wait / 2)
 
     def _shed_reason(self, request: Request, depth_limit: Optional[int],
-                     wait_limit: Optional[float]) -> Optional[str]:
+                     wait_limit: Optional[float], max_batch: int) -> Optional[str]:
         """The threshold a new arrival trips against the given limits.
 
         Evaluated entirely from state at the request's arrival: the queue
@@ -562,20 +562,18 @@ class RequestRouter:
             return "depth"
         if wait_limit is not None and self._service_estimate > 0:
             backlog = max(0.0, self._server_free - request.arrival_time)
-            batches_ahead = (
-                len(self._pending) // self._policy_now().max_batch + 1)
+            batches_ahead = len(self._pending) // max_batch + 1
             estimate = backlog + batches_ahead * self._service_estimate
             if estimate > wait_limit:
                 return "wait"
         return None
 
-    def _should_shed(self, request: Request) -> Optional[str]:
-        """The threshold a new arrival trips, or None to admit it."""
+    def _should_shed(self, request: Request, in_force: MicroBatchPolicy) -> Optional[str]:
+        """The threshold a new arrival trips, or None to admit it, under
+        the coalescing policy :meth:`_enqueue` found in force."""
         policy = self.admission
-        if policy is None:
-            return None
         return self._shed_reason(request, policy.max_queue_depth,
-                                 policy.max_estimated_wait)
+                                 policy.max_estimated_wait, in_force.max_batch)
 
     def _record_shed(self, request: Request, reason: str) -> None:
         """Account one shed arrival (the gateway adds tenant accounting)."""
@@ -596,9 +594,14 @@ class RequestRouter:
         if self.admission is None:
             self._pending.extend(requests)
             return 0
+        if not requests:
+            return 0
+        # No event fires inside a pull (see _enqueue_wave): probe degradation
+        # once, not per arrival; browned out is "not the configured policy".
+        in_force = self._policy_now()
         shed = 0
         for r in requests:
-            reason = self._should_shed(r)
+            reason = self._should_shed(r, in_force)
             if reason is None:
                 self._pending.push(r)
             else:

@@ -10,11 +10,11 @@ checks.
 accumulator of per-request latencies with percentile queries (p50/p99 are
 what SLOs are written against) and an optional sliding window, which is what
 the serving autoscaler watches to decide when to remap.  Its percentiles
-are exact; repeated queries over an unchanged window reuse a cached sorted
-view instead of re-sorting.  :class:`StreamingHistogram` is the approximate
-sibling for million-request runs: fixed log-spaced bins give O(1) insert
-and O(bins) quantiles with a bounded relative error, trading exactness for
-a footprint independent of the observation count.
+are exact (``np.percentile`` bit for bit) and read off a sorted list that
+is maintained per insert and eviction.  :class:`StreamingHistogram` is the
+approximate sibling for million-request runs: fixed log-spaced bins give
+O(1) insert and O(bins) quantiles with a bounded relative error, trading
+exactness for a footprint independent of the observation count.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import csv
 import json
 import math
 import os
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -89,6 +90,11 @@ class LatencyHistogram:
     ``window=None`` keeps every observation (whole-run reports); a positive
     ``window`` keeps only the most recent N (the autoscaler's view of "how is
     the service doing *right now*").  Values are seconds by convention.
+
+    Beside the insertion-order deque the window's values are kept in an
+    ascending list: ``insort`` per insert, a delete of the value the
+    ``deque(maxlen)`` is about to evict; a bulk append at least as large as
+    what is held marks the list stale and the next query sorts once.
     """
 
     def __init__(self, window: Optional[int] = None) -> None:
@@ -96,46 +102,59 @@ class LatencyHistogram:
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = window
         self._values: deque = deque(maxlen=window)
-        # Sorted view of the current window, rebuilt lazily: the
-        # autoscaler queries p99 every rescale tick, usually with few or
-        # no new observations in between — re-sorting each query was the
-        # dominant telemetry cost.  np.percentile is permutation-
-        # invariant, so querying the cached sorted array is bit-identical
-        # to sorting the raw window on every call.
-        self._sorted: Optional[np.ndarray] = None
+        self._sorted: Optional[List[float]] = []  # None: stale, see _view
 
     def observe(self, value: float) -> None:
-        if value < 0:
-            raise ValueError(f"latencies cannot be negative, got {value}")
-        self._values.append(float(value))
-        self._sorted = None
+        self.observe_many((value,))
 
     def observe_many(self, values: Iterable[float]) -> None:
-        arr = _as_float_array(values)
-        if arr.size == 0:
+        # Plain floats: for the autoscaler's handful an ndarray trip is the cost.
+        # "+ 0.0" turns -0.0 into 0.0: bisect cannot tell the two zeros apart.
+        batch = ((np.asarray(values, dtype=float).ravel() + 0.0).tolist()
+                 if isinstance(values, np.ndarray)
+                 else [float(v) + 0.0 for v in values])
+        bad = [v for v in batch if not 0 <= v < math.inf]  # NaN included
+        if bad:
+            raise ValueError(
+                f"latencies must be finite and non-negative, got {bad[0]}")
+        window, view = self._values, self._sorted
+        if view is None or len(batch) >= len(window):
+            window.extend(batch)
+            self._sorted = None
             return
-        if bool((arr < 0).any()):
-            bad = float(arr[arr < 0][0])
-            raise ValueError(f"latencies cannot be negative, got {bad}")
-        self._values.extend(arr.tolist())
-        self._sorted = None
+        for value in batch:
+            if len(window) == self.window:  # this append evicts window[0]
+                del view[bisect_left(view, window[0])]
+            insort(view, value)
+            window.append(value)
 
     def __len__(self) -> int:
         return len(self._values)
 
     def clear(self) -> None:
         self._values.clear()
-        self._sorted = None
+        self._sorted = []
 
-    def _view(self) -> np.ndarray:
+    def _view(self) -> List[float]:
         if self._sorted is None:
-            self._sorted = np.sort(np.asarray(self._values, dtype=float))
+            self._sorted = sorted(self._values)
         return self._sorted
 
     def percentile(self, q: float) -> float:
+        """``np.percentile(window, q)`` bit for bit, minus its dispatch:
+        the ``method="linear"`` virtual index, its two neighbours, and
+        numpy's ``_lerp`` with its ``t >= 0.5`` branch."""
         if not self._values:
             raise ValueError("no values to take a percentile of")
-        return float(np.percentile(self._view(), q))
+        if not 0 <= q <= 100:
+            raise ValueError("Percentiles must be in the range [0, 100]")
+        view = self._view()
+        last = len(view) - 1
+        virtual = last * (q / 100)
+        lo = int(virtual)
+        a, b = view[lo], view[min(lo + 1, last)]
+        g = virtual - lo
+        return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
 
     def stats(self) -> Dict[str, float]:
         """The :func:`summary_stats` of the (windowed) observations."""
@@ -149,11 +168,11 @@ class LatencyHistogram:
         return {
             "mean": float(raw.mean()),
             "std": float(raw.std()),
-            "min": float(view[0]),
-            "max": float(view[-1]),
-            "p50": float(np.percentile(view, 50)),
-            "p95": float(np.percentile(view, 95)),
-            "p99": float(np.percentile(view, 99)),
+            "min": view[0],
+            "max": view[-1],
+            "p50": self.percentile(50),
+            "p95": self.percentile(95),
+            "p99": self.percentile(99),
             "count": float(len(self._values)),
         }
 

@@ -1,0 +1,152 @@
+"""Generated payloads through :class:`EventTrace`'s one line formatter.
+
+``emit`` / ``emit_many`` / ``emit_many_data`` assemble every line from two
+cached ``(actor, kind)`` fragments around the payload and the sequence
+number.  The contract is byte equality with dumping the whole five-key
+record — ``json.dumps({...}, sort_keys=True) + "\\n"`` — for whatever a
+caller can put in a line: nested payloads, floats whose repr is awkward
+(``-0.0``, ``1e-7``, ``1e22``), actor/kind strings that need escaping,
+numpy scalars for ``t`` and ``seq``, and decimated (``sample > 1``) runs.
+"""
+
+from __future__ import annotations
+
+import json
+from io import StringIO
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.runtime import EventTrace
+
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-7, 1e22, 1e16, 0.1, 123456789.125,
+                     5e-324, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+NAMES = st.one_of(
+    st.sampled_from(["router", "gateway", 'say "hi"', "back\\slash", "naïve",
+                     "队列", "tab\there", "", "a/b"]),
+    st.text(max_size=8),
+)
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2**53, 2**53),
+                    FLOATS, NAMES)
+PAYLOADS = st.dictionaries(
+    NAMES,
+    st.recursive(SCALARS,
+                 lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                         st.dictionaries(NAMES, inner,
+                                                         max_size=3)),
+                 max_leaves=8),
+    max_size=4)
+TIMES = st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
+SEQS = st.integers(0, 2**40)
+
+
+def reference_line(t, seq, kind, actor, data) -> str:
+    return json.dumps({"t": float(t), "seq": int(seq), "kind": kind,
+                       "actor": actor, "data": data or {}},
+                      sort_keys=True) + "\n"
+
+
+def kept(n_before: int, n: int, sample: int):
+    """Offsets of the events a ``sample``-decimated trace keeps."""
+    return [i for i in range(n) if (n_before + i) % sample == 0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=TIMES, seq=SEQS, kind=NAMES, actor=NAMES,
+       data=st.one_of(st.none(), PAYLOADS), numpy_scalars=st.booleans())
+def test_emit_is_byte_equal_to_dumping_the_record(t, seq, kind, actor, data,
+                                                  numpy_scalars):
+    fh = StringIO()
+    trace = EventTrace(fh)
+    if numpy_scalars:
+        trace.emit(np.float64(t), np.int64(seq), kind, actor, data)
+    else:
+        trace.emit(t, seq, kind, actor, data)
+    trace.emit(t, seq, kind, actor, data)  # second line: fragments cached
+    trace.close()
+    assert fh.getvalue() == reference_line(t, seq, kind, actor, data) * 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(events=st.lists(st.tuples(TIMES, SEQS), max_size=12), kind=NAMES,
+       actor=NAMES, sample=st.integers(1, 4), lead=st.integers(0, 3),
+       as_arrays=st.booleans())
+def test_emit_many_is_byte_equal_and_samples_like_emit(events, kind, actor,
+                                                       sample, lead,
+                                                       as_arrays):
+    fh = StringIO()
+    trace = EventTrace(fh, sample=sample)
+    for i in range(lead):  # shift the sampling phase the run starts on
+        trace.emit(0.0, i, "lead", "t")
+    times = [t for t, _ in events]
+    seqs = [s for _, s in events]
+    if as_arrays:
+        trace.emit_many(np.asarray(times, dtype=float),
+                        np.asarray(seqs, dtype=np.int64), kind, actor)
+    else:
+        trace.emit_many(times, seqs, kind, actor)
+    trace.close()
+    want = [json.dumps({"meta": {"sample": sample}}, sort_keys=True) + "\n"
+            ] if sample > 1 else []
+    want += [reference_line(0.0, i, "lead", "t", None)
+             for i in kept(0, lead, sample)]
+    want += [reference_line(times[i], seqs[i], kind, actor, None)
+             for i in kept(lead, len(events), sample)]
+    assert fh.getvalue() == "".join(want)
+    assert trace.events_seen == lead + len(events)
+
+
+@settings(max_examples=60, deadline=None)
+@given(events=st.lists(st.tuples(TIMES, SEQS, PAYLOADS), max_size=10),
+       kind=NAMES, actor=NAMES, sample=st.integers(1, 4),
+       lead=st.integers(0, 3), as_arrays=st.booleans())
+def test_emit_many_data_is_byte_equal_and_samples_like_emit(
+        events, kind, actor, sample, lead, as_arrays):
+    fh = StringIO()
+    trace = EventTrace(fh, sample=sample)
+    for i in range(lead):
+        trace.emit(0.0, i, "lead", "t")
+    times = [t for t, _, _ in events]
+    seqs = [s for _, s, _ in events]
+    payloads = [d for _, _, d in events]
+    data_json = [json.dumps(d, sort_keys=True) for d in payloads]
+    if as_arrays:
+        trace.emit_many_data(np.asarray(times, dtype=float),
+                             np.asarray(seqs, dtype=np.int64), kind, actor,
+                             data_json)
+    else:
+        trace.emit_many_data(times, seqs, kind, actor, data_json)
+    trace.close()
+    lines = fh.getvalue().splitlines(keepends=True)[sample > 1:]
+    want = [reference_line(0.0, i, "lead", "t", None)
+            for i in kept(0, lead, sample)]
+    want += [reference_line(times[i], seqs[i], kind, actor, payloads[i])
+             for i in kept(lead, len(events), sample)]
+    assert lines == want
+
+
+def test_fragments_fill_on_first_use_and_are_shared_by_all_emitters():
+    trace = EventTrace(StringIO())
+    assert trace._fragments == {}  # nothing is built at construction
+    trace.emit(0.0, 0, "complete", "gateway", {"k": 1})
+    parts = trace._fragments["gateway", "complete"]
+    trace.emit_many([1.0], [1], "complete", "gateway")
+    trace.emit_many_data([2.0], [2], "complete", "gateway", ['{"k": 2}'])
+    assert list(trace._fragments) == [("gateway", "complete")]
+    assert trace._fragments["gateway", "complete"] is parts
+
+
+def test_emit_writes_t_as_a_float_and_rejects_non_finite_times():
+    out = StringIO()
+    trace = EventTrace(out)
+    trace.emit(0, 1, "tick", "clock")  # an int time is journalled as 0.0
+    for bad in (float("inf"), -float("inf"), float("nan"), np.float64("nan")):
+        with pytest.raises(ValueError, match="event time must be finite"):
+            trace.emit(bad, 2, "tick", "clock")
+    trace.flush()
+    assert out.getvalue() == reference_line(0.0, 1, "tick", "clock", None)
+    assert (trace.events_seen, trace.events_written) == (1, 1)

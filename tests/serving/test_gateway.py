@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,88 @@ class TestJournal:
         audit = audit_journal(path)
         assert audit["requests"] > 0
         assert audit["tenants"]["only"]["requests"] == audit["requests"]
+
+
+class TestTornJournal:
+    """A journal cut mid-line by ``kill -9`` still audits: the intact
+    prefix is reported, the torn tail counted; damage *before* the last
+    line is not a torn tail and stays a loud error."""
+
+    @pytest.fixture(scope="class")
+    def journal(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("torn") / "journal.jsonl")
+        _serve(duration=0.15, journal=path)
+        return path
+
+    def test_every_truncation_of_the_last_line_audits_the_prefix(
+            self, journal, tmp_path):
+        from repro.runtime.trace import load_trace
+
+        raw = open(journal, "rb").read()
+        assert raw.endswith(b"}\n")
+        last_start = raw.rindex(b"\n", 0, len(raw) - 1) + 1
+        intact, _ = load_trace(journal)
+        assert intact[-1]["kind"] == "summary"
+        whole = audit_journal(journal)
+        assert "torn_tail" not in whole
+        cut_path = str(tmp_path / "cut.jsonl")
+        for cut in range(last_start, len(raw) + 1):
+            with open(cut_path, "wb") as fh:
+                fh.write(raw[:cut])
+            events, torn = load_trace(cut_path)
+            # Only the full line parses (with or without its newline);
+            # cutting at the line's first byte leaves no tail at all.
+            complete = cut >= len(raw) - 1
+            assert torn == (0 if complete or cut == last_start else 1), cut
+            assert events == (intact if complete else intact[:-1]), cut
+            audit = audit_journal(cut_path)
+            assert audit.get("torn_tail", 0) == torn
+            # The summary line feeds nothing into the audit: same table.
+            assert audit["tenants"] == whole["tenants"]
+            assert audit["requests"] == whole["requests"]
+
+    def test_a_truncated_request_line_drops_only_that_request(
+            self, journal, tmp_path):
+        lines = open(journal).read().splitlines(keepends=True)
+        last_request = max(i for i, line in enumerate(lines)
+                           if '"kind": "request"' in line)
+        cut_path = str(tmp_path / "cut.jsonl")
+        with open(cut_path, "w") as fh:
+            fh.write("".join(lines[:last_request]))
+            fh.write(lines[last_request][:len(lines[last_request]) // 2])
+        audit = audit_journal(cut_path)
+        assert audit["torn_tail"] == 1
+        assert audit["requests"] == sum(
+            '"kind": "request"' in line for line in lines[:last_request])
+
+    def test_an_unparsable_line_before_the_end_names_its_line_number(
+            self, journal, tmp_path):
+        lines = open(journal).read().splitlines(keepends=True)
+        assert len(lines) > 4
+        lines[2] = lines[2][:len(lines[2]) // 2] + "\n"
+        bad_path = str(tmp_path / "damaged.jsonl")
+        with open(bad_path, "w") as fh:
+            fh.write("".join(lines))
+        with pytest.raises(ValueError, match=r"damaged\.jsonl:3: unparsable"):
+            audit_journal(bad_path)
+        with pytest.raises(ValueError, match=r":3: "):
+            read_trace(bad_path)
+
+    def test_cli_audit_reports_the_torn_tail_and_exits_zero(
+            self, journal, tmp_path, capsys):
+        from repro.cli import main
+
+        raw = open(journal, "rb").read()
+        cut_path = str(tmp_path / "cut.jsonl")
+        with open(cut_path, "wb") as fh:
+            fh.write(raw[:-20])
+        assert main(["audit", "--journal", cut_path]) == 0
+        out = capsys.readouterr().out
+        assert "journal audit:" in out and "1 torn (unparsable) line" in out
+        assert main(["audit", "--journal", journal]) == 0
+        assert "torn" not in capsys.readouterr().out
+        assert main(["audit", "--journal", cut_path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["torn_tail"] == 1
 
 
 class TestMultiTenantPoissonSource:

@@ -201,3 +201,111 @@ class TestBrownout:
         halved = router._policy_now()
         assert halved is not router.policy
         assert halved.max_batch == 4 and halved.max_wait == 0.001
+
+
+class TestBrownoutProbedOncePerPull:
+    """``_enqueue`` probes degradation once per admission pull and hands
+    the result to every arrival's ``_should_shed``.  That is only sound
+    because nothing degrades *inside* a pull; both halves are checked on a
+    co-scheduled gateway whose serving devices derate and recover mid-run."""
+
+    def _run(self):
+        from repro.chaos import ThermalRamp
+        from repro.serving import TenantRegistry
+
+        topology = FailureDomainTopology.regular(3, 2)
+        plan = FaultPlan.from_events(
+            list(ECCThrottle(speed=0.6, duration_s=0.4).events(0, 0.2))
+            + list(ThermalRamp(floor=0.5, ramp=0.2, hold=0.2, recover=0.2,
+                               steps=3).events(1, 0.8)),
+            topology=topology)
+        return run_cosched(
+            "mlp_synthetic", [ServingPhase(1.6, 2000.0)],
+            resident_training_jobs(2, demand_gpus=2),
+            pool_devices=6, max_batch=8, max_wait=0.002,
+            initial_serving=2, autoscale=False, resize_delay=0.25,
+            seed=1, fault_plan=plan, topology=topology,
+            tenants=TenantRegistry.from_spec(
+                "prem:class=premium,weight=8,quota=300;flood:share=4"),
+            admission=AdmissionPolicy(max_queue_depth=16,
+                                      max_estimated_wait=0.02,
+                                      brownout=True))
+
+    def test_decisions_equal_a_per_arrival_recomputation(self, monkeypatch):
+        from repro.serving.gateway import ServingGateway
+        from repro.serving.router import RequestRouter
+
+        decisions = []
+        should_shed = ServingGateway._should_shed
+
+        def recording(self, request, in_force):
+            reason = should_shed(self, request, in_force)
+            decisions.append((request.request_id, in_force is not self.policy,
+                              in_force.max_batch, reason))
+            return reason
+
+        monkeypatch.setattr(ServingGateway, "_should_shed", recording)
+        hoisted = self._run().serving
+        hoisted_decisions, decisions = decisions, []
+
+        def per_arrival_enqueue(self, requests):
+            # The slow oracle: every arrival re-derives brownout and the
+            # effective batch size from the live degradation state.
+            shed = 0
+            for r in requests:
+                in_force = self._policy_now()
+                assert (in_force is not self.policy) == self._brownout_active()
+                reason = self._should_shed(r, in_force)
+                if reason is None:
+                    self._pending.push(r)
+                else:
+                    self._record_shed(r, reason)
+                    shed += 1
+            return shed
+
+        monkeypatch.setattr(RequestRouter, "_enqueue", per_arrival_enqueue)
+        oracle = self._run().serving
+        assert hoisted_decisions == decisions
+        assert hoisted.shed == oracle.shed
+        assert hoisted.tenant_shed == oracle.tenant_shed
+        assert hoisted.records == oracle.records
+        assert hoisted.brownout_batches == oracle.brownout_batches > 0
+        # The scenario exercises what it claims to: both shed reasons,
+        # decisions taken browned-out and clean, halved and full batches.
+        assert {reason for _, _, reason in hoisted.shed} == {"depth", "wait"}
+        assert {brown for _, brown, _, _ in decisions} == {True, False}
+        assert {mb for _, _, mb, _ in decisions} == {4, 8}
+        assert any(r is None for *_, r in decisions)
+
+    def test_conditions_change_only_in_event_actions_never_in_a_pull(
+            self, monkeypatch):
+        import sys
+
+        from repro.runtime import Runtime
+        from repro.serving.router import RequestRouter
+
+        event_loop = Runtime.run.__code__
+        pull_frames = {RequestRouter._pull.__code__,
+                       RequestRouter._enqueue.__code__}
+        mutations = []
+
+        def guarded(name):
+            original = getattr(ClusterConditions, name)
+
+            def wrapper(self, *args, **kwargs):
+                frame, codes = sys._getframe(1), set()
+                while frame is not None:
+                    codes.add(frame.f_code)
+                    frame = frame.f_back
+                assert event_loop in codes, f"{name} outside an event action"
+                assert not codes & pull_frames, f"{name} inside a pull"
+                mutations.append(name)
+                return original(self, *args, **kwargs)
+            return wrapper
+
+        for name in ("set_straggler", "clear_straggler", "set_derate",
+                     "clear_derate"):
+            monkeypatch.setattr(ClusterConditions, name, guarded(name))
+        report = self._run()
+        assert report.chaos["derate_events"] == 8
+        assert mutations.count("set_derate") == 8

@@ -96,18 +96,99 @@ class TestLatencyHistogramCache:
         for q in (50, 90, 95, 99):
             assert hist.percentile(q) == percentile(window, q)
 
-    def test_repeated_queries_reuse_the_cache(self):
+    def test_sorted_window_is_maintained_not_rebuilt(self):
         from repro.telemetry import LatencyHistogram
 
         hist = LatencyHistogram()
         hist.observe_many([0.003, 0.001, 0.002])
+        assert hist._sorted is None  # a bulk append sorts lazily...
         first = hist.percentile(50)
         view = hist._sorted
-        assert view is not None
+        assert view == [0.001, 0.002, 0.003]  # ...on the next query
         assert hist.percentile(50) == first
         assert hist._sorted is view  # no re-sort between queries
         hist.observe(0.004)
-        assert hist._sorted is None  # invalidated by new data
+        assert hist._sorted is view  # one insort, in place
+        assert view == [0.001, 0.002, 0.003, 0.004]
+        hist.clear()
+        assert hist._sorted == [] and len(hist) == 0
+
+    def test_eviction_drops_the_oldest_value_from_the_sorted_window(self):
+        from repro.telemetry import LatencyHistogram
+
+        hist = LatencyHistogram(window=3)
+        hist.observe_many([0.5, 0.1, 0.5])
+        assert hist.percentile(100) == 0.5  # the query sorts the bulk append
+        view = hist._sorted
+        hist.observe(0.3)  # evicts the first 0.5, one of two equal values
+        assert list(hist._values) == [0.1, 0.5, 0.3]
+        assert hist._sorted is view and view == [0.1, 0.3, 0.5]
+        hist.observe_many([0.2, 0.4])  # smaller than the window: incremental
+        assert hist._sorted is view and view == [0.2, 0.3, 0.4]
+        hist.observe_many([0.9, 0.8, 0.7])  # replaces the window: lazy
+        assert hist._sorted is None and hist.percentile(0) == 0.7
+
+    def test_negative_zero_is_stored_as_zero(self):
+        # bisect (and numpy's partition) cannot tell -0.0 from 0.0, so with
+        # both in a window "bit for bit np.percentile" would hang on which
+        # of the two equal values each side happens to pick.
+        import numpy as np
+
+        from repro.telemetry import LatencyHistogram
+
+        hist = LatencyHistogram(window=3)
+        hist.observe_many([-0.0, 0.5])
+        assert repr(hist.percentile(0)) == "0.0"
+        hist.observe_many(np.array([-0.0]))
+        hist.observe(0.25)  # evicts the first zero
+        assert repr(list(hist._values)) == "[0.5, 0.0, 0.25]"
+        assert repr(hist._sorted) == "[0.0, 0.25, 0.5]"
+        assert repr(hist.percentile(10)) == repr(
+            float(np.percentile(list(hist._values), 10)))
+
+    def test_observe_many_flattens_any_ndarray_shape(self):
+        import numpy as np
+
+        from repro.telemetry import LatencyHistogram
+
+        hist = LatencyHistogram()
+        hist.observe_many(np.array(0.3))
+        hist.observe_many(np.array([[0.1, 0.4], [0.2, 0.5]]))
+        assert list(hist._values) == [0.3, 0.1, 0.4, 0.2, 0.5]
+        assert hist.percentile(50) == 0.3
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     -float("inf"), -1e-9])
+    def test_observe_rejects_non_finite_and_negative(self, bad):
+        from repro.telemetry import LatencyHistogram
+
+        hist = LatencyHistogram(window=4)
+        hist.observe(0.002)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            hist.observe(bad)
+        assert list(hist._values) == hist._view() == [0.002]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     -float("inf"), -1e-9])
+    def test_observe_many_rejects_non_finite_and_negative(self, bad):
+        from repro.telemetry import LatencyHistogram
+
+        hist = LatencyHistogram(window=4)
+        hist.observe_many([0.002, 0.001])
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            hist.observe_many([0.1, bad])
+        # A rejected call leaves the window untouched, sort order included.
+        assert list(hist._values) == [0.002, 0.001]
+        assert hist.percentile(100) == 0.002
+
+    def test_percentile_outside_0_100_is_rejected_like_numpy(self):
+        from repro.telemetry import LatencyHistogram
+
+        hist = LatencyHistogram()
+        hist.observe(0.001)
+        for q in (-1, 100.5, float("nan")):
+            with pytest.raises(ValueError, match=r"range \[0, 100\]"):
+                hist.percentile(q)
 
     def test_observe_many_rejects_negatives_and_matches_loop(self):
         import pytest as _pytest
