@@ -1,42 +1,40 @@
-"""Event-core throughput: legacy heap loop vs calendar queue + slab + batching.
+"""Event-core throughput: a 1M-request replay against an absolute floor.
 
 The discrete-event core is the substrate every simulated result in this repo
 runs on, and at serving rates a single experiment is millions of events.
-This benchmark measures the core the way the router actually drives it — a
-1M-request open-loop Poisson replay with periodic admission/telemetry ticks
-— and prices the rewrite against the **pre-PR core embedded verbatim below**
-(pure-Python ``Event`` objects on a ``heapq``, one scalar action call per
-event, O(n) ``__len__``), driven in pre-PR idiom: a ``push`` loop to post,
-``percentile()`` re-sorting the latency window at every tick.
+This benchmark measures the core the way a high-rate driver uses it — a
+1M-request open-loop Poisson replay with periodic admission/telemetry ticks:
+``post_many`` arrival waves, a ``batch_action`` arrival handler receiving
+whole same-kind runs as numpy arrays, and
+:class:`~repro.telemetry.StreamingHistogram` telemetry (O(1) insert,
+O(bins) quantile).  It is the one workload in the repo that lives on the
+wheel side of the event queue's population rule (a million live events),
+which is what the wheel is kept for.
 
-The current core runs the same workload three ways:
+The gate is absolute: events per second above :data:`FLOOR_EPS` and the
+whole replay in single-digit seconds.  The floor sits at most half of what
+the recording host measures (1.96–2.1 M events/s) and above everything the
+replay measured on the code this file used to embed as baselines — the
+pre-slab object-per-event heap loop (0.20–0.23 M) and the batched driver on
+a bare heap index (0.59 M) — so a fall back to per-event work, or to a heap
+under a million events, still trips it.  The 20-job elastic trace rides
+along as an end-to-end row and a run-to-run determinism check.
 
-* **fast / calendar** — ``post_many`` arrival waves, a ``batch_action``
-  arrival handler receiving whole same-kind runs as numpy arrays, the
-  calendar-queue scheduler, and :class:`~repro.telemetry.StreamingHistogram`
-  telemetry (O(1) insert, O(bins) quantile);
-* **fast / heap** — identical driver on the reference heap index, isolating
-  how much of the win is batching/slab vs the calendar scheduler;
-* **elastic trace** — the fig11/12-style 20-job simulation end-to-end under
-  both backends, asserting both fire the identical schedule.
-
-Both sides fire the identical ``(time, seq)`` event sequence — equivalence
-is pinned by ``tests/runtime/test_queue_backends.py`` and the golden-trace
-suite; this file is purely about wall clock.  Results persist as
-``results/runtime_throughput.txt`` and ``results/BENCH_runtime_throughput
-.json``.  ``--smoke`` runs a small replay with an absolute events/sec floor
-(CI breakage + gross-regression detection).
+Order equivalence is not this file's business: it is pinned by
+``tests/runtime/`` against the reference model in
+``tests/oracles/event_queue.py`` and by the golden-trace suite.  Results
+persist as ``results/runtime_throughput.txt`` and
+``results/BENCH_runtime_throughput.json``.  ``--smoke`` runs a small replay
+against the same floor (CI breakage + gross-regression detection).
 """
 
 from __future__ import annotations
 
 import argparse
-import heapq
 import os
 import sys
 import time
-from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -44,113 +42,22 @@ from _common import report, save_bench_json
 from repro.elastic import ElasticWFSScheduler, generate_trace
 from repro.elastic.simulator import TrainingClusterProcess
 from repro.runtime import DevicePool, Runtime, batch_action
-from repro.telemetry import StreamingHistogram, percentile
+from repro.telemetry import StreamingHistogram
 
 # Replay geometry: ~20k req/s for ~50 simulated seconds, ticks frequent
 # enough that telemetry queries interleave with arrival runs.
 REQUESTS = 1_000_000
 ARRIVAL_RATE = 20_000.0
 TICK_EVERY = 0.05
-WINDOW = 512            # latency observations the legacy tick re-sorts
 
 SMOKE_REQUESTS = 20_000
-# Absolute floor for the fast path in --smoke: generous against machine
-# noise (the fast path clears it by well over an order of magnitude), tight
-# enough that falling back to per-event dispatch would trip it.
-SMOKE_FLOOR_EPS = 200_000.0
+# Absolute events/s floor, full replay and --smoke alike (see the module
+# docstring for where it sits and why).
+FLOOR_EPS = 800_000.0
 
 
 # --------------------------------------------------------------------------
-# The pre-PR event core, embedded verbatim (sans docstrings/trace wiring) so
-# the baseline cannot silently inherit later optimizations.
-# --------------------------------------------------------------------------
-
-class _LegacyEvent:
-    __slots__ = ("time", "seq", "kind", "actor", "action", "_alive")
-
-    def __init__(self, time, seq, kind, actor, action):
-        self.time = time
-        self.seq = seq
-        self.kind = kind
-        self.actor = actor
-        self.action = action
-        self._alive = True
-
-    @property
-    def alive(self):
-        return self._alive
-
-    def cancel(self):
-        self._alive = False
-
-    def __lt__(self, other):
-        return (self.time, self.seq) < (other.time, other.seq)
-
-
-class _LegacyEventQueue:
-    def __init__(self):
-        self._heap: List[_LegacyEvent] = []
-        self._seq = 0
-
-    def __len__(self):
-        return sum(1 for e in self._heap if e.alive)
-
-    def push(self, time, action, *, kind="event", actor="runtime"):
-        if time != time or time in (float("inf"), float("-inf")):
-            raise ValueError(f"event time must be finite, got {time!r}")
-        event = _LegacyEvent(time, self._seq, kind, actor, action)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
-        return event
-
-    def peek(self):
-        while self._heap and not self._heap[0].alive:
-            heapq.heappop(self._heap)
-        return self._heap[0] if self._heap else None
-
-    def pop(self):
-        event = self.peek()
-        if event is not None:
-            heapq.heappop(self._heap)
-        return event
-
-
-class _LegacyRuntime:
-    def __init__(self):
-        self._now = 0.0
-        self.queue = _LegacyEventQueue()
-        self._stopped = False
-        self.events_processed = 0
-
-    @property
-    def now(self):
-        return self._now
-
-    def at(self, time, action, *, kind="event", actor="runtime"):
-        return self.queue.push(time, action, kind=kind, actor=actor)
-
-    def after(self, delay, action, *, kind="event", actor="runtime"):
-        return self.queue.push(self._now + delay, action, kind=kind,
-                               actor=actor)
-
-    def run(self, until=None):
-        processed = 0
-        while not self._stopped:
-            event = self.queue.peek()
-            if event is None or (until is not None and event.time > until):
-                break
-            self.queue.pop()
-            if event.time < self._now:
-                raise RuntimeError("clock cannot run backwards")
-            self._now = event.time
-            event.action(event.time)
-            processed += 1
-            self.events_processed += 1
-        return processed
-
-
-# --------------------------------------------------------------------------
-# The serving replay, pre-PR idiom vs current idiom.
+# The serving replay.
 # --------------------------------------------------------------------------
 
 def _arrival_times(n: int, rate: float, seed: int = 0) -> np.ndarray:
@@ -163,39 +70,10 @@ def _latencies(n: int, seed: int = 1) -> np.ndarray:
     return rng.lognormal(mean=-4.0, sigma=0.6, size=n)
 
 
-def run_legacy_replay(times: np.ndarray, lats: np.ndarray,
-                      tick_every: float) -> Dict[str, float]:
-    """Pre-PR idiom: scalar push loop, per-event dispatch, re-sort per tick."""
-    rt = _LegacyRuntime()
-    window: deque = deque(maxlen=WINDOW)
-    state = {"i": 0, "p99": 0.0}
-    lat_list = lats.tolist()
-
-    def on_arrival(t: float) -> None:
-        i = state["i"]
-        state["i"] = i + 1
-        window.append(lat_list[i])
-
-    def on_tick(t: float) -> None:
-        if window:
-            state["p99"] = percentile(list(window), 99)
-        if state["i"] < len(lat_list):
-            rt.after(tick_every, on_tick, kind="tick", actor="scaler")
-
-    for t in times.tolist():
-        rt.at(t, on_arrival, kind="arrival", actor="source")
-    rt.after(tick_every, on_tick, kind="tick", actor="scaler")
-    t0 = time.perf_counter()
-    processed = rt.run()
-    wall = time.perf_counter() - t0
-    return {"events": processed, "wall_s": wall,
-            "events_per_s": processed / wall, "p99": state["p99"]}
-
-
-def run_fast_replay(times: np.ndarray, lats: np.ndarray, tick_every: float,
-                    backend: Optional[str]) -> Dict[str, float]:
-    """Current idiom: one post_many wave, batched dispatch, streaming p99."""
-    rt = Runtime(queue_backend=backend)
+def run_replay(times: np.ndarray, lats: np.ndarray,
+               tick_every: float) -> Dict[str, float]:
+    """One post_many wave, batched dispatch, streaming p99."""
+    rt = Runtime()
     hist = StreamingHistogram()
     state = {"i": 0, "p99": 0.0}
 
@@ -221,14 +99,14 @@ def run_fast_replay(times: np.ndarray, lats: np.ndarray, tick_every: float,
 
 
 # --------------------------------------------------------------------------
-# The 20-job elastic trace, end-to-end under both backends.
+# The 20-job elastic trace, end-to-end.
 # --------------------------------------------------------------------------
 
-def run_elastic_trace(jobs: int, backend: str) -> Dict[str, float]:
+def run_elastic_trace(jobs: int) -> Dict[str, float]:
     specs = generate_trace(jobs, 12.0, seed=0)
     process = TrainingClusterProcess(
         specs, ElasticWFSScheduler(), gpu_budget=8, pool=DevicePool(8))
-    runtime = Runtime(queue_backend=backend)
+    runtime = Runtime()
     t0 = time.perf_counter()
     runtime.add(process)
     runtime.run()
@@ -246,96 +124,68 @@ def run_elastic_trace(jobs: int, backend: str) -> Dict[str, float]:
 
 def run(smoke: bool = False) -> Dict:
     n = SMOKE_REQUESTS if smoke else REQUESTS
-    times = _arrival_times(n, ARRIVAL_RATE)
-    lats = _latencies(n)
-
-    fast_cal = run_fast_replay(times, lats, TICK_EVERY, "calendar")
-    fast_heap = run_fast_replay(times, lats, TICK_EVERY, "heap")
-    legacy = run_legacy_replay(times, lats, TICK_EVERY)
-    speedup = legacy["wall_s"] / fast_cal["wall_s"]
-
-    rows = [
-        ["replay: legacy heap core", f"{legacy['events']:,}",
-         f"{legacy['wall_s']:.2f}", f"{legacy['events_per_s']:,.0f}", "1.00x"],
-        ["replay: fast path, heap index", f"{fast_heap['events']:,}",
-         f"{fast_heap['wall_s']:.2f}", f"{fast_heap['events_per_s']:,.0f}",
-         f"{legacy['wall_s'] / fast_heap['wall_s']:.2f}x"],
-        ["replay: fast path, calendar", f"{fast_cal['events']:,}",
-         f"{fast_cal['wall_s']:.2f}", f"{fast_cal['events_per_s']:,.0f}",
-         f"{speedup:.2f}x"],
-    ]
-
+    times, lats = _arrival_times(n, ARRIVAL_RATE), _latencies(n)
+    # The smoke replay lasts ~10 ms, first-call costs included: best of 3.
+    replay = min((run_replay(times, lats, TICK_EVERY)
+                  for _ in range(3 if smoke else 1)),
+                 key=lambda r: r["wall_s"])
+    rows = [["replay", f"{replay['events']:,}", f"{replay['wall_s']:.2f}",
+             f"{replay['events_per_s']:,.0f}"]]
     payload: Dict = {
         "smoke": smoke,
         "requests": n,
         "arrival_rate": ARRIVAL_RATE,
-        "replay": {
-            "legacy_heap": legacy,
-            "fast_heap": fast_heap,
-            "fast_calendar": fast_cal,
-        },
-        "speedup": speedup,
+        "floor_events_per_s": FLOOR_EPS,
+        "replay": replay,
     }
 
     if not smoke:
-        elastic_heap = run_elastic_trace(20, "heap")
-        elastic_cal = run_elastic_trace(20, "calendar")
-        agree = (elastic_heap["makespan"] == elastic_cal["makespan"]
-                 and elastic_heap["finish_times"] == elastic_cal["finish_times"])
-        for label, r in (("elastic 20 jobs: heap", elastic_heap),
-                         ("elastic 20 jobs: calendar", elastic_cal)):
-            rows.append([label, f"{r['events']:,}", f"{r['wall_s']:.2f}",
-                         f"{r['events_per_s']:,.0f}", "-"])
+        elastic, again = run_elastic_trace(20), run_elastic_trace(20)
+        rows.append(["elastic 20 jobs", f"{elastic['events']:,}",
+                     f"{elastic['wall_s']:.2f}",
+                     f"{elastic['events_per_s']:,.0f}"])
         payload["elastic"] = {
-            "heap": {k: v for k, v in elastic_heap.items()
-                     if k != "finish_times"},
-            "calendar": {k: v for k, v in elastic_cal.items()
-                         if k != "finish_times"},
-            "backends_agree": agree,
+            **{k: v for k, v in elastic.items() if k != "finish_times"},
+            "deterministic": (elastic["makespan"] == again["makespan"]
+                              and elastic["finish_times"]
+                              == again["finish_times"]),
         }
 
     report("runtime_throughput",
-           ["workload", "events", "wall s", "events/s", "speedup"], rows,
+           ["workload", "events", "wall s", "events/s"], rows,
            title=f"Event-core throughput: {n:,}-request open-loop replay "
-                 f"(@{ARRIVAL_RATE:,.0f} req/s) + telemetry ticks, "
-                 "legacy core vs calendar/slab/batched core",
-           notes="all variants fire the identical (time, seq) event "
-                 "sequence; equivalence is pinned by the golden-trace and "
-                 "queue-backend suites")
+                 f"(@{ARRIVAL_RATE:,.0f} req/s) + telemetry ticks",
+           notes=f"gate: replay >= {FLOOR_EPS:,.0f} events/s; (time, seq) "
+                 "order is pinned by tests/runtime against "
+                 "tests/oracles/event_queue.py")
     path = save_bench_json("runtime_throughput", payload)
     print(f"wrote {os.path.relpath(path, os.getcwd())}")
     return payload
 
 
 def test_million_request_replay_speedup():
-    """The rewritten core must clear 5x over the pre-PR heap loop and
-    finish the 1M-request replay in single-digit seconds."""
+    """The core must replay 1M requests above the absolute events/s floor
+    and in single-digit seconds."""
     payload = run(smoke=False)
-    fast = payload["replay"]["fast_calendar"]
-    assert payload["speedup"] >= 5.0, (
-        f"calendar/slab/batched core only {payload['speedup']:.2f}x over "
-        f"the legacy heap loop (need >= 5x)")
-    assert fast["wall_s"] < 10.0, (
-        f"1M-request replay took {fast['wall_s']:.2f}s (need single-digit)")
-    assert payload["elastic"]["backends_agree"], (
-        "heap and calendar backends disagree on the 20-job elastic trace")
+    replay = payload["replay"]
+    assert replay["events_per_s"] >= FLOOR_EPS, (
+        f"1M-request replay at {replay['events_per_s']:,.0f} events/s "
+        f"(floor {FLOOR_EPS:,.0f})")
+    assert replay["wall_s"] < 10.0, (
+        f"1M-request replay took {replay['wall_s']:.2f}s (need single-digit)")
+    assert payload["elastic"]["deterministic"], (
+        "two runs of the 20-job elastic trace disagree")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="small replay with an absolute events/sec floor")
+                        help="small replay against the same events/s floor")
     args = parser.parse_args(argv)
-    payload = run(smoke=args.smoke)
-    if args.smoke:
-        eps = payload["replay"]["fast_calendar"]["events_per_s"]
-        if eps < SMOKE_FLOOR_EPS:
-            print(f"SMOKE FLOOR MISSED: fast path at {eps:,.0f} events/s "
-                  f"(floor {SMOKE_FLOOR_EPS:,.0f})", file=sys.stderr)
-            return 1
-    elif payload["speedup"] < 5.0:
-        print(f"WARNING: speedup {payload['speedup']:.2f}x below the 5x "
-              "target (noisy machine?)", file=sys.stderr)
+    eps = run(smoke=args.smoke)["replay"]["events_per_s"]
+    if eps < FLOOR_EPS:
+        print(f"FLOOR MISSED: replay at {eps:,.0f} events/s "
+              f"(floor {FLOOR_EPS:,.0f})", file=sys.stderr)
         return 1
     return 0
 

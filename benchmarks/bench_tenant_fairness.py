@@ -26,8 +26,8 @@ hardest WFQ cell also writes the durable request journal and the gate
 asserts :func:`repro.serving.audit_journal` reproduces the live per-tenant
 digests **exactly** — the ``repro audit`` path is bit-for-bit, not close.
 
-Everything is simulated time, deterministic in the pinned seed, and
-re-verified under both event-queue backends — so the gates have no noise
+Everything is simulated time and deterministic in the pinned seed (the
+hardest cell is re-run and compared) — so the gates have no noise
 tolerance and never retry.  Results persist as
 ``results/tenant_fairness.txt``, ``results/BENCH_tenant_fairness.json``,
 and the journal as ``results/tenant_fairness_journal.jsonl``.  ``--smoke``
@@ -85,19 +85,17 @@ def _registry(flood: float) -> TenantRegistry:
 
 
 def _run(dispatcher: str, flood: float, smoke: bool,
-         queue_backend: Optional[str] = None,
          journal: Optional[str] = None):
     duration = 0.5 if smoke else DURATION
     return serve_workload(
         WORKLOAD, [ServingPhase(duration, PREM_RATE + flood)],
         max_batch=MAX_BATCH, max_wait=MAX_WAIT, pool_devices=POOL,
         seed=SEED, tenants=_registry(flood), admission=ADMISSION,
-        dispatcher=dispatcher, journal=journal, queue_backend=queue_backend)
+        dispatcher=dispatcher, journal=journal)
 
 
-def _cell(dispatcher: str, flood: float, smoke: bool,
-          queue_backend: Optional[str] = None) -> Dict:
-    rep = _run(dispatcher, flood, smoke, queue_backend=queue_backend)
+def _cell(dispatcher: str, flood: float, smoke: bool) -> Dict:
+    rep = _run(dispatcher, flood, smoke)
     prem = rep.tenants["prem"]
     best = rep.tenants["flood"]
     return {
@@ -244,17 +242,12 @@ def test_journal_audit_reproduces_live_report(tmp_path):
     assert audit["shed"] == len(rep.shed)
 
 
-def test_tenant_fairness_deterministic_across_backends_and_runs():
-    """The hardest cell replays bit-identically: two seeded runs agree, and
-    the heap and calendar queue backends agree with both."""
+def test_tenant_fairness_deterministic_across_runs():
+    """The hardest cell replays bit-identically: two seeded runs agree."""
     flood = FLOODS[-1]
     first = _cell("wfq", flood, smoke=False)
     again = _cell("wfq", flood, smoke=False)
     assert first == again, "two seeded runs of the same cell disagree"
-    for backend in ("heap", "calendar"):
-        cell = _cell("wfq", flood, smoke=False, queue_backend=backend)
-        assert cell == first, (
-            f"queue backend {backend!r} disagrees with the default run")
 
 
 def main(argv=None) -> int:

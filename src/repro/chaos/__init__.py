@@ -10,8 +10,7 @@ discrete-event runtime; :class:`ChaosController` fans each one out to the
 device pool, the perf-model conditions, and the training/serving/
 co-scheduling consumers.  A :class:`FailureDomainTopology` (device → rack →
 switch tree) unlocks correlated modes — atomic domain wipes and rack-wide
-straggler windows.  Every scenario is deterministic under its seed and
-bit-identical under both queue backends.
+straggler windows.  Every scenario is deterministic under its seed.
 """
 
 from repro.chaos.degradation import DerateCurve, ECCThrottle, ThermalRamp

@@ -12,9 +12,8 @@ self-clearing and plans stay trivially valid.
 
 Keeping the curve *in the plan* (rather than evaluating a continuous
 function at query time) keeps everything event-driven: every speed change is
-an ordinary runtime event, replayed bit-identically under both queue
-backends, and consumers reuse the existing ``on_conditions_changed``
-re-rating path.
+an ordinary runtime event, replayed bit-identically, and consumers reuse
+the existing ``on_conditions_changed`` re-rating path.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ network-degradation windows, and partial-degradation (derate) steps — fixed
 event on the shared runtime queue, so injected failures interleave with
 arrivals, dispatches, and rescales under the same deterministic
 ``(time, seq)`` order as every other event, and the whole scenario replays
-bit-identically under both queue backends.
+bit-identically.
 
 Plans come from two constructors: :meth:`FaultPlan.from_events` for
 hand-written scenarios (golden-trace fixtures, targeted tests) and

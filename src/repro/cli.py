@@ -31,6 +31,7 @@ Commands mirror the library's main entry points:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 from typing import Dict, Optional, Sequence
@@ -58,7 +59,7 @@ from repro.framework import WORKLOADS, get_workload
 from repro.hardware import Cluster
 from repro.hetero import HeterogeneousSolver
 from repro.profiler import OfflineProfiler
-from repro.runtime import EventTrace, queue_backends
+from repro.runtime import EventTrace
 from repro.sched import GavelSimulator, resident_training_jobs, run_cosched
 from repro.serving import serve_workload
 from repro.utils import format_duration, format_table
@@ -93,9 +94,12 @@ def _bounded(cast, minimum, exclusive: bool = True):
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected a number, got {text!r}") from None
-        if value < minimum or (exclusive and value == minimum):
+        # NaN passes every comparison below and +inf every lower bound.
+        if (not math.isfinite(value) or value < minimum
+                or (exclusive and value == minimum)):
             op = ">" if exclusive else ">="
-            raise argparse.ArgumentTypeError(f"must be {op} {minimum}, got {value}")
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number {op} {minimum}, got {value}")
         return value
     parse.__name__ = cast.__name__  # argparse error messages name the type
     return parse
@@ -118,11 +122,7 @@ _nonnegative_int = _bounded(int, 0, exclusive=False)
 
 
 def _add_runtime_flags(sub_parser: argparse.ArgumentParser) -> None:
-    """Event-runtime knobs shared by every discrete-event command."""
-    sub_parser.add_argument(
-        "--queue-backend", choices=queue_backends(), default=None,
-        help="event-queue scheduler (default: calendar; both backends fire "
-             "the identical event order)")
+    """The event-runtime knob shared by every discrete-event command."""
     sub_parser.add_argument(
         "--trace-sample", type=_positive_int, default=1, metavar="N",
         help="journal every Nth event to --trace-out (default 1 = all; the "
@@ -456,10 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed", type=int, default=0)
 
     simulate = sub.add_parser("simulate", help="elastic scheduling simulation")
-    simulate.add_argument("--jobs", type=int, default=20)
-    simulate.add_argument("--rate", type=float, default=12.0,
+    simulate.add_argument("--jobs", type=_positive_int, default=20)
+    simulate.add_argument("--rate", type=_positive_float, default=12.0,
                           help="job arrivals per hour")
-    simulate.add_argument("--gpus", type=int, default=8)
+    simulate.add_argument("--gpus", type=_positive_int, default=8)
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--backend", choices=backend_names(), default="reference",
                           help="execution backend stamped on every job in "
@@ -470,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_runtime_flags(simulate)
 
     gavel = sub.add_parser("gavel", help="Gavel vs Gavel+heterogeneous")
-    gavel.add_argument("--jobs", type=int, default=12)
-    gavel.add_argument("--rate", type=float, default=8.0)
+    gavel.add_argument("--jobs", type=_positive_int, default=12)
+    gavel.add_argument("--rate", type=_positive_float, default=8.0)
     gavel.add_argument("--pool", type=_parse_device_counts,
                        default={"V100": 4, "P100": 8, "K80": 16},
                        metavar="TYPE=N[,TYPE=N...]")
@@ -548,8 +548,8 @@ def _cmd_serve(args) -> int:
                 autoscale=args.autoscale,
                 slo_p99=slo if args.autoscale else None,
                 backend=args.backend, seed=args.seed, limit=args.requests,
-                trace=trace, queue_backend=args.queue_backend,
-                tenants=tenants, journal=journal, dispatcher=dispatcher)
+                trace=trace, tenants=tenants, journal=journal,
+                dispatcher=dispatcher)
     finally:
         if isinstance(trace, EventTrace):
             trace.close()
@@ -626,8 +626,7 @@ def _cmd_cosched(args, fault_plan=None, recovery=None,
                 slo_p99=None if args.static else slo,
                 train_floor=args.train_floor, resize_delay=args.resize_delay,
                 backend=args.backend, seed=args.seed, limit=args.requests,
-                trace=trace, queue_backend=args.queue_backend,
-                fault_plan=fault_plan, recovery=recovery,
+                trace=trace, fault_plan=fault_plan, recovery=recovery,
                 retry_delay=retry_delay,
                 admission=admission, topology=topology,
                 tenants=tenants, journal=journal, dispatcher=dispatcher)
@@ -833,10 +832,8 @@ def _cmd_simulate(args) -> int:
         trace_out = _make_trace(args) if scheduler.elastic else None
         try:
             metrics = compute_metrics(
-                ClusterSimulator(
-                    args.gpus, scheduler,
-                    queue_backend=args.queue_backend,
-                ).run(trace, trace=trace_out))
+                ClusterSimulator(args.gpus, scheduler).run(
+                    trace, trace=trace_out))
         finally:
             if isinstance(trace_out, EventTrace):
                 trace_out.close()

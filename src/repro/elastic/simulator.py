@@ -501,8 +501,8 @@ class ClusterSimulator:
     """Simulates a trace of jobs on a homogeneous GPU cluster."""
 
     def __init__(self, total_gpus: int, scheduler: Scheduler,
-                 resize_delay: float = 1.0, perf: Optional[PerfModel] = None,
-                 queue_backend: Optional[str] = None) -> None:
+                 resize_delay: float = 1.0,
+                 perf: Optional[PerfModel] = None) -> None:
         if total_gpus < 1:
             raise ValueError("total_gpus must be >= 1")
         if resize_delay < 0:
@@ -511,7 +511,6 @@ class ClusterSimulator:
         self.scheduler = scheduler
         self.resize_delay = resize_delay
         self.perf = perf or PerfModel()
-        self.queue_backend = queue_backend
 
     def run(self, specs: Sequence[JobSpec], max_time: float = 10_000_000.0,
             trace: Optional[Union[str, EventTrace]] = None) -> SimulationResult:
@@ -525,7 +524,7 @@ class ClusterSimulator:
             pool=DevicePool(self.total_gpus), resize_delay=self.resize_delay,
             perf=self.perf, max_time=max_time)
         with open_trace(trace) as writer:
-            runtime = Runtime(trace=writer, queue_backend=self.queue_backend)
+            runtime = Runtime(trace=writer)
             runtime.add(process)
             runtime.run()
         if process.unfinished():

@@ -5,14 +5,13 @@ One event loop — :class:`Runtime` over a :class:`SimClock` and a slab-backed
 the elastic cluster simulator, the serving request router, and the
 co-scheduler that runs both on one shared :class:`DevicePool`.  Processes
 (:class:`Process`) post events; the runtime dispatches them in time order
-and can journal every fired event to a JSONL :class:`EventTrace`.  The
-queue's scheduler is pluggable (``"heap"`` oracle vs the fast ``"calendar"``
-time wheel — see :func:`set_default_backend`); both are bit-identical.
+and can journal every fired event to a JSONL :class:`EventTrace`.  There
+is one queue: its index is a heap while few events are live and a calendar
+time wheel above that, chosen by the live population, never by the caller.
 """
 
 from repro.runtime.core import (Event, EventQueue, Process, Runtime,
-                                SimClock, batch_action, get_default_backend,
-                                queue_backends, set_default_backend)
+                                SimClock, batch_action)
 from repro.runtime.pool import DeviceLease, DevicePool, LeaseError
 from repro.runtime.trace import EventTrace, open_trace, read_trace
 
@@ -27,9 +26,6 @@ __all__ = [
     "Runtime",
     "SimClock",
     "batch_action",
-    "get_default_backend",
     "open_trace",
-    "queue_backends",
     "read_trace",
-    "set_default_backend",
 ]

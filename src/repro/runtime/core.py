@@ -11,20 +11,18 @@ inexpressible.  This is the one event loop both now run on:
 * :class:`EventQueue` — the scheduler.  Events live in **slab storage**
   (:class:`_EventSlab`: preallocated parallel numpy arrays for
   time/seq/liveness plus a free list, addressed by integer handles) so the
-  hot path allocates no per-event heap objects, and are ordered by one of
-  two pluggable index structures with identical ``(time, seq)`` semantics:
+  hot path allocates no per-event heap objects, and are ordered by one
+  adaptive index (:class:`_CalendarIndex`) that the live population — not
+  the caller — steers: a plain binary heap while at most 128 events are
+  live (every serving chain; there is nothing to bucket), and above that a
+  bucketed time wheel (calendar queue) with a heap for far-future overflow,
+  auto-tuned from the observed event horizon — O(1) amortized insert,
+  vectorized same-action run extraction.  The order is global
+  ``(time, seq)`` in both states; ``debug_stats()`` says which one holds.
 
-  - ``"heap"`` — the original binary heap, retained as the **reference
-    oracle**;
-  - ``"calendar"`` — a bucketed time wheel (calendar queue) with a heap
-    for far-future overflow, auto-tuned from the observed event horizon.
-    O(1) amortized insert, vectorized same-action run extraction.  A
-    population too small to fill one bucket stays in a plain heap; the
-    wheel is built when the live count outgrows it.
-
-  Cancellation is O(1) in both (ETA invalidation: a completion prediction
-  that a reallocation obsoletes is cancelled in place, not searched for),
-  and ``len(queue)`` is an O(1) live counter, not a scan.
+  Cancellation is O(1) (ETA invalidation: a completion prediction that a
+  reallocation obsoletes is cancelled in place, not searched for), and
+  ``len(queue)`` is an O(1) live counter, not a scan.
 * :class:`Process` — the actor protocol: anything that registers events and
   reacts to them (a training cluster, a request router, a co-scheduler);
 * :class:`Runtime` — drives the loop: pop the earliest live event, advance
@@ -41,22 +39,23 @@ semantics for ordinary events:
 * :func:`batch_action` marks an action as batch-capable: the runtime then
   dispatches a maximal run of *consecutive* events bound to that same
   callable object with **one** call receiving the ndarray of fire times.
-  The run boundary is pure ``(time, seq)`` order over live events,
-  identical on both backends, so a batch action observes the same events
-  in the same order — only the call granularity changes.
+  The run boundary is pure ``(time, seq)`` order over live events, so a
+  batch action observes the same events in the same order — only the call
+  granularity changes.
 
 Determinism is a contract, not an accident: events at the same timestamp
 fire in the order they were scheduled (``seq`` is a global monotone
 counter), so every run of a fixed seed replays the identical event
-sequence — the golden-trace harness in ``tests/golden`` pins this for
-**both** queue backends.
+sequence — the golden-trace harness in ``tests/golden`` pins this, and the
+generated suites under ``tests/runtime`` hold the queue to the ``(time,
+seq)`` reference model in ``tests/oracles/event_queue.py`` on both sides of
+the population rule.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import os
 from typing import (Any, Callable, Dict, List, Optional, Protocol, Sequence,
                     Tuple, Union, runtime_checkable)
 
@@ -71,9 +70,6 @@ __all__ = [
     "Runtime",
     "SimClock",
     "batch_action",
-    "get_default_backend",
-    "queue_backends",
-    "set_default_backend",
 ]
 
 # An event action receives the fire time and may return a dict of fields to
@@ -84,33 +80,6 @@ Action = Callable[..., Optional[Dict[str, Any]]]
 
 _SLOT_BITS = 32
 _SLOT_MASK = (1 << _SLOT_BITS) - 1
-
-_BACKENDS = ("heap", "calendar")
-_DEFAULT_BACKEND = "calendar"
-
-
-def queue_backends() -> Tuple[str, ...]:
-    """The selectable :class:`EventQueue` scheduler backends."""
-    return _BACKENDS
-
-
-def get_default_backend() -> str:
-    """The backend ``EventQueue()`` uses when none is requested.
-
-    The ``REPRO_EVENT_QUEUE`` environment variable overrides the module
-    default (CI uses this to sweep the golden traces across backends).
-    """
-    return os.environ.get("REPRO_EVENT_QUEUE", _DEFAULT_BACKEND)
-
-
-def set_default_backend(name: str) -> None:
-    """Set the process-wide default scheduler backend."""
-    global _DEFAULT_BACKEND
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown queue backend {name!r}; "
-                         f"choose from {_BACKENDS}")
-    _DEFAULT_BACKEND = name
-
 
 def batch_action(fn: Action) -> Action:
     """Mark ``fn`` as batch-capable for run-fused dispatch.
@@ -309,7 +278,7 @@ class Event:
 
 
 class _HeapIndex:
-    """The original binary-heap scheduler, kept as the reference oracle.
+    """A binary heap: :class:`_CalendarIndex`'s state for a sparse population.
 
     Entries are ``(time, seq, slot)`` tuples — ``(time, seq)`` is unique,
     so the slot never participates in comparisons.  Dead entries (their
@@ -317,9 +286,6 @@ class _HeapIndex:
     pop and compacted wholesale once they outnumber the live ones, so a
     cancellation storm cannot grow the heap without bound.
     """
-
-    structure = "heap"        # see EventQueue.debug_stats
-    promotions = collapses = 0
 
     def __init__(self, slab: _EventSlab) -> None:
         self._slab = slab
@@ -421,9 +387,9 @@ class _CalendarIndex:
     through the heap), and a rebuild — or a drain — that finds the
     population back under it collapses to the heap again.
 
-    Pop order is exactly global ``(time, seq)`` — bit-identical to the
-    heap oracle; the golden traces and the backend-agreement stress tests
-    enforce this.
+    Pop order is exactly global ``(time, seq)`` in either state; the
+    golden traces and the differential suites against the reference model
+    in ``tests/oracles/event_queue.py`` enforce this.
     """
 
     _TARGET_OCC = 128          # events per bucket the autotuner aims for
@@ -752,7 +718,7 @@ class _CalendarIndex:
                 ) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized maximal same-action run extraction from the head.
 
-        Semantics match the heap oracle exactly: consume live events in
+        Semantics match the sparse heap's exactly: consume live events in
         ``(time, seq)`` order while they share the head's action object
         (dead entries inside the span are invisible, not run breaks) and,
         when ``until`` is given, fire at or before it.
@@ -805,24 +771,16 @@ class _CalendarIndex:
 
 
 class EventQueue:
-    """The scheduler: slab-stored events ordered by a pluggable index.
+    """The scheduler: slab-stored events ordered by the adaptive index.
 
-    ``backend`` selects the index structure — ``"heap"`` (the reference
-    oracle) or ``"calendar"`` (the bucketed time wheel) — defaulting to
-    :func:`get_default_backend`.  Both expose identical semantics:
-    deterministic ``(time, seq)`` ordering, O(1) in-place cancellation,
-    and an O(1) live-event ``len()``.
+    Deterministic ``(time, seq)`` ordering, O(1) in-place cancellation and
+    an O(1) live-event ``len()``; which structure holds the order (heap or
+    wheel) follows the live population, see :class:`_CalendarIndex`.
     """
 
-    def __init__(self, backend: Optional[str] = None) -> None:
-        backend = backend if backend is not None else get_default_backend()
-        if backend not in _BACKENDS:
-            raise ValueError(f"unknown queue backend {backend!r}; "
-                             f"choose from {_BACKENDS}")
-        self.backend = backend
+    def __init__(self) -> None:
         self._slab = _EventSlab()
-        self._index = (_HeapIndex(self._slab) if backend == "heap"
-                       else _CalendarIndex(self._slab))
+        self._index = _CalendarIndex(self._slab)
         self._seq = 0
 
     def __len__(self) -> int:
@@ -842,8 +800,7 @@ class EventQueue:
         slot = handle & _SLOT_MASK
         event = Event(self, handle, time, seq, kind, actor, action)
         self._slab.facade[slot] = event
-        self._index.insert(time, seq,
-                           slot if self.backend == "heap" else handle)
+        self._index.insert(time, seq, handle)
         return event
 
     def post(self, time: float, action: Action, *, kind: str = "event",
@@ -863,9 +820,7 @@ class EventQueue:
         seq = self._seq
         self._seq = seq + 1
         handle = self._slab.alloc(time, seq, (action, kind, actor))
-        self._index.insert(time, seq,
-                           handle & _SLOT_MASK if self.backend == "heap"
-                           else handle)
+        self._index.insert(time, seq, handle)
         return handle
 
     def post_many(self, times: Union[Sequence[float], np.ndarray],
@@ -890,10 +845,7 @@ class EventQueue:
         seq0 = self._seq
         self._seq += len(times)
         handles = self._slab.alloc_many(times, seq0, (action, kind, actor))
-        if self.backend == "heap":
-            self._index.insert_many(times, seq0, handles & _SLOT_MASK)
-        else:
-            self._index.insert_many(times, seq0, handles)
+        self._index.insert_many(times, seq0, handles)
         return handles
 
     # -- handle API ----------------------------------------------------------
@@ -963,9 +915,9 @@ class EventQueue:
 
     def debug_stats(self) -> Dict[str, Any]:
         """Memory-shape counters for the reclamation stress tests, plus
-        which structure orders the events right now (``"heap"`` — also the
-        calendar backend's sparse state — or ``"wheel"``) and how often
-        the calendar backend has switched between the two."""
+        which structure orders the events right now (``"heap"`` while the
+        population is sparse, else ``"wheel"``) and how often the index
+        has switched between the two."""
         index = self._index
         return {
             "live": self._slab.live,
@@ -1004,16 +956,14 @@ class Runtime:
     :meth:`stop` to end the run early (a co-scheduled run stops when the
     serving trace drains, even though training ETAs remain queued).
 
-    ``queue_backend`` selects the :class:`EventQueue` scheduler (see
-    there); runs are bit-identical across backends.  Runs of consecutive
-    events bound to one :func:`batch_action` dispatch as a single call —
-    the million-events/sec path the throughput benchmark measures.
+    Runs of consecutive events bound to one :func:`batch_action` dispatch
+    as a single call — the million-events/sec path the throughput
+    benchmark measures.
     """
 
-    def __init__(self, trace: Optional[EventTrace] = None,
-                 queue_backend: Optional[str] = None) -> None:
+    def __init__(self, trace: Optional[EventTrace] = None) -> None:
         self.clock = SimClock()
-        self.queue = EventQueue(backend=queue_backend)
+        self.queue = EventQueue()
         self.trace = trace
         self.processes: List[Process] = []
         self._stopped = False

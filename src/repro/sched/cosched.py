@@ -31,15 +31,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.chaos import (ChaosController, ChaosProcess,
                          FailureDomainTopology, FaultPlan)
 from repro.core.fault_tolerance import RecoveryPolicy
-from repro.core.inference import InferenceEngine
-from repro.core.mapping import Mapping
-from repro.core.virtual_node import VirtualNodeSet
-from repro.data import make_dataset
 from repro.elastic.jobs import JobSpec, JobState
 from repro.elastic.simulator import Scheduler, TrainingClusterProcess
 from repro.elastic.trace import ServingPhase
 from repro.elastic.wfs import ElasticWFSScheduler
-from repro.framework.models import get_workload
 from repro.hardware.cluster import Cluster
 from repro.hardware.perfmodel import ClusterConditions
 from repro.runtime import (
@@ -49,10 +44,9 @@ from repro.runtime import (
     Runtime,
     open_trace,
 )
-from repro.serving.autoscaler import LatencyAutoscaler
-from repro.serving.batcher import AdmissionPolicy, MicroBatchPolicy
-from repro.serving.generators import OpenLoopPoissonSource, RequestSource
-from repro.serving.router import RequestRouter, ServingReport, ladder_capacity
+from repro.serving.batcher import AdmissionPolicy
+from repro.serving.generators import RequestSource
+from repro.serving.router import ServingReport, _build_router
 
 __all__ = ["CoScheduler", "CoschedReport", "resident_training_jobs",
            "run_cosched"]
@@ -251,7 +245,6 @@ def run_cosched(workload_name: str, phases: Sequence[ServingPhase],
                 limit: Optional[int] = None,
                 source: Optional[RequestSource] = None,
                 trace: Optional[Union[str, EventTrace]] = None,
-                queue_backend: Optional[str] = None,
                 fault_plan: Optional[FaultPlan] = None,
                 recovery: Optional[RecoveryPolicy] = None,
                 retry_delay: float = 0.05,
@@ -260,7 +253,6 @@ def run_cosched(workload_name: str, phases: Sequence[ServingPhase],
                 tenants: Optional["TenantRegistry"] = None,
                 journal: Optional[Union[str, EventTrace]] = None,
                 dispatcher: str = "wfq",
-                admission_mode: Optional[str] = None,
                 ) -> CoschedReport:
     """Run elastic training jobs and a serving router on one shared pool.
 
@@ -297,72 +289,25 @@ def run_cosched(workload_name: str, phases: Sequence[ServingPhase],
         raise ValueError(
             f"initial_serving must be in [1, {pool_devices - train_floor}], "
             f"got {initial_serving}")
-    if autoscale and slo_p99 is None:
-        raise ValueError("autoscaling needs a p99 SLO to steer by")
     if not train_specs:
         raise ValueError("co-scheduling without training jobs is just serving"
                          " — use serve_workload")
-
-    workload = get_workload(workload_name)
-    num_vns = virtual_nodes if virtual_nodes is not None else pool_devices
-    if num_vns < pool_devices:
-        raise ValueError(
-            f"virtual_nodes ({num_vns}) must be >= pool_devices "
-            f"({pool_devices}) so the full pool can be used")
 
     dpool = DevicePool(pool_devices, topology=topology)
     cluster = Cluster.homogeneous(device_type, pool_devices,
                                   topology=topology)
 
-    # Serving tenant: engine on the initial lease, Poisson source, and the
-    # same power-of-two allocation ladder serve_workload builds.
+    # Serving tenant: the stack serve_workload builds, on the initial lease,
+    # its autoscaler capped at what the governor can actually grant.
     serving_lease = dpool.acquire("router", initial_serving, 0.0)
-    vn_set = VirtualNodeSet.even(num_vns, num_vns)
-    mapping = Mapping.even(vn_set,
-                           cluster.subset(list(serving_lease.device_ids)))
-    inference = InferenceEngine(workload, workload.build_model(seed), mapping,
-                                backend=backend)
-    if tenants is None and journal is not None:
-        raise ValueError("a request journal needs a tenant registry")
-    if source is None:
-        dataset = make_dataset(workload.dataset, n=512, seed=seed)
-        if tenants is not None:
-            from repro.serving.gateway import MultiTenantPoissonSource
-            from repro.serving.tenancy import split_phases
-            source = MultiTenantPoissonSource(
-                tenants, split_phases(phases, tenants), dataset.x_val,
-                seed=seed, limit=limit)
-        else:
-            source = OpenLoopPoissonSource(phases, dataset.x_val, seed=seed,
-                                           limit=limit)
-    autoscaler = None
-    if autoscale:
-        # The scaler may only target allocations the governor can actually
-        # grant: capping at the tenancy floor here keeps it from repeatedly
-        # "acting" toward an unreachable allocation (phantom decisions that
-        # clear its latency window and postpone the post-spike scale-down,
-        # which is what hands the harvested devices back to training).
-        autoscaler = LatencyAutoscaler(
-            slo_p99=slo_p99,
-            capacity=ladder_capacity(
-                workload, vn_set, cluster, max_batch, initial_serving,
-                extra_rungs=(pool_devices - train_floor,)),
-            min_devices=min_devices,
-            max_devices=min(pool_devices - train_floor, num_vns),
-            cooldown=cooldown)
-    serving_policy = MicroBatchPolicy(max_batch=max_batch, max_wait=max_wait)
-    if tenants is not None:
-        from repro.serving.gateway import ServingGateway
-        router: RequestRouter = ServingGateway(
-            inference, source, tenants, policy=serving_policy, pool=cluster,
-            autoscaler=autoscaler, admission=admission, name="router",
-            dispatcher=dispatcher, journal=journal,
-            admission_mode=admission_mode)
-    else:
-        router = RequestRouter(
-            inference, source, policy=serving_policy,
-            pool=cluster, autoscaler=autoscaler, admission=admission,
-            admission_mode=admission_mode)
+    router = _build_router(
+        workload_name, cluster, serving_lease.device_ids, phases,
+        virtual_nodes=virtual_nodes, grantable=pool_devices - train_floor,
+        max_batch=max_batch, max_wait=max_wait, autoscale=autoscale,
+        slo_p99=slo_p99, min_devices=min_devices, cooldown=cooldown,
+        backend=backend, seed=seed, limit=limit, source=source,
+        admission=admission, tenants=tenants, journal=journal,
+        dispatcher=dispatcher, gateway_name="router")
 
     # Training tenant: everything the router does not hold.
     training = TrainingClusterProcess(
@@ -385,7 +330,7 @@ def run_cosched(workload_name: str, phases: Sequence[ServingPhase],
             restore_target=None if autoscale else initial_serving)
 
     with open_trace(trace) as writer:
-        runtime = Runtime(trace=writer, queue_backend=queue_backend)
+        runtime = Runtime(trace=writer)
         router.bind(runtime, device_pool=dpool, lease=serving_lease,
                     governor=cosched.grant if autoscale else None,
                     on_rescaled=cosched.notify_rescaled if autoscale else None,

@@ -10,15 +10,10 @@ waits for the batch to launch.  :class:`MicroBatchPolicy` is the standard
 * but never launch before the (single) serving pipeline is free.
 
 The policy object is pure arithmetic over arrival times — the router owns
-the event loop and the interaction with the request source.
-
-:class:`AdmissionPolicy` is the overload half of the contract: when a
-domain wipe or a spike drives the queue past what the surviving capacity
-can serve inside the latency budget, the router sheds *new* arrivals at the
-door (queue-depth and estimated-wait thresholds) instead of admitting work
-that is already doomed to blow its SLO — and optionally **brownouts**
-(halves ``max_batch`` and ``max_wait``) while capacity is derated, trading
-batch efficiency for tail latency on the requests it did admit.
+the event loop and the interaction with the request source.  The overload
+half of the contract (:class:`~repro.serving.admission.AdmissionPolicy`,
+re-exported here) lives with its decision kernel in
+:mod:`repro.serving.admission`.
 """
 
 from __future__ import annotations
@@ -30,6 +25,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.serving.admission import AdmissionPolicy
 
 if TYPE_CHECKING:
     from repro.serving.request import Request
@@ -69,50 +66,6 @@ class MicroBatchPolicy:
         if len(arrivals) >= self.max_batch:
             return arrivals[self.max_batch - 1]
         return self.deadline(arrivals[0])
-
-
-@dataclass(frozen=True)
-class AdmissionPolicy:
-    """Load-shedding thresholds evaluated at each request's arrival.
-
-    A new arrival is **shed** (rejected at the door, never queued) when
-    either threshold trips:
-
-    * ``max_queue_depth`` — the router already holds that many admitted,
-      undispatched requests.  The router's coalescing pull itself stops
-      filling the queue at ``max_batch``, so in practice a depth threshold
-      trips when set *below* the batch size — it polices the coalescing
-      queue, while the wait gate polices the total backlog;
-    * ``max_estimated_wait`` — the deterministic wait estimate (current
-      server backlog plus queued-batches-ahead times the last observed
-      batch service time) exceeds this many seconds.  Until the first
-      batch completes the estimate is zero, so a cold router never
-      wait-sheds.
-
-    Requests re-queued after a device failure were already admitted and are
-    **never** shed — shedding is an admission decision, not an eviction.
-
-    ``brownout`` additionally halves the router's ``max_batch``/``max_wait``
-    whenever the serving lease's capacity is derated below 1.0, so admitted
-    requests see smaller, sooner batches while the hardware runs slow.
-    """
-
-    max_queue_depth: Optional[int] = None
-    max_estimated_wait: Optional[float] = None
-    brownout: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_queue_depth is not None and self.max_queue_depth < 1:
-            raise ValueError(
-                f"max_queue_depth must be >= 1, got {self.max_queue_depth}")
-        if self.max_estimated_wait is not None and self.max_estimated_wait <= 0:
-            raise ValueError(
-                f"max_estimated_wait must be positive, "
-                f"got {self.max_estimated_wait}")
-        if (self.max_queue_depth is None and self.max_estimated_wait is None
-                and not self.brownout):
-            raise ValueError("an admission policy needs at least one "
-                             "threshold (or brownout)")
 
 
 class DispatchQueue:

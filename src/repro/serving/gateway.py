@@ -14,7 +14,9 @@ production front end owes its tenants:
   contract: a *premium* tenant inside its token-bucket quota is never
   shed; over-quota premium and best-effort arrivals face the configured
   thresholds, and brownout halves those thresholds for non-premium
-  traffic only (shed best-effort first);
+  traffic only (shed best-effort first).  The gateway's whole share of
+  this is a metering pre-stage (:func:`repro.serving.tenancy.meter`) in
+  front of the router's one shed rule;
 * **a durable request journal** — an append-only JSONL file in the
   ``--trace-out`` event schema (one ``registry`` header line, then one
   line per completed request and per shed arrival).  The journal is
@@ -45,17 +47,21 @@ from repro.elastic.trace import ServingPhase, serving_arrival_times
 from repro.hardware.cluster import Cluster
 from repro.runtime import EventTrace
 from repro.runtime.trace import load_trace
+from repro.serving.admission import AdmissionPolicy
 from repro.serving.autoscaler import LatencyAutoscaler
 from repro.serving.batcher import (
-    AdmissionPolicy,
     FifoDispatchQueue,
     MicroBatchPolicy,
     WFQDispatchQueue,
 )
-from repro.serving.generators import ArrivalWave, RequestSource, _ExampleBank
+from repro.serving.generators import (
+    ArrivalWave,
+    OpenLoopPoissonSource,
+    RequestSource,
+)
 from repro.serving.request import Request, RequestRecord
-from repro.serving.router import _WAVE_MIN, RequestRouter, ServingReport
-from repro.serving.tenancy import TenantRegistry, TenantSpec
+from repro.serving.router import RequestRouter, ServingReport
+from repro.serving.tenancy import TenantRegistry, TenantSpec, meter
 from repro.telemetry import StreamingHistogram, percentile
 from repro.utils.seeding import derive_seed
 
@@ -67,6 +73,12 @@ __all__ = ["MultiTenantPoissonSource", "ServingGateway", "TenantTaggingSource",
 DOMAIN_TENANT = 0x9E
 
 DISPATCHERS = ("wfq", "fifo")
+
+
+def check_dispatcher(dispatcher: str) -> None:
+    if dispatcher not in DISPATCHERS:
+        raise ValueError(
+            f"dispatcher must be one of {DISPATCHERS}, got {dispatcher!r}")
 
 
 class TenantTaggingSource(RequestSource):
@@ -83,24 +95,11 @@ class TenantTaggingSource(RequestSource):
         return [dataclasses.replace(r, tenant=self._tenant)
                 for r in self._inner.take_arrivals(until)]
 
-    def take_wave(self, until: float) -> Optional[ArrivalWave]:
-        # Retag the inner wave in place instead of wrapping every request:
-        # one table entry covers the whole wave.  Subclasses that changed
-        # arrival semantics fall back to the per-request pull.
-        if type(self).take_arrivals is not TenantTaggingSource.take_arrivals:
-            return None
-        wave = self._inner.take_wave(until)
-        if wave is None:
-            return None
-        wave.tenant_idx = None
-        wave.tenant_table = (self._tenant,)
-        return wave
-
     def on_completion(self, records: Sequence[RequestRecord]) -> None:
         self._inner.on_completion(records)
 
 
-class MultiTenantPoissonSource(RequestSource):
+class MultiTenantPoissonSource(OpenLoopPoissonSource):
     """One open-loop Poisson stream per tenant, merged deterministically.
 
     Each tenant draws arrivals from its own phase trace on its own seed
@@ -131,57 +130,11 @@ class MultiTenantPoissonSource(RequestSource):
         idx = np.concatenate(all_idx) if all_idx else np.empty(0, np.int64)
         # lexsort: primary key last — sort by time, break ties in registry
         # order so two tenants' coincident arrivals merge deterministically.
-        order = np.lexsort((idx, times))
-        self._times = times[order]
-        self._tenant_idx = np.ascontiguousarray(idx[order])
-        if limit is not None and len(self._times) > limit:
-            self._times = self._times[:limit]
-            self._tenant_idx = self._tenant_idx[:limit]
+        order = np.lexsort((idx, times))[:limit]
         # The merged stream carries tenant *indices*; the table maps them
         # back to ids, so no per-request string list is ever built.
-        self._tenant_table = tenant_ids
-        self._bank = _ExampleBank(examples)
-        self._next = 0
-
-    @property
-    def total_requests(self) -> int:
-        return len(self._times)
-
-    def next_arrival_time(self) -> Optional[float]:
-        if self._next >= len(self._times):
-            return None
-        return float(self._times[self._next])
-
-    def take_arrivals(self, until: float) -> List[Request]:
-        end = int(np.searchsorted(self._times, until, side="right"))
-        if end <= self._next:
-            return []
-        bank = self._bank
-        table = self._tenant_table
-        idx = self._tenant_idx
-        out = [Request(request_id=i, arrival_time=t,
-                       example=bank.next_example(),
-                       tenant=table[idx[i]])
-               for i, t in enumerate(
-                   self._times[self._next:end].tolist(), start=self._next)]
-        self._next = end
-        return out
-
-    def take_wave(self, until: float) -> Optional[ArrivalWave]:
-        if (type(self).take_arrivals
-                is not MultiTenantPoissonSource.take_arrivals):
-            return None
-        end = int(np.searchsorted(self._times, until, side="right"))
-        start = self._next
-        if end <= start:
-            return None
-        wave = ArrivalWave(times=self._times[start:end], first_id=start,
-                           bank=self._bank, first_cursor=self._bank.cursor,
-                           tenant_idx=self._tenant_idx[start:end],
-                           tenant_table=self._tenant_table)
-        self._next = end
-        self._bank.advance(end - start)
-        return wave
+        self._load(times[order], examples,
+                   np.ascontiguousarray(idx[order]), tenant_ids)
 
 
 def _tenant_digest(spec: TenantSpec, latencies: Sequence[float],
@@ -261,25 +214,19 @@ class ServingGateway(RequestRouter):
                  name: str = "gateway",
                  admission: Optional[AdmissionPolicy] = None,
                  dispatcher: str = "wfq",
-                 journal: Optional[Union[str, EventTrace]] = None,
-                 admission_mode: Optional[str] = None) -> None:
-        if dispatcher not in DISPATCHERS:
-            raise ValueError(
-                f"dispatcher must be one of {DISPATCHERS}, got {dispatcher!r}")
+                 journal: Optional[Union[str, EventTrace]] = None) -> None:
+        check_dispatcher(dispatcher)
         queue = (WFQDispatchQueue(registry) if dispatcher == "wfq"
                  else FifoDispatchQueue())
         super().__init__(inference, source, policy=policy, pool=pool,
                          autoscaler=autoscaler, collect_logits=collect_logits,
-                         name=name, admission=admission, dispatch_queue=queue,
-                         admission_mode=admission_mode)
+                         name=name, admission=admission, dispatch_queue=queue)
         self.registry = registry
         self.dispatcher = dispatcher
         self._journal_dest = journal
         self._journal: Optional[EventTrace] = None
         self._journal_owned = False
         self._journal_seq = 0
-        self._buckets = registry.buckets()
-        self._premium = {spec.tenant_id: spec.premium for spec in registry}
         # Cached json.dumps of tenant ids (and None): the journal fast path
         # re-serializes each tenant string once per run, not once per line.
         self._tenant_json: Dict[Optional[str], str] = {}
@@ -297,6 +244,10 @@ class ServingGateway(RequestRouter):
         replay still goes through it), so completion-time accounting is
         append-only instead of rebuilding per-tenant lists on each call.
         """
+        # tenant -> (a full quota meter or None, premium?): what the
+        # admission pre-stage needs to know of each tenant.
+        self._contracts = {spec.tenant_id: (spec.bucket(), spec.premium)
+                           for spec in self.registry}
         self._lat_by_tenant: Dict[str, List[float]] = {
             t: [] for t in self.registry.tenant_ids}
         self._shed_counts: Counter = Counter()
@@ -363,19 +314,18 @@ class ServingGateway(RequestRouter):
         self._open_journal()
         super().start(runtime)
 
-    def run(self, trace: Optional[Union[str, EventTrace]] = None,
-            queue_backend: Optional[str] = None) -> ServingReport:
+    def run(self, trace: Optional[Union[str, EventTrace]] = None
+            ) -> ServingReport:
         """Serve the source dry with fresh quota meters and a fresh journal.
 
         The journal is closed in a ``finally`` so its buffered lines reach
         disk even when the run raises mid-way — a crashed serving process
         still leaves every completed request auditable.
         """
-        self._buckets = self.registry.buckets()
         self._reset_tenant_accounting()
         self._open_journal()
         try:
-            return super().run(trace=trace, queue_backend=queue_backend)
+            return super().run(trace=trace)
         finally:
             self.close_journal()
 
@@ -395,185 +345,19 @@ class ServingGateway(RequestRouter):
         tenant the pulled requests dispatch in arrival order either way, so
         the golden traces stay bit-identical.
 
-        Wave mode pulls the whole range in one call: the reference loop's
-        per-timestamp pulls see exactly the same admission state as one
-        pull over the concatenation, because nothing between two pulls of
-        the same ``_admit`` call can change it (no event fires in between).
+        One pull covers the whole range: nothing between two arrivals of
+        the same ``_admit`` call can change the admission state (no event
+        fires in between).
         """
-        if self.admission_mode == "wave":
-            self._pull(until)
-            return
-        while True:
-            nxt = self.source.next_arrival_time()
-            if nxt is None or nxt > until:
-                return
-            self._enqueue(self.source.take_arrivals(nxt))
+        self._pull(until)
 
-    def _should_shed(self, request: Request, in_force: MicroBatchPolicy) -> Optional[str]:
-        """Tenant-aware shedding: premium-within-quota is never shed.
-
-        Every arrival draws on its tenant's token bucket first (the meter
+    def _meter(self, wave: ArrivalWave, times: List[float], browned: bool):
+        """Every arrival draws on its tenant's token bucket (the meter
         runs whether or not the decision needs it — quota state must not
-        depend on load).  A premium tenant holding a token is admitted
-        unconditionally; everyone else — best-effort, unregistered, and
-        quota-exhausted premium — faces the configured thresholds, which
-        brownout halves for non-premium traffic only.  A quota-exhausted
-        premium request therefore *queues* rather than sheds whenever the
-        gateway is not actually overloaded.
-        """
-        policy = self.admission
-        tenant = request.tenant
-        bucket = self._buckets.get(tenant)
-        within_quota = (bucket.take(request.arrival_time)
-                        if bucket is not None else True)
-        spec = self.registry[tenant] if tenant in self.registry else None
-        premium = spec is not None and spec.premium
-        if premium and within_quota:
-            return None
-        depth_limit = policy.max_queue_depth
-        wait_limit = policy.max_estimated_wait
-        if in_force is not self.policy and not premium:  # browned out
-            if depth_limit is not None:
-                depth_limit = max(1, depth_limit // 2)
-            if wait_limit is not None:
-                wait_limit = wait_limit / 2
-        return self._shed_reason(request, depth_limit, wait_limit, in_force.max_batch)
-
-    def _enqueue_wave(self, wave: ArrivalWave) -> int:
-        """Tenant-aware wave admission: the gateway's batched fast path.
-
-        Replays per-request :meth:`_should_shed` decision-for-decision:
-        every arrival is metered on its tenant's token bucket (grouped by
-        tenant — each bucket still sees its own arrivals in order, so the
-        quota state is bit-identical), premium-within-quota arrivals bypass
-        the thresholds, and everyone else faces the (possibly
-        brownout-halved) depth/wait limits against a queue depth tracked
-        exactly as the reference loop grows it.  Shed arrivals are never
-        materialized as :class:`Request` objects.
-        """
-        n = len(wave)
-        if self.admission is None or n < _WAVE_MIN:
-            return super()._enqueue_wave(wave)
-        policy = self.admission
-        times = wave.times
-        idx = wave.tenant_idx
-        table = wave.tenant_table
-        is_premium = self._premium
-        buckets = self._buckets
-        # Meter + classify: ``bypass`` marks premium-within-quota arrivals,
-        # ``prem`` marks premium-class arrivals (bypass or not — they keep
-        # the full thresholds under brownout).
-        bypass = np.zeros(n, dtype=bool)
-        prem = np.zeros(n, dtype=bool)
-        for k, tenant in enumerate(table):
-            if idx is None:
-                if k > 0:
-                    break
-                mask = None
-            else:
-                mask = idx == k
-                if not mask.any():
-                    continue
-            bucket = buckets.get(tenant)
-            grants = None
-            if bucket is not None:
-                grants = bucket.take_many(times if mask is None
-                                          else times[mask])
-            if is_premium.get(tenant, False):
-                if mask is None:
-                    prem[:] = True
-                    bypass = (grants if grants is not None
-                              else np.ones(n, dtype=bool))
-                else:
-                    prem[mask] = True
-                    bypass[mask] = True if grants is None else grants
-
-        depth_limit = policy.max_queue_depth
-        wait_limit = policy.max_estimated_wait
-        in_force = self._policy_now()
-        brown = in_force is not self.policy
-        be_depth, be_wait = depth_limit, wait_limit  # non-premium limits
-        if brown:
-            if depth_limit is not None:
-                be_depth = max(1, depth_limit // 2)
-            if wait_limit is not None:
-                be_wait = wait_limit / 2
-
-        admitted: List[Request] = []
-        shed_t: List[float] = []
-        shed_id: List[int] = []
-        shed_tenant: List[Optional[str]] = []
-        shed_reason: List[str] = []
-        first_id = wave.first_id
-        t_list = times.tolist()
-        wait_active = (wait_limit is not None
-                       and self._service_estimate > 0)
-        if not wait_active and (not brown or depth_limit is None):
-            # Depth-only, one shared limit: within a wave the queue never
-            # drains and admits only grow it, so a non-bypass arrival at
-            # wave offset j admits iff j < depth_limit - len(pending)
-            # (an earlier shed forces every later non-bypass shed too).
-            if depth_limit is None:
-                admit = None
-            else:
-                admit = bypass | (np.arange(n)
-                                  < depth_limit - len(self._pending))
-            if admit is None:
-                admitted = [wave.build_request(j, t)
-                            for j, t in enumerate(t_list)]
-            else:
-                admitted = [wave.build_request(j, t_list[j])
-                            for j in np.nonzero(admit)[0].tolist()]
-                shed_off = np.nonzero(~admit)[0]
-                if len(shed_off):
-                    shed_t = times[shed_off].tolist()
-                    shed_id = (first_id + shed_off).tolist()
-                    if idx is None:
-                        shed_tenant = [table[0]] * len(shed_off)
-                    else:
-                        shed_tenant = [table[k]
-                                       for k in idx[shed_off].tolist()]
-                    shed_reason = ["depth"] * len(shed_off)
-        else:
-            # Wait gate or brownout split: tight scalar replay over plain
-            # floats — still no Request objects for shed arrivals.
-            bypass_l = bypass.tolist()
-            prem_l = prem.tolist()
-            idx_l = None if idx is None else idx.tolist()
-            depth = len(self._pending)
-            max_batch = in_force.max_batch
-            server_free = self._server_free
-            estimate = self._service_estimate
-            for j, t in enumerate(t_list):
-                if bypass_l[j]:
-                    admitted.append(wave.build_request(j, t))
-                    depth += 1
-                    continue
-                if prem_l[j]:
-                    dl, wl = depth_limit, wait_limit
-                else:
-                    dl, wl = be_depth, be_wait
-                reason = None
-                if dl is not None and depth >= dl:
-                    reason = "depth"
-                elif wl is not None and estimate > 0:
-                    backlog = max(0.0, server_free - t)
-                    if backlog + (depth // max_batch + 1) * estimate > wl:
-                        reason = "wait"
-                if reason is None:
-                    admitted.append(wave.build_request(j, t))
-                    depth += 1
-                else:
-                    shed_t.append(t)
-                    shed_id.append(first_id + j)
-                    shed_tenant.append(table[0] if idx_l is None
-                                       else table[idx_l[j]])
-                    shed_reason.append(reason)
-        if admitted:
-            self._pending.push_wave(admitted)
-        if shed_id:
-            self._record_shed_wave(shed_t, shed_id, shed_tenant, shed_reason)
-        return len(shed_id)
+        depend on load); premium inside quota bypasses the thresholds, and
+        a quota-exhausted premium request therefore *queues* rather than
+        sheds whenever the gateway is not actually overloaded."""
+        return meter(wave, times, self._contracts, browned)
 
     # -- accounting hooks -----------------------------------------------------
 
@@ -584,22 +368,10 @@ class ServingGateway(RequestRouter):
             self._tenant_json[tenant] = cached
         return cached
 
-    def _record_shed(self, request: Request, reason: str) -> None:
-        super()._record_shed(request, reason)
-        tenant = request.tenant if request.tenant is not None else ""
-        self._shed_counts[tenant] += 1
-        self.report.tenant_shed.append(
-            (request.arrival_time, request.request_id, tenant, reason))
-        self._journal_emit("shed", request.arrival_time, {
-            "request_id": request.request_id,
-            "tenant": tenant,
-            "reason": reason,
-        })
-
-    def _record_shed_wave(self, times: Sequence[float], ids: Sequence[int],
-                          tenants: Sequence[Optional[str]],
-                          reasons: Sequence[str]) -> None:
-        super()._record_shed_wave(times, ids, tenants, reasons)
+    def _record_shed(self, times: Sequence[float], ids: Sequence[int],
+                     tenants: Sequence[Optional[str]],
+                     reasons: Sequence[str]) -> None:
+        super()._record_shed(times, ids, tenants, reasons)
         tenants = [t if t is not None else "" for t in tenants]
         self.report.tenant_shed.extend(zip(times, ids, tenants, reasons))
         self._shed_counts.update(tenants)

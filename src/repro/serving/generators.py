@@ -41,25 +41,41 @@ _CLOSED_LOOP_DOMAIN = 0x7C
 class ArrivalWave:
     """One admission wave as parallel arrays — no per-request objects.
 
-    The batched admission path consumes arrivals the way the event core
-    consumes event runs: ``times`` is the ascending arrival-time array,
-    request ids are ``first_id + j``, and the payload row for wave offset
-    ``j`` is ``bank.row(first_cursor + j)`` — materialized only for the
-    requests that survive admission, which is the whole point: a shed
-    arrival never becomes a :class:`Request`.
+    The admission path consumes arrivals the way the event core consumes
+    event runs: ``times`` is the ascending arrival-time array, request ids
+    are ``first_id + j``, and the payload row for wave offset ``j`` is
+    ``bank.row(first_cursor + j)`` — materialized only for the requests
+    that survive admission, which is the whole point: a shed arrival never
+    becomes a :class:`Request`.
 
     ``tenant_idx``/``tenant_table`` carry tenancy without per-request
     strings: offset ``j`` belongs to ``tenant_table[tenant_idx[j]]``.
     ``tenant_idx=None`` means every request in the wave belongs to
     ``tenant_table[0]`` (single-stream sources use ``[None]``).
+
+    A source that cannot cut array waves hands over the requests it already
+    built (:meth:`of`): ``requests[j]`` then *is* offset ``j``, ids, client
+    and payload included.
     """
 
     times: np.ndarray
-    first_id: int
-    bank: "_ExampleBank"
-    first_cursor: int
+    first_id: int = 0
+    bank: Optional["_ExampleBank"] = None
+    first_cursor: int = 0
     tenant_idx: Optional[np.ndarray] = None
     tenant_table: Sequence[Optional[str]] = (None,)
+    requests: Optional[Sequence[Request]] = None
+
+    @classmethod
+    def of(cls, requests: Sequence[Request]) -> "ArrivalWave":
+        """Wrap already-built requests, in order, as one wave."""
+        table = tuple(dict.fromkeys(r.tenant for r in requests)) or (None,)
+        idx = None
+        if len(table) > 1:
+            position = {tenant: k for k, tenant in enumerate(table)}
+            idx = np.array([position[r.tenant] for r in requests])
+        return cls(times=np.array([r.arrival_time for r in requests], float),
+                   tenant_idx=idx, tenant_table=table, requests=requests)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -70,11 +86,31 @@ class ArrivalWave:
         return self.tenant_table[int(self.tenant_idx[offset])]
 
     def build_request(self, offset: int, arrival: float) -> Request:
-        """Materialize one admitted request (reference for the fast path)."""
+        """Materialize one admitted request."""
+        if self.requests is not None:
+            return self.requests[offset]
         return Request(request_id=self.first_id + offset,
                        arrival_time=arrival,
                        example=self.bank.row(self.first_cursor + offset),
                        tenant=self.tenant_of(offset))
+
+    def build_all(self) -> List[Request]:
+        return [self.build_request(j, t)
+                for j, t in enumerate(self.times.tolist())]
+
+    def ids(self, offsets: Sequence[int]) -> List[int]:
+        """Request ids at ``offsets`` (no :class:`Request` is built)."""
+        if self.requests is not None:
+            return [self.requests[j].request_id for j in offsets]
+        first = self.first_id
+        return [first + j for j in offsets]
+
+    def tenants(self, offsets: Sequence[int]) -> List[Optional[str]]:
+        """Tenants at ``offsets``, in the same order."""
+        table = self.tenant_table
+        if self.tenant_idx is None:
+            return [table[0]] * len(offsets)
+        return [table[k] for k in self.tenant_idx[offsets].tolist()]
 
 
 class RequestSource(ABC):
@@ -94,20 +130,24 @@ class RequestSource(ABC):
     def take_arrivals(self, until: float) -> List[Request]:
         """Pop every request arriving at or before ``until``, in order."""
 
-    def take_wave(self, until: float) -> Optional[ArrivalWave]:
-        """Pop every request at or before ``until`` as an array wave.
+    def take_wave(self, until: float) -> ArrivalWave:
+        """Pop every request at or before ``until`` as one wave — what the
+        router pulls; an empty wave when nothing arrived.
 
-        Returns ``None`` when the source cannot serve waves (closed-loop
-        populations, or a subclass that customized :meth:`take_arrivals`)
-        — the router then falls back to the per-request pull, so a wave-
-        incapable source never silently changes semantics.  A returned
-        wave consumes exactly the arrivals (and example-bank rows) the
-        equivalent :meth:`take_arrivals` call would have.
+        The default wraps :meth:`take_arrivals`' requests, so a source that
+        cannot cut array waves (closed-loop populations, or a subclass that
+        customized :meth:`take_arrivals`) never silently changes semantics.
+        An array wave consumes exactly the arrivals (and example-bank rows)
+        the equivalent :meth:`take_arrivals` call would have.
         """
-        return None
+        return ArrivalWave.of(self.take_arrivals(until))
 
     def on_completion(self, records: Sequence[RequestRecord]) -> None:
         """Hook: a micro-batch completed (closed-loop sources react here)."""
+
+
+# What an array source returns when nothing arrived: shared, never mutated.
+EMPTY_WAVE = ArrivalWave(times=np.empty(0))
 
 
 class _ExampleBank:
@@ -142,7 +182,17 @@ class OpenLoopPoissonSource(RequestSource):
 
     def __init__(self, phases: Sequence[ServingPhase], examples: np.ndarray,
                  seed: int = 0, limit: Optional[int] = None) -> None:
-        self._times = serving_arrival_times(phases, seed=seed, limit=limit)
+        self._load(serving_arrival_times(phases, seed=seed, limit=limit),
+                   examples)
+
+    def _load(self, times: np.ndarray, examples: np.ndarray,
+              tenant_idx: Optional[np.ndarray] = None,
+              tenant_table: Sequence[Optional[str]] = (None,)) -> None:
+        """Install the sorted arrival array and, for a merged multi-tenant
+        stream, whose arrival each one is (see :class:`ArrivalWave`)."""
+        self._times = times
+        self._tenant_idx = tenant_idx
+        self._tenant_table = tenant_table
         self._bank = _ExampleBank(examples)
         self._next = 0
 
@@ -155,34 +205,29 @@ class OpenLoopPoissonSource(RequestSource):
             return None
         return float(self._times[self._next])
 
-    def take_arrivals(self, until: float) -> List[Request]:
-        # Vectorized cut: one searchsorted replaces the per-request compare
-        # loop (admit waves at high rates are thousands of requests).  The
-        # arrival array is sorted, so the cut index equals where the old
-        # loop stopped, and float(...) of the same element is bit-identical.
-        end = int(np.searchsorted(self._times, until, side="right"))
-        if end <= self._next:
-            return []
-        bank = self._bank
-        out = [Request(request_id=i, arrival_time=t,
-                       example=bank.next_example())
-               for i, t in enumerate(
-                   self._times[self._next:end].tolist(), start=self._next)]
-        self._next = end
-        return out
-
-    def take_wave(self, until: float) -> Optional[ArrivalWave]:
-        if type(self).take_arrivals is not OpenLoopPoissonSource.take_arrivals:
-            return None  # a subclass re-defined arrival semantics
+    def _cut(self, until: float) -> ArrivalWave:
+        # One searchsorted over the sorted arrival array cuts the wave;
+        # nothing per request happens until admission has decided.
         end = int(np.searchsorted(self._times, until, side="right"))
         start = self._next
         if end <= start:
-            return None
+            return EMPTY_WAVE
+        idx = self._tenant_idx
         wave = ArrivalWave(times=self._times[start:end], first_id=start,
-                           bank=self._bank, first_cursor=self._bank.cursor)
+                           bank=self._bank, first_cursor=self._bank.cursor,
+                           tenant_idx=None if idx is None else idx[start:end],
+                           tenant_table=self._tenant_table)
         self._next = end
         self._bank.advance(end - start)
         return wave
+
+    def take_arrivals(self, until: float) -> List[Request]:
+        return self._cut(until).build_all()
+
+    def take_wave(self, until: float) -> ArrivalWave:
+        if type(self).take_arrivals is not OpenLoopPoissonSource.take_arrivals:
+            return super().take_wave(until)  # a subclass re-defined arrivals
+        return self._cut(until)
 
 
 class ClosedLoopSource(RequestSource):

@@ -28,6 +28,13 @@ simulator uses, and the devices the autoscaler steers are held as a
 :class:`~repro.runtime.pool.DevicePool` lease — the pool owns the audited
 device-second accounting, and a co-scheduler can grow the lease out of a
 training job's harvest during a spike.
+
+Every arrival enters through one door, :meth:`RequestRouter._pull`: the
+source hands over an :class:`~repro.serving.generators.ArrivalWave` (one
+arrival or ten thousand), and with an admission policy armed the shed rule
+in :mod:`repro.serving.admission` splits it into requests to queue and
+sheds to record.  The multi-tenant gateway adds a metering pre-stage in
+front of the same kernel; it does not re-derive the rule.
 """
 
 from __future__ import annotations
@@ -43,9 +50,6 @@ from typing import (
     Tuple,
     Union,
 )
-
-if TYPE_CHECKING:
-    from repro.serving.tenancy import TenantRegistry
 
 import numpy as np
 
@@ -69,9 +73,9 @@ from repro.runtime import (
     Runtime,
     open_trace,
 )
+from repro.serving.admission import AdmissionPolicy, decide
 from repro.serving.autoscaler import AllocationProfile, LatencyAutoscaler
 from repro.serving.batcher import (
-    AdmissionPolicy,
     DispatchQueue,
     FifoDispatchQueue,
     MicroBatchPolicy,
@@ -84,37 +88,11 @@ from repro.serving.generators import (
 from repro.serving.request import BatchRecord, Request, RequestRecord
 from repro.telemetry import percentile
 
-__all__ = ["ADMISSION_MODES", "RequestRouter", "ServingReport",
-           "capacity_table", "get_default_admission_mode", "ladder_capacity",
-           "serve_workload", "set_default_admission_mode"]
+if TYPE_CHECKING:
+    from repro.serving.tenancy import TenantRegistry
 
-# How arrivals move from the source into the dispatch queue.  ``"wave"``
-# consumes whole :class:`ArrivalWave` arrays with vectorized shed
-# predicates; ``"per_request"`` is the original one-request-at-a-time
-# loop, retained as the reference oracle the way the heap index backs the
-# calendar queue.  Both orders are bit-identical by construction — the
-# golden-trace suite sweeps the flag to prove it.
-ADMISSION_MODES = ("wave", "per_request")
-
-_default_admission_mode = "wave"
-
-# Below this many arrivals a wave takes the reference per-request path:
-# numpy setup costs more than it saves, and routing tiny waves through
-# the oracle keeps the fast path exercised only where it pays.
-_WAVE_MIN = 32
-
-
-def set_default_admission_mode(mode: str) -> None:
-    """Set the process-wide default admission path (see ADMISSION_MODES)."""
-    global _default_admission_mode
-    if mode not in ADMISSION_MODES:
-        raise ValueError(f"unknown admission mode {mode!r}; "
-                         f"choose from {ADMISSION_MODES}")
-    _default_admission_mode = mode
-
-
-def get_default_admission_mode() -> str:
-    return _default_admission_mode
+__all__ = ["RequestRouter", "ServingReport", "capacity_table",
+           "ladder_capacity", "serve_workload"]
 
 
 def capacity_table(workload: Workload, vn_set: VirtualNodeSet, pool: Cluster,
@@ -200,8 +178,9 @@ class ServingReport:
     logits: Dict[int, np.ndarray] = field(default_factory=dict)
     # Injected serving-device crashes: (time, device_id, requests requeued).
     failures: List[Tuple[float, int, int]] = field(default_factory=list)
-    # Load-shed arrivals: (arrival_time, request_id, reason) — "depth" or
-    # "wait".  Empty unless an AdmissionPolicy is armed and tripped.
+    # Load-shed arrivals: (arrival_time, request_id, reason), the reason
+    # naming the gate that tripped (see repro.serving.admission.decide).
+    # Empty unless an AdmissionPolicy is armed and tripped.
     shed: List[Tuple[float, int, str]] = field(default_factory=list)
     # Batches dispatched under the halved brownout policy.
     brownout_batches: int = 0
@@ -332,16 +311,9 @@ class RequestRouter:
                  collect_logits: bool = False,
                  name: str = "router",
                  admission: Optional[AdmissionPolicy] = None,
-                 dispatch_queue: Optional[DispatchQueue] = None,
-                 admission_mode: Optional[str] = None) -> None:
+                 dispatch_queue: Optional[DispatchQueue] = None) -> None:
         if autoscaler is not None and pool is None:
             raise ValueError("autoscaling needs a device pool to draw from")
-        if admission_mode is None:
-            admission_mode = _default_admission_mode
-        if admission_mode not in ADMISSION_MODES:
-            raise ValueError(f"unknown admission mode {admission_mode!r}; "
-                             f"choose from {ADMISSION_MODES}")
-        self.admission_mode = admission_mode
         self.inference = inference
         self.source = source
         self.policy = policy
@@ -483,14 +455,12 @@ class RequestRouter:
 
     # -- the event loop -------------------------------------------------------
 
-    def run(self, trace: Optional[Union[str, EventTrace]] = None,
-            queue_backend: Optional[str] = None) -> ServingReport:
+    def run(self, trace: Optional[Union[str, EventTrace]] = None
+            ) -> ServingReport:
         """Serve the source dry; return the full accounting.
 
         ``trace`` (a path or an :class:`EventTrace`) journals the event
-        timeline as JSONL — the ``--trace-out`` export.  ``queue_backend``
-        selects the event-queue scheduler for the private runtime
-        (``"heap"`` or ``"calendar"``; both fire the identical order).
+        timeline as JSONL — the ``--trace-out`` export.
 
         Each call is a fresh run with fresh accounting (a second call on a
         drained source returns an empty report, as the pre-runtime loop
@@ -507,7 +477,7 @@ class RequestRouter:
         self._service_estimate = 0.0
         self._runtime = None  # force start() to rebind a fresh pool/lease
         with open_trace(trace) as writer:
-            runtime = Runtime(trace=writer, queue_backend=queue_backend)
+            runtime = Runtime(trace=writer)
             runtime.add(self)
             runtime.run()
         return self.report
@@ -531,159 +501,65 @@ class RequestRouter:
 
     # -- admission control ----------------------------------------------------
 
-    def _brownout_active(self) -> bool:
-        """True while the admission policy's brownout is armed *and* the
-        lease's capacity is currently derated below full speed."""
-        if (self.admission is None or not self.admission.brownout
-                or self._conditions is None or self._lease is None):
-            return False
-        return self._conditions.bottleneck_speed(self._lease.device_ids) < 1.0
-
     def _policy_now(self) -> MicroBatchPolicy:
         """The coalescing policy in force: the configured one, or its
-        brownout half when the admission policy says so and the lease's
-        capacity is currently derated.  Without an admission policy this
-        is always the configured object — bit-identical behaviour."""
-        if not self._brownout_active():
+        brownout half while the admission policy's brownout is armed *and*
+        the lease's capacity is currently derated below full speed.
+        Otherwise this is always the configured object — bit-identical
+        behaviour, and how browned-out batches are told apart."""
+        if (self.admission is None or not self.admission.brownout
+                or self._conditions is None or self._lease is None
+                or self._conditions.bottleneck_speed(
+                    self._lease.device_ids) >= 1.0):
             return self.policy
         return MicroBatchPolicy(max_batch=max(1, self.policy.max_batch // 2),
                                 max_wait=self.policy.max_wait / 2)
 
-    def _shed_reason(self, request: Request, depth_limit: Optional[int],
-                     wait_limit: Optional[float], max_batch: int) -> Optional[str]:
-        """The threshold a new arrival trips against the given limits.
+    def _meter(self, wave: ArrivalWave, times: List[float], browned: bool):
+        """The pre-stage in front of the shed rule: ``(bypass, halved)``
+        masks over the wave.  A single stream has no tenants to meter —
+        nobody bypasses, everybody faces the full limits."""
+        return None, None
 
-        Evaluated entirely from state at the request's arrival: the queue
-        depth it would join, the server backlog at its arrival time, and
-        the last observed batch service time — all deterministic, so the
-        decision replays bit-identically under both queue backends.
-        """
-        if depth_limit is not None and len(self._pending) >= depth_limit:
-            return "depth"
-        if wait_limit is not None and self._service_estimate > 0:
-            backlog = max(0.0, self._server_free - request.arrival_time)
-            batches_ahead = len(self._pending) // max_batch + 1
-            estimate = backlog + batches_ahead * self._service_estimate
-            if estimate > wait_limit:
-                return "wait"
-        return None
-
-    def _should_shed(self, request: Request, in_force: MicroBatchPolicy) -> Optional[str]:
-        """The threshold a new arrival trips, or None to admit it, under
-        the coalescing policy :meth:`_enqueue` found in force."""
-        policy = self.admission
-        return self._shed_reason(request, policy.max_queue_depth,
-                                 policy.max_estimated_wait, in_force.max_batch)
-
-    def _record_shed(self, request: Request, reason: str) -> None:
-        """Account one shed arrival (the gateway adds tenant accounting)."""
-        self.report.shed.append(
-            (request.arrival_time, request.request_id, reason))
-
-    def _record_shed_wave(self, times: Sequence[float], ids: Sequence[int],
-                          tenants: Sequence[Optional[str]],
-                          reasons: Sequence[str]) -> None:
-        """Account a wave's shed arrivals in bulk (same tuples, same order
-        as per-request :meth:`_record_shed` calls would have appended)."""
+    def _record_shed(self, times: Sequence[float], ids: Sequence[int],
+                     tenants: Sequence[Optional[str]],
+                     reasons: Sequence[str]) -> None:
+        """Account shed arrivals, one or many (the gateway adds tenant
+        accounting and the journal lines)."""
         self.report.shed.extend(zip(times, ids, reasons))
 
-    def _enqueue(self, requests: Sequence[Request]) -> int:
-        """Queue new arrivals through the admission controller; returns how
-        many were shed.  Crash-requeued requests never pass through here —
-        they go back on the queue front directly (already admitted)."""
-        if self.admission is None:
-            self._pending.extend(requests)
-            return 0
-        if not requests:
-            return 0
-        # No event fires inside a pull (see _enqueue_wave): probe degradation
-        # once, not per arrival; browned out is "not the configured policy".
-        in_force = self._policy_now()
-        shed = 0
-        for r in requests:
-            reason = self._should_shed(r, in_force)
-            if reason is None:
-                self._pending.push(r)
-            else:
-                self._record_shed(r, reason)
-                shed += 1
-        return shed
-
-    def _enqueue_wave(self, wave: ArrivalWave) -> int:
-        """Admit one arrival wave; returns how many arrivals were shed.
-
-        Bit-identical to materializing the wave and feeding it through
-        :meth:`_enqueue`: the admission state (queue depth, server backlog,
-        service estimate, brownout policy) is frozen for the duration of a
-        single admission pull in the reference loop too — nothing inside
-        the loop changes it except the queue depth, which is tracked
-        exactly.  The payoff is that a shed arrival never becomes a
-        :class:`Request` object at all.
-        """
-        n = len(wave)
-        if self.admission is None:
-            times = wave.times.tolist()
-            self._pending.push_wave(
-                [wave.build_request(j, t) for j, t in enumerate(times)])
-            return 0
-        if n < _WAVE_MIN:
-            times = wave.times.tolist()
-            return self._enqueue(
-                [wave.build_request(j, t) for j, t in enumerate(times)])
-        policy = self.admission
-        depth_limit = policy.max_queue_depth
-        wait_limit = policy.max_estimated_wait
-        times = wave.times.tolist()
-        depth = len(self._pending)
-        admitted: List[Request] = []
-        shed_t: List[float] = []
-        shed_id: List[int] = []
-        shed_reason: List[str] = []
-        first_id = wave.first_id
-        if wait_limit is None or self._service_estimate <= 0:
-            # Depth-only: within one wave the queue never drains, so the
-            # first ``k`` arrivals admit and everything after sheds.
-            k = n if depth_limit is None else max(0, depth_limit - depth)
-            admitted = [wave.build_request(j, times[j])
-                        for j in range(min(k, n))]
-            if k < n:
-                shed_t = times[k:]
-                shed_id = list(range(first_id + k, first_id + n))
-                shed_reason = ["depth"] * (n - k)
-        else:
-            max_batch = self._policy_now().max_batch
-            server_free = self._server_free
-            estimate = self._service_estimate
-            for j, t in enumerate(times):
-                if depth_limit is not None and depth >= depth_limit:
-                    shed_t.append(t)
-                    shed_id.append(first_id + j)
-                    shed_reason.append("depth")
-                    continue
-                backlog = max(0.0, server_free - t)
-                if backlog + (depth // max_batch + 1) * estimate > wait_limit:
-                    shed_t.append(t)
-                    shed_id.append(first_id + j)
-                    shed_reason.append("wait")
-                    continue
-                admitted.append(wave.build_request(j, t))
-                depth += 1
-        if admitted:
-            self._pending.push_wave(admitted)
-        if shed_id:
-            self._record_shed_wave(
-                shed_t, shed_id,
-                [wave.tenant_of(i - first_id) for i in shed_id], shed_reason)
-        return len(shed_id)
-
     def _pull(self, until: float) -> int:
-        """Move every arrival at or before ``until`` into the queue via the
-        configured admission path; returns how many were shed."""
-        if self.admission_mode == "wave":
-            wave = self.source.take_wave(until)
-            if wave is not None:
-                return self._enqueue_wave(wave)
-        return self._enqueue(self.source.take_arrivals(until))
+        """Move every arrival at or before ``until`` through admission into
+        the queue; returns how many were shed.
+
+        The one door: ``_on_admit`` and ``_admit`` both come through here,
+        for a wave of any length.  Crash-requeued requests never do — they
+        go back on the queue front directly (already admitted).  A shed
+        arrival never becomes a :class:`Request` object.
+        """
+        wave = self.source.take_wave(until)
+        if not len(wave.times):
+            return 0
+        if self.admission is None:
+            self._pending.push_wave(wave.build_all())
+            return 0
+        times = wave.times.tolist()
+        # No event fires inside a pull, so the admission state (server
+        # backlog, service estimate, degradation) is frozen but for the
+        # queue depth, which decide() tracks: probe brownout once, not per
+        # arrival; browned out is "not the configured policy".
+        in_force = self._policy_now()
+        bypass, halved = self._meter(wave, times, in_force is not self.policy)
+        admitted, shed, reasons = decide(
+            self.admission, times, len(self._pending), self._server_free,
+            self._service_estimate, in_force.max_batch, bypass, halved)
+        if admitted:
+            self._pending.push_wave(
+                [wave.build_request(j, times[j]) for j in admitted])
+        if shed:
+            self._record_shed([times[j] for j in shed], wave.ids(shed),
+                              wave.tenants(shed), reasons)
+        return len(shed)
 
     def _on_admit(self, t: float, cutoff: float) -> Dict[str, object]:
         self._admit_handle = None
@@ -927,7 +803,91 @@ class RequestRouter:
                 # The decision this pull serves is already settled; later
                 # arrivals queue behind it on their own event.
                 return
-            self._enqueue(self.source.take_arrivals(nxt))
+            self._pull(nxt)
+
+
+def _build_router(workload_name: str, cluster: Cluster,
+                  device_ids: Sequence[int], phases: Sequence[ServingPhase],
+                  *, virtual_nodes: Optional[int], grantable: int,
+                  max_batch: int, max_wait: float, autoscale: bool,
+                  slo_p99: Optional[float], min_devices: int, cooldown: float,
+                  backend: object, seed: int, limit: Optional[int],
+                  source: Optional[RequestSource],
+                  admission: Optional[AdmissionPolicy],
+                  tenants: Optional["TenantRegistry"],
+                  journal: Optional[Union[str, EventTrace]], dispatcher: str,
+                  collect_logits: bool = False,
+                  gateway_name: str = "gateway") -> RequestRouter:
+    """The serving stack :func:`serve_workload` and
+    :func:`repro.sched.cosched.run_cosched` share: an engine on
+    ``device_ids`` of ``cluster``, a Poisson source over ``phases`` (per
+    tenant with a registry), the autoscaler over the power-of-two ladder up
+    to ``grantable`` devices, and the router — the multi-tenant gateway when
+    ``tenants`` is given.  Usage errors are raised before the model is built.
+    """
+    workload = get_workload(workload_name)
+    pool_devices = len(cluster.devices)
+    num_vns = virtual_nodes if virtual_nodes is not None else pool_devices
+    if num_vns < pool_devices:
+        raise ValueError(
+            f"virtual_nodes ({num_vns}) must be >= pool_devices "
+            f"({pool_devices}) so the full pool can be used")
+    if autoscale and slo_p99 is None:
+        raise ValueError("autoscaling needs a p99 SLO to steer by")
+    if tenants is None:
+        if journal is not None:
+            raise ValueError("a request journal needs a tenant registry")
+    else:
+        # Imported lazily: the gateway module builds on this one.
+        from repro.serving.gateway import (
+            MultiTenantPoissonSource,
+            ServingGateway,
+            check_dispatcher,
+        )
+        from repro.serving.tenancy import split_phases
+        check_dispatcher(dispatcher)
+
+    # One virtual node per batch slot is not needed: the set only fixes the
+    # shard *proportions* (equal here), so V nodes of size 1 serve any
+    # micro-batch size.
+    vn_set = VirtualNodeSet.even(num_vns, num_vns)
+    mapping = Mapping.even(vn_set, cluster.subset(list(device_ids)))
+    inference = InferenceEngine(workload, workload.build_model(seed), mapping,
+                                backend=backend)
+    if source is None:
+        examples = make_dataset(workload.dataset, n=512, seed=seed).x_val
+        if tenants is None:
+            source = OpenLoopPoissonSource(phases, examples, seed=seed,
+                                           limit=limit)
+        else:
+            source = MultiTenantPoissonSource(
+                tenants, split_phases(phases, tenants), examples,
+                seed=seed, limit=limit)
+    autoscaler = None
+    if autoscale:
+        # The scaler may only target allocations that can actually be
+        # granted (under a co-scheduler: up to the training tenancy floor).
+        # Otherwise it keeps "acting" toward an unreachable allocation —
+        # phantom decisions that clear its latency window and postpone the
+        # post-spike scale-down that hands harvested devices back.
+        autoscaler = LatencyAutoscaler(
+            slo_p99=slo_p99,
+            capacity=ladder_capacity(workload, vn_set, cluster, max_batch,
+                                     len(device_ids),
+                                     extra_rungs=(grantable,)),
+            min_devices=min_devices, max_devices=min(grantable, num_vns),
+            cooldown=cooldown)
+    policy = MicroBatchPolicy(max_batch=max_batch, max_wait=max_wait)
+    if tenants is None:
+        return RequestRouter(
+            inference, source, policy=policy, pool=cluster,
+            autoscaler=autoscaler, collect_logits=collect_logits,
+            admission=admission)
+    return ServingGateway(
+        inference, source, tenants, policy=policy, pool=cluster,
+        autoscaler=autoscaler, collect_logits=collect_logits,
+        name=gateway_name, admission=admission, dispatcher=dispatcher,
+        journal=journal)
 
 
 def serve_workload(workload_name: str, phases: Sequence[ServingPhase], *,
@@ -942,12 +902,10 @@ def serve_workload(workload_name: str, phases: Sequence[ServingPhase], *,
                    source: Optional[RequestSource] = None,
                    collect_logits: bool = False,
                    trace: Optional[Union[str, EventTrace]] = None,
-                   queue_backend: Optional[str] = None,
                    admission: Optional[AdmissionPolicy] = None,
                    tenants: Optional["TenantRegistry"] = None,
                    journal: Optional[Union[str, EventTrace]] = None,
                    dispatcher: str = "wfq",
-                   admission_mode: Optional[str] = None,
                    ) -> ServingReport:
     """Build and run a complete serving session for a registered workload.
 
@@ -967,63 +925,19 @@ def serve_workload(workload_name: str, phases: Sequence[ServingPhase], *,
     """
     if pool_devices < 1:
         raise ValueError(f"pool_devices must be >= 1, got {pool_devices}")
-    workload = get_workload(workload_name)
-    num_vns = virtual_nodes if virtual_nodes is not None else pool_devices
-    if num_vns < pool_devices:
-        raise ValueError(
-            f"virtual_nodes ({num_vns}) must be >= pool_devices "
-            f"({pool_devices}) so the full pool can be used")
-    if autoscale and slo_p99 is None:
-        raise ValueError("autoscaling needs a p99 SLO to steer by")
-
-    pool = Cluster.homogeneous(device_type, pool_devices)
-    pool_ids = sorted(d.device_id for d in pool.devices)
     start = initial_devices if initial_devices is not None else (
         min_devices if autoscale else pool_devices)
     if not 1 <= start <= pool_devices:
         raise ValueError(
             f"initial_devices must be in [1, {pool_devices}], got {start}")
-
-    # One virtual node per batch slot is not needed: the set only fixes the
-    # shard *proportions* (equal here), so V nodes of size 1 serve any
-    # micro-batch size.
-    vn_set = VirtualNodeSet.even(num_vns, num_vns)
-    mapping = Mapping.even(vn_set, pool.subset(pool_ids[:start]))
-    inference = InferenceEngine(workload, workload.build_model(seed), mapping,
-                                backend=backend)
-
-    if tenants is None and journal is not None:
-        raise ValueError("a request journal needs a tenant registry")
-    if source is None:
-        dataset = make_dataset(workload.dataset, n=512, seed=seed)
-        if tenants is not None:
-            # Imported lazily: the gateway module builds on this one.
-            from repro.serving.gateway import MultiTenantPoissonSource
-            from repro.serving.tenancy import split_phases
-            source = MultiTenantPoissonSource(
-                tenants, split_phases(phases, tenants), dataset.x_val,
-                seed=seed, limit=limit)
-        else:
-            source = OpenLoopPoissonSource(phases, dataset.x_val, seed=seed,
-                                           limit=limit)
-    autoscaler = None
-    if autoscale:
-        autoscaler = LatencyAutoscaler(
-            slo_p99=slo_p99,
-            capacity=ladder_capacity(workload, vn_set, pool, max_batch, start),
-            min_devices=min_devices,
-            max_devices=min(pool_devices, num_vns), cooldown=cooldown)
-    policy = MicroBatchPolicy(max_batch=max_batch, max_wait=max_wait)
-    if tenants is not None:
-        from repro.serving.gateway import ServingGateway
-        router: RequestRouter = ServingGateway(
-            inference, source, tenants, policy=policy, pool=pool,
-            autoscaler=autoscaler, collect_logits=collect_logits,
-            admission=admission, dispatcher=dispatcher, journal=journal,
-            admission_mode=admission_mode)
-    else:
-        router = RequestRouter(
-            inference, source, policy=policy, pool=pool,
-            autoscaler=autoscaler, collect_logits=collect_logits,
-            admission=admission, admission_mode=admission_mode)
-    return router.run(trace=trace, queue_backend=queue_backend)
+    pool = Cluster.homogeneous(device_type, pool_devices)
+    pool_ids = sorted(d.device_id for d in pool.devices)
+    router = _build_router(
+        workload_name, pool, pool_ids[:start], phases,
+        virtual_nodes=virtual_nodes, grantable=pool_devices,
+        max_batch=max_batch, max_wait=max_wait, autoscale=autoscale,
+        slo_p99=slo_p99, min_devices=min_devices, cooldown=cooldown,
+        backend=backend, seed=seed, limit=limit, source=source,
+        admission=admission, tenants=tenants, journal=journal,
+        dispatcher=dispatcher, collect_logits=collect_logits)
+    return router.run(trace=trace)

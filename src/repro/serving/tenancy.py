@@ -29,11 +29,18 @@ The quota is a protection boundary, not a hard drop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
-__all__ = ["SLO_CLASSES", "TenantSpec", "TenantRegistry", "TokenBucket"]
+from repro.serving.admission import VECTOR_MIN
+
+if TYPE_CHECKING:
+    from repro.serving.generators import ArrivalWave
+
+__all__ = ["SLO_CLASSES", "TenantSpec", "TenantRegistry", "TokenBucket",
+           "meter"]
 
 # SLO class -> default p99 objective, seconds.  ``premium`` is the class the
 # gateway's shedding immunity and the fairness benchmark's attainment floor
@@ -204,6 +211,44 @@ class TokenBucket:
         return np.asarray(grants, dtype=bool)
 
 
+def meter(wave: "ArrivalWave", times: Sequence[float],
+          contracts: Mapping[Optional[str], Tuple[Optional[TokenBucket], bool]],
+          browned: bool) -> Tuple[List[bool], Optional[List[bool]]]:
+    """The gateway's pre-stage to :func:`repro.serving.admission.decide`:
+    meter a wave on its tenants' token buckets; returns ``(bypass, halved)``.
+
+    ``contracts`` maps a tenant to ``(its bucket or None, premium?)``;
+    tenants it does not know have neither.  Every arrival draws on its
+    tenant's bucket whether or not the decision will need the grant (quota
+    state must not depend on load), each bucket sees its own arrivals in
+    order, and ``times`` is ``wave.times`` as plain floats.  ``bypass[j]``:
+    arrival ``j`` is premium and inside its quota.  ``halved[j]``: it is
+    not premium, so a brownout halves its limits — ``None`` unless
+    ``browned``.  Short waves :meth:`~TokenBucket.take` per arrival, long
+    ones :meth:`~TokenBucket.take_many` per tenant.
+    """
+    idx = wave.tenant_idx
+    table = wave.tenant_table if idx is not None else wave.tenant_table[:1]
+    known = [contracts.get(tenant, (None, False)) for tenant in table]
+    n = len(times)
+    if n < VECTOR_MIN:
+        per_arrival = (known * n if idx is None
+                       else [known[k] for k in idx.tolist()])
+        bypass = [(bucket is None or bucket.take(t)) and premium
+                  for t, (bucket, premium) in zip(times, per_arrival)]
+        return bypass, ([not c[1] for c in per_arrival] if browned else None)
+    grants = np.ones(n, dtype=bool)
+    prem = np.zeros(n, dtype=bool)
+    for k, (bucket, premium) in enumerate(known):
+        mine = slice(None) if idx is None else idx == k
+        if bucket is not None:
+            drawn = wave.times[mine]
+            if drawn.size:  # this tenant may have no arrival in the wave
+                grants[mine] = bucket.take_many(drawn)
+        prem[mine] = premium
+    return (grants & prem).tolist(), ((~prem).tolist() if browned else None)
+
+
 class TenantRegistry:
     """The ordered set of tenants a gateway serves.
 
@@ -245,10 +290,6 @@ class TenantRegistry:
         """Each tenant's normalized slice of a shared arrival trace."""
         total = sum(spec.share for spec in self)
         return {spec.tenant_id: spec.share / total for spec in self}
-
-    def buckets(self) -> Dict[str, Optional[TokenBucket]]:
-        """Fresh quota meters for one run, keyed by tenant."""
-        return {spec.tenant_id: spec.bucket() for spec in self}
 
     def to_dict(self) -> Dict[str, Dict[str, object]]:
         return {spec.tenant_id: spec.to_dict() for spec in self}

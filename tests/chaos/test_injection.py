@@ -262,29 +262,35 @@ class TestChaosDeterminism:
                 == [(r.request_id, r.completion_time)
                     for r in wired.serving.records])
 
-    @pytest.mark.parametrize("backend", ["heap", "calendar"])
-    def test_trace_bytes_identical_across_runs(self, tmp_path, backend):
+    def test_trace_bytes_identical_across_runs(self, tmp_path):
         plan = random_plan(seed=9, duration=2.0, devices=8, crash_rate=1.0,
                            straggler_rate=0.5, network_rate=0.3,
                            min_healthy=3)
 
         def run(path):
             _run(fault_plan=plan, recovery=RecoveryPolicy(mode="migrate"),
-                 trace=str(path), queue_backend=backend)
+                 trace=str(path))
             return path.read_bytes()
 
         assert run(tmp_path / "a.jsonl") == run(tmp_path / "b.jsonl")
 
-    def test_trace_bytes_identical_across_backends(self, tmp_path):
+    def test_trace_bytes_identical_across_backends(self, tmp_path,
+                                                   monkeypatch):
+        """The production queue and the ``(time, seq)`` heap model journal
+        the same chaos timeline, byte for byte."""
+        import repro.runtime.core as runtime_core
+        from oracles.event_queue import HeapQueueOracle
+
         plan = random_plan(seed=9, duration=2.0, devices=8, crash_rate=1.0,
                            min_healthy=3)
         blobs = []
-        for backend in ("heap", "calendar"):
-            path = tmp_path / f"{backend}.jsonl"
+        for make_queue in (runtime_core.EventQueue, HeapQueueOracle):
+            monkeypatch.setattr(runtime_core, "EventQueue", make_queue)
+            path = tmp_path / f"{make_queue.__name__}.jsonl"
             _run(fault_plan=plan, recovery=RecoveryPolicy(mode="migrate"),
-                 trace=str(path), queue_backend=backend)
+                 trace=str(path))
             blobs.append(path.read_bytes())
-        assert blobs[0] == blobs[1]
+        assert blobs[0] == blobs[1] and len(blobs[0]) > 10_000
 
 
 class TestInferencePlanMemo:

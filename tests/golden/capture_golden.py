@@ -160,7 +160,7 @@ def chaos_crash_recover() -> dict:
     crashes and revives (requeue + re-admission), one straggler window
     derates a training device, and one network window stretches collective
     costs.  Pinned as a golden fixture so the recovery timeline — stalls,
-    budget repairs, requeues — stays bit-identical under both backends.
+    budget repairs, requeues — stays bit-identical.
     """
     plan = FaultPlan.from_events([
         ChaosEvent(0.40, CRASH, 5),
@@ -190,8 +190,8 @@ def chaos_domain_wipe_recover() -> dict:
     backlog drains through the shedding admission controller on revive;
     device 0 then runs an ECC derate curve, exercising the DERATE event
     kind, the derate-aware co-scheduler budget, and the brownout admission
-    path on the serving lease itself.  Golden under both queue backends:
-    the whole wipe/shed/derate/recover timeline must replay bit-identical.
+    path on the serving lease itself.  The whole wipe/shed/derate/recover
+    timeline must replay bit-identical.
     """
     topology = FailureDomainTopology.regular(3, 2)
     events = domain_wipe_events(topology, "rack", 0, 0.5, 1.3)
@@ -210,7 +210,7 @@ def chaos_domain_wipe_recover() -> dict:
         admission=admission, topology=topology))
 
 
-def serve_shed_brownout_wave() -> dict:
+def serve_shed_brownout_wave(**overrides) -> dict:
     """The batched shed path: depth caps and brownout inside single waves.
 
     A premium tenant and a 3x best-effort flood drive ~5000 rps at one
@@ -220,8 +220,9 @@ def serve_shed_brownout_wave() -> dict:
     armed: outside the window both classes share one depth cap (the
     vectorized depth-only fast path), inside it the best-effort cap halves
     (the scalar split-limit replay), and both regimes shed heavily.  Pinned
-    end to end so the wave path and the per-request reference oracle must
-    replay this timeline bit-identically under both queue backends.
+    end to end: array waves and lists of already-built requests must
+    replay this timeline bit-identically.  ``overrides`` reach
+    ``run_cosched`` (the wave-less-source test passes a journal path).
     """
     from repro.serving.tenancy import TenantRegistry
 
@@ -240,17 +241,18 @@ def serve_shed_brownout_wave() -> dict:
         pool_devices=3, max_batch=8, max_wait=0.002,
         initial_serving=1, autoscale=False,
         resize_delay=0.25, seed=11, fault_plan=plan,
-        admission=admission, tenants=registry))
+        admission=admission, tenants=registry, **overrides))
 
 
-def serve_tenants_wfq() -> dict:
+def serve_tenants_wfq(**overrides) -> dict:
     """The multi-tenant gateway under overload, pinned end to end.
 
     A premium tenant (weight 4, inside a 250 rps quota) and a best-effort
     tenant carrying twice the load share a 2-device pool that cannot absorb
     the offered rate, with load shedding armed: WFQ ordering, token-bucket
     quota decisions, tenant-attributed sheds, and the per-tenant SLO
-    digests all replay bit-identically under both queue backends.
+    digests all replay bit-identically.  ``overrides`` reach
+    ``serve_workload``.
     """
     from repro.serving.tenancy import TenantRegistry
 
@@ -261,7 +263,7 @@ def serve_tenants_wfq() -> dict:
     return serving_to_dict(serve_workload(
         "mlp_synthetic", [ServingPhase(1.5, 1500.0)],
         max_batch=8, max_wait=0.002, pool_devices=2, seed=5,
-        tenants=registry, admission=admission))
+        tenants=registry, admission=admission, **overrides))
 
 
 # The fixture matrix.  Simulation fixtures cover both schedulers on the

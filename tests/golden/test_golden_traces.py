@@ -45,30 +45,30 @@ def _load(name: str) -> dict:
     ("calendar", "per_request"),
 ], ids=lambda p: f"{p[0]}-{p[1]}")
 def current(request) -> dict:
-    """One capture of every fixture scenario per backend × admission mode.
+    """One capture of every fixture scenario per event queue × arrival path.
 
-    Running the whole suite under both event-queue schedulers *and* both
-    admission paths is the strongest equivalence statement the repo makes:
-    the calendar queue must fire the exact event order the reference heap
-    does, and the batched wave admission must make the exact decisions the
-    per-request reference oracle does — down to the last float.
+    ``calendar-wave`` is the production stack as built.  The other three
+    substitute a reference from the test side, no mode of ``src/`` involved:
+    ``heap`` runs every scenario on the ``(time, seq)`` heap model in
+    ``tests/oracles/event_queue.py`` instead of ``EventQueue``, and
+    ``per_request`` strips the array-wave protocol from the Poisson
+    sources (single-stream and merged multi-tenant alike), so every pull
+    hands the router a list of already-built ``Request`` objects
+    (``RequestSource.take_wave``'s default).  All four must reproduce the
+    fixtures down to the last float.
     """
-    from repro.runtime import get_default_backend, set_default_backend
-    from repro.serving.router import (
-        get_default_admission_mode,
-        set_default_admission_mode,
-    )
+    import repro.runtime.core as runtime_core
+    from oracles.event_queue import HeapQueueOracle
+    from repro.serving import OpenLoopPoissonSource, RequestSource
 
-    backend, mode = request.param
-    prev = get_default_backend()
-    prev_mode = get_default_admission_mode()
-    set_default_backend(backend)
-    set_default_admission_mode(mode)
-    try:
-        return {"backend": backend, **capture()}
-    finally:
-        set_default_backend(prev)
-        set_default_admission_mode(prev_mode)
+    queue, arrivals = request.param
+    with pytest.MonkeyPatch.context() as patch:
+        if queue == "heap":
+            patch.setattr(runtime_core, "EventQueue", HeapQueueOracle)
+        if arrivals == "per_request":
+            patch.setattr(OpenLoopPoissonSource, "take_wave",
+                          RequestSource.take_wave)
+        return {"variant": f"{queue}-{arrivals}", **capture()}
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -76,9 +76,54 @@ def test_matches_pre_refactor_golden(name, current):
     golden = _load(name)
     got = json.loads(json.dumps(current[name]))  # normalize tuples/keys
     assert got == golden, (
-        f"{name}: runtime-based implementation (queue backend "
-        f"{current['backend']!r}) diverged from the pre-refactor golden "
-        f"fixture")
+        f"{name}: runtime-based implementation ({current['variant']}) "
+        f"diverged from the pre-refactor golden fixture")
+
+
+@pytest.mark.parametrize("name", ["serve_tenants_wfq",
+                                  "serve_shed_brownout_wave"])
+def test_waveless_source_replays_the_golden_run(name, tmp_path, monkeypatch):
+    """Array waves and lists of built requests are one admission path: a
+    source that delegates everything but cannot cut array waves gives the
+    fixture's report and, byte for byte, the wave run's journal."""
+    import capture_golden
+    import repro.serving.gateway as gateway_module
+    from repro.serving import MultiTenantPoissonSource, RequestSource
+
+    class Waveless(RequestSource):
+        """The router's pulls get ``RequestSource.take_wave``'s default: a
+        wave over the ``Request`` objects ``take_arrivals`` built."""
+
+        def __init__(self, inner):
+            self._inner = inner
+            self.lists = 0
+
+        def next_arrival_time(self):
+            return self._inner.next_arrival_time()
+
+        def take_arrivals(self, until):
+            self.lists += 1
+            return self._inner.take_arrivals(until)
+
+        def on_completion(self, records):
+            self._inner.on_completion(records)
+
+    run = getattr(capture_golden, name)
+    waves = run(journal=str(tmp_path / "waves.jsonl"))
+    built = []
+
+    def waveless(*args, **kwargs):
+        built.append(Waveless(MultiTenantPoissonSource(*args, **kwargs)))
+        return built[-1]
+
+    # The shared builder looks the source class up at call time.
+    monkeypatch.setattr(gateway_module, "MultiTenantPoissonSource", waveless)
+    lists = run(journal=str(tmp_path / "lists.jsonl"))
+    assert len(built) == 1 and built[0].lists > 100
+    assert json.loads(json.dumps(lists)) == _load(name)
+    assert json.loads(json.dumps(waves)) == _load(name)
+    assert (tmp_path / "lists.jsonl").read_bytes() \
+        == (tmp_path / "waves.jsonl").read_bytes()
 
 
 def test_simulation_event_order_deterministic():

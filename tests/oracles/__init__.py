@@ -1,0 +1,9 @@
+"""Reference models the production paths are tested against.
+
+An oracle here is a separate, obviously-correct thing a test queries — not
+a mode of the system under test.  Nothing in ``src/`` imports this package,
+and the oracles import nothing private from ``src/``: they restate a
+contract (``(time, seq)`` event order; the one-arrival-at-a-time shed rule)
+in the plainest code that satisfies it, and differential tests hold the
+production implementation to them on generated inputs.
+"""

@@ -1,10 +1,13 @@
-"""Scheduler-backend equivalence and reclamation under cancellation storms.
+"""The event queue against its reference model, and reclamation under
+cancellation storms.
 
-The calendar queue must be observably indistinguishable from the heap
-oracle: same fired order, same survivors under heavy ETA-invalidation
-(>50% of scheduled events cancelled), and neither backend may let dead
-entries accumulate without bound — the slab recycles slots on cancel and
-both indexes compact their stale entries.
+The production queue must be observably indistinguishable from the
+``(time, seq)`` heap model in ``tests/oracles/event_queue.py``: same fired
+order, same survivors under heavy ETA-invalidation (>50% of scheduled events
+cancelled), on populations that stay on its sparse heap and on ones that
+climb onto the wheel — and it may not let dead entries accumulate without
+bound: the slab recycles slots on cancel and the index compacts its stale
+entries in either state.
 """
 
 from __future__ import annotations
@@ -12,10 +15,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.event_queue import HeapQueueOracle
 from repro.runtime import EventQueue, Runtime, batch_action
-from repro.runtime.core import queue_backends
 
-BACKENDS = queue_backends()
+# "calendar" is the production queue, "heap" the reference model: the
+# contract tests below hold for both, or the model is no reference.
+QUEUES = pytest.mark.parametrize(
+    "make_queue", [EventQueue, HeapQueueOracle], ids=["calendar", "heap"])
+
+
+def _both():
+    """A fresh production queue and a fresh reference model, by name."""
+    return ("calendar", EventQueue()), ("heap", HeapQueueOracle())
+
+
+def _runtime(make_queue=EventQueue) -> Runtime:
+    rt = Runtime()
+    rt.queue = make_queue()
+    return rt
 
 
 def _random_schedule(seed: int, n: int, span: float = 500.0):
@@ -38,13 +55,12 @@ class TestBackendAgreement:
     def test_fired_order_identical_under_cancellation_storm(self, seed):
         times, cancel = _random_schedule(seed, n=2000)
         orders = {}
-        for backend in BACKENDS:
-            q = EventQueue(backend=backend)
+        for name, q in _both():
             events = [q.push(float(t), lambda t: None) for t in times]
             for event, dead in zip(events, cancel):
                 if dead:
                     event.cancel()
-            orders[backend] = _drain(q)
+            orders[name] = _drain(q)
         assert orders["calendar"] == orders["heap"]
         fired = len(orders["heap"])
         assert fired == int((~cancel).sum())
@@ -53,13 +69,12 @@ class TestBackendAgreement:
     def test_post_many_matches_push_loop_order(self):
         times, _ = _random_schedule(seed=3, n=500)
         action = lambda t: None  # noqa: E731
-        for backend in BACKENDS:
-            loop_q = EventQueue(backend=backend)
-            for t in times:
-                loop_q.push(float(t), action)
-            bulk_q = EventQueue(backend=backend)
-            bulk_q.post_many(times, action)
-            assert _drain(bulk_q) == _drain(loop_q)
+        loop_q = EventQueue()
+        for t in times:
+            loop_q.push(float(t), action)
+        bulk_q = EventQueue()
+        bulk_q.post_many(times, action)
+        assert _drain(bulk_q) == _drain(loop_q)
 
     @pytest.mark.parametrize("width", [10 / 3, 0.1, 0.3, 1 / 7, 2.2, 0.7])
     def test_times_on_bucket_edges_fire_in_order(self, width):
@@ -71,31 +86,29 @@ class TestBackendAgreement:
         events before every decision moved to ``floor(time / width)``."""
         times = np.arange(10161) * (width / 80)
         orders = {}
-        for backend in BACKENDS:
-            q = EventQueue(backend=backend)
+        for name, q in _both():
             q.post_many(times, lambda t: None)
-            orders[backend] = _drain(q)
+            orders[name] = _drain(q)
         assert orders["calendar"] == orders["heap"]
         assert [t for t, _ in orders["heap"]] == times.tolist()
 
     def test_handle_cancellation_agrees_across_backends(self):
         times, cancel = _random_schedule(seed=4, n=1000)
         orders = {}
-        for backend in BACKENDS:
-            q = EventQueue(backend=backend)
+        for name, q in _both():
             handles = q.post_many(times, lambda t: None)
             for h, dead in zip(handles.tolist(), cancel):
                 if dead:
                     assert q.cancel_handle(h)
                     assert not q.handle_alive(h)
                     assert not q.cancel_handle(h)  # second cancel is a no-op
-            orders[backend] = _drain(q)
+            orders[name] = _drain(q)
         assert orders["calendar"] == orders["heap"]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_interleaved_schedule_and_fire(self, backend):
+    @QUEUES
+    def test_interleaved_schedule_and_fire(self, make_queue):
         """Actions keep scheduling/cancelling while the loop runs."""
-        rt = Runtime(queue_backend=backend)
+        rt = _runtime(make_queue)
         fired = []
         pending = []
 
@@ -119,9 +132,8 @@ class TestBackendAgreement:
 
 
 class TestBoundedMemory:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_cancellation_storm_reclaims_slots_and_index(self, backend):
-        q = EventQueue(backend=backend)
+    def test_cancellation_storm_reclaims_slots_and_index(self):
+        q = EventQueue()
         rng = np.random.default_rng(11)
         survivors = 0
         for wave in range(40):
@@ -139,32 +151,56 @@ class TestBoundedMemory:
         assert stats["slab_capacity"] < 20_000
         # Index structures compact dead entries instead of hoarding them.
         assert stats["index_entries"] <= 2 * survivors + 128
-        if backend == "calendar":
-            # 500-event waves are far above the sparse line: this storm
-            # exercises the wheel's reclamation, not the sparse heap's
-            # (the first waves' ~50 survivors collapse once, then the
-            # population outgrows the line for good).
-            assert stats["structure"] == "wheel"
-            assert stats["promotions"] == stats["collapses"] + 1 == 2
-        else:
-            assert (stats["structure"], stats["promotions"]) == ("heap", 0)
+        # 500-event waves are far above the sparse line: this storm
+        # exercises the wheel's reclamation, not the sparse heap's (the
+        # first waves' ~50 survivors collapse once, then the population
+        # outgrows the line for good).
+        assert stats["structure"] == "wheel"
+        assert stats["promotions"] == stats["collapses"] + 1 == 2
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_slab_slots_recycled_after_fire(self, backend):
-        q = EventQueue(backend=backend)
+    def test_sparse_cancellation_storm_compacts_the_heap(self):
+        """The same storm kept under the population line: the sparse heap
+        must drop its dead entries too, without ever promoting."""
+        q = EventQueue()
+        rng = np.random.default_rng(12)
+        live = []
+        for wave in range(200):
+            handles = q.post_many(
+                rng.uniform(wave, wave + 50.0, size=100), lambda t: None)
+            doomed = rng.random(len(handles)) < 0.95
+            for h in handles[doomed].tolist():
+                q.cancel_handle(h)
+            live.extend(handles[~doomed].tolist())
+            while len(live) > 20:   # keep the population sparse
+                assert q.cancel_handle(live.pop())
+        stats = q.debug_stats()
+        assert stats["live"] == len(live) == len(q)
+        assert (stats["structure"], stats["promotions"]) == ("heap", 0)
+        assert stats["slab_capacity"] <= 256
+        assert stats["index_entries"] <= 2 * len(live) + 128
+
+    @pytest.mark.parametrize("per_round,structure",
+                             [(100, "heap"), (300, "wheel")],
+                             ids=["heap", "calendar"])
+    def test_slab_slots_recycled_after_fire(self, per_round, structure):
+        """Slots recycle on either side of the population line: rounds that
+        stay on the sparse heap, and rounds on the calendar wheel."""
+        q = EventQueue()
+        seen = set()
         for round_ in range(50):
-            q.post_many(np.linspace(round_, round_ + 0.9, 100),
+            q.post_many(np.linspace(round_, round_ + 0.9, per_round),
                         lambda t: None)
+            seen.add(q.debug_stats()["structure"])
             while q.pop() is not None:
                 pass
-        assert len(q) == 0
-        # 50 rounds x 100 events reuse the same ~100 slots.
-        assert q.debug_stats()["slab_capacity"] <= 256
+        assert len(q) == 0 and structure in seen
+        # 50 rounds x per_round events reuse the same slots.
+        assert q.debug_stats()["slab_capacity"] <= 512
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_cancel_after_fire_is_harmless(self, backend):
+    @QUEUES
+    def test_cancel_after_fire_is_harmless(self, make_queue):
         """A stale Event/handle must never kill the slot's new tenant."""
-        q = EventQueue(backend=backend)
+        q = make_queue()
         first = q.push(1.0, lambda t: None)
         assert q.pop() is first
         # The slot is recycled by the next push; cancelling the fired
@@ -176,15 +212,14 @@ class TestBoundedMemory:
 
 
 class TestBatchDispatchEquivalence:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_batch_runs_see_the_same_events_as_scalar_dispatch(self, backend):
+    def test_batch_runs_see_the_same_events_as_scalar_dispatch(self):
         """Run fusion changes call granularity, never content or order."""
         rng = np.random.default_rng(21)
         arrivals = np.sort(rng.uniform(0.0, 100.0, size=1000))
         ticks = np.arange(0.0, 100.0, 5.0)
 
         def run_batched():
-            rt = Runtime(queue_backend=backend)
+            rt = Runtime()
             seen = []
 
             @batch_action
@@ -198,7 +233,7 @@ class TestBatchDispatchEquivalence:
             return seen
 
         def run_scalar():
-            rt = Runtime(queue_backend=backend)
+            rt = Runtime()
             seen = []
             rt.post_many(arrivals, lambda t: seen.append(t), kind="arrival")
             rt.post_many(ticks, lambda t: seen.append(("tick", t)),
@@ -212,8 +247,8 @@ class TestBatchDispatchEquivalence:
         rng = np.random.default_rng(22)
         arrivals = np.sort(rng.uniform(0.0, 60.0, size=800))
 
-        def run(backend):
-            rt = Runtime(queue_backend=backend)
+        def run(make_queue):
+            rt = _runtime(make_queue)
             waves = []
 
             @batch_action
@@ -226,13 +261,13 @@ class TestBatchDispatchEquivalence:
             rt.run()
             return waves
 
-        assert run("calendar") == run("heap")
+        assert run(EventQueue) == run(HeapQueueOracle)
 
 
 class TestStructureObservability:
     def test_serving_run_never_leaves_the_sparse_heap(self, monkeypatch):
-        """The serve chain keeps one or two events alive: the calendar
-        backend must spend the whole run on its sparse heap."""
+        """The serve chain keeps one or two events alive: the queue must
+        spend the whole run on its sparse heap."""
         from repro.elastic import ServingPhase
         from repro.serving import TenantRegistry, serve_workload
 
@@ -249,7 +284,7 @@ class TestStructureObservability:
         monkeypatch.setattr(Runtime, "run", run)
         report = serve_workload(
             "mlp_synthetic", [ServingPhase(1.0, 2000.0)], pool_devices=4,
-            queue_backend="calendar", tenants=TenantRegistry.from_spec(
+            tenants=TenantRegistry.from_spec(
                 "prem:class=premium,weight=8,quota=300;flood:share=4"))
         (events, stats), = finished
         assert len(report.records) > 1500 and events > 500

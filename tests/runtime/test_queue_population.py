@@ -1,18 +1,18 @@
-"""Generated interleavings across the calendar queue's population rule.
+"""Generated interleavings across the event queue's population rule.
 
-The calendar backend keeps a population that would not fill one wheel
-bucket (``_CalendarIndex._TARGET_OCC`` live events) in a plain heap,
-promotes onto the wheel when an insert crosses that line and collapses
-back on a rebuild or drain that finds it under the line again.  None of
-that may be observable: every interleaving of ``push`` / ``post`` /
-``post_many`` / ``cancel_handle`` / ``pop`` / ``pop_dispatch(until)`` must
-fire the same ``(time, seq)`` sequence as a sorted-list model *and* the
-``"heap"`` oracle, with ``len(queue)`` and ``debug_stats()["live"]`` exact
-after every step.
+The queue keeps a population that would not fill one wheel bucket
+(``_CalendarIndex._TARGET_OCC`` live events) in a plain heap, promotes onto
+the wheel when an insert crosses that line and collapses back on a rebuild
+or drain that finds it under the line again.  None of that may be
+observable: every interleaving of ``push`` / ``post`` / ``post_many`` /
+``cancel_handle`` / ``pop`` / ``pop_dispatch(until)`` must fire the same
+``(time, seq)`` sequence as a sorted-list model *and* the heap model in
+``tests/oracles/event_queue.py``, with ``len(queue)`` and
+``debug_stats()["live"]`` exact after every step.
 
-One harness applies each operation to the model and to a queue of every
-backend; a hypothesis state machine draws the interleavings, and a seeded
-walk steers the population across the line in both directions so the
+One harness applies each operation to the sorted list, the oracle and the
+production queue; a hypothesis state machine draws the interleavings, and a
+seeded walk steers the population across the line in both directions so the
 crossings are guaranteed, not left to the draw.
 """
 
@@ -24,8 +24,9 @@ import numpy as np
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from oracles.event_queue import HeapQueueOracle
 from repro.runtime import EventQueue, Runtime, batch_action
-from repro.runtime.core import _CalendarIndex, queue_backends
+from repro.runtime.core import _CalendarIndex
 
 THRESHOLD = _CalendarIndex._TARGET_OCC
 
@@ -38,12 +39,13 @@ TIMES = st.one_of(
 
 
 class QueueHarness:
-    """A sorted-list model and one queue per backend, driven in lockstep."""
+    """A sorted list, the heap oracle and the production queue, in lockstep."""
 
     def __init__(self) -> None:
-        self.queues = {b: EventQueue(backend=b) for b in queue_backends()}
+        self.queues = {"heap": HeapQueueOracle(), "calendar": EventQueue()}
         self.model = []          # live (time, seq, batched), sorted
-        self.handles = {}        # seq -> {backend: handle}; never forgotten
+        self.handles = {}        # seq -> {queue: int handle, or the Event
+        #                          push() returned}; never forgotten
         self.seq = 0
         self.scalar = lambda t: None  # noqa: E731
         self.batched = batch_action(lambda times: None)
@@ -62,8 +64,7 @@ class QueueHarness:
         events = {b: q.push(time, self._action(batched))
                   for b, q in self.queues.items()}
         assert {e.seq for e in events.values()} == {self.seq}
-        self._scheduled(time, batched,
-                        {b: e._handle for b, e in events.items()})
+        self._scheduled(time, batched, events)
 
     def post(self, time: float, batched: bool) -> None:
         self._scheduled(time, batched,
@@ -84,9 +85,14 @@ class QueueHarness:
         live = [e for e in self.model if e[1] == seq]
         for b, q in self.queues.items():
             handle = self.handles[seq][b]
-            assert q.handle_alive(handle) == bool(live)
-            assert q.cancel_handle(handle) == bool(live)
-            assert not q.handle_alive(handle)
+            if isinstance(handle, int):
+                assert q.handle_alive(handle) == bool(live)
+                assert q.cancel_handle(handle) == bool(live)
+                assert not q.handle_alive(handle)
+            else:   # scheduled by push(): the Event object is the handle
+                assert handle.alive == bool(live)
+                handle.cancel()
+                assert not handle.alive
         if live:
             self.model.remove(live[0])
 
@@ -133,12 +139,11 @@ class QueueHarness:
 
     def check(self) -> None:
         live = len(self.model)
-        for b, q in self.queues.items():
-            stats = q.debug_stats()
-            assert len(q) == stats["live"] == live, b
-            assert stats["index_entries"] >= live, b
-            if b == "heap" or stats["structure"] == "heap":
-                continue
+        assert len(self.queues["heap"]) == live
+        stats = self.queues["calendar"].debug_stats()
+        assert len(self.queues["calendar"]) == stats["live"] == live
+        assert stats["index_entries"] >= live
+        if stats["structure"] == "wheel":
             # The wheel is only ever entered above the line.
             assert stats["promotions"] >= 1
 
@@ -271,8 +276,9 @@ def test_batch_run_spanning_a_promotion_matches_the_heap_oracle():
     """A batch action whose run starts sparse and schedules the wave that
     promotes the queue: run boundaries and order equal the oracle's."""
 
-    def run(backend):
-        rt = Runtime(queue_backend=backend)
+    def run(make_queue):
+        rt = Runtime()
+        rt.queue = make_queue()
         fired = []
 
         @batch_action
@@ -286,9 +292,10 @@ def test_batch_run_spanning_a_promotion_matches_the_heap_oracle():
         rt.post_many(np.linspace(0.0, 1.0, THRESHOLD // 2), on_wave)
         rt.post(0.75, lambda t: fired.append(("tick", t)))
         rt.run()
-        return fired, rt.queue.debug_stats()
+        return fired, rt.queue
 
-    (heap_fired, _), (cal_fired, stats) = run("heap"), run("calendar")
+    (heap_fired, _), (cal_fired, queue) = run(HeapQueueOracle), run(EventQueue)
+    stats = queue.debug_stats()
     assert cal_fired == heap_fired
     assert sum(len(item[1]) for item in cal_fired if item[0] == "wave") \
         == THRESHOLD // 2 + 3 * THRESHOLD

@@ -204,10 +204,12 @@ class TestBrownout:
 
 
 class TestBrownoutProbedOncePerPull:
-    """``_enqueue`` probes degradation once per admission pull and hands
-    the result to every arrival's ``_should_shed``.  That is only sound
-    because nothing degrades *inside* a pull; both halves are checked on a
+    """``RequestRouter._pull`` probes degradation once per admission pull
+    and decides the whole wave on that answer.  That is only sound because
+    nothing degrades *inside* a pull; both halves are checked on a
     co-scheduled gateway whose serving devices derate and recover mid-run."""
+
+    SPEC = "prem:class=premium,weight=8,quota=300;flood:share=4"
 
     def _run(self):
         from repro.chaos import ThermalRamp
@@ -225,57 +227,57 @@ class TestBrownoutProbedOncePerPull:
             pool_devices=6, max_batch=8, max_wait=0.002,
             initial_serving=2, autoscale=False, resize_delay=0.25,
             seed=1, fault_plan=plan, topology=topology,
-            tenants=TenantRegistry.from_spec(
-                "prem:class=premium,weight=8,quota=300;flood:share=4"),
+            tenants=TenantRegistry.from_spec(self.SPEC),
             admission=AdmissionPolicy(max_queue_depth=16,
                                       max_estimated_wait=0.02,
                                       brownout=True))
 
     def test_decisions_equal_a_per_arrival_recomputation(self, monkeypatch):
-        from repro.serving.gateway import ServingGateway
-        from repro.serving.router import RequestRouter
+        """Every pull of the live run, replayed through the oracle that
+        re-derives brownout, batch size and limits for each arrival."""
+        import repro.serving.gateway as gateway_module
+        import repro.serving.router as router_module
+        from oracles.admission import BucketOracle, admit
 
-        decisions = []
-        should_shed = ServingGateway._should_shed
+        meter, decide = gateway_module.meter, router_module.decide
+        quota = {"prem": BucketOracle(300.0, 30.0)}   # burst = quota / 10
+        pulls, staged = [], {}
 
-        def recording(self, request, in_force):
-            reason = should_shed(self, request, in_force)
-            decisions.append((request.request_id, in_force is not self.policy,
-                              in_force.max_batch, reason))
-            return reason
+        def recording_meter(wave, times, contracts, browned):
+            staged.update(tenants=wave.tenants(list(range(len(times)))),
+                          browned=browned, live=contracts["prem"][0])
+            return meter(wave, times, contracts, browned)
 
-        monkeypatch.setattr(ServingGateway, "_should_shed", recording)
-        hoisted = self._run().serving
-        hoisted_decisions, decisions = decisions, []
+        def checking_decide(policy, times, depth, server_free, estimate,
+                            max_batch, bypass, halved):
+            admitted, shed, reasons = decide(
+                policy, times, depth, server_free, estimate, max_batch,
+                bypass, halved)
+            browned = staged["browned"]
+            expected = admit(
+                policy, list(zip(times, staged["tenants"])), depth=depth,
+                server_free=server_free, service_estimate=estimate,
+                max_batch=8, degraded=lambda: browned, buckets=quota,
+                premium={"prem"})
+            got = dict(zip(shed, reasons))
+            assert [got.get(j) for j in range(len(times))] == expected
+            assert max_batch == (4 if browned else 8)
+            assert staged["live"].tokens == quota["prem"].tokens
+            pulls.append((browned, max_batch, expected))
+            return admitted, shed, reasons
 
-        def per_arrival_enqueue(self, requests):
-            # The slow oracle: every arrival re-derives brownout and the
-            # effective batch size from the live degradation state.
-            shed = 0
-            for r in requests:
-                in_force = self._policy_now()
-                assert (in_force is not self.policy) == self._brownout_active()
-                reason = self._should_shed(r, in_force)
-                if reason is None:
-                    self._pending.push(r)
-                else:
-                    self._record_shed(r, reason)
-                    shed += 1
-            return shed
-
-        monkeypatch.setattr(RequestRouter, "_enqueue", per_arrival_enqueue)
-        oracle = self._run().serving
-        assert hoisted_decisions == decisions
-        assert hoisted.shed == oracle.shed
-        assert hoisted.tenant_shed == oracle.tenant_shed
-        assert hoisted.records == oracle.records
-        assert hoisted.brownout_batches == oracle.brownout_batches > 0
+        monkeypatch.setattr(gateway_module, "meter", recording_meter)
+        monkeypatch.setattr(router_module, "decide", checking_decide)
+        report = self._run().serving
+        assert report.brownout_batches > 0
         # The scenario exercises what it claims to: both shed reasons,
         # decisions taken browned-out and clean, halved and full batches.
-        assert {reason for _, _, reason in hoisted.shed} == {"depth", "wait"}
-        assert {brown for _, brown, _, _ in decisions} == {True, False}
-        assert {mb for _, _, mb, _ in decisions} == {4, 8}
-        assert any(r is None for *_, r in decisions)
+        decisions = [d for _, _, wave in pulls for d in wave]
+        assert len(decisions) == len(report.records) + len(report.shed)
+        assert set(decisions) == {None, "depth", "wait"}
+        assert {reason for _, _, reason in report.shed} == {"depth", "wait"}
+        assert {(brown, mb) for brown, mb, _ in pulls} == {(True, 4),
+                                                           (False, 8)}
 
     def test_conditions_change_only_in_event_actions_never_in_a_pull(
             self, monkeypatch):
@@ -285,8 +287,7 @@ class TestBrownoutProbedOncePerPull:
         from repro.serving.router import RequestRouter
 
         event_loop = Runtime.run.__code__
-        pull_frames = {RequestRouter._pull.__code__,
-                       RequestRouter._enqueue.__code__}
+        pull_frames = {RequestRouter._pull.__code__}
         mutations = []
 
         def guarded(name):

@@ -252,6 +252,41 @@ class TestSubcommandParsing:
             build_parser().parse_args(VALID_ARGS["cosched"] + extra)
 
 
+def _bounded_flags():
+    """(subcommand, flag) for every option whose type ``_bounded`` built."""
+    import argparse
+
+    subcommands = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[0])
+            for command, sub in subcommands.choices.items()
+            for action in sub._actions
+            if getattr(action.type, "__qualname__", "").startswith("_bounded.")]
+
+
+class TestBoundedNumbers:
+    """A number flag takes a finite value inside its range or the command
+    ends as a usage error — never an empty report, a hang or a traceback
+    from inside the simulator (``nan`` passes every ``<`` test)."""
+
+    def test_simulate_and_gavel_sizes_are_bounded(self):
+        assert {("simulate", "--jobs"), ("simulate", "--rate"),
+                ("simulate", "--gpus"), ("gavel", "--jobs"),
+                ("gavel", "--rate"), ("serve", "--arrival-rate"),
+                ("chaos", "--max-wait")} <= set(_bounded_flags())
+
+    @pytest.mark.parametrize("command,flag", _bounded_flags(),
+                             ids=lambda value: value.lstrip("-"))
+    def test_non_finite_and_out_of_range_are_usage_errors(
+            self, command, flag, capsys):
+        parser = build_parser()
+        for bad in ("nan", "inf", "-inf", "-1", "1e999", "many"):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(VALID_ARGS[command] + [flag, bad])
+            assert exc.value.code == 2, (flag, bad)
+            assert f"argument {flag}" in capsys.readouterr().err
+
+
 class TestCommands:
     def test_plan(self, capsys):
         rc = main(["plan", "--workload", "mlp_synthetic", "--batch", "32",

@@ -44,3 +44,64 @@ def test_readme_quickstart_snippet_runs():
     trainer.resize(num_devices=1)
     history = trainer.train(epochs=1)  # returns the cumulative history
     assert len(history) == 2
+
+
+class TestOneProductionPath:
+    """How a run executes is the system's business: nothing lets a caller
+    pick between implementations that are bit-identical by contract.  The
+    references live under ``tests/oracles/`` and are compared from there."""
+
+    # Spelled in pieces: a grep of the tree for a selector's name should
+    # find uses, and there are none.
+    SELECTORS = ("queue" + "_backend", "admission" + "_mode")
+
+    @staticmethod
+    def _entry_points():
+        from repro.elastic import ClusterSimulator
+        from repro.runtime import Runtime
+        from repro.sched import run_cosched
+        from repro.serving import RequestRouter, ServingGateway, serve_workload
+
+        return (Runtime, ClusterSimulator, RequestRouter, RequestRouter.run,
+                ServingGateway, ServingGateway.run, serve_workload,
+                run_cosched)
+
+    def test_event_queue_takes_no_argument(self):
+        import inspect
+
+        from repro.runtime import EventQueue
+
+        assert list(inspect.signature(EventQueue).parameters) == []
+
+    def test_no_entry_point_takes_a_selector(self):
+        import inspect
+
+        for entry in self._entry_points():
+            names = set(inspect.signature(entry).parameters)
+            assert names.isdisjoint(self.SELECTORS), (entry, names)
+        # ``backend=`` is the numeric execution backend, and stays.
+        assert "backend" in inspect.signature(
+            self._entry_points()[-1]).parameters
+
+    def test_no_queue_flag_on_any_subcommand(self):
+        import argparse
+
+        from repro.cli import build_parser
+
+        subcommands = next(a for a in build_parser()._actions
+                           if isinstance(a, argparse._SubParsersAction))
+        flags = {flag for sub in subcommands.choices.values()
+                 for action in sub._actions for flag in action.option_strings}
+        assert "--trace-sample" in flags          # the walk sees the flags
+        assert not [f for f in flags if "queue" in f and "depth" not in f]
+
+    def test_no_selector_left_in_src(self):
+        import pathlib
+
+        import repro
+
+        banned = ("REPRO_EVENT" + "_QUEUE", "set_default" + "_backend",
+                  "default_admission" + "_mode") + self.SELECTORS
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+            text = path.read_text()
+            assert not [word for word in banned if word in text], path
