@@ -10,8 +10,11 @@ Serving traces live next to the training traces: a serving workload is a
 piecewise-constant request-arrival process — :class:`ServingPhase` segments
 of ``(duration, rate)`` — rather than a list of finite jobs.
 :func:`serving_arrival_times` samples the open-loop Poisson arrivals the
-request router (:mod:`repro.serving`) admits, and :func:`spike_phases` is
-the canonical load-spike shape the autoscaling experiments ride.
+request router (:mod:`repro.serving`) admits — drawn in blocks, with every
+draw of the seed's stream spent exactly as a one-draw-per-arrival loop
+spends it, so a seed names the same trace it always did — and
+:func:`spike_phases` is the canonical load-spike shape the autoscaling
+experiments ride.
 """
 
 from __future__ import annotations
@@ -166,26 +169,52 @@ def serving_arrival_times(phases: Sequence[ServingPhase], seed: int = 0,
     phases stays memoryless-ish without double-counting).  Returns absolute
     arrival times in seconds, strictly increasing, ending before the total
     trace duration.  ``limit`` caps the number of arrivals.
+
+    The gaps are drawn in blocks of a few thousand unit-rate exponentials,
+    but every double is the one a loop of ``t += rng.exponential(1 / rate)``
+    would produce (the reference kept in ``tests/oracles/arrivals.py``):
+    ``Generator.exponential(s)`` is ``s * standard_exponential()``,
+    ``np.cumsum`` with ``t`` folded into the first gap performs the same
+    left-to-right adds, the draw that crosses a phase boundary is charged
+    to the phase that drew it, and draws a phase leaves unused are carried
+    into the next — so draw *i* of the seed's stream plays exactly the part
+    it plays in the loop, whatever the phases and ``limit``.
     """
     if not phases:
         raise ValueError("a serving trace needs at least one phase")
     rng = derive_rng(seed, _SERVING_DOMAIN)
-    times: List[float] = []
+    # Draws per block: enough that a trace costs a handful of numpy calls,
+    # few enough that the scratch arrays of this length never show in a
+    # run's peak memory.
+    block = 4096
+    chunks: List[np.ndarray] = []
+    count = 0
+    draws = np.empty(0)  # unit-rate gaps drawn, not yet consumed
     t = 0.0
     phase_start = 0.0
     for phase in phases:
         phase_end = phase_start + phase.duration
         t = max(t, phase_start)
-        if phase.rate > 0:
-            while True:
-                t += float(rng.exponential(1.0 / phase.rate))
-                if t >= phase_end or (limit is not None and len(times) >= limit):
-                    break
-                times.append(t)
+        done = phase.rate <= 0  # a silent phase draws nothing
+        while not done and (limit is None or count < limit):
+            if not len(draws):
+                draws = rng.standard_exponential(block)
+            with np.errstate(over="ignore"):  # a vanishing rate's gaps are inf
+                gaps = draws * (1.0 / phase.rate)
+            gaps[0] += t
+            clock = np.cumsum(gaps)  # the loop's t after each draw
+            cut = int(np.searchsorted(clock, phase_end, side="left"))
+            done = cut < len(clock)  # draw ``cut`` reached the boundary
+            used = cut + 1 if done else cut
+            t = float(clock[used - 1])
+            chunks.append(clock[:cut])
+            count += cut
+            draws = draws[used:]
         phase_start = phase_end
-        if limit is not None and len(times) >= limit:
+        if limit is not None and count >= limit:
             break
-    return np.asarray(times, dtype=float)
+    times = np.concatenate(chunks) if chunks else np.empty(0)
+    return times[:limit]
 
 
 def three_job_trace(steps_scale: float = 1.0) -> List[JobSpec]:

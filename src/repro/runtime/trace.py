@@ -16,6 +16,14 @@ seed are byte-identical), ``kind`` the event type, ``actor`` the process
 that scheduled it, and ``data`` whatever fields the event's action chose to
 journal (empty object when it returned None).
 
+The line envelope — ``{"actor": …, "data": `` before the payload,
+``, "kind": …, "seq": `` after it — has one writer,
+:meth:`EventTrace.line_parts`.  Every ``emit*`` method formats through it,
+and a hot caller that assembles whole lines for
+:meth:`EventTrace.emit_many_lines` (the serving gateway's journal) builds
+them around the same two fragments, so a line is byte-equal to
+``json.dumps(record, sort_keys=True)`` whoever wrote it.
+
 Two throughput knobs exist for million-event runs, both off by default:
 
 * **buffering** — lines are accumulated in memory and written in blocks
@@ -76,7 +84,7 @@ class EventTrace:
         self.sample = sample
         self.events_written = 0   # lines emitted (post-sampling)
         self.events_seen = 0      # events offered (pre-sampling)
-        self._fragments: Dict[Tuple[str, str], Tuple[str, str]] = {}  # see _line_parts
+        self._fragments: Dict[Tuple[str, str], Tuple[str, str]] = {}  # see line_parts
         if isinstance(destination, str):
             self._path = destination
         else:
@@ -93,11 +101,15 @@ class EventTrace:
             self._owns = True
         return self._fh
 
-    def _line_parts(self, actor: str, kind: str) -> Tuple[str, str]:
+    def line_parts(self, actor: str, kind: str) -> Tuple[str, str]:
         """The constant ``(prefix, middle)`` of an ``(actor, kind)`` line:
         ``prefix + payload + middle + seq + ', "t": ' + repr(t) + '}\\n'``
         is byte for byte ``json.dumps(record, sort_keys=True)`` (key order
-        actor < data < kind < seq < t; a float's ``repr`` is json's)."""
+        actor < data < kind < seq < t; a float's ``repr`` is json's).
+
+        This is the one place the line envelope is spelled: every ``emit*``
+        method formats through it, and a caller that assembles whole lines
+        for :meth:`emit_many_lines` takes its envelope from here too."""
         parts = self._fragments.get((actor, kind))
         if parts is None:
             parts = self._fragments[actor, kind] = (
@@ -116,7 +128,7 @@ class EventTrace:
         self.events_seen = seen + 1
         if seen % self.sample:
             return
-        prefix, middle = self._line_parts(actor, kind)
+        prefix, middle = self.line_parts(actor, kind)
         payload = _encode(data) if data else "{}"
         self._buffer.append(
             f'{prefix}{payload}{middle}{int(seq)}, "t": {t!r}}}\n')
@@ -143,7 +155,7 @@ class EventTrace:
             else list(times[first::sample])
         s_list = seqs[first::sample].tolist() if hasattr(seqs, "tolist") \
             else list(seqs[first::sample])
-        prefix, middle = self._line_parts(actor, kind)
+        prefix, middle = self.line_parts(actor, kind)
         head = f'{prefix}{{}}{middle}'
         buffer = self._buffer
         buffer.extend(f'{head}{s}, "t": {t!r}}}\n'
@@ -179,7 +191,7 @@ class EventTrace:
             times = times[first::sample]
             seqs = seqs[first::sample]
             data_json = data_json[first::sample]
-        prefix, middle = self._line_parts(actor, kind)
+        prefix, middle = self.line_parts(actor, kind)
         buffer = self._buffer
         buffer.extend(
             f'{prefix}{d}{middle}{s}, "t": {t!r}}}\n'
@@ -192,8 +204,9 @@ class EventTrace:
         """Journal a run of fully assembled JSONL lines.
 
         The zero-copy sibling of :meth:`emit_many_data` for hot callers
-        that build each complete line themselves (typically from cached
-        constant fragments, one f-string per line).  The caller guarantees
+        that build each complete line themselves (one f-string per line,
+        around the envelope :meth:`line_parts` returns and whatever of the
+        payload is constant across the run).  The caller guarantees
         every line is byte-identical to what :meth:`emit` would have
         produced — newline included; sampling and buffering counters
         advance exactly as if each line's event had been offered

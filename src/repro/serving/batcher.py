@@ -10,19 +10,33 @@ waits for the batch to launch.  :class:`MicroBatchPolicy` is the standard
 * but never launch before the (single) serving pipeline is free.
 
 The policy object is pure arithmetic over arrival times — the router owns
-the event loop and the interaction with the request source.  The overload
-half of the contract (:class:`~repro.serving.admission.AdmissionPolicy`,
-re-exported here) lives with its decision kernel in
-:mod:`repro.serving.admission`.
+the event loop and the interaction with the request source.  The arrival
+times it reads come from the :class:`DispatchQueue`, which guarantees them
+as kept order statistics: ``oldest_arrival()`` and ``arrival_times()`` cost
+the same at any queue depth, because the queue maintains the ascending
+list on every push, requeue and take instead of scanning or sorting what
+is pending per planned batch.  The overload half of the contract
+(:class:`~repro.serving.admission.AdmissionPolicy`, re-exported here) lives
+with its decision kernel in :mod:`repro.serving.admission`.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -83,7 +97,44 @@ class DispatchQueue:
     strictly first in their original batch order under *both* policies —
     they were already admitted and dispatched once; fairness applies to
     admission order, not to crash recovery.
+
+    **Order statistics.**  Whatever structure orders *dispatch*, the queue
+    also keeps the pending arrival times as an ascending multiset, so the
+    two reads the router makes per planned batch cost nothing per queued
+    request: :meth:`oldest_arrival` is its first element and
+    :meth:`arrival_times` is the multiset itself — a *read-only view*,
+    ascending, valid until the queue is next mutated.  The base class owns
+    that list and the only two spellings of its upkeep: a subclass calls
+    :meth:`_hold` with whatever it queues (``push``, ``push_wave``,
+    ``extend``, ``requeue``) and :meth:`_release` with the batch ``take``
+    is about to return, and chains ``clear``.  Both implementations raise
+    the same :class:`IndexError` from :meth:`oldest_arrival` on an empty
+    queue.
     """
+
+    def __init__(self) -> None:
+        self._arrivals: List[float] = []
+
+    def _hold(self, requests: Iterable["Request"]) -> None:
+        """File the arrival times of newly queued requests.
+
+        Sources hand arrivals over in ascending time, so the append is the
+        common case; a crash requeue (older than what is waiting) or an
+        out-of-order push pays one binary search and one list insert.
+        """
+        arrivals = self._arrivals
+        for r in requests:
+            t = r.arrival_time
+            if arrivals and t < arrivals[-1]:
+                insort(arrivals, t)
+            else:
+                arrivals.append(t)
+
+    def _release(self, batch: Iterable["Request"]) -> None:
+        """Forget the arrival times of the requests ``take`` hands out."""
+        arrivals = self._arrivals
+        for r in batch:
+            del arrivals[bisect_left(arrivals, r.arrival_time)]
 
     def push(self, request: "Request") -> None:
         raise NotImplementedError
@@ -111,20 +162,22 @@ class DispatchQueue:
 
     def oldest_arrival(self) -> float:
         """The earliest queued arrival time (the deadline anchor)."""
-        raise NotImplementedError
+        if not self._arrivals:
+            raise IndexError("oldest_arrival on an empty queue")
+        return self._arrivals[0]
 
-    def arrival_times(self) -> List[float]:
-        """All queued arrival times, ascending (the trigger-time input)."""
-        raise NotImplementedError
+    def arrival_times(self) -> Sequence[float]:
+        """All queued arrival times, ascending (the trigger-time input).
+
+        The queue's own list, not a copy: read it, do not keep or change it.
+        """
+        return self._arrivals
 
     def clear(self) -> None:
-        raise NotImplementedError
+        self._arrivals.clear()
 
     def __len__(self) -> int:
-        raise NotImplementedError
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
+        return len(self._arrivals)
 
 
 class FifoDispatchQueue(DispatchQueue):
@@ -138,15 +191,19 @@ class FifoDispatchQueue(DispatchQueue):
     """
 
     def __init__(self) -> None:
+        super().__init__()
         self._queue: Deque["Request"] = deque()
 
     def push(self, request: "Request") -> None:
+        self._hold((request,))
         self._queue.append(request)
 
     def extend(self, requests: Sequence["Request"]) -> None:
+        self._hold(requests)
         self._queue.extend(requests)
 
     def requeue(self, batch: Sequence["Request"]) -> None:
+        self._hold(batch)
         for r in reversed(batch):
             self._queue.appendleft(r)
 
@@ -155,19 +212,12 @@ class FifoDispatchQueue(DispatchQueue):
         while (self._queue and len(batch) < max_batch
                and self._queue[0].arrival_time <= launch):
             batch.append(self._queue.popleft())
+        self._release(batch)
         return batch
 
-    def oldest_arrival(self) -> float:
-        return self._queue[0].arrival_time
-
-    def arrival_times(self) -> List[float]:
-        return [r.arrival_time for r in self._queue]
-
     def clear(self) -> None:
+        super().clear()
         self._queue.clear()
-
-    def __len__(self) -> int:
-        return len(self._queue)
 
 
 class WFQDispatchQueue(DispatchQueue):
@@ -194,6 +244,7 @@ class WFQDispatchQueue(DispatchQueue):
     """
 
     def __init__(self, registry: Optional["TenantRegistry"] = None) -> None:
+        super().__init__()
         self._weights: Dict[Optional[str], float] = {}
         if registry is not None:
             for spec in registry:
@@ -206,6 +257,11 @@ class WFQDispatchQueue(DispatchQueue):
         self._seq = 0
 
     def push(self, request: "Request") -> None:
+        self._hold((request,))
+        self._tag(request)
+
+    def _tag(self, request: "Request") -> None:
+        """Stamp one request's start/finish tags and file it on the heap."""
         weight = self._weights.get(request.tenant, 1.0)
         start = max(self._vtime, self._last_finish.get(request.tenant, 0.0))
         finish = start + 1.0 / weight
@@ -226,10 +282,11 @@ class WFQDispatchQueue(DispatchQueue):
         per-entry pushes; pop order is unaffected either way because
         ``(finish, seq)`` keys are unique.
         """
+        self._hold(requests)
         n = len(requests)
         if n < 16:
             for r in requests:
-                self.push(r)
+                self._tag(r)
             return
         groups: Dict[Optional[str], List[int]] = {}
         for j, r in enumerate(requests):
@@ -270,6 +327,7 @@ class WFQDispatchQueue(DispatchQueue):
                 heapq.heappush(heap, entry)
 
     def requeue(self, batch: Sequence["Request"]) -> None:
+        self._hold(batch)
         for r in reversed(batch):
             self._front.appendleft(r)
 
@@ -290,30 +348,13 @@ class WFQDispatchQueue(DispatchQueue):
                 skipped.append(entry)
         for entry in skipped:
             heapq.heappush(self._heap, entry)
+        self._release(batch)
         return batch
 
-    def oldest_arrival(self) -> float:
-        if not self._front and not self._heap:
-            raise IndexError("oldest_arrival on an empty queue")
-        candidates = []
-        if self._front:
-            candidates.append(self._front[0].arrival_time)
-        if self._heap:
-            candidates.append(min(e[3].arrival_time for e in self._heap))
-        return min(candidates)
-
-    def arrival_times(self) -> List[float]:
-        times = [r.arrival_time for r in self._front]
-        times.extend(e[3].arrival_time for e in self._heap)
-        times.sort()
-        return times
-
     def clear(self) -> None:
+        super().clear()
         self._heap.clear()
         self._front.clear()
         self._vtime = 0.0
         self._last_finish.clear()
         self._seq = 0
-
-    def __len__(self) -> int:
-        return len(self._front) + len(self._heap)

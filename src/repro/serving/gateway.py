@@ -75,6 +75,14 @@ DOMAIN_TENANT = 0x9E
 DISPATCHERS = ("wfq", "fifo")
 
 
+class _JsonCache(dict):
+    """``cache[value]`` is ``json.dumps(value)``, encoded on first use."""
+
+    def __missing__(self, value: Optional[str]) -> str:
+        encoded = self[value] = json.dumps(value)  # None -> 'null'
+        return encoded
+
+
 def check_dispatcher(dispatcher: str) -> None:
     if dispatcher not in DISPATCHERS:
         raise ValueError(
@@ -227,10 +235,9 @@ class ServingGateway(RequestRouter):
         self._journal: Optional[EventTrace] = None
         self._journal_owned = False
         self._journal_seq = 0
-        # Cached json.dumps of tenant ids (and None): the journal fast path
-        # re-serializes each tenant string once per run, not once per line.
-        self._tenant_json: Dict[Optional[str], str] = {}
-        self._actor_json = json.dumps(name)
+        # The journal fast path serializes each tenant id once per run, not
+        # once per line.
+        self._tenant_json = _JsonCache()
         # (reason, tenant) -> the constant shed-line fragments around the
         # per-line request id / seq / time — one f-string per journal line.
         self._shed_fragments: Dict[Tuple[str, str], Tuple[str, str]] = {}
@@ -361,13 +368,6 @@ class ServingGateway(RequestRouter):
 
     # -- accounting hooks -----------------------------------------------------
 
-    def _tenant_json_of(self, tenant: Optional[str]) -> str:
-        cached = self._tenant_json.get(tenant)
-        if cached is None:
-            cached = json.dumps(tenant)  # json.dumps(None) == 'null'
-            self._tenant_json[tenant] = cached
-        return cached
-
     def _record_shed(self, times: Sequence[float], ids: Sequence[int],
                      tenants: Sequence[Optional[str]],
                      reasons: Sequence[str]) -> None:
@@ -379,19 +379,17 @@ class ServingGateway(RequestRouter):
         if journal is None:
             return
         # Assemble each complete journal line in one f-string from cached
-        # constant fragments: key order inside data is reason < request_id
-        # < tenant and the envelope is actor < data < kind < seq < t, so
-        # every line is byte-identical to per-event emit() with
-        # json.dumps(sort_keys=True).
+        # constant fragments around the writer's own envelope: key order
+        # inside data is reason < request_id < tenant, so every line is
+        # byte-identical to per-event emit().
         fragments = self._shed_fragments
         for key in set(zip(reasons, tenants)):
             if key not in fragments:
                 reason, tenant = key
+                prefix, middle = journal.line_parts(self.name, "shed")
                 fragments[key] = (
-                    f'{{"actor": {self._actor_json}, "data": '
-                    f'{{"reason": "{reason}", "request_id": ',
-                    f', "tenant": {self._tenant_json_of(tenant)}}}, '
-                    f'"kind": "shed", "seq": ')
+                    f'{prefix}{{"reason": "{reason}", "request_id": ',
+                    f', "tenant": {self._tenant_json[tenant]}}}{middle}')
         seq = self._journal_seq
         self._journal_seq = seq + len(ids)
         lines: List[str] = []
@@ -410,23 +408,27 @@ class ServingGateway(RequestRouter):
             lst = lat_map.get(r.tenant)
             if lst is not None:
                 lst.append(r.completion_time - r.arrival_time)
-        if self._journal is None:
+        journal = self._journal
+        if journal is None or not records:
             return
-        # Sorted key order: arrival < batch_id < completion < dispatch <
-        # request_id < tenant.
-        data = [
-            f'{{"arrival": {r.arrival_time!r}, "batch_id": {r.batch_id}, '
-            f'"completion": {r.completion_time!r}, '
-            f'"dispatch": {r.dispatch_time!r}, '
-            f'"request_id": {r.request_id}, '
-            f'"tenant": {self._tenant_json_of(r.tenant)}}}'
-            for r in records
-        ]
+        # A batch shares its id, dispatch and completion time (which is also
+        # the line's "t"): format those once, then one f-string per record
+        # around what differs.  Sorted key order: arrival < batch_id <
+        # completion < dispatch < request_id < tenant.
+        batch = records[0]
+        prefix, middle = journal.line_parts(self.name, "request")
+        head = f'{prefix}{{"arrival": '
+        shared = (f', "batch_id": {batch.batch_id}, '
+                  f'"completion": {batch.completion_time!r}, '
+                  f'"dispatch": {batch.dispatch_time!r}, "request_id": ')
+        tail = f', "t": {batch.completion_time!r}}}\n'
+        tenant_json = self._tenant_json
         seq0 = self._journal_seq
-        self._journal_seq = seq0 + len(data)
-        self._journal.emit_many_data(
-            [r.completion_time for r in records],
-            range(seq0, seq0 + len(data)), "request", self.name, data)
+        self._journal_seq = seq0 + len(records)
+        journal.emit_many_lines([
+            f'{head}{r.arrival_time!r}{shared}{r.request_id}, '
+            f'"tenant": {tenant_json[r.tenant]}}}{middle}{seq}{tail}'
+            for seq, r in enumerate(records, seq0)])
 
     def _finalize(self) -> None:
         super()._finalize()

@@ -317,6 +317,12 @@ class RequestRouter:
         self.inference = inference
         self.source = source
         self.policy = policy
+        # What a brownout puts in force instead.  Built once: callers tell
+        # the two apart by identity, never by value (halving max_batch=1,
+        # max_wait=0 gives an equal policy that is still "not configured").
+        self._brownout_policy = MicroBatchPolicy(
+            max_batch=max(1, policy.max_batch // 2),
+            max_wait=policy.max_wait / 2)
         self.pool = pool
         self.autoscaler = autoscaler
         self.admission = admission
@@ -512,8 +518,7 @@ class RequestRouter:
                 or self._conditions.bottleneck_speed(
                     self._lease.device_ids) >= 1.0):
             return self.policy
-        return MicroBatchPolicy(max_batch=max(1, self.policy.max_batch // 2),
-                                max_wait=self.policy.max_wait / 2)
+        return self._brownout_policy
 
     def _meter(self, wave: ArrivalWave, times: List[float], browned: bool):
         """The pre-stage in front of the shed rule: ``(bypass, halved)``
@@ -625,7 +630,9 @@ class RequestRouter:
                 "devices": self._devices, "waves": result.waves}
 
     def _record_completion(self, records: List[RequestRecord]) -> None:
-        """Per-batch completion hook (the gateway journals records here)."""
+        """Per-batch completion hook: ``records`` are one batch's, so they
+        share ``batch_id``, dispatch and completion time (the gateway
+        journals them here)."""
 
     def _on_completion(self, completion: float, batch: List[Request],
                        batch_id: int, launch: float,

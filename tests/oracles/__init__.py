@@ -3,7 +3,9 @@
 An oracle here is a separate, obviously-correct thing a test queries — not
 a mode of the system under test.  Nothing in ``src/`` imports this package,
 and the oracles import nothing private from ``src/``: they restate a
-contract (``(time, seq)`` event order; the one-arrival-at-a-time shed rule)
-in the plainest code that satisfies it, and differential tests hold the
-production implementation to them on generated inputs.
+contract (``(time, seq)`` event order; the one-arrival-at-a-time shed rule;
+one exponential draw per Poisson arrival; a dispatch queue whose every read
+is recomputed over what is pending) in the plainest code that satisfies it,
+and differential tests hold the production implementation to them on
+generated inputs.
 """

@@ -2,9 +2,11 @@
 
 ``emit`` / ``emit_many`` / ``emit_many_data`` assemble every line from two
 cached ``(actor, kind)`` fragments around the payload and the sequence
-number.  The contract is byte equality with dumping the whole five-key
-record — ``json.dumps({...}, sort_keys=True) + "\\n"`` — for whatever a
-caller can put in a line: nested payloads, floats whose repr is awkward
+number — ``EventTrace.line_parts``, which callers of ``emit_many_lines``
+build their whole lines around as well.  The contract is byte equality
+with dumping the whole five-key record —
+``json.dumps({...}, sort_keys=True) + "\\n"`` — for whatever a caller can
+put in a line: nested payloads, floats whose repr is awkward
 (``-0.0``, ``1e-7``, ``1e22``), actor/kind strings that need escaping,
 numpy scalars for ``t`` and ``seq``, and decimated (``sample > 1``) runs.
 """
@@ -138,6 +140,24 @@ def test_fragments_fill_on_first_use_and_are_shared_by_all_emitters():
     trace.emit_many_data([2.0], [2], "complete", "gateway", ['{"k": 2}'])
     assert list(trace._fragments) == [("gateway", "complete")]
     assert trace._fragments["gateway", "complete"] is parts
+    assert trace.line_parts("gateway", "complete") is parts
+
+
+@settings(max_examples=50, deadline=None)
+@given(t=TIMES, seq=SEQS, kind=NAMES, actor=NAMES, data=PAYLOADS)
+def test_a_line_assembled_around_line_parts_is_the_line_emit_writes(
+        t, seq, kind, actor, data):
+    """``line_parts`` is the envelope's one writer: a caller that builds
+    whole lines for ``emit_many_lines`` around it gets ``emit``'s bytes."""
+    out = StringIO()
+    trace = EventTrace(out)
+    prefix, middle = trace.line_parts(actor, kind)
+    payload = json.dumps(data, sort_keys=True)
+    trace.emit_many_lines([f'{prefix}{payload}{middle}{seq}, "t": {t!r}}}\n'])
+    trace.emit(t, seq, kind, actor, data)
+    trace.flush()
+    first, second = out.getvalue().splitlines(keepends=True)
+    assert first == second == reference_line(t, seq, kind, actor, data)
 
 
 def test_emit_writes_t_as_a_float_and_rejects_non_finite_times():

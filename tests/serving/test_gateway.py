@@ -3,21 +3,25 @@
 from __future__ import annotations
 
 import json
+from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import InferenceEngine, Mapping, VirtualNodeSet
 from repro.data import make_dataset
 from repro.elastic import ServingPhase
 from repro.framework.models import get_workload
 from repro.hardware import Cluster
-from repro.runtime import Runtime, read_trace
+from repro.runtime import EventTrace, Runtime, read_trace
 from repro.serving import (
     MultiTenantPoissonSource,
     OpenLoopPoissonSource,
+    RequestSource,
     ServingGateway,
     TenantRegistry,
+    TenantSpec,
     TenantTaggingSource,
     audit_journal,
     serve_workload,
@@ -220,6 +224,92 @@ class TestJournalLines:
         assert kinds.count("request") == len(report.records) > 0
         assert kinds.count("shed") == len(report.shed) > 0
         assert set(kinds) == {"registry", "request", "shed", "summary"}
+
+
+class _ListSource(RequestSource):
+    """Hands over prepared (already tagged) requests in arrival order."""
+
+    def __init__(self, requests):
+        self._requests = list(requests)
+
+    def next_arrival_time(self):
+        return self._requests[0].arrival_time if self._requests else None
+
+    def take_arrivals(self, until):
+        due = [r for r in self._requests if r.arrival_time <= until]
+        del self._requests[:len(due)]
+        return due
+
+
+# Registered, and not representable in JSON without escapes.
+ESCAPED = 'we"ird\\té\n'
+JOURNAL_SPEC = [TenantSpec("prem", slo_class="premium", weight=4.0),
+                TenantSpec(ESCAPED)]
+
+
+class TestJournalBytes:
+    """A batch's journal lines share one formatting of the batch's
+    constants and take their envelope from the writer; none of that may
+    show in the file."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        arrivals=st.lists(
+            st.tuples(st.sampled_from([0.0, 1e-4, 2e-3, 0.02]),
+                      st.sampled_from([None, "prem", ESCAPED, "ghost"])),
+            min_size=1, max_size=30),
+        max_batch=st.integers(1, 8),
+        depth=st.one_of(st.none(), st.integers(1, 6)))
+    def test_request_lines_equal_the_dump_and_per_event_emit(
+            self, tmp_path_factory, arrivals, max_batch, depth):
+        row = make_dataset(get_workload("mlp_synthetic").dataset, n=8,
+                           seed=0).x_val[0]
+
+        def run(sample):
+            out = StringIO()
+            requests, now = [], 0.0
+            for i, (gap, tenant) in enumerate(arrivals):
+                now += gap
+                requests.append(Request(i, now, row, tenant=tenant))
+            report = serve_workload(
+                "mlp_synthetic", [], source=_ListSource(requests),
+                tenants=TenantRegistry(JOURNAL_SPEC), pool_devices=1,
+                max_batch=max_batch,
+                admission=(None if depth is None
+                           else AdmissionPolicy(max_queue_depth=depth)),
+                journal=EventTrace(out, sample=sample))
+            return report, out.getvalue()
+
+        report, text = run(sample=1)
+        records = {r.request_id: r for r in report.records}
+        events = []
+        for line in text.splitlines(keepends=True):
+            event = json.loads(line)
+            events.append(event)
+            assert line == json.dumps(event, sort_keys=True) + "\n"
+            if event["kind"] == "request":
+                r = records.pop(event["data"]["request_id"])
+                assert event["t"] == r.completion_time
+                assert event["data"] == {
+                    "arrival": r.arrival_time, "batch_id": r.batch_id,
+                    "completion": r.completion_time,
+                    "dispatch": r.dispatch_time,
+                    "request_id": r.request_id, "tenant": r.tenant}
+        assert not records and len(report.records) + len(report.shed) == len(arrivals)
+        assert [e["seq"] for e in events] == list(range(len(events)))
+
+        # Per-event emit() of the same events, undecimated and at the
+        # sampling offsets a bulk writer has to reproduce.
+        for sample in (1, 3):
+            replay = StringIO()
+            with EventTrace(replay, sample=sample) as trace:
+                for e in events:
+                    trace.emit(e["t"], e["seq"], e["kind"], e["actor"], e["data"])
+            assert replay.getvalue() == (text if sample == 1 else run(sample)[1])
+
+        path = tmp_path_factory.mktemp("journal") / "journal.jsonl"
+        path.write_text(text)
+        assert audit_journal(str(path))["tenants"] == report.tenants
 
 
 class TestArrivalPaths:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.chaos import (
@@ -179,28 +180,59 @@ class TestBrownout:
                    if 0.3 <= b.dispatch_time < 1.3]
         assert derated and max(b.size for b in derated) <= 4
 
+    @staticmethod
+    def _router(policy):
+        from repro.core import InferenceEngine, Mapping, VirtualNodeSet
+        from repro.framework import get_workload
+        from repro.hardware import Cluster
+        from repro.serving import ClosedLoopSource, RequestRouter
+
+        workload = get_workload("mlp_synthetic")
+        cluster = Cluster.homogeneous("V100", 2)
+        engine = InferenceEngine(
+            workload, workload.build_model(0),
+            Mapping.even(VirtualNodeSet.even(2, 2), cluster))
+        conditions = ClusterConditions()
+        router = RequestRouter(
+            engine, ClosedLoopSource(1, 1, np.zeros((1, 1))), policy=policy,
+            admission=AdmissionPolicy(brownout=True))
+        router.configure_chaos(conditions)
+
+        class _Lease:
+            device_ids = (0, 1)
+
+        router._lease = _Lease()
+        return router, conditions
+
     def test_policy_object_reused_when_not_derated(self):
         # The brownout check must return the identical policy object on a
         # clean lease — that identity is what keeps un-derated runs
         # bit-exact and is how brownout batches are counted.
         from repro.serving.batcher import MicroBatchPolicy
-        from repro.serving.router import RequestRouter
 
-        conditions = ClusterConditions()
-        router = RequestRouter.__new__(RequestRouter)
-        router.admission = AdmissionPolicy(brownout=True)
-        router.policy = MicroBatchPolicy(max_batch=8, max_wait=0.002)
-
-        class _Lease:
-            device_ids = (0, 1)
-
-        router._conditions = conditions
-        router._lease = _Lease()
+        router, conditions = self._router(
+            MicroBatchPolicy(max_batch=8, max_wait=0.002))
         assert router._policy_now() is router.policy
         conditions.set_derate(0, 0.5)
         halved = router._policy_now()
         assert halved is not router.policy
         assert halved.max_batch == 4 and halved.max_wait == 0.001
+        # Built once, not per probe (four call sites ask per batch).
+        assert router._policy_now() is halved
+        conditions.set_derate(0, 1.0)
+        assert router._policy_now() is router.policy
+
+    def test_halved_policy_is_told_apart_by_identity_not_value(self):
+        # max_batch=1, max_wait=0 halves to an *equal* policy; a browned-out
+        # router must still answer "not the configured object".
+        from repro.serving.batcher import MicroBatchPolicy
+
+        router, conditions = self._router(
+            MicroBatchPolicy(max_batch=1, max_wait=0.0))
+        conditions.set_derate(1, 0.25)
+        halved = router._policy_now()
+        assert halved == router.policy and halved is not router.policy
+        assert router._policy_now() is halved
 
 
 class TestBrownoutProbedOncePerPull:
