@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.chaos.degradation import DerateCurve, ThermalRamp
-from repro.chaos.topology import RACK, SWITCH, FailureDomainTopology
+from repro.chaos.topology import RACK, FailureDomainTopology
 from repro.utils.seeding import DOMAIN_CHAOS, derive_rng
 
 __all__ = [

@@ -141,7 +141,7 @@ class FusedBackend(ExecutionBackend):
                             state_views=state_views)
         logits = run.forward(step.model, x_cat)
         losses, dloss = vectorized_loss(step.loss_fn, run, logits, y_cat)
-        run.backward(step.model, dloss)
+        run.backward(step.model, dloss, input_grad=False)  # nobody reads dL/dx
 
         if layout is not None:
             # Stateful kernels updated during the wave belong to each node.

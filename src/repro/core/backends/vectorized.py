@@ -30,6 +30,24 @@ the reference wave loop *bit for bit*.  That constrains every kernel:
   summation tree), or — for uniform segments — a per-slice reduction over
   the middle axes of the ``(V, b, ...)`` stack, which NumPy reduces with
   the identical accumulation order per slice.
+* **Elementwise operands may be re-viewed and tiled freely; reductions and
+  GEMMs may not.**  An elementwise ufunc rounds each output element from
+  the same two input elements whatever the array shapes and strides are, so
+  a kernel may flatten ``(B, h, w, C)`` to ``(V, b, h*w*C)``, repeat a
+  ``(C,)`` or per-node ``(V, C)`` operand into matching tiles
+  (:meth:`VectorizedRun.tiled` / :meth:`VectorizedRun.tile`), write into
+  ``out=`` buffers, and fuse ``x - mean`` for the variance and for
+  ``x_hat`` into one pass — as long as every operation keeps the
+  reference's operand pair and order.  A sum's rounding depends on the
+  order its terms are added in, which follows shape and layout: the
+  ``seg_*`` reductions and GEMMs above see the reference's arrays.
+* **The batch input has no gradient.**  The reference layers compute
+  ``dL/dx`` for the input examples and nobody reads it; the fused backend
+  asks its run not to (``backward(..., input_grad=False)``).  The flag
+  travels only along the chain of modules that receive the batch itself —
+  ``Sequential`` child 0, a model wrapper's body, a leading ``Residual``'s
+  body — and lets a kernel return ``None`` for its input gradient.
+  Parameter gradients and stateful buffers never depend on it.
 * **Per-virtual-node parameter gradients are kept separate** (a
   ``(V, ...)`` stack per parameter) so the caller can reduce them in
   canonical virtual-node order with the exact §5.2 weighted-average
@@ -57,6 +75,7 @@ loop survives only as the oracle that equivalence tests assert against.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
@@ -163,12 +182,22 @@ class VectorizedRun:
                 f"no vectorized forward kernel for {type(module).__name__}")
         return fn(module, self, prefix, x)
 
-    def backward(self, module: Module, grad: np.ndarray, prefix: str = "") -> np.ndarray:
+    def backward(self, module: Module, grad: np.ndarray, prefix: str = "",
+                 input_grad: bool = True) -> Optional[np.ndarray]:
+        """Accumulate ``module``'s parameter gradients; return ``dL/dinput``.
+
+        ``input_grad=False`` says nobody reads the input gradient — the
+        module consumes the batch input itself.  A kernel may then return
+        ``None`` instead of computing it (Conv2D and Dense skip a GEMM,
+        Conv2D a scatter as well, Embedding a block of zeros); containers
+        forward the flag to the child that receives their own input and to
+        no other.
+        """
         fn = _lookup(_BWD, type(module))
         if fn is None:
             raise UnsupportedModule(
                 f"no vectorized backward kernel for {type(module).__name__}")
-        return fn(module, self, prefix, grad)
+        return fn(module, self, prefix, grad, input_grad)
 
     # -- kernel support -----------------------------------------------------
 
@@ -260,30 +289,54 @@ class VectorizedRun:
             out[i] = np.sum(t[start:end], axis=axes)
         return out
 
-    def seg_mean_var(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-virtual-node mean and variance over all axes but the last."""
+    def seg_mean(self, t: np.ndarray) -> np.ndarray:
+        """Per-virtual-node mean over all axes but the last: ``(V, C)``."""
         if self.uniform is not None:
             v = self.num_stacked
             ts = t.reshape((v, self.uniform) + t.shape[1:])
-            axes = tuple(range(1, ts.ndim - 1))
-            return ts.mean(axis=axes), ts.var(axis=axes)
+            return ts.mean(axis=tuple(range(1, ts.ndim - 1)))
         mean = np.empty((self.num_stacked, t.shape[-1]), dtype=t.dtype)
-        var = np.empty_like(mean)
         axes = tuple(range(t.ndim - 1))
         for i, (start, end) in enumerate(self.segments):
             mean[i] = t[start:end].mean(axis=axes)
-            var[i] = t[start:end].var(axis=axes)
-        return mean, var
+        return mean
 
-    def per_row(self, per_vn: np.ndarray, ndim: int) -> np.ndarray:
-        """Expand a ``(V, C)`` per-node array to ``(B, 1, ..., 1, C)`` rows.
+    def seg_counts(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        """Elements per channel in each node's segment of a ``shape`` tensor,
+        as a ``(V, C)`` array — the ``n`` of that node's reductions."""
+        counts = np.array(self.sizes, dtype=dtype) * math.prod(shape[1:-1])
+        return counts[:, None].repeat(shape[-1], axis=1)
 
-        Broadcasting the expanded array applies each node's value to its own
-        rows — elementwise, so bit-identical to the reference's per-wave
-        ``(C,)`` broadcast.
+    # Elementwise kernels over channel-last tensors broadcast *tiles*: the
+    # tensor is re-viewed with everything after the batch axis flattened to
+    # F = prod(shape[1:]), and a per-channel operand is repeated F / C times
+    # to match.  The values combined per element are the ones the
+    # (B, ..., C) o (C,) broadcast combines, but the inner loop runs F
+    # elements instead of C.  Never used for reductions.
+
+    def tiled(self, t: np.ndarray) -> np.ndarray:
+        """View a ``(B, ..., C)`` tensor as ``(V, b, F)`` node tiles.
+
+        Mixed-size segments have no such stack: every row is its own tile,
+        ``(B, 1, F)``, and :meth:`tile` expands per-node values to match.
         """
-        rows = np.repeat(per_vn, self.sizes, axis=0)
-        return rows.reshape((self.batch,) + (1,) * (ndim - 2) + per_vn.shape[1:])
+        if self.uniform is not None:
+            return t.reshape(self.num_stacked, self.uniform, -1)
+        return t.reshape(self.batch, 1, -1)
+
+    def tile(self, values: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+        """Tile per-channel ``values`` against ``tiled(t)``, ``t.shape == shape``.
+
+        ``(C,)`` values shared by every node become ``(F,)``; per-node
+        ``(V, C)`` values become ``(V, 1, F)`` (``(B, 1, F)`` for mixed-size
+        segments, each row carrying its own node's tile).
+        """
+        reps = math.prod(shape[1:-1])
+        if values.ndim == 1:
+            return values[None, :].repeat(reps, axis=0).reshape(-1)
+        if self.uniform is None:
+            values = values.repeat(self.sizes, axis=0)
+        return values[:, None, :].repeat(reps, axis=1).reshape(values.shape[0], 1, -1)
 
     def row_scale(self, per_vn: Sequence[float], ndim: int,
                   dtype=np.float64) -> np.ndarray:
@@ -334,10 +387,12 @@ def _dense_fwd(m: L.Dense, run: VectorizedRun, prefix: str, x):
 
 
 @_bwd(L.Dense)
-def _dense_bwd(m: L.Dense, run: VectorizedRun, prefix: str, grad):
+def _dense_bwd(m: L.Dense, run: VectorizedRun, prefix: str, grad, input_grad):
     (x,) = run.get(prefix)
     run.add_grad(prefix + "w", run.seg_outer(x, grad))
     run.add_grad(prefix + "b", run.seg_sum(grad))
+    if not input_grad:
+        return None
     if grad.ndim == 2:
         return run.seg_matmul(grad, m.params["w"].T)
     return grad @ m.params["w"].T
@@ -351,7 +406,7 @@ def _relu_fwd(m: L.ReLU, run: VectorizedRun, prefix: str, x):
 
 
 @_bwd(L.ReLU)
-def _relu_bwd(m: L.ReLU, run: VectorizedRun, prefix: str, grad):
+def _relu_bwd(m: L.ReLU, run: VectorizedRun, prefix: str, grad, input_grad):
     (mask,) = run.get(prefix)
     return grad * mask
 
@@ -364,7 +419,7 @@ def _tanh_fwd(m: L.Tanh, run: VectorizedRun, prefix: str, x):
 
 
 @_bwd(L.Tanh)
-def _tanh_bwd(m: L.Tanh, run: VectorizedRun, prefix: str, grad):
+def _tanh_bwd(m: L.Tanh, run: VectorizedRun, prefix: str, grad, input_grad):
     (t,) = run.get(prefix)
     return grad * (1.0 - t**2)
 
@@ -378,7 +433,7 @@ def _gelu_fwd(m: L.GELU, run: VectorizedRun, prefix: str, x):
 
 
 @_bwd(L.GELU)
-def _gelu_bwd(m: L.GELU, run: VectorizedRun, prefix: str, grad):
+def _gelu_bwd(m: L.GELU, run: VectorizedRun, prefix: str, grad, input_grad):
     x, t = run.get(prefix)
     du_dx = L.GELU._C * (1.0 + 3 * 0.044715 * x**2)
     dt_dx = (1.0 - t**2) * du_dx
@@ -403,7 +458,7 @@ def _dropout_fwd(m: L.Dropout, run: VectorizedRun, prefix: str, x):
 
 
 @_bwd(L.Dropout)
-def _dropout_bwd(m: L.Dropout, run: VectorizedRun, prefix: str, grad):
+def _dropout_bwd(m: L.Dropout, run: VectorizedRun, prefix: str, grad, input_grad):
     (mask,) = run.get(prefix)
     if mask is None:
         return grad
@@ -417,7 +472,7 @@ def _flatten_fwd(m: L.Flatten, run: VectorizedRun, prefix: str, x):
 
 
 @_bwd(L.Flatten)
-def _flatten_bwd(m: L.Flatten, run: VectorizedRun, prefix: str, grad):
+def _flatten_bwd(m: L.Flatten, run: VectorizedRun, prefix: str, grad, input_grad):
     (shape,) = run.get(prefix)
     return grad.reshape(shape)
 
@@ -433,7 +488,7 @@ def _layernorm_fwd(m: L.LayerNorm, run: VectorizedRun, prefix: str, x):
 
 
 @_bwd(L.LayerNorm)
-def _layernorm_bwd(m: L.LayerNorm, run: VectorizedRun, prefix: str, grad):
+def _layernorm_bwd(m: L.LayerNorm, run: VectorizedRun, prefix: str, grad, input_grad):
     x_hat, inv_std = run.get(prefix)
     run.add_grad(prefix + "gamma", run.seg_sum(grad * x_hat))
     run.add_grad(prefix + "beta", run.seg_sum(grad))
@@ -456,33 +511,48 @@ def _batchnorm_fwd(m: L.BatchNorm, run: VectorizedRun, prefix: str, x):
         return m.params["gamma"] * ((x - mean) * inv_std) + m.params["beta"]
     # Training: per-virtual-node batch statistics over each node's own
     # segment — the exact shard statistics of the serial wave — with the
-    # moving averages updated in place across all nodes at once.
-    mean, var = run.seg_mean_var(x)
+    # moving averages updated in place across all nodes at once.  One
+    # centred pass: ``x - mean`` feeds both the variance (NumPy's own
+    # ``var``: sum of squared deviations over the same axes and layout,
+    # divided by the count) and ``x_hat``.
+    mean = run.seg_mean(x)
+    x_hat = run.tiled(x) - run.tile(mean, x.shape)
+    var = run.seg_sum((x_hat * x_hat).reshape(x.shape))
+    var /= run.seg_counts(x.shape, np.intp)
     mom = m.momentum
     running_mean = run.state(prefix + "running_mean")
     running_var = run.state(prefix + "running_var")
     running_mean[...] = mom * running_mean + (1 - mom) * mean
     running_var[...] = mom * running_var + (1 - mom) * var
     inv_std = 1.0 / np.sqrt(var + m.eps)
-    x_hat = (x - run.per_row(mean, x.ndim)) * run.per_row(inv_std, x.ndim)
+    x_hat *= run.tile(inv_std, x.shape)
     run.put(prefix, x_hat, inv_std)
-    return m.params["gamma"] * x_hat + m.params["beta"]
+    out = run.tile(m.params["gamma"], x.shape) * x_hat
+    out += run.tile(m.params["beta"], x.shape)
+    return out.reshape(x.shape)
 
 
 @_bwd(L.BatchNorm)
-def _batchnorm_bwd(m: L.BatchNorm, run: VectorizedRun, prefix: str, grad):
-    x_hat, inv_std = run.get(prefix)
-    run.add_grad(prefix + "gamma", run.seg_sum(grad * x_hat))
+def _batchnorm_bwd(m: L.BatchNorm, run: VectorizedRun, prefix: str, grad, input_grad):
+    x_hat, inv_std = run.get(prefix)  # x_hat as tiles, see the forward
+    shape = grad.shape
+    gt = run.tiled(grad)
+    run.add_grad(prefix + "gamma", run.seg_sum((gt * x_hat).reshape(shape)))
     run.add_grad(prefix + "beta", run.seg_sum(grad))
-    g = grad * m.params["gamma"]
-    # Per-node counts and statistic sums, broadcast back to each node's rows.
-    feature_rows = int(np.prod(grad.shape[1:-1], dtype=np.int64))
-    counts = [float(size * feature_rows) for size in run.sizes]
-    n = run.row_scale(counts, grad.ndim, dtype=grad.dtype)
-    sum_g = run.per_row(run.seg_sum(g), grad.ndim)
-    sum_gx = run.per_row(run.seg_sum(g * x_hat), grad.ndim)
-    inv = run.per_row(inv_std, grad.ndim)
-    return inv / n * (n * g - sum_g - x_hat * sum_gx)
+    g = gt * run.tile(m.params["gamma"], shape)
+    # inv_std / n * (n * g - sum(g) - x_hat * sum(g * x_hat)): the sums and n
+    # per node, every product and difference on the reference's operands in
+    # the reference's order.  ``t`` has the widest dtype any of them
+    # produces, so it takes each result that would otherwise be a temporary.
+    t = g * x_hat
+    sum_g = run.seg_sum(g.reshape(shape))
+    sum_gx = run.seg_sum(t.reshape(shape))
+    n = run.seg_counts(shape, grad.dtype)
+    np.multiply(run.tile(n, shape), g, out=g)
+    g -= run.tile(sum_g, shape)
+    np.multiply(x_hat, run.tile(sum_gx, shape), out=t)
+    np.subtract(g, t, out=t)
+    return np.multiply(run.tile(inv_std / n, shape), t, out=t).reshape(shape)
 
 
 @_fwd(L.Embedding)
@@ -495,13 +565,15 @@ def _embedding_fwd(m: L.Embedding, run: VectorizedRun, prefix: str, tokens):
 
 
 @_bwd(L.Embedding)
-def _embedding_bwd(m: L.Embedding, run: VectorizedRun, prefix: str, grad):
+def _embedding_bwd(m: L.Embedding, run: VectorizedRun, prefix: str, grad, input_grad):
     (tokens,) = run.get(prefix)
     table_grads = np.zeros((run.num_stacked,) + m.params["table"].shape,
                            dtype=grad.dtype)
     for i, (start, end) in enumerate(run.segments):
         np.add.at(table_grads[i], tokens[start:end], grad[start:end])
     run.add_grad(prefix + "table", table_grads)
+    if not input_grad:
+        return None
     return np.zeros_like(grad)  # no gradient flows to integer inputs
 
 
@@ -536,7 +608,7 @@ def _mhsa_fwd(m: L.MultiHeadSelfAttention, run: VectorizedRun, prefix: str, x):
 
 
 @_bwd(L.MultiHeadSelfAttention)
-def _mhsa_bwd(m: L.MultiHeadSelfAttention, run: VectorizedRun, prefix: str, grad):
+def _mhsa_bwd(m: L.MultiHeadSelfAttention, run: VectorizedRun, prefix: str, grad, input_grad):
     x, q, k, v, attn, merged, scale = run.get(prefix)
     p = m.params
     run.add_grad(prefix + "wo", run.seg_outer(merged, grad))
@@ -563,8 +635,9 @@ def _residual_fwd(m: L.Residual, run: VectorizedRun, prefix: str, x):
 
 
 @_bwd(L.Residual)
-def _residual_bwd(m: L.Residual, run: VectorizedRun, prefix: str, grad):
-    return grad + run.backward(m.body, grad, prefix + "body.")
+def _residual_bwd(m: L.Residual, run: VectorizedRun, prefix: str, grad, input_grad):
+    inner = run.backward(m.body, grad, prefix + "body.", input_grad)
+    return grad + inner if input_grad else None
 
 
 @_fwd(L.Sequential)
@@ -575,9 +648,10 @@ def _sequential_fwd(m: L.Sequential, run: VectorizedRun, prefix: str, x):
 
 
 @_bwd(L.Sequential)
-def _sequential_bwd(m: L.Sequential, run: VectorizedRun, prefix: str, grad):
-    for name, child in reversed(list(m.children())):
-        grad = run.backward(child, grad, f"{prefix}{name}.")
+def _sequential_bwd(m: L.Sequential, run: VectorizedRun, prefix: str, grad, input_grad):
+    # Only child 0 receives the container's own input.
+    for i, (name, child) in reversed(list(enumerate(m.children()))):
+        grad = run.backward(child, grad, f"{prefix}{name}.", input_grad or i > 0)
     return grad
 
 
@@ -598,7 +672,7 @@ def _block_fwd(m: L.TransformerBlock, run: VectorizedRun, prefix: str, x):
 
 
 @_bwd(L.TransformerBlock)
-def _block_bwd(m: L.TransformerBlock, run: VectorizedRun, prefix: str, grad):
+def _block_bwd(m: L.TransformerBlock, run: VectorizedRun, prefix: str, grad, input_grad):
     g2 = run.backward(
         m.ln2,
         run.backward(m.ffn, run.backward(m.drop2, grad, prefix + "drop2."), prefix + "ffn."),
@@ -619,13 +693,15 @@ def _conv2d_fwd(m: L.Conv2D, run: VectorizedRun, prefix: str, x):
     cols2, oh, ow = im2col(x, k, k, m.stride, m.pad)
     cols = cols2.reshape(len(x), oh * ow, -1)  # (B, OH*OW, K*K*C) view
     w2 = m.params["w"].reshape(-1, m.out_channels)
-    out = run.seg_matmul(cols, w2) + m.params["b"]
+    out = run.seg_matmul(cols, w2)
+    tiles = run.tiled(out)
+    tiles += run.tile(m.params["b"], out.shape)
     run.put(prefix, x.shape, cols, oh, ow)
-    return out.reshape(x.shape[0], oh, ow, m.out_channels)
+    return tiles.reshape(x.shape[0], oh, ow, m.out_channels)
 
 
 @_bwd(L.Conv2D)
-def _conv2d_bwd(m: L.Conv2D, run: VectorizedRun, prefix: str, grad):
+def _conv2d_bwd(m: L.Conv2D, run: VectorizedRun, prefix: str, grad, input_grad):
     x_shape, cols, oh, ow = run.get(prefix)
     k = m.kernel_size
     g3 = grad.reshape(x_shape[0], oh * ow, m.out_channels)
@@ -634,6 +710,8 @@ def _conv2d_bwd(m: L.Conv2D, run: VectorizedRun, prefix: str, grad):
         prefix + "w",
         run.seg_outer(cols, g3).reshape((run.num_stacked,) + m.params["w"].shape))
     run.add_grad(prefix + "b", run.seg_sum(g3))
+    if not input_grad:
+        return None
     dcols = run.seg_matmul(g3, w2.T)
     return col2im(dcols.reshape(-1, dcols.shape[-1]), x_shape, k, k,
                   m.stride, m.pad, oh, ow)
@@ -653,7 +731,7 @@ def _maxpool_fwd(m: L.MaxPool2D, run: VectorizedRun, prefix: str, x):
 
 
 @_bwd(L.MaxPool2D)
-def _maxpool_bwd(m: L.MaxPool2D, run: VectorizedRun, prefix: str, grad):
+def _maxpool_bwd(m: L.MaxPool2D, run: VectorizedRun, prefix: str, grad, input_grad):
     mask, x_shape = run.get(prefix)
     n, h, w, c = x_shape
     counts = mask.sum(axis=(2, 4), keepdims=True)
@@ -668,7 +746,7 @@ def _gap_fwd(m: L.GlobalAvgPool2D, run: VectorizedRun, prefix: str, x):
 
 
 @_bwd(L.GlobalAvgPool2D)
-def _gap_bwd(m: L.GlobalAvgPool2D, run: VectorizedRun, prefix: str, grad):
+def _gap_bwd(m: L.GlobalAvgPool2D, run: VectorizedRun, prefix: str, grad, input_grad):
     (shape,) = run.get(prefix)
     n, h, w, c = shape
     return np.broadcast_to(grad[:, None, None, :], shape) / (h * w)
@@ -680,8 +758,8 @@ def _smallcnn_fwd(m: M.SmallCNN, run: VectorizedRun, prefix: str, x):
 
 
 @_bwd(M.SmallCNN)
-def _smallcnn_bwd(m: M.SmallCNN, run: VectorizedRun, prefix: str, grad):
-    return run.backward(m.body, grad, prefix + "body.")
+def _smallcnn_bwd(m: M.SmallCNN, run: VectorizedRun, prefix: str, grad, input_grad):
+    return run.backward(m.body, grad, prefix + "body.", input_grad)
 
 
 @_fwd(M.TinyBert)
@@ -702,7 +780,7 @@ def _tinybert_fwd(m: M.TinyBert, run: VectorizedRun, prefix: str, tokens):
 
 
 @_bwd(M.TinyBert)
-def _tinybert_bwd(m: M.TinyBert, run: VectorizedRun, prefix: str, grad):
+def _tinybert_bwd(m: M.TinyBert, run: VectorizedRun, prefix: str, grad, input_grad):
     (tokens_shape,) = run.get(prefix)
     b, t = tokens_shape
     g = run.backward(m.pooler, run.backward(m.head, grad, prefix + "head."),
@@ -711,8 +789,8 @@ def _tinybert_bwd(m: M.TinyBert, run: VectorizedRun, prefix: str, grad):
     g = np.ascontiguousarray(g)
     for i, block in reversed(list(enumerate(m.blocks))):
         g = run.backward(block, g, f"{prefix}block{i}.")
-    run.backward(m.pos, g, prefix + "pos.")
-    return run.backward(m.tok, g, prefix + "tok.")
+    run.backward(m.pos, g, prefix + "pos.", input_grad=False)
+    return run.backward(m.tok, g, prefix + "tok.", input_grad)
 
 
 # ---------------------------------------------------------------------------

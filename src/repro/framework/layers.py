@@ -21,6 +21,7 @@ from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.framework import initializers as init
 
@@ -224,54 +225,106 @@ class Dense(Module):
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> Tuple[np.ndarray, int, int]:
     """Expand NHWC input into (N*OH*OW, KH*KW*C) patch rows.
 
-    Patch extraction is a read-only ``sliding_window_view``; the single copy
-    happens in the final reshape that materializes contiguous GEMM rows.
+    Patch extraction is one read-only strided window view over the
+    zero-padded input (any strides — the input may itself be a padded view);
+    the single copy happens in the final reshape, which materializes the
+    C-contiguous GEMM rows in (n, oh, ow, kh, kw, c) element order.
     Exposed publicly (together with :func:`col2im`) so the vectorized
     execution backend can run stacked wave groups through the exact same
     patch geometry the serial layer uses.
     """
     n, h, w, c = x.shape
     if pad:
-        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    # (n, oh_full, ow_full, c, kh, kw) with the window axes appended last.
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]
-    oh, ow = windows.shape[1], windows.shape[2]
-    cols = windows.transpose(0, 1, 2, 4, 5, 3)  # -> (n, oh, ow, kh, kw, c)
-    return cols.reshape(n * oh * ow, kh * kw * c), oh, ow
+        padded = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+        padded[:, pad : pad + h, pad : pad + w, :] = x
+        x, h, w = padded, h + 2 * pad, w + 2 * pad
+    if kh > h or kw > w:
+        raise ValueError(f"kernel {(kh, kw)} larger than padded input {(h, w)}")
+    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
+    sn, sh, sw, sc = x.strides
+    windows = as_strided(x, (n, oh, ow, kh, kw, c),
+                         (sn, sh * stride, sw * stride, sh, sw, sc), writeable=False)
+    return windows.reshape(n * oh * ow, kh * kw * c), oh, ow
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    """A read-only view for an ``lru_cache`` to hand to every caller; the
+    writeable buffer (``table`` must own its data) stays reachable as
+    ``.base`` for the owner alone."""
+    view = table.view()
+    view.setflags(write=False)
+    return view
+
+
+# Flat-index entries per col2im scatter chunk.  A constant, not a knob: hot
+# scatter time is flat from 2**14 to 2**22 entries (np.bincount dominates);
+# 2**17 keeps a cached table at 1 MB of int64 and the chunk loop at a
+# handful of calls for batches of a few hundred 8x8 feature maps.
+_COL2IM_CHUNK_ENTRIES = 1 << 17
 
 
 @lru_cache(maxsize=128)
 def _col2im_plane_indices(c: int, hp: int, wp: int, oh: int, ow: int,
                           kh: int, kw: int, stride: int) -> np.ndarray:
     """Flat one-example (hp, wp, c) index of every (p, q, i, j, ch) patch
-    contribution.  Deliberately independent of the batch size — the cached
-    footprint is O(oh*ow*kh*kw*c), and the per-example offset is a cheap
-    broadcast add at call time."""
+    contribution.  Independent of the batch size — the cached footprint is
+    O(oh*ow*kh*kw*c).  Read-only: every caller shares the cached array."""
     ys = stride * np.arange(oh)[:, None, None, None] + np.arange(kh)[None, None, :, None]
     xs = stride * np.arange(ow)[None, :, None, None] + np.arange(kw)[None, None, None, :]
     spatial = (ys * wp + xs).reshape(-1)  # (oh*ow*kh*kw,)
-    return (spatial[:, None] * c + np.arange(c)[None, :]).reshape(-1)
+    return _read_only((spatial[:, None] * c + np.arange(c)[None, :]).flatten())
+
+
+@lru_cache(maxsize=8)
+def _col2im_chunk_indices(c: int, hp: int, wp: int, oh: int, ow: int,
+                          kh: int, kw: int, stride: int) -> np.ndarray:
+    """The plane index repeated, with per-example offsets, for as many whole
+    examples as fit in ``_COL2IM_CHUNK_ENTRIES`` (at least one).  Read-only
+    and shared like the plane table; at 1 MB a table the cache holds eight
+    geometries, not the plane cache's 128."""
+    plane = _col2im_plane_indices(c, hp, wp, oh, ow, kh, kw, stride)
+    examples = _COL2IM_CHUNK_ENTRIES // plane.size
+    if examples <= 1:
+        return plane
+    offsets = np.arange(examples, dtype=plane.dtype) * (hp * wp * c)
+    return _read_only((offsets[:, None] + plane[None, :]).flatten())
 
 
 def col2im(cols: np.ndarray, x_shape: Tuple[int, ...], kh: int, kw: int,
            stride: int, pad: int, oh: int, ow: int) -> np.ndarray:
     """Scatter (N*OH*OW, KH*KW*C) patch-row gradients back to NHWC.
 
-    One vectorized scatter-add (``np.bincount`` over precomputed flat
-    indices) instead of a Python ``kh x kw`` slice loop.  Accumulation per
-    output cell follows the flattened (n, oh, ow, kh, kw, c) element order,
-    which only mixes contributions from the same example — so the result for
-    any contiguous row range equals running the scatter on that range alone
-    (the property the segmented wave kernels rely on).
+    A vectorized scatter-add (``np.bincount`` over a cached flat index)
+    instead of a Python ``kh x kw`` slice loop, run one cache-sized chunk of
+    whole examples at a time into slices of one output.  Guaranteed:
+
+    * accumulation per output cell is float64 and follows the flattened
+      (n, oh, ow, kh, kw, c) element order, which only mixes contributions
+      from the same example — so the result for any contiguous row range
+      equals running the scatter on that range alone (the property both the
+      chunking and the segmented wave kernels rely on);
+    * the result has ``cols.dtype`` and is C-contiguous (n, hp, wp, c) when
+      ``pad == 0``, else the interior view of that padded array — reductions
+      downstream follow this layout;
+    * no index is built per call: the scatter reads a cached chunk table of
+      at most ``_COL2IM_CHUNK_ENTRIES`` entries (one plane, if that is
+      larger), kept for at most eight geometries.
     """
     n, h, w, c = x_shape
     hp, wp = h + 2 * pad, w + 2 * pad
-    plane = _col2im_plane_indices(c, hp, wp, oh, ow, kh, kw, stride)
-    offsets = np.arange(n, dtype=plane.dtype) * (hp * wp * c)
-    idx = (offsets[:, None] + plane[None, :]).reshape(-1)
-    out = np.bincount(idx, weights=cols.reshape(-1), minlength=n * hp * wp * c)
-    out = out.reshape(n, hp, wp, c).astype(cols.dtype, copy=False)
+    # np.bincount copies an index it may not write to (it asks NumPy for a
+    # writeable array): scatter through the table's own buffer.
+    index = _col2im_chunk_indices(c, hp, wp, oh, ow, kh, kw, stride).base
+    rows, cells = oh * ow * kh * kw * c, hp * wp * c  # per example: in, out
+    step = index.size // rows
+    flat = cols.reshape(-1)
+    out = np.empty(n * cells, dtype=cols.dtype)
+    for start in range(0, n, step):
+        stop = start + step if start + step < n else n  # the last chunk may be short
+        out[start * cells : stop * cells] = np.bincount(
+            index[: (stop - start) * rows], weights=flat[start * rows : stop * rows],
+            minlength=(stop - start) * cells)
+    out = out.reshape(n, hp, wp, c)
     if pad:
         out = out[:, pad : pad + h, pad : pad + w, :]
     return out
@@ -285,7 +338,7 @@ class Conv2D(Module):
         super().__init__()
         if padding not in ("same", "valid"):
             raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
-        if padding == "same" and stride != 1 and kernel_size % 2 == 0:
+        if padding == "same" and kernel_size % 2 == 0:
             raise ValueError("'same' padding requires an odd kernel size")
         self.in_channels = in_channels
         self.out_channels = out_channels

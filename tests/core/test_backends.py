@@ -10,8 +10,13 @@ assert against.
 
 from __future__ import annotations
 
+import os
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import (
     ExecutionBackend,
@@ -26,12 +31,19 @@ from repro.core import (
     get_backend,
 )
 from repro.core.backends import TrainStep
-from repro.core.backends.vectorized import supports_inference, supports_training
+from repro.core.backends import fused as fused_module
+from repro.core.backends.vectorized import (
+    VectorizedRun,
+    supports_inference,
+    supports_training,
+)
 from repro.core.sharding import shard_batch
 from repro.data import make_dataset
 from repro.elastic import JobSpec
 from repro.framework import SoftmaxCrossEntropy, get_workload
+from repro.framework.layers import BatchNorm, Dense, ReLU, Residual, Sequential
 from repro.hardware import Cluster
+from repro.utils.seeding import vn_rng
 
 
 STATELESS_WORKLOADS = ("mlp_synthetic", "bert_base_glue", "transformer_wmt")
@@ -188,21 +200,26 @@ class TestTrainingEquivalence:
         _assert_bit_identical(a, b)
 
 
+def _train_step(model, dataset, sizes):
+    """A hand-built first step of ``model`` over shards of ``sizes``."""
+    from repro.core import VirtualNodeState
+
+    vn_set = VirtualNodeSet.uneven(sizes)
+    batch = sum(sizes)
+    ds = make_dataset(dataset, n=2 * batch, seed=0)
+    return TrainStep(
+        model=model, loss_fn=SoftmaxCrossEntropy(), vn_set=vn_set,
+        vn_states=[VirtualNodeState(i, {k: v.copy() for k, v in
+                                        model.state_dict().items()})
+                   for i in range(len(sizes))],
+        shards=shard_batch(vn_set, ds.x_train[:batch], ds.y_train[:batch]),
+        seed=0, epoch=0, step=0)
+
+
 class TestFusability:
     def _step(self, workload_name, vns=4, batch=32):
         wl = get_workload(workload_name)
-        model = wl.build_model(0)
-        vn_set = VirtualNodeSet.even(batch, vns)
-        ds = make_dataset(wl.dataset, n=2 * batch, seed=0)
-        from repro.core import VirtualNodeState
-
-        return TrainStep(
-            model=model, loss_fn=SoftmaxCrossEntropy(), vn_set=vn_set,
-            vn_states=[VirtualNodeState(i, {k: v.copy() for k, v in
-                                            model.state_dict().items()})
-                       for i in range(vns)],
-            shards=shard_batch(vn_set, ds.x_train[:batch], ds.y_train[:batch]),
-            seed=0, epoch=0, step=0)
+        return _train_step(wl.build_model(0), wl.dataset, [batch // vns] * vns)
 
     def test_every_builtin_workload_fuses(self):
         """can_fuse is True for the whole zoo — no training fallback left."""
@@ -306,6 +323,204 @@ class TestFusability:
             model = wl.build_model(0)
             assert supports_training(model, SoftmaxCrossEntropy()), name
             assert supports_inference(model), name
+
+
+def _segments(sizes):
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+class TestBatchNormKernels:
+    """The one-centred-pass, tile-broadcast training kernels against the
+    reference layer run once per segment: outputs, input gradients, per-node
+    gamma/beta gradient stacks and moving statistics, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=5),
+           channels=st.sampled_from([1, 3, 6, 17]),
+           spatial=st.sampled_from([(), (1, 1), (2, 3), (4, 4)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    # Uniform segments: the (V, b, F) stack.
+    @example(sizes=[4, 4, 4], channels=6, spatial=(4, 4), seed=0)
+    @example(sizes=[3, 3], channels=17, spatial=(), seed=1)
+    # Mixed sizes with a 1-row segment: on a 2-D input its variance is
+    # exactly 0 and x_hat exactly 0 / sqrt(eps).
+    @example(sizes=[5, 1, 3, 2], channels=3, spatial=(), seed=2)
+    @example(sizes=[5, 1, 3, 2], channels=1, spatial=(2, 3), seed=3)
+    def test_forward_backward_equal_the_reference_layer(self, sizes, channels,
+                                                        spatial, seed):
+        rng = np.random.default_rng(seed)
+        batch, nodes = sum(sizes), len(sizes)
+        shape = (batch,) + spatial + (channels,)
+        x = rng.normal(size=shape) * np.exp(rng.uniform(-3, 3, size=shape))
+        grad = rng.normal(size=shape)
+        layer = BatchNorm(channels)
+        layer.params["gamma"][...] = rng.normal(size=channels)
+        layer.params["beta"][...] = rng.normal(size=channels)
+        state = {"running_mean": rng.normal(size=(nodes, channels)),
+                 "running_var": rng.uniform(0.5, 2.0, size=(nodes, channels))}
+        before = {key: value.copy() for key, value in state.items()}
+
+        run = VectorizedRun(_segments(sizes), training=True, state_views=state)
+        out = run.forward(layer, x)
+        dx = run.backward(layer, grad)
+        assert out.shape == dx.shape == shape
+
+        for i, (start, end) in enumerate(_segments(sizes)):
+            layer.load_state_dict({key: value[i] for key, value in before.items()})
+            layer.zero_grad()
+            want_out = layer.forward(x[start:end], training=True)
+            want_dx = layer.backward(grad[start:end])
+            if sizes[i] == 1 and not spatial:  # x_hat is exactly 0
+                assert (want_out == layer.params["beta"]).all()
+            np.testing.assert_array_equal(out[start:end], want_out)
+            np.testing.assert_array_equal(dx[start:end], want_dx)
+            for key in ("gamma", "beta"):
+                np.testing.assert_array_equal(run.param_grads[key][i], layer.grads[key])
+            for key in ("running_mean", "running_var"):
+                np.testing.assert_array_equal(state[key][i], layer.buffers[key])
+
+
+class _RecordingRun(VectorizedRun):
+    """A VectorizedRun that remembers its GEMM weight operands."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.gemm_weights = []
+
+    def seg_matmul(self, a, w):
+        self.gemm_weights.append(w)
+        return super().seg_matmul(a, w)
+
+    def issued_input_grad_gemm(self, weight: np.ndarray) -> bool:
+        """Whether ``g @ weight.T`` (as 2-D GEMM operands) was multiplied."""
+        w2t = weight.reshape(-1, weight.shape[-1]).T
+        return any(w.shape == w2t.shape and w.strides == w2t.strides
+                   and np.shares_memory(w, weight) for w in self.gemm_weights)
+
+
+def _first_and_later_weights(model):
+    """The first parameterised module's weight, and every other GEMM weight."""
+    weights = [m.params["w"] for m in model.modules() if "w" in m.params]
+    first = next(m for m in model.modules() if m.params)
+    return first.params.get("w"), [w for w in weights if w is not first.params.get("w")]
+
+
+class TestBatchInputHasNoGradient:
+    """One fused step against the reference loop, node by node — with the
+    input-gradient work of the layer that consumes the batch never done."""
+
+    def _check(self, step, monkeypatch):
+        model = step.model
+        # The reference loop, one wave at a time.
+        want_grads, want_states = [], []
+        for node, (x, y) in zip(step.vn_set, step.shards):
+            model.load_state_dict(step.vn_states[node.index].buffers)
+            logits = model.forward(x, training=True,
+                                   rng=vn_rng(step.seed, step.epoch, step.step, node.index))
+            step.loss_fn.forward(logits, y)
+            model.zero_grad()
+            model.backward(step.loss_fn.backward())
+            want_grads.append({k: v.copy() for k, v in model.gradients().items()})
+            want_states.append(model.state_dict())
+
+        made = []
+        monkeypatch.setattr(fused_module, "VectorizedRun",
+                            lambda *a, **k: made.append(_RecordingRun(*a, **k)) or made[-1])
+        backend = FusedBackend()
+        backend._reference.train_step = None  # the vectorized path or nothing
+        backend.train_step(step)
+        (run,) = made
+
+        assert set(run.param_grads) == set(want_grads[0])
+        for key, stack in run.param_grads.items():
+            for i, want in enumerate(want_grads):
+                np.testing.assert_array_equal(stack[i], want[key], err_msg=f"{key}[{i}]")
+        for state, want in zip(step.vn_states, want_states):
+            assert set(state.buffers) == set(want)
+            for key in want:
+                np.testing.assert_array_equal(state.buffers[key], want[key], err_msg=key)
+
+        first, later = _first_and_later_weights(model)
+        if first is not None:  # None: the first parameterised layer is an Embedding
+            assert not run.issued_input_grad_gemm(first)
+        assert later
+        return run, later
+
+    @pytest.mark.parametrize("workload", STATELESS_WORKLOADS + STATEFUL_WORKLOADS)
+    @pytest.mark.parametrize("sizes", [[4, 4, 4, 4], [6, 1, 5, 4]])
+    def test_every_zoo_workload(self, workload, sizes, monkeypatch):
+        wl = get_workload(workload)
+        self._check(_train_step(wl.build_model(0), wl.dataset, sizes), monkeypatch)
+
+    def test_dense_first_model_skips_only_the_first_gemm(self, monkeypatch):
+        wl = get_workload("mlp_synthetic")
+        run, later = self._check(_train_step(wl.build_model(0), wl.dataset, [4] * 4),
+                                 monkeypatch)
+        assert all(run.issued_input_grad_gemm(w) for w in later)
+
+    def test_leading_residual_passes_the_flag_to_its_body_only(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        wl = get_workload("mlp_synthetic")
+        model = Sequential(
+            Residual(Sequential(Dense(32, 20, rng), ReLU(), Dense(20, 32, rng))),
+            Residual(Sequential(Dense(32, 12, rng), ReLU(), Dense(12, 32, rng))),
+            Dense(32, 10, rng))
+        run, later = self._check(_train_step(model, wl.dataset, [5, 3, 4]), monkeypatch)
+        # Every layer but the first still hands a gradient to its producer.
+        assert len(later) == 4 and all(run.issued_input_grad_gemm(w) for w in later)
+
+    def test_a_run_asked_for_the_input_gradient_still_computes_it(self):
+        rng = np.random.default_rng(0)
+        model = Sequential(Residual(Sequential(Dense(6, 9, rng), ReLU(), Dense(9, 6, rng))))
+        x, grad = rng.normal(size=(8, 6)), rng.normal(size=(8, 6))
+        model.forward(x, training=True)
+        want = model.backward(grad)
+        run = VectorizedRun(_segments([4, 4]), training=True)
+        run.forward(model, x)
+        np.testing.assert_array_equal(run.backward(model, grad), want)
+        skipped = VectorizedRun(_segments([4, 4]), training=True)
+        skipped.forward(model, x)
+        assert skipped.backward(model, grad, input_grad=False) is None
+        for key, stack in run.param_grads.items():
+            np.testing.assert_array_equal(stack, skipped.param_grads[key])
+
+
+class TestLedgerTrainingRun:
+    """The ledger's ``train_fused`` scenario, held to the two mechanisms its
+    wall time depends on — by counts and traced bytes, never by a clock."""
+
+    @pytest.fixture()
+    def argv(self, tmp_path):
+        sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                        os.pardir, os.pardir, "benchmarks", "e2e"))
+        try:
+            import e2e_workloads
+        finally:
+            sys.path.pop(0)
+        return e2e_workloads._train_argv(e2e_workloads.Context(0, 1.0, str(tmp_path)))
+
+    def test_scatter_count_and_traced_peak(self, argv, monkeypatch, capsys):
+        from repro import cli
+        from repro.core.backends import vectorized
+
+        calls = []
+        real = vectorized.col2im
+        monkeypatch.setattr(vectorized, "col2im",
+                            lambda *a, **k: calls.append(a[1]) or real(*a, **k))
+        assert cli.main(argv) == 0
+        # 6 steps x 5 convolutions, minus the stem's: its input is the batch.
+        assert len(calls) == 24
+        assert all(shape[-1] == 6 for shape in calls)  # never the 3-channel images
+
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 60e6
 
 
 class TestInferenceEquivalence:

@@ -155,6 +155,17 @@ class TestShapes:
         out = conv.forward(rng.standard_normal((1, 8, 8, 1)))
         assert out.shape == (1, 4, 4, 4)
 
+    @pytest.mark.parametrize("kernel", [2, 4])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv_same_rejects_even_kernels(self, rng, kernel, stride):
+        """pad = (k - 1) // 2 is one short for every even k: at stride 1 an
+        8x8 input came out 7x7 under a padding called "same"."""
+        with pytest.raises(ValueError, match="odd kernel size"):
+            Conv2D(3, 4, kernel, rng, stride=stride, padding="same")
+        conv = Conv2D(3, 4, kernel, rng, stride=stride, padding="valid")
+        out = conv.forward(rng.standard_normal((1, 8, 8, 3)))
+        assert out.shape[1] == (8 - kernel) // stride + 1
+
     def test_maxpool_shape_and_values(self):
         x = np.arange(16, dtype=float).reshape(1, 4, 4, 1)
         out = MaxPool2D(2).forward(x)
