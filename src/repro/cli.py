@@ -45,6 +45,7 @@ from repro.core import (
     VirtualNodeSet,
     backend_names,
 )
+from repro.core.backends import DEFAULT_BACKEND
 from repro.data import make_dataset
 from repro.elastic import (
     ClusterSimulator,
@@ -134,6 +135,13 @@ def _make_trace(args):
     if args.trace_out is not None and args.trace_sample > 1:
         return EventTrace(args.trace_out, sample=args.trace_sample)
     return args.trace_out
+
+
+def _add_backend_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--backend", choices=backend_names(),
+                   default=DEFAULT_BACKEND,
+                   help="host execution strategy; results are bit-identical; "
+                        "`reference` is the serial oracle")
 
 
 def _add_profile_flag(p: argparse.ArgumentParser) -> None:
@@ -270,7 +278,7 @@ def _add_cosched_flags(p: argparse.ArgumentParser) -> None:
                    help="halve max-batch/max-wait while serving capacity "
                         "is derated")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backend", choices=backend_names(), default="reference")
+    _add_backend_flag(p)
     p.add_argument("--trace-out", default=None, metavar="PATH",
                    help="write the runtime's JSONL event timeline here")
     _add_profile_flag(p)
@@ -310,9 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--resize", type=_parse_resize, action="append",
                        default=[], metavar="EPOCH:DEVICES",
                        help="resize after EPOCH to DEVICES (repeatable)")
-    train.add_argument("--backend", choices=backend_names(), default="reference",
-                       help="execution backend (host strategy; results are "
-                            "backend-independent)")
+    _add_backend_flag(train)
     train.add_argument("--no-arena", action="store_true",
                        help="disable the flat tensor arena hot path (host "
                             "strategy; results are identical either way)")
@@ -327,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--requests", type=int, default=4,
                        help="number of request batches to serve")
     infer.add_argument("--seed", type=int, default=0)
-    infer.add_argument("--backend", choices=backend_names(), default="reference")
+    _add_backend_flag(infer)
 
     serve = sub.add_parser(
         "serve", help="online serving with micro-batching and autoscaling")
@@ -361,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--requests", type=_positive_int, default=None,
                        help="cap on admitted requests")
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--backend", choices=backend_names(), default="reference")
+    _add_backend_flag(serve)
     serve.add_argument("--trace-out", default=None, metavar="PATH",
                        help="write the runtime's JSONL event timeline here")
     _add_profile_flag(serve)
@@ -461,9 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="job arrivals per hour")
     simulate.add_argument("--gpus", type=_positive_int, default=8)
     simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--backend", choices=backend_names(), default="reference",
-                          help="execution backend stamped on every job in "
-                               "the trace")
+    _add_backend_flag(simulate)  # stamped on every job in the trace
     simulate.add_argument("--trace-out", default=None, metavar="PATH",
                           help="write the runtime's JSONL event timeline "
                                "here (elastic scheduler run only)")

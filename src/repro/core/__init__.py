@@ -14,9 +14,10 @@ The core is organized around two seams:
   training executor, the inference engine, and the elastic job model, so no
   driver re-implements shard/latency/plan logic;
 * the **backend seam** (:mod:`repro.core.backends`): *how* waves execute on
-  the host is a pluggable strategy.  ``reference`` is the canonical serial
-  loop and bit-exactness oracle; ``fused`` vectorizes equal-size wave groups
-  into single stacked steps, bit-identical for stateless workloads.  Future
+  the host is a pluggable strategy.  ``fused``, the default every entry
+  point runs, executes all of a step's waves — or an inference batch's
+  shards — as one segmented vectorized pass, bit-identical to ``reference``,
+  the canonical serial loop kept as the bit-exactness oracle.  Future
   strategies (async sync, multi-process devices, serving batching) plug in
   here without touching the semantic model.
 """

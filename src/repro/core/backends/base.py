@@ -17,17 +17,17 @@ module pins down the interface between the two:
 
 Built-in backends:
 
-``reference``
-    The canonical serial wave loop (:class:`~repro.core.backends.reference.
-    ReferenceBackend`).  It is the bit-exactness oracle every other backend
-    is tested against.
-
-``fused``
+``fused`` (:data:`DEFAULT_BACKEND`)
     :class:`~repro.core.backends.fused.FusedBackend` vectorizes every wave
     of a step — equal- or mixed-size, stateless or stateful (BatchNorm) —
     into one segmented forward/backward, reproducing the reference
     arithmetic bit-for-bit for all built-in workloads; only user-defined
     modules without kernels fall back to the serial loop.
+
+``reference``
+    The canonical serial wave loop (:class:`~repro.core.backends.reference.
+    ReferenceBackend`).  It is the bit-exactness oracle every other backend
+    is tested against.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from repro.framework.layers import Module
 from repro.framework.losses import Loss
 
 __all__ = [
+    "DEFAULT_BACKEND",
     "TrainStep",
     "TrainStepOutput",
     "ExecutionBackend",
@@ -53,6 +54,10 @@ __all__ = [
 ]
 
 Grads = Dict[str, np.ndarray]
+
+# The backend every entry point runs unless told otherwise, named once.
+# Results are bit-identical across backends, so this picks host cost only.
+DEFAULT_BACKEND = "fused"
 
 
 @dataclass

@@ -19,6 +19,14 @@ cost for the entire built-in workload zoo:
   through ``(V, ...)``-stacked views, and the updated rows are scattered
   back to the virtual-node states afterwards — replacing V pairs of
   ``state_dict()``/``load_state_dict()`` deep copies per step.
+* Inference batches run the same kernels over a **cached, stateless** run:
+  the run for a shard-bounds table (its segment runs, validated once) is
+  built on first use and reused for every later micro-batch of that shape —
+  a serving session asks for at most ``max_batch`` tables, thousands of
+  times each; the cache is bounded (oldest table out) and an inference
+  run stashes nothing, so it pins no arrays.  Kernel
+  dispatch is resolved once per model into a flat step list
+  (:func:`~repro.core.backends.vectorized.inference_steps`).
 * The reference loop survives only as the oracle equivalence tests assert
   against, and as the fallback for user-defined modules with no vectorized
   kernel; every built-in workload reports ``can_fuse(...) == True``.
@@ -31,7 +39,7 @@ the engine layer regardless of backend.
 from __future__ import annotations
 
 import weakref
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,17 +52,21 @@ from repro.core.backends.base import (
 from repro.core.backends.reference import ReferenceBackend
 from repro.core.backends.vectorized import (
     VectorizedRun,
-    supports_inference,
+    inference_steps,
     supports_training,
     vectorized_loss,
 )
-from repro.core.sharding import shard_indices
+from repro.core.sharding import check_shard_bounds, shard_indices
 from repro.core.state import packed_state_matrix, scatter_states, state_layout
 from repro.core.virtual_node import VirtualNodeSet
 from repro.framework.layers import Module
 from repro.utils.seeding import augment_rng, vn_rng
 
 __all__ = ["FusedBackend"]
+
+# Distinct shard-bounds tables whose inference run is kept.  A serving engine
+# asks for one per micro-batch length, so this is many engines' worth.
+_MAX_INFERENCE_RUNS = 256
 
 
 class FusedBackend(ExecutionBackend):
@@ -69,6 +81,12 @@ class FusedBackend(ExecutionBackend):
         # per-model constant; memoize it (weakly, models outlive no executor).
         self._coverage: "weakref.WeakKeyDictionary[Module, Dict[type, bool]]" = (
             weakref.WeakKeyDictionary())
+        # The same for inference: the flat kernel list per model (None when
+        # a module has no kernel and the oracle serves it), and one
+        # stateless run per shard-bounds table.
+        self._inference_steps: "weakref.WeakKeyDictionary[Module, Optional[List]]" = (
+            weakref.WeakKeyDictionary())
+        self._inference_runs: Dict[Tuple[Tuple[int, int], ...], VectorizedRun] = {}
         self._state_stack: Optional[np.ndarray] = None  # (V, S) pack scratch
 
     # -- training ------------------------------------------------------------
@@ -182,14 +200,38 @@ class FusedBackend(ExecutionBackend):
 
     # -- inference -----------------------------------------------------------
 
+    def _inference_run(self, bounds: Sequence[Tuple[int, int]],
+                       batch_size: int) -> VectorizedRun:
+        """The cached run for ``bounds``, built (and checked) on first use."""
+        table = tuple((int(start), int(end)) for start, end in bounds)
+        run = self._inference_runs.get(table)
+        if run is None:
+            check_shard_bounds(table, batch_size)
+            if len(self._inference_runs) >= _MAX_INFERENCE_RUNS:
+                del self._inference_runs[next(iter(self._inference_runs))]
+            # Non-empty shards tile the batch contiguously in canonical
+            # order, so the request batch already *is* the run's input.
+            run = self._inference_runs[table] = VectorizedRun(
+                [(start, end) for start, end in table if end > start],
+                training=False)
+        return run
+
     def infer(self, model: Module, vn_set: VirtualNodeSet, x: np.ndarray,
               bounds: Optional[Sequence[Tuple[int, int]]] = None) -> np.ndarray:
-        if not supports_inference(model):
+        try:
+            steps = self._inference_steps[model]
+        except KeyError:
+            steps = self._inference_steps[model] = inference_steps(model)
+        if steps is None:
             return self._reference.infer(model, vn_set, x, bounds)
         if bounds is None:
             bounds = shard_indices(vn_set, len(x))
-        # Non-empty shards tile the batch contiguously in canonical order, so
-        # the request batch already *is* the concatenated run input.
-        segments = [(start, end) for start, end in bounds if end > start]
-        run = VectorizedRun(segments, training=False)
-        return run.forward(model, x)
+        try:
+            run = self._inference_runs[bounds]
+        except (KeyError, TypeError):  # first use, or bounds not a tuple
+            run = self._inference_run(bounds, len(x))
+        if run.batch != len(x):
+            check_shard_bounds(bounds, len(x))  # raises: another length's table
+        for kernel, module, prefix in steps:
+            x = kernel(module, run, prefix, x)
+        return x

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.backends.base import ExecutionBackend, TrainStep, TrainStepOutput
-from repro.core.sharding import shard_indices
+from repro.core.sharding import check_shard_bounds, shard_indices
 from repro.core.sync import weighted_average, weighted_average_flat
 from repro.core.virtual_node import VirtualNodeSet
 from repro.framework.layers import Module
@@ -127,6 +127,8 @@ class ReferenceBackend(ExecutionBackend):
               bounds: Optional[Sequence[Tuple[int, int]]] = None) -> np.ndarray:
         if bounds is None:
             bounds = shard_indices(vn_set, len(x))
+        else:
+            check_shard_bounds(bounds, len(x))
         outputs: List[np.ndarray] = []
         for start, end in bounds:
             if end > start:

@@ -17,19 +17,25 @@ the reference wave loop *bit for bit*.  That constrains every kernel:
 * **GEMM geometry is sacred.**  OpenBLAS picks kernels (and therefore
   last-ulp rounding) by matrix shape, so any matmul whose M dimension
   contains the batch must present the *reference's* per-virtual-node shape.
-  Uniform segments reshape to a ``(V, rows, K)`` stack — NumPy maps that
-  onto one GEMM per stack slice with exactly the reference shapes — and
-  mixed segments issue one GEMM per contiguous segment.  Matmuls that are
+  The segment table is compressed, once per run, into maximal **runs** of
+  consecutive equal-size segments, and each run's rows reshape (for free)
+  to a ``(count, rows, K)`` stack: NumPy maps a stacked matmul onto one
+  GEMM per stack slice, so every node's GEMM keeps exactly the reference
+  M whatever its neighbours' sizes are, at one Python-level op per run
+  instead of one per node.  :func:`~repro.core.sharding.shard_indices`
+  gives the first ``n mod V`` nodes of an even set one extra row, so a
+  serving micro-batch of any length is at most two runs; a heterogeneous
+  (§5) set is one run per device type; uniform segments are one run, whose
+  stacked result is returned as it is.  Matmuls that are
   already per-example in the reference (``(b, t, K) @ (K, N)``, attention's
   per-head products) concatenate freely: the per-slice shapes are unchanged.
   (Folding the batch into one big-M GEMM was measured to differ in the last
   ulp on OpenBLAS — see ``seg_matmul`` — hence the segment table.)
 * **Reductions keep the reference's axis geometry.**  A per-wave reduction
-  over a ``(b_i, ...)`` shard becomes a reduction over that shard's
-  contiguous row segment (identical memory layout, identical pairwise
-  summation tree), or — for uniform segments — a per-slice reduction over
-  the middle axes of the ``(V, b, ...)`` stack, which NumPy reduces with
-  the identical accumulation order per slice.
+  over a ``(b_i, ...)`` shard becomes a per-slice reduction over the middle
+  axes of its run's ``(count, b, ...)`` stack: each slice is that shard's
+  contiguous row segment (identical memory layout), which NumPy reduces
+  with the identical accumulation order.
 * **Elementwise operands may be re-viewed and tiled freely; reductions and
   GEMMs may not.**  An elementwise ufunc rounds each output element from
   the same two input elements whatever the array shapes and strides are, so
@@ -76,6 +82,7 @@ loop survives only as the oracle that equivalence tests assert against.
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
@@ -90,6 +97,7 @@ __all__ = [
     "VectorizedRun",
     "supports_training",
     "supports_inference",
+    "inference_steps",
     "vectorized_loss",
 ]
 
@@ -163,9 +171,19 @@ class VectorizedRun:
         self.sizes: List[int] = [end - start for start, end in self.segments]
         self.num_stacked = len(self.segments)
         self.batch = self.segments[-1][1]
+        # Maximal runs of consecutive equal-size segments, each as (first
+        # row, end row, first node, end node, segment size): what the seg_*
+        # primitives stack over.  A uniform table is one run.
+        self.runs: List[Tuple[int, int, int, int, int]] = []
+        first = 0
+        for node in range(1, self.num_stacked + 1):
+            if node == self.num_stacked or self.sizes[node] != self.sizes[first]:
+                self.runs.append((self.segments[first][0], self.segments[node - 1][1],
+                                  first, node, self.sizes[first]))
+                first = node
         # Uniform segment size, or None when the wave group mixes sizes.
         self.uniform: Optional[int] = (
-            self.sizes[0] if len(set(self.sizes)) == 1 else None)
+            self.sizes[0] if self.runs[0][3] == self.num_stacked else None)
         self.training = training
         self.rngs = rngs
         self.state_views = state_views
@@ -230,8 +248,12 @@ class VectorizedRun:
     #
     # Everything below reproduces a per-virtual-node operation of the serial
     # loop over the concatenated batch without changing its floating-point
-    # shape: uniform segments take a free (V, rows, ...) reshape view and a
-    # per-slice vector op; mixed segments loop once per contiguous segment.
+    # shape: each run of equal-size segments takes a free (count, rows, ...)
+    # reshape view of its rows and one stacked op, which NumPy executes as
+    # ``count`` slice ops of exactly the reference shape.  A run that spans
+    # the whole table (uniform segments) returns the stacked result itself;
+    # otherwise every run writes its rows (or nodes) of one output.  Sizes
+    # in the reshapes are explicit: a table may hold an empty segment.
 
     def seg_matmul(self, a: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Per-virtual-node GEMM ``a_i @ w`` with the reference M dimension.
@@ -242,17 +264,20 @@ class VectorizedRun:
         OpenBLAS's kernel choice — measured last-ulp differences — so the
         stack/segment structure is preserved.
         """
-        k = a.shape[-1]
-        mid = a.shape[1:-1]
-        if self.uniform is not None:
-            v = self.num_stacked
-            out = a.reshape(v, -1, k) @ w
-            return out.reshape(a.shape[:-1] + (w.shape[-1],))
-        out = np.empty(a.shape[:-1] + (w.shape[-1],),
-                       dtype=np.result_type(a, w))
-        for start, end in self.segments:
-            seg = a[start:end].reshape(-1, k) @ w
-            out[start:end] = seg.reshape((end - start,) + mid + (w.shape[-1],))
+        k, n = a.shape[-1], w.shape[-1]
+        r = a.shape[1] if a.ndim == 3 else 1
+        shape = a.shape[:-1] + (n,)
+        out = None
+        for start, end, first, last, size in self.runs:
+            stack = a[start:end].reshape(last - first, size * r, k)
+            if last - first == self.num_stacked:
+                return (stack @ w).reshape(shape)
+            if out is None:
+                out = np.empty(shape, dtype=np.result_type(a, w))
+            # Straight into the run's rows of the output: no stacked
+            # temporary to allocate, fault in and copy out of.
+            np.matmul(stack, w,
+                      out=out[start:end].reshape(last - first, size * r, n))
         return out
 
     def seg_outer(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -262,14 +287,17 @@ class VectorizedRun:
         exactly like the reference's ``x.reshape(-1, K).T @ g.reshape(-1, N)``.
         """
         k, n = x.shape[-1], g.shape[-1]
-        if self.uniform is not None:
-            v = self.num_stacked
-            x3 = x.reshape(v, -1, k)
-            g3 = g.reshape(v, -1, n)
-            return x3.transpose(0, 2, 1) @ g3
-        out = np.empty((self.num_stacked, k, n), dtype=np.result_type(x, g))
-        for i, (start, end) in enumerate(self.segments):
-            out[i] = x[start:end].reshape(-1, k).T @ g[start:end].reshape(-1, n)
+        r = x.shape[1] if x.ndim == 3 else 1
+        out = None
+        for start, end, first, last, size in self.runs:
+            x3 = x[start:end].reshape(last - first, size * r, k)
+            g3 = g[start:end].reshape(last - first, size * r, n)
+            block = x3.transpose(0, 2, 1) @ g3
+            if last - first == self.num_stacked:
+                return block
+            if out is None:
+                out = np.empty((self.num_stacked, k, n), dtype=block.dtype)
+            out[first:last] = block
         return out
 
     def seg_sum(self, t: np.ndarray) -> np.ndarray:
@@ -279,27 +307,33 @@ class VectorizedRun:
         memory layout and pairwise summation tree as the reference's
         ``np.sum(t_i, axis=all-but-last)``.
         """
-        if self.uniform is not None:
-            v = self.num_stacked
-            ts = t.reshape((v, self.uniform) + t.shape[1:])
-            return ts.sum(axis=tuple(range(1, ts.ndim - 1)))
-        out = np.empty((self.num_stacked, t.shape[-1]), dtype=t.dtype)
-        axes = tuple(range(t.ndim - 1))
-        for i, (start, end) in enumerate(self.segments):
-            out[i] = np.sum(t[start:end], axis=axes)
+        axes = tuple(range(1, t.ndim))
+        out = None
+        for start, end, first, last, size in self.runs:
+            block = t[start:end].reshape(
+                (last - first, size) + t.shape[1:]).sum(axis=axes)
+            if last - first == self.num_stacked:
+                return block
+            if out is None:
+                out = np.empty((self.num_stacked, t.shape[-1]), dtype=block.dtype)
+            out[first:last] = block
         return out
 
     def seg_mean(self, t: np.ndarray) -> np.ndarray:
         """Per-virtual-node mean over all axes but the last: ``(V, C)``."""
-        if self.uniform is not None:
-            v = self.num_stacked
-            ts = t.reshape((v, self.uniform) + t.shape[1:])
-            return ts.mean(axis=tuple(range(1, ts.ndim - 1)))
-        mean = np.empty((self.num_stacked, t.shape[-1]), dtype=t.dtype)
-        axes = tuple(range(t.ndim - 1))
-        for i, (start, end) in enumerate(self.segments):
-            mean[i] = t[start:end].mean(axis=axes)
-        return mean
+        # seg_sum's body with ``mean``: a shared helper would cost every
+        # reduction of a training step one more interpreter-level call.
+        axes = tuple(range(1, t.ndim))
+        out = None
+        for start, end, first, last, size in self.runs:
+            block = t[start:end].reshape(
+                (last - first, size) + t.shape[1:]).mean(axis=axes)
+            if last - first == self.num_stacked:
+                return block
+            if out is None:
+                out = np.empty((self.num_stacked, t.shape[-1]), dtype=block.dtype)
+            out[first:last] = block
+        return out
 
     def seg_counts(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
         """Elements per channel in each node's segment of a ``shape`` tensor,
@@ -369,6 +403,37 @@ def supports_inference(model: Module) -> bool:
     return all(_lookup(_FWD, type(m)) is not None for m in model.modules())
 
 
+def inference_steps(model: Module) -> Optional[List[Tuple[Callable, Module, str]]]:
+    """``model``'s inference forward as a flat ``(kernel, module, prefix)``
+    list, or ``None`` when some module has no forward kernel.
+
+    Dispatch resolved once instead of per call: ``Sequential`` nesting is
+    flattened and ``Dropout`` — the identity outside training — is dropped,
+    so ``for kernel, module, prefix in steps: x = kernel(module, run,
+    prefix, x)`` on an inference run equals ``run.forward(model, x)``.
+    Other containers stay one step and dispatch their children themselves.
+    The list is meant to be cached per model, weakly: a step on ``model``
+    itself (a model that is not a ``Sequential``) holds it through a weak
+    proxy, so the cached value never keeps its own key alive.
+    """
+    if not supports_inference(model):
+        return None
+    steps: List[Tuple[Callable, Module, str]] = []
+
+    def flatten(module: Module, prefix: str) -> None:
+        kernel = _lookup(_FWD, type(module))
+        if kernel is _sequential_fwd:
+            for name, child in module.children():
+                flatten(child, f"{prefix}{name}.")
+        elif kernel is not _dropout_fwd:
+            steps.append((kernel, module, prefix))
+
+    flatten(model, "")
+    if steps and steps[0][1] is model:
+        steps[0] = (steps[0][0], weakref.proxy(model), "")
+    return steps
+
+
 # ---------------------------------------------------------------------------
 # Layer kernels.  Shapes are the reference shapes with the batch axis holding
 # the concatenated wave group: a per-wave (b_i, ...) tensor is rows
@@ -378,11 +443,13 @@ def supports_inference(model: Module) -> bool:
 
 @_fwd(L.Dense)
 def _dense_fwd(m: L.Dense, run: VectorizedRun, prefix: str, x):
-    run.put(prefix, x)
-    if x.ndim == 2:
+    if run.training:
+        run.put(prefix, x)
+    if x.ndim == 2 and run.num_stacked > 1:
         # Batch in the GEMM's M dimension: keep per-node geometry.
         return run.seg_matmul(x, m.params["w"]) + m.params["b"]
-    # (B, t, K) @ (K, N): already one GEMM per example, like the reference.
+    # (B, t, K) @ (K, N) is one GEMM per example and one node's (b, K) @
+    # (K, N) is one GEMM: both already are the reference's.
     return x @ m.params["w"] + m.params["b"]
 
 
@@ -401,7 +468,8 @@ def _dense_bwd(m: L.Dense, run: VectorizedRun, prefix: str, grad, input_grad):
 @_fwd(L.ReLU)
 def _relu_fwd(m: L.ReLU, run: VectorizedRun, prefix: str, x):
     mask = x > 0
-    run.put(prefix, mask)
+    if run.training:
+        run.put(prefix, mask)
     return x * mask
 
 
@@ -414,7 +482,8 @@ def _relu_bwd(m: L.ReLU, run: VectorizedRun, prefix: str, grad, input_grad):
 @_fwd(L.Tanh)
 def _tanh_fwd(m: L.Tanh, run: VectorizedRun, prefix: str, x):
     t = np.tanh(x)
-    run.put(prefix, t)
+    if run.training:
+        run.put(prefix, t)
     return t
 
 
@@ -428,7 +497,8 @@ def _tanh_bwd(m: L.Tanh, run: VectorizedRun, prefix: str, grad, input_grad):
 def _gelu_fwd(m: L.GELU, run: VectorizedRun, prefix: str, x):
     u = L.GELU._C * (x + 0.044715 * x**3)
     t = np.tanh(u)
-    run.put(prefix, x, t)
+    if run.training:
+        run.put(prefix, x, t)
     return 0.5 * x * (1.0 + t)
 
 
@@ -442,7 +512,9 @@ def _gelu_bwd(m: L.GELU, run: VectorizedRun, prefix: str, grad, input_grad):
 
 @_fwd(L.Dropout)
 def _dropout_fwd(m: L.Dropout, run: VectorizedRun, prefix: str, x):
-    if not run.training or m.rate == 0.0:
+    if not run.training:
+        return x
+    if m.rate == 0.0:
         run.put(prefix, None)
         return x
     if run.rngs is None:
@@ -467,7 +539,8 @@ def _dropout_bwd(m: L.Dropout, run: VectorizedRun, prefix: str, grad, input_grad
 
 @_fwd(L.Flatten)
 def _flatten_fwd(m: L.Flatten, run: VectorizedRun, prefix: str, x):
-    run.put(prefix, x.shape)
+    if run.training:
+        run.put(prefix, x.shape)
     return x.reshape(x.shape[0], -1)
 
 
@@ -483,7 +556,8 @@ def _layernorm_fwd(m: L.LayerNorm, run: VectorizedRun, prefix: str, x):
     var = x.var(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + m.eps)
     x_hat = (x - mean) * inv_std
-    run.put(prefix, x_hat, inv_std)
+    if run.training:
+        run.put(prefix, x_hat, inv_std)
     return m.params["gamma"] * x_hat + m.params["beta"]
 
 
@@ -560,7 +634,8 @@ def _embedding_fwd(m: L.Embedding, run: VectorizedRun, prefix: str, tokens):
     tokens = np.asarray(tokens)
     if tokens.min() < 0 or tokens.max() >= m.vocab_size:
         raise ValueError("token id out of range")
-    run.put(prefix, tokens)
+    if run.training:
+        run.put(prefix, tokens)
     return m.params["table"][tokens]
 
 
@@ -603,7 +678,8 @@ def _mhsa_fwd(m: L.MultiHeadSelfAttention, run: VectorizedRun, prefix: str, x):
     ctx = attn @ v
     merged = _merge_heads(ctx)
     out = merged @ p["wo"] + p["bo"]
-    run.put(prefix, x, q, k, v, attn, merged, scale)
+    if run.training:
+        run.put(prefix, x, q, k, v, attn, merged, scale)
     return out
 
 
@@ -696,7 +772,8 @@ def _conv2d_fwd(m: L.Conv2D, run: VectorizedRun, prefix: str, x):
     out = run.seg_matmul(cols, w2)
     tiles = run.tiled(out)
     tiles += run.tile(m.params["b"], out.shape)
-    run.put(prefix, x.shape, cols, oh, ow)
+    if run.training:
+        run.put(prefix, x.shape, cols, oh, ow)
     return tiles.reshape(x.shape[0], oh, ow, m.out_channels)
 
 
@@ -725,8 +802,8 @@ def _maxpool_fwd(m: L.MaxPool2D, run: VectorizedRun, prefix: str, x):
         raise ValueError(f"input spatial dims {(h, w)} not divisible by pool {p}")
     xr = x.reshape(n, h // p, p, w // p, p, c)
     out = xr.max(axis=(2, 4))
-    mask = xr == out[:, :, None, :, None, :]
-    run.put(prefix, mask, x.shape)
+    if run.training:
+        run.put(prefix, xr == out[:, :, None, :, None, :], x.shape)
     return out
 
 
@@ -741,7 +818,8 @@ def _maxpool_bwd(m: L.MaxPool2D, run: VectorizedRun, prefix: str, grad, input_gr
 
 @_fwd(L.GlobalAvgPool2D)
 def _gap_fwd(m: L.GlobalAvgPool2D, run: VectorizedRun, prefix: str, x):
-    run.put(prefix, x.shape)
+    if run.training:
+        run.put(prefix, x.shape)
     return x.mean(axis=(1, 2))
 
 
@@ -773,7 +851,8 @@ def _tinybert_fwd(m: M.TinyBert, run: VectorizedRun, prefix: str, tokens):
          + run.forward(m.pos, positions, prefix + "pos."))
     for i, block in enumerate(m.blocks):
         x = run.forward(block, x, f"{prefix}block{i}.")
-    run.put(prefix, tokens.shape)
+    if run.training:
+        run.put(prefix, tokens.shape)
     pooled = x.mean(axis=1)
     return run.forward(m.head, run.forward(m.pooler, pooled, prefix + "pooler."),
                        prefix + "head.")

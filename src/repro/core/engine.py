@@ -24,9 +24,9 @@ priced with, so schedule arithmetic has one owner.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.core.backends import ExecutionBackend, get_backend
+from repro.core.backends import DEFAULT_BACKEND, ExecutionBackend, get_backend
 from repro.core.mapping import Mapping
 from repro.core.plan import ExecutionPlan
 from repro.core.sharding import shard_indices
@@ -47,7 +47,7 @@ class VirtualNodeEngine:
     """Physical execution substrate for one job under one mapping."""
 
     def __init__(self, workload: Workload, mapping: Mapping,
-                 backend: object = "reference",
+                 backend: object = DEFAULT_BACKEND,
                  perf: Optional[PerfModel] = None) -> None:
         self.workload = workload
         self.backend: ExecutionBackend = get_backend(backend)
@@ -68,7 +68,7 @@ class VirtualNodeEngine:
         self._step_time: Optional[float] = None
         # batch length -> (shard bounds, latency, waves)
         self._inference_plans: Dict[
-            int, Tuple[List[Tuple[int, int]], float, int]] = {}
+            int, Tuple[Tuple[Tuple[int, int], ...], float, int]] = {}
 
     # -- queries -------------------------------------------------------------
 
@@ -102,18 +102,20 @@ class VirtualNodeEngine:
         return latency, waves
 
     def inference_plan(self, batch_size: int,
-                       ) -> Tuple[List[Tuple[int, int]], float, int]:
+                       ) -> Tuple[Tuple[Tuple[int, int], ...], float, int]:
         """``(shard bounds, latency, waves)`` for a batch of ``batch_size``.
 
         The bounds are :func:`~repro.core.sharding.shard_indices` and the
         latency/waves :meth:`inference_latency` of their sizes, computed
         once per batch length and mapping — a serving run asks for at most
-        ``max_batch`` distinct lengths, thousands of times each.  Callers
-        must not mutate the returned bounds.
+        ``max_batch`` distinct lengths, thousands of times each.  Every
+        caller receives the same plan object, so the bounds are a tuple of
+        tuples: immutable, and hashable — the fused backend keys its cached
+        inference run on them.
         """
         plan = self._inference_plans.get(batch_size)
         if plan is None:
-            bounds = shard_indices(self.vn_set, batch_size)
+            bounds = tuple(shard_indices(self.vn_set, batch_size))
             latency, waves = self.inference_latency(
                 [end - start for start, end in bounds])
             plan = self._inference_plans[batch_size] = (bounds, latency, waves)

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.backends import TrainStep
+from repro.core.backends import DEFAULT_BACKEND, TrainStep
 from repro.core.engine import VirtualNodeEngine
 from repro.core.gradient_buffer import GradientBuffer
 from repro.core.mapping import Mapping
@@ -89,8 +89,9 @@ class VirtualFlowExecutor:
     seed:
         Root seed for all per-virtual-node randomness.
     backend:
-        Execution-backend name or instance (``"reference"`` or ``"fused"``);
-        selects the host execution strategy, never the numeric results.
+        Execution-backend name or instance (``"fused"``, the default, or
+        the serial ``"reference"`` oracle); selects the host execution
+        strategy, never the numeric results.
     arena:
         Install a :class:`~repro.framework.arena.FlatTensorArena` on the
         model (default): parameters and gradients live in two contiguous
@@ -103,7 +104,7 @@ class VirtualFlowExecutor:
     def __init__(self, workload: Workload, model: Module, loss_fn: Loss,
                  optimizer: Optimizer, mapping: Mapping, seed: int = 0,
                  perf: Optional[PerfModel] = None, augment=None,
-                 backend: object = "reference", arena: bool = True) -> None:
+                 backend: object = DEFAULT_BACKEND, arena: bool = True) -> None:
         self.workload = workload
         self.model = model
         self.loss_fn = loss_fn

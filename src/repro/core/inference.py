@@ -7,9 +7,10 @@ latency) or spread out (fewer waves, less latency) without changing results.
 
 :class:`InferenceEngine` is a thin driver over the shared
 :class:`~repro.core.engine.VirtualNodeEngine`: sharding and the numeric
-forward passes go through the selected execution backend (the ``fused``
-backend runs all shards — equal- or mixed-size — as one segmented
-vectorized pass), and per-request
+forward passes go through the selected execution backend (the default
+``fused`` backend runs all shards — equal- or mixed-size — as one segmented
+vectorized pass over a run it caches per shard-bounds table: bounded, and
+stateless, so nothing of one micro-batch outlives it), and per-request
 latency accounting uses the engine's validated plan — the same plan/latency
 logic training uses, not a private reimplementation.
 
@@ -35,6 +36,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.backends import DEFAULT_BACKEND
 from repro.core.engine import VirtualNodeEngine
 from repro.core.mapping import Mapping
 from repro.core.plan import ExecutionPlan
@@ -71,7 +73,7 @@ class InferenceEngine:
 
     def __init__(self, workload: Workload, model: Module, mapping: Mapping,
                  perf: Optional[PerfModel] = None,
-                 backend: object = "reference",
+                 backend: object = DEFAULT_BACKEND,
                  vn_states: Optional[Sequence[VirtualNodeState]] = None) -> None:
         self.workload = workload
         self.model = model
@@ -184,7 +186,9 @@ class InferenceEngine:
         """
         if len(examples) == 0:
             raise ValueError("cannot serve an empty micro-batch")
-        return self.predict(np.stack(list(examples), axis=0))
+        # One array construction gathers the rows (ragged payloads raise
+        # ValueError here, as stacking them would).
+        return self.predict(np.array(examples))
 
     def remap(self, mapping: Mapping) -> None:
         """Move the serving job to different hardware (no state migration

@@ -10,13 +10,13 @@ training, §5.2 "Data sharding") fall out of the same code path.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.virtual_node import VirtualNodeSet
 
-__all__ = ["shard_sizes", "shard_batch", "shard_indices"]
+__all__ = ["shard_sizes", "shard_batch", "shard_indices", "check_shard_bounds"]
 
 
 def shard_sizes(vn_set: VirtualNodeSet, batch_size: int) -> List[int]:
@@ -53,6 +53,28 @@ def shard_indices(vn_set: VirtualNodeSet, batch_size: int) -> List[Tuple[int, in
     if start != batch_size:
         raise AssertionError(f"shard sizes {sizes} do not cover batch {batch_size}")
     return bounds
+
+
+def check_shard_bounds(bounds: Sequence[Tuple[int, int]], batch_size: int) -> None:
+    """Raise ``ValueError`` unless ``bounds`` tile ``[0, batch_size)``.
+
+    What :func:`shard_indices` guarantees and what a backend handed
+    caller-made bounds must check: contiguous ``[start, end)`` slices in
+    order from row 0 (empty ones allowed) that end at the batch length.  A
+    gap, an overlap or a short table would otherwise drop rows or regroup
+    them into shards no virtual node ever had.
+    """
+    row = 0
+    for start, end in bounds:
+        if start != row or end < start:
+            raise ValueError(
+                f"shard bounds {list(bounds)} do not tile the batch "
+                f"contiguously from row 0")
+        row = end
+    if row != batch_size:
+        raise ValueError(
+            f"shard bounds {list(bounds)} cover {row} rows of a batch of "
+            f"{batch_size}")
 
 
 def shard_batch(vn_set: VirtualNodeSet, x: np.ndarray, y: np.ndarray,

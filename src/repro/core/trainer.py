@@ -20,6 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.backends import DEFAULT_BACKEND, get_backend
 from repro.core.executor import StepResult, VirtualFlowExecutor
 from repro.core.mapping import Mapping
 from repro.core.virtual_node import VirtualNodeSet
@@ -41,10 +42,10 @@ class TrainerConfig:
     (``device_type``, ``num_devices``) only affect simulated time and memory
     feasibility.  ``vn_sizes`` overrides even splitting for heterogeneous
     configurations.  ``backend`` picks the host execution strategy
-    (``"reference"`` or ``"fused"``) — it changes wall-clock cost only,
-    never the training trajectory.  ``arena`` (default on) runs the
-    parameter/gradient hot path over contiguous flat buffers — also host
-    wall-clock only, bit-identical results.
+    (``"fused"``, or the serial ``"reference"`` oracle) — it changes
+    wall-clock cost only, never the training trajectory.  ``arena``
+    (default on) runs the parameter/gradient hot path over contiguous flat
+    buffers — also host wall-clock only, bit-identical results.
     """
 
     workload: str
@@ -56,12 +57,10 @@ class TrainerConfig:
     dataset_size: int = 4096
     vn_sizes: Optional[Sequence[int]] = None
     learning_rate: Optional[float] = None
-    backend: str = "reference"
+    backend: str = DEFAULT_BACKEND
     arena: bool = True
 
     def __post_init__(self) -> None:
-        from repro.core.backends import get_backend
-
         get_backend(self.backend)  # raises on unknown names, same resolver
         if self.global_batch_size < 1:
             raise ValueError("global_batch_size must be >= 1")

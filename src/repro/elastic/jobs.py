@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Tuple
 
+from repro.core.backends import DEFAULT_BACKEND, get_backend
 from repro.framework.models import Workload, get_workload
 from repro.hardware.device import DeviceSpec, get_spec
 from repro.hardware.perfmodel import PerfModel, StepTimeBreakdown
@@ -48,11 +49,9 @@ class JobSpec:
     arrival_time: float = 0.0
     device_type: str = "V100"
     min_gpus: int = 1
-    backend: str = "reference"
+    backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:
-        from repro.core.backends import get_backend
-
         get_backend(self.backend)  # raises on unknown names, same resolver
         if self.demand_gpus < 1:
             raise ValueError("demand_gpus must be >= 1")

@@ -24,6 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.backends import DEFAULT_BACKEND
 from repro.elastic.jobs import JobSpec
 from repro.utils.seeding import derive_rng
 
@@ -81,7 +82,7 @@ def _pick_config(rng: np.random.Generator, template: TraceJob,
 def generate_trace(num_jobs: int, jobs_per_hour: float, seed: int = 0,
                    target_runtime: float = 1800.0,
                    workloads: Optional[Sequence[TraceJob]] = None,
-                   backend: str = "reference") -> List[JobSpec]:
+                   backend: str = DEFAULT_BACKEND) -> List[JobSpec]:
     """Poisson-arrival trace drawn from the Table 3 mix.
 
     ``target_runtime`` sets each job's step budget so it would run roughly
@@ -199,10 +200,11 @@ def serving_arrival_times(phases: Sequence[ServingPhase], seed: int = 0,
         while not done and (limit is None or count < limit):
             if not len(draws):
                 draws = rng.standard_exponential(block)
-            with np.errstate(over="ignore"):  # a vanishing rate's gaps are inf
+            # A vanishing rate's gaps are inf, or finite and sum to inf.
+            with np.errstate(over="ignore"):
                 gaps = draws * (1.0 / phase.rate)
-            gaps[0] += t
-            clock = np.cumsum(gaps)  # the loop's t after each draw
+                gaps[0] += t
+                clock = np.cumsum(gaps)  # the loop's t after each draw
             cut = int(np.searchsorted(clock, phase_end, side="left"))
             done = cut < len(clock)  # draw ``cut`` reached the boundary
             used = cut + 1 if done else cut

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.chaos import (ChaosController, ChaosProcess,
                          FailureDomainTopology, FaultPlan)
+from repro.core.backends import DEFAULT_BACKEND
 from repro.core.fault_tolerance import RecoveryPolicy
 from repro.elastic.jobs import JobSpec, JobState
 from repro.elastic.simulator import Scheduler, TrainingClusterProcess
@@ -241,7 +242,7 @@ def run_cosched(workload_name: str, phases: Sequence[ServingPhase],
                 min_devices: int = 1, cooldown: float = 0.25,
                 train_floor: int = 0, resize_delay: float = 0.5,
                 scheduler: Optional[Scheduler] = None,
-                backend: object = "reference", seed: int = 0,
+                backend: object = DEFAULT_BACKEND, seed: int = 0,
                 limit: Optional[int] = None,
                 source: Optional[RequestSource] = None,
                 trace: Optional[Union[str, EventTrace]] = None,

@@ -195,29 +195,34 @@ class OpenLoopPoissonSource(RequestSource):
         self._tenant_table = tenant_table
         self._bank = _ExampleBank(examples)
         self._next = 0
+        # The next pending arrival as a plain float (None once drained), so
+        # peeking and empty pulls touch no array.
+        self._next_time: Optional[float] = (
+            float(times[0]) if times.size else None)
 
     @property
     def total_requests(self) -> int:
         return len(self._times)
 
     def next_arrival_time(self) -> Optional[float]:
-        if self._next >= len(self._times):
-            return None
-        return float(self._times[self._next])
+        return self._next_time
 
     def _cut(self, until: float) -> ArrivalWave:
+        # Nothing pending at or before ``until``: a float compare.
+        if self._next_time is None or until < self._next_time:
+            return EMPTY_WAVE
         # One searchsorted over the sorted arrival array cuts the wave;
         # nothing per request happens until admission has decided.
         end = int(np.searchsorted(self._times, until, side="right"))
         start = self._next
-        if end <= start:
-            return EMPTY_WAVE
         idx = self._tenant_idx
         wave = ArrivalWave(times=self._times[start:end], first_id=start,
                            bank=self._bank, first_cursor=self._bank.cursor,
                            tenant_idx=None if idx is None else idx[start:end],
                            tenant_table=self._tenant_table)
         self._next = end
+        self._next_time = (
+            float(self._times[end]) if end < self._times.size else None)
         self._bank.advance(end - start)
         return wave
 

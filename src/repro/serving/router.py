@@ -53,6 +53,7 @@ from typing import (
 
 import numpy as np
 
+from repro.core.backends import DEFAULT_BACKEND
 from repro.core.engine import VirtualNodeEngine
 from repro.core.inference import InferenceEngine
 from repro.core.mapping import Mapping
@@ -904,7 +905,7 @@ def serve_workload(workload_name: str, phases: Sequence[ServingPhase], *,
                    initial_devices: Optional[int] = None,
                    autoscale: bool = False, slo_p99: Optional[float] = None,
                    min_devices: int = 1, cooldown: float = 0.25,
-                   backend: object = "reference", seed: int = 0,
+                   backend: object = DEFAULT_BACKEND, seed: int = 0,
                    limit: Optional[int] = None,
                    source: Optional[RequestSource] = None,
                    collect_logits: bool = False,

@@ -200,19 +200,25 @@ class TestTrainingEquivalence:
         _assert_bit_identical(a, b)
 
 
-def _train_step(model, dataset, sizes):
-    """A hand-built first step of ``model`` over shards of ``sizes``."""
+def _train_step(model, dataset, sizes, loss_fn=None, xy=None):
+    """A hand-built first step of ``model`` over shards of ``sizes``.
+
+    The batch is the head of ``dataset``, or the explicit ``xy`` pair for a
+    model no registered dataset feeds.
+    """
     from repro.core import VirtualNodeState
 
     vn_set = VirtualNodeSet.uneven(sizes)
     batch = sum(sizes)
-    ds = make_dataset(dataset, n=2 * batch, seed=0)
+    if xy is None:
+        ds = make_dataset(dataset, n=2 * batch, seed=0)
+        xy = ds.x_train[:batch], ds.y_train[:batch]
     return TrainStep(
-        model=model, loss_fn=SoftmaxCrossEntropy(), vn_set=vn_set,
+        model=model, loss_fn=loss_fn or SoftmaxCrossEntropy(), vn_set=vn_set,
         vn_states=[VirtualNodeState(i, {k: v.copy() for k, v in
                                         model.state_dict().items()})
                    for i in range(len(sizes))],
-        shards=shard_batch(vn_set, ds.x_train[:batch], ds.y_train[:batch]),
+        shards=shard_batch(vn_set, *xy),
         seed=0, epoch=0, step=0)
 
 

@@ -197,11 +197,30 @@ class TestRemap:
                     shard_sizes(vn_set, size))
                 assert (got.sim_latency, got.waves) == (latency, waves)
                 bounds, *_ = engine.engine.inference_plan(size)
-                assert bounds == shard_indices(vn_set, size)
+                assert bounds == tuple(shard_indices(vn_set, size))
                 np.testing.assert_array_equal(
                     got.logits, fresh.predict(batch[:size]).logits)
             seen.add(engine.predict(batch[:8]).sim_latency)
         assert len(seen) == 3  # 4xV100 twice; the others price differently
+
+    def test_plan_memo_hands_out_one_immutable_plan(self):
+        """Every caller of a batch length gets the same object — the fused
+        backend keys its cached run on the bounds — so nothing in it may be
+        mutable; a remap re-prices the latency and leaves the table equal."""
+        engine = _engine(num_devices=4, num_vns=4, batch=4)
+        plan = engine.engine.inference_plan(6)
+        assert engine.engine.inference_plan(6) is plan
+        bounds, latency, _ = plan
+        assert bounds == ((0, 2), (2, 4), (4, 5), (5, 6))
+        assert type(bounds) is tuple and {type(b) for b in bounds} == {tuple}
+        assert hash(bounds) == hash(((0, 2), (2, 4), (4, 5), (5, 6)))
+        with pytest.raises(AttributeError):
+            bounds.append((6, 7))
+        engine.remap(Mapping.even(engine.mapping.vn_set,
+                                  Cluster.homogeneous("RTX2080Ti", 1)))
+        repriced = engine.engine.inference_plan(6)
+        assert repriced is not plan and repriced[1] != latency
+        assert repriced[0] == bounds
 
     def test_remap_vn_set_guard(self, batch):
         engine = _engine()

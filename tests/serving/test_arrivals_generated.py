@@ -46,6 +46,8 @@ def assert_same_doubles(got: np.ndarray, want: np.ndarray) -> None:
 # A vanishing rate: every gap overflows, nothing arrives, one draw is spent.
 @example(phases=[ServingPhase(0.5, 1e-308), ServingPhase(0.5, 200.0)],
          seed=5, limit=None)
+# Gaps that are finite but sum past the largest double.
+@example(phases=[ServingPhase(0.001, 1.1125369292536007e-308)], seed=0, limit=None)
 # A phase of several blocks, then one the overshoot lands inside.
 @example(phases=[ServingPhase(1.0, 30000.0), ServingPhase(0.001, 40.0),
                  ServingPhase(0.5, 1000.0)], seed=0, limit=None)

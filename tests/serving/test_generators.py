@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.elastic import ServingPhase, serving_arrival_times, spike_phases
 from repro.serving import ClosedLoopSource, OpenLoopPoissonSource
+from repro.serving.generators import EMPTY_WAVE
 from repro.serving.request import RequestRecord
 
 
@@ -79,6 +81,35 @@ class TestOpenLoopSource:
                                        seed=0)
         source.take_arrivals(10.0)
         assert source.next_arrival_time() is None
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 50), data=st.data())
+    def test_pulls_cut_the_arrival_array_and_empty_ones_touch_nothing(self, seed, data):
+        """Any sequence of pull times — before the first arrival, between
+        two, exactly on one, backwards, past the end — takes exactly the
+        pending arrivals at or before it, ids and bank rows in step; a pull
+        that finds nothing is the shared empty wave, and the peek is the
+        first pending arrival as a plain float."""
+        phases = [ServingPhase(0.2, 150.0)]
+        times = serving_arrival_times(phases, seed=seed)
+        source = OpenLoopPoissonSource(phases, np.zeros((3, 2)), seed=seed)
+        picks = st.one_of(st.floats(0.0, 0.25),
+                          st.sampled_from(times.tolist() or [0.0]))
+        taken = 0
+        for until in data.draw(st.lists(picks, max_size=12)) + [1.0, 1.0]:
+            pending = times[taken:]
+            assert source.next_arrival_time() == (pending[0] if len(pending) else None)
+            assert type(source.next_arrival_time()) in (float, type(None))
+            want = pending[pending <= until]
+            wave = source.take_wave(until)
+            if len(want) == 0:
+                assert wave is EMPTY_WAVE
+                continue
+            np.testing.assert_array_equal(wave.times, want)
+            assert (wave.first_id, wave.first_cursor) == (taken, taken)
+            taken += len(want)
+        assert taken == len(times) and source.next_arrival_time() is None
 
 
 def _complete(requests, completion):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import _parse_device_counts, _parse_resize, build_parser, main
+from repro.core.backends import DEFAULT_BACKEND
 
 
 class TestParsing:
@@ -179,7 +180,7 @@ class TestSubcommandParsing:
         assert args.autoscale is False
         assert args.max_batch >= 1
         assert args.slo_p99 > 0
-        assert args.backend == "reference"
+        assert args.backend == DEFAULT_BACKEND == "fused"
 
     def test_cosched_defaults(self):
         args = build_parser().parse_args(VALID_ARGS["cosched"])

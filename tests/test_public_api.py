@@ -105,3 +105,68 @@ class TestOneProductionPath:
         for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
             text = path.read_text()
             assert not [word for word in banned if word in text], path
+
+
+class TestOneDefaultBackend:
+    """``fused`` is what every entry point runs unless told otherwise, and the
+    name is spelled once: ``repro.core.backends.DEFAULT_BACKEND``."""
+
+    @staticmethod
+    def _subparsers():
+        import argparse
+
+        from repro.cli import build_parser
+
+        subcommands = next(a for a in build_parser()._actions
+                           if isinstance(a, argparse._SubParsersAction))
+        return {name: action for name, sub in subcommands.choices.items()
+                for action in sub._actions if "--backend" in action.option_strings}
+
+    def test_the_default_is_fused_and_registered(self):
+        from repro.core.backends import DEFAULT_BACKEND, FusedBackend, get_backend
+
+        assert DEFAULT_BACKEND == "fused"
+        assert isinstance(get_backend(DEFAULT_BACKEND), FusedBackend)
+        assert get_backend("reference").name == "reference"  # still selectable
+
+    def test_every_entry_point_defaults_to_it(self):
+        import dataclasses
+        import inspect
+
+        from repro.core import (InferenceEngine, TrainerConfig, VirtualFlowExecutor,
+                                VirtualNodeEngine)
+        from repro.core.backends import DEFAULT_BACKEND
+        from repro.elastic import JobSpec, generate_trace
+        from repro.sched import run_cosched
+        from repro.serving import serve_workload
+
+        for entry in (serve_workload, run_cosched, InferenceEngine, VirtualNodeEngine,
+                      VirtualFlowExecutor, generate_trace):
+            default = inspect.signature(entry).parameters["backend"].default
+            assert default is DEFAULT_BACKEND, entry
+        for config in (TrainerConfig, JobSpec):
+            (field,) = [f for f in dataclasses.fields(config) if f.name == "backend"]
+            assert field.default is DEFAULT_BACKEND, config
+
+    def test_every_subcommand_defaults_to_it_and_says_so(self):
+        from repro.core.backends import DEFAULT_BACKEND, backend_names
+
+        flags = self._subparsers()
+        assert sorted(flags) == ["chaos", "cosched", "infer", "serve", "simulate", "train"]
+        for name, action in flags.items():
+            assert action.default is DEFAULT_BACKEND, name
+            assert list(action.choices) == backend_names(), name
+            assert action.help == ("host execution strategy; results are "
+                                   "bit-identical; `reference` is the serial oracle"), name
+
+    def test_reference_is_nobodys_default_in_src(self):
+        import pathlib
+        import re
+
+        import repro
+
+        default = re.compile(r"""=\s*["']reference["']""")
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+            hits = [line for line in path.read_text().splitlines()
+                    if default.search(line) and not line.lstrip().startswith("name =")]
+            assert not hits, (path, hits)
