@@ -33,7 +33,7 @@ Built-in backends:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,6 +81,13 @@ class TrainStep:
     skip the per-wave ``state_dict`` round trip for stateless models and
     pack/scatter stateful ones through one flat matrix; backends fall back to
     deriving it from ``vn_states`` when a caller leaves it unset.
+
+    ``workspace`` is the executor's per-run buffer dict, handed to every
+    step: the buffers a step needs again next step with the same shapes
+    (patch rows, kernel scratch, the packed state matrix) live there instead
+    of being freed and faulted back in each step (see
+    :class:`~repro.core.backends.vectorized.VectorizedRun`).  A step built
+    without one gets an empty dict of its own, filled on first use.
     """
 
     model: Module
@@ -94,6 +101,7 @@ class TrainStep:
     augment: Optional[object] = None  # repro.data.augment.Transform
     arena: Optional[object] = None  # repro.framework.arena.FlatTensorArena
     state_layout: Optional[object] = None  # repro.framework.arena.FlatLayout
+    workspace: Dict[tuple, object] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -113,8 +121,10 @@ class ExecutionBackend(ABC):
     """Strategy interface: how waves execute on the host substrate.
 
     Implementations must be stateless across steps (all persistent training
-    state lives in the executor) so a single backend instance can be shared
-    by training, inference, and the elastic simulator's job runner.
+    state lives in the executor, per-step scratch in the step's
+    ``workspace``) so a single backend instance can be shared by training,
+    inference, and the elastic simulator's job runner.  Caches of what is
+    constant per model or per shard table are not step state.
     """
 
     name: str = "abstract"

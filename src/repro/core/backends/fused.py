@@ -87,7 +87,6 @@ class FusedBackend(ExecutionBackend):
         self._inference_steps: "weakref.WeakKeyDictionary[Module, Optional[List]]" = (
             weakref.WeakKeyDictionary())
         self._inference_runs: Dict[Tuple[Tuple[int, int], ...], VectorizedRun] = {}
-        self._state_stack: Optional[np.ndarray] = None  # (V, S) pack scratch
 
     # -- training ------------------------------------------------------------
 
@@ -115,16 +114,19 @@ class FusedBackend(ExecutionBackend):
                 state.buffers for state in step.vn_states)
         return True
 
-    def _packed_states(self, step: TrainStep):
-        """Pack per-node stateful buffers into one reused (V, S) matrix."""
+    @staticmethod
+    def _packed_states(step: TrainStep):
+        """Pack per-node stateful buffers into one (V, S) matrix, reused
+        through the step's workspace."""
         layout = step.state_layout
         if layout is None:
             layout = state_layout(step.vn_states)
         if layout is None:
             return None, None
-        self._state_stack = packed_state_matrix(step.vn_states, layout,
-                                                self._state_stack)
-        return layout, self._state_stack
+        ws = step.workspace
+        matrix = ws[("states",)] = packed_state_matrix(step.vn_states, layout,
+                                                       ws.get(("states",)))
+        return layout, matrix
 
     def train_step(self, step: TrainStep) -> TrainStepOutput:
         if not self.can_fuse(step):
@@ -156,7 +158,7 @@ class FusedBackend(ExecutionBackend):
         state_views = None if layout is None else layout.stacked_views(state_matrix)
 
         run = VectorizedRun(segments, training=True, rngs=rngs,
-                            state_views=state_views)
+                            state_views=state_views, workspace=step.workspace)
         logits = run.forward(step.model, x_cat)
         losses, dloss = vectorized_loss(step.loss_fn, run, logits, y_cat)
         run.backward(step.model, dloss, input_grad=False)  # nobody reads dL/dx
@@ -191,7 +193,7 @@ class FusedBackend(ExecutionBackend):
             else:
                 scaled = stack * scale_col.reshape(
                     (len(nodes),) + (1,) * (stack.ndim - 1))
-            avg[key] = scaled.sum(axis=0, out=avg.get(key))
+            avg[key] = np.add.reduce(scaled, 0, out=avg.get(key))
 
         weighted_loss = 0.0
         for node, loss_value in zip(nodes, losses):

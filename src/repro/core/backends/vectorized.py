@@ -31,11 +31,22 @@ the reference wave loop *bit for bit*.  That constrains every kernel:
   per-head products) concatenate freely: the per-slice shapes are unchanged.
   (Folding the batch into one big-M GEMM was measured to differ in the last
   ulp on OpenBLAS — see ``seg_matmul`` — hence the segment table.)
-* **Reductions keep the reference's axis geometry.**  A per-wave reduction
-  over a ``(b_i, ...)`` shard becomes a per-slice reduction over the middle
-  axes of its run's ``(count, b, ...)`` stack: each slice is that shard's
-  contiguous row segment (identical memory layout), which NumPy reduces
-  with the identical accumulation order.
+* **Reductions keep the reference's accumulation order.**  A per-wave
+  reduction over a ``(b_i, ...)`` shard becomes a per-slice reduction over
+  the middle axes of its run's ``(count, b, ...)`` stack: each slice is
+  that shard's contiguous row segment (identical memory layout), which
+  NumPy reduces with the identical accumulation order.  A kept axis of
+  C >= 2 channels goes further.  NumPy reduces an axis that is not the
+  innermost one *sequentially*: every channel of the reference's
+  ``np.sum(t_i, axis=all-but-last)`` is the running sum of the shard's rows
+  in row order, in an inner loop only C elements long (six, in the ResNet
+  stages).  The same running sums come out of copying each run's
+  ``(count, n, C)`` rows into ``(n, count, C)`` and reducing axis 0, whose
+  inner loop is ``count * C`` elements — bit for bit, at any magnitudes,
+  for any table (:meth:`VectorizedRun.seg_sum`; BatchNorm's four backward
+  sums share one such reduction).  C = 1 is left alone: there the
+  reference's reduction runs along the contiguous axis and is *pairwise*,
+  which no other layout reproduces.
 * **Elementwise operands may be re-viewed and tiled freely; reductions and
   GEMMs may not.**  An elementwise ufunc rounds each output element from
   the same two input elements whatever the array shapes and strides are, so
@@ -46,7 +57,8 @@ the reference wave loop *bit for bit*.  That constrains every kernel:
   ``x_hat`` into one pass — as long as every operation keeps the
   reference's operand pair and order.  A sum's rounding depends on the
   order its terms are added in, which follows shape and layout: the
-  ``seg_*`` reductions and GEMMs above see the reference's arrays.
+  ``seg_*`` reductions and GEMMs above keep the reference's order and
+  shapes.
 * **The batch input has no gradient.**  The reference layers compute
   ``dL/dx`` for the input examples and nobody reads it; the fused backend
   asks its run not to (``backward(..., input_grad=False)``).  The flag
@@ -160,11 +172,32 @@ class VectorizedRun:
     arrive as ``state_views`` — ``name -> (V,) + shape`` arrays backed by
     one packed state matrix that the caller round-trips to the virtual-node
     states.
+
+    ``workspace`` is the training step's buffer dict, owned by the executor
+    and reused from step to step; a training run built without one gets an
+    empty dict of its own.  Inference runs have none and allocate as they
+    go, so a cached inference run pins nothing.
+    It holds only what is too large for malloc to keep between steps:
+
+    * each convolution's ``im2col`` patch rows under ``("cols", prefix)``
+      — alive from the layer's forward to its backward anyway, where the
+      input-gradient patch rows overwrite them;
+    * scratch that never leaves a kernel, shared by every layer of one
+      geometry: the zero-bordered padded input (``("padded", pad, shape,
+      dtype)``: zeroed once, only its interior ever written) and the
+      interleave buffers of the narrow reductions (``("sum", shape,
+      dtype)``);
+    * the fused backend's packed ``(V, S)`` state matrix (``("states",)``).
+
+    Anything a kernel returns or stashes — activations, gradients, the
+    ``col2im`` result — stays a fresh allocation: a shared buffer would
+    alias, e.g., a ``Residual``'s skip add.
     """
 
     def __init__(self, segments: Sequence[Tuple[int, int]], training: bool,
                  rngs: Optional[List[np.random.Generator]] = None,
-                 state_views: Optional[Dict[str, np.ndarray]] = None) -> None:
+                 state_views: Optional[Dict[str, np.ndarray]] = None,
+                 workspace: Optional[Dict[tuple, object]] = None) -> None:
         if not segments:
             raise ValueError("a vectorized run needs at least one segment")
         self.segments: List[Tuple[int, int]] = list(segments)
@@ -187,6 +220,7 @@ class VectorizedRun:
         self.training = training
         self.rngs = rngs
         self.state_views = state_views
+        self.workspace = {} if training and workspace is None else workspace
         self._cache: Dict[str, Tuple] = {}
         # flat parameter name -> (V,) + param.shape per-virtual-node gradients
         self.param_grads: Dict[str, np.ndarray] = {}
@@ -244,6 +278,35 @@ class VectorizedRun:
                 f"stateful kernel needs per-virtual-node state views ({name!r})")
         return self.state_views[name]
 
+    def patch_rows(self, prefix: str, x: np.ndarray, k: int, stride: int,
+                   pad: int) -> Tuple[np.ndarray, int, int]:
+        """``im2col(x, k, k, stride, pad)`` for the convolution at ``prefix``.
+
+        In a training run the rows land in that layer's own workspace
+        buffer — the first step's rows, reused while ``x``'s shape and dtype
+        hold and replaced when they change — and the input is padded inside
+        the zero-bordered scratch shared by every layer of its geometry.
+        """
+        ws = self.workspace
+        if ws is None:  # an inference run
+            return im2col(x, k, k, stride, pad)
+        padded = None
+        if pad:
+            key = ("padded", pad, x.shape, x.dtype)
+            padded = ws.get(key)
+            if padded is None:
+                n, h, w, c = x.shape
+                padded = ws[key] = np.zeros((n, h + 2 * pad, w + 2 * pad, c), x.dtype)
+        key = ("cols", prefix)
+        held = ws.get(key)
+        if held is not None and held[0] == x.shape and held[1] == x.dtype:
+            return im2col(x, k, k, stride, pad, out=held[2], padded=padded)
+        cols, oh, ow = im2col(x, k, k, stride, pad, padded=padded)
+        if not cols.flags.writeable:  # a view of x itself (a 1x1 kernel)
+            cols = cols.copy()
+        ws[key] = (x.shape, x.dtype, cols)
+        return cols, oh, ow
+
     # -- segment-exact primitives ------------------------------------------
     #
     # Everything below reproduces a per-virtual-node operation of the serial
@@ -255,24 +318,28 @@ class VectorizedRun:
     # otherwise every run writes its rows (or nodes) of one output.  Sizes
     # in the reshapes are explicit: a table may hold an empty segment.
 
-    def seg_matmul(self, a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def seg_matmul(self, a: np.ndarray, w: np.ndarray,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
         """Per-virtual-node GEMM ``a_i @ w`` with the reference M dimension.
 
         ``a`` is ``(B, K)`` or ``(B, r, K)``; the reference multiplies each
         node's ``(b_i * r, K)`` block, so M = b_i * r per GEMM.  Folding the
         whole batch into one ``(B * r, K)`` GEMM changes M and with it
         OpenBLAS's kernel choice — measured last-ulp differences — so the
-        stack/segment structure is preserved.
+        stack/segment structure is preserved.  ``out``, a C-contiguous array
+        of the result's shape and dtype (``np.result_type(a, w)``), receives
+        the product and is returned; the GEMMs are the same.
         """
         k, n = a.shape[-1], w.shape[-1]
         r = a.shape[1] if a.ndim == 3 else 1
         shape = a.shape[:-1] + (n,)
-        out = None
+        if out is not None and (out.shape != shape or not out.flags.c_contiguous):
+            raise ValueError(f"seg_matmul needs a C-contiguous {shape} out buffer")
         for start, end, first, last, size in self.runs:
             stack = a[start:end].reshape(last - first, size * r, k)
-            if last - first == self.num_stacked:
-                return (stack @ w).reshape(shape)
             if out is None:
+                if last - first == self.num_stacked:
+                    return (stack @ w).reshape(shape)
                 out = np.empty(shape, dtype=np.result_type(a, w))
             # Straight into the run's rows of the output: no stacked
             # temporary to allocate, fault in and copy out of.
@@ -300,40 +367,77 @@ class VectorizedRun:
             out[first:last] = block
         return out
 
-    def seg_sum(self, t: np.ndarray) -> np.ndarray:
+    def seg_sum(self, t: np.ndarray, *more: np.ndarray):
         """Per-virtual-node sum over all axes but the last: ``(V, C)``.
 
-        Each node's reduction runs over its contiguous row block — the same
-        memory layout and pairwise summation tree as the reference's
-        ``np.sum(t_i, axis=all-but-last)``.
+        Every node's sum is the reference's ``np.sum(t_i, axis=all-but-last)``
+        bit for bit: a kept axis of ``C >= 2`` channels is reduced
+        node-interleaved, a single channel over the stacked
+        ``(count, b, ..., 1)`` slices of each run (see "Reductions" in the
+        module doc).  ``seg_sum(t, u, ...)`` sums several tensors of ``t``'s
+        shape and returns their ``(V, C)`` sums in order — as one
+        ``(k, V, C)`` array from a single reduction when ``C >= 2`` and
+        they share ``t``'s dtype, else as a list.
         """
-        axes = tuple(range(1, t.ndim))
+        c = t.shape[-1]
+        ts = (t,) + more
+        for u in more:
+            if c < 2 or u.dtype != t.dtype:  # one reduction per tensor
+                return [self.seg_sum(u) for u in ts]
+        if c < 2:
+            axes = tuple(range(1, t.ndim))
+            out = None
+            for start, end, first, last, size in self.runs:
+                block = np.add.reduce(
+                    t[start:end].reshape((last - first, size) + t.shape[1:]), axes)
+                if last - first == self.num_stacked:
+                    return block
+                if out is None:
+                    out = np.empty((self.num_stacked, c), dtype=block.dtype)
+                out[first:last] = block
+            return out
+        # Node-interleaved: each run's (count, n, C) rows of every tensor are
+        # copied into an (n, k, count, C) buffer, reduced over axis 0.
+        k = len(ts) if more else 1
+        per_row = t.size // (t.shape[0] * c) if t.shape[0] else 0
         out = None
         for start, end, first, last, size in self.runs:
-            block = t[start:end].reshape(
-                (last - first, size) + t.shape[1:]).sum(axis=axes)
-            if last - first == self.num_stacked:
-                return block
+            count = last - first
+            key = ("sum", (size * per_row, k, count, c), t.dtype)
+            try:
+                buf, dst = self.workspace[key]
+            except KeyError:  # first use
+                buf, dst = self._interleave_buffer(key)
+            i = 0
+            for u in ts:
+                dst[i] = u[start:end].reshape(dst.shape[1:])
+                i += 1
+            block = np.add.reduce(buf, 0)
+            if count == self.num_stacked:
+                return block if more else block[0]
             if out is None:
-                out = np.empty((self.num_stacked, t.shape[-1]), dtype=block.dtype)
-            out[first:last] = block
-        return out
+                out = np.empty((k, self.num_stacked, c), dtype=block.dtype)
+            out[:, first:last] = block
+        return out if more else out[0]
+
+    def _interleave_buffer(self, key: tuple) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(n, k, count, C)`` buffer :meth:`seg_sum` reduces for
+        ``key`` and its ``(k, count, n, C)`` transposed view, the copies'
+        destination."""
+        _, shape, dtype = key
+        buf = np.empty(shape, dtype)
+        pair = self.workspace[key] = buf, buf.transpose(1, 2, 0, 3)
+        return pair
 
     def seg_mean(self, t: np.ndarray) -> np.ndarray:
-        """Per-virtual-node mean over all axes but the last: ``(V, C)``."""
-        # seg_sum's body with ``mean``: a shared helper would cost every
-        # reduction of a training step one more interpreter-level call.
-        axes = tuple(range(1, t.ndim))
-        out = None
-        for start, end, first, last, size in self.runs:
-            block = t[start:end].reshape(
-                (last - first, size) + t.shape[1:]).mean(axis=axes)
-            if last - first == self.num_stacked:
-                return block
-            if out is None:
-                out = np.empty((self.num_stacked, t.shape[-1]), dtype=block.dtype)
-            out[first:last] = block
-        return out
+        """Per-virtual-node mean over all axes but the last: ``(V, C)``.
+
+        For floating ``t``: :meth:`seg_sum` divided in place by the ``intp``
+        element count, the division ``np.mean`` makes.
+        """
+        sums = self.seg_sum(t)
+        return np.true_divide(sums, self.seg_counts(t.shape, np.intp), out=sums,
+                              casting="unsafe")
 
     def seg_counts(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
         """Elements per channel in each node's segment of a ``shape`` tensor,
@@ -587,12 +691,11 @@ def _batchnorm_fwd(m: L.BatchNorm, run: VectorizedRun, prefix: str, x):
     # segment — the exact shard statistics of the serial wave — with the
     # moving averages updated in place across all nodes at once.  One
     # centred pass: ``x - mean`` feeds both the variance (NumPy's own
-    # ``var``: sum of squared deviations over the same axes and layout,
-    # divided by the count) and ``x_hat``.
+    # ``var``: the squared deviations summed and divided by the ``intp``
+    # count — their seg_mean) and ``x_hat``.
     mean = run.seg_mean(x)
     x_hat = run.tiled(x) - run.tile(mean, x.shape)
-    var = run.seg_sum((x_hat * x_hat).reshape(x.shape))
-    var /= run.seg_counts(x.shape, np.intp)
+    var = run.seg_mean((x_hat * x_hat).reshape(x.shape))
     mom = m.momentum
     running_mean = run.state(prefix + "running_mean")
     running_var = run.state(prefix + "running_var")
@@ -611,16 +714,18 @@ def _batchnorm_bwd(m: L.BatchNorm, run: VectorizedRun, prefix: str, grad, input_
     x_hat, inv_std = run.get(prefix)  # x_hat as tiles, see the forward
     shape = grad.shape
     gt = run.tiled(grad)
-    run.add_grad(prefix + "gamma", run.seg_sum((gt * x_hat).reshape(shape)))
-    run.add_grad(prefix + "beta", run.seg_sum(grad))
     g = gt * run.tile(m.params["gamma"], shape)
     # inv_std / n * (n * g - sum(g) - x_hat * sum(g * x_hat)): the sums and n
     # per node, every product and difference on the reference's operands in
     # the reference's order.  ``t`` has the widest dtype any of them
     # produces, so it takes each result that would otherwise be a temporary.
+    # The four sums — gamma's and beta's gradients among them — share one
+    # reduction.
     t = g * x_hat
-    sum_g = run.seg_sum(g.reshape(shape))
-    sum_gx = run.seg_sum(t.reshape(shape))
+    dgamma, dbeta, sum_g, sum_gx = run.seg_sum(
+        (gt * x_hat).reshape(shape), grad, g.reshape(shape), t.reshape(shape))
+    run.add_grad(prefix + "gamma", dgamma)
+    run.add_grad(prefix + "beta", dbeta)
     n = run.seg_counts(shape, grad.dtype)
     np.multiply(run.tile(n, shape), g, out=g)
     g -= run.tile(sum_g, shape)
@@ -766,7 +871,7 @@ def _block_bwd(m: L.TransformerBlock, run: VectorizedRun, prefix: str, grad, inp
 @_fwd(L.Conv2D)
 def _conv2d_fwd(m: L.Conv2D, run: VectorizedRun, prefix: str, x):
     k = m.kernel_size
-    cols2, oh, ow = im2col(x, k, k, m.stride, m.pad)
+    cols2, oh, ow = run.patch_rows(prefix, x, k, m.stride, m.pad)
     cols = cols2.reshape(len(x), oh * ow, -1)  # (B, OH*OW, K*K*C) view
     w2 = m.params["w"].reshape(-1, m.out_channels)
     out = run.seg_matmul(cols, w2)
@@ -789,7 +894,13 @@ def _conv2d_bwd(m: L.Conv2D, run: VectorizedRun, prefix: str, grad, input_grad):
     run.add_grad(prefix + "b", run.seg_sum(g3))
     if not input_grad:
         return None
-    dcols = run.seg_matmul(g3, w2.T)
+    # This is the patch rows' last reader: the input-gradient rows, of the
+    # same shape, overwrite them when they share their dtype (a read-only
+    # ``cols`` is a view of the layer's input, which nothing may write).
+    out = None
+    if cols.flags.writeable and g3.dtype == cols.dtype == w2.dtype:
+        out = cols
+    dcols = run.seg_matmul(g3, w2.T, out=out)
     return col2im(dcols.reshape(-1, dcols.shape[-1]), x_shape, k, k,
                   m.stride, m.pad, oh, ow)
 

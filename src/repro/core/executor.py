@@ -125,7 +125,11 @@ class VirtualFlowExecutor:
             for i in range(mapping.vn_set.num_nodes)
         ]
         self._eval_state: Optional[Dict[str, np.ndarray]] = None
-        self._state_stack: Optional[np.ndarray] = None  # (V, S) merge scratch
+        # The step workspace (TrainStep.workspace): buffers every step needs
+        # again at the same shapes.  Kept across remap, which preserves the
+        # virtual-node set and with it every shape.  The evaluation merge
+        # packs into its ("states",) matrix too: both fill it before reading.
+        self._workspace: Dict[tuple, object] = {}
         # Shared flat layout over the stateful-kernel template (None when the
         # model is stateless), computed once per state template and handed to
         # backends so they can skip — or pack — the per-wave state round trip.
@@ -198,6 +202,7 @@ class VirtualFlowExecutor:
             augment=self.augment,
             arena=self.arena,
             state_layout=self._state_layout,
+            workspace=self._workspace,
         ))
         avg_grads = out.avg_grads
         # Step 5: every replica applies the same averaged gradients.
@@ -241,22 +246,31 @@ class VirtualFlowExecutor:
         until a step, remap, or checkpoint restore invalidates it.
         """
         if self._eval_state is None:
-            self._eval_state, self._state_stack = merged_eval_state(
-                self._vn_states, self._state_layout, self._state_stack)
+            ws = self._workspace
+            self._eval_state, ws[("states",)] = merged_eval_state(
+                self._vn_states, self._state_layout, ws.get(("states",)))
         return self._eval_state
 
     def evaluate(self, x: np.ndarray, y: np.ndarray, batch_size: int = 256) -> Tuple[float, float]:
-        """Return (mean loss, accuracy) on a dataset, in inference mode."""
+        """Return (mean loss, accuracy) on a dataset, in inference mode.
+
+        Each batch is one inference call on the execution backend, as one
+        shard: the same forward path serving runs, at the GEMM shapes of
+        ``model.forward`` on the whole batch, so the logits are those of the
+        reference layers bit for bit.  The fused backend leaves no
+        activation cached on the model.
+        """
         if len(x) == 0:
             raise ValueError("cannot evaluate on an empty dataset")
         saved = self.model.state_dict()
         if self._vn_states and self._vn_states[0].buffers:
             self.model.load_state_dict(self._merged_eval_state())
+        infer = self.engine.backend.infer
         total_loss = 0.0
         correct_weighted = 0.0
         for start in range(0, len(x), batch_size):
             xb, yb = x[start : start + batch_size], y[start : start + batch_size]
-            logits = self.model.forward(xb, training=False)
+            logits = infer(self.model, self.vn_set, xb, ((0, len(xb)),))
             total_loss += self.loss_fn.forward(logits, yb) * len(xb)
             correct_weighted += accuracy(logits, yb) * len(xb)
         self.model.load_state_dict(saved)

@@ -222,20 +222,31 @@ class Dense(Module):
         return grad @ self.params["w"].T
 
 
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> Tuple[np.ndarray, int, int]:
+def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int,
+           out: Optional[np.ndarray] = None,
+           padded: Optional[np.ndarray] = None) -> Tuple[np.ndarray, int, int]:
     """Expand NHWC input into (N*OH*OW, KH*KW*C) patch rows.
 
     Patch extraction is one read-only strided window view over the
     zero-padded input (any strides — the input may itself be a padded view);
-    the single copy happens in the final reshape, which materializes the
-    C-contiguous GEMM rows in (n, oh, ow, kh, kw, c) element order.
-    Exposed publicly (together with :func:`col2im`) so the vectorized
-    execution backend can run stacked wave groups through the exact same
-    patch geometry the serial layer uses.
+    the single copy materializes the C-contiguous GEMM rows in
+    (n, oh, ow, kh, kw, c) element order.  Exposed publicly (together with
+    :func:`col2im`) so the vectorized execution backend can run stacked wave
+    groups through the exact same patch geometry the serial layer uses.
+
+    A caller that runs the same geometry every step may hand in its buffers:
+    ``out``, a C-contiguous array of the rows' size and ``x``'s dtype,
+    receives the rows (and is returned); ``padded``, an ``(n, h + 2*pad, w + 2*pad, c)`` array of
+    ``x``'s dtype whose border is zero, receives the input — only its
+    interior is written, so the border stays zero for the next call.
     """
     n, h, w, c = x.shape
     if pad:
-        padded = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+        if padded is None:
+            padded = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+        elif padded.shape != (n, h + 2 * pad, w + 2 * pad, c) or padded.dtype != x.dtype:
+            raise ValueError(f"padded buffer {padded.shape} {padded.dtype} does not "
+                             f"fit a {x.dtype} input {x.shape} padded by {pad}")
         padded[:, pad : pad + h, pad : pad + w, :] = x
         x, h, w = padded, h + 2 * pad, w + 2 * pad
     if kh > h or kw > w:
@@ -244,7 +255,13 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> Tuple[np.n
     sn, sh, sw, sc = x.strides
     windows = as_strided(x, (n, oh, ow, kh, kw, c),
                          (sn, sh * stride, sw * stride, sh, sw, sc), writeable=False)
-    return windows.reshape(n * oh * ow, kh * kw * c), oh, ow
+    if out is None:
+        return windows.reshape(n * oh * ow, kh * kw * c), oh, ow
+    # A non-contiguous buffer would reshape to a copy and the rows be lost.
+    if not out.flags.c_contiguous or out.dtype != x.dtype:
+        raise ValueError("im2col needs a C-contiguous out buffer of the input's dtype")
+    out.reshape(n, oh, ow, kh, kw, c)[...] = windows
+    return out, oh, ow
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:

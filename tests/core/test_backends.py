@@ -394,9 +394,9 @@ class _RecordingRun(VectorizedRun):
         super().__init__(*args, **kwargs)
         self.gemm_weights = []
 
-    def seg_matmul(self, a, w):
+    def seg_matmul(self, a, w, out=None):
         self.gemm_weights.append(w)
-        return super().seg_matmul(a, w)
+        return super().seg_matmul(a, w, out)
 
     def issued_input_grad_gemm(self, weight: np.ndarray) -> bool:
         """Whether ``g @ weight.T`` (as 2-D GEMM operands) was multiplied."""

@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import Mapping, VirtualNodeSet
+from oracles import evaluate as oracle
+from repro.core import Mapping, VirtualFlowExecutor, VirtualNodeSet
 from repro.data import make_dataset
+from repro.framework import WORKLOADS, SoftmaxCrossEntropy, get_workload
 from repro.hardware import Cluster
 from tests.conftest import build_executor
 
@@ -98,6 +100,39 @@ class TestEvaluate:
         ex = build_executor()
         with pytest.raises(ValueError):
             ex.evaluate(dataset.x_val[:0], dataset.y_val[:0])
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    @pytest.mark.parametrize("backend", ["reference", "fused"])
+    def test_evaluate_equals_the_per_batch_loop(self, workload, backend):
+        """One inference call per batch gives the reference layers' (loss,
+        accuracy) bit for bit — on one batch, a partial one and several —
+        and on the fused backend pins no activation on the model."""
+        wl = get_workload(workload)
+        vn_set = VirtualNodeSet.even(16, 4)
+        ex = VirtualFlowExecutor(
+            wl, wl.build_model(0), SoftmaxCrossEntropy(), wl.build_optimizer(),
+            Mapping.even(vn_set, Cluster.homogeneous("V100", 2)), backend=backend)
+        ds = make_dataset(wl.dataset, n=660, seed=0)
+        ex.run_step(ds.x_train[:16], ds.y_train[:16], 0, 0)  # per-node state moves
+        sizes = (1, 204, 256, 300, 513)
+        got = [ex.evaluate(ds.x_train[:n], ds.y_train[:n]) for n in sizes]
+        if backend == "fused":
+            assert not _cached_arrays(ex.model)
+        want = [oracle.evaluate(ex, ds.x_train[:n], ds.y_train[:n]) for n in sizes]
+        assert got == want
+
+
+def _cached_arrays(model):
+    """Arrays a module holds outside its parameters, gradients and buffers."""
+    found = []
+    for module in model.modules():
+        for name, value in vars(module).items():
+            if name in ("params", "grads", "buffers"):
+                continue
+            values = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, np.ndarray) for v in values):
+                found.append((type(module).__name__, name))
+    return found
 
 
 class TestRemap:

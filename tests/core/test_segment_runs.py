@@ -303,6 +303,7 @@ class TestCallBudget:
         mapping = Mapping.even(vn_set, Cluster.homogeneous("V100", 1))
         engines = [InferenceEngine(workload, model, mapping, backend=name)
                    for name in ("reference", "fused")]
+        gc.collect()  # no earlier test's weak-cache callbacks inside a count
         for n in range(1, 9):
             x, _ = _batch("mlp", n)
             counts = []
@@ -323,6 +324,9 @@ class TestCallBudget:
         rows = list(_batch("mlp", 5)[0])
         # Outside ``predict``: a stub that hands the gathered batch back.
         monkeypatch.setattr(InferenceEngine, "predict", lambda self, x: x)
+        # Earlier tests' dead models leave weak-cache callbacks that a
+        # collection inside the count would run: collect them first.
+        gc.collect()
         assert count_calls(lambda: engine.predict_requests(rows))[0] <= 6
         _assert_same_array(engine.predict_requests(rows), np.stack(rows, axis=0))
         with pytest.raises(ValueError):

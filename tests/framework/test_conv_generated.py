@@ -62,6 +62,15 @@ def check_both(n: int, g: dict, dtype, seed: int, strided: bool) -> None:
     assert_same_array(cols, want_cols)
     assert cols.flags.writeable == want_cols.flags.writeable
 
+    # The same rows through caller-held buffers, twice: the second call pads
+    # into a buffer whose interior the first one wrote.
+    out = np.empty(cols.shape, dtype)
+    padded = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype) if pad else None
+    for value in (x, mixed_magnitude(rng, x.shape, dtype)):
+        got, got_oh, got_ow = im2col(value, k, k, stride, pad, out=out, padded=padded)
+        assert got is out and (got_oh, got_ow) == (oh, ow)
+        assert out.tobytes() == oracle.im2col(value, k, k, stride, pad)[0].tobytes()
+
     dcols = mixed_magnitude(rng, cols.shape, dtype)
     assert_same_array(col2im(dcols, x.shape, k, k, stride, pad, oh, ow),
                       oracle.col2im(dcols, x.shape, k, k, stride, pad, oh, ow))
@@ -102,6 +111,19 @@ def test_im2col_rejects_a_kernel_larger_than_the_padded_input():
         oracle.im2col(x, 3, 3, 1, 0)
     with pytest.raises(ValueError, match="larger than padded input"):
         im2col(x, 3, 3, 1, 0)
+
+
+def test_im2col_rejects_buffers_it_cannot_fill():
+    x = np.ones((2, 4, 4, 3))
+    rows = (2 * 4 * 4, 3 * 3 * 3)
+    with pytest.raises(ValueError, match="C-contiguous out"):
+        im2col(x, 3, 3, 1, 1, out=np.empty(rows[::-1]).T)  # a copy would take the rows
+    with pytest.raises(ValueError, match="C-contiguous out"):
+        im2col(x, 3, 3, 1, 1, out=np.empty(rows, np.float32))
+    with pytest.raises(ValueError, match="padded buffer"):
+        im2col(x, 3, 3, 1, 1, padded=np.zeros((2, 5, 5, 3)))
+    with pytest.raises(ValueError, match="padded buffer"):
+        im2col(x, 3, 3, 1, 1, padded=np.zeros((2, 6, 6, 3), np.float32))
 
 
 @pytest.mark.parametrize("table", [layers._col2im_plane_indices,

@@ -6,8 +6,9 @@ and the oracles import nothing private from ``src/``: they restate a
 contract (``(time, seq)`` event order; the one-arrival-at-a-time shed rule;
 one exponential draw per Poisson arrival; a dispatch queue whose every read
 is recomputed over what is pending; ``np.pad`` + ``sliding_window_view``
-patches and one scatter over a per-call index) in the plainest code that
-satisfies it,
+patches and one scatter over a per-call index; evaluation as the reference
+layers' ``model.forward`` per batch) in the plainest code that satisfies
+it,
 and differential tests hold the production implementation to them on
 generated inputs.
 """
