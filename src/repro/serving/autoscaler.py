@@ -34,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Mapping, Optional, Sequence
 
-from repro.serving.request import RequestRecord
+from repro.serving.request import RecordBlock, RequestRecord
 from repro.telemetry import LatencyHistogram
 
 __all__ = ["AllocationProfile", "LatencyAutoscaler", "ScalingDecision"]
@@ -244,9 +244,15 @@ class LatencyAutoscaler:
 
     def observe(self, records: Sequence[RequestRecord], now: float,
                 devices: int) -> Optional[int]:
-        """Fold a completed micro-batch in; return a new device count or None."""
-        self._arrivals.extend(r.arrival_time for r in records)
-        self._hist.observe_many([r.latency for r in records])
+        """Fold a completed micro-batch in; return a new device count or None.
+        A :class:`RecordBlock`'s columns are read as they are."""
+        if isinstance(records, RecordBlock):
+            arrivals, latencies = records.arrivals, records.latencies()
+        else:
+            arrivals = [r.arrival_time for r in records]
+            latencies = [r.latency for r in records]
+        self._arrivals.extend(arrivals)
+        self._hist.observe_many(latencies)
         if len(self._arrivals) < self.burst_window:
             return None
         rate_burst = self.rate_estimate(self.burst_window)

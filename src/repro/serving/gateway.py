@@ -37,7 +37,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from collections import Counter
+from collections import Counter, defaultdict
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -59,7 +61,8 @@ from repro.serving.generators import (
     OpenLoopPoissonSource,
     RequestSource,
 )
-from repro.serving.request import Request, RequestRecord
+from repro.serving.request import (RecordBlock, Request, RequestRecord,
+                                   ShedBlock)
 from repro.serving.router import RequestRouter, ServingReport
 from repro.serving.tenancy import TenantRegistry, TenantSpec, meter
 from repro.telemetry import StreamingHistogram, percentile
@@ -73,6 +76,9 @@ __all__ = ["MultiTenantPoissonSource", "ServingGateway", "TenantTaggingSource",
 DOMAIN_TENANT = 0x9E
 
 DISPATCHERS = ("wfq", "fifo")
+
+# A shed journal line's payload fragments are keyed by (reason, tenant).
+_RUN_KEY = itemgetter(0, 1)
 
 
 class _JsonCache(dict):
@@ -255,8 +261,8 @@ class ServingGateway(RequestRouter):
         # admission pre-stage needs to know of each tenant.
         self._contracts = {spec.tenant_id: (spec.bucket(), spec.premium)
                            for spec in self.registry}
-        self._lat_by_tenant: Dict[str, List[float]] = {
-            t: [] for t in self.registry.tenant_ids}
+        # tenant -> latencies; unregistered tenants' lists are never read.
+        self._lat_by_tenant: Dict[Optional[str], List[float]] = defaultdict(list)
         self._shed_counts: Counter = Counter()
         self._tenant_hists: Dict[str, StreamingHistogram] = {
             t: StreamingHistogram() for t in self.registry.tenant_ids}
@@ -297,8 +303,10 @@ class ServingGateway(RequestRouter):
             self._journal = self._journal_dest
             self._journal_owned = False
         self._journal_seq = 0
+        # The line's keys are sorted: the registry order travels as a list.
         self._journal_emit("registry", 0.0, {
             "tenants": self.registry.to_dict(),
+            "order": self.registry.tenant_ids,
             "dispatcher": self.dispatcher,
         })
 
@@ -319,6 +327,7 @@ class ServingGateway(RequestRouter):
         # A co-scheduled gateway never goes through run(): the journal opens
         # when the shared runtime starts the process instead.
         self._open_journal()
+        self.report.tenant_shed = self.report.shed.view(ShedBlock.tenant_rows)
         super().start(runtime)
 
     def run(self, trace: Optional[Union[str, EventTrace]] = None
@@ -368,67 +377,72 @@ class ServingGateway(RequestRouter):
 
     # -- accounting hooks -----------------------------------------------------
 
-    def _record_shed(self, times: Sequence[float], ids: Sequence[int],
-                     tenants: Sequence[Optional[str]],
-                     reasons: Sequence[str]) -> None:
-        super()._record_shed(times, ids, tenants, reasons)
-        tenants = [t if t is not None else "" for t in tenants]
-        self.report.tenant_shed.extend(zip(times, ids, tenants, reasons))
-        self._shed_counts.update(tenants)
+    def _record_shed(self, block: ShedBlock) -> None:
+        super()._record_shed(block)
+        counts = self._shed_counts
+        table = block.tenant_table
+        if block.tenant_idx is None:
+            counts[table[0]] += len(block)
+        else:
+            for tenant, n in zip(table, np.bincount(block.tenant_idx).tolist()):
+                counts[tenant] += n
         journal = self._journal
         if journal is None:
             return
         # Assemble each complete journal line in one f-string from cached
         # constant fragments around the writer's own envelope: key order
         # inside data is reason < request_id < tenant, so every line is
-        # byte-identical to per-event emit().
+        # byte-identical to per-event emit().  One fragment lookup per run
+        # of arrivals sharing (reason, tenant).
+        prefix, middle = journal.line_parts(self.name, "shed")
         fragments = self._shed_fragments
-        for key in set(zip(reasons, tenants)):
-            if key not in fragments:
+        seq = self._journal_seq
+        self._journal_seq = seq + len(block)
+        rows = zip(block.reasons, block.tenants(), block.times.tolist(),
+                   block.ids.tolist(), range(seq, seq + len(block)))
+        lines: List[str] = []
+        for key, run in groupby(rows, _RUN_KEY):
+            parts = fragments.get(key)
+            if parts is None:
                 reason, tenant = key
-                prefix, middle = journal.line_parts(self.name, "shed")
-                fragments[key] = (
+                parts = fragments[key] = (
                     f'{prefix}{{"reason": "{reason}", "request_id": ',
                     f', "tenant": {self._tenant_json[tenant]}}}{middle}')
-        seq = self._journal_seq
-        self._journal_seq = seq + len(ids)
-        lines: List[str] = []
-        append = lines.append
-        for t, i, tenant, reason in zip(times, ids, tenants, reasons):
-            pre, mid = fragments[reason, tenant]
-            append(f'{pre}{i}{mid}{seq}, "t": {t!r}}}\n')
-            seq += 1
+            pre, mid = parts
+            lines.extend([f'{pre}{i}{mid}{s}, "t": {t!r}}}\n'
+                          for _, _, t, i, s in run])
         journal.emit_many_lines(lines)
 
-    def _record_completion(self, records: List[RequestRecord]) -> None:
+    def _record_completion(self, block: RecordBlock) -> None:
         # Incremental per-tenant accounting: append-only latency lists — the
         # finalize digests and live_tenant_histograms() both read these.
         lat_map = self._lat_by_tenant
-        for r in records:
-            lst = lat_map.get(r.tenant)
-            if lst is not None:
-                lst.append(r.completion_time - r.arrival_time)
+        completion = block.batch.completion_time
+        for tenant, arrival in zip(block.tenants, block.arrivals):
+            lat_map[tenant].append(completion - arrival)
         journal = self._journal
-        if journal is None or not records:
+        if journal is None:
             return
         # A batch shares its id, dispatch and completion time (which is also
-        # the line's "t"): format those once, then one f-string per record
+        # the line's "t"): format those once, then one f-string per request
         # around what differs.  Sorted key order: arrival < batch_id <
         # completion < dispatch < request_id < tenant.
-        batch = records[0]
+        batch = block.batch
         prefix, middle = journal.line_parts(self.name, "request")
         head = f'{prefix}{{"arrival": '
         shared = (f', "batch_id": {batch.batch_id}, '
-                  f'"completion": {batch.completion_time!r}, '
+                  f'"completion": {completion!r}, '
                   f'"dispatch": {batch.dispatch_time!r}, "request_id": ')
-        tail = f', "t": {batch.completion_time!r}}}\n'
+        tail = f', "t": {completion!r}}}\n'
         tenant_json = self._tenant_json
         seq0 = self._journal_seq
-        self._journal_seq = seq0 + len(records)
+        self._journal_seq = seq0 + len(block)
         journal.emit_many_lines([
-            f'{head}{r.arrival_time!r}{shared}{r.request_id}, '
-            f'"tenant": {tenant_json[r.tenant]}}}{middle}{seq}{tail}'
-            for seq, r in enumerate(records, seq0)])
+            f'{head}{arrival!r}{shared}{i}, '
+            f'"tenant": {tenant_json[tenant]}}}{middle}{seq}{tail}'
+            for seq, arrival, i, tenant in zip(range(seq0, seq0 + len(block)),
+                                               block.arrivals, block.ids,
+                                               block.tenants)])
 
     def _finalize(self) -> None:
         super()._finalize()
@@ -474,7 +488,8 @@ def audit_journal(path: str) -> Dict[str, object]:
         kind = event.get("kind")
         data = event.get("data", {})
         if kind == "registry":
-            registry = TenantRegistry.from_dict(data["tenants"])
+            registry = TenantRegistry.from_dict(data["tenants"],
+                                                data.get("order"))
             dispatcher = data.get("dispatcher")
         elif kind == "request":
             pairs.append((data.get("tenant"),

@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.elastic.trace import ServingPhase, serving_arrival_times
-from repro.serving.request import Request, RequestRecord
+from repro.serving.request import Request, RequestRecord, ShedBlock
 from repro.utils.seeding import derive_rng
 
 __all__ = ["ArrivalWave", "RequestSource", "OpenLoopPoissonSource",
@@ -98,19 +98,16 @@ class ArrivalWave:
         return [self.build_request(j, t)
                 for j, t in enumerate(self.times.tolist())]
 
-    def ids(self, offsets: Sequence[int]) -> List[int]:
-        """Request ids at ``offsets`` (no :class:`Request` is built)."""
-        if self.requests is not None:
-            return [self.requests[j].request_id for j in offsets]
-        first = self.first_id
-        return [first + j for j in offsets]
-
-    def tenants(self, offsets: Sequence[int]) -> List[Optional[str]]:
-        """Tenants at ``offsets``, in the same order."""
-        table = self.tenant_table
-        if self.tenant_idx is None:
-            return [table[0]] * len(offsets)
-        return [table[k] for k in self.tenant_idx[offsets].tolist()]
+    def shed_block(self, offsets: Sequence[int],
+                   reasons: List[str]) -> ShedBlock:
+        """The arrivals at ``offsets`` as one shed record block, ``reasons``
+        parallel to them (no :class:`Request` is built)."""
+        at = np.asarray(offsets, dtype=np.intp)
+        ids = (at + self.first_id if self.requests is None
+               else np.array([self.requests[j].request_id for j in offsets]))
+        idx = self.tenant_idx
+        return ShedBlock(self.times[at], ids, None if idx is None else idx[at],
+                         self.tenant_table, reasons)
 
 
 class RequestSource(ABC):

@@ -86,7 +86,8 @@ from repro.serving.generators import (
     OpenLoopPoissonSource,
     RequestSource,
 )
-from repro.serving.request import BatchRecord, Request, RequestRecord
+from repro.serving.request import (BatchRecord, BlockLog, RecordBlock,
+                                   Request, ShedBlock)
 from repro.telemetry import percentile
 
 if TYPE_CHECKING:
@@ -167,9 +168,14 @@ def ladder_capacity(workload: Workload, vn_set: VirtualNodeSet, pool: Cluster,
 
 @dataclass
 class ServingReport:
-    """Everything a serving run produced, for SLO metrics and dashboards."""
+    """Everything a serving run produced, for SLO metrics and dashboards.
 
-    records: List[RequestRecord] = field(default_factory=list)
+    ``records``, ``shed`` and (on a gateway) ``tenant_shed`` are read-only
+    views over column blocks, one per micro-batch or shedding pull, that
+    build a :class:`RequestRecord` or a tuple only when one is read.
+    """
+
+    records: BlockLog = field(default_factory=BlockLog)
     batches: List[BatchRecord] = field(default_factory=list)
     scaling_events: List[Tuple[float, int, int, float]] = field(default_factory=list)
     device_seconds: float = 0.0
@@ -182,18 +188,31 @@ class ServingReport:
     # Load-shed arrivals: (arrival_time, request_id, reason), the reason
     # naming the gate that tripped (see repro.serving.admission.decide).
     # Empty unless an AdmissionPolicy is armed and tripped.
-    shed: List[Tuple[float, int, str]] = field(default_factory=list)
+    shed: BlockLog = field(default_factory=lambda: BlockLog(ShedBlock.rows))
     # Batches dispatched under the halved brownout policy.
     brownout_batches: int = 0
     # Gateway runs only: per-tenant SLO digests keyed by tenant id (see
     # repro.serving.gateway.tenant_report) and tenant-attributed sheds as
-    # (arrival_time, request_id, tenant, reason) 4-tuples.  Both stay empty
-    # on the single-stream router path.
+    # (arrival_time, request_id, tenant, reason) 4-tuples — the shed log
+    # read with tenants.  Both stay empty on the single-stream router path.
     tenants: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    tenant_shed: List[Tuple[float, int, str, str]] = field(default_factory=list)
+    tenant_shed: Sequence[Tuple[float, int, str, str]] = field(default_factory=list)
+
+    def _columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every record's arrival, dispatch and completion time: their
+        differences are bit for bit the records' own."""
+        blocks = self.records.blocks
+        sizes = [len(b) for b in blocks]
+        arrivals = np.array([a for b in blocks for a in b.arrivals], float)
+        dispatch = np.repeat(
+            np.array([b.batch.dispatch_time for b in blocks], float), sizes)
+        completion = np.repeat(
+            np.array([b.batch.completion_time for b in blocks], float), sizes)
+        return arrivals, dispatch, completion
 
     def latencies(self) -> np.ndarray:
-        return np.asarray([r.latency for r in self.records], dtype=float)
+        arrivals, _, completion = self._columns()
+        return completion - arrivals
 
     def percentile(self, q: float) -> float:
         return percentile(self.latencies(), q)
@@ -202,8 +221,7 @@ class ServingReport:
         """Fraction of requests that met the latency objective."""
         if not self.records:
             raise ValueError("no completed requests")
-        lat = self.latencies()
-        return float((lat <= slo).mean())
+        return float((self.latencies() <= slo).mean())
 
     def throughput(self) -> float:
         """Completed requests per simulated second."""
@@ -225,47 +243,36 @@ class ServingReport:
 
     def summary(self, slo_p99: Optional[float] = None) -> Dict[str, float]:
         """A flat JSON-able digest of the run (all-zero for an empty run)."""
-        if not self.records:
-            out = {
-                "requests": 0.0, "batches": 0.0, "duration_s": self.duration,
-                "throughput_rps": 0.0, "mean_batch_size": 0.0,
-                "latency_p50_ms": 0.0, "latency_p99_ms": 0.0,
-                "latency_max_ms": 0.0, "mean_queue_delay_ms": 0.0,
-                "mean_service_ms": 0.0, "avg_devices": self.avg_devices(),
-                "remaps": float(len(self.scaling_events)),
-                "offered": float(len(self.shed)),
-                "shed_requests": float(len(self.shed)),
-                "shed_rate": self.shed_rate(),
-                "brownout_batches": float(self.brownout_batches),
-            }
-            if slo_p99 is not None:
-                out["slo_p99_ms"] = slo_p99 * 1e3
-                out["slo_attainment"] = 1.0  # vacuously: nothing was late
-                out["meets_slo"] = 1.0
-            return out
-        lat = self.latencies()
+        arrivals, dispatch, completion = self._columns()
+        lat = completion - arrivals
+        served = len(lat)
+        p99 = percentile(lat, 99) if served else 0.0
         out = {
-            "requests": float(len(self.records)),
+            "requests": float(served),
             "batches": float(len(self.batches)),
             "duration_s": self.duration,
             "throughput_rps": self.throughput(),
             "mean_batch_size": self.mean_batch_size(),
-            "latency_p50_ms": percentile(lat, 50) * 1e3,
-            "latency_p99_ms": percentile(lat, 99) * 1e3,
-            "latency_max_ms": float(lat.max()) * 1e3,
-            "mean_queue_delay_ms": float(np.mean([r.queue_delay for r in self.records])) * 1e3,
-            "mean_service_ms": float(np.mean([r.service_time for r in self.records])) * 1e3,
+            "latency_p50_ms": percentile(lat, 50) * 1e3 if served else 0.0,
+            "latency_p99_ms": p99 * 1e3,
+            "latency_max_ms": float(lat.max()) * 1e3 if served else 0.0,
+            "mean_queue_delay_ms":
+                float(np.mean(dispatch - arrivals)) * 1e3 if served else 0.0,
+            "mean_service_ms":
+                float(np.mean(completion - dispatch)) * 1e3 if served else 0.0,
             "avg_devices": self.avg_devices(),
             "remaps": float(len(self.scaling_events)),
-            "offered": float(len(self.records) + len(self.shed)),
+            "offered": float(served + len(self.shed)),
             "shed_requests": float(len(self.shed)),
             "shed_rate": self.shed_rate(),
             "brownout_batches": float(self.brownout_batches),
         }
         if slo_p99 is not None:
             out["slo_p99_ms"] = slo_p99 * 1e3
-            out["slo_attainment"] = self.slo_attainment(slo_p99)
-            out["meets_slo"] = float(percentile(lat, 99) <= slo_p99)
+            # An empty run meets its SLO vacuously: nothing was late.
+            out["slo_attainment"] = (float((lat <= slo_p99).mean())
+                                     if served else 1.0)
+            out["meets_slo"] = float(p99 <= slo_p99) if served else 1.0
         return out
 
 
@@ -527,12 +534,10 @@ class RequestRouter:
         nobody bypasses, everybody faces the full limits."""
         return None, None
 
-    def _record_shed(self, times: Sequence[float], ids: Sequence[int],
-                     tenants: Sequence[Optional[str]],
-                     reasons: Sequence[str]) -> None:
-        """Account shed arrivals, one or many (the gateway adds tenant
+    def _record_shed(self, block: ShedBlock) -> None:
+        """Account one pull's shed arrivals (the gateway adds tenant
         accounting and the journal lines)."""
-        self.report.shed.extend(zip(times, ids, reasons))
+        self.report.shed.append(block)
 
     def _pull(self, until: float) -> int:
         """Move every arrival at or before ``until`` through admission into
@@ -563,8 +568,7 @@ class RequestRouter:
             self._pending.push_wave(
                 [wave.build_request(j, times[j]) for j in admitted])
         if shed:
-            self._record_shed([times[j] for j in shed], wave.ids(shed),
-                              wave.tenants(shed), reasons)
+            self._record_shed(wave.shed_block(shed, reasons))
         return len(shed)
 
     def _on_admit(self, t: float, cutoff: float) -> Dict[str, object]:
@@ -630,46 +634,33 @@ class RequestRouter:
         return {"batch_id": batch_id, "size": len(batch),
                 "devices": self._devices, "waves": result.waves}
 
-    def _record_completion(self, records: List[RequestRecord]) -> None:
-        """Per-batch completion hook: ``records`` are one batch's, so they
-        share ``batch_id``, dispatch and completion time (the gateway
-        journals them here)."""
+    def _record_completion(self, block: RecordBlock) -> None:
+        """Per-batch completion hook (the gateway's tenant accounting and
+        journal lines read the block's columns here)."""
 
     def _on_completion(self, completion: float, batch: List[Request],
                        batch_id: int, launch: float,
                        result) -> Dict[str, object]:
         self._inflight = None
         report = self.report
-        records = [
-            RequestRecord(
-                request_id=r.request_id,
-                arrival_time=r.arrival_time,
-                dispatch_time=launch,
-                completion_time=completion,
-                batch_id=batch_id,
-                batch_size=len(batch),
-                devices=self._devices,
-                client=r.client,
-                tenant=r.tenant,
-            )
-            for r in batch
-        ]
-        report.records.extend(records)
-        self._record_completion(records)
-        report.batches.append(BatchRecord(
+        record = BatchRecord(
             batch_id=batch_id, dispatch_time=launch,
             completion_time=completion, size=len(batch),
-            devices=self._devices, waves=result.waves))
+            devices=self._devices, waves=result.waves)
+        block = RecordBlock(record, batch)
+        report.batches.append(record)
+        report.records.append(block)
+        self._record_completion(block)
         if self.collect_logits:
             for i, r in enumerate(batch):
                 report.logits[r.request_id] = result.logits[i]
         self._server_free = completion
         self._service_estimate = completion - launch
-        self.source.on_completion(records)
+        self.source.on_completion(block)
 
         data: Dict[str, object] = {"batch_id": batch_id, "size": len(batch)}
         if self.autoscaler is not None:
-            target = self.autoscaler.observe(records, completion, self._devices)
+            target = self.autoscaler.observe(block, completion, self._devices)
             if target is not None and target != self._devices:
                 old = self._devices
                 cost = self._rescale(completion, target)

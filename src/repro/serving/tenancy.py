@@ -364,11 +364,20 @@ class TenantRegistry:
         return cls(tenants)
 
     @classmethod
-    def from_dict(cls, payload: Dict[str, Dict[str, object]]
-                  ) -> "TenantRegistry":
-        """Rebuild a registry from its journal-header form."""
+    def from_dict(cls, payload: Dict[str, Dict[str, object]],
+                  order: Optional[Sequence[str]] = None) -> "TenantRegistry":
+        """Rebuild a registry from its journal-header form.
+
+        ``order`` lists the tenant ids in registry order (a journal header's
+        ``tenants`` object has its keys sorted); without it the payload's
+        key order is the registry order.
+        """
+        if order is not None and sorted(order) != sorted(payload):
+            raise ValueError(f"tenant order {list(order)} does not list "
+                             f"the tenants {sorted(payload)}")
         tenants = []
-        for tenant_id, fields in payload.items():
+        for tenant_id in (payload if order is None else order):
+            fields = payload[tenant_id]
             tenants.append(TenantSpec(
                 tenant_id=tenant_id,
                 slo_class=str(fields.get("slo_class", "best_effort")),

@@ -7,8 +7,9 @@ contract (``(time, seq)`` event order; the one-arrival-at-a-time shed rule;
 one exponential draw per Poisson arrival; a dispatch queue whose every read
 is recomputed over what is pending; ``np.pad`` + ``sliding_window_view``
 patches and one scatter over a per-call index; evaluation as the reference
-layers' ``model.forward`` per batch) in the plainest code that satisfies
-it,
+layers' ``model.forward`` per batch; serving accounting as one tuple per
+shed arrival and one record per completed request) in the plainest code
+that satisfies it,
 and differential tests hold the production implementation to them on
 generated inputs.
 """

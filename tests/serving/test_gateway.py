@@ -160,6 +160,20 @@ class TestJournal:
         assert audit["requests"] == len(report.records)
         assert audit["shed"] == len(report.shed)
 
+    def test_audit_lists_tenants_in_registry_order(self, tmp_path):
+        """The header's ``tenants`` object is written with sorted keys; the
+        audit must still rebuild the registry in its own order."""
+        path = str(tmp_path / "journal.jsonl")
+        spec = ("prem:class=premium,weight=8,quota=300,share=250;"
+                "batch:class=best_effort,weight=1,share=4000")
+        report = _serve(spec=spec, duration=0.3, journal=path,
+                        admission=AdmissionPolicy(max_queue_depth=64))
+        assert list(report.tenants) == ["prem", "batch"]
+        audit = audit_journal(path)
+        assert list(audit["tenants"]) == list(report.tenants)
+        assert audit["tenants"] == report.tenants
+        assert read_trace(path)[0]["data"]["order"] == ["prem", "batch"]
+
     def test_registry_header_is_first_line(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         _serve(duration=0.2, journal=path)

@@ -276,7 +276,7 @@ class TestBrownoutProbedOncePerPull:
         pulls, staged = [], {}
 
         def recording_meter(wave, times, contracts, browned):
-            staged.update(tenants=wave.tenants(list(range(len(times)))),
+            staged.update(tenants=[wave.tenant_of(j) for j in range(len(times))],
                           browned=browned, live=contracts["prem"][0])
             return meter(wave, times, contracts, browned)
 

@@ -146,6 +146,19 @@ class TestTenantRegistry:
                 (b.slo, b.weight, b.quota_rps, b.share)
             assert a.premium == b.premium
 
+    def test_from_dict_takes_the_order_the_sorted_payload_lost(self):
+        registry = TenantRegistry.from_spec("prem:class=premium;batch;mid")
+        payload = dict(sorted(registry.to_dict().items()))  # as on disk
+        rebuilt = TenantRegistry.from_dict(payload, registry.tenant_ids)
+        assert rebuilt.tenant_ids == ["prem", "batch", "mid"]
+        # No order (a journal from before the header carried one): key order.
+        assert TenantRegistry.from_dict(payload).tenant_ids == \
+            ["batch", "mid", "prem"]
+        for order in (["prem", "batch"], ["prem", "batch", "mid", "mid"],
+                      ["prem", "batch", "ghost"]):
+            with pytest.raises(ValueError, match="tenant order"):
+                TenantRegistry.from_dict(payload, order)
+
     def test_describe_names_every_tenant(self):
         registry = TenantRegistry.from_spec("prem:class=premium;batch")
         text = registry.describe()
