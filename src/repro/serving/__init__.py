@@ -29,9 +29,7 @@ from repro.serving.request import BatchRecord, Request, RequestRecord
 from repro.serving.batcher import (
     AdmissionPolicy,
     DispatchQueue,
-    FifoDispatchQueue,
     MicroBatchPolicy,
-    WFQDispatchQueue,
 )
 from repro.serving.generators import (
     ClosedLoopSource,
@@ -59,7 +57,6 @@ __all__ = [
     "BatchRecord",
     "ClosedLoopSource",
     "DispatchQueue",
-    "FifoDispatchQueue",
     "LatencyAutoscaler",
     "MicroBatchPolicy",
     "MultiTenantPoissonSource",
@@ -76,7 +73,6 @@ __all__ = [
     "TenantSpec",
     "TenantTaggingSource",
     "TokenBucket",
-    "WFQDispatchQueue",
     "audit_journal",
     "serve_workload",
     "tenant_report",

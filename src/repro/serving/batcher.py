@@ -22,32 +22,17 @@ with its decision kernel in :mod:`repro.serving.admission`.
 
 from __future__ import annotations
 
-import heapq
-import math
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Deque,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
-
-import numpy as np
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence
 
 from repro.serving.admission import AdmissionPolicy
 
 if TYPE_CHECKING:
-    from repro.serving.request import Request
     from repro.serving.tenancy import TenantRegistry
 
-__all__ = ["AdmissionPolicy", "DispatchQueue", "FifoDispatchQueue",
-           "MicroBatchPolicy", "WFQDispatchQueue"]
+__all__ = ["AdmissionPolicy", "DispatchQueue", "MicroBatchPolicy"]
 
 
 @dataclass(frozen=True)
@@ -82,83 +67,182 @@ class MicroBatchPolicy:
         return self.deadline(arrivals[0])
 
 
+class _Tenant:
+    """One tenant's weighted-fair state: ``1/weight``, the finish tag of its
+    last push, and the flow its next in-order push joins."""
+
+    __slots__ = ("inv", "finish", "flow")
+
+    def __init__(self, inv: float) -> None:
+        self.inv = inv
+        self.finish = 0.0
+        self.flow: Optional[Deque[tuple]] = None
+
+
 class DispatchQueue:
     """The router's pending-request queue, as an ordering policy.
 
-    The router admits requests, asks the queue which arrivals are pending
-    (:meth:`oldest_arrival` / :meth:`arrival_times` feed the coalescing
-    policy's trigger computation), and drains a micro-batch with
-    :meth:`take`.  Two implementations: :class:`FifoDispatchQueue`
-    reproduces the original single-stream deque bit-for-bit, and
-    :class:`WFQDispatchQueue` orders dispatch by weighted-fair virtual-time
-    finish tags so a flooding tenant cannot starve the others.
+    What it holds are **entries**: one plain tuple ``(arrival, request_id,
+    tenant, client, example)`` per admitted request, built by the arrival
+    wave (:meth:`repro.serving.generators.ArrivalWave.entries`).  The
+    router admits entries with :meth:`push_wave`, asks which arrivals are
+    pending (:meth:`oldest_arrival` / :meth:`arrival_times` feed the
+    coalescing policy's trigger computation), and drains a micro-batch —
+    a list of entries — with :meth:`take`.
 
-    Crash-requeued requests re-enter via :meth:`requeue` and are served
-    strictly first in their original batch order under *both* policies —
-    they were already admitted and dispatched once; fairness applies to
-    admission order, not to crash recovery.
+    Pending entries sit in **flows**: FIFO runs that are monotone in arrival
+    time (and, under WFQ, in ``(finish, seq)``).  Two orderings:
 
-    **Order statistics.**  Whatever structure orders *dispatch*, the queue
-    also keeps the pending arrival times as an ascending multiset, so the
-    two reads the router makes per planned batch cost nothing per queued
-    request: :meth:`oldest_arrival` is its first element and
-    :meth:`arrival_times` is the multiset itself — a *read-only view*,
-    ascending, valid until the queue is next mutated.  The base class owns
-    that list and the only two spellings of its upkeep: a subclass calls
-    :meth:`_hold` with whatever it queues (``push``, ``push_wave``,
-    ``extend``, ``requeue``) and :meth:`_release` with the batch ``take``
-    is about to return, and chains ``clear``.  Both implementations raise
-    the same :class:`IndexError` from :meth:`oldest_arrival` on an empty
-    queue.
+    * **FIFO** (no ``registry``) — one flow that never splits: arrivals
+      append, and :meth:`take` pops from its head while the head arrived by
+      the launch time.  Sources hand over ascending arrivals, so stopping at
+      the first too-late head is exhaustive.
+    * **WFQ** (a ``registry`` supplies per-tenant weights) — start-time fair
+      queueing: an entry of tenant *i* gets ``start = max(vtime,
+      last_finish[i])`` and ``finish = start + 1/weight_i`` when pushed;
+      dispatch drains in ascending ``(finish, seq)`` order, ``seq`` being
+      the push order, and ``vtime`` rises to the start tag of each
+      dispatched entry.  While two tenants are both backlogged, tenant *i*
+      receives ``weight_i / sum(weights)`` of the dispatch slots; an idle
+      tenant banks nothing.  Unregistered tenants (and untagged entries,
+      ``tenant=None``) get weight 1.0.  Each tenant pushes onto its current
+      flow; a push that arrived earlier than that flow's tail opens a new
+      one, so every flow's not-yet-arrived entries are a suffix and
+      :meth:`take` is an exact merge over the arrived flow heads.  With one
+      tenant every finish tag exceeds the previous one, so the dispatch
+      stream is bit-identical to FIFO — the golden trace suite pins that.
+
+    Crash-requeued entries re-enter via :meth:`requeue` onto a front deque
+    and are served strictly first in their original batch order under
+    *both* orderings — they were already admitted and dispatched once;
+    fairness applies to admission order, not to crash recovery.  Under FIFO
+    the front and the flow are one sequence: a front entry that has not
+    arrived ends the batch.
+
+    **Order statistics.**  Whatever orders *dispatch*, the queue also keeps
+    the pending arrival times as an ascending multiset, so the two reads
+    the router makes per planned batch cost nothing per queued entry:
+    :meth:`oldest_arrival` is its first element and :meth:`arrival_times`
+    is the multiset itself — a *read-only view*, ascending, valid until the
+    queue is next mutated.  :meth:`_hold` files what is queued and
+    :meth:`_release` forgets what :meth:`take` hands out.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, registry: Optional["TenantRegistry"] = None) -> None:
+        self._weights: Optional[Dict[Optional[str], float]] = (
+            None if registry is None
+            else {spec.tenant_id: spec.weight for spec in registry})
         self._arrivals: List[float] = []
+        self._front: Deque[tuple] = deque()
+        self.clear()
 
-    def _hold(self, requests: Iterable["Request"]) -> None:
-        """File the arrival times of newly queued requests.
+    def _hold(self, entries: Sequence[tuple]) -> None:
+        """File the arrival times of newly queued entries.
 
         Sources hand arrivals over in ascending time, so the append is the
         common case; a crash requeue (older than what is waiting) or an
         out-of-order push pays one binary search and one list insert.
         """
         arrivals = self._arrivals
-        for r in requests:
-            t = r.arrival_time
+        for entry in entries:
+            t = entry[0]
             if arrivals and t < arrivals[-1]:
                 insort(arrivals, t)
             else:
                 arrivals.append(t)
 
-    def _release(self, batch: Iterable["Request"]) -> None:
-        """Forget the arrival times of the requests ``take`` hands out."""
+    def _release(self, batch: Sequence[tuple]) -> None:
+        """Forget the arrival times of the entries ``take`` hands out."""
         arrivals = self._arrivals
-        for r in batch:
-            del arrivals[bisect_left(arrivals, r.arrival_time)]
+        if len(batch) == len(arrivals):
+            arrivals.clear()  # the batch is everything pending
+            return
+        for entry in batch:
+            del arrivals[bisect_left(arrivals, entry[0])]
 
-    def push(self, request: "Request") -> None:
-        raise NotImplementedError
+    def push_wave(self, requests: Sequence[tuple]) -> None:
+        """Queue a whole admitted wave of entries, in order."""
+        self._hold(requests)
+        if self._weights is None:
+            self._flows[0].extend(requests)
+            return
+        weights, tenants, flows = self._weights, self._tenants, self._flows
+        vtime, seq = self._vtime, self._seq
+        for entry in requests:
+            state = tenants.get(entry[2])
+            if state is None:
+                state = tenants[entry[2]] = _Tenant(
+                    1.0 / weights.get(entry[2], 1.0))
+            start = state.finish
+            if start < vtime:
+                start = vtime
+            state.finish = finish = start + state.inv
+            flow = state.flow
+            if flow is None or (flow and entry[0] < flow[-1][3][0]):
+                # A new tenant, or this entry would sit behind a later
+                # arrival: a new flow keeps both orders monotone.
+                if flow is not None:
+                    self._drop_drained()
+                flow = state.flow = deque()
+                flows.append(flow)
+            flow.append((finish, seq, start, entry))
+            seq += 1
+        self._seq = seq
 
-    def extend(self, requests: Sequence["Request"]) -> None:
-        for r in requests:
-            self.push(r)
+    def _drop_drained(self) -> None:
+        """Forget every drained flow (a split's old flow drains for good);
+        a tenant whose current flow went opens a fresh one on its next
+        push."""
+        for state in self._tenants.values():
+            if not state.flow:
+                state.flow = None
+        self._flows[:] = [flow for flow in self._flows if flow]
 
-    def push_wave(self, requests: Sequence["Request"]) -> None:
-        """Queue a whole admitted wave at once.
+    def push(self, entry: tuple) -> None:
+        self.push_wave((entry,))
 
-        Semantically identical to pushing each request in order; queue
-        implementations override this to batch the bookkeeping (the WFQ
-        queue computes the wave's finish tags vectorized and restores the
-        heap invariant once instead of per push).
+    extend = push_wave
+
+    def requeue(self, batch: Sequence[tuple]) -> None:
+        self._hold(batch)
+        self._front.extendleft(reversed(batch))
+
+    def take(self, launch: float, max_batch: int) -> List[tuple]:
+        """Drain up to ``max_batch`` entries that arrived by ``launch``.
+
+        WFQ merges the flows: the next entry is the least ``(finish, seq)``
+        among the flow heads that arrived by ``launch`` — a flow whose head
+        has not arrived holds nothing that has.
         """
-        self.extend(requests)
-
-    def requeue(self, batch: Sequence["Request"]) -> None:
-        raise NotImplementedError
-
-    def take(self, launch: float, max_batch: int) -> List["Request"]:
-        """Drain up to ``max_batch`` requests that arrived by ``launch``."""
-        raise NotImplementedError
+        batch: List[tuple] = []
+        front = self._front
+        while front and len(batch) < max_batch and front[0][0] <= launch:
+            batch.append(front.popleft())
+        if self._weights is None:
+            flow = self._flows[0]
+            if not front:
+                for _ in range(max_batch - len(batch)):
+                    if not flow or flow[0][0] > launch:
+                        break
+                    batch.append(flow.popleft())
+        else:
+            flows, vtime = self._flows, self._vtime
+            for _ in range(max_batch - len(batch)):
+                best = None
+                for flow in flows:
+                    # (finish, seq) decides: seq is unique.
+                    if (flow and flow[0][3][0] <= launch
+                            and (best is None or flow[0] < best[0])):
+                        best = flow
+                if best is None:
+                    break
+                _, _, start, entry = best.popleft()
+                batch.append(entry)
+                if start > vtime:
+                    vtime = start
+            self._vtime = vtime
+        self._release(batch)
+        return batch
 
     def oldest_arrival(self) -> float:
         """The earliest queued arrival time (the deadline anchor)."""
@@ -175,186 +259,13 @@ class DispatchQueue:
 
     def clear(self) -> None:
         self._arrivals.clear()
+        self._front.clear()
+        # FIFO keeps its one flow for good; WFQ flows come and go.
+        self._flows: List[Deque[tuple]] = (
+            [deque()] if self._weights is None else [])
+        self._tenants: Dict[Optional[str], _Tenant] = {}
+        self._vtime = 0.0
+        self._seq = 0
 
     def __len__(self) -> int:
         return len(self._arrivals)
-
-
-class FifoDispatchQueue(DispatchQueue):
-    """Strict arrival-order dispatch — the pre-tenancy router behaviour.
-
-    A thin wrapper over a deque: arrivals append, crash requeues prepend,
-    and :meth:`take` pops from the head while the head arrived by the
-    launch time.  Because both the source and the requeue path keep the
-    deque sorted by arrival time, stopping at the first too-late head is
-    exhaustive.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._queue: Deque["Request"] = deque()
-
-    def push(self, request: "Request") -> None:
-        self._hold((request,))
-        self._queue.append(request)
-
-    def extend(self, requests: Sequence["Request"]) -> None:
-        self._hold(requests)
-        self._queue.extend(requests)
-
-    def requeue(self, batch: Sequence["Request"]) -> None:
-        self._hold(batch)
-        for r in reversed(batch):
-            self._queue.appendleft(r)
-
-    def take(self, launch: float, max_batch: int) -> List["Request"]:
-        batch: List["Request"] = []
-        while (self._queue and len(batch) < max_batch
-               and self._queue[0].arrival_time <= launch):
-            batch.append(self._queue.popleft())
-        self._release(batch)
-        return batch
-
-    def clear(self) -> None:
-        super().clear()
-        self._queue.clear()
-
-
-class WFQDispatchQueue(DispatchQueue):
-    """Weighted fair queueing over tenants, via virtual-time finish tags.
-
-    Start-time fair queueing (SFQ): a request from tenant *i* gets
-    ``start = max(vtime, last_finish[i])`` and
-    ``finish = start + 1/weight_i``; dispatch drains in ascending
-    ``(finish, seq)`` order, and ``vtime`` advances to the start tag of the
-    last dispatched request.  While two tenants are both backlogged, tenant
-    *i* receives ``weight_i / sum(weights)`` of the dispatch slots; an idle
-    tenant banks nothing (its next start tag snaps up to ``vtime``).
-
-    Determinism and the single-tenant identity: tags are pure arithmetic
-    over arrival order, ties break on the push sequence number, and with
-    one tenant every finish tag exceeds the previous one — so tag order
-    *is* arrival order and the dispatch stream is bit-identical to
-    :class:`FifoDispatchQueue`.  That identity is pinned by the golden
-    trace suite.
-
-    ``registry`` supplies per-tenant weights; requests from unregistered
-    tenants (and untagged requests, ``tenant=None``) share a default
-    weight-1.0 flow.
-    """
-
-    def __init__(self, registry: Optional["TenantRegistry"] = None) -> None:
-        super().__init__()
-        self._weights: Dict[Optional[str], float] = {}
-        if registry is not None:
-            for spec in registry:
-                self._weights[spec.tenant_id] = spec.weight
-        # (finish, seq, start, request) — heapq orders by finish then seq.
-        self._heap: List[Tuple[float, int, float, "Request"]] = []
-        self._front: Deque["Request"] = deque()
-        self._vtime = 0.0
-        self._last_finish: Dict[Optional[str], float] = {}
-        self._seq = 0
-
-    def push(self, request: "Request") -> None:
-        self._hold((request,))
-        self._tag(request)
-
-    def _tag(self, request: "Request") -> None:
-        """Stamp one request's start/finish tags and file it on the heap."""
-        weight = self._weights.get(request.tenant, 1.0)
-        start = max(self._vtime, self._last_finish.get(request.tenant, 0.0))
-        finish = start + 1.0 / weight
-        self._last_finish[request.tenant] = finish
-        heapq.heappush(self._heap, (finish, self._seq, start, request))
-        self._seq += 1
-
-    def push_wave(self, requests: Sequence["Request"]) -> None:
-        """Push a whole admitted wave with one tag pass per tenant.
-
-        Within one wave a tenant's finish tags follow the pure recurrence
-        ``f_j = f_{j-1} + 1/weight`` seeded at ``max(vtime, last_finish)``
-        (``vtime`` only moves on dispatch), so the wave's tags per tenant
-        are one scalar seed plus a ``cumsum`` — the same left-fold float
-        adds :meth:`push` performs, hence bit-identical tags.  Sequence
-        numbers are assigned in wave order across tenants, and the heap
-        invariant is restored once (heapify) when that is cheaper than
-        per-entry pushes; pop order is unaffected either way because
-        ``(finish, seq)`` keys are unique.
-        """
-        self._hold(requests)
-        n = len(requests)
-        if n < 16:
-            for r in requests:
-                self._tag(r)
-            return
-        groups: Dict[Optional[str], List[int]] = {}
-        for j, r in enumerate(requests):
-            group = groups.get(r.tenant)
-            if group is None:
-                groups[r.tenant] = [j]
-            else:
-                group.append(j)
-        seq0 = self._seq
-        vtime = self._vtime
-        heap = self._heap
-        entries: List[Tuple[float, int, float, "Request"]] = []
-        for tenant, positions in groups.items():
-            k = len(positions)
-            inv = 1.0 / self._weights.get(tenant, 1.0)
-            s0 = max(vtime, self._last_finish.get(tenant, 0.0))
-            incs = np.full(k, inv)
-            incs[0] = s0 + inv
-            finishes = np.cumsum(incs)
-            starts = np.empty(k)
-            starts[0] = s0
-            if k > 1:
-                np.maximum(vtime, finishes[:-1], out=starts[1:])
-            self._last_finish[tenant] = float(finishes[-1])
-            entries.extend(
-                zip(finishes.tolist(),
-                    (seq0 + j for j in positions),
-                    starts.tolist(),
-                    (requests[j] for j in positions)))
-        self._seq = seq0 + n
-        # Pick the cheaper way to restore the heap invariant; the popped
-        # order is identical either way (all keys are distinct).
-        if 2 * (len(heap) + n) < n * max(1.0, math.log2(len(heap) + n)):
-            heap.extend(entries)
-            heapq.heapify(heap)
-        else:
-            for entry in entries:
-                heapq.heappush(heap, entry)
-
-    def requeue(self, batch: Sequence["Request"]) -> None:
-        self._hold(batch)
-        for r in reversed(batch):
-            self._front.appendleft(r)
-
-    def take(self, launch: float, max_batch: int) -> List["Request"]:
-        batch: List["Request"] = []
-        while (self._front and len(batch) < max_batch
-               and self._front[0].arrival_time <= launch):
-            batch.append(self._front.popleft())
-        skipped: List[Tuple[float, int, float, "Request"]] = []
-        while self._heap and len(batch) < max_batch:
-            entry = heapq.heappop(self._heap)
-            if entry[3].arrival_time <= launch:
-                batch.append(entry[3])
-                self._vtime = max(self._vtime, entry[2])
-            else:
-                # Not yet arrived at this launch time: keep its tags so it
-                # rejoins the heap at exactly the same rank.
-                skipped.append(entry)
-        for entry in skipped:
-            heapq.heappush(self._heap, entry)
-        self._release(batch)
-        return batch
-
-    def clear(self) -> None:
-        super().clear()
-        self._heap.clear()
-        self._front.clear()
-        self._vtime = 0.0
-        self._last_finish.clear()
-        self._seq = 0

@@ -4,11 +4,12 @@
 :class:`~repro.serving.router.RequestRouter` with the three things a
 production front end owes its tenants:
 
-* **weighted fair queueing** — the pending queue is a
-  :class:`~repro.serving.batcher.WFQDispatchQueue` keyed by the registry's
-  weights, so a flooding tenant is confined to its share of dispatch slots
-  instead of starving everyone behind a FIFO (``dispatcher="fifo"`` keeps
-  the old queue for A/B comparison — that is what
+* **weighted fair queueing** — the pending
+  :class:`~repro.serving.batcher.DispatchQueue` orders dispatch by the
+  registry's weights, so a flooding tenant is confined to its share of
+  dispatch slots instead of starving everyone behind a FIFO
+  (``dispatcher="fifo"`` builds the same queue without the registry, one
+  arrival-order flow, for A/B comparison — that is what
   ``benchmarks/bench_tenant_fairness.py`` sweeps);
 * **tenant-aware admission** — load shedding consults the tenant's
   contract: a *premium* tenant inside its token-bucket quota is never
@@ -51,11 +52,7 @@ from repro.runtime import EventTrace
 from repro.runtime.trace import load_trace
 from repro.serving.admission import AdmissionPolicy
 from repro.serving.autoscaler import LatencyAutoscaler
-from repro.serving.batcher import (
-    FifoDispatchQueue,
-    MicroBatchPolicy,
-    WFQDispatchQueue,
-)
+from repro.serving.batcher import DispatchQueue, MicroBatchPolicy
 from repro.serving.generators import (
     ArrivalWave,
     OpenLoopPoissonSource,
@@ -230,8 +227,7 @@ class ServingGateway(RequestRouter):
                  dispatcher: str = "wfq",
                  journal: Optional[Union[str, EventTrace]] = None) -> None:
         check_dispatcher(dispatcher)
-        queue = (WFQDispatchQueue(registry) if dispatcher == "wfq"
-                 else FifoDispatchQueue())
+        queue = DispatchQueue(registry if dispatcher == "wfq" else None)
         super().__init__(inference, source, policy=policy, pool=pool,
                          autoscaler=autoscaler, collect_logits=collect_logits,
                          name=name, admission=admission, dispatch_queue=queue)

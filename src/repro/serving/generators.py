@@ -43,10 +43,11 @@ class ArrivalWave:
 
     The admission path consumes arrivals the way the event core consumes
     event runs: ``times`` is the ascending arrival-time array, request ids
-    are ``first_id + j``, and the payload row for wave offset ``j`` is
-    ``bank.row(first_cursor + j)`` — materialized only for the requests
-    that survive admission, which is the whole point: a shed arrival never
-    becomes a :class:`Request`.
+    are ``first_id + j``, and the payload row for wave offset ``j`` is the
+    bank's row ``first_cursor + j`` (cyclically) — read only for the
+    arrivals that survive admission, each of which becomes one plain queue
+    entry (:meth:`entries`).  A shed arrival becomes neither an entry nor a
+    :class:`Request`.
 
     ``tenant_idx``/``tenant_table`` carry tenancy without per-request
     strings: offset ``j`` belongs to ``tenant_table[tenant_idx[j]]``.
@@ -54,8 +55,8 @@ class ArrivalWave:
     ``tenant_table[0]`` (single-stream sources use ``[None]``).
 
     A source that cannot cut array waves hands over the requests it already
-    built (:meth:`of`): ``requests[j]`` then *is* offset ``j``, ids, client
-    and payload included.
+    built (:meth:`of`): ``prebuilt[j]`` is then offset ``j``'s entry, read
+    off its request — ids, client and payload included.
     """
 
     times: np.ndarray
@@ -64,47 +65,51 @@ class ArrivalWave:
     first_cursor: int = 0
     tenant_idx: Optional[np.ndarray] = None
     tenant_table: Sequence[Optional[str]] = (None,)
-    requests: Optional[Sequence[Request]] = None
+    prebuilt: Optional[List[tuple]] = None
 
     @classmethod
     def of(cls, requests: Sequence[Request]) -> "ArrivalWave":
         """Wrap already-built requests, in order, as one wave."""
-        table = tuple(dict.fromkeys(r.tenant for r in requests)) or (None,)
+        entries = [(r.arrival_time, r.request_id, r.tenant, r.client, r.example)
+                   for r in requests]
+        table = tuple(dict.fromkeys(e[2] for e in entries)) or (None,)
         idx = None
         if len(table) > 1:
             position = {tenant: k for k, tenant in enumerate(table)}
-            idx = np.array([position[r.tenant] for r in requests])
-        return cls(times=np.array([r.arrival_time for r in requests], float),
-                   tenant_idx=idx, tenant_table=table, requests=requests)
+            idx = np.array([position[e[2]] for e in entries])
+        return cls(times=np.array([e[0] for e in entries], float),
+                   tenant_idx=idx, tenant_table=table, prebuilt=entries)
 
     def __len__(self) -> int:
         return len(self.times)
 
-    def tenant_of(self, offset: int) -> Optional[str]:
-        if self.tenant_idx is None:
-            return self.tenant_table[0]
-        return self.tenant_table[int(self.tenant_idx[offset])]
-
-    def build_request(self, offset: int, arrival: float) -> Request:
-        """Materialize one admitted request."""
-        if self.requests is not None:
-            return self.requests[offset]
-        return Request(request_id=self.first_id + offset,
-                       arrival_time=arrival,
-                       example=self.bank.row(self.first_cursor + offset),
-                       tenant=self.tenant_of(offset))
-
-    def build_all(self) -> List[Request]:
-        return [self.build_request(j, t)
-                for j, t in enumerate(self.times.tolist())]
+    def entries(self, times: List[float],
+                offsets: Optional[Sequence[int]] = None) -> List[tuple]:
+        """The queue entries ``(arrival, request_id, tenant, client,
+        example)`` of the arrivals at ``offsets`` (all of them by default);
+        ``times`` is ``self.times`` as plain floats."""
+        if self.prebuilt is not None:
+            if offsets is None:
+                return self.prebuilt
+            return [self.prebuilt[j] for j in offsets]
+        if offsets is None:
+            offsets = range(len(times))
+        table = self.tenant_table
+        idx = ([0] * len(times) if self.tenant_idx is None
+               else self.tenant_idx.tolist())
+        first_id, cursor = self.first_id, self.first_cursor
+        examples = self.bank.examples
+        n = len(examples)
+        return [(times[j], first_id + j, table[idx[j]], None,
+                 examples[(cursor + j) % n]) for j in offsets]
 
     def shed_block(self, offsets: Sequence[int],
                    reasons: List[str]) -> ShedBlock:
         """The arrivals at ``offsets`` as one shed record block, ``reasons``
-        parallel to them (no :class:`Request` is built)."""
+        parallel to them (no entry is built)."""
         at = np.asarray(offsets, dtype=np.intp)
-        ids = (at + self.first_id if self.requests is None
-               else np.array([self.requests[j].request_id for j in offsets]))
+        ids = (at + self.first_id if self.prebuilt is None
+               else np.array([self.prebuilt[j][1] for j in offsets]))
         idx = self.tenant_idx
         return ShedBlock(self.times[at], ids, None if idx is None else idx[at],
                          self.tenant_table, reasons)
@@ -144,7 +149,7 @@ class RequestSource(ABC):
 
 
 # What an array source returns when nothing arrived: shared, never mutated.
-EMPTY_WAVE = ArrivalWave(times=np.empty(0))
+EMPTY_WAVE = ArrivalWave.of([])
 
 
 class _ExampleBank:
@@ -153,21 +158,17 @@ class _ExampleBank:
     def __init__(self, examples: np.ndarray) -> None:
         if len(examples) == 0:
             raise ValueError("the example bank needs at least one row")
-        self._examples = examples
+        self.examples = examples
         self._cursor = 0
 
     def next_example(self) -> np.ndarray:
-        row = self._examples[self._cursor % len(self._examples)]
+        row = self.examples[self._cursor % len(self.examples)]
         self._cursor += 1
         return row
 
     @property
     def cursor(self) -> int:
         return self._cursor
-
-    def row(self, position: int) -> np.ndarray:
-        """The row ``next_example`` returns at absolute ``position``."""
-        return self._examples[position % len(self._examples)]
 
     def advance(self, n: int) -> None:
         """Consume ``n`` rows in bulk (the wave path's cursor bump)."""
@@ -210,7 +211,7 @@ class OpenLoopPoissonSource(RequestSource):
             return EMPTY_WAVE
         # One searchsorted over the sorted arrival array cuts the wave;
         # nothing per request happens until admission has decided.
-        end = int(np.searchsorted(self._times, until, side="right"))
+        end = int(self._times.searchsorted(until, "right"))
         start = self._next
         idx = self._tenant_idx
         wave = ArrivalWave(times=self._times[start:end], first_id=start,
@@ -224,7 +225,9 @@ class OpenLoopPoissonSource(RequestSource):
         return wave
 
     def take_arrivals(self, until: float) -> List[Request]:
-        return self._cut(until).build_all()
+        wave = self._cut(until)
+        return [Request(request_id=i, arrival_time=t, example=x, tenant=tenant)
+                for t, i, tenant, _, x in wave.entries(wave.times.tolist())]
 
     def take_wave(self, until: float) -> ArrivalWave:
         if type(self).take_arrivals is not OpenLoopPoissonSource.take_arrivals:

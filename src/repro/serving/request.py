@@ -1,16 +1,17 @@
 """Request and per-request accounting records for the serving subsystem.
 
 A :class:`Request` is one single-example inference call: a payload row (no
-batch axis) plus its arrival time in the simulated clock.  The router keeps
-its accounting as column blocks — a :class:`RecordBlock` per completed
-micro-batch, a :class:`ShedBlock` per admission pull that shed — and builds
-a :class:`RequestRecord` (the per-request latency breakdown, queueing vs.
-service) only when one is read.
+batch axis) plus its arrival time in the simulated clock — what request-list
+sources build.  Inside the router an admitted request is a plain tuple
+``(arrival, request_id, tenant, client, example)``, a queue **entry**.  The
+router keeps its accounting as column blocks — a :class:`RecordBlock` per
+completed micro-batch of entries, a :class:`ShedBlock` per admission pull
+that shed — and builds a :class:`RequestRecord` (the per-request latency
+breakdown, queueing vs. service) only when one is read.
 """
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_right
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
@@ -85,25 +86,21 @@ class BatchRecord:
         return self.completion_time - self.dispatch_time
 
 
-# What a RecordBlock keeps of each request, read off all of them in C.
-_REQUEST_COLUMNS = operator.attrgetter("request_id", "arrival_time", "tenant", "client")
-
-
 class RecordBlock(SequenceABC):
     """One micro-batch's completed requests as columns.
 
     ``batch`` holds what they share; ``ids``, ``arrivals``, ``tenants`` and
-    ``clients`` are tuples in batch order.  Element ``k`` is the request's
-    :class:`RequestRecord`, built on access (closed-loop sources iterate a
-    block that way); the accounting reads the columns.
+    ``clients`` are tuples in batch order, transposed off the batch's queue
+    entries.  Element ``k`` is the request's :class:`RequestRecord`, built
+    on access (closed-loop sources iterate a block that way); the
+    accounting reads the columns.
     """
 
     __slots__ = ("batch", "ids", "arrivals", "tenants", "clients")
 
-    def __init__(self, batch: BatchRecord, requests: Sequence[Request]) -> None:
+    def __init__(self, batch: BatchRecord, entries: Sequence[tuple]) -> None:
         self.batch = batch
-        self.ids, self.arrivals, self.tenants, self.clients = zip(
-            *map(_REQUEST_COLUMNS, requests))
+        self.arrivals, self.ids, self.tenants, self.clients, _ = zip(*entries)
 
     def __len__(self) -> int:
         return len(self.ids)

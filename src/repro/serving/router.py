@@ -76,18 +76,13 @@ from repro.runtime import (
 )
 from repro.serving.admission import AdmissionPolicy, decide
 from repro.serving.autoscaler import AllocationProfile, LatencyAutoscaler
-from repro.serving.batcher import (
-    DispatchQueue,
-    FifoDispatchQueue,
-    MicroBatchPolicy,
-)
+from repro.serving.batcher import DispatchQueue, MicroBatchPolicy
 from repro.serving.generators import (
     ArrivalWave,
     OpenLoopPoissonSource,
     RequestSource,
 )
-from repro.serving.request import (BatchRecord, BlockLog, RecordBlock,
-                                   Request, ShedBlock)
+from repro.serving.request import BatchRecord, BlockLog, RecordBlock, ShedBlock
 from repro.telemetry import percentile
 
 if TYPE_CHECKING:
@@ -345,8 +340,7 @@ class RequestRouter:
         self._on_rescaled: Optional[Callable[[float], None]] = None
         self._on_drain: Optional[Callable[[float], None]] = None
         self._pending: DispatchQueue = (
-            dispatch_queue if dispatch_queue is not None
-            else FifoDispatchQueue())
+            dispatch_queue if dispatch_queue is not None else DispatchQueue())
         self._server_free = 0.0
         self._devices = self.devices
         self._batch_id = 0
@@ -363,7 +357,7 @@ class RequestRouter:
         # the batched path posts straight into the slab, no Event facades.
         self._admit_handle: Optional[int] = None
         self._dispatch_handle: Optional[int] = None
-        self._inflight: Optional[Tuple[int, List[Request], int, float]] = None
+        self._inflight: Optional[Tuple[int, List[tuple], int, float]] = None
         # Last observed batch service time — the deterministic basis for the
         # admission controller's wait estimate (0.0 until a batch completes,
         # so a cold router never wait-sheds).
@@ -545,16 +539,17 @@ class RequestRouter:
 
         The one door: ``_on_admit`` and ``_admit`` both come through here,
         for a wave of any length.  Crash-requeued requests never do — they
-        go back on the queue front directly (already admitted).  A shed
-        arrival never becomes a :class:`Request` object.
+        go back on the queue front directly (already admitted).  An
+        admitted arrival becomes one queue entry; a shed one only a row of
+        the pull's shed block.
         """
         wave = self.source.take_wave(until)
         if not len(wave.times):
             return 0
-        if self.admission is None:
-            self._pending.push_wave(wave.build_all())
-            return 0
         times = wave.times.tolist()
+        if self.admission is None:
+            self._pending.push_wave(wave.entries(times))
+            return 0
         # No event fires inside a pull, so the admission state (server
         # backlog, service estimate, degradation) is frozen but for the
         # queue depth, which decide() tracks: probe brownout once, not per
@@ -565,8 +560,7 @@ class RequestRouter:
             self.admission, times, len(self._pending), self._server_free,
             self._service_estimate, in_force.max_batch, bypass, halved)
         if admitted:
-            self._pending.push_wave(
-                [wave.build_request(j, times[j]) for j in admitted])
+            self._pending.push_wave(wave.entries(times, admitted))
         if shed:
             self._record_shed(wave.shed_block(shed, reasons))
         return len(shed)
@@ -617,7 +611,7 @@ class RequestRouter:
             self.report.brownout_batches += 1
         batch = self._pending.take(launch, policy.max_batch)
 
-        result = self.inference.predict_requests([r.example for r in batch])
+        result = self.inference.predict_requests([e[4] for e in batch])
         latency = result.sim_latency
         if self._conditions is not None and self._conditions.degraded:
             # A straggler in the lease bottlenecks the whole micro-batch.
@@ -638,7 +632,7 @@ class RequestRouter:
         """Per-batch completion hook (the gateway's tenant accounting and
         journal lines read the block's columns here)."""
 
-    def _on_completion(self, completion: float, batch: List[Request],
+    def _on_completion(self, completion: float, batch: List[tuple],
                        batch_id: int, launch: float,
                        result) -> Dict[str, object]:
         self._inflight = None
@@ -652,8 +646,7 @@ class RequestRouter:
         report.records.append(block)
         self._record_completion(block)
         if self.collect_logits:
-            for i, r in enumerate(batch):
-                report.logits[r.request_id] = result.logits[i]
+            report.logits.update(zip(block.ids, result.logits))
         self._server_free = completion
         self._service_estimate = completion - launch
         self.source.on_completion(block)

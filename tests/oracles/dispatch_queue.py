@@ -1,9 +1,9 @@
-"""The dispatch queues, with every read done from scratch.
+"""The dispatch queue's two orderings, with every read done from scratch.
 
 Two plain models of :class:`repro.serving.DispatchQueue`'s contract — what
 is pending, in which order it is dispatched, and the two order statistics
-the router reads per planned batch — written the way the production queues
-answered those reads before they kept them up to date: ``oldest_arrival``
+the router reads per planned batch — written the way the production queue
+answered those reads before it kept them up to date: ``oldest_arrival``
 is a ``min`` over everything pending, ``arrival_times`` collects every
 pending arrival time and sorts.  Nothing is maintained between calls.
 
@@ -17,15 +17,22 @@ pending arrival time and sorts.  Nothing is maintained between calls.
   the launch time (``vtime`` rises to their start tag) and leaves the rest
   where they are; crash requeues go first, in their batch order.
 
-Requests are read through ``arrival_time`` and ``tenant`` only; a wave is
-the same as its requests pushed one at a time.
+Queue entries (``(arrival, request_id, tenant, client, example)`` tuples)
+are read through :func:`arrival` and :func:`tenant` only; a wave is the same
+as its entries pushed one at a time.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-__all__ = ["FifoOracle", "WfqOracle"]
+__all__ = ["FifoOracle", "WfqOracle", "arrival", "request_id", "tenant"]
+
+# The fields of a queue entry the models (and their tests) read.
+arrival = itemgetter(0)
+request_id = itemgetter(1)
+tenant = itemgetter(2)
 
 
 class _FromScratch:
@@ -47,10 +54,10 @@ class _FromScratch:
         pending = self._everything()
         if not pending:
             raise IndexError("oldest_arrival on an empty queue")
-        return min(r.arrival_time for r in pending)
+        return min(arrival(r) for r in pending)
 
     def arrival_times(self) -> List[float]:
-        times = [r.arrival_time for r in self._everything()]
+        times = [arrival(r) for r in self._everything()]
         times.sort()
         return times
 
@@ -71,7 +78,7 @@ class FifoOracle(_FromScratch):
     def take(self, launch: float, max_batch: int) -> list:
         batch: list = []
         while (self.pending and len(batch) < max_batch
-               and self.pending[0].arrival_time <= launch):
+               and arrival(self.pending[0]) <= launch):
             batch.append(self.pending.pop(0))
         return batch
 
@@ -96,10 +103,10 @@ class WfqOracle(_FromScratch):
         return self.front + [entry[3] for entry in self.tagged]
 
     def push(self, request) -> None:
-        tenant = request.tenant
-        start = max(self.vtime, self.last_finish.get(tenant, 0.0))
-        finish = start + 1.0 / self.weights.get(tenant, 1.0)
-        self.last_finish[tenant] = finish
+        owner = tenant(request)
+        start = max(self.vtime, self.last_finish.get(owner, 0.0))
+        finish = start + 1.0 / self.weights.get(owner, 1.0)
+        self.last_finish[owner] = finish
         self.tagged.append((finish, self.pushed, start, request))
         self.pushed += 1
 
@@ -109,11 +116,11 @@ class WfqOracle(_FromScratch):
     def take(self, launch: float, max_batch: int) -> list:
         batch: list = []
         while (self.front and len(batch) < max_batch
-               and self.front[0].arrival_time <= launch):
+               and arrival(self.front[0]) <= launch):
             batch.append(self.front.pop(0))
         left = []
         for entry in sorted(self.tagged, key=lambda e: (e[0], e[1])):
-            if len(batch) < max_batch and entry[3].arrival_time <= launch:
+            if len(batch) < max_batch and arrival(entry[3]) <= launch:
                 batch.append(entry[3])
                 self.vtime = max(self.vtime, entry[2])
             else:

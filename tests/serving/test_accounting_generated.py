@@ -177,7 +177,7 @@ class _Run:
             ids = (self.next_id + np.cumsum(op["id_gaps"])).tolist()
             tenants = op["tenants"]
             wave = ArrivalWave.of([
-                Request(i, t, BANK.row(0), client=c, tenant=tenant)
+                Request(i, t, BANK.examples[0], client=c, tenant=tenant)
                 for i, t, c, tenant in zip(ids, floats, op["clients"], tenants)])
         else:
             ids = list(range(self.next_id, self.next_id + n))
@@ -212,8 +212,10 @@ class _Run:
         completion = launch + op["service"]
         gateway._on_completion(completion, batch, self.batch_id, launch,
                                SimpleNamespace(waves=1))
-        self.oracle.complete(batch, self.batch_id, launch, completion,
-                             gateway._devices)
+        self.oracle.complete(
+            [Request(i, t, x, client=c, tenant=tenant)
+             for t, i, tenant, c, x in batch],
+            self.batch_id, launch, completion, gateway._devices)
         self.batch_id += 1
         self.clock = completion
 

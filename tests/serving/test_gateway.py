@@ -28,8 +28,8 @@ from repro.serving import (
 )
 from repro.serving.batcher import (
     AdmissionPolicy,
+    DispatchQueue,
     MicroBatchPolicy,
-    WFQDispatchQueue,
 )
 from repro.telemetry import StreamingHistogram
 from repro.serving.request import Request
@@ -48,39 +48,61 @@ def _serve(spec=FLOOD_SPEC, rate=4250.0, duration=1.0, seed=7, **kwargs):
         tenants=TenantRegistry.from_spec(spec), **kwargs)
 
 
-def _request(request_id, arrival, tenant):
-    return Request(request_id=request_id, arrival_time=arrival,
-                   example=np.zeros(4), tenant=tenant)
+def _entry(request_id, arrival, tenant):
+    """A queue entry: ``(arrival, request_id, tenant, client, example)``."""
+    return (arrival, request_id, tenant, None, np.zeros(4))
+
+
+def _ids(batch):
+    return [e[1] for e in batch]
 
 
 class TestWFQDispatchQueue:
     def test_weighted_order_jumps_the_backlog(self):
         registry = TenantRegistry.from_spec(
             "prem:class=premium,weight=8;flood:weight=1")
-        queue = WFQDispatchQueue(registry)
+        queue = DispatchQueue(registry)
         for i in range(20):
-            queue.push(_request(i, 0.01 * i, "flood"))
-        queue.push(_request(100, 0.25, "prem"))
-        queue.push(_request(101, 0.26, "prem"))
+            queue.push(_entry(i, 0.01 * i, "flood"))
+        queue.push(_entry(100, 0.25, "prem"))
+        queue.push(_entry(101, 0.26, "prem"))
         batch = queue.take(1.0, 4)
         # Both premium requests beat the 20-deep flood backlog.
-        assert [r.request_id for r in batch] == [100, 101, 0, 1]
+        assert _ids(batch) == [100, 101, 0, 1]
 
     def test_single_tenant_is_arrival_order(self):
         registry = TenantRegistry.from_spec("only:weight=3")
-        queue = WFQDispatchQueue(registry)
+        queue = DispatchQueue(registry)
         for i in range(10):
-            queue.push(_request(i, 0.001 * i, "only"))
-        assert [r.request_id for r in queue.take(1.0, 10)] == list(range(10))
+            queue.push(_entry(i, 0.001 * i, "only"))
+        assert _ids(queue.take(1.0, 10)) == list(range(10))
 
     def test_not_yet_arrived_requests_stay_queued(self):
         registry = TenantRegistry.from_spec("a:weight=1")
-        queue = WFQDispatchQueue(registry)
-        queue.push(_request(0, 0.0, "a"))
-        queue.push(_request(1, 5.0, "a"))
-        assert [r.request_id for r in queue.take(1.0, 8)] == [0]
+        queue = DispatchQueue(registry)
+        queue.push(_entry(0, 0.0, "a"))
+        queue.push(_entry(1, 5.0, "a"))
+        assert _ids(queue.take(1.0, 8)) == [0]
         assert len(queue) == 1
         assert queue.oldest_arrival() == 5.0
+
+    def test_a_late_push_is_not_held_behind_its_tenants_head(self):
+        # The second push arrived before the first: it must dispatch at a
+        # launch only it has reached, not wait behind the later arrival.
+        queue = DispatchQueue(TenantRegistry.from_spec("a"))
+        queue.push(_entry(0, 5.0, "a"))
+        queue.push(_entry(1, 1.0, "a"))
+        assert _ids(queue.take(2.0, 8)) == [1]
+        assert _ids(queue.take(5.0, 8)) == [0]
+
+    def test_an_unregistered_tenant_weighs_one(self):
+        queue = DispatchQueue(TenantRegistry.from_spec("heavy:weight=4;one"))
+        for i, tenant in enumerate(["ghost", "one", "heavy"] * 4):
+            queue.push(_entry(i, 0.0, tenant))
+        # ghost and one finish at 1, 2, 3, 4 — tied, push order decides;
+        # heavy's four finish at 0.25 … 1.0.
+        assert _ids(queue.take(1.0, 12)) == [2, 5, 8, 0, 1, 11, 3, 4, 6, 7,
+                                             9, 10]
 
 
 class TestTenantAwareShedding:
@@ -487,13 +509,13 @@ class TestMultiTenantPoissonSource:
         oracle = self._source(spec, 1250.0)
         for until in (0.1, 0.25, 0.25, 0.6, float("inf")):
             wave = waves.take_wave(until)
-            got = [wave.build_request(j, t)
-                   for j, t in enumerate(wave.times.tolist())]
+            got = wave.entries(wave.times.tolist())
             want = oracle.take_arrivals(until)
-            assert [(r.request_id, r.arrival_time, r.tenant) for r in got] \
-                == [(r.request_id, r.arrival_time, r.tenant) for r in want]
+            assert [e[:4] for e in got] == [
+                (r.arrival_time, r.request_id, r.tenant, r.client)
+                for r in want]
             for g, w in zip(got, want):
-                assert np.array_equal(g.example, w.example)
+                assert np.array_equal(g[4], w.example)
             assert waves.next_arrival_time() == oracle.next_arrival_time()
 
 
@@ -522,20 +544,19 @@ class TestMultiTenantWaveEdgeCases:
             self, monkeypatch):
         source = self._source(monkeypatch, [[0.1, 0.5], [0.1, 0.3, 0.5]])
         wave = source.take_wave(float("inf"))
-        merged = [(wave.times[j], wave.tenant_of(j)) for j in range(len(wave))]
+        merged = [(e[0], e[2]) for e in wave.entries(wave.times.tolist())]
         # Ties at 0.1 and 0.5 break in registry order: a before b.
         assert merged == [(0.1, "a"), (0.1, "b"), (0.3, "b"),
                           (0.5, "a"), (0.5, "b")]
         assert wave.first_id == 0
-        requests = [wave.build_request(j, float(wave.times[j]))
-                    for j in range(len(wave))]
-        assert [r.request_id for r in requests] == list(range(5))
+        entries = wave.entries(wave.times.tolist())
+        assert [e[1] for e in entries] == list(range(5))
 
     def test_empty_phase_tenant_contributes_nothing(self, monkeypatch):
         source = self._source(monkeypatch, [[], [0.1, 0.2, 0.3]])
         assert source.total_requests == 3
         wave = source.take_wave(float("inf"))
-        assert [wave.tenant_of(j) for j in range(len(wave))] == ["b"] * 3
+        assert [e[2] for e in wave.entries(wave.times.tolist())] == ["b"] * 3
         assert len(source.take_wave(float("inf"))) == 0
 
     def test_wave_straddling_until_exactly(self, monkeypatch):
@@ -544,7 +565,8 @@ class TestMultiTenantWaveEdgeCases:
         # An arrival at exactly ``until`` belongs to this wave, not the next.
         wave = source.take_wave(0.2)
         assert wave.times.tolist() == [0.1, 0.2, 0.2]
-        assert [wave.tenant_of(j) for j in range(3)] == ["a", "a", "b"]
+        assert [e[2] for e in wave.entries(wave.times.tolist())] == [
+            "a", "a", "b"]
         assert source.next_arrival_time() == 0.4
         tail = source.take_wave(0.4)
         assert tail.times.tolist() == [0.4]

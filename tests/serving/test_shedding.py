@@ -276,7 +276,7 @@ class TestBrownoutProbedOncePerPull:
         pulls, staged = [], {}
 
         def recording_meter(wave, times, contracts, browned):
-            staged.update(tenants=[wave.tenant_of(j) for j in range(len(times))],
+            staged.update(tenants=[e[2] for e in wave.entries(times)],
                           browned=browned, live=contracts["prem"][0])
             return meter(wave, times, contracts, browned)
 
