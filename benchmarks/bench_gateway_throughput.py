@@ -1,11 +1,11 @@
 """Gateway throughput: a 1M-request overload replay against an absolute floor.
 
-The multi-tenant gateway is the serving front end every co-scheduling result
-runs through, and under overload its admission path executes once per
+The request router serving tenants is the front end every co-scheduling
+result runs through, and under overload its admission path executes once per
 *offered* request — millions of times per experiment.  This benchmark
 replays 1M requests of a two-tenant overload (a premium tenant inside quota
 plus a best-effort flood, depth-capped admission, WFQ dispatch, full request
-journal) through the gateway: wave-at-a-time arrival consumption,
+journal) through it: wave-at-a-time arrival consumption,
 vectorized tenant metering, the shed rule's depth-only numpy side, bulk WFQ
 pushes, and journal lines assembled from cached fragments.
 
@@ -45,7 +45,8 @@ from repro.framework.models import get_workload
 from repro.hardware.cluster import Cluster
 from repro.runtime import EventTrace
 from repro.serving.batcher import AdmissionPolicy, MicroBatchPolicy
-from repro.serving.gateway import MultiTenantPoissonSource, ServingGateway
+from repro.serving.gateway import MultiTenantPoissonSource
+from repro.serving.router import RequestRouter
 from repro.serving.tenancy import TenantRegistry, split_phases
 
 # Replay geometry: a two-tenant overload — a premium tenant well inside its
@@ -70,7 +71,7 @@ FLOOR_RPS = 200_000.0
 # --------------------------------------------------------------------------
 
 def _build(n: int):
-    """One fully wired gateway, journaling to an in-memory sink."""
+    """One fully wired tenant router, journaling to an in-memory sink."""
     registry = TenantRegistry.from_spec(REGISTRY_SPEC)
     workload = get_workload("mlp_synthetic")
     pool = Cluster.homogeneous("V100", 1)
@@ -82,19 +83,20 @@ def _build(n: int):
         registry, split_phases(phases, registry), dataset.x_val, seed=SEED,
         limit=n)
     sink = io.StringIO()
-    gateway = ServingGateway(
-        engine, source, registry,
+    router = RequestRouter(
+        engine, source,
         policy=MicroBatchPolicy(max_batch=8, max_wait=0.002), pool=pool,
+        name="gateway",
         admission=AdmissionPolicy(max_queue_depth=QUEUE_DEPTH,
                                   max_estimated_wait=None),
-        journal=EventTrace(sink))
-    return gateway, source, sink
+        tenants=registry, journal=EventTrace(sink))
+    return router, source, sink
 
 
 def run_replay(n: int) -> Dict[str, object]:
-    gateway, source, sink = _build(n)
+    router, source, sink = _build(n)
     t0 = time.perf_counter()
-    result = gateway.run()
+    result = router.run()
     wall = time.perf_counter() - t0
     lines = sink.getvalue().splitlines()
     return {

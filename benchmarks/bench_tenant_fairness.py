@@ -1,16 +1,16 @@
 """Tenant-fairness frontier: WFQ vs FIFO under a best-effort flood.
 
-PR 9's multi-tenant gateway claims that weighted fair queueing — not
+A request router serving tenants claims that weighted fair queueing — not
 admission control alone — is what protects a premium tenant's SLO from a
 misbehaving neighbour.  This benchmark pins that claim as an overload
 frontier.  One premium tenant offers a steady 250 req/s (inside its
 token-bucket quota, weight 8, 35 ms p99 SLO) while a best-effort tenant
 floods a single-device pool at rates swept from comfortable to 8000 req/s.
-Both tenants run through the identical :class:`ServingGateway` with the
-identical depth-capped admission policy; the *only* difference between the
-two cells at each flood level is the dispatcher:
+Both tenants run through the identical :class:`RequestRouter` (given the
+registry) with the identical depth-capped admission policy; the *only*
+difference between the two cells at each flood level is the dispatcher:
 
-* ``wfq``  — the gateway's weighted fair queue: the premium tenant's
+* ``wfq``  — the router's weighted fair queue: the premium tenant's
   finish tags advance 8x slower, so its requests jump the flood backlog
   and its p99 stays a few milliseconds regardless of the flood rate —
   while the flood tenant still meets its own 150 ms best-effort SLO
@@ -232,7 +232,7 @@ def test_journal_audit_reproduces_live_report(tmp_path):
     **exactly** — every float bit-identical, no rerun, no report object."""
     payload = _full_payload()
     assert payload["audit"]["matches_live"], (
-        "audit_journal diverged from the live gateway report")
+        "audit_journal diverged from the live per-tenant report")
     journal = str(tmp_path / "journal.jsonl")
     rep = _run("wfq", FLOODS[-1], smoke=False, journal=journal)
     audit = audit_journal(journal)

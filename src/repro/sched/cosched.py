@@ -277,8 +277,7 @@ def run_cosched(workload_name: str, phases: Sequence[ServingPhase],
     same tree); an ``admission`` policy arms the router's load-shedding /
     brownout path so overload degrades the shed rate instead of the p99.
 
-    A ``tenants`` registry swaps the router for the multi-tenant
-    :class:`~repro.serving.gateway.ServingGateway` (WFQ/FIFO per
+    A ``tenants`` registry makes the router serve tenants (WFQ/FIFO per
     ``dispatcher``, optional ``journal``), splitting the serving phase
     trace across tenants by their load shares — co-scheduled training
     harvest and tenant fairness then compose on the same pool.
@@ -308,7 +307,7 @@ def run_cosched(workload_name: str, phases: Sequence[ServingPhase],
         slo_p99=slo_p99, min_devices=min_devices, cooldown=cooldown,
         backend=backend, seed=seed, limit=limit, source=source,
         admission=admission, tenants=tenants, journal=journal,
-        dispatcher=dispatcher, gateway_name="router")
+        dispatcher=dispatcher, name="router")
 
     # Training tenant: everything the router does not hold.
     training = TrainingClusterProcess(
@@ -343,9 +342,8 @@ def run_cosched(workload_name: str, phases: Sequence[ServingPhase],
         try:
             runtime.run()
         finally:
-            if tenants is not None:
-                # Crash-safe journal durability on the shared-runtime path.
-                router.close_journal()
+            # Crash-safe journal durability on the shared-runtime path.
+            router.close_journal()
 
     end = max(router.report.duration, runtime.now)
     training.advance_to(end)

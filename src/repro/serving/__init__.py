@@ -46,10 +46,8 @@ from repro.serving.tenancy import (
 )
 from repro.serving.gateway import (
     MultiTenantPoissonSource,
-    ServingGateway,
     TenantTaggingSource,
     audit_journal,
-    tenant_report,
 )
 
 __all__ = [
@@ -67,7 +65,6 @@ __all__ = [
     "RequestSource",
     "SLO_CLASSES",
     "ScalingDecision",
-    "ServingGateway",
     "ServingReport",
     "TenantRegistry",
     "TenantSpec",
@@ -75,5 +72,4 @@ __all__ = [
     "TokenBucket",
     "audit_journal",
     "serve_workload",
-    "tenant_report",
 ]

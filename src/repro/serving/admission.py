@@ -11,9 +11,9 @@ holds the depth limit, else for *wait* when the estimated wait exceeds the
 wait limit (those are the recorded reasons), else admitted — and under brownout
 the arrivals marked **halved** (non-premium) face half of each armed limit.
 A wave of one and a wave of ten thousand are the same call; the masks come
-from a pre-stage (:func:`repro.serving.tenancy.meter` for the multi-tenant
-gateway; the plain router has none: nobody bypasses, everybody faces the
-full limits).  The one-arrival-at-a-time reference this is tested against
+from a pre-stage (:func:`repro.serving.tenancy.meter` for a router serving
+tenants; without a registry there is none: nobody bypasses, everybody
+faces the full limits).  The one-arrival-at-a-time reference this is tested against
 lives in ``tests/oracles/admission.py``.
 """
 
@@ -38,10 +38,11 @@ class AdmissionPolicy:
     either threshold trips:
 
     * ``max_queue_depth`` — the router already holds that many admitted,
-      undispatched requests.  The plain router's coalescing pull itself
-      stops filling the queue at ``max_batch``, so there a depth threshold
-      trips when set *below* the batch size; the gateway admits eagerly,
-      so its depth threshold polices the whole backlog;
+      undispatched requests.  Without a tenant registry the router's
+      coalescing pull itself stops filling the queue at ``max_batch``, so
+      there a depth threshold trips when set *below* the batch size;
+      serving tenants it admits eagerly, so the threshold polices the
+      whole backlog;
     * ``max_estimated_wait`` — the deterministic wait estimate (current
       server backlog plus queued-batches-ahead times the last observed
       batch service time) exceeds this many seconds.  Until the first

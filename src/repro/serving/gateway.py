@@ -1,10 +1,10 @@
-"""The multi-tenant admission gateway: SLOs, fairness, and auditability.
+"""Multi-tenant serving: tagged load, per-tenant accounting, the journal.
 
-:class:`ServingGateway` extends the single-stream
-:class:`~repro.serving.router.RequestRouter` with the three things a
-production front end owes its tenants:
+A :class:`~repro.serving.router.RequestRouter` given a
+:class:`~repro.serving.tenancy.TenantRegistry` serves tenants, and owes
+them three things a production front end does:
 
-* **weighted fair queueing** — the pending
+* **weighted fair queueing** — the router's pending
   :class:`~repro.serving.batcher.DispatchQueue` orders dispatch by the
   registry's weights, so a flooding tenant is confined to its share of
   dispatch slots instead of starving everyone behind a FIFO
@@ -15,9 +15,10 @@ production front end owes its tenants:
   contract: a *premium* tenant inside its token-bucket quota is never
   shed; over-quota premium and best-effort arrivals face the configured
   thresholds, and brownout halves those thresholds for non-premium
-  traffic only (shed best-effort first).  The gateway's whole share of
-  this is a metering pre-stage (:func:`repro.serving.tenancy.meter`) in
-  front of the router's one shed rule;
+  traffic only (shed best-effort first).  The tenants' whole share of this
+  is a metering pre-stage (:func:`repro.serving.tenancy.meter`) in front
+  of the router's one shed rule, drawing on the quota meters
+  :class:`TenantAccounting` keeps;
 * **a durable request journal** — an append-only JSONL file in the
   ``--trace-out`` event schema (one ``registry`` header line, then one
   line per completed request and per shed arrival).  The journal is
@@ -30,8 +31,8 @@ Load arrives tagged: :class:`MultiTenantPoissonSource` merges one
 deterministic Poisson stream per tenant (independent seed domains, merged
 with a stable tenant-order tie-break), and :class:`TenantTaggingSource`
 stamps a fixed tenant onto any existing source — the single-tenant
-configuration the golden-trace suite uses to pin the gateway bit-identical
-to the plain router.
+configuration the golden-trace suite uses to pin a tenant-serving router
+bit-identical to the plain one.
 """
 
 from __future__ import annotations
@@ -45,28 +46,18 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.inference import InferenceEngine
 from repro.elastic.trace import ServingPhase, serving_arrival_times
-from repro.hardware.cluster import Cluster
 from repro.runtime import EventTrace
 from repro.runtime.trace import load_trace
-from repro.serving.admission import AdmissionPolicy
-from repro.serving.autoscaler import LatencyAutoscaler
-from repro.serving.batcher import DispatchQueue, MicroBatchPolicy
-from repro.serving.generators import (
-    ArrivalWave,
-    OpenLoopPoissonSource,
-    RequestSource,
-)
+from repro.serving.generators import OpenLoopPoissonSource, RequestSource
 from repro.serving.request import (RecordBlock, Request, RequestRecord,
                                    ShedBlock)
-from repro.serving.router import RequestRouter, ServingReport
-from repro.serving.tenancy import TenantRegistry, TenantSpec, meter
+from repro.serving.tenancy import TenantRegistry, TenantSpec
 from repro.telemetry import StreamingHistogram, percentile
 from repro.utils.seeding import derive_seed
 
-__all__ = ["MultiTenantPoissonSource", "ServingGateway", "TenantTaggingSource",
-           "audit_journal", "tenant_report"]
+__all__ = ["MultiTenantPoissonSource", "TenantAccounting",
+           "TenantTaggingSource", "audit_journal"]
 
 # Seed domain for per-tenant arrival streams (coords: tenant index in
 # registry order) — disjoint from every other DOMAIN_* tag.
@@ -84,12 +75,6 @@ class _JsonCache(dict):
     def __missing__(self, value: Optional[str]) -> str:
         encoded = self[value] = json.dumps(value)  # None -> 'null'
         return encoded
-
-
-def check_dispatcher(dispatcher: str) -> None:
-    if dispatcher not in DISPATCHERS:
-        raise ValueError(
-            f"dispatcher must be one of {DISPATCHERS}, got {dispatcher!r}")
 
 
 class TenantTaggingSource(RequestSource):
@@ -152,7 +137,7 @@ def _tenant_digest(spec: TenantSpec, latencies: Sequence[float],
                    shed: int) -> Dict[str, float]:
     """One tenant's SLO digest from raw latencies + shed count.
 
-    Shared verbatim by the live gateway report and the offline journal
+    Shared verbatim by the live router's report and the offline journal
     audit, so the two paths produce bit-identical floats (JSONL round-trips
     doubles exactly).
     """
@@ -180,59 +165,33 @@ def _tenant_digest(spec: TenantSpec, latencies: Sequence[float],
     return out
 
 
-def tenant_report(registry: TenantRegistry,
-                  latency_pairs: Sequence[Tuple[Optional[str], float]],
-                  shed_tenants: Sequence[str],
-                  ) -> Dict[str, Dict[str, float]]:
-    """Per-tenant SLO digests from (tenant, latency) pairs + shed tenants."""
-    by_tenant: Dict[str, List[float]] = {t: [] for t in registry.tenant_ids}
-    for tenant, latency in latency_pairs:
-        if tenant in by_tenant:
-            by_tenant[tenant].append(latency)
-    sheds = Counter(shed_tenants)
-    return {
-        spec.tenant_id: _tenant_digest(
-            spec, by_tenant[spec.tenant_id], sheds.get(spec.tenant_id, 0))
-        for spec in registry
-    }
+class TenantAccounting:
+    """What a tenant-serving router keeps per tenant, and its journal.
 
+    The router holds one and calls it at four points: the shed rule's
+    metering pre-stage reads :attr:`contracts`, and :meth:`record_shed`,
+    :meth:`record_completion` and :meth:`finalize` take each shed block,
+    each completed micro-batch and the finished report.  The accumulators
+    are append-only — per-tenant latency lists in completion order and
+    shed counts — and the report's per-tenant :meth:`digests` are built
+    from them once, at finalize; :func:`audit_journal` fills the same
+    accumulators from a journal's lines and reads the same digests.
 
-class ServingGateway(RequestRouter):
-    """The tenant-aware front end over the request router.
-
-    Parameters beyond :class:`RequestRouter`'s:
-
-    registry:
-        The :class:`TenantRegistry` this gateway serves.  Its weights
-        drive the WFQ dispatcher, its quotas arm the shedding immunity,
-        and its SLOs define the per-tenant report.
-    dispatcher:
-        ``"wfq"`` (default) or ``"fifo"`` — the fairness A/B knob.
     journal:
         Optional path (or :class:`EventTrace`) for the durable request
-        journal.  Header line carries the registry; then one ``request``
-        line per completion and one ``shed`` line per rejected arrival.
-        The writer is closed (and therefore flushed) even when the run
-        raises, so a crashed run still leaves an auditable journal.
+        journal, written as ``actor``.  Header line carries the registry;
+        then one ``request`` line per completion and one ``shed`` line per
+        rejected arrival.  The router closes the writer (and therefore
+        flushes it) even when the run raises, so a crashed run still
+        leaves an auditable journal.
     """
 
-    def __init__(self, inference: InferenceEngine, source: RequestSource,
-                 registry: TenantRegistry,
-                 policy: MicroBatchPolicy = MicroBatchPolicy(),
-                 pool: Optional[Cluster] = None,
-                 autoscaler: Optional[LatencyAutoscaler] = None,
-                 collect_logits: bool = False,
-                 name: str = "gateway",
-                 admission: Optional[AdmissionPolicy] = None,
-                 dispatcher: str = "wfq",
-                 journal: Optional[Union[str, EventTrace]] = None) -> None:
-        check_dispatcher(dispatcher)
-        queue = DispatchQueue(registry if dispatcher == "wfq" else None)
-        super().__init__(inference, source, policy=policy, pool=pool,
-                         autoscaler=autoscaler, collect_logits=collect_logits,
-                         name=name, admission=admission, dispatch_queue=queue)
+    def __init__(self, registry: TenantRegistry, dispatcher: str = "wfq",
+                 journal: Optional[Union[str, EventTrace]] = None,
+                 actor: str = "gateway") -> None:
         self.registry = registry
         self.dispatcher = dispatcher
+        self.actor = actor
         self._journal_dest = journal
         self._journal: Optional[EventTrace] = None
         self._journal_owned = False
@@ -243,24 +202,18 @@ class ServingGateway(RequestRouter):
         # (reason, tenant) -> the constant shed-line fragments around the
         # per-line request id / seq / time — one f-string per journal line.
         self._shed_fragments: Dict[Tuple[str, str], Tuple[str, str]] = {}
-        self._reset_tenant_accounting()
+        self.reset()
 
-    def _reset_tenant_accounting(self) -> None:
-        """Fresh incremental per-tenant accumulators for one run.
-
-        The report's per-tenant digests are built from these at finalize —
-        :func:`tenant_report` is never called during a live run (the audit
-        replay still goes through it), so completion-time accounting is
-        append-only instead of rebuilding per-tenant lists on each call.
-        """
+    def reset(self) -> None:
+        """Fresh quota meters and accumulators for one run."""
         # tenant -> (a full quota meter or None, premium?): what the
         # admission pre-stage needs to know of each tenant.
-        self._contracts = {spec.tenant_id: (spec.bucket(), spec.premium)
-                           for spec in self.registry}
+        self.contracts = {spec.tenant_id: (spec.bucket(), spec.premium)
+                          for spec in self.registry}
         # tenant -> latencies; unregistered tenants' lists are never read.
-        self._lat_by_tenant: Dict[Optional[str], List[float]] = defaultdict(list)
-        self._shed_counts: Counter = Counter()
-        self._tenant_hists: Dict[str, StreamingHistogram] = {
+        self.latencies: Dict[Optional[str], List[float]] = defaultdict(list)
+        self.shed_counts: Counter = Counter()
+        self._hists: Dict[str, StreamingHistogram] = {
             t: StreamingHistogram() for t in self.registry.tenant_ids}
 
     def live_tenant_histograms(self) -> Dict[str, StreamingHistogram]:
@@ -274,11 +227,21 @@ class ServingGateway(RequestRouter):
         cursor into the append-only latency list), so a run nobody polls
         pays one fold per tenant, at finalize.
         """
-        for tenant, hist in self._tenant_hists.items():
-            latencies = self._lat_by_tenant[tenant]
+        for tenant, hist in self._hists.items():
+            latencies = self.latencies[tenant]
             if hist.count < len(latencies):
                 hist.observe_many(latencies[hist.count:])
-        return dict(self._tenant_hists)
+        return dict(self._hists)
+
+    def digests(self) -> Dict[str, Dict[str, float]]:
+        """Each registered tenant's SLO digest, in registry order."""
+        shed_counts = self.shed_counts
+        return {
+            spec.tenant_id: _tenant_digest(
+                spec, self.latencies[spec.tenant_id],
+                shed_counts.get(spec.tenant_id, 0))
+            for spec in self.registry
+        }
 
     # -- the journal ----------------------------------------------------------
 
@@ -286,10 +249,10 @@ class ServingGateway(RequestRouter):
                       ) -> None:
         if self._journal is None:
             return
-        self._journal.emit(t, self._journal_seq, kind, self.name, data)
+        self._journal.emit(t, self._journal_seq, kind, self.actor, data)
         self._journal_seq += 1
 
-    def _open_journal(self) -> None:
+    def open_journal(self) -> None:
         if self._journal_dest is None or self._journal is not None:
             return
         if isinstance(self._journal_dest, str):
@@ -307,8 +270,7 @@ class ServingGateway(RequestRouter):
         })
 
     def close_journal(self) -> None:
-        """Flush and release the journal (idempotent; crash-safe callers
-        invoke this in a ``finally``)."""
+        """Flush and release the journal (idempotent)."""
         if self._journal is None:
             return
         if self._journal_owned:
@@ -317,65 +279,10 @@ class ServingGateway(RequestRouter):
             self._journal.flush()
         self._journal = None
 
-    # -- run lifecycle --------------------------------------------------------
+    # -- the router's sinks ---------------------------------------------------
 
-    def start(self, runtime) -> None:
-        # A co-scheduled gateway never goes through run(): the journal opens
-        # when the shared runtime starts the process instead.
-        self._open_journal()
-        self.report.tenant_shed = self.report.shed.view(ShedBlock.tenant_rows)
-        super().start(runtime)
-
-    def run(self, trace: Optional[Union[str, EventTrace]] = None
-            ) -> ServingReport:
-        """Serve the source dry with fresh quota meters and a fresh journal.
-
-        The journal is closed in a ``finally`` so its buffered lines reach
-        disk even when the run raises mid-way — a crashed serving process
-        still leaves every completed request auditable.
-        """
-        self._reset_tenant_accounting()
-        self._open_journal()
-        try:
-            return super().run(trace=trace)
-        finally:
-            self.close_journal()
-
-    # -- tenant-aware admission -----------------------------------------------
-
-    def _admit(self, until: float) -> None:
-        """Admit *every* arrival at or before ``until`` — no lazy stop.
-
-        The plain router stops pulling once the queue covers the next batch
-        (``len(pending) >= max_batch``): admission order is dispatch order
-        there, so requests may as well wait upstream in the source.  A
-        fair-queueing gateway cannot afford that laziness — WFQ can only
-        reorder requests it can actually see, and quota meters must run at
-        each request's *arrival* time.  Eager admission moves the whole
-        overload backlog into the dispatch queue, where the weighted
-        scheduler (and the depth threshold) can act on it.  With a single
-        tenant the pulled requests dispatch in arrival order either way, so
-        the golden traces stay bit-identical.
-
-        One pull covers the whole range: nothing between two arrivals of
-        the same ``_admit`` call can change the admission state (no event
-        fires in between).
-        """
-        self._pull(until)
-
-    def _meter(self, wave: ArrivalWave, times: List[float], browned: bool):
-        """Every arrival draws on its tenant's token bucket (the meter
-        runs whether or not the decision needs it — quota state must not
-        depend on load); premium inside quota bypasses the thresholds, and
-        a quota-exhausted premium request therefore *queues* rather than
-        sheds whenever the gateway is not actually overloaded."""
-        return meter(wave, times, self._contracts, browned)
-
-    # -- accounting hooks -----------------------------------------------------
-
-    def _record_shed(self, block: ShedBlock) -> None:
-        super()._record_shed(block)
-        counts = self._shed_counts
+    def record_shed(self, block: ShedBlock) -> None:
+        counts = self.shed_counts
         table = block.tenant_table
         if block.tenant_idx is None:
             counts[table[0]] += len(block)
@@ -390,7 +297,7 @@ class ServingGateway(RequestRouter):
         # inside data is reason < request_id < tenant, so every line is
         # byte-identical to per-event emit().  One fragment lookup per run
         # of arrivals sharing (reason, tenant).
-        prefix, middle = journal.line_parts(self.name, "shed")
+        prefix, middle = journal.line_parts(self.actor, "shed")
         fragments = self._shed_fragments
         seq = self._journal_seq
         self._journal_seq = seq + len(block)
@@ -409,10 +316,10 @@ class ServingGateway(RequestRouter):
                           for _, _, t, i, s in run])
         journal.emit_many_lines(lines)
 
-    def _record_completion(self, block: RecordBlock) -> None:
+    def record_completion(self, block: RecordBlock) -> None:
         # Incremental per-tenant accounting: append-only latency lists — the
         # finalize digests and live_tenant_histograms() both read these.
-        lat_map = self._lat_by_tenant
+        lat_map = self.latencies
         completion = block.batch.completion_time
         for tenant, arrival in zip(block.tenants, block.arrivals):
             lat_map[tenant].append(completion - arrival)
@@ -424,7 +331,7 @@ class ServingGateway(RequestRouter):
         # around what differs.  Sorted key order: arrival < batch_id <
         # completion < dispatch < request_id < tenant.
         batch = block.batch
-        prefix, middle = journal.line_parts(self.name, "request")
+        prefix, middle = journal.line_parts(self.actor, "request")
         head = f'{prefix}{{"arrival": '
         shared = (f', "batch_id": {batch.batch_id}, '
                   f'"completion": {completion!r}, '
@@ -440,65 +347,55 @@ class ServingGateway(RequestRouter):
                                                block.arrivals, block.ids,
                                                block.tenants)])
 
-    def _finalize(self) -> None:
-        super()._finalize()
+    def finalize(self, report) -> None:
+        """Write the per-tenant digests into the finished ``report`` and
+        close the journal's run with a ``summary`` line."""
         # The closing fold — one observe_many per tenant for the whole run —
-        # leaves the finished gateway's histograms complete without a poll.
+        # leaves the finished run's histograms complete without a poll.
         self.live_tenant_histograms()
-        # Digests come straight from the incremental accumulators:
-        # bit-identical to tenant_report over the full record list (same
-        # latencies, appended in the same completion order), without
-        # rebuilding per-tenant lists — tenant_report itself is reserved
-        # for the offline audit replay.
-        shed_counts = self._shed_counts
-        self.report.tenants = {
-            spec.tenant_id: _tenant_digest(
-                spec, self._lat_by_tenant[spec.tenant_id],
-                shed_counts.get(spec.tenant_id, 0))
-            for spec in self.registry
-        }
-        self._journal_emit("summary", self.report.duration, {
-            "tenants": self.report.tenants,
-            "requests": len(self.report.records),
-            "shed": len(self.report.shed),
+        report.tenants = self.digests()
+        self._journal_emit("summary", report.duration, {
+            "tenants": report.tenants,
+            "requests": len(report.records),
+            "shed": len(report.shed),
         })
         if self._journal is not None:
             self._journal.flush()
 
 
 def audit_journal(path: str) -> Dict[str, object]:
-    """Replay a gateway journal into per-tenant SLO attainment offline.
+    """Replay a request journal into per-tenant SLO attainment offline.
 
     Reads only the journal — no report object, no rerun — and reproduces
-    the exact per-tenant numbers the live run computed, because both paths
-    feed the same latencies through :func:`tenant_report` and JSONL
-    round-trips every double exactly.  This is the ``repro audit``
-    subcommand's engine.
+    the exact per-tenant numbers the live run computed: its ``request`` and
+    ``shed`` lines feed the :class:`TenantAccounting` accumulators the live
+    router filled, in the same order, and JSONL round-trips every double
+    exactly.  This is the ``repro audit`` subcommand's engine.
     """
-    registry: Optional[TenantRegistry] = None
-    dispatcher: Optional[str] = None
-    pairs: List[Tuple[Optional[str], float]] = []
-    sheds: List[str] = []
     events, torn = load_trace(path)
+    header = next((e.get("data", {}) for e in events
+                   if e.get("kind") == "registry"), None)
+    if header is None:
+        raise ValueError(
+            f"{path}: not a request journal (no 'registry' header line)")
+    accounting = TenantAccounting(
+        TenantRegistry.from_dict(header["tenants"], header.get("order")))
+    latencies, shed_counts = accounting.latencies, accounting.shed_counts
+    requests = sheds = 0
     for event in events:
         kind = event.get("kind")
         data = event.get("data", {})
-        if kind == "registry":
-            registry = TenantRegistry.from_dict(data["tenants"],
-                                                data.get("order"))
-            dispatcher = data.get("dispatcher")
-        elif kind == "request":
-            pairs.append((data.get("tenant"),
-                          data["completion"] - data["arrival"]))
+        if kind == "request":
+            latencies[data.get("tenant")].append(
+                data["completion"] - data["arrival"])
+            requests += 1
         elif kind == "shed":
-            sheds.append(data.get("tenant", ""))
-    if registry is None:
-        raise ValueError(
-            f"{path}: not a gateway journal (no 'registry' header line)")
+            shed_counts[data.get("tenant", "")] += 1
+            sheds += 1
     return {
-        "dispatcher": dispatcher,
-        "requests": len(pairs),
-        "shed": len(sheds),
-        "tenants": tenant_report(registry, pairs, sheds),
+        "dispatcher": header.get("dispatcher"),
+        "requests": requests,
+        "shed": sheds,
+        "tenants": accounting.digests(),
         **({"torn_tail": torn} if torn else {}),  # absent when intact
     }

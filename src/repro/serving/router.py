@@ -33,15 +33,18 @@ Every arrival enters through one door, :meth:`RequestRouter._pull`: the
 source hands over an :class:`~repro.serving.generators.ArrivalWave` (one
 arrival or ten thousand), and with an admission policy armed the shed rule
 in :mod:`repro.serving.admission` splits it into requests to queue and
-sheds to record.  The multi-tenant gateway adds a metering pre-stage in
-front of the same kernel; it does not re-derive the rule.
+sheds to record.  Given a tenant registry, the router also orders
+dispatch by the tenants' weights, meters each wave on their quotas in
+front of the same rule, admits eagerly, and hands its shed blocks,
+completions and report to a
+:class:`~repro.serving.gateway.TenantAccounting` stage (per-tenant
+digests and the request journal).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     List,
@@ -77,16 +80,15 @@ from repro.runtime import (
 from repro.serving.admission import AdmissionPolicy, decide
 from repro.serving.autoscaler import AllocationProfile, LatencyAutoscaler
 from repro.serving.batcher import DispatchQueue, MicroBatchPolicy
-from repro.serving.generators import (
-    ArrivalWave,
-    OpenLoopPoissonSource,
-    RequestSource,
+from repro.serving.gateway import (
+    DISPATCHERS,
+    MultiTenantPoissonSource,
+    TenantAccounting,
 )
+from repro.serving.generators import OpenLoopPoissonSource, RequestSource
 from repro.serving.request import BatchRecord, BlockLog, RecordBlock, ShedBlock
+from repro.serving.tenancy import TenantRegistry, meter, split_phases
 from repro.telemetry import percentile
-
-if TYPE_CHECKING:
-    from repro.serving.tenancy import TenantRegistry
 
 __all__ = ["RequestRouter", "ServingReport", "capacity_table",
            "ladder_capacity", "serve_workload"]
@@ -165,7 +167,7 @@ def ladder_capacity(workload: Workload, vn_set: VirtualNodeSet, pool: Cluster,
 class ServingReport:
     """Everything a serving run produced, for SLO metrics and dashboards.
 
-    ``records``, ``shed`` and (on a gateway) ``tenant_shed`` are read-only
+    ``records``, ``shed`` and (with tenants) ``tenant_shed`` are read-only
     views over column blocks, one per micro-batch or shedding pull, that
     build a :class:`RequestRecord` or a tuple only when one is read.
     """
@@ -186,10 +188,10 @@ class ServingReport:
     shed: BlockLog = field(default_factory=lambda: BlockLog(ShedBlock.rows))
     # Batches dispatched under the halved brownout policy.
     brownout_batches: int = 0
-    # Gateway runs only: per-tenant SLO digests keyed by tenant id (see
-    # repro.serving.gateway.tenant_report) and tenant-attributed sheds as
-    # (arrival_time, request_id, tenant, reason) 4-tuples — the shed log
-    # read with tenants.  Both stay empty on the single-stream router path.
+    # Tenant-serving runs only: per-tenant SLO digests keyed by tenant id
+    # (see repro.serving.gateway.TenantAccounting) and tenant-attributed
+    # sheds as (arrival_time, request_id, tenant, reason) 4-tuples — the
+    # shed log read with tenants.  Both stay empty without a registry.
     tenants: Dict[str, Dict[str, float]] = field(default_factory=dict)
     tenant_shed: Sequence[Tuple[float, int, str, str]] = field(default_factory=list)
 
@@ -299,6 +301,18 @@ class RequestRouter:
     collect_logits:
         Keep every request's logits row in the report (tests and small runs;
         off by default to keep big sweeps lean).
+    tenants:
+        Optional :class:`TenantRegistry` to serve.  Its weights drive the
+        WFQ dispatch queue, its quotas arm the admission pre-stage's
+        shedding immunity, and its SLOs define the per-tenant report
+        (``report.tenants``, ``report.tenant_shed``).
+    dispatcher:
+        ``"wfq"`` (default) or ``"fifo"`` — the fairness A/B knob; without
+        a registry the queue is FIFO either way.
+    journal:
+        Optional path (or :class:`EventTrace`) for the durable request
+        journal; needs ``tenants``.  The writer is closed (and therefore
+        flushed) even when the run raises.
 
     The router is a :class:`~repro.runtime.core.Process`: :meth:`run` spins
     up a private :class:`~repro.runtime.core.Runtime`, while a co-scheduler
@@ -314,9 +328,16 @@ class RequestRouter:
                  collect_logits: bool = False,
                  name: str = "router",
                  admission: Optional[AdmissionPolicy] = None,
-                 dispatch_queue: Optional[DispatchQueue] = None) -> None:
+                 tenants: Optional[TenantRegistry] = None,
+                 dispatcher: str = "wfq",
+                 journal: Optional[Union[str, EventTrace]] = None) -> None:
         if autoscaler is not None and pool is None:
             raise ValueError("autoscaling needs a device pool to draw from")
+        if dispatcher not in DISPATCHERS:
+            raise ValueError(
+                f"dispatcher must be one of {DISPATCHERS}, got {dispatcher!r}")
+        if journal is not None and tenants is None:
+            raise ValueError("a request journal needs a tenant registry")
         self.inference = inference
         self.source = source
         self.policy = policy
@@ -331,6 +352,8 @@ class RequestRouter:
         self.admission = admission
         self.collect_logits = collect_logits
         self.name = name
+        self.accounting = None if tenants is None else TenantAccounting(
+            tenants, dispatcher, journal, actor=name)
         self.report = ServingReport()
         self._cluster = pool if pool is not None else inference.mapping.cluster
         self._runtime: Optional[Runtime] = None
@@ -339,8 +362,7 @@ class RequestRouter:
         self._governor: Optional[Callable[[float, int], int]] = None
         self._on_rescaled: Optional[Callable[[float], None]] = None
         self._on_drain: Optional[Callable[[float], None]] = None
-        self._pending: DispatchQueue = (
-            dispatch_queue if dispatch_queue is not None else DispatchQueue())
+        self._pending = DispatchQueue(tenants if dispatcher == "wfq" else None)
         self._server_free = 0.0
         self._devices = self.devices
         self._batch_id = 0
@@ -457,9 +479,21 @@ class RequestRouter:
         self._done = False
 
     def start(self, runtime: Runtime) -> None:
+        if self.accounting is not None:
+            # A co-scheduled router never goes through run(): its journal
+            # opens when the shared runtime starts the process instead.
+            self.accounting.open_journal()
+            self.report.tenant_shed = self.report.shed.view(
+                ShedBlock.tenant_rows)
         if self._runtime is not runtime:
             self.bind(runtime)
         self._schedule_next()
+
+    def close_journal(self) -> None:
+        """Flush and release the request journal, if there is one
+        (idempotent; crash-safe callers invoke this in a ``finally``)."""
+        if self.accounting is not None:
+            self.accounting.close_journal()
 
     # -- the event loop -------------------------------------------------------
 
@@ -472,8 +506,15 @@ class RequestRouter:
 
         Each call is a fresh run with fresh accounting (a second call on a
         drained source returns an empty report, as the pre-runtime loop
-        did): the report, queue state, and pool binding all reset.
+        did): the report, queue state, quota meters and pool binding all
+        reset.  The request journal is closed in a ``finally`` so its
+        buffered lines reach disk even when the run raises mid-way — a
+        crashed serving process still leaves every completed request
+        auditable.
         """
+        if self.accounting is not None:
+            self.accounting.reset()
+            self.accounting.open_journal()
         self.report = ServingReport()
         self._pending.clear()
         self._server_free = 0.0
@@ -484,10 +525,13 @@ class RequestRouter:
         self._inflight = None
         self._service_estimate = 0.0
         self._runtime = None  # force start() to rebind a fresh pool/lease
-        with open_trace(trace) as writer:
-            runtime = Runtime(trace=writer)
-            runtime.add(self)
-            runtime.run()
+        try:
+            with open_trace(trace) as writer:
+                runtime = Runtime(trace=writer)
+                runtime.add(self)
+                runtime.run()
+        finally:
+            self.close_journal()
         return self.report
 
     def _schedule_next(self) -> None:
@@ -522,17 +566,6 @@ class RequestRouter:
             return self.policy
         return self._brownout_policy
 
-    def _meter(self, wave: ArrivalWave, times: List[float], browned: bool):
-        """The pre-stage in front of the shed rule: ``(bypass, halved)``
-        masks over the wave.  A single stream has no tenants to meter —
-        nobody bypasses, everybody faces the full limits."""
-        return None, None
-
-    def _record_shed(self, block: ShedBlock) -> None:
-        """Account one pull's shed arrivals (the gateway adds tenant
-        accounting and the journal lines)."""
-        self.report.shed.append(block)
-
     def _pull(self, until: float) -> int:
         """Move every arrival at or before ``until`` through admission into
         the queue; returns how many were shed.
@@ -555,14 +588,21 @@ class RequestRouter:
         # queue depth, which decide() tracks: probe brownout once, not per
         # arrival; browned out is "not the configured policy".
         in_force = self._policy_now()
-        bypass, halved = self._meter(wave, times, in_force is not self.policy)
+        accounting = self.accounting
+        bypass = halved = None  # a single stream: nobody bypasses or halves
+        if accounting is not None:
+            bypass, halved = meter(wave, times, accounting.contracts,
+                                   in_force is not self.policy)
         admitted, shed, reasons = decide(
             self.admission, times, len(self._pending), self._server_free,
             self._service_estimate, in_force.max_batch, bypass, halved)
         if admitted:
             self._pending.push_wave(wave.entries(times, admitted))
         if shed:
-            self._record_shed(wave.shed_block(shed, reasons))
+            block = wave.shed_block(shed, reasons)
+            self.report.shed.append(block)
+            if accounting is not None:
+                accounting.record_shed(block)
         return len(shed)
 
     def _on_admit(self, t: float, cutoff: float) -> Dict[str, object]:
@@ -628,10 +668,6 @@ class RequestRouter:
         return {"batch_id": batch_id, "size": len(batch),
                 "devices": self._devices, "waves": result.waves}
 
-    def _record_completion(self, block: RecordBlock) -> None:
-        """Per-batch completion hook (the gateway's tenant accounting and
-        journal lines read the block's columns here)."""
-
     def _on_completion(self, completion: float, batch: List[tuple],
                        batch_id: int, launch: float,
                        result) -> Dict[str, object]:
@@ -644,7 +680,8 @@ class RequestRouter:
         block = RecordBlock(record, batch)
         report.batches.append(record)
         report.records.append(block)
-        self._record_completion(block)
+        if self.accounting is not None:
+            self.accounting.record_completion(block)
         if self.collect_logits:
             report.logits.update(zip(block.ids, result.logits))
         self._server_free = completion
@@ -783,9 +820,29 @@ class RequestRouter:
         self.report.final_devices = self._devices
         if self._on_drain is not None:
             self._on_drain(self._server_free)
+        if self.accounting is not None:
+            self.accounting.finalize(self.report)
 
     def _admit(self, until: float) -> None:
-        """Move every arrival at or before ``until`` into the queue."""
+        """Move every arrival at or before ``until`` into the queue.
+
+        Serving tenants, every one of them, in one pull: WFQ can only
+        reorder requests it can actually see, and quota meters must run at
+        each request's *arrival* time, so the whole overload backlog moves
+        into the dispatch queue, where the weighted scheduler (and the
+        depth threshold) can act on it.  Nothing between two arrivals of
+        the same call can change the admission state (no event fires in
+        between).  With a single tenant the pulled requests dispatch in
+        arrival order either way, so the golden traces stay bit-identical.
+
+        Without a registry the pull is lazy: admission order is dispatch
+        order, so it stops once the queue covers the next batch and later
+        arrivals wait upstream in the source — which is why a depth
+        threshold trips there only when set below the batch size.
+        """
+        if self.accounting is not None:
+            self._pull(until)
+            return
         max_batch = self._policy_now().max_batch
         while True:
             nxt = self.source.next_arrival_time()
@@ -806,16 +863,16 @@ def _build_router(workload_name: str, cluster: Cluster,
                   backend: object, seed: int, limit: Optional[int],
                   source: Optional[RequestSource],
                   admission: Optional[AdmissionPolicy],
-                  tenants: Optional["TenantRegistry"],
+                  tenants: Optional[TenantRegistry],
                   journal: Optional[Union[str, EventTrace]], dispatcher: str,
-                  collect_logits: bool = False,
-                  gateway_name: str = "gateway") -> RequestRouter:
+                  name: str, collect_logits: bool = False) -> RequestRouter:
     """The serving stack :func:`serve_workload` and
     :func:`repro.sched.cosched.run_cosched` share: an engine on
     ``device_ids`` of ``cluster``, a Poisson source over ``phases`` (per
     tenant with a registry), the autoscaler over the power-of-two ladder up
-    to ``grantable`` devices, and the router — the multi-tenant gateway when
-    ``tenants`` is given.  Usage errors are raised before the model is built.
+    to ``grantable`` devices, and the router, serving ``tenants`` when a
+    registry is given.  Pool and SLO usage errors are raised before the
+    model is built; the router's constructor checks its own arguments.
     """
     workload = get_workload(workload_name)
     pool_devices = len(cluster.devices)
@@ -826,18 +883,6 @@ def _build_router(workload_name: str, cluster: Cluster,
             f"({pool_devices}) so the full pool can be used")
     if autoscale and slo_p99 is None:
         raise ValueError("autoscaling needs a p99 SLO to steer by")
-    if tenants is None:
-        if journal is not None:
-            raise ValueError("a request journal needs a tenant registry")
-    else:
-        # Imported lazily: the gateway module builds on this one.
-        from repro.serving.gateway import (
-            MultiTenantPoissonSource,
-            ServingGateway,
-            check_dispatcher,
-        )
-        from repro.serving.tenancy import split_phases
-        check_dispatcher(dispatcher)
 
     # One virtual node per batch slot is not needed: the set only fixes the
     # shard *proportions* (equal here), so V nodes of size 1 serve any
@@ -869,17 +914,12 @@ def _build_router(workload_name: str, cluster: Cluster,
                                      extra_rungs=(grantable,)),
             min_devices=min_devices, max_devices=min(grantable, num_vns),
             cooldown=cooldown)
-    policy = MicroBatchPolicy(max_batch=max_batch, max_wait=max_wait)
-    if tenants is None:
-        return RequestRouter(
-            inference, source, policy=policy, pool=cluster,
-            autoscaler=autoscaler, collect_logits=collect_logits,
-            admission=admission)
-    return ServingGateway(
-        inference, source, tenants, policy=policy, pool=cluster,
-        autoscaler=autoscaler, collect_logits=collect_logits,
-        name=gateway_name, admission=admission, dispatcher=dispatcher,
-        journal=journal)
+    return RequestRouter(
+        inference, source,
+        policy=MicroBatchPolicy(max_batch=max_batch, max_wait=max_wait),
+        pool=cluster, autoscaler=autoscaler, collect_logits=collect_logits,
+        name=name, admission=admission, tenants=tenants,
+        dispatcher=dispatcher, journal=journal)
 
 
 def serve_workload(workload_name: str, phases: Sequence[ServingPhase], *,
@@ -895,7 +935,7 @@ def serve_workload(workload_name: str, phases: Sequence[ServingPhase], *,
                    collect_logits: bool = False,
                    trace: Optional[Union[str, EventTrace]] = None,
                    admission: Optional[AdmissionPolicy] = None,
-                   tenants: Optional["TenantRegistry"] = None,
+                   tenants: Optional[TenantRegistry] = None,
                    journal: Optional[Union[str, EventTrace]] = None,
                    dispatcher: str = "wfq",
                    ) -> ServingReport:
@@ -907,13 +947,12 @@ def serve_workload(workload_name: str, phases: Sequence[ServingPhase], *,
     and a router — autoscaled over the pool when ``autoscale`` is set,
     pinned to ``initial_devices`` otherwise.
 
-    With a ``tenants`` registry the session runs through the multi-tenant
-    :class:`~repro.serving.gateway.ServingGateway` instead: the phase trace
-    splits into per-tenant Poisson streams by the registry's load shares
-    (unless an explicit, already-tagged ``source`` is supplied), dispatch
-    follows the ``dispatcher`` policy (``"wfq"``/``"fifo"``), and
-    ``journal`` optionally records the durable per-request JSONL journal
-    ``repro audit`` replays.
+    With a ``tenants`` registry the router serves tenants (as actor
+    ``"gateway"``): the phase trace splits into per-tenant Poisson streams
+    by the registry's load shares (unless an explicit, already-tagged
+    ``source`` is supplied), dispatch follows the ``dispatcher`` policy
+    (``"wfq"``/``"fifo"``), and ``journal`` optionally records the durable
+    per-request JSONL journal ``repro audit`` replays.
     """
     if pool_devices < 1:
         raise ValueError(f"pool_devices must be >= 1, got {pool_devices}")
@@ -931,5 +970,6 @@ def serve_workload(workload_name: str, phases: Sequence[ServingPhase], *,
         slo_p99=slo_p99, min_devices=min_devices, cooldown=cooldown,
         backend=backend, seed=seed, limit=limit, source=source,
         admission=admission, tenants=tenants, journal=journal,
-        dispatcher=dispatcher, collect_logits=collect_logits)
+        dispatcher=dispatcher, collect_logits=collect_logits,
+        name="router" if tenants is None else "gateway")
     return router.run(trace=trace)

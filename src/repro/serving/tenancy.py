@@ -19,10 +19,11 @@ tenant's contract.  This module defines that contract:
   with the ``--tenants`` CLI spec parser
   (``"prem:class=premium,weight=4,quota=300;batch:weight=1"``).
 
-Semantics the gateway builds on (see :mod:`repro.serving.gateway`):
-a **premium** tenant inside its quota is *never* load-shed; a quota-
-exhausted premium request loses that immunity but still queues (it is shed
-only if the overload thresholds trip, exactly like best-effort traffic).
+Semantics a router serving tenants builds on (see
+:mod:`repro.serving.gateway`): a **premium** tenant inside its quota is
+*never* load-shed; a quota-exhausted premium request loses that immunity
+but still queues (it is shed only if the overload thresholds trip, exactly
+like best-effort traffic).
 The quota is a protection boundary, not a hard drop.
 """
 
@@ -214,7 +215,7 @@ class TokenBucket:
 def meter(wave: "ArrivalWave", times: Sequence[float],
           contracts: Mapping[Optional[str], Tuple[Optional[TokenBucket], bool]],
           browned: bool) -> Tuple[List[bool], Optional[List[bool]]]:
-    """The gateway's pre-stage to :func:`repro.serving.admission.decide`:
+    """The tenant pre-stage to :func:`repro.serving.admission.decide`:
     meter a wave on its tenants' token buckets; returns ``(bypass, halved)``.
 
     ``contracts`` maps a tenant to ``(its bucket or None, premium?)``;

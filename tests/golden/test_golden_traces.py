@@ -87,7 +87,7 @@ def test_waveless_source_replays_the_golden_run(name, tmp_path, monkeypatch):
     source that delegates everything but cannot cut array waves gives the
     fixture's report and, byte for byte, the wave run's journal."""
     import capture_golden
-    import repro.serving.gateway as gateway_module
+    import repro.serving.router as router_module
     from repro.serving import MultiTenantPoissonSource, RequestSource
 
     class Waveless(RequestSource):
@@ -116,8 +116,8 @@ def test_waveless_source_replays_the_golden_run(name, tmp_path, monkeypatch):
         built.append(Waveless(MultiTenantPoissonSource(*args, **kwargs)))
         return built[-1]
 
-    # The shared builder looks the source class up at call time.
-    monkeypatch.setattr(gateway_module, "MultiTenantPoissonSource", waveless)
+    # The shared builder looks the source class up in its own module.
+    monkeypatch.setattr(router_module, "MultiTenantPoissonSource", waveless)
     lists = run(journal=str(tmp_path / "lists.jsonl"))
     assert len(built) == 1 and built[0].lists > 100
     assert json.loads(json.dumps(lists)) == _load(name)

@@ -1,7 +1,7 @@
 """Shed and completion accounting, one tuple and one record at a time.
 
-:class:`EagerAccounting` keeps what a gateway run accounts the way the
-router and gateway did before they kept column blocks: every shed arrival
+:class:`EagerAccounting` keeps what a tenant-serving run accounts the way
+the router did before it kept column blocks: every shed arrival
 becomes a ``(time, request_id, reason)`` tuple and a ``(time, request_id,
 tenant, reason)`` tuple (an untagged arrival's tenant is ``""``), its tenant
 is counted with ``Counter.update``, and its journal line is serialized on
@@ -11,22 +11,43 @@ and its latency is appended to its tenant's list.  Journal lines are
 :class:`repro.runtime.EventTrace` writes.  :func:`eager_summary` is
 ``ServingReport.summary`` over those lists, per-record properties and all.
 
-The production sinks (``ServingReport``'s views, ``ServingGateway``'s
-accumulators and journal lines) must agree with these bit for bit.
+The production sinks (``ServingReport``'s views, a tenant router's
+``TenantAccounting`` accumulators and journal lines) must agree with these
+bit for bit.  :func:`tenant_report` rebuilds the per-tenant report whole
+from ``(tenant, latency)`` pairs and shed tenants, as a reference for the
+incremental accumulators.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.serving import RequestRecord, TenantRegistry, tenant_report
+from repro.serving import RequestRecord, TenantRegistry
+from repro.serving.gateway import _tenant_digest
 from repro.telemetry import StreamingHistogram, percentile
 
-__all__ = ["EagerAccounting", "eager_summary"]
+__all__ = ["EagerAccounting", "eager_summary", "tenant_report"]
+
+
+def tenant_report(registry: TenantRegistry,
+                  latency_pairs: Sequence[Tuple[Optional[str], float]],
+                  shed_tenants: Sequence[str],
+                  ) -> Dict[str, Dict[str, float]]:
+    """Per-tenant SLO digests from (tenant, latency) pairs + shed tenants."""
+    by_tenant: Dict[str, List[float]] = {t: [] for t in registry.tenant_ids}
+    for tenant, latency in latency_pairs:
+        if tenant in by_tenant:
+            by_tenant[tenant].append(latency)
+    sheds = Counter(shed_tenants)
+    return {
+        spec.tenant_id: _tenant_digest(
+            spec, by_tenant[spec.tenant_id], sheds.get(spec.tenant_id, 0))
+        for spec in registry
+    }
 
 
 def _line(t: float, seq: int, kind: str, actor: str, data: dict) -> str:
@@ -35,7 +56,7 @@ def _line(t: float, seq: int, kind: str, actor: str, data: dict) -> str:
 
 
 class EagerAccounting:
-    """Everything a gateway accounts, appended one arrival at a time.
+    """Everything a tenant router accounts, appended one arrival at a time.
 
     ``seq`` is the journal sequence number of the first line this model
     writes (the live journal's ``registry`` header takes 0).

@@ -1,4 +1,4 @@
-"""The gateway's column-block sinks against the eager accounting oracle.
+"""A tenant router's column-block sinks against the eager accounting oracle.
 
 Hypothesis draws a run's accounting events in any order: admission pulls
 of array waves, tenant-index waves and ``ArrivalWave.of`` waves (request
@@ -6,11 +6,11 @@ ids with gaps, clients set), of 0, 1, 2–31 and 33–80 arrivals, each arrival
 admitted or shed for either reason, several tenants in one wave (registered,
 unregistered, untagged, one whose id needs JSON escapes); micro-batches
 taken off the live WFQ queue and completed at drawn service times; and
-polls of ``live_tenant_histograms()``.  The pulls go through the router's
-real door (``RequestRouter._pull`` with the shed rule's verdict drawn, not
-derived) and the completions through ``_on_completion``; every event is
-replayed into ``tests/oracles/serving_accounting.py``.  Production must
-match it in: the ``records``/``shed``/``tenant_shed`` views (``len``,
+polls of ``accounting.live_tenant_histograms()``.  The pulls go through the
+router's real door (``RequestRouter._pull`` with the shed rule's verdict
+drawn, not derived) and the completions through ``_on_completion``; every
+event is replayed into ``tests/oracles/serving_accounting.py``.  Production
+must match it in: the ``records``/``shed``/``tenant_shed`` views (``len``,
 iteration, indexing from both ends, slices, ``==``, plain Python value
 types), the journal's ``shed`` and ``request`` lines byte for byte, the
 per-tenant shed counts and digests, every histogram poll, ``summary()``
@@ -37,8 +37,8 @@ from repro.serving import (
     AdmissionPolicy,
     LatencyAutoscaler,
     Request,
+    RequestRouter,
     RequestSource,
-    ServingGateway,
     TenantRegistry,
     TenantSpec,
 )
@@ -64,8 +64,8 @@ def _engine() -> InferenceEngine:
 
 
 class _Feed(RequestSource):
-    """Hands the gateway the wave staged for its next pull; its next
-    arrival is always far off, so starting the gateway finalizes nothing."""
+    """Hands the router the wave staged for its next pull; its next
+    arrival is always far off, so starting the router finalizes nothing."""
 
     def __init__(self) -> None:
         self.wave = EMPTY_WAVE
@@ -75,7 +75,7 @@ class _Feed(RequestSource):
         return 1e9
 
     def take_arrivals(self, until):
-        raise AssertionError("the gateway pulls waves")
+        raise AssertionError("the router pulls waves")
 
     def take_wave(self, until):
         wave, self.wave = self.wave, EMPTY_WAVE
@@ -151,18 +151,18 @@ EVERY_SHAPE = [
 
 
 class _Run:
-    """One gateway and its oracle, driven through the same events."""
+    """One tenant router and its oracle, driven through the same events."""
 
     def __init__(self, staged: dict) -> None:
         self.staged = staged
         self.feed = _Feed()
         self.out = StringIO()
-        self.gateway = ServingGateway(
-            _engine(), self.feed, REGISTRY, pool=Cluster.homogeneous("V100", 2),
-            admission=AdmissionPolicy(max_queue_depth=1),
-            journal=EventTrace(self.out))
-        Runtime().add(self.gateway)  # journal header, tenant view, pool lease
-        self.gateway._schedule_next = lambda: None  # no event loop here
+        self.router = RequestRouter(
+            _engine(), self.feed, pool=Cluster.homogeneous("V100", 2),
+            name="gateway", admission=AdmissionPolicy(max_queue_depth=1),
+            tenants=REGISTRY, journal=EventTrace(self.out))
+        Runtime().add(self.router)  # journal header, tenant view, pool lease
+        self.router._schedule_next = lambda: None  # no event loop here
         self.oracle = EagerAccounting(REGISTRY)
         self.clock = 0.0
         self.next_id = 0
@@ -196,7 +196,7 @@ class _Run:
             [d for d in decisions if d is not None])
         self.feed.wave = wave
         shed = [j for j, d in enumerate(decisions) if d is not None]
-        assert self.gateway._pull(self.clock) == len(shed)
+        assert self.router._pull(self.clock) == len(shed)
         if shed:
             self.oracle.record_shed([floats[j] for j in shed],
                                     [ids[j] for j in shed],
@@ -204,23 +204,23 @@ class _Run:
                                     [decisions[j] for j in shed])
 
     def complete(self, op) -> None:
-        gateway = self.gateway
+        router = self.router
         launch = self.clock
-        batch = gateway._pending.take(launch, op["size"])
+        batch = router._pending.take(launch, op["size"])
         if not batch:
             return
         completion = launch + op["service"]
-        gateway._on_completion(completion, batch, self.batch_id, launch,
-                               SimpleNamespace(waves=1))
+        router._on_completion(completion, batch, self.batch_id, launch,
+                              SimpleNamespace(waves=1))
         self.oracle.complete(
             [Request(i, t, x, client=c, tenant=tenant)
              for t, i, tenant, c, x in batch],
-            self.batch_id, launch, completion, gateway._devices)
+            self.batch_id, launch, completion, router._devices)
         self.batch_id += 1
         self.clock = completion
 
     def poll(self) -> None:
-        live = self.gateway.live_tenant_histograms()
+        live = self.router.accounting.live_tenant_histograms()
         want = self.oracle.live_tenant_histograms()
         assert list(live) == list(want)
         for tenant, hist in live.items():
@@ -281,9 +281,9 @@ def test_column_sinks_equal_the_eager_oracle(monkeypatch):
         drive = _Run(staged)
         for op in ops:
             getattr(drive, op["op"])(*(() if op["op"] == "poll" else (op,)))
-        gateway, oracle = drive.gateway, drive.oracle
-        gateway._finalize()
-        report = gateway.report
+        router, oracle = drive.router, drive.oracle
+        router._finalize()
+        report = router.report
 
         _check_view(report.shed, oracle.shed, (float, int, str))
         _check_view(report.tenant_shed, oracle.tenant_shed,

@@ -24,7 +24,7 @@ from repro.serving import (
     AdmissionPolicy,
     ClosedLoopSource,
     Request,
-    ServingGateway,
+    RequestRouter,
     TenantRegistry,
     serve_workload,
 )
@@ -87,8 +87,8 @@ def test_a_closed_loop_source_serves_every_request_through_the_gateway(
         Mapping.even(VirtualNodeSet.even(2, 2), Cluster.homogeneous("V100", 2)))
     source = ClosedLoopSource(num_clients=5, requests_per_client=4,
                               examples=bank, think_time=0.002, seed=0)
-    report = ServingGateway(engine, source,
-                            TenantRegistry.from_spec(TENANTS)).run()
+    report = RequestRouter(engine, source,
+                           tenants=TenantRegistry.from_spec(TENANTS)).run()
     assert sorted(r.request_id for r in report.records) == list(range(20))
     assert sorted(requests_built) == list(range(20))
     assert {r.client for r in report.records} == set(range(5))

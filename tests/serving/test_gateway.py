@@ -1,4 +1,4 @@
-"""The multi-tenant gateway: WFQ, quota-aware shedding, and the journal."""
+"""Serving tenants: WFQ, quota-aware shedding, and the journal."""
 
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ from repro.runtime import EventTrace, Runtime, read_trace
 from repro.serving import (
     MultiTenantPoissonSource,
     OpenLoopPoissonSource,
+    RequestRouter,
     RequestSource,
-    ServingGateway,
     TenantRegistry,
     TenantSpec,
     TenantTaggingSource,
@@ -139,9 +139,9 @@ class TestTenantAwareShedding:
         assert report.tenants["prem"]["shed"] > 0
 
     def test_eager_admission_fills_past_the_batch_window(self):
-        # The plain router's lazy pull stops at max_batch, so a depth cap
-        # above the batch size could never trip; the gateway admits the
-        # whole backlog eagerly, so it can and does.
+        # A registry-less router's lazy pull stops at max_batch, so a depth
+        # cap above the batch size could never trip; serving tenants it
+        # admits the whole backlog eagerly, so it can and does.
         report = _serve(admission=AdmissionPolicy(max_queue_depth=32,
                                                   max_estimated_wait=None))
         assert report.tenant_shed
@@ -152,6 +152,19 @@ class TestDispatcherWiring:
     def test_unknown_dispatcher_rejected(self):
         with pytest.raises(ValueError, match="dispatcher"):
             _serve(dispatcher="lifo", duration=0.1)
+
+    def test_unknown_dispatcher_rejected_without_tenants(self):
+        with pytest.raises(ValueError, match="dispatcher"):
+            serve_workload("mlp_synthetic", [ServingPhase(0.2, 100.0)],
+                           dispatcher="lifo")
+
+    def test_unknown_dispatcher_rejected_by_cosched_without_tenants(self):
+        from repro.sched import resident_training_jobs, run_cosched
+
+        with pytest.raises(ValueError, match="dispatcher"):
+            run_cosched("mlp_synthetic", [ServingPhase(0.2, 100.0)],
+                        resident_training_jobs(1, demand_gpus=1),
+                        pool_devices=2, slo_p99=0.035, dispatcher="nonsense")
 
     def test_journal_needs_a_registry(self):
         with pytest.raises(ValueError, match="tenant registry"):
@@ -238,7 +251,7 @@ class TestJournal:
 
 class TestJournalLines:
     def test_every_line_is_the_sorted_key_dump_of_its_record(self, tmp_path):
-        """The gateway assembles its bulk ``request`` and ``shed`` lines
+        """The router assembles its bulk ``request`` and ``shed`` lines
         from cached fragments; whatever the writer, each line on disk must
         be exactly ``json.dumps(record, sort_keys=True)``."""
         path = str(tmp_path / "journal.jsonl")
@@ -579,40 +592,13 @@ class TestMultiTenantWaveEdgeCases:
             == [(0.1, "a"), (0.2, "a"), (0.2, "b")]
 
 
-class TestIncrementalTenantAccounting:
-    def test_tenant_report_not_rebuilt_during_live_run(self, monkeypatch):
-        # The live gateway keeps per-tenant accounting incrementally;
-        # tenant_report (the full rebuild) is reserved for the offline
-        # audit and must run at most once per serving run.
-        import repro.serving.gateway as gateway_module
-        rebuild = gateway_module.tenant_report
-        calls = {"n": 0}
-
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return rebuild(*args, **kwargs)
-
-        monkeypatch.setattr(gateway_module, "tenant_report", counting)
-        report = _serve(admission=AdmissionPolicy(max_queue_depth=64,
-                                                  max_estimated_wait=None))
-        assert calls["n"] <= 1, (
-            f"tenant_report rebuilt {calls['n']} times during one run")
-        # ... and the incremental digests match a from-scratch rebuild
-        # bit for bit.
-        assert rebuild(
-            TenantRegistry.from_spec(FLOOD_SPEC),
-            [(r.tenant, r.latency) for r in report.records],
-            [tenant for _, _, tenant, _ in report.tenant_shed],
-        ) == report.tenants
-
-
 class TestLiveTenantHistograms:
     """The live per-tenant histograms fold lazily: a poll catches each one
     up from the exact latency lists, and nothing is paid between polls."""
 
     SPEC = "prem:class=premium,weight=8,quota=300;flood:share=4"
 
-    def _gateway(self, rate=1500.0, duration=1.0, seed=3):
+    def _router(self, rate=1500.0, duration=1.0, seed=3):
         registry = TenantRegistry.from_spec(self.SPEC)
         workload = get_workload("mlp_synthetic")
         pool = Cluster.homogeneous("V100", 2)
@@ -623,8 +609,8 @@ class TestLiveTenantHistograms:
         source = MultiTenantPoissonSource(
             registry, split_phases([ServingPhase(duration, rate)], registry),
             examples, seed=seed)
-        return ServingGateway(
-            engine, source, registry, pool=pool,
+        return RequestRouter(
+            engine, source, pool=pool, tenants=registry,
             policy=MicroBatchPolicy(max_batch=8, max_wait=0.002))
 
     @staticmethod
@@ -660,25 +646,25 @@ class TestLiveTenantHistograms:
 
     def test_polls_mid_run_and_at_the_end_match_the_exact_lists(
             self, monkeypatch):
-        gateway = self._gateway()
+        router = self._router()
         sizes = self._fold_sizes(monkeypatch)
         polls = []
 
         def poll(t):
-            # Copies: the gateway keeps folding into the live objects.
-            served = len(gateway.report.records)
+            # Copies: the router keeps folding into the live objects.
+            served = len(router.report.records)
             before = len(sizes)
-            view = gateway.live_tenant_histograms()
+            view = router.accounting.live_tenant_histograms()
             polls.append((served, list(sizes[before:]),
                           {k: (h.count, h._min, h._max, h._counts.copy())
                            for k, h in view.items()}))
 
         runtime = Runtime()
-        runtime.add(gateway)
+        runtime.add(router)
         for t in (0.3, 0.6, 0.6):
             runtime.at(t, poll, kind="poll")
         runtime.run()
-        records = gateway.report.records
+        records = router.report.records
         assert len(polls) == 3 and 0 < polls[0][0] < polls[1][0] < len(records)
 
         folded = {"prem": 0, "flood": 0}
@@ -695,29 +681,29 @@ class TestLiveTenantHistograms:
         assert polls[2][1] == []  # same instant, nothing new: no fold
 
         exact = self._latencies(records)
-        final = gateway.live_tenant_histograms()
+        final = router.accounting.live_tenant_histograms()
         assert all(self._same(final[t], self._exact(exact[t])) for t in exact)
         assert all(final[t].count for t in exact)
 
     def test_unpolled_run_folds_once_per_tenant_at_finalize(
             self, monkeypatch):
-        gateway = self._gateway()
+        router = self._router()
         sizes = self._fold_sizes(monkeypatch)
-        report = gateway.run()
+        report = router.run()
         exact = self._latencies(report.records)
         # No per-batch telemetry: the only observe_many calls of the whole
         # run are the closing folds, one per tenant over its whole list.
         assert sorted(sizes) == sorted(len(v) for v in exact.values())
         assert len(report.records) > 1000 and len(report.batches) > 100
-        final = gateway.live_tenant_histograms()
+        final = router.accounting.live_tenant_histograms()
         assert len(sizes) == 2  # the poll after the run had nothing to fold
         assert all(self._same(final[t], self._exact(exact[t])) for t in exact)
 
     def test_a_second_run_starts_from_empty_histograms(self):
-        gateway = self._gateway(duration=0.2)
-        first = gateway.run()
+        router = self._router(duration=0.2)
+        first = router.run()
         assert first.records
-        again = gateway.run()  # drained source: an empty run
+        again = router.run()  # drained source: an empty run
         assert not again.records
-        assert all(h.count == 0
-                   for h in gateway.live_tenant_histograms().values())
+        histograms = router.accounting.live_tenant_histograms()
+        assert all(h.count == 0 for h in histograms.values())

@@ -60,11 +60,10 @@ class TestOneProductionPath:
         from repro.elastic import ClusterSimulator
         from repro.runtime import Runtime
         from repro.sched import run_cosched
-        from repro.serving import RequestRouter, ServingGateway, serve_workload
+        from repro.serving import RequestRouter, serve_workload
 
         return (Runtime, ClusterSimulator, RequestRouter, RequestRouter.run,
-                ServingGateway, ServingGateway.run, serve_workload,
-                run_cosched)
+                serve_workload, run_cosched)
 
     def test_event_queue_takes_no_argument(self):
         import inspect
@@ -105,6 +104,41 @@ class TestOneProductionPath:
         for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
             text = path.read_text()
             assert not [word for word in banned if word in text], path
+
+
+class TestOneRequestRouter:
+    """Serving tenants is a stage the one router composes, chosen by
+    whether it is given a registry — not a subclass, not a queue argument."""
+
+    def test_no_gateway_class_is_exported(self):
+        import repro.serving
+
+        assert not hasattr(repro.serving, "ServingGateway")
+        assert "ServingGateway" not in repro.serving.__all__
+
+    def test_the_router_takes_the_tenancy_arguments(self):
+        import inspect
+
+        from repro.serving import RequestRouter
+
+        names = set(inspect.signature(RequestRouter).parameters)
+        assert {"tenants", "dispatcher", "journal"} <= names
+        assert "dispatch_queue" not in names
+
+    def test_no_serving_class_subclasses_the_router(self):
+        import inspect
+        import pkgutil
+
+        import repro.serving
+        from repro.serving import RequestRouter
+
+        modules = [importlib.import_module(f"repro.serving.{info.name}")
+                   for info in pkgutil.iter_modules(repro.serving.__path__)]
+        subclasses = [
+            cls for module in (repro.serving, *modules)
+            for _, cls in inspect.getmembers(module, inspect.isclass)
+            if issubclass(cls, RequestRouter) and cls is not RequestRouter]
+        assert len(modules) >= 8 and not subclasses, subclasses
 
 
 class TestOneDefaultBackend:
