@@ -17,7 +17,7 @@ least ``{"benchmark": <name>, "configs": [...], "speedup": <headline>}``.
 These files are the repo's performance trajectory — each perf-focused PR
 re-runs them so regressions in the fused hot paths are visible as numbers,
 not vibes.  CI smoke-runs them with tiny configs to catch breakage early
-(see ``bench_arena_fusion.py --smoke``).
+(see ``bench_fused_coverage.py --smoke``).
 """
 
 from __future__ import annotations

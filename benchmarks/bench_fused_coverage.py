@@ -43,6 +43,7 @@ from repro.core import (
     FusedBackend,
     InferenceEngine,
     Mapping,
+    ReferenceBackend,
     TrainerConfig,
     VirtualFlowTrainer,
 )
@@ -52,7 +53,7 @@ from repro.core.sharding import shard_batch
 from repro.core.state import VirtualNodeState
 from repro.core.virtual_node import VirtualNodeSet
 from repro.data import make_dataset
-from repro.framework import WORKLOADS, SoftmaxCrossEntropy, get_workload
+from repro.framework import WORKLOADS, FlatTensorArena, SoftmaxCrossEntropy, get_workload
 from repro.hardware import Cluster
 
 # (workload, virtual nodes, per-node batch) — headline config first.
@@ -98,7 +99,7 @@ def coverage_matrix() -> List[Dict]:
                                             model.state_dict().items()})
                        for i in range(4)],
             shards=shard_batch(vn_set, ds.x_train[:8], ds.y_train[:8]),
-            seed=0, epoch=0, step=0)
+            seed=0, epoch=0, step=0, arena=FlatTensorArena.install(model))
         rows.append({
             "workload": name,
             "can_fuse_training": bool(fused.can_fuse(step)),
@@ -119,11 +120,13 @@ def _step_times(workload_name: str, num_vns: int, per_vn_batch: int,
     out = {}
     params = {}
     batch = num_vns * per_vn_batch
-    for key, backend in (("reference_s", "reference"), ("fused_s", "fused")):
+    for key in ("reference_s", "fused_s"):
         trainer = VirtualFlowTrainer(TrainerConfig(
             workload=workload_name, global_batch_size=batch,
             num_virtual_nodes=num_vns, num_devices=2,
-            dataset_size=2 * batch, backend=backend))
+            dataset_size=2 * batch))
+        if key == "reference_s":
+            trainer.executor.engine.backend = ReferenceBackend()
         x = trainer.dataset.x_train[:batch]
         y = trainer.dataset.y_train[:batch]
         counter = {"step": 0}
@@ -151,8 +154,10 @@ def _infer_times(workload_name: str, num_vns: int, length: int,
     x = np.ascontiguousarray(
         make_dataset(workload.dataset, n=4 * length, seed=0).x_train[:length])
     out, logits = {}, {}
-    for key, backend in (("reference_s", "reference"), ("fused_s", "fused")):
-        engine = InferenceEngine(workload, model, mapping, backend=backend)
+    for key in ("reference_s", "fused_s"):
+        engine = InferenceEngine(workload, model, mapping)
+        if key == "reference_s":
+            engine.engine.backend = ReferenceBackend()
         bounds, _, _ = engine.engine.inference_plan(length)
 
         def one_batch() -> np.ndarray:

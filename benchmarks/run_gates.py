@@ -58,7 +58,6 @@ class Gate:
 
 # Adding a benchmark to CI is this one line (plus the script itself).
 GATES: Tuple[Gate, ...] = (
-    Gate("arena_fusion", "bench_arena_fusion.py"),
     Gate("chaos_goodput", "bench_chaos_goodput.py", wall_clock=False),
     Gate("cosched_harvest", "bench_cosched_harvest.py", wall_clock=False),
     Gate("domain_blast", "bench_domain_blast.py", wall_clock=False),

@@ -37,11 +37,8 @@ from repro.core import (
     VirtualNode,
     VirtualNodeEngine,
     VirtualNodeSet,
-    backend_names,
-    get_backend,
     handle_device_failure,
     load_checkpoint,
-    register_backend,
     restore_device,
     save_checkpoint,
 )
@@ -102,14 +99,11 @@ __all__ = [
     "WORKLOADS",
     "Workload",
     "__version__",
-    "backend_names",
-    "get_backend",
     "get_spec",
     "get_workload",
     "handle_device_failure",
     "load_checkpoint",
     "make_dataset",
-    "register_backend",
     "restore_device",
     "save_checkpoint",
     "serve_workload",

@@ -43,9 +43,7 @@ from repro.core import (
     TrainerConfig,
     VirtualFlowTrainer,
     VirtualNodeSet,
-    backend_names,
 )
-from repro.core.backends import DEFAULT_BACKEND
 from repro.data import make_dataset
 from repro.elastic import (
     ClusterSimulator,
@@ -135,13 +133,6 @@ def _make_trace(args):
     if args.trace_out is not None and args.trace_sample > 1:
         return EventTrace(args.trace_out, sample=args.trace_sample)
     return args.trace_out
-
-
-def _add_backend_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", choices=backend_names(),
-                   default=DEFAULT_BACKEND,
-                   help="host execution strategy; results are bit-identical; "
-                        "`reference` is the serial oracle")
 
 
 def _add_profile_flag(p: argparse.ArgumentParser) -> None:
@@ -278,7 +269,6 @@ def _add_cosched_flags(p: argparse.ArgumentParser) -> None:
                    help="halve max-batch/max-wait while serving capacity "
                         "is derated")
     p.add_argument("--seed", type=int, default=0)
-    _add_backend_flag(p)
     p.add_argument("--trace-out", default=None, metavar="PATH",
                    help="write the runtime's JSONL event timeline here")
     _add_profile_flag(p)
@@ -318,10 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--resize", type=_parse_resize, action="append",
                        default=[], metavar="EPOCH:DEVICES",
                        help="resize after EPOCH to DEVICES (repeatable)")
-    _add_backend_flag(train)
-    train.add_argument("--no-arena", action="store_true",
-                       help="disable the flat tensor arena hot path (host "
-                            "strategy; results are identical either way)")
+    # Older command lines spell the one execution backend; accepted, ignored.
+    train.add_argument("--backend", choices=["fused"], help=argparse.SUPPRESS)
 
     infer = sub.add_parser("infer", help="serve inference under virtual nodes")
     infer.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
@@ -333,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--requests", type=int, default=4,
                        help="number of request batches to serve")
     infer.add_argument("--seed", type=int, default=0)
-    _add_backend_flag(infer)
 
     serve = sub.add_parser(
         "serve", help="online serving with micro-batching and autoscaling")
@@ -367,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--requests", type=_positive_int, default=None,
                        help="cap on admitted requests")
     serve.add_argument("--seed", type=int, default=0)
-    _add_backend_flag(serve)
     serve.add_argument("--trace-out", default=None, metavar="PATH",
                        help="write the runtime's JSONL event timeline here")
     _add_profile_flag(serve)
@@ -467,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="job arrivals per hour")
     simulate.add_argument("--gpus", type=_positive_int, default=8)
     simulate.add_argument("--seed", type=int, default=0)
-    _add_backend_flag(simulate)  # stamped on every job in the trace
     simulate.add_argument("--trace-out", default=None, metavar="PATH",
                           help="write the runtime's JSONL event timeline "
                                "here (elastic scheduler run only)")
@@ -490,8 +475,7 @@ def _cmd_train(args) -> int:
         workload=args.workload, global_batch_size=args.batch,
         num_virtual_nodes=args.virtual_nodes, device_type=args.device_type,
         num_devices=args.devices, seed=args.seed,
-        dataset_size=args.dataset_size, learning_rate=args.lr,
-        backend=args.backend, arena=not args.no_arena))
+        dataset_size=args.dataset_size, learning_rate=args.lr))
     print(trainer.executor.plan.describe())
     rows = []
     for epoch in range(args.epochs):
@@ -513,7 +497,7 @@ def _cmd_infer(args) -> int:
     vn_set = VirtualNodeSet.even(args.batch, args.virtual_nodes)
     cluster = Cluster.homogeneous(args.device_type, args.devices)
     engine = InferenceEngine(workload, workload.build_model(args.seed),
-                             Mapping.even(vn_set, cluster), backend=args.backend)
+                             Mapping.even(vn_set, cluster))
     # val_fraction is 0.2, so 8x the batch guarantees full request batches.
     dataset = make_dataset(workload.dataset, n=max(8 * args.batch, 64), seed=args.seed)
     rows = []
@@ -551,7 +535,7 @@ def _cmd_serve(args) -> int:
                 initial_devices=args.initial_devices,
                 autoscale=args.autoscale,
                 slo_p99=slo if args.autoscale else None,
-                backend=args.backend, seed=args.seed, limit=args.requests,
+                seed=args.seed, limit=args.requests,
                 trace=trace, tenants=tenants, journal=journal,
                 dispatcher=dispatcher)
     finally:
@@ -629,7 +613,7 @@ def _cmd_cosched(args, fault_plan=None, recovery=None,
                 autoscale=not args.static,
                 slo_p99=None if args.static else slo,
                 train_floor=args.train_floor, resize_delay=args.resize_delay,
-                backend=args.backend, seed=args.seed, limit=args.requests,
+                seed=args.seed, limit=args.requests,
                 trace=trace, fault_plan=fault_plan, recovery=recovery,
                 retry_delay=retry_delay,
                 admission=admission, topology=topology,
@@ -827,8 +811,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    trace = generate_trace(args.jobs, args.rate, seed=args.seed,
-                           backend=args.backend)
+    trace = generate_trace(args.jobs, args.rate, seed=args.seed)
     rows = []
     for scheduler in (ElasticWFSScheduler(), StaticPriorityScheduler()):
         # The JSONL timeline (when asked for) records the elastic run — the
@@ -848,8 +831,7 @@ def _cmd_simulate(args) -> int:
                      f"{metrics.utilization:.1%}"])
     print(format_table(
         ["scheduler", "makespan", "median JCT", "median queue", "util"], rows,
-        title=f"{args.jobs} jobs at {args.rate}/h on {args.gpus} GPUs "
-              f"(backend={args.backend})"))
+        title=f"{args.jobs} jobs at {args.rate}/h on {args.gpus} GPUs"))
     if args.trace_out:
         print(f"event timeline written to {args.trace_out}")
     return 0

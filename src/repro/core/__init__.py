@@ -14,12 +14,10 @@ The core is organized around two seams:
   training executor, the inference engine, and the elastic job model, so no
   driver re-implements shard/latency/plan logic;
 * the **backend seam** (:mod:`repro.core.backends`): *how* waves execute on
-  the host is a pluggable strategy.  ``fused``, the default every entry
-  point runs, executes all of a step's waves — or an inference batch's
-  shards — as one segmented vectorized pass, bit-identical to ``reference``,
-  the canonical serial loop kept as the bit-exactness oracle.  Future
-  strategies (async sync, multi-process devices, serving batching) plug in
-  here without touching the semantic model.
+  the host is a strategy behind one interface.  Every engine runs the fused
+  backend, which executes all of a step's waves — or an inference batch's
+  shards — as one segmented vectorized pass, bit-identical to the canonical
+  serial loop (``ReferenceBackend``) that tests compare against.
 """
 
 from repro.core.virtual_node import VirtualNode, VirtualNodeSet
@@ -33,9 +31,6 @@ from repro.core.backends import (
     ExecutionBackend,
     FusedBackend,
     ReferenceBackend,
-    backend_names,
-    get_backend,
-    register_backend,
 )
 from repro.core.engine import VirtualNodeEngine
 from repro.core.pipeline import (
@@ -71,11 +66,8 @@ __all__ = [
     "ReferenceBackend",
     "StepResult",
     "VirtualNodeEngine",
-    "backend_names",
     "data_parallel_pipeline",
-    "get_backend",
     "pipelined_virtual_nodes",
-    "register_backend",
     "virtual_node_pipeline",
     "TrainerConfig",
     "VirtualFlowExecutor",

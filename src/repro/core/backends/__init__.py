@@ -1,41 +1,25 @@
-"""Pluggable execution backends.
+"""Execution backends.
 
 The semantic model (virtual nodes, canonical reduction order, per-node
-state) is fixed; *how* waves execute on the host is a strategy behind the
+state) is fixed; *how* waves execute on the host sits behind the
 :class:`ExecutionBackend` interface:
 
-* ``fused`` — the default (:data:`DEFAULT_BACKEND`): every wave of a step,
+* :class:`FusedBackend` — what every engine runs: every wave of a step,
   equal- or mixed-size, stateless or stateful, as one segmented vectorized
   pass, bit-identical to the serial loop, with a per-model serial fallback
   for user modules without kernels;
-* ``reference`` — the canonical serial wave loop, the bit-exactness oracle.
-
-Resolve names with :func:`get_backend`; extend with :func:`register_backend`.
+* :class:`ReferenceBackend` — the canonical serial wave loop: that fallback,
+  and the bit-exactness oracle tests assign to an engine's ``backend``.
 """
 
-from repro.core.backends.base import (
-    DEFAULT_BACKEND,
-    ExecutionBackend,
-    TrainStep,
-    TrainStepOutput,
-    backend_names,
-    get_backend,
-    register_backend,
-)
+from repro.core.backends.base import ExecutionBackend, TrainStep, TrainStepOutput
 from repro.core.backends.fused import FusedBackend
 from repro.core.backends.reference import ReferenceBackend
 
-register_backend("reference", ReferenceBackend)
-register_backend("fused", FusedBackend)
-
 __all__ = [
-    "DEFAULT_BACKEND",
     "ExecutionBackend",
     "FusedBackend",
     "ReferenceBackend",
     "TrainStep",
     "TrainStepOutput",
-    "backend_names",
-    "get_backend",
-    "register_backend",
 ]

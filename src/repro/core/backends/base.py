@@ -2,62 +2,46 @@
 
 VirtualFlow's semantic model — virtual nodes, canonical-order reduction,
 per-node state and RNG streams — is fixed by the paper.  *How* those
-semantics are realized on the host is an execution-strategy choice, and this
+semantics are realized on the host is an execution strategy, and this
 module pins down the interface between the two:
+:class:`ExecutionBackend` receives one step's logical inputs
+(:class:`TrainStep`) and returns the averaged gradients plus the
+example-weighted loss sum (:class:`TrainStepOutput`); for serving it turns
+one request batch into logits.  Everything a backend may *not* change —
+sharding, weighting, optimizer application, simulated time — lives in the
+engine/executor layer above.
 
-* :class:`ExecutionBackend` is the strategy interface.  A backend receives
-  one step's logical inputs (:class:`TrainStep`) and returns the averaged
-  gradients plus the example-weighted loss sum (:class:`TrainStepOutput`);
-  for serving it turns one request batch into logits.  Everything a backend
-  may *not* change — sharding, weighting, optimizer application, simulated
-  time — lives in the engine/executor layer above.
+Two implementations exist, and nothing selects between them:
 
-* :func:`get_backend` / :func:`register_backend` form the registry that the
-  trainer config, the CLI, and the elastic job specs resolve names against.
+:class:`~repro.core.backends.fused.FusedBackend`
+    What every engine runs (one shared instance, see
+    :mod:`repro.core.engine`): every wave of a step — equal- or mixed-size,
+    stateless or stateful (BatchNorm) — as one segmented forward/backward,
+    bit-identical to the serial loop for all built-in workloads.
 
-Built-in backends:
-
-``fused`` (:data:`DEFAULT_BACKEND`)
-    :class:`~repro.core.backends.fused.FusedBackend` vectorizes every wave
-    of a step — equal- or mixed-size, stateless or stateful (BatchNorm) —
-    into one segmented forward/backward, reproducing the reference
-    arithmetic bit-for-bit for all built-in workloads; only user-defined
-    modules without kernels fall back to the serial loop.
-
-``reference``
-    The canonical serial wave loop (:class:`~repro.core.backends.reference.
-    ReferenceBackend`).  It is the bit-exactness oracle every other backend
-    is tested against.
+:class:`~repro.core.backends.reference.ReferenceBackend`
+    The canonical serial wave loop: the fused backend's fallback for
+    user-defined modules without kernels, and the bit-exactness oracle the
+    tests compare against by assigning it to an engine's ``backend``.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.state import VirtualNodeState
 from repro.core.virtual_node import VirtualNodeSet
+from repro.framework.arena import FlatTensorArena
 from repro.framework.layers import Module
 from repro.framework.losses import Loss
 
-__all__ = [
-    "DEFAULT_BACKEND",
-    "TrainStep",
-    "TrainStepOutput",
-    "ExecutionBackend",
-    "register_backend",
-    "get_backend",
-    "backend_names",
-]
+__all__ = ["TrainStep", "TrainStepOutput", "ExecutionBackend"]
 
 Grads = Dict[str, np.ndarray]
-
-# The backend every entry point runs unless told otherwise, named once.
-# Results are bit-identical across backends, so this picks host cost only.
-DEFAULT_BACKEND = "fused"
 
 
 @dataclass
@@ -69,11 +53,10 @@ class TrainStep:
     updated in place when the model carries stateful kernels.
 
     ``arena`` is the model's installed
-    :class:`~repro.framework.arena.FlatTensorArena`, when the executor runs
-    the fused flat-buffer hot path.  Backends then stack per-virtual-node
-    gradients as contiguous rows and return the average as an arena view
-    (one flat array) instead of a dict of fresh allocations; results are
-    bit-identical either way.
+    :class:`~repro.framework.arena.FlatTensorArena`: backends stack
+    per-virtual-node gradients as contiguous rows of it and return the
+    average as an arena view (one flat array), which the optimizer updates
+    in one whole-arena pass.
 
     ``state_layout`` is the shared :class:`~repro.framework.arena.FlatLayout`
     over the per-virtual-node stateful buffers (None when the model carries
@@ -98,8 +81,8 @@ class TrainStep:
     seed: int
     epoch: int
     step: int
+    arena: FlatTensorArena
     augment: Optional[object] = None  # repro.data.augment.Transform
-    arena: Optional[object] = None  # repro.framework.arena.FlatTensorArena
     state_layout: Optional[object] = None  # repro.framework.arena.FlatLayout
     workspace: Dict[tuple, object] = field(default_factory=dict)
 
@@ -150,37 +133,3 @@ class ExecutionBackend(ABC):
         :func:`~repro.core.sharding.shard_indices` when the caller already
         holds them (the engine memoizes them per batch length).
         """
-
-
-_REGISTRY: Dict[str, Callable[[], "ExecutionBackend"]] = {}
-_INSTANCES: Dict[str, "ExecutionBackend"] = {}
-
-
-def register_backend(name: str, factory: Callable[[], "ExecutionBackend"]) -> None:
-    """Register a backend factory under ``name`` (lowercase)."""
-    key = name.lower()
-    if key in _REGISTRY:
-        raise ValueError(f"backend {name!r} is already registered")
-    _REGISTRY[key] = factory
-
-
-def backend_names() -> List[str]:
-    """Registered backend names, sorted."""
-    return sorted(_REGISTRY)
-
-
-def get_backend(backend) -> "ExecutionBackend":
-    """Resolve a backend name (or pass through an instance).
-
-    Backends are stateless, so named lookups share one instance per name.
-    """
-    if isinstance(backend, ExecutionBackend):
-        return backend
-    key = str(backend).lower()
-    if key not in _REGISTRY:
-        raise ValueError(
-            f"unknown execution backend {backend!r}; available: {backend_names()}"
-        )
-    if key not in _INSTANCES:
-        _INSTANCES[key] = _REGISTRY[key]()
-    return _INSTANCES[key]

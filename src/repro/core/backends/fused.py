@@ -27,13 +27,15 @@ cost for the entire built-in workload zoo:
   run stashes nothing, so it pins no arrays.  Kernel
   dispatch is resolved once per model into a flat step list
   (:func:`~repro.core.backends.vectorized.inference_steps`).
-* The reference loop survives only as the oracle equivalence tests assert
-  against, and as the fallback for user-defined modules with no vectorized
-  kernel; every built-in workload reports ``can_fuse(...) == True``.
+* The serial loop (:class:`~repro.core.backends.reference.ReferenceBackend`)
+  runs only as the fallback for user-defined modules with no vectorized
+  kernel; every built-in workload reports ``can_fuse(...) == True``.  Every
+  engine shares one instance of this backend (:mod:`repro.core.engine`), so
+  the per-model and per-bounds caches below serve them all.
 
 Fusing changes *host wall-clock* cost only: the simulated device schedule
 (waves, memory, step time) is a property of the mapping and is accounted by
-the engine layer regardless of backend.
+the engine layer.
 """
 
 from __future__ import annotations
@@ -172,18 +174,13 @@ class FusedBackend(ExecutionBackend):
         # iteration (grad_norm later sums values in dict order).  Scaling the
         # (V, ...) stack row-wise and reducing over the stack axis (a
         # sequential, in-order accumulation in NumPy) is bit-identical to the
-        # canonical loop — in one vector op per parameter.  With an arena
-        # installed, the averages land directly in one preallocated flat
-        # buffer (returned as an arena view) so the optimizer's fused
-        # whole-arena update engages downstream; values are identical.
+        # canonical loop — in one vector op per parameter.  The averages
+        # land in one flat buffer (returned as an arena view) so the
+        # optimizer's whole-arena update engages downstream.
         total = float(sum(float(node.batch_size) for node in nodes))
         scales = [float(node.batch_size) / total for node in nodes]
-        if step.arena is not None:
-            avg_flat = np.empty(step.arena.layout.total_size,
-                                dtype=step.arena.layout.dtype)
-            avg: Grads = step.arena.view_of(avg_flat)
-        else:
-            avg = {}
+        params = step.arena.layout
+        avg: Grads = step.arena.view_of(np.empty(params.total_size, dtype=params.dtype))
         uniform_scale = scales[0] if len(set(scales)) == 1 else None
         scale_col = None if uniform_scale is not None else np.asarray(scales)
         for key in sorted(run.param_grads):
@@ -193,7 +190,7 @@ class FusedBackend(ExecutionBackend):
             else:
                 scaled = stack * scale_col.reshape(
                     (len(nodes),) + (1,) * (stack.ndim - 1))
-            avg[key] = np.add.reduce(scaled, 0, out=avg.get(key))
+            np.add.reduce(scaled, 0, out=avg[key])
 
         weighted_loss = 0.0
         for node, loss_value in zip(nodes, losses):

@@ -8,20 +8,24 @@ training bit-identical across any virtual-node-to-device mapping — the
 strongest form of the paper's "convergence depends only on virtual nodes"
 guarantee.
 
-This backend is deliberately unoptimized: it is the *oracle* every faster
-backend (see :mod:`repro.core.backends.fused`) is tested against, wave for
-wave and bit for bit.
+This backend is deliberately unoptimized: it is the *oracle* the fused
+backend (:mod:`repro.core.backends.fused`) is tested against, wave for wave
+and bit for bit, and that backend's fallback for modules without kernels.
+Each wave's gradients are snapshotted as one contiguous row of a reused
+``(V, P)`` stack over the model's flat tensor arena, and the §5.2 weighted
+average is one scaled stack reduction — the same arithmetic as the per-key
+loop (``tests/oracles/serial_step.py``) in a handful of vector ops.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.backends.base import ExecutionBackend, TrainStep, TrainStepOutput
 from repro.core.sharding import check_shard_bounds, shard_indices
-from repro.core.sync import weighted_average, weighted_average_flat
+from repro.core.sync import weighted_average_flat
 from repro.core.virtual_node import VirtualNodeSet
 from repro.framework.layers import Module
 from repro.utils.seeding import augment_rng, vn_rng
@@ -52,11 +56,12 @@ class ReferenceBackend(ExecutionBackend):
         return any(state.buffers for state in step.vn_states)
 
     def train_step(self, step: TrainStep) -> TrainStepOutput:
-        if step.arena is not None:
-            return self._train_step_arena(step)
         model = step.model
+        arena = step.arena
         stateful = self._is_stateful(step)
-        contributions: List[Tuple[Dict[str, np.ndarray], float]] = []
+        num_nodes = step.vn_set.num_nodes
+        stack = arena.grad_stack(num_nodes)
+        weights = [0.0] * num_nodes
         weighted_loss = 0.0
         # Physically, shards execute as per-device waves in parallel; since
         # every wave reads the same (frozen) parameters, iterating in
@@ -73,49 +78,11 @@ class ReferenceBackend(ExecutionBackend):
             loss_value = step.loss_fn.forward(logits, y_vn)
             model.zero_grad()
             model.backward(step.loss_fn.backward())
-            grads = {k: v.copy() for k, v in model.gradients().items()}
-            contributions.append((grads, float(node.batch_size)))
-            weighted_loss += loss_value * node.batch_size
-            if stateful:
-                # Stateful kernels updated during the wave belong to this node.
-                state.buffers = model.state_dict()
-        return TrainStepOutput(
-            avg_grads=weighted_average(contributions),
-            weighted_loss=weighted_loss,
-        )
-
-    def _train_step_arena(self, step: TrainStep) -> TrainStepOutput:
-        """The wave loop over the model's flat tensor arena.
-
-        Identical wave execution and identical arithmetic — the only changes
-        are mechanical: each wave's gradients are snapshotted as ONE
-        contiguous row of a reused ``(V, P)`` stack (instead of a dict of
-        per-key copies), and the §5.2 weighted average is one scaled
-        stack reduction (instead of a per-key accumulation loop).
-        """
-        model = step.model
-        arena = step.arena
-        stateful = self._is_stateful(step)
-        num_nodes = step.vn_set.num_nodes
-        stack = arena.grad_stack(num_nodes)
-        weights = [0.0] * num_nodes
-        weighted_loss = 0.0
-        for node, (x_vn, y_vn) in zip(step.vn_set, step.shards):
-            state = step.vn_states[node.index]
-            if stateful:
-                model.load_state_dict(state.buffers)
-            if step.augment is not None:
-                x_vn = step.augment.apply(
-                    x_vn, augment_rng(step.seed, step.epoch, step.step, node.index))
-            rng = vn_rng(step.seed, step.epoch, step.step, node.index)
-            logits = model.forward(x_vn, training=True, rng=rng)
-            loss_value = step.loss_fn.forward(logits, y_vn)
-            model.zero_grad()
-            model.backward(step.loss_fn.backward())
             stack[node.index] = arena.grads_flat  # one contiguous snapshot
             weights[node.index] = float(node.batch_size)
             weighted_loss += loss_value * node.batch_size
             if stateful:
+                # Stateful kernels updated during the wave belong to this node.
                 state.buffers = model.state_dict()
         avg_flat = weighted_average_flat(stack, weights, clobber=True)
         return TrainStepOutput(

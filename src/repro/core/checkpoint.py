@@ -6,15 +6,17 @@ and the training cursor.  Notably it does NOT capture the mapping — that is
 the whole point of the paper: the same checkpoint restores onto any cluster
 shape, and training continues bit-exactly.
 
-The format is a single ``.npz`` file with namespaced array keys plus a JSON
-metadata blob.  Format version 2 serializes through the flat tensor arena
-where available — the model as ONE contiguous parameter buffer
-(``model.flat``), optimizer slots as one buffer per slot kind
-(``optimizer.flat/<slot>``), and all virtual-node stateful kernels as one
-``(num_nodes, state_size)`` matrix (``vn.flat``) — with the name -> slice
-tables recorded in the metadata, instead of a dict-of-copies per section.
-Version-1 checkpoints (per-tensor keys) still load; values round-trip
-bit-identically through either representation.
+The format is a single ``.npz`` file of flat buffers plus a JSON metadata
+blob: the model as ONE contiguous parameter buffer (``model.flat``),
+optimizer slots as one buffer per slot kind (``optimizer.flat/<slot>``),
+both in the flat tensor arena's layout, and — for a model with stateful
+kernels — all virtual nodes' kernels as one ``(num_nodes, state_size)``
+matrix (``vn.flat``), with the name -> slice tables recorded in the
+metadata.  What is written depends only on the training state, never on
+whether the optimizer has stepped since a restore.  Any other file — the
+per-tensor layout of format version 1, an unknown version, an ``.npz``
+that is not a checkpoint — is rejected with a ``ValueError`` naming what
+it holds.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ __all__ = ["save_checkpoint", "load_checkpoint"]
 
 _META_KEY = "__virtualflow_meta__"
 FORMAT_VERSION = 2
-_SUPPORTED_VERSIONS = (1, 2)
+# Array-name prefixes of the per-tensor layout (format version 1).
+_PER_TENSOR_PREFIXES = ("model/", "optimizer/", "vn/")
 
 
 def save_checkpoint(executor: VirtualFlowExecutor, path: str) -> None:
@@ -50,19 +53,17 @@ def save_checkpoint(executor: VirtualFlowExecutor, path: str) -> None:
         "optimizer_step_count": executor.optimizer.step_count,
     }
     arena = executor.arena
-    if arena is not None:
-        arrays["model.flat"] = arena.params_flat
-        meta["param_layout"] = arena.layout.spec()
-    else:
-        for key, value in executor.model.parameters().items():
-            arrays[f"model/{key}"] = value
-    flat_slots = executor.optimizer.flat_slots()
-    if arena is not None and flat_slots:
-        for slot, value in flat_slots.items():
-            arrays[f"optimizer.flat/{slot}"] = value
-    else:
-        for key, value in executor.optimizer.state_dict().items():
-            arrays[f"optimizer/{key}"] = value
+    arrays["model.flat"] = arena.params_flat
+    meta["param_layout"] = arena.layout.spec()
+    # One buffer per slot kind, packed through the parameter layout: the same
+    # bytes whether the slots are flat (after a step) or per-key dicts (after
+    # a restore, before the next step).
+    slots: Dict[str, Dict[str, np.ndarray]] = {}
+    for key, value in executor.optimizer.state_dict().items():
+        slot, _, name = key.partition(".")
+        slots.setdefault(slot, {})[name] = value
+    for slot, values in slots.items():
+        arrays[f"optimizer.flat/{slot}"] = arena.layout.pack(values)
     layout = state_layout(executor.vn_states)
     if layout is not None:
         arrays["vn.flat"] = pack_states(executor.vn_states, layout)
@@ -88,11 +89,22 @@ def load_checkpoint(executor: VirtualFlowExecutor, path: str) -> Dict:
     checkpoint metadata.
     """
     with np.load(path) as data:
-        meta = json.loads(bytes(data[_META_KEY].tobytes()).decode("utf-8"))
-        if meta.get("format_version") not in _SUPPORTED_VERSIONS:
+        if _META_KEY not in data.files:
             raise ValueError(
-                f"unsupported checkpoint format {meta.get('format_version')!r}"
-            )
+                f"{path!r} is not a VirtualFlow checkpoint: no {_META_KEY!r} "
+                f"entry among its {len(data.files)} arrays")
+        meta = json.loads(bytes(data[_META_KEY].tobytes()).decode("utf-8"))
+        version = meta.get("format_version")
+        if version != FORMAT_VERSION:
+            raise ValueError(
+                f"unsupported checkpoint format_version {version!r} in "
+                f"{path!r}; this build reads version {FORMAT_VERSION}")
+        per_tensor = sorted(k for k in data.files if k.startswith(_PER_TENSOR_PREFIXES))
+        if per_tensor:
+            raise ValueError(
+                f"{path!r} holds {len(per_tensor)} per-tensor arrays (e.g. "
+                f"{per_tensor[0]!r}), the version-1 layout; this build reads "
+                f"only flat buffers")
         if meta["workload"] != executor.workload.name:
             raise ValueError(
                 f"checkpoint is for workload {meta['workload']!r}, executor "
@@ -105,48 +117,28 @@ def load_checkpoint(executor: VirtualFlowExecutor, path: str) -> Dict:
                 "node set is an application-level hyperparameter and must be "
                 "preserved"
             )
-        if "model.flat" in data.files:
-            layout = _layout_from_meta(meta, "param_layout")
-            executor.model.set_parameters(layout.views(data["model.flat"]))
-        else:
-            model_params = {
-                key[len("model/"):]: data[key]
-                for key in data.files if key.startswith("model/")
-            }
-            executor.model.set_parameters(model_params)
-        flat_slot_keys = [k for k in data.files if k.startswith("optimizer.flat/")]
-        if flat_slot_keys:
-            # Expand each flat slot buffer back into the per-key state-dict
-            # namespace the optimizer API speaks (views: load copies them).
-            layout = _layout_from_meta(meta, "param_layout")
-            optimizer_state = {}
-            for key in flat_slot_keys:
+        layout = _layout_from_meta(meta, "param_layout")
+        executor.model.set_parameters(layout.views(data["model.flat"]))
+        # Expand each slot buffer back into the per-key state-dict namespace
+        # the optimizer API speaks (views: load copies them).
+        optimizer_state = {}
+        for key in data.files:
+            if key.startswith("optimizer.flat/"):
                 slot = key[len("optimizer.flat/"):]
                 for name, view in layout.views(data[key]).items():
                     optimizer_state[f"{slot}.{name}"] = view
-        else:
-            optimizer_state = {
-                key[len("optimizer/"):]: data[key]
-                for key in data.files if key.startswith("optimizer/")
-            }
         executor.optimizer.load_state_dict(optimizer_state)
         executor.optimizer.step_count = int(meta["optimizer_step_count"])
+        num_nodes = executor.vn_set.num_nodes
         if "vn.flat" in data.files:
-            layout = _layout_from_meta(meta, "state_layout")
-            new_states = unpack_states(data["vn.flat"], layout)
-            if len(new_states) != executor.vn_set.num_nodes:
+            new_states = unpack_states(data["vn.flat"],
+                                       _layout_from_meta(meta, "state_layout"))
+            if len(new_states) != num_nodes:
                 raise ValueError(
                     f"checkpoint packs state for {len(new_states)} virtual "
-                    f"nodes, executor has {executor.vn_set.num_nodes}")
-        else:
-            new_states = []
-            for i in range(executor.vn_set.num_nodes):
-                prefix = f"vn/{i}/"
-                buffers = {
-                    key[len(prefix):]: data[key].copy()
-                    for key in data.files if key.startswith(prefix)
-                }
-                new_states.append(VirtualNodeState(vn_index=i, buffers=buffers))
+                    f"nodes, executor has {num_nodes}")
+        else:  # a stateless model
+            new_states = [VirtualNodeState(vn_index=i) for i in range(num_nodes)]
         executor.vn_states = new_states
     executor.steps_run = int(meta["steps_run"])
     executor.examples_seen = int(meta["examples_seen"])

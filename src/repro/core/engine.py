@@ -14,7 +14,12 @@ that physical half exactly once:
 * simulated-time queries (:meth:`step_time`, :meth:`inference_latency`)
   and the per-batch-size serving plan memo (:meth:`inference_plan`);
 * the execution backend (:mod:`repro.core.backends`) that decides *how*
-  waves run on the host.
+  waves run on the host: one :class:`~repro.core.backends.FusedBackend`
+  shared by every engine, so its per-model kernel lists and per-bounds
+  inference runs are built once per process.  Tests compare against the
+  serial oracle by assigning a
+  :class:`~repro.core.backends.ReferenceBackend` to an engine's
+  ``backend``.
 
 The engine layer is also the home of the primitive wave-schedule costs
 (:func:`sequential_sweep_time`, :func:`pipelined_makespan`) that the
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.core.backends import DEFAULT_BACKEND, ExecutionBackend, get_backend
+from repro.core.backends import ExecutionBackend, FusedBackend
 from repro.core.mapping import Mapping
 from repro.core.plan import ExecutionPlan
 from repro.core.sharding import shard_indices
@@ -42,15 +47,18 @@ __all__ = [
     "pipelined_makespan",
 ]
 
+# Backends hold no step state, only caches of what is constant per model or
+# per shard table: one instance serves every engine in the process.
+_BACKEND = FusedBackend()
+
 
 class VirtualNodeEngine:
     """Physical execution substrate for one job under one mapping."""
 
     def __init__(self, workload: Workload, mapping: Mapping,
-                 backend: object = DEFAULT_BACKEND,
                  perf: Optional[PerfModel] = None) -> None:
         self.workload = workload
-        self.backend: ExecutionBackend = get_backend(backend)
+        self.backend: ExecutionBackend = _BACKEND
         self._install(mapping, perf)
 
     def _install(self, mapping: Mapping, perf: Optional[PerfModel] = None) -> None:

@@ -22,12 +22,15 @@ resizes exactly as §4.1 requires.
 
 Execution strategy
 ------------------
-*How* the waves run on the host — the serial oracle loop or the vectorized
-fused path — is delegated to an :class:`~repro.core.backends.ExecutionBackend`
-through the shared :class:`~repro.core.engine.VirtualNodeEngine`.  Backends
-may only change host wall-clock cost; the simulated device schedule and the
-numeric results are backend-independent (bit-exactly so for every built-in
-workload, stateful kernels included).
+*How* the waves run on the host is delegated to the engine's
+:class:`~repro.core.backends.ExecutionBackend` (the fused vectorized pass;
+tests swap in the serial oracle loop).  A backend may only change host
+wall-clock cost; the simulated device schedule and the numeric results are
+backend-independent (bit-exactly so for every built-in workload, stateful
+kernels included).  Parameters and gradients live in the model's
+:class:`~repro.framework.arena.FlatTensorArena`, installed at construction:
+two contiguous buffers, so synchronization and the optimizer update run as
+a handful of whole-arena vector ops.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.backends import DEFAULT_BACKEND, TrainStep
+from repro.core.backends import TrainStep
 from repro.core.engine import VirtualNodeEngine
 from repro.core.gradient_buffer import GradientBuffer
 from repro.core.mapping import Mapping
@@ -88,32 +91,19 @@ class VirtualFlowExecutor:
         boundary via :meth:`remap` — that is resource elasticity.
     seed:
         Root seed for all per-virtual-node randomness.
-    backend:
-        Execution-backend name or instance (``"fused"``, the default, or
-        the serial ``"reference"`` oracle); selects the host execution
-        strategy, never the numeric results.
-    arena:
-        Install a :class:`~repro.framework.arena.FlatTensorArena` on the
-        model (default): parameters and gradients live in two contiguous
-        buffers, and the sync + optimizer hot path runs as a handful of
-        fused vector ops.  ``arena=False`` keeps the original
-        dict-of-scattered-arrays path; both produce bit-identical results
-        (asserted by ``tests/framework/test_arena.py``).
     """
 
     def __init__(self, workload: Workload, model: Module, loss_fn: Loss,
                  optimizer: Optimizer, mapping: Mapping, seed: int = 0,
-                 perf: Optional[PerfModel] = None, augment=None,
-                 backend: object = DEFAULT_BACKEND, arena: bool = True) -> None:
+                 perf: Optional[PerfModel] = None, augment=None) -> None:
         self.workload = workload
         self.model = model
         self.loss_fn = loss_fn
         self.optimizer = optimizer
         self.seed = seed
         self.augment = augment  # optional repro.data.augment.Transform
-        self.arena: Optional[FlatTensorArena] = (
-            FlatTensorArena.install(model) if arena else None)
-        self.engine = VirtualNodeEngine(workload, mapping, backend=backend, perf=perf)
+        self.arena = FlatTensorArena.install(model)
+        self.engine = VirtualNodeEngine(workload, mapping, perf=perf)
         self.sim_time = 0.0
         self.steps_run = 0
         self.examples_seen = 0
@@ -189,7 +179,7 @@ class VirtualFlowExecutor:
         # cached evaluation view is stale the moment execution starts.
         self._eval_state = None
         # Steps 1-4: per-wave execution + canonical-order aggregation, via
-        # the selected execution backend (see module doc).
+        # the engine's execution backend (see module doc).
         out = self.engine.backend.train_step(TrainStep(
             model=self.model,
             loss_fn=self.loss_fn,

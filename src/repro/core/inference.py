@@ -7,8 +7,8 @@ latency) or spread out (fewer waves, less latency) without changing results.
 
 :class:`InferenceEngine` is a thin driver over the shared
 :class:`~repro.core.engine.VirtualNodeEngine`: sharding and the numeric
-forward passes go through the selected execution backend (the default
-``fused`` backend runs all shards — equal- or mixed-size — as one segmented
+forward passes go through the engine's execution backend (the fused
+backend runs all shards — equal- or mixed-size — as one segmented
 vectorized pass over a run it caches per shard-bounds table: bounded, and
 stateless, so nothing of one micro-batch outlives it), and per-request
 latency accounting uses the engine's validated plan — the same plan/latency
@@ -36,7 +36,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.backends import DEFAULT_BACKEND
 from repro.core.engine import VirtualNodeEngine
 from repro.core.mapping import Mapping
 from repro.core.plan import ExecutionPlan
@@ -73,13 +72,12 @@ class InferenceEngine:
 
     def __init__(self, workload: Workload, model: Module, mapping: Mapping,
                  perf: Optional[PerfModel] = None,
-                 backend: object = DEFAULT_BACKEND,
                  vn_states: Optional[Sequence[VirtualNodeState]] = None) -> None:
         self.workload = workload
         self.model = model
         # Plan validation at construction (the simulated analogue of OOM at
         # graph build time) happens inside the shared engine.
-        self.engine = VirtualNodeEngine(workload, mapping, backend=backend, perf=perf)
+        self.engine = VirtualNodeEngine(workload, mapping, perf=perf)
         self.requests_served = 0
         self.sim_time = 0.0
         self._vn_states: Optional[List[VirtualNodeState]] = None
@@ -91,20 +89,19 @@ class InferenceEngine:
 
     @classmethod
     def from_executor(cls, executor, mapping: Optional[Mapping] = None,
-                      backend: object = None) -> "InferenceEngine":
+                      ) -> "InferenceEngine":
         """Serve a trained job's model under its merged stateful-kernel view.
 
         The returned engine shares the executor's model instance (parameters
         are replicated everywhere by synchronous training, so one copy is
         semantically exact) and snapshots its per-virtual-node states for the
         evaluation merge.  ``mapping`` defaults to the executor's current
-        mapping; ``backend`` to its execution backend.
+        mapping.
         """
         return cls(
             executor.workload,
             executor.model,
             mapping if mapping is not None else executor.mapping,
-            backend=backend if backend is not None else executor.backend,
             vn_states=executor.vn_states,
         )
 

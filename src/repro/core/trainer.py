@@ -20,7 +20,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.backends import DEFAULT_BACKEND, get_backend
 from repro.core.executor import StepResult, VirtualFlowExecutor
 from repro.core.mapping import Mapping
 from repro.core.virtual_node import VirtualNodeSet
@@ -41,11 +40,8 @@ class TrainerConfig:
     workload's optimizer) are hardware-free; the hardware fields
     (``device_type``, ``num_devices``) only affect simulated time and memory
     feasibility.  ``vn_sizes`` overrides even splitting for heterogeneous
-    configurations.  ``backend`` picks the host execution strategy
-    (``"fused"``, or the serial ``"reference"`` oracle) — it changes
-    wall-clock cost only, never the training trajectory.  ``arena``
-    (default on) runs the parameter/gradient hot path over contiguous flat
-    buffers — also host wall-clock only, bit-identical results.
+    configurations.  How the host executes the waves is not configuration:
+    the numbers depend only on these fields.
     """
 
     workload: str
@@ -57,11 +53,8 @@ class TrainerConfig:
     dataset_size: int = 4096
     vn_sizes: Optional[Sequence[int]] = None
     learning_rate: Optional[float] = None
-    backend: str = DEFAULT_BACKEND
-    arena: bool = True
 
     def __post_init__(self) -> None:
-        get_backend(self.backend)  # raises on unknown names, same resolver
         if self.global_batch_size < 1:
             raise ValueError("global_batch_size must be >= 1")
         if self.num_virtual_nodes < 1:
@@ -115,8 +108,6 @@ class VirtualFlowTrainer:
             mapping=mapping,
             seed=config.seed,
             augment=augment,
-            backend=config.backend,
-            arena=config.arena,
         )
         self.history: List[EpochResult] = []
         self._epochs_done = 0

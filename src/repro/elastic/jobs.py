@@ -7,11 +7,8 @@ elastic scheduler — is how many GPUs the virtual nodes are spread across.
 allocation (priced by the shared :class:`~repro.hardware.perfmodel.PerfModel`
 step breakdown, the same substrate the execution engine uses); the
 bottleneck device hosts ``ceil(V / gpus)`` waves.
-
-Each job also records the execution ``backend`` it runs under; simulated
-step times are backend-independent (backends change host wall-clock only),
-but :meth:`JobSpec.to_trainer_config` carries the choice through to the
-numeric trainer when a job is materialized.
+:meth:`JobSpec.to_trainer_config` materializes a job as a numeric training
+run.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Tuple
 
-from repro.core.backends import DEFAULT_BACKEND, get_backend
 from repro.framework.models import Workload, get_workload
 from repro.hardware.device import DeviceSpec, get_spec
 from repro.hardware.perfmodel import PerfModel, StepTimeBreakdown
@@ -49,10 +45,8 @@ class JobSpec:
     arrival_time: float = 0.0
     device_type: str = "V100"
     min_gpus: int = 1
-    backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:
-        get_backend(self.backend)  # raises on unknown names, same resolver
         if self.demand_gpus < 1:
             raise ValueError("demand_gpus must be >= 1")
         if self.min_gpus < 1 or self.min_gpus > self.demand_gpus:
@@ -110,8 +104,8 @@ class JobSpec:
                           dataset_size: int = 4096):
         """Materialize this job as a numeric :class:`TrainerConfig`.
 
-        The job's semantics (batch, virtual nodes, workload) and its
-        execution backend carry over; ``num_devices`` defaults to the job's
+        The job's semantics (batch, virtual nodes, workload) carry over;
+        ``num_devices`` defaults to the job's
         full demand.  This is the end-to-end path from a scheduling trace to
         a real training run.
         """
@@ -124,7 +118,6 @@ class JobSpec:
             device_type=self.device_type,
             num_devices=self.demand_gpus if num_devices is None else num_devices,
             dataset_size=dataset_size,
-            backend=self.backend,
         )
 
 

@@ -24,7 +24,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.backends import DEFAULT_BACKEND
 from repro.elastic.jobs import JobSpec
 from repro.utils.seeding import derive_rng
 
@@ -82,14 +81,12 @@ def _pick_config(rng: np.random.Generator, template: TraceJob,
 def generate_trace(num_jobs: int, jobs_per_hour: float, seed: int = 0,
                    target_runtime: float = 1800.0,
                    workloads: Optional[Sequence[TraceJob]] = None,
-                   backend: str = DEFAULT_BACKEND) -> List[JobSpec]:
+                   ) -> List[JobSpec]:
     """Poisson-arrival trace drawn from the Table 3 mix.
 
     ``target_runtime`` sets each job's step budget so it would run roughly
     that long at full allocation — the paper trains "only a subset of the
-    steps needed for convergence" to keep the experiment short.  ``backend``
-    stamps every job with the execution backend it would materialize under
-    (simulated times are backend-independent).
+    steps needed for convergence" to keep the experiment short.
     """
     if num_jobs < 1:
         raise ValueError("num_jobs must be >= 1")
@@ -120,7 +117,6 @@ def generate_trace(num_jobs: int, jobs_per_hour: float, seed: int = 0,
             total_steps=steps,
             priority=float(rng.choice(PRIORITIES)),
             arrival_time=t,
-            backend=backend,
         ))
     return specs
 

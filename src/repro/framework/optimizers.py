@@ -110,15 +110,6 @@ class Optimizer:
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         pass
 
-    def flat_slots(self) -> Dict[str, np.ndarray]:
-        """Slot-kind -> flat arena array, when the flat path has engaged.
-
-        Lets the checkpoint layer serialize one contiguous buffer per slot
-        kind instead of a dict of per-parameter copies.  Empty for stateless
-        optimizers or before any flat step.
-        """
-        return {}
-
     def num_slots_per_param(self) -> int:
         """How many parameter-sized slot buffers this optimizer keeps.
 
@@ -174,11 +165,6 @@ class Momentum(Optimizer):
         for key, value in state.items():
             if key.startswith("velocity."):
                 self._load_slot(self._velocity, key[len("velocity."):], value)
-
-    def flat_slots(self):
-        if self._velocity_flat is None:
-            return {}
-        return {"velocity": self._velocity_flat}
 
     def num_slots_per_param(self) -> int:
         return 1
@@ -239,11 +225,6 @@ class Adam(Optimizer):
                 self._load_slot(self._m, key[2:], value)
             elif key.startswith("v."):
                 self._load_slot(self._v, key[2:], value)
-
-    def flat_slots(self):
-        if self._m_flat is None or self._v_flat is None:
-            return {}
-        return {"m": self._m_flat, "v": self._v_flat}
 
     def num_slots_per_param(self) -> int:
         return 2

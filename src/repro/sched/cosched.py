@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.chaos import (ChaosController, ChaosProcess,
                          FailureDomainTopology, FaultPlan)
-from repro.core.backends import DEFAULT_BACKEND
 from repro.core.fault_tolerance import RecoveryPolicy
 from repro.elastic.jobs import JobSpec, JobState
 from repro.elastic.simulator import Scheduler, TrainingClusterProcess
@@ -242,7 +241,7 @@ def run_cosched(workload_name: str, phases: Sequence[ServingPhase],
                 min_devices: int = 1, cooldown: float = 0.25,
                 train_floor: int = 0, resize_delay: float = 0.5,
                 scheduler: Optional[Scheduler] = None,
-                backend: object = DEFAULT_BACKEND, seed: int = 0,
+                seed: int = 0,
                 limit: Optional[int] = None,
                 source: Optional[RequestSource] = None,
                 trace: Optional[Union[str, EventTrace]] = None,
@@ -305,7 +304,7 @@ def run_cosched(workload_name: str, phases: Sequence[ServingPhase],
         virtual_nodes=virtual_nodes, grantable=pool_devices - train_floor,
         max_batch=max_batch, max_wait=max_wait, autoscale=autoscale,
         slo_p99=slo_p99, min_devices=min_devices, cooldown=cooldown,
-        backend=backend, seed=seed, limit=limit, source=source,
+        seed=seed, limit=limit, source=source,
         admission=admission, tenants=tenants, journal=journal,
         dispatcher=dispatcher, name="router")
 

@@ -56,7 +56,6 @@ from typing import (
 
 import numpy as np
 
-from repro.core.backends import DEFAULT_BACKEND
 from repro.core.engine import VirtualNodeEngine
 from repro.core.inference import InferenceEngine
 from repro.core.mapping import Mapping
@@ -860,7 +859,7 @@ def _build_router(workload_name: str, cluster: Cluster,
                   *, virtual_nodes: Optional[int], grantable: int,
                   max_batch: int, max_wait: float, autoscale: bool,
                   slo_p99: Optional[float], min_devices: int, cooldown: float,
-                  backend: object, seed: int, limit: Optional[int],
+                  seed: int, limit: Optional[int],
                   source: Optional[RequestSource],
                   admission: Optional[AdmissionPolicy],
                   tenants: Optional[TenantRegistry],
@@ -889,8 +888,7 @@ def _build_router(workload_name: str, cluster: Cluster,
     # micro-batch size.
     vn_set = VirtualNodeSet.even(num_vns, num_vns)
     mapping = Mapping.even(vn_set, cluster.subset(list(device_ids)))
-    inference = InferenceEngine(workload, workload.build_model(seed), mapping,
-                                backend=backend)
+    inference = InferenceEngine(workload, workload.build_model(seed), mapping)
     if source is None:
         examples = make_dataset(workload.dataset, n=512, seed=seed).x_val
         if tenants is None:
@@ -929,7 +927,7 @@ def serve_workload(workload_name: str, phases: Sequence[ServingPhase], *,
                    initial_devices: Optional[int] = None,
                    autoscale: bool = False, slo_p99: Optional[float] = None,
                    min_devices: int = 1, cooldown: float = 0.25,
-                   backend: object = DEFAULT_BACKEND, seed: int = 0,
+                   seed: int = 0,
                    limit: Optional[int] = None,
                    source: Optional[RequestSource] = None,
                    collect_logits: bool = False,
@@ -968,7 +966,7 @@ def serve_workload(workload_name: str, phases: Sequence[ServingPhase], *,
         virtual_nodes=virtual_nodes, grantable=pool_devices,
         max_batch=max_batch, max_wait=max_wait, autoscale=autoscale,
         slo_p99=slo_p99, min_devices=min_devices, cooldown=cooldown,
-        backend=backend, seed=seed, limit=limit, source=source,
+        seed=seed, limit=limit, source=source,
         admission=admission, tenants=tenants, journal=journal,
         dispatcher=dispatcher, collect_logits=collect_logits,
         name="router" if tenants is None else "gateway")

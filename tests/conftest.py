@@ -7,7 +7,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from repro.core import Mapping, VirtualFlowExecutor, VirtualNodeSet
+from repro.core import Mapping, ReferenceBackend, VirtualFlowExecutor, VirtualNodeSet
 from repro.data import make_dataset
 from repro.framework import SoftmaxCrossEntropy, get_workload
 from repro.hardware import Cluster
@@ -57,6 +57,15 @@ def build_executor(workload_name: str = "mlp_synthetic", global_batch: int = 32,
         mapping=mapping,
         seed=seed,
     )
+
+
+def on_reference(runner):
+    """Run ``runner`` — an executor, an inference engine or a request router
+    — on the serial oracle loop instead of the fused backend every engine
+    shares.  Returns ``runner``."""
+    holder = getattr(runner, "inference", runner)
+    holder.engine.backend = ReferenceBackend()
+    return runner
 
 
 @pytest.fixture

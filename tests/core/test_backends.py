@@ -2,10 +2,10 @@
 
 The backend seam's contract is that backends change *how* waves execute on
 the host, never *what* they compute: for every built-in workload — stateless
-or stateful (Conv2D/BatchNorm), equal- or mixed-size wave groups, arena on
-or off — the fused backend takes the vectorized path and is bit-identical
-to the canonical serial loop, which survives only as the oracle these tests
-assert against.
+or stateful (Conv2D/BatchNorm), equal- or mixed-size wave groups, with or
+without per-node data augmentation — the fused backend takes the vectorized
+path and is bit-identical to the canonical serial loop, which these tests
+swap in as the oracle (``tests.conftest.on_reference``).
 """
 
 from __future__ import annotations
@@ -19,16 +19,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core import (
-    ExecutionBackend,
     FusedBackend,
     InferenceEngine,
     Mapping,
-    ReferenceBackend,
     TrainerConfig,
     VirtualFlowTrainer,
     VirtualNodeSet,
-    backend_names,
-    get_backend,
 )
 from repro.core.backends import TrainStep
 from repro.core.backends import fused as fused_module
@@ -39,11 +35,13 @@ from repro.core.backends.vectorized import (
 )
 from repro.core.sharding import shard_batch
 from repro.data import make_dataset
+from repro.data.augment import GaussianNoise
 from repro.elastic import JobSpec
-from repro.framework import SoftmaxCrossEntropy, get_workload
+from repro.framework import FlatTensorArena, SoftmaxCrossEntropy, get_workload
 from repro.framework.layers import BatchNorm, Dense, ReLU, Residual, Sequential
 from repro.hardware import Cluster
 from repro.utils.seeding import vn_rng
+from tests.conftest import on_reference
 
 
 STATELESS_WORKLOADS = ("mlp_synthetic", "bert_base_glue", "transformer_wmt")
@@ -51,11 +49,14 @@ STATEFUL_WORKLOADS = ("resnet56_cifar10", "resnet50_imagenet")  # Conv2D + Batch
 
 
 def _trainer(workload="mlp_synthetic", batch=32, vns=8, devices=1, seed=0,
-             vn_sizes=None, backend="reference", dataset_size=128, **kw):
-    return VirtualFlowTrainer(TrainerConfig(
+             vn_sizes=None, backend="reference", dataset_size=128, augment=None):
+    trainer = VirtualFlowTrainer(TrainerConfig(
         workload=workload, global_batch_size=batch, num_virtual_nodes=vns,
         num_devices=devices, seed=seed, dataset_size=dataset_size,
-        vn_sizes=vn_sizes, backend=backend, **kw))
+        vn_sizes=vn_sizes), augment=augment)
+    if backend == "reference":
+        on_reference(trainer.executor)
+    return trainer
 
 
 def _assert_bit_identical(a: VirtualFlowTrainer, b: VirtualFlowTrainer) -> None:
@@ -68,30 +69,14 @@ def _assert_bit_identical(a: VirtualFlowTrainer, b: VirtualFlowTrainer) -> None:
 
 
 class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert "reference" in backend_names()
-        assert "fused" in backend_names()
-
-    def test_get_backend_by_name_and_instance(self):
-        ref = get_backend("reference")
-        assert isinstance(ref, ReferenceBackend)
-        assert get_backend("reference") is ref  # shared instance
-        fused = FusedBackend()
-        assert get_backend(fused) is fused
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            get_backend("warp-drive")
-
-    def test_trainer_config_validates_backend(self):
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            TrainerConfig(workload="mlp_synthetic", global_batch_size=8,
-                          num_virtual_nodes=2, backend="nope")
+    """No registry is left to pick from: the trainer threads the one
+    backend every engine shares down to its executor."""
 
     def test_backend_threads_through_trainer(self):
         t = _trainer(backend="fused")
-        assert isinstance(t.executor.backend, ExecutionBackend)
+        assert isinstance(t.executor.backend, FusedBackend)
         assert t.executor.backend.name == "fused"
+        assert t.executor.backend is _trainer(backend="fused").executor.backend
 
 
 class TestTrainingEquivalence:
@@ -120,10 +105,9 @@ class TestTrainingEquivalence:
         skewed = Mapping.by_counts(vn_set, cluster, {0: 5, 1: 2, 2: 1})
         kwargs = dict(workload="mlp_synthetic", global_batch_size=32,
                       num_virtual_nodes=8, num_devices=3, dataset_size=128)
-        a = VirtualFlowTrainer(TrainerConfig(backend="reference", **kwargs),
-                               cluster=cluster, mapping=skewed)
-        b = VirtualFlowTrainer(TrainerConfig(backend="fused", **kwargs),
-                               cluster=cluster, mapping=skewed)
+        a = VirtualFlowTrainer(TrainerConfig(**kwargs), cluster=cluster, mapping=skewed)
+        b = VirtualFlowTrainer(TrainerConfig(**kwargs), cluster=cluster, mapping=skewed)
+        on_reference(a.executor)
         a.train(epochs=1)
         b.train(epochs=1)
         _assert_bit_identical(a, b)
@@ -140,13 +124,15 @@ class TestTrainingEquivalence:
         _assert_bit_identical(a, b)
 
     @pytest.mark.parametrize("workload", STATEFUL_WORKLOADS)
-    @pytest.mark.parametrize("arena", [True, False])
-    def test_batchnorm_workload_bit_identical(self, workload, arena):
-        """Conv2D/BatchNorm waves vectorize in training — and stay exact."""
+    @pytest.mark.parametrize("augmented", [True, False])
+    def test_batchnorm_workload_bit_identical(self, workload, augmented):
+        """Conv2D/BatchNorm waves vectorize in training — and stay exact,
+        per-node augmentation streams included."""
+        augment = GaussianNoise(std=0.1) if augmented else None
         a = _trainer(workload=workload, batch=32, vns=4, devices=2,
-                     dataset_size=64, backend="reference", arena=arena)
+                     dataset_size=64, backend="reference", augment=augment)
         b = _trainer(workload=workload, batch=32, vns=4, devices=2,
-                     dataset_size=64, backend="fused", arena=arena)
+                     dataset_size=64, backend="fused", augment=augment)
         a.train(epochs=2)
         b.train(epochs=2)
         _assert_bit_identical(a, b)
@@ -154,14 +140,15 @@ class TestTrainingEquivalence:
             assert sa.equals(sb)  # per-node stateful kernels match too
 
     @pytest.mark.parametrize("workload", ("mlp_synthetic", "resnet56_cifar10"))
-    @pytest.mark.parametrize("arena", [True, False])
-    def test_bit_identical_mixed_size_waves(self, workload, arena):
+    @pytest.mark.parametrize("augmented", [True, False])
+    def test_bit_identical_mixed_size_waves(self, workload, augmented):
         """Mixed-size wave groups fuse as one segmented pass — still exact."""
         sizes = [16, 8, 4, 4]
+        augment = GaussianNoise(std=0.1) if augmented else None
         a = _trainer(workload=workload, batch=32, vns=4, vn_sizes=sizes,
-                     devices=2, dataset_size=64, backend="reference", arena=arena)
+                     devices=2, dataset_size=64, backend="reference", augment=augment)
         b = _trainer(workload=workload, batch=32, vns=4, vn_sizes=sizes,
-                     devices=2, dataset_size=64, backend="fused", arena=arena)
+                     devices=2, dataset_size=64, backend="fused", augment=augment)
         a.train(epochs=2)
         b.train(epochs=2)
         _assert_bit_identical(a, b)
@@ -204,7 +191,8 @@ def _train_step(model, dataset, sizes, loss_fn=None, xy=None):
     """A hand-built first step of ``model`` over shards of ``sizes``.
 
     The batch is the head of ``dataset``, or the explicit ``xy`` pair for a
-    model no registered dataset feeds.
+    model no registered dataset feeds.  The model gets its flat tensor arena
+    installed, as an executor would.
     """
     from repro.core import VirtualNodeState
 
@@ -219,7 +207,7 @@ def _train_step(model, dataset, sizes, loss_fn=None, xy=None):
                                         model.state_dict().items()})
                    for i in range(len(sizes))],
         shards=shard_batch(vn_set, *xy),
-        seed=0, epoch=0, step=0)
+        seed=0, epoch=0, step=0, arena=FlatTensorArena.install(model))
 
 
 class TestFusability:
@@ -537,8 +525,8 @@ class TestInferenceEquivalence:
         vn_set = VirtualNodeSet.even(32, 8)
         mapping = Mapping.even(vn_set, Cluster.homogeneous("V100", devices))
         ds = make_dataset(wl.dataset, n=64, seed=0)
-        ref = InferenceEngine(wl, wl.build_model(0), mapping, backend="reference")
-        fused = InferenceEngine(wl, wl.build_model(0), mapping, backend="fused")
+        ref = on_reference(InferenceEngine(wl, wl.build_model(0), mapping))
+        fused = InferenceEngine(wl, wl.build_model(0), mapping)
         a = ref.predict(ds.x_train[:32])
         b = fused.predict(ds.x_train[:32])
         np.testing.assert_array_equal(a.logits, b.logits)
@@ -551,8 +539,8 @@ class TestInferenceEquivalence:
         vn_set = VirtualNodeSet.even(32, 8)
         mapping = Mapping.even(vn_set, Cluster.homogeneous("V100", 2))
         ds = make_dataset(wl.dataset, n=64, seed=0)
-        ref = InferenceEngine(wl, wl.build_model(0), mapping, backend="reference")
-        fused = InferenceEngine(wl, wl.build_model(0), mapping, backend="fused")
+        ref = on_reference(InferenceEngine(wl, wl.build_model(0), mapping))
+        fused = InferenceEngine(wl, wl.build_model(0), mapping)
         for n in (1, 7, 10, 32):
             a = ref.predict(ds.x_train[:n])
             b = fused.predict(ds.x_train[:n])
@@ -565,8 +553,8 @@ class TestInferenceEquivalence:
         vn_set = VirtualNodeSet.uneven([16, 8, 4, 4])
         mapping = Mapping.even(vn_set, Cluster.homogeneous("V100", 2))
         ds = make_dataset(wl.dataset, n=64, seed=0)
-        ref = InferenceEngine(wl, wl.build_model(0), mapping, backend="reference")
-        fused = InferenceEngine(wl, wl.build_model(0), mapping, backend="fused")
+        ref = on_reference(InferenceEngine(wl, wl.build_model(0), mapping))
+        fused = InferenceEngine(wl, wl.build_model(0), mapping)
         for n in (5, 13, 32):
             a = ref.predict(ds.x_train[:n])
             b = fused.predict(ds.x_train[:n])
@@ -648,29 +636,11 @@ class TestEvalStateCache:
 
 
 class TestElasticBackendThreading:
-    def test_jobspec_backend_validation(self):
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            JobSpec(job_id=0, workload="mlp_synthetic", global_batch_size=32,
-                    total_virtual_nodes=4, demand_gpus=2, total_steps=10,
-                    backend="nope")
-
     def test_jobspec_materializes_with_backend(self):
         spec = JobSpec(job_id=0, workload="mlp_synthetic", global_batch_size=32,
-                       total_virtual_nodes=4, demand_gpus=2, total_steps=10,
-                       backend="fused")
+                       total_virtual_nodes=4, demand_gpus=2, total_steps=10)
         config = spec.to_trainer_config(dataset_size=64)
-        assert config.backend == "fused"
         assert config.num_devices == 2
         trainer = VirtualFlowTrainer(config)
         trainer.train(epochs=1)
-        assert trainer.executor.backend.name == "fused"
-
-    def test_trace_stamps_backend(self):
-        from repro.elastic import generate_trace
-
-        trace = generate_trace(3, 12.0, seed=0, backend="fused")
-        assert all(spec.backend == "fused" for spec in trace)
-        # Simulated step times are backend-independent by construction.
-        ref = generate_trace(3, 12.0, seed=0, backend="reference")
-        for a, b in zip(trace, ref):
-            assert a.step_time(a.demand_gpus) == b.step_time(b.demand_gpus)
+        assert isinstance(trainer.executor.backend, FusedBackend)

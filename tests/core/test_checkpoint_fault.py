@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -96,6 +97,70 @@ class TestCheckpoint:
         b = build_executor(global_batch=32, num_vns=8)
         with pytest.raises(ValueError, match="virtual node set"):
             load_checkpoint(b, str(tmp_path / "c.npz"))
+
+
+def _rewrite(path, out, meta_update=None, per_tensor=False):
+    """Copy checkpoint ``path`` to ``out`` with edited metadata, or with the
+    optimizer slots as per-tensor arrays (the version-1 layout)."""
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    meta = json.loads(arrays["__virtualflow_meta__"].tobytes().decode("utf-8"))
+    meta.update(meta_update or {})
+    arrays["__virtualflow_meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
+                                                   dtype=np.uint8)
+    if per_tensor:
+        names = meta["param_layout"]["names"]
+        for key in [k for k in arrays if k.startswith("optimizer.flat/")]:
+            slot = key.split("/", 1)[1]
+            for name in names:
+                arrays[f"optimizer/{slot}.{name}"] = np.zeros(1)
+            del arrays[key]
+    np.savez(out, **arrays)
+    return out
+
+
+class TestCheckpointRejection:
+    """Files this build cannot restore fail loudly, naming what they hold."""
+
+    @pytest.fixture
+    def saved(self, tmp_path, loader):
+        a = build_executor(global_batch=32, num_vns=4)
+        _steps(a, loader, 0, 1)
+        path = str(tmp_path / "ckpt.npz")
+        save_checkpoint(a, path)
+        return path
+
+    def test_an_npz_that_is_not_a_checkpoint(self, tmp_path):
+        path = str(tmp_path / "weights.npz")
+        np.savez(path, w=np.zeros(3))
+        with pytest.raises(ValueError, match="not a VirtualFlow checkpoint"):
+            load_checkpoint(build_executor(), path)
+
+    def test_an_unknown_format_version(self, saved, tmp_path):
+        path = _rewrite(saved, str(tmp_path / "v3.npz"), {"format_version": 3})
+        with pytest.raises(ValueError, match="format_version 3"):
+            load_checkpoint(build_executor(global_batch=32, num_vns=4), path)
+
+    def test_a_version_1_file(self, saved, tmp_path):
+        path = _rewrite(saved, str(tmp_path / "v1.npz"), {"format_version": 1},
+                        per_tensor=True)
+        with pytest.raises(ValueError, match="format_version 1"):
+            load_checkpoint(build_executor(global_batch=32, num_vns=4), path)
+
+    def test_per_tensor_arrays_under_version_2(self, saved, tmp_path):
+        path = _rewrite(saved, str(tmp_path / "mixed.npz"), per_tensor=True)
+        with pytest.raises(ValueError, match=r"per-tensor arrays \(e\.g\. 'optimizer/"):
+            load_checkpoint(build_executor(global_batch=32, num_vns=4), path)
+
+    def test_a_rejected_file_leaves_the_executor_untouched(self, saved, tmp_path):
+        path = _rewrite(saved, str(tmp_path / "v1.npz"), {"format_version": 1},
+                        per_tensor=True)
+        ex = build_executor(global_batch=32, num_vns=4)
+        before = {k: v.copy() for k, v in ex.model.parameters().items()}
+        with pytest.raises(ValueError):
+            load_checkpoint(ex, path)
+        for key, value in before.items():
+            np.testing.assert_array_equal(ex.model.parameters()[key], value)
 
 
 class TestFaultTolerance:

@@ -10,7 +10,7 @@ from repro.core import Mapping, VirtualFlowExecutor, VirtualNodeSet
 from repro.data import make_dataset
 from repro.framework import WORKLOADS, SoftmaxCrossEntropy, get_workload
 from repro.hardware import Cluster
-from tests.conftest import build_executor
+from tests.conftest import build_executor, on_reference
 
 
 @pytest.fixture
@@ -111,7 +111,9 @@ class TestEvaluate:
         vn_set = VirtualNodeSet.even(16, 4)
         ex = VirtualFlowExecutor(
             wl, wl.build_model(0), SoftmaxCrossEntropy(), wl.build_optimizer(),
-            Mapping.even(vn_set, Cluster.homogeneous("V100", 2)), backend=backend)
+            Mapping.even(vn_set, Cluster.homogeneous("V100", 2)))
+        if backend == "reference":
+            on_reference(ex)
         ds = make_dataset(wl.dataset, n=660, seed=0)
         ex.run_step(ds.x_train[:16], ds.y_train[:16], 0, 0)  # per-node state moves
         sizes = (1, 204, 256, 300, 513)

@@ -48,6 +48,7 @@ from repro.framework.layers import (
     Sequential,
 )
 from repro.hardware import Cluster
+from tests.conftest import on_reference
 
 from test_backends import _segments, _train_step
 
@@ -301,8 +302,8 @@ class TestCallBudget:
         model = workload.build_model(0)
         vn_set = VirtualNodeSet.even(v, v)
         mapping = Mapping.even(vn_set, Cluster.homogeneous("V100", 1))
-        engines = [InferenceEngine(workload, model, mapping, backend=name)
-                   for name in ("reference", "fused")]
+        engines = [on_reference(InferenceEngine(workload, model, mapping)),
+                   InferenceEngine(workload, model, mapping)]
         gc.collect()  # no earlier test's weak-cache callbacks inside a count
         for n in range(1, 9):
             x, _ = _batch("mlp", n)

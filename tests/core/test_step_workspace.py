@@ -27,6 +27,7 @@ from repro.framework.layers import (
     Sequential,
 )
 from repro.hardware import Cluster
+from tests.conftest import on_reference
 
 
 def _skip_add_model():
@@ -52,12 +53,12 @@ def _conv_chain_model():
         GlobalAvgPool2D(), Dense(4, 10, rng))
 
 
-def _executor(build, sizes, backend):
+def _executor(build, sizes):
     workload = get_workload("resnet56_cifar10")
     vn_set = VirtualNodeSet.uneven(sizes)
     return VirtualFlowExecutor(
         workload, build(), SoftmaxCrossEntropy(), workload.build_optimizer(),
-        Mapping.even(vn_set, Cluster.homogeneous("V100", 4)), seed=0, backend=backend)
+        Mapping.even(vn_set, Cluster.homogeneous("V100", 4)), seed=0)
 
 
 def _buffers(workspace):
@@ -72,8 +73,8 @@ def _buffers(workspace):
 @pytest.mark.parametrize("build", [_skip_add_model, _conv_chain_model])
 @pytest.mark.parametrize("sizes", [[6, 6, 6, 6], [9, 5, 5, 5]])
 def test_fused_steps_and_remap_equal_the_reference_loop(build, sizes):
-    fused = _executor(build, sizes, FusedBackend())
-    ref = _executor(build, sizes, "reference")
+    fused = _executor(build, sizes)
+    ref = on_reference(_executor(build, sizes))
     batch = sum(sizes)
     data = make_dataset("synthetic_cifar10", n=8 * batch, seed=0)
     workspace = fused._workspace
@@ -99,8 +100,8 @@ def test_fused_steps_and_remap_equal_the_reference_loop(build, sizes):
 
 
 def test_cached_inference_runs_hold_no_workspace():
-    backend = FusedBackend()
-    ex = _executor(_skip_add_model, [6, 6, 6, 6], backend)
+    ex = _executor(_skip_add_model, [6, 6, 6, 6])
+    backend = ex.engine.backend = FusedBackend()
     data = make_dataset("synthetic_cifar10", n=64, seed=0)
     ex.run_step(data.x_train[:24], data.y_train[:24], 0, 0)
     before = _buffers(ex._workspace)

@@ -1,14 +1,18 @@
-"""Flat tensor arena: the fused hot path must be bit-identical to the dict path.
+"""Flat tensor arena: the production step must equal the per-key serial loop.
 
-The arena is a host-side storage optimization — parameters/gradients in two
-contiguous buffers, optimizer and synchronization as whole-arena vector ops.
-Its contract mirrors the backend seam's: it may change wall-clock cost only,
-never a single bit of the training trajectory.  This suite trains the same
-configuration with ``arena=True`` and ``arena=False`` and asserts exact
-equality of losses, gradient norms, parameters, optimizer slot variables,
-and stateful kernels — across workloads (stateless and BatchNorm), across
-optimizers (including LAMB's segmented trust ratios), and across both
-execution backends — plus a checkpoint round trip through the flat format.
+The arena is host-side storage the executor always installs — parameters
+and gradients in two contiguous buffers, synchronization and the optimizer
+as whole-arena vector ops.  Its contract mirrors the backend seam's: it may
+change wall-clock cost only, never a single bit of the training trajectory.
+This suite trains the same configuration on the executor (on the fused
+backend and on the reference loop) and on ``tests/oracles/serial_step.py``
+— per-key gradient copies, a per-key weighted average and a per-key
+optimizer update over a model without an arena — and asserts exact
+equality of losses, gradient norms, evaluation, parameters, optimizer slot
+variables and stateful kernels: across workloads (stateless and
+BatchNorm), optimizers (including LAMB's segmented trust ratios) and an
+uneven (12, 8, 4) table.  It also holds the one checkpoint format to a bit-
+exact round trip and to a file that does not depend on the run's history.
 """
 
 from __future__ import annotations
@@ -16,10 +20,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.evaluate import evaluate as oracle_evaluate
+from oracles.serial_step import SerialExecutor
 from repro.core import (
     Mapping,
-    TrainerConfig,
-    VirtualFlowTrainer,
     VirtualNodeSet,
     VirtualFlowExecutor,
     load_checkpoint,
@@ -39,6 +43,7 @@ from repro.framework import (
     get_workload,
 )
 from repro.hardware import Cluster
+from tests.conftest import on_reference
 
 OPTIMIZERS = {
     "sgd": lambda: SGD(0.05),
@@ -49,31 +54,26 @@ OPTIMIZERS = {
 }
 
 
-def _run(workload_name: str, opt_name: str, backend: str, arena: bool,
-         steps: int = 3, batch: int = 16, vns: int = 4):
-    """Train a few steps; return (executor, losses, grad_norms, val_metrics)."""
+def _executor(workload_name: str, opt_name: str, vn_sizes=(4, 4, 4, 4),
+              backend: str = "fused") -> VirtualFlowExecutor:
     workload = get_workload(workload_name)
-    vn_set = VirtualNodeSet.even(batch, vns)
-    mapping = Mapping.even(vn_set, Cluster.homogeneous("V100", 2))
+    vn_set = VirtualNodeSet.uneven(vn_sizes)
     ex = VirtualFlowExecutor(
         workload=workload,
         model=workload.build_model(0),
         loss_fn=SoftmaxCrossEntropy(),
         optimizer=OPTIMIZERS[opt_name](),
-        mapping=mapping,
+        mapping=Mapping.even(vn_set, Cluster.homogeneous("V100", 2)),
         seed=0,
-        backend=backend,
-        arena=arena,
     )
-    data = make_dataset(workload.dataset, n=2 * batch, seed=0)
-    losses, norms = [], []
+    return on_reference(ex) if backend == "reference" else ex
+
+
+def _steps(ex, steps: int) -> None:
+    batch = ex.vn_set.global_batch_size
+    data = make_dataset(ex.workload.dataset, n=2 * batch, seed=0)
     for step in range(steps):
-        result = ex.run_step(data.x_train[:batch], data.y_train[:batch],
-                             epoch=0, step=step)
-        losses.append(result.loss)
-        norms.append(result.grad_norm)
-    val = ex.evaluate(data.x_val, data.y_val)
-    return ex, losses, norms, val
+        ex.run_step(data.x_train[:batch], data.y_train[:batch], epoch=0, step=step)
 
 
 def _assert_exact(d: dict, f: dict) -> None:
@@ -82,63 +82,82 @@ def _assert_exact(d: dict, f: dict) -> None:
         np.testing.assert_array_equal(d[key], f[key], err_msg=key)
 
 
+def _assert_equals_the_oracle(workload_name: str, opt_name: str, backend: str,
+                              vn_sizes=(4, 4, 4, 4), steps: int = 3) -> None:
+    """Train the executor and the per-key loop alike; bit-identical all along."""
+    ex = _executor(workload_name, opt_name, vn_sizes, backend)
+    serial = SerialExecutor(ex.workload.build_model(0), SoftmaxCrossEntropy(),
+                            OPTIMIZERS[opt_name](), ex.vn_set, seed=0)
+    batch = ex.vn_set.global_batch_size
+    data = make_dataset(ex.workload.dataset, n=2 * batch, seed=0)
+    x, y = data.x_train[:batch], data.y_train[:batch]
+    for step in range(steps):
+        result = ex.run_step(x, y, epoch=0, step=step)
+        assert (result.loss, result.grad_norm) == serial.run_step(x, y, 0, step), step
+    assert ex.evaluate(data.x_val, data.y_val) == oracle_evaluate(
+        serial, data.x_val, data.y_val)
+    _assert_exact(ex.model.parameters(), serial.model.parameters())
+    _assert_exact(ex.optimizer.state_dict(), serial.optimizer.state_dict())
+    for got, want in zip(ex.vn_states, serial.vn_states):
+        assert got.equals(want)
+
+
 class TestArenaEquivalence:
-    """arena=True vs arena=False: bit-identical everything."""
+    """The executor's arena step vs the per-key loop: bit-identical everything."""
 
     @pytest.mark.parametrize("workload", ["mlp_synthetic", "resnet56_cifar10",
                                           "bert_base_glue"])
     @pytest.mark.parametrize("backend", ["reference", "fused"])
     def test_workloads_and_backends(self, workload, backend):
-        ex_d, loss_d, norm_d, val_d = _run(workload, "momentum", backend, arena=False)
-        ex_f, loss_f, norm_f, val_f = _run(workload, "momentum", backend, arena=True)
-        assert loss_d == loss_f
-        assert norm_d == norm_f
-        assert val_d == val_f
-        _assert_exact(ex_d.model.parameters(), ex_f.model.parameters())
-        _assert_exact(ex_d.optimizer.state_dict(), ex_f.optimizer.state_dict())
-        for sd, sf in zip(ex_d.vn_states, ex_f.vn_states):
-            assert sd.equals(sf)
+        _assert_equals_the_oracle(workload, "momentum", backend)
 
     @pytest.mark.parametrize("opt_name", sorted(OPTIMIZERS))
     def test_every_optimizer(self, opt_name):
-        ex_d, loss_d, _, _ = _run("mlp_synthetic", opt_name, "reference", arena=False)
-        ex_f, loss_f, _, _ = _run("mlp_synthetic", opt_name, "reference", arena=True)
-        assert loss_d == loss_f
-        _assert_exact(ex_d.model.parameters(), ex_f.model.parameters())
-        _assert_exact(ex_d.optimizer.state_dict(), ex_f.optimizer.state_dict())
+        _assert_equals_the_oracle("mlp_synthetic", opt_name, "fused")
 
     def test_uneven_shards_weighted_sync(self):
         """§5.2 weighting through the flat stack reduction, bit for bit."""
-        runs = {}
-        for arena in (False, True):
-            trainer = VirtualFlowTrainer(TrainerConfig(
-                workload="mlp_synthetic", global_batch_size=24,
-                num_virtual_nodes=3, vn_sizes=(12, 8, 4), num_devices=2,
-                dataset_size=48, arena=arena))
-            history = trainer.train(2)
-            runs[arena] = (history, trainer.executor.model.parameters())
-        (hist_d, params_d), (hist_f, params_f) = runs[False], runs[True]
-        for rd, rf in zip(hist_d, hist_f):
-            assert rd.train_loss == rf.train_loss
-            assert rd.val_loss == rf.val_loss
-        _assert_exact(params_d, params_f)
+        for backend in ("reference", "fused"):
+            _assert_equals_the_oracle("mlp_synthetic", "momentum", backend,
+                                      vn_sizes=(12, 8, 4))
 
     def test_checkpoint_flat_round_trip(self, tmp_path):
-        """Arena checkpoints restore bit-exactly into arena AND dict executors."""
+        """Checkpoints restore bit-exactly into a fresh executor and into
+        one that has already stepped."""
         path = str(tmp_path / "ck.npz")
-        src, _, _, _ = _run("resnet56_cifar10", "adam", "reference", arena=True)
+        src = _executor("resnet56_cifar10", "adam")
+        _steps(src, 3)
         save_checkpoint(src, path)
         snapshot = {k: v.copy() for k, v in src.model.parameters().items()}
         slots = src.optimizer.state_dict()
-        for arena in (True, False):
-            dst, _, _, _ = _run("resnet56_cifar10", "adam", "reference",
-                                arena=arena, steps=1)
+        for steps in (0, 1):
+            dst = _executor("resnet56_cifar10", "adam")
+            _steps(dst, steps)
             load_checkpoint(dst, path)
             _assert_exact(snapshot, dst.model.parameters())
             _assert_exact(slots, dst.optimizer.state_dict())
             for ss, sd in zip(src.vn_states, dst.vn_states):
                 assert ss.equals(sd)
             assert dst.optimizer.step_count == src.optimizer.step_count
+
+    @pytest.mark.parametrize("workload", ["mlp_synthetic", "resnet56_cifar10"])
+    @pytest.mark.parametrize("opt_name", sorted(OPTIMIZERS))
+    def test_restored_state_saves_the_same_file(self, tmp_path, workload, opt_name):
+        """save -> load -> save with no step in between writes the same
+        arrays, byte for byte: the format does not depend on whether the
+        optimizer's slots are flat yet."""
+        src = _executor(workload, opt_name)
+        _steps(src, 1)
+        first, second = str(tmp_path / "first.npz"), str(tmp_path / "second.npz")
+        save_checkpoint(src, first)
+        dst = _executor(workload, opt_name)
+        load_checkpoint(dst, first)
+        save_checkpoint(dst, second)
+        with np.load(first) as a, np.load(second) as b:
+            assert a.files == b.files
+            for key in a.files:
+                assert (a[key].dtype, a[key].shape) == (b[key].dtype, b[key].shape), key
+                assert a[key].tobytes() == b[key].tobytes(), key
 
 
 class TestArenaMechanics:

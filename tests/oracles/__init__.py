@@ -8,8 +8,9 @@ one exponential draw per Poisson arrival; a dispatch queue whose every read
 is recomputed over what is pending; ``np.pad`` + ``sliding_window_view``
 patches and one scatter over a per-call index; evaluation as the reference
 layers' ``model.forward`` per batch; serving accounting as one tuple per
-shed arrival and one record per completed request) in the plainest code
-that satisfies it,
+shed arrival and one record per completed request; a training step as
+per-key gradient copies, a per-key weighted average and a per-key optimizer
+update) in the plainest code that satisfies it,
 and differential tests hold the production implementation to them on
 generated inputs.
 """

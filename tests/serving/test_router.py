@@ -19,6 +19,7 @@ from repro.serving import (
     RequestRouter,
     serve_workload,
 )
+from tests.conftest import on_reference
 
 SLO = 0.035
 
@@ -149,9 +150,20 @@ class TestBitIdentity:
                                        rtol=1e-9, atol=1e-12)
 
     def test_fused_backend_serves_identical_logits(self):
-        ref = _serve(rate=500.0, seed=2, collect_logits=True)
-        fused = _serve(rate=500.0, seed=2, collect_logits=True,
-                       backend="fused")
+        def serve(reference):
+            workload = get_workload("mlp_synthetic")
+            mapping = Mapping.even(VirtualNodeSet.even(4, 4),
+                                   Cluster.homogeneous("V100", 4))
+            router = RequestRouter(
+                InferenceEngine(workload, workload.build_model(2), mapping),
+                OpenLoopPoissonSource([ServingPhase(1.0, 500.0)],
+                                      _example_bank("mlp_synthetic", 2), seed=2),
+                policy=MicroBatchPolicy(max_batch=8, max_wait=0.002),
+                collect_logits=True)
+            return (on_reference(router) if reference else router).run()
+
+        ref, fused = serve(True), serve(False)
+        assert len(ref.logits) == len(fused.logits) > 0
         for request_id, logits in ref.logits.items():
             np.testing.assert_array_equal(logits, fused.logits[request_id])
 

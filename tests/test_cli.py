@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import _parse_device_counts, _parse_resize, build_parser, main
-from repro.core.backends import DEFAULT_BACKEND
 
 
 class TestParsing:
@@ -67,27 +66,33 @@ class TestSubcommandParsing:
         args = build_parser().parse_args(VALID_ARGS[command])
         assert args.command == command
 
-    @pytest.mark.parametrize("command", ["train", "infer", "serve", "cosched",
-                                         "simulate"])
+    @pytest.mark.parametrize("command", ["train"])
     def test_backend_flag_accepts_registered_names(self, command):
-        for backend in ("reference", "fused"):
-            args = build_parser().parse_args(
-                VALID_ARGS[command] + ["--backend", backend])
-            assert args.backend == backend
+        """``train --backend fused`` still parses: older command lines
+        spell the one backend."""
+        args = build_parser().parse_args(VALID_ARGS[command] + ["--backend", "fused"])
+        assert args.backend == "fused"
 
     @pytest.mark.parametrize("command", ["train", "infer", "serve", "cosched",
                                          "simulate"])
     def test_unknown_backend_rejected(self, command):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                VALID_ARGS[command] + ["--backend", "bogus"])
+        for backend in ("bogus", "reference"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    VALID_ARGS[command] + ["--backend", backend])
 
     def test_arena_flag_is_train_only(self):
-        args = build_parser().parse_args(VALID_ARGS["train"] + ["--no-arena"])
-        assert args.no_arena
-        for command in ("infer", "serve", "cosched", "plan", "simulate"):
+        """The flat tensor arena is training's alone and always installed,
+        so no subcommand — train included — takes ``--no-arena``."""
+        from repro.core import TrainerConfig, VirtualFlowTrainer
+
+        for command in sorted(VALID_ARGS):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(VALID_ARGS[command] + ["--no-arena"])
+        trainer = VirtualFlowTrainer(TrainerConfig(
+            workload="mlp_synthetic", global_batch_size=8, num_virtual_nodes=2,
+            dataset_size=32))
+        assert trainer.executor.arena is not None
 
     @pytest.mark.parametrize("command", ["serve", "cosched", "chaos",
                                          "simulate"])
@@ -99,11 +104,6 @@ class TestSubcommandParsing:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(
                     VALID_ARGS[other] + ["--trace-out", "x.jsonl"])
-
-    def test_fused_backend_combines_with_no_arena(self):
-        args = build_parser().parse_args(
-            VALID_ARGS["train"] + ["--backend", "fused", "--no-arena"])
-        assert args.backend == "fused" and args.no_arena
 
     @pytest.mark.parametrize("command,missing", [
         ("train", ["train", "--workload", "mlp_synthetic", "--batch", "32"]),
@@ -180,7 +180,7 @@ class TestSubcommandParsing:
         assert args.autoscale is False
         assert args.max_batch >= 1
         assert args.slo_p99 > 0
-        assert args.backend == DEFAULT_BACKEND == "fused"
+        assert "backend" not in vars(args)
 
     def test_cosched_defaults(self):
         args = build_parser().parse_args(VALID_ARGS["cosched"])

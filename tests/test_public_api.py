@@ -78,9 +78,6 @@ class TestOneProductionPath:
         for entry in self._entry_points():
             names = set(inspect.signature(entry).parameters)
             assert names.isdisjoint(self.SELECTORS), (entry, names)
-        # ``backend=`` is the numeric execution backend, and stays.
-        assert "backend" in inspect.signature(
-            self._entry_points()[-1]).parameters
 
     def test_no_queue_flag_on_any_subcommand(self):
         import argparse
@@ -142,56 +139,104 @@ class TestOneRequestRouter:
 
 
 class TestOneDefaultBackend:
-    """``fused`` is what every entry point runs unless told otherwise, and the
-    name is spelled once: ``repro.core.backends.DEFAULT_BACKEND``."""
+    """One training configuration: every engine runs the one shared fused
+    backend, the executor always installs the flat tensor arena, and no
+    signature, export or flag selects between bit-identical paths.  The
+    serial oracle is swapped in by tests, by assigning ``engine.backend``."""
 
     @staticmethod
-    def _subparsers():
+    def _flags():
         import argparse
 
         from repro.cli import build_parser
 
         subcommands = next(a for a in build_parser()._actions
                            if isinstance(a, argparse._SubParsersAction))
-        return {name: action for name, sub in subcommands.choices.items()
-                for action in sub._actions if "--backend" in action.option_strings}
+        return {(name, flag): action for name, sub in subcommands.choices.items()
+                for action in sub._actions for flag in action.option_strings}
 
     def test_the_default_is_fused_and_registered(self):
-        from repro.core.backends import DEFAULT_BACKEND, FusedBackend, get_backend
+        """The one backend engines share is ``fused``, exported where the
+        backends live; the serial ``reference`` loop stays as the oracle."""
+        import repro.core
+        import repro.core.backends as backends
+        from repro.core.engine import _BACKEND
 
-        assert DEFAULT_BACKEND == "fused"
-        assert isinstance(get_backend(DEFAULT_BACKEND), FusedBackend)
-        assert get_backend("reference").name == "reference"  # still selectable
+        assert isinstance(_BACKEND, backends.FusedBackend)
+        assert _BACKEND.name == "fused"
+        assert repro.core.FusedBackend is backends.FusedBackend
+        assert {"FusedBackend", "ReferenceBackend"} <= set(backends.__all__)
+        assert backends.ReferenceBackend().name == "reference"  # still the oracle
 
-    def test_every_entry_point_defaults_to_it(self):
-        import dataclasses
+    def test_every_subcommand_defaults_to_it_and_says_so(self, capsys):
+        """No subcommand can select another backend, and ``infer`` names the
+        one it ran in its table title."""
+        from repro.cli import main
+
+        for (name, flag), action in self._flags().items():
+            if flag == "--backend":
+                assert action.default is None, name
+                assert list(action.choices) == ["fused"], name
+        assert main(["infer", "--workload", "mlp_synthetic", "--batch", "8",
+                     "--virtual-nodes", "2", "--requests", "1"]) == 0
+        assert "backend=fused" in capsys.readouterr().out
+
+    def test_no_signature_takes_a_backend_or_an_arena(self):
         import inspect
 
         from repro.core import (InferenceEngine, TrainerConfig, VirtualFlowExecutor,
                                 VirtualNodeEngine)
-        from repro.core.backends import DEFAULT_BACKEND
         from repro.elastic import JobSpec, generate_trace
         from repro.sched import run_cosched
         from repro.serving import serve_workload
+        from repro.serving.router import _build_router
 
-        for entry in (serve_workload, run_cosched, InferenceEngine, VirtualNodeEngine,
-                      VirtualFlowExecutor, generate_trace):
-            default = inspect.signature(entry).parameters["backend"].default
-            assert default is DEFAULT_BACKEND, entry
-        for config in (TrainerConfig, JobSpec):
-            (field,) = [f for f in dataclasses.fields(config) if f.name == "backend"]
-            assert field.default is DEFAULT_BACKEND, config
+        for entry in (TrainerConfig, VirtualFlowExecutor, VirtualNodeEngine,
+                      InferenceEngine, InferenceEngine.from_executor, serve_workload,
+                      _build_router, run_cosched, JobSpec, JobSpec.to_trainer_config,
+                      generate_trace):
+            names = set(inspect.signature(entry).parameters)
+            assert names.isdisjoint({"backend", "arena"}), (entry, names)
 
-    def test_every_subcommand_defaults_to_it_and_says_so(self):
-        from repro.core.backends import DEFAULT_BACKEND, backend_names
+    def test_no_backend_registry_is_exported(self):
+        import repro
+        import repro.core
+        import repro.core.backends
+        import repro.core.backends.base as base
 
-        flags = self._subparsers()
-        assert sorted(flags) == ["chaos", "cosched", "infer", "serve", "simulate", "train"]
-        for name, action in flags.items():
-            assert action.default is DEFAULT_BACKEND, name
-            assert list(action.choices) == backend_names(), name
-            assert action.help == ("host execution strategy; results are "
-                                   "bit-identical; `reference` is the serial oracle"), name
+        registry = {"register_backend", "get_backend", "backend_names",
+                    "DEFAULT_BACKEND", "_REGISTRY", "_INSTANCES"}
+        for module in (repro, repro.core, repro.core.backends, base):
+            assert not [n for n in registry if hasattr(module, n)], module
+            assert registry.isdisjoint(getattr(module, "__all__", ())), module
+
+    def test_only_train_spells_the_backend_and_nothing_disables_the_arena(self):
+        import argparse
+
+        flags = self._flags()
+        backend = {name: action for (name, flag), action in flags.items()
+                   if flag == "--backend"}
+        assert list(backend) == ["train"]
+        assert list(backend["train"].choices) == ["fused"]
+        assert backend["train"].help == argparse.SUPPRESS
+        assert ("train", "--epochs") in flags          # the walk sees the flags
+        assert not [key for key in flags if key[1] == "--no-arena"]
+
+    def test_every_engine_shares_one_fused_backend(self):
+        from repro.core import (FusedBackend, InferenceEngine, Mapping, TrainerConfig,
+                                VirtualFlowTrainer, VirtualNodeSet)
+        from repro.framework import get_workload
+        from repro.hardware import Cluster
+
+        trainer = VirtualFlowTrainer(TrainerConfig(
+            workload="mlp_synthetic", global_batch_size=8, num_virtual_nodes=2,
+            dataset_size=32))
+        workload = get_workload("mlp_synthetic")
+        engine = InferenceEngine(workload, workload.build_model(0), Mapping.even(
+            VirtualNodeSet.even(4, 4), Cluster.homogeneous("V100", 2)))
+        assert isinstance(trainer.executor.backend, FusedBackend)
+        assert engine.backend is trainer.executor.backend
+        assert trainer.executor.arena is not None
 
     def test_reference_is_nobodys_default_in_src(self):
         import pathlib

@@ -75,14 +75,14 @@ class TestRetryReporting:
     def test_wall_clock_gate_retries_and_reports_real_failure(
             self, run_gates, monkeypatch, capsys):
         calls = self._failing_driver(run_gates, monkeypatch)
-        assert run_gates.run_gates(["arena_fusion"]) == 1
+        assert run_gates.run_gates(["fused_coverage"]) == 1
         assert len(calls) == 2, "a wall-clock gate gets exactly one retry"
         captured = capsys.readouterr()
         assert "failed once; retrying" in captured.out
         # The second failure gets its own distinct line: past the noise
         # tolerance means a real regression, not runner jitter.
         assert "failed after retry" in captured.err
-        assert "GATE FAILED: arena_fusion" in captured.err
+        assert "GATE FAILED: fused_coverage" in captured.err
 
     def test_deterministic_gate_never_retries(self, run_gates, monkeypatch,
                                               capsys):
@@ -96,6 +96,6 @@ class TestRetryReporting:
     def test_passing_gate_emits_no_failure_lines(self, run_gates,
                                                  monkeypatch, capsys):
         monkeypatch.setattr(run_gates, "_run", lambda argv: 0)
-        assert run_gates.run_gates(["arena_fusion"]) == 0
+        assert run_gates.run_gates(["fused_coverage"]) == 0
         captured = capsys.readouterr()
         assert "FAILED" not in captured.err and "retry" not in captured.out
