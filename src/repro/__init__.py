@@ -18,93 +18,59 @@ Quickstart::
     trainer.train(epochs=3)
     trainer.resize(num_devices=1)          # elastic: same model, fewer GPUs
     history = trainer.train(epochs=2)      # cumulative 5-epoch history
+
+The package is layered and loads lazily: ``import repro`` reads only the
+export table below, which names the subpackage each public name comes
+from, and that subpackage — with the layers it needs — is imported the
+first time the name is read, so ``repro train`` never loads the serving,
+runtime or chaos layers.
 """
 
-from repro.core import (
-    EpochResult,
-    ExecutionBackend,
-    ExecutionPlan,
-    FaultToleranceError,
-    GradientBuffer,
-    InferenceEngine,
-    InferenceResult,
-    Mapping,
-    PlanValidationError,
-    StepResult,
-    TrainerConfig,
-    VirtualFlowExecutor,
-    VirtualFlowTrainer,
-    VirtualNode,
-    VirtualNodeEngine,
-    VirtualNodeSet,
-    handle_device_failure,
-    load_checkpoint,
-    restore_device,
-    save_checkpoint,
-)
-from repro.serving import (
-    LatencyAutoscaler,
-    MicroBatchPolicy,
-    RequestRouter,
-    ServingReport,
-    serve_workload,
-)
-from repro.telemetry import LatencyHistogram, TelemetryRecorder
-from repro.data import Dataset, make_dataset
-from repro.framework import WORKLOADS, Workload, get_workload
-from repro.hardware import (
-    DEVICE_SPECS,
-    Cluster,
-    Device,
-    DeviceSpec,
-    Interconnect,
-    OutOfDeviceMemory,
-    PerfModel,
-    get_spec,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Cluster",
-    "DEVICE_SPECS",
-    "Dataset",
-    "Device",
-    "DeviceSpec",
-    "EpochResult",
-    "ExecutionBackend",
-    "ExecutionPlan",
-    "FaultToleranceError",
-    "GradientBuffer",
-    "InferenceEngine",
-    "InferenceResult",
-    "Interconnect",
-    "LatencyAutoscaler",
-    "LatencyHistogram",
-    "Mapping",
-    "MicroBatchPolicy",
-    "OutOfDeviceMemory",
-    "PerfModel",
-    "PlanValidationError",
-    "RequestRouter",
-    "ServingReport",
-    "StepResult",
-    "TelemetryRecorder",
-    "TrainerConfig",
-    "VirtualFlowExecutor",
-    "VirtualFlowTrainer",
-    "VirtualNode",
-    "VirtualNodeEngine",
-    "VirtualNodeSet",
-    "WORKLOADS",
-    "Workload",
-    "__version__",
-    "get_spec",
-    "get_workload",
-    "handle_device_failure",
-    "load_checkpoint",
-    "make_dataset",
-    "restore_device",
-    "save_checkpoint",
-    "serve_workload",
-]
+_EXPORTS = {
+    "Cluster": "repro.hardware",
+    "DEVICE_SPECS": "repro.hardware",
+    "Dataset": "repro.data",
+    "Device": "repro.hardware",
+    "DeviceSpec": "repro.hardware",
+    "EpochResult": "repro.core",
+    "ExecutionBackend": "repro.core",
+    "ExecutionPlan": "repro.core",
+    "FaultToleranceError": "repro.core",
+    "GradientBuffer": "repro.core",
+    "InferenceEngine": "repro.core",
+    "InferenceResult": "repro.core",
+    "Interconnect": "repro.hardware",
+    "LatencyAutoscaler": "repro.serving",
+    "LatencyHistogram": "repro.telemetry",
+    "Mapping": "repro.core",
+    "MicroBatchPolicy": "repro.serving",
+    "OutOfDeviceMemory": "repro.hardware",
+    "PerfModel": "repro.hardware",
+    "PlanValidationError": "repro.core",
+    "RequestRouter": "repro.serving",
+    "ServingReport": "repro.serving",
+    "StepResult": "repro.core",
+    "TelemetryRecorder": "repro.telemetry",
+    "TrainerConfig": "repro.core",
+    "VirtualFlowExecutor": "repro.core",
+    "VirtualFlowTrainer": "repro.core",
+    "VirtualNode": "repro.core",
+    "VirtualNodeEngine": "repro.core",
+    "VirtualNodeSet": "repro.core",
+    "WORKLOADS": "repro.framework",
+    "Workload": "repro.framework",
+    "get_spec": "repro.hardware",
+    "get_workload": "repro.framework",
+    "handle_device_failure": "repro.core",
+    "load_checkpoint": "repro.core",
+    "make_dataset": "repro.data",
+    "restore_device": "repro.core",
+    "save_checkpoint": "repro.core",
+    "serve_workload": "repro.serving",
+}
+__all__ = sorted([*_EXPORTS, "__version__"])
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,6 +1,11 @@
 """Baselines the paper compares against."""
 
-from repro.baselines.tfstar import TFStarConfig, TFStarTrainer
-from repro.baselines.grad_accumulation import GradientAccumulationTrainer
+from repro._lazy import lazy_exports
 
-__all__ = ["GradientAccumulationTrainer", "TFStarConfig", "TFStarTrainer"]
+_EXPORTS = {
+    "GradientAccumulationTrainer": "repro.baselines.grad_accumulation",
+    "TFStarConfig": "repro.baselines.tfstar",
+    "TFStarTrainer": "repro.baselines.tfstar",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -13,35 +13,30 @@ switch tree) unlocks correlated modes — atomic domain wipes and rack-wide
 straggler windows.  Every scenario is deterministic under its seed.
 """
 
-from repro.chaos.degradation import DerateCurve, ECCThrottle, ThermalRamp
-from repro.chaos.plan import (CRASH, DERATE, NETWORK_END, NETWORK_START,
-                              REVIVE, STRAGGLER_END, STRAGGLER_START,
-                              ChaosEvent, FaultPlan, domain_wipe_events,
-                              random_plan)
-from repro.chaos.process import ChaosController, ChaosProcess
-from repro.chaos.topology import (DEVICE, LEVELS, RACK, SWITCH,
-                                  FailureDomainTopology)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CRASH",
-    "DERATE",
-    "DEVICE",
-    "LEVELS",
-    "NETWORK_END",
-    "NETWORK_START",
-    "RACK",
-    "REVIVE",
-    "STRAGGLER_END",
-    "STRAGGLER_START",
-    "SWITCH",
-    "ChaosController",
-    "ChaosEvent",
-    "ChaosProcess",
-    "DerateCurve",
-    "ECCThrottle",
-    "FailureDomainTopology",
-    "FaultPlan",
-    "ThermalRamp",
-    "domain_wipe_events",
-    "random_plan",
-]
+_EXPORTS = {
+    "CRASH": "repro.chaos.plan",
+    "DERATE": "repro.chaos.plan",
+    "DEVICE": "repro.chaos.topology",
+    "LEVELS": "repro.chaos.topology",
+    "NETWORK_END": "repro.chaos.plan",
+    "NETWORK_START": "repro.chaos.plan",
+    "RACK": "repro.chaos.topology",
+    "REVIVE": "repro.chaos.plan",
+    "STRAGGLER_END": "repro.chaos.plan",
+    "STRAGGLER_START": "repro.chaos.plan",
+    "SWITCH": "repro.chaos.topology",
+    "ChaosController": "repro.chaos.process",
+    "ChaosEvent": "repro.chaos.plan",
+    "ChaosProcess": "repro.chaos.process",
+    "DerateCurve": "repro.chaos.degradation",
+    "ECCThrottle": "repro.chaos.degradation",
+    "FailureDomainTopology": "repro.chaos.topology",
+    "FaultPlan": "repro.chaos.plan",
+    "ThermalRamp": "repro.chaos.degradation",
+    "domain_wipe_events": "repro.chaos.plan",
+    "random_plan": "repro.chaos.plan",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -36,34 +36,24 @@ import sys
 from contextlib import contextmanager
 from typing import Dict, Optional, Sequence
 
-from repro.core import (
-    ExecutionPlan,
-    InferenceEngine,
-    Mapping,
-    TrainerConfig,
-    VirtualFlowTrainer,
-    VirtualNodeSet,
-)
-from repro.data import make_dataset
-from repro.elastic import (
-    ClusterSimulator,
-    ElasticWFSScheduler,
-    ServingPhase,
-    StaticPriorityScheduler,
-    compute_metrics,
-    generate_trace,
-    spike_phases,
-)
-from repro.framework import WORKLOADS, get_workload
-from repro.hardware import Cluster
-from repro.hetero import HeterogeneousSolver
-from repro.profiler import OfflineProfiler
-from repro.runtime import EventTrace
-from repro.sched import GavelSimulator, resident_training_jobs, run_cosched
-from repro.serving import serve_workload
-from repro.utils import format_duration, format_table
+from repro._lazy import lazy_exports
+from repro.framework.models import WORKLOADS
+from repro.utils.tabulate import format_table
+from repro.utils.units import format_duration
 
 __all__ = ["main", "build_parser"]
+
+# Each handler imports the stack it runs, so a subcommand's start-up compiles
+# only its own layers.  The three entry points a run hands off to are read
+# off this module when the handler calls them (``_module.serve_workload``),
+# so a caller that rebinds ``repro.cli.<name>`` — a test's recorder, the
+# end-to-end benchmark's capture — sees the call go through its binding.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "VirtualFlowTrainer": "repro.core",
+    "serve_workload": "repro.serving",
+    "run_cosched": "repro.sched",
+})
+_module = sys.modules[__name__]
 
 
 def _parse_device_counts(text: str) -> Dict[str, int]:
@@ -131,6 +121,7 @@ def _add_runtime_flags(sub_parser: argparse.ArgumentParser) -> None:
 def _make_trace(args):
     """The ``trace`` argument for a run: a sampling writer, a path, or None."""
     if args.trace_out is not None and args.trace_sample > 1:
+        from repro.runtime.trace import EventTrace
         return EventTrace(args.trace_out, sample=args.trace_sample)
     return args.trace_out
 
@@ -470,8 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_train(args) -> int:
+    from repro.core.trainer import TrainerConfig
+
     resizes = dict(args.resize)
-    trainer = VirtualFlowTrainer(TrainerConfig(
+    trainer = _module.VirtualFlowTrainer(TrainerConfig(
         workload=args.workload, global_batch_size=args.batch,
         num_virtual_nodes=args.virtual_nodes, device_type=args.device_type,
         num_devices=args.devices, seed=args.seed,
@@ -493,6 +486,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_infer(args) -> int:
+    from repro.core.inference import InferenceEngine
+    from repro.core.mapping import Mapping
+    from repro.core.virtual_node import VirtualNodeSet
+    from repro.data.datasets import make_dataset
+    from repro.framework.models import get_workload
+    from repro.hardware.cluster import Cluster
+
     workload = get_workload(args.workload)
     vn_set = VirtualNodeSet.even(args.batch, args.virtual_nodes)
     cluster = Cluster.homogeneous(args.device_type, args.devices)
@@ -516,6 +516,9 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    from repro.elastic.trace import ServingPhase, spike_phases
+    from repro.runtime.trace import EventTrace
+
     if args.spike_factor > 1.0:
         phases = spike_phases(args.arrival_rate, args.spike_factor,
                               base_duration=args.duration / 2,
@@ -527,7 +530,7 @@ def _cmd_serve(args) -> int:
     tenants, journal, dispatcher = _tenancy_from_args(args)
     try:
         with _maybe_profile(args.profile):
-            report = serve_workload(
+            report = _module.serve_workload(
                 args.workload, phases,
                 max_batch=args.max_batch, max_wait=args.max_wait / 1e3,
                 pool_devices=args.devices, device_type=args.device_type,
@@ -593,6 +596,10 @@ def _admission_from_args(args):
 
 def _cmd_cosched(args, fault_plan=None, recovery=None,
                  retry_delay: float = 0.05, topology=None) -> int:
+    from repro.elastic.trace import spike_phases
+    from repro.runtime.trace import EventTrace
+    from repro.sched.cosched import resident_training_jobs
+
     phases = spike_phases(args.arrival_rate, args.spike_factor,
                           base_duration=args.duration / 2,
                           spike_duration=args.spike_duration)
@@ -605,7 +612,7 @@ def _cmd_cosched(args, fault_plan=None, recovery=None,
     tenants, journal, dispatcher = _tenancy_from_args(args)
     try:
         with _maybe_profile(args.profile):
-            report = run_cosched(
+            report = _module.run_cosched(
                 args.workload, phases, train_specs,
                 pool_devices=args.devices, device_type=args.device_type,
                 max_batch=args.max_batch, max_wait=args.max_wait / 1e3,
@@ -689,8 +696,10 @@ def _cmd_cosched(args, fault_plan=None, recovery=None,
 
 
 def _cmd_chaos(args) -> int:
-    from repro.chaos import ECCThrottle, FailureDomainTopology, random_plan
-    from repro.core import RecoveryPolicy
+    from repro.chaos.degradation import ECCThrottle
+    from repro.chaos.plan import random_plan
+    from repro.chaos.topology import FailureDomainTopology
+    from repro.core.fault_tolerance import RecoveryPolicy
 
     topology = None
     if args.topology is not None:
@@ -771,6 +780,12 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    from repro.core.mapping import Mapping
+    from repro.core.plan import ExecutionPlan
+    from repro.core.virtual_node import VirtualNodeSet
+    from repro.framework.models import get_workload
+    from repro.hardware.cluster import Cluster
+
     workload = get_workload(args.workload)
     vn_set = VirtualNodeSet.even(args.batch, args.virtual_nodes)
     cluster = Cluster.homogeneous(args.device_type, args.devices)
@@ -780,6 +795,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from repro.profiler.offline import OfflineProfiler
+
     device_types = [t.strip() for t in args.device_types.split(",") if t.strip()]
     profiler = OfflineProfiler(seed=args.seed)
     for device_type in device_types:
@@ -798,6 +815,9 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from repro.hetero.solver import HeterogeneousSolver
+    from repro.profiler.offline import OfflineProfiler
+
     profiler = OfflineProfiler(seed=args.seed)
     store = profiler.profile_all(args.workload, sorted(args.pool))
     solver = HeterogeneousSolver(args.workload, store)
@@ -811,6 +831,13 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from repro.elastic.metrics import compute_metrics
+    from repro.elastic.priority import StaticPriorityScheduler
+    from repro.elastic.simulator import ClusterSimulator
+    from repro.elastic.trace import generate_trace
+    from repro.elastic.wfs import ElasticWFSScheduler
+    from repro.runtime.trace import EventTrace
+
     trace = generate_trace(args.jobs, args.rate, seed=args.seed)
     rows = []
     for scheduler in (ElasticWFSScheduler(), StaticPriorityScheduler()):
@@ -838,6 +865,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_gavel(args) -> int:
+    from repro.elastic.trace import generate_trace
+    from repro.sched.gavel import GavelSimulator
+
     trace = generate_trace(args.jobs, args.rate, seed=args.seed,
                            target_runtime=2400)
     rows = []

@@ -20,69 +20,43 @@ The core is organized around two seams:
   serial loop (``ReferenceBackend``) that tests compare against.
 """
 
-from repro.core.virtual_node import VirtualNode, VirtualNodeSet
-from repro.core.mapping import Mapping
-from repro.core.sharding import shard_batch, shard_sizes
-from repro.core.gradient_buffer import GradientBuffer
-from repro.core.sync import allreduce_gradients, weighted_average, weighted_average_flat
-from repro.core.state import VirtualNodeState, migrate_states
-from repro.core.plan import ExecutionPlan, PlanValidationError
-from repro.core.backends import (
-    ExecutionBackend,
-    FusedBackend,
-    ReferenceBackend,
-)
-from repro.core.engine import VirtualNodeEngine
-from repro.core.pipeline import (
-    PipelineConfig,
-    data_parallel_pipeline,
-    pipelined_virtual_nodes,
-    virtual_node_pipeline,
-)
-from repro.core.executor import StepResult, VirtualFlowExecutor
-from repro.core.checkpoint import load_checkpoint, save_checkpoint
-from repro.core.fault_tolerance import (
-    FaultToleranceError,
-    RecoveryPolicy,
-    handle_device_failure,
-    restore_device,
-)
-from repro.core.inference import InferenceEngine, InferenceResult
-from repro.core.trainer import EpochResult, TrainerConfig, VirtualFlowTrainer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EpochResult",
-    "ExecutionBackend",
-    "ExecutionPlan",
-    "FaultToleranceError",
-    "FusedBackend",
-    "GradientBuffer",
-    "InferenceEngine",
-    "InferenceResult",
-    "Mapping",
-    "PipelineConfig",
-    "PlanValidationError",
-    "RecoveryPolicy",
-    "ReferenceBackend",
-    "StepResult",
-    "VirtualNodeEngine",
-    "data_parallel_pipeline",
-    "pipelined_virtual_nodes",
-    "virtual_node_pipeline",
-    "TrainerConfig",
-    "VirtualFlowExecutor",
-    "VirtualFlowTrainer",
-    "VirtualNode",
-    "VirtualNodeSet",
-    "VirtualNodeState",
-    "allreduce_gradients",
-    "handle_device_failure",
-    "load_checkpoint",
-    "migrate_states",
-    "restore_device",
-    "save_checkpoint",
-    "shard_batch",
-    "shard_sizes",
-    "weighted_average",
-    "weighted_average_flat",
-]
+_EXPORTS = {
+    "EpochResult": "repro.core.trainer",
+    "ExecutionBackend": "repro.core.backends.base",
+    "ExecutionPlan": "repro.core.plan",
+    "FaultToleranceError": "repro.core.fault_tolerance",
+    "FusedBackend": "repro.core.backends.fused",
+    "GradientBuffer": "repro.core.gradient_buffer",
+    "InferenceEngine": "repro.core.inference",
+    "InferenceResult": "repro.core.inference",
+    "Mapping": "repro.core.mapping",
+    "PipelineConfig": "repro.core.pipeline",
+    "PlanValidationError": "repro.core.plan",
+    "RecoveryPolicy": "repro.core.fault_tolerance",
+    "ReferenceBackend": "repro.core.backends.reference",
+    "StepResult": "repro.core.executor",
+    "VirtualNodeEngine": "repro.core.engine",
+    "data_parallel_pipeline": "repro.core.pipeline",
+    "pipelined_virtual_nodes": "repro.core.pipeline",
+    "virtual_node_pipeline": "repro.core.pipeline",
+    "TrainerConfig": "repro.core.trainer",
+    "VirtualFlowExecutor": "repro.core.executor",
+    "VirtualFlowTrainer": "repro.core.trainer",
+    "VirtualNode": "repro.core.virtual_node",
+    "VirtualNodeSet": "repro.core.virtual_node",
+    "VirtualNodeState": "repro.core.state",
+    "allreduce_gradients": "repro.core.sync",
+    "handle_device_failure": "repro.core.fault_tolerance",
+    "load_checkpoint": "repro.core.checkpoint",
+    "migrate_states": "repro.core.state",
+    "restore_device": "repro.core.fault_tolerance",
+    "save_checkpoint": "repro.core.checkpoint",
+    "shard_batch": "repro.core.sharding",
+    "shard_sizes": "repro.core.sharding",
+    "weighted_average": "repro.core.sync",
+    "weighted_average_flat": "repro.core.sync",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

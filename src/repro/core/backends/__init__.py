@@ -12,14 +12,14 @@ state) is fixed; *how* waves execute on the host sits behind the
   and the bit-exactness oracle tests assign to an engine's ``backend``.
 """
 
-from repro.core.backends.base import ExecutionBackend, TrainStep, TrainStepOutput
-from repro.core.backends.fused import FusedBackend
-from repro.core.backends.reference import ReferenceBackend
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExecutionBackend",
-    "FusedBackend",
-    "ReferenceBackend",
-    "TrainStep",
-    "TrainStepOutput",
-]
+_EXPORTS = {
+    "ExecutionBackend": "repro.core.backends.base",
+    "FusedBackend": "repro.core.backends.fused",
+    "ReferenceBackend": "repro.core.backends.reference",
+    "TrainStep": "repro.core.backends.base",
+    "TrainStepOutput": "repro.core.backends.base",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

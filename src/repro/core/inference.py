@@ -39,7 +39,10 @@ import numpy as np
 from repro.core.engine import VirtualNodeEngine
 from repro.core.mapping import Mapping
 from repro.core.plan import ExecutionPlan
-from repro.core.state import VirtualNodeState, merged_eval_state, state_layout
+# Called through its module, so that a patch of the function reaches
+# this module whenever it loads (see repro._lazy).
+from repro.core import state as vn_state
+from repro.core.state import VirtualNodeState, state_layout
 from repro.framework.layers import Module
 from repro.framework.models import Workload
 from repro.hardware.perfmodel import PerfModel
@@ -149,7 +152,7 @@ class InferenceEngine:
         if self._state_layout is None:
             return
         if self._eval_state is None:
-            self._eval_state, self._state_stack = merged_eval_state(
+            self._eval_state, self._state_stack = vn_state.merged_eval_state(
                 self._vn_states, self._state_layout, self._state_stack)
         self.model.load_state_dict(self._eval_state)
 

@@ -23,7 +23,10 @@ import numpy as np
 from repro.core.executor import StepResult, VirtualFlowExecutor
 from repro.core.mapping import Mapping
 from repro.core.virtual_node import VirtualNodeSet
-from repro.data.datasets import Dataset, make_dataset
+# Called through its module, so that a patch of the function reaches
+# this module whenever it loads (see repro._lazy).
+from repro.data import datasets
+from repro.data.datasets import Dataset
 from repro.data.loader import BatchLoader
 from repro.framework.losses import SoftmaxCrossEntropy
 from repro.framework.models import Workload, get_workload
@@ -89,7 +92,7 @@ class VirtualFlowTrainer:
                  augment=None) -> None:
         self.config = config
         self.workload: Workload = get_workload(config.workload)
-        self.dataset = dataset or make_dataset(
+        self.dataset = dataset or datasets.make_dataset(
             self.workload.dataset, n=config.dataset_size, seed=config.seed
         )
         self.loader = BatchLoader(self.dataset, config.global_batch_size, seed=config.seed)

@@ -1,32 +1,20 @@
 """Deterministic synthetic datasets and the sharding-aware batch loader."""
 
-from repro.data.datasets import (
-    Dataset,
-    make_dataset,
-    synthetic_image_dataset,
-    synthetic_text_dataset,
-    synthetic_vector_dataset,
-)
-from repro.data.loader import BatchLoader, GlobalBatch
-from repro.data.augment import (
-    Compose,
-    GaussianNoise,
-    RandomCrop,
-    RandomHorizontalFlip,
-    TokenDropout,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BatchLoader",
-    "Compose",
-    "GaussianNoise",
-    "RandomCrop",
-    "RandomHorizontalFlip",
-    "TokenDropout",
-    "Dataset",
-    "GlobalBatch",
-    "make_dataset",
-    "synthetic_image_dataset",
-    "synthetic_text_dataset",
-    "synthetic_vector_dataset",
-]
+_EXPORTS = {
+    "BatchLoader": "repro.data.loader",
+    "Compose": "repro.data.augment",
+    "GaussianNoise": "repro.data.augment",
+    "RandomCrop": "repro.data.augment",
+    "RandomHorizontalFlip": "repro.data.augment",
+    "TokenDropout": "repro.data.augment",
+    "Dataset": "repro.data.datasets",
+    "GlobalBatch": "repro.data.loader",
+    "make_dataset": "repro.data.datasets",
+    "synthetic_image_dataset": "repro.data.datasets",
+    "synthetic_text_dataset": "repro.data.datasets",
+    "synthetic_vector_dataset": "repro.data.datasets",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

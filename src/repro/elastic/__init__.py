@@ -2,46 +2,30 @@
 weighted-fair-sharing scheduler (Algorithm 1), and the static priority
 baseline."""
 
-from repro.elastic.jobs import JobSpec, JobState, JobStatus
-from repro.elastic.simulator import (
-    ClusterSimulator,
-    SimulationResult,
-    TrainingClusterProcess,
-)
-from repro.elastic.wfs import ElasticWFSScheduler
-from repro.elastic.priority import StaticPriorityScheduler
-from repro.elastic.trace import (
-    TABLE3_WORKLOADS,
-    ServingPhase,
-    TraceJob,
-    generate_trace,
-    serving_arrival_times,
-    spike_phases,
-    three_job_trace,
-)
-from repro.elastic.metrics import TraceMetrics, compute_metrics
-from repro.elastic.policies import apply_policy, fifo_priority, sjf_priority, srtf_priority
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClusterSimulator",
-    "ElasticWFSScheduler",
-    "JobSpec",
-    "JobState",
-    "JobStatus",
-    "ServingPhase",
-    "SimulationResult",
-    "StaticPriorityScheduler",
-    "TABLE3_WORKLOADS",
-    "TrainingClusterProcess",
-    "TraceJob",
-    "TraceMetrics",
-    "apply_policy",
-    "compute_metrics",
-    "fifo_priority",
-    "sjf_priority",
-    "srtf_priority",
-    "generate_trace",
-    "serving_arrival_times",
-    "spike_phases",
-    "three_job_trace",
-]
+_EXPORTS = {
+    "ClusterSimulator": "repro.elastic.simulator",
+    "ElasticWFSScheduler": "repro.elastic.wfs",
+    "JobSpec": "repro.elastic.jobs",
+    "JobState": "repro.elastic.jobs",
+    "JobStatus": "repro.elastic.jobs",
+    "ServingPhase": "repro.elastic.trace",
+    "SimulationResult": "repro.elastic.simulator",
+    "StaticPriorityScheduler": "repro.elastic.priority",
+    "TABLE3_WORKLOADS": "repro.elastic.trace",
+    "TrainingClusterProcess": "repro.elastic.simulator",
+    "TraceJob": "repro.elastic.trace",
+    "TraceMetrics": "repro.elastic.metrics",
+    "apply_policy": "repro.elastic.policies",
+    "compute_metrics": "repro.elastic.metrics",
+    "fifo_priority": "repro.elastic.policies",
+    "sjf_priority": "repro.elastic.policies",
+    "srtf_priority": "repro.elastic.policies",
+    "generate_trace": "repro.elastic.trace",
+    "serving_arrival_times": "repro.elastic.trace",
+    "spike_phases": "repro.elastic.trace",
+    "three_job_trace": "repro.elastic.trace",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

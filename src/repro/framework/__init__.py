@@ -9,92 +9,54 @@ stochasticity (initialization, dropout) is injected through explicit
 key randomness to logical, placement-free coordinates.
 """
 
-from repro.framework.arena import ArenaView, FlatLayout, FlatTensorArena
-from repro.framework.layers import (
-    BatchNorm,
-    Conv2D,
-    Dense,
-    Dropout,
-    Embedding,
-    Flatten,
-    GlobalAvgPool2D,
-    LayerNorm,
-    MaxPool2D,
-    Module,
-    MultiHeadSelfAttention,
-    ReLU,
-    GELU,
-    Tanh,
-    Residual,
-    Sequential,
-    TransformerBlock,
-)
-from repro.framework.losses import Loss, MSELoss, SoftmaxCrossEntropy
-from repro.framework.metrics import accuracy, top_k_accuracy
-from repro.framework.models import (
-    MLPClassifier,
-    ResourceFootprint,
-    SmallCNN,
-    TinyBert,
-    TinyTransformer,
-    Workload,
-    WORKLOADS,
-    build_model,
-    get_workload,
-)
-from repro.framework.optimizers import LAMB, SGD, Adam, AdamW, Momentum, Optimizer
-from repro.framework.schedules import (
-    ConstantSchedule,
-    CosineSchedule,
-    StepDecaySchedule,
-    WarmupSchedule,
-    linear_scaling_rule,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Adam",
-    "AdamW",
-    "ArenaView",
-    "FlatLayout",
-    "FlatTensorArena",
-    "ConstantSchedule",
-    "CosineSchedule",
-    "BatchNorm",
-    "Conv2D",
-    "Dense",
-    "Dropout",
-    "Embedding",
-    "Flatten",
-    "GELU",
-    "GlobalAvgPool2D",
-    "LAMB",
-    "LayerNorm",
-    "Loss",
-    "MLPClassifier",
-    "MSELoss",
-    "MaxPool2D",
-    "Module",
-    "Momentum",
-    "MultiHeadSelfAttention",
-    "Optimizer",
-    "ReLU",
-    "Residual",
-    "ResourceFootprint",
-    "SGD",
-    "Sequential",
-    "SmallCNN",
-    "SoftmaxCrossEntropy",
-    "StepDecaySchedule",
-    "Tanh",
-    "TinyBert",
-    "TinyTransformer",
-    "TransformerBlock",
-    "WORKLOADS",
-    "Workload",
-    "WarmupSchedule",
-    "accuracy",
-    "build_model",
-    "linear_scaling_rule",
-    "get_workload",
-    "top_k_accuracy",
-]
+_EXPORTS = {
+    "Adam": "repro.framework.optimizers",
+    "AdamW": "repro.framework.optimizers",
+    "ArenaView": "repro.framework.arena",
+    "FlatLayout": "repro.framework.arena",
+    "FlatTensorArena": "repro.framework.arena",
+    "ConstantSchedule": "repro.framework.schedules",
+    "CosineSchedule": "repro.framework.schedules",
+    "BatchNorm": "repro.framework.layers",
+    "Conv2D": "repro.framework.layers",
+    "Dense": "repro.framework.layers",
+    "Dropout": "repro.framework.layers",
+    "Embedding": "repro.framework.layers",
+    "Flatten": "repro.framework.layers",
+    "GELU": "repro.framework.layers",
+    "GlobalAvgPool2D": "repro.framework.layers",
+    "LAMB": "repro.framework.optimizers",
+    "LayerNorm": "repro.framework.layers",
+    "Loss": "repro.framework.losses",
+    "MLPClassifier": "repro.framework.models",
+    "MSELoss": "repro.framework.losses",
+    "MaxPool2D": "repro.framework.layers",
+    "Module": "repro.framework.layers",
+    "Momentum": "repro.framework.optimizers",
+    "MultiHeadSelfAttention": "repro.framework.layers",
+    "Optimizer": "repro.framework.optimizers",
+    "ReLU": "repro.framework.layers",
+    "Residual": "repro.framework.layers",
+    "ResourceFootprint": "repro.framework.models",
+    "SGD": "repro.framework.optimizers",
+    "Sequential": "repro.framework.layers",
+    "SmallCNN": "repro.framework.models",
+    "SoftmaxCrossEntropy": "repro.framework.losses",
+    "StepDecaySchedule": "repro.framework.schedules",
+    "Tanh": "repro.framework.layers",
+    "TinyBert": "repro.framework.models",
+    "TinyTransformer": "repro.framework.models",
+    "TransformerBlock": "repro.framework.layers",
+    "WORKLOADS": "repro.framework.models",
+    "Workload": "repro.framework.models",
+    "WarmupSchedule": "repro.framework.schedules",
+    "accuracy": "repro.framework.metrics",
+    "build_model": "repro.framework.models",
+    "linear_scaling_rule": "repro.framework.schedules",
+    "get_workload": "repro.framework.models",
+    "top_k_accuracy": "repro.framework.metrics",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -7,38 +7,25 @@ every throughput, step-time, and memory number reported by benchmarks comes
 from these models, calibrated to the ratios the paper reports.
 """
 
-from repro.hardware.device import (
-    DEVICE_SPECS,
-    Device,
-    DeviceSpec,
-    OutOfDeviceMemory,
-    get_spec,
-)
-from repro.hardware.cluster import Cluster
-from repro.hardware.interconnect import Interconnect, ring_allreduce_time
-from repro.hardware.perfmodel import PerfModel, StepTimeBreakdown
-from repro.hardware.memory import MemoryLedger, MemoryTimeline, simulate_step_memory
-from repro.hardware.sync_strategy import (
-    AllReduceStrategy,
-    ParameterServerStrategy,
-    SyncStrategy,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AllReduceStrategy",
-    "Cluster",
-    "DEVICE_SPECS",
-    "Device",
-    "DeviceSpec",
-    "Interconnect",
-    "MemoryLedger",
-    "MemoryTimeline",
-    "OutOfDeviceMemory",
-    "ParameterServerStrategy",
-    "PerfModel",
-    "StepTimeBreakdown",
-    "SyncStrategy",
-    "get_spec",
-    "ring_allreduce_time",
-    "simulate_step_memory",
-]
+_EXPORTS = {
+    "AllReduceStrategy": "repro.hardware.sync_strategy",
+    "Cluster": "repro.hardware.cluster",
+    "DEVICE_SPECS": "repro.hardware.device",
+    "Device": "repro.hardware.device",
+    "DeviceSpec": "repro.hardware.device",
+    "Interconnect": "repro.hardware.interconnect",
+    "MemoryLedger": "repro.hardware.memory",
+    "MemoryTimeline": "repro.hardware.memory",
+    "OutOfDeviceMemory": "repro.hardware.device",
+    "ParameterServerStrategy": "repro.hardware.sync_strategy",
+    "PerfModel": "repro.hardware.perfmodel",
+    "StepTimeBreakdown": "repro.hardware.perfmodel",
+    "SyncStrategy": "repro.hardware.sync_strategy",
+    "get_spec": "repro.hardware.device",
+    "ring_allreduce_time": "repro.hardware.interconnect",
+    "simulate_step_memory": "repro.hardware.memory",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -10,22 +10,21 @@ is one queue: its index is a heap while few events are live and a calendar
 time wheel above that, chosen by the live population, never by the caller.
 """
 
-from repro.runtime.core import (Event, EventQueue, Process, Runtime,
-                                SimClock, batch_action)
-from repro.runtime.pool import DeviceLease, DevicePool, LeaseError
-from repro.runtime.trace import EventTrace, open_trace, read_trace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DeviceLease",
-    "DevicePool",
-    "Event",
-    "EventQueue",
-    "EventTrace",
-    "LeaseError",
-    "Process",
-    "Runtime",
-    "SimClock",
-    "batch_action",
-    "open_trace",
-    "read_trace",
-]
+_EXPORTS = {
+    "DeviceLease": "repro.runtime.pool",
+    "DevicePool": "repro.runtime.pool",
+    "Event": "repro.runtime.core",
+    "EventQueue": "repro.runtime.core",
+    "EventTrace": "repro.runtime.trace",
+    "LeaseError": "repro.runtime.pool",
+    "Process": "repro.runtime.core",
+    "Runtime": "repro.runtime.core",
+    "SimClock": "repro.runtime.core",
+    "batch_action": "repro.runtime.core",
+    "open_trace": "repro.runtime.trace",
+    "read_trace": "repro.runtime.trace",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

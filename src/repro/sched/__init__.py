@@ -7,28 +7,18 @@ router sharing one device pool on the unified discrete-event runtime, with
 the :class:`CoScheduler` harvesting training GPUs during serving spikes.
 """
 
-from repro.sched.cosched import (
-    CoschedReport,
-    CoScheduler,
-    resident_training_jobs,
-    run_cosched,
-)
-from repro.sched.gavel import (
-    GavelJob,
-    GavelSimulator,
-    GavelResult,
-    hetero_split,
-    hetero_throughput,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CoschedReport",
-    "CoScheduler",
-    "GavelJob",
-    "GavelResult",
-    "GavelSimulator",
-    "hetero_split",
-    "hetero_throughput",
-    "resident_training_jobs",
-    "run_cosched",
-]
+_EXPORTS = {
+    "CoschedReport": "repro.sched.cosched",
+    "CoScheduler": "repro.sched.cosched",
+    "GavelJob": "repro.sched.gavel",
+    "GavelResult": "repro.sched.gavel",
+    "GavelSimulator": "repro.sched.gavel",
+    "hetero_split": "repro.sched.gavel",
+    "hetero_throughput": "repro.sched.gavel",
+    "resident_training_jobs": "repro.sched.cosched",
+    "run_cosched": "repro.sched.cosched",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -25,6 +25,10 @@ Quickstart::
     print(report.summary(slo_p99=0.030))
 """
 
+# Imported eagerly, unlike the other packages: every command that reaches
+# serving runs the router, which loads all of these modules anyway, and
+# loading them together defines every request source as soon as any
+# serving module is imported.
 from repro.serving.request import BatchRecord, Request, RequestRecord
 from repro.serving.batcher import (
     AdmissionPolicy,

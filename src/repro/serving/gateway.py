@@ -46,7 +46,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.elastic.trace import ServingPhase, serving_arrival_times
+# Called through its module, so that a patch of the function reaches
+# this module whenever it loads (see repro._lazy).
+from repro.elastic import trace as elastic_trace
+from repro.elastic.trace import ServingPhase
 from repro.runtime import EventTrace
 from repro.runtime.trace import load_trace
 from repro.serving.generators import OpenLoopPoissonSource, RequestSource
@@ -117,7 +120,7 @@ class MultiTenantPoissonSource(OpenLoopPoissonSource):
         all_times: List[np.ndarray] = []
         all_idx: List[np.ndarray] = []
         for i, tenant_id in enumerate(tenant_ids):
-            times = serving_arrival_times(
+            times = elastic_trace.serving_arrival_times(
                 phases_by_tenant[tenant_id],
                 seed=derive_seed(seed, DOMAIN_TENANT, i), limit=limit)
             all_times.append(times)

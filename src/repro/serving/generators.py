@@ -27,7 +27,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.elastic.trace import ServingPhase, serving_arrival_times
+# Called through its module, so that a patch of the function reaches
+# this module whenever it loads (see repro._lazy).
+from repro.elastic import trace as elastic_trace
+from repro.elastic.trace import ServingPhase
 from repro.serving.request import Request, RequestRecord, ShedBlock
 from repro.utils.seeding import derive_rng
 
@@ -180,8 +183,9 @@ class OpenLoopPoissonSource(RequestSource):
 
     def __init__(self, phases: Sequence[ServingPhase], examples: np.ndarray,
                  seed: int = 0, limit: Optional[int] = None) -> None:
-        self._load(serving_arrival_times(phases, seed=seed, limit=limit),
-                   examples)
+        times = elastic_trace.serving_arrival_times(phases, seed=seed,
+                                                    limit=limit)
+        self._load(times, examples)
 
     def _load(self, times: np.ndarray, examples: np.ndarray,
               tenant_idx: Optional[np.ndarray] = None,

@@ -63,7 +63,9 @@ from repro.core.plan import PlanValidationError
 from repro.core.sharding import shard_sizes
 from repro.core.state import migration_time
 from repro.core.virtual_node import VirtualNodeSet
-from repro.data import make_dataset
+# Called through its module, so that a patch of the function reaches
+# this module whenever it loads (see repro._lazy).
+from repro.data import datasets
 from repro.elastic.trace import ServingPhase
 from repro.framework.models import Workload, get_workload
 from repro.hardware.cluster import Cluster
@@ -890,7 +892,7 @@ def _build_router(workload_name: str, cluster: Cluster,
     mapping = Mapping.even(vn_set, cluster.subset(list(device_ids)))
     inference = InferenceEngine(workload, workload.build_model(seed), mapping)
     if source is None:
-        examples = make_dataset(workload.dataset, n=512, seed=seed).x_val
+        examples = datasets.make_dataset(workload.dataset, n=512, seed=seed).x_val
         if tenants is None:
             source = OpenLoopPoissonSource(phases, examples, seed=seed,
                                            limit=limit)

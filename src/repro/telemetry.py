@@ -26,12 +26,13 @@ import os
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.executor import StepResult
-from repro.core.trainer import EpochResult
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.executor import StepResult
+    from repro.core.trainer import EpochResult
 
 __all__ = [
     "LatencyHistogram",

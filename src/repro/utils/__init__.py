@@ -1,37 +1,21 @@
 """Shared utilities: deterministic seeding, units, and table formatting."""
 
-from repro.utils.seeding import (
-    derive_rng,
-    derive_seed,
-    spawn_streams,
-    vn_rng,
-)
-from repro.utils.units import (
-    GB,
-    KB,
-    MB,
-    format_bytes,
-    format_duration,
-)
-from repro.utils.tabulate import format_table
-from repro.utils.validation import (
-    check_positive,
-    check_power_of_two_like,
-    power_of_two_like_sizes,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GB",
-    "KB",
-    "MB",
-    "check_positive",
-    "check_power_of_two_like",
-    "derive_rng",
-    "derive_seed",
-    "format_bytes",
-    "format_duration",
-    "format_table",
-    "power_of_two_like_sizes",
-    "spawn_streams",
-    "vn_rng",
-]
+_EXPORTS = {
+    "GB": "repro.utils.units",
+    "KB": "repro.utils.units",
+    "MB": "repro.utils.units",
+    "check_positive": "repro.utils.validation",
+    "check_power_of_two_like": "repro.utils.validation",
+    "derive_rng": "repro.utils.seeding",
+    "derive_seed": "repro.utils.seeding",
+    "format_bytes": "repro.utils.units",
+    "format_duration": "repro.utils.units",
+    "format_table": "repro.utils.tabulate",
+    "power_of_two_like_sizes": "repro.utils.validation",
+    "spawn_streams": "repro.utils.seeding",
+    "vn_rng": "repro.utils.seeding",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -67,7 +67,7 @@ def test_block_drawn_arrivals_equal_the_per_draw_loop(phases, seed, limit):
 def test_merged_two_tenant_stream_equals_the_per_draw_loop(a, b, seed, limit):
     """``MultiTenantPoissonSource`` over two tenants: the same merged
     ``times`` / ``tenant_idx`` whichever sampler fed it."""
-    import repro.serving.gateway as gateway_module
+    import repro.elastic.trace as trace_module
 
     registry = TenantRegistry.from_spec("first;second")
     phases = {"first": a, "second": b}
@@ -81,11 +81,11 @@ def test_merged_two_tenant_stream_equals_the_per_draw_loop(a, b, seed, limit):
         return wave.times, (np.empty(0, np.int64) if idx is None else idx)
 
     times, idx = merged()
-    production = gateway_module.serving_arrival_times
-    gateway_module.serving_arrival_times = arrival_times
+    production = trace_module.serving_arrival_times
+    trace_module.serving_arrival_times = arrival_times
     try:
         want_times, want_idx = merged()
     finally:
-        gateway_module.serving_arrival_times = production
+        trace_module.serving_arrival_times = production
     assert_same_doubles(times, want_times)
     assert_same_doubles(idx, want_idx)

@@ -539,13 +539,13 @@ class TestMultiTenantWaveEdgeCases:
     sampler, so the merge logic is tested against known timestamps."""
 
     def _source(self, monkeypatch, streams, spec="a;b"):
-        import repro.serving.gateway as gateway_module
+        import repro.elastic.trace as trace_module
         per_tenant = iter(streams)  # consumed in registry order
 
         def fixed_times(phases, seed=0, limit=None):
             return np.asarray(next(per_tenant), dtype=float)
 
-        monkeypatch.setattr(gateway_module, "serving_arrival_times",
+        monkeypatch.setattr(trace_module, "serving_arrival_times",
                             fixed_times)
         registry = TenantRegistry.from_spec(spec)
         workload = get_workload("mlp_synthetic")

@@ -446,6 +446,39 @@ class TestCommands:
         assert "Gavel+HT" in out
 
 
+class TestEntryPointBindings:
+    """Each run hands off through a binding on ``repro.cli`` that is read
+    when the handler calls it.  The end-to-end benchmark rebinds these three
+    names to capture each run's report and requires exactly one call
+    through each; a handler that imported its entry point itself would
+    bypass the capture."""
+
+    @pytest.mark.parametrize("name, argv", [
+        ("VirtualFlowTrainer", ["train", "--workload", "mlp_synthetic",
+                                "--batch", "32", "--virtual-nodes", "4",
+                                "--epochs", "1", "--dataset-size", "128",
+                                "--backend", "fused"]),
+        ("serve_workload", ["serve", "--workload", "mlp_synthetic",
+                            "--arrival-rate", "200", "--duration", "0.2"]),
+        ("run_cosched", ["cosched", "--workload", "mlp_synthetic",
+                         "--arrival-rate", "200", "--duration", "0.5",
+                         "--spike-duration", "0.2", "--devices", "4"]),
+    ])
+    def test_one_call_through_the_module_binding(self, monkeypatch, capsys,
+                                                 name, argv):
+        from repro import cli
+
+        original, calls = getattr(cli, name), []
+
+        def recording(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, recording)
+        assert main(argv) == 0
+        assert calls == [name]
+
+
 TENANT_SPEC = "prem:class=premium,weight=4,quota=250;batch:share=2"
 
 
