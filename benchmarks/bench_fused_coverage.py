@@ -14,7 +14,8 @@ Serving takes the same kernels at a different shape — micro-batches of a
 few requests over as many one-example virtual nodes as the pool has devices
 — so (c) times ``backend.infer`` per micro-batch length over one and four
 virtual nodes (one segment; uniform, and two-run shard tables) and on a conv
-model, under the same rule.
+model, under the same rule, with the two backends timed in interleaved
+pairs and the rule read off the median paired ratio.
 
 The gate is what holds on any host: every workload fuses, the two backends
 train to bit-identical parameters and serve bit-identical logits, and the
@@ -31,7 +32,9 @@ config with no speedup gate, for CI breakage detection.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
+import statistics
 import sys
 import time
 from typing import Dict, List
@@ -146,27 +149,43 @@ def _infer_times(workload_name: str, num_vns: int, length: int,
                  calls: int, reps: int) -> Dict[str, float]:
     """Seconds per ``backend.infer`` of one ``length``-request micro-batch
     over ``num_vns`` one-example virtual nodes, as the request router
-    shards it; both backends must return the same logits, bit for bit."""
+    shards it; both backends must return the same logits, bit for bit.
+
+    The backends are timed in pairs: each rep times ``calls`` calls of
+    both, back to back, alternating which goes first, so a slow stretch of
+    the host lands on both halves of a pair.  ``reference_s``/``fused_s``
+    are best-of-``reps``; ``ratio`` is the median of the per-rep
+    fused/reference ratios, the estimator the gate reads."""
     workload = get_workload(workload_name)
     model = workload.build_model(0)
     vn_set = VirtualNodeSet.even(num_vns, num_vns)
     mapping = Mapping.even(vn_set, Cluster.homogeneous("V100", 1))
     x = np.ascontiguousarray(
         make_dataset(workload.dataset, n=4 * length, seed=0).x_train[:length])
-    out, logits = {}, {}
-    for key in ("reference_s", "fused_s"):
+    keys = ("reference_s", "fused_s")
+    batches = {}
+    for key in keys:
         engine = InferenceEngine(workload, model, mapping)
         if key == "reference_s":
             engine.engine.backend = ReferenceBackend()
         bounds, _, _ = engine.engine.inference_plan(length)
-
-        def one_batch() -> np.ndarray:
-            return engine.backend.infer(model, vn_set, x, bounds)
-
-        out[key] = _best_of(one_batch, calls, reps)
-        logits[key] = one_batch()
+        batches[key] = functools.partial(
+            engine.backend.infer, model, vn_set, x, bounds)
+    logits = {key: one_batch() for key, one_batch in batches.items()}  # warm
     assert logits["reference_s"].tobytes() == logits["fused_s"].tobytes()
-    return out
+    best = dict.fromkeys(keys, float("inf"))
+    ratios = []
+    for rep in range(reps):
+        per_call = {}
+        for key in (keys if rep % 2 == 0 else keys[::-1]):
+            one_batch = batches[key]
+            t0 = time.perf_counter()
+            for _ in range(calls):
+                one_batch()
+            per_call[key] = (time.perf_counter() - t0) / calls
+            best[key] = min(best[key], per_call[key])
+        ratios.append(per_call["fused_s"] / per_call["reference_s"])
+    return {**best, "ratio": statistics.median(ratios)}
 
 
 def run(smoke: bool = False) -> Dict:
@@ -201,16 +220,16 @@ def run(smoke: bool = False) -> Dict:
     for workload_name, num_vns, lengths in (
             SMOKE_INFER_CONFIGS if smoke else INFER_CONFIGS):
         for length in lengths:
-            # Microsecond batches need thousands of calls per timing; the
+            # Microsecond batches need hundreds of calls per timing; the
             # conv model's take a millisecond each.
-            calls = 5 if smoke else (2000 if workload_name == "mlp_synthetic" else 40)
+            calls = 5 if smoke else (1000 if workload_name == "mlp_synthetic" else 20)
             times = _infer_times(workload_name, num_vns, length, calls,
-                                 reps=1 if smoke else 5)
+                                 reps=1 if smoke else 11)
             speedup = times["reference_s"] / times["fused_s"]
             infer_rows.append([
                 workload_name, f"{num_vns}VN", f"{length}",
                 f"{times['reference_s']*1e6:.1f}", f"{times['fused_s']*1e6:.1f}",
-                f"{speedup:.2f}x",
+                f"{speedup:.2f}x", f"{times['ratio']:.3f}",
             ])
             infer_records.append({
                 "workload": workload_name,
@@ -219,16 +238,18 @@ def run(smoke: bool = False) -> Dict:
                 "reference_us": times["reference_s"] * 1e6,
                 "fused_us": times["fused_s"] * 1e6,
                 "speedup": speedup,
+                "paired_ratio": times["ratio"],
             })
     report("fused_coverage_inference",
            ["workload", "config", "micro-batch", "reference us/batch",
-            "fused us/batch", "speedup"],
+            "fused us/batch", "speedup", "paired fused/ref"],
            infer_rows,
            title="Fused-backend coverage: serving micro-batches through "
                  "backend.infer, one model.forward per shard vs one cached "
                  "segmented pass (bit-identical logits)",
-           notes="fused must be bit-identical and never slower than 1.05x "
-                 "the reference; the best speedup is reported, not gated")
+           notes="fused must be bit-identical, and the median of its "
+                 "per-rep paired ratios to the reference at most 1.05; "
+                 "the best speedup is reported, not gated")
     headline = records[0]["speedup"]
     report("fused_coverage",
            ["workload", "config", "batch", "reference ms/step",
@@ -270,12 +291,14 @@ def test_fused_coverage_speedup():
     print(f"fused coverage: best speedup {best['speedup']:.2f}x "
           f"({best['workload']}@{best['virtual_nodes']}VN)")
     # Serving micro-batches: at one segment the two backends run the same
-    # GEMMs, so the rule is its literal form — never slower than 1.05x.
+    # GEMMs, so the rule is its literal form — never slower than 1.05x —
+    # read off the paired estimator, not two independent best-ofs.
     for record in payload["inference"]:
-        assert record["fused_us"] <= 1.05 * record["reference_us"], (
+        assert record["paired_ratio"] <= 1.05, (
             f"{record['workload']}@{record['virtual_nodes']}VN, micro-batch "
             f"{record['batch']}: fused inference slower than the serial loop "
-            f"({record['fused_us']:.1f} vs {record['reference_us']:.1f} us)")
+            f"(median paired ratio {record['paired_ratio']:.3f}; best "
+            f"{record['fused_us']:.1f} vs {record['reference_us']:.1f} us)")
     best = max(payload["inference"], key=lambda r: r["speedup"])
     print(f"fused coverage, inference: best speedup {best['speedup']:.2f}x "
           f"({best['workload']}@{best['virtual_nodes']}VN, micro-batch "

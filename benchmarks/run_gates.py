@@ -64,7 +64,6 @@ GATES: Tuple[Gate, ...] = (
     Gate("fig17_microbench", "bench_fig17_microbench.py", smoke=False),
     Gate("fused_coverage", "bench_fused_coverage.py"),
     Gate("gateway_throughput", "bench_gateway_throughput.py"),
-    Gate("runtime_throughput", "bench_runtime_throughput.py"),
     Gate("serving_slo", "bench_serving_slo.py", wall_clock=False),
     Gate("tenant_fairness", "bench_tenant_fairness.py", wall_clock=False),
 )

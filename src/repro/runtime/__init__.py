@@ -6,8 +6,8 @@ the elastic cluster simulator, the serving request router, and the
 co-scheduler that runs both on one shared :class:`DevicePool`.  Processes
 (:class:`Process`) post events; the runtime dispatches them in time order
 and can journal every fired event to a JSONL :class:`EventTrace`.  There
-is one queue: its index is a heap while few events are live and a calendar
-time wheel above that, chosen by the live population, never by the caller.
+is one queue, one binary heap over slab-stored events, and one dispatch:
+each event is one call of its action.
 """
 
 from repro._lazy import lazy_exports
@@ -22,7 +22,6 @@ _EXPORTS = {
     "Process": "repro.runtime.core",
     "Runtime": "repro.runtime.core",
     "SimClock": "repro.runtime.core",
-    "batch_action": "repro.runtime.core",
     "open_trace": "repro.runtime.trace",
     "read_trace": "repro.runtime.trace",
 }

@@ -136,34 +136,6 @@ class EventTrace:
         if len(self._buffer) >= self._buffer_lines:
             self.flush()
 
-    def emit_many(self, times, seqs, kind: str, actor: str) -> None:
-        """Journal a batch-dispatched run of events (empty ``data``).
-
-        ``times``/``seqs`` are the parallel arrays a batched run fired
-        with; the lines are byte-identical to per-event :meth:`emit`.
-        """
-        n = len(times)
-        if n == 0:
-            return
-        seen = self.events_seen
-        self.events_seen = seen + n
-        sample = self.sample
-        first = (-seen) % sample  # offset of the first kept event
-        if first >= n:
-            return
-        t_list = times[first::sample].tolist() if hasattr(times, "tolist") \
-            else list(times[first::sample])
-        s_list = seqs[first::sample].tolist() if hasattr(seqs, "tolist") \
-            else list(seqs[first::sample])
-        prefix, middle = self.line_parts(actor, kind)
-        head = f'{prefix}{{}}{middle}'
-        buffer = self._buffer
-        buffer.extend(f'{head}{s}, "t": {t!r}}}\n'
-                      for t, s in zip(t_list, s_list))
-        self.events_written += len(t_list)
-        if len(buffer) >= self._buffer_lines:
-            self.flush()
-
     def emit_many_data(self, times: Sequence[float], seqs: Sequence[int],
                        kind: str, actor: str,
                        data_json: Sequence[str]) -> None:

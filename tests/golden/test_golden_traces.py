@@ -47,7 +47,9 @@ def _load(name: str) -> dict:
 def current(request) -> dict:
     """One capture of every fixture scenario per event queue × arrival path.
 
-    ``calendar-wave`` is the production stack as built.  The other three
+    ``calendar-wave`` is the production stack as built (``calendar`` names
+    the production ``EventQueue``, after the time-wheel index it had until
+    it became one binary heap).  The other three
     substitute a reference from the test side, no mode of ``src/`` involved:
     ``heap`` runs every scenario on the ``(time, seq)`` heap model in
     ``tests/oracles/event_queue.py`` instead of ``EventQueue``, and

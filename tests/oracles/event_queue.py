@@ -3,9 +3,9 @@
 :class:`HeapQueueOracle` answers every call :class:`repro.runtime.EventQueue`
 answers — ``push`` / ``post`` / ``post_many`` / ``cancel_handle`` /
 ``handle_alive`` / ``peek`` / ``pop`` / ``pop_dispatch`` / ``len`` — with one
-Python object per event on a ``heapq``, lazy deletion, and no slab, wheel,
-population rule or vectorisation: the pre-slab event core, kept as the thing
-the production queue must be indistinguishable from.  Assign one to
+Python object per event on a ``heapq``, lazy deletion, and no slab or
+vectorisation: the pre-slab event core, kept as the thing the production
+queue must be indistinguishable from.  Assign one to
 ``runtime.queue`` (or substitute the class for ``EventQueue`` while a run
 builds its own runtime) and the run must not change by a byte.
 
@@ -105,24 +105,9 @@ class HeapQueueOracle:
         return event
 
     def pop_dispatch(self, until: Optional[float] = None):
-        """The next dispatchable unit: one event as scalars, or — when its
-        action carries the marker ``repro.runtime.batch_action`` sets — the
-        maximal run of consecutive live events bound to that same callable
-        (and due by ``until``) as arrays."""
+        """The next event due by ``until``, as the runtime's 5-tuple."""
         head = self.peek()
         if head is None or (until is not None and head.time > until):
             return None
-        if not getattr(head.action, "__event_batch__", False):
-            self.pop()
-            return (head.time, head.seq, head.kind, head.actor, head.action,
-                    False)
-        run = []
-        while True:
-            nxt = self.peek()
-            if (nxt is None or nxt.action is not head.action
-                    or (until is not None and nxt.time > until)):
-                break
-            run.append(self.pop())
-        return (np.asarray([e.time for e in run]),
-                np.asarray([e.seq for e in run], dtype=np.int64),
-                head.kind, head.actor, head.action, True)
+        self.pop()
+        return (head.time, head.seq, head.kind, head.actor, head.action)

@@ -4,10 +4,9 @@ cancellation storms.
 The production queue must be observably indistinguishable from the
 ``(time, seq)`` heap model in ``tests/oracles/event_queue.py``: same fired
 order, same survivors under heavy ETA-invalidation (>50% of scheduled events
-cancelled), on populations that stay on its sparse heap and on ones that
-climb onto the wheel — and it may not let dead entries accumulate without
-bound: the slab recycles slots on cancel and the index compacts its stale
-entries in either state.
+cancelled), on small populations and on thousands of live events — and it
+may not let dead entries accumulate without bound: the slab recycles slots
+on cancel and the heap compacts its stale entries.
 """
 
 from __future__ import annotations
@@ -16,17 +15,18 @@ import numpy as np
 import pytest
 
 from oracles.event_queue import HeapQueueOracle
-from repro.runtime import EventQueue, Runtime, batch_action
+from repro.runtime import EventQueue, Runtime
 
-# "calendar" is the production queue, "heap" the reference model: the
-# contract tests below hold for both, or the model is no reference.
+# "calendar" (the id the production queue kept from its time-wheel index)
+# is the production queue, "heap" the reference model: the contract tests
+# below hold for both, or the model is no reference.
 QUEUES = pytest.mark.parametrize(
     "make_queue", [EventQueue, HeapQueueOracle], ids=["calendar", "heap"])
 
 
 def _both():
     """A fresh production queue and a fresh reference model, by name."""
-    return ("calendar", EventQueue()), ("heap", HeapQueueOracle())
+    return ("production", EventQueue()), ("heap", HeapQueueOracle())
 
 
 def _runtime(make_queue=EventQueue) -> Runtime:
@@ -61,7 +61,7 @@ class TestBackendAgreement:
                 if dead:
                     event.cancel()
             orders[name] = _drain(q)
-        assert orders["calendar"] == orders["heap"]
+        assert orders["production"] == orders["heap"]
         fired = len(orders["heap"])
         assert fired == int((~cancel).sum())
         assert fired < len(times) // 2  # the storm really cancelled >50%
@@ -78,18 +78,16 @@ class TestBackendAgreement:
 
     @pytest.mark.parametrize("width", [10 / 3, 0.1, 0.3, 1 / 7, 2.2, 0.7])
     def test_times_on_bucket_edges_fire_in_order(self, width):
-        """An evenly spaced wave puts times exactly on the edges of the
-        buckets a rebuild derives from its span.  Filing an event with
-        ``floor_divide`` and looking for it with ``time < (w + 1) * width``
-        disagree there in the last ulp — the event then fired a whole
-        rotation late.  Five of these six widths misordered thousands of
-        events before every decision moved to ``floor(time / width)``."""
+        """An evenly spaced wave of 10,161 times that are exact multiples of
+        ``width / 80``: the shape that once misordered thousands of events
+        on a time-bucketed index (a bucket edge computed two ways disagreed
+        in the last ulp).  Any index must fire it in time order."""
         times = np.arange(10161) * (width / 80)
         orders = {}
         for name, q in _both():
             q.post_many(times, lambda t: None)
             orders[name] = _drain(q)
-        assert orders["calendar"] == orders["heap"]
+        assert orders["production"] == orders["heap"]
         assert [t for t, _ in orders["heap"]] == times.tolist()
 
     def test_handle_cancellation_agrees_across_backends(self):
@@ -103,7 +101,7 @@ class TestBackendAgreement:
                     assert not q.handle_alive(h)
                     assert not q.cancel_handle(h)  # second cancel is a no-op
             orders[name] = _drain(q)
-        assert orders["calendar"] == orders["heap"]
+        assert orders["production"] == orders["heap"]
 
     @QUEUES
     def test_interleaved_schedule_and_fire(self, make_queue):
@@ -149,18 +147,12 @@ class TestBoundedMemory:
         # 20k scheduled: with ~90% cancelled it must stay well below the
         # total scheduled count (power-of-two growth from 256).
         assert stats["slab_capacity"] < 20_000
-        # Index structures compact dead entries instead of hoarding them.
+        # The heap compacts dead entries instead of hoarding them.
         assert stats["index_entries"] <= 2 * survivors + 128
-        # 500-event waves are far above the sparse line: this storm
-        # exercises the wheel's reclamation, not the sparse heap's (the
-        # first waves' ~50 survivors collapse once, then the population
-        # outgrows the line for good).
-        assert stats["structure"] == "wheel"
-        assert stats["promotions"] == stats["collapses"] + 1 == 2
 
     def test_sparse_cancellation_storm_compacts_the_heap(self):
-        """The same storm kept under the population line: the sparse heap
-        must drop its dead entries too, without ever promoting."""
+        """The same storm on a population kept at 20 live events: the heap
+        must drop its dead entries there too."""
         q = EventQueue()
         rng = np.random.default_rng(12)
         live = []
@@ -171,29 +163,26 @@ class TestBoundedMemory:
             for h in handles[doomed].tolist():
                 q.cancel_handle(h)
             live.extend(handles[~doomed].tolist())
-            while len(live) > 20:   # keep the population sparse
+            while len(live) > 20:   # keep the population small
                 assert q.cancel_handle(live.pop())
         stats = q.debug_stats()
         assert stats["live"] == len(live) == len(q)
-        assert (stats["structure"], stats["promotions"]) == ("heap", 0)
         assert stats["slab_capacity"] <= 256
         assert stats["index_entries"] <= 2 * len(live) + 128
 
-    @pytest.mark.parametrize("per_round,structure",
-                             [(100, "heap"), (300, "wheel")],
+    # The ids name the index each round size lived on when the queue
+    # switched between a heap and a time wheel at 128 live events.
+    @pytest.mark.parametrize("per_round", [100, 300],
                              ids=["heap", "calendar"])
-    def test_slab_slots_recycled_after_fire(self, per_round, structure):
-        """Slots recycle on either side of the population line: rounds that
-        stay on the sparse heap, and rounds on the calendar wheel."""
+    def test_slab_slots_recycled_after_fire(self, per_round):
+        """Slots recycle whether a round holds 100 or 300 events."""
         q = EventQueue()
-        seen = set()
         for round_ in range(50):
             q.post_many(np.linspace(round_, round_ + 0.9, per_round),
                         lambda t: None)
-            seen.add(q.debug_stats()["structure"])
             while q.pop() is not None:
                 pass
-        assert len(q) == 0 and structure in seen
+        assert len(q) == 0
         # 50 rounds x per_round events reuse the same slots.
         assert q.debug_stats()["slab_capacity"] <= 512
 
@@ -211,63 +200,11 @@ class TestBoundedMemory:
         assert q.pop() is second
 
 
-class TestBatchDispatchEquivalence:
-    def test_batch_runs_see_the_same_events_as_scalar_dispatch(self):
-        """Run fusion changes call granularity, never content or order."""
-        rng = np.random.default_rng(21)
-        arrivals = np.sort(rng.uniform(0.0, 100.0, size=1000))
-        ticks = np.arange(0.0, 100.0, 5.0)
-
-        def run_batched():
-            rt = Runtime()
-            seen = []
-
-            @batch_action
-            def on_wave(times):
-                seen.extend(times.tolist())
-
-            rt.post_many(arrivals, on_wave, kind="arrival")
-            rt.post_many(ticks, lambda t: seen.append(("tick", t)),
-                         kind="tick")
-            rt.run()
-            return seen
-
-        def run_scalar():
-            rt = Runtime()
-            seen = []
-            rt.post_many(arrivals, lambda t: seen.append(t), kind="arrival")
-            rt.post_many(ticks, lambda t: seen.append(("tick", t)),
-                         kind="tick")
-            rt.run()
-            return seen
-
-        assert run_batched() == run_scalar()
-
-    def test_batch_runs_identical_across_backends(self):
-        rng = np.random.default_rng(22)
-        arrivals = np.sort(rng.uniform(0.0, 60.0, size=800))
-
-        def run(make_queue):
-            rt = _runtime(make_queue)
-            waves = []
-
-            @batch_action
-            def on_wave(times):
-                waves.append(times.tolist())
-
-            rt.post_many(arrivals, on_wave)
-            rt.post_many(np.arange(0.5, 60.0, 2.0),
-                         lambda t: waves.append(("tick", t)))
-            rt.run()
-            return waves
-
-        assert run(EventQueue) == run(HeapQueueOracle)
-
-
 class TestStructureObservability:
     def test_serving_run_never_leaves_the_sparse_heap(self, monkeypatch):
-        """The serve chain keeps one or two events alive: the queue must
-        spend the whole run on its sparse heap."""
+        """The serve chain keeps one or two events alive: the slab never
+        grows past its first 256 slots, and the run ends with an empty
+        heap."""
         from repro.elastic import ServingPhase
         from repro.serving import TenantRegistry, serve_workload
 
@@ -288,6 +225,4 @@ class TestStructureObservability:
                 "prem:class=premium,weight=8,quota=300;flood:share=4"))
         (events, stats), = finished
         assert len(report.records) > 1500 and events > 500
-        assert stats["structure"] == "heap"
-        assert stats["promotions"] == 0 and stats["collapses"] == 0
-        assert stats["live"] == 0
+        assert stats == {"live": 0, "slab_capacity": 256, "index_entries": 0}

@@ -1,11 +1,10 @@
-"""EventTrace buffering, sampling, and batched emission."""
+"""EventTrace buffering, sampling, crash durability and paths."""
 
 from __future__ import annotations
 
 import json
 from io import StringIO
 
-import numpy as np
 import pytest
 
 from repro.runtime import EventTrace, Runtime, read_trace
@@ -59,46 +58,6 @@ class TestSampling:
         assert [e["seq"] for e in raw[1:]] == [0, 3, 6, 9]
         # read_trace hides the meta line from consumers.
         assert [e["seq"] for e in read_trace(path)] == [0, 3, 6, 9]
-
-    def test_sampling_counts_across_emit_and_emit_many(self):
-        fh = StringIO()
-        trace = EventTrace(fh, sample=4)
-        trace.emit(0.0, 0, "tick", "t")          # kept (seen 0)
-        trace.emit(1.0, 1, "tick", "t")          # dropped
-        trace.emit_many(np.array([2.0, 3.0, 4.0, 5.0, 6.0]),
-                        np.array([2, 3, 4, 5, 6]), "wave", "t")  # keeps 4
-        trace.emit(7.0, 7, "tick", "t")          # dropped (seen 7)
-        trace.emit(8.0, 8, "tick", "t")          # kept (seen 8)
-        trace.close()
-        seqs = [json.loads(line)["seq"] for line in fh.getvalue().splitlines()
-                if "meta" not in json.loads(line)]
-        assert seqs == [0, 4, 8]
-        assert trace.events_seen == 9
-        assert trace.events_written == 3
-
-
-class TestEmitMany:
-    def test_byte_identical_to_the_scalar_path(self):
-        times = np.array([0.0012345, 2.0, 7.25, 1e-9])
-        seqs = np.array([3, 4, 5, 6])
-        scalar_fh, batch_fh = StringIO(), StringIO()
-        scalar = EventTrace(scalar_fh)
-        batch = EventTrace(batch_fh)
-        for t, s in zip(times.tolist(), seqs.tolist()):
-            scalar.emit(t, s, "wave", "sim")
-        batch.emit_many(times, seqs, "wave", "sim")
-        scalar.close()
-        batch.close()
-        assert batch_fh.getvalue() == scalar_fh.getvalue()
-
-    def test_accepts_plain_sequences_and_empty_batches(self):
-        fh = StringIO()
-        trace = EventTrace(fh)
-        trace.emit_many([], [], "wave", "sim")
-        trace.emit_many([1.5, 2.5], [0, 1], "wave", "sim")
-        trace.close()
-        assert [json.loads(line)["t"]
-                for line in fh.getvalue().splitlines()] == [1.5, 2.5]
 
 
 class TestCrashDurability:

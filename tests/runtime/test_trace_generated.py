@@ -1,6 +1,6 @@
 """Generated payloads through :class:`EventTrace`'s one line formatter.
 
-``emit`` / ``emit_many`` / ``emit_many_data`` assemble every line from two
+``emit`` / ``emit_many_data`` assemble every line from two
 cached ``(actor, kind)`` fragments around the payload and the sequence
 number — ``EventTrace.line_parts``, which callers of ``emit_many_lines``
 build their whole lines around as well.  The contract is byte equality
@@ -74,35 +74,6 @@ def test_emit_is_byte_equal_to_dumping_the_record(t, seq, kind, actor, data,
 
 
 @settings(max_examples=60, deadline=None)
-@given(events=st.lists(st.tuples(TIMES, SEQS), max_size=12), kind=NAMES,
-       actor=NAMES, sample=st.integers(1, 4), lead=st.integers(0, 3),
-       as_arrays=st.booleans())
-def test_emit_many_is_byte_equal_and_samples_like_emit(events, kind, actor,
-                                                       sample, lead,
-                                                       as_arrays):
-    fh = StringIO()
-    trace = EventTrace(fh, sample=sample)
-    for i in range(lead):  # shift the sampling phase the run starts on
-        trace.emit(0.0, i, "lead", "t")
-    times = [t for t, _ in events]
-    seqs = [s for _, s in events]
-    if as_arrays:
-        trace.emit_many(np.asarray(times, dtype=float),
-                        np.asarray(seqs, dtype=np.int64), kind, actor)
-    else:
-        trace.emit_many(times, seqs, kind, actor)
-    trace.close()
-    want = [json.dumps({"meta": {"sample": sample}}, sort_keys=True) + "\n"
-            ] if sample > 1 else []
-    want += [reference_line(0.0, i, "lead", "t", None)
-             for i in kept(0, lead, sample)]
-    want += [reference_line(times[i], seqs[i], kind, actor, None)
-             for i in kept(lead, len(events), sample)]
-    assert fh.getvalue() == "".join(want)
-    assert trace.events_seen == lead + len(events)
-
-
-@settings(max_examples=60, deadline=None)
 @given(events=st.lists(st.tuples(TIMES, SEQS, PAYLOADS), max_size=10),
        kind=NAMES, actor=NAMES, sample=st.integers(1, 4),
        lead=st.integers(0, 3), as_arrays=st.booleans())
@@ -129,6 +100,8 @@ def test_emit_many_data_is_byte_equal_and_samples_like_emit(
     want += [reference_line(times[i], seqs[i], kind, actor, payloads[i])
              for i in kept(lead, len(events), sample)]
     assert lines == want
+    assert trace.events_seen == lead + len(events)
+    assert trace.events_written == len(want)
 
 
 def test_fragments_fill_on_first_use_and_are_shared_by_all_emitters():
@@ -136,7 +109,6 @@ def test_fragments_fill_on_first_use_and_are_shared_by_all_emitters():
     assert trace._fragments == {}  # nothing is built at construction
     trace.emit(0.0, 0, "complete", "gateway", {"k": 1})
     parts = trace._fragments["gateway", "complete"]
-    trace.emit_many([1.0], [1], "complete", "gateway")
     trace.emit_many_data([2.0], [2], "complete", "gateway", ['{"k": 2}'])
     assert list(trace._fragments) == [("gateway", "complete")]
     assert trace._fragments["gateway", "complete"] is parts

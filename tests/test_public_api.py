@@ -108,10 +108,12 @@ class TestOneRequestRouter:
     whether it is given a registry — not a subclass, not a queue argument."""
 
     def test_no_gateway_class_is_exported(self):
+        import repro.runtime
         import repro.serving
 
         assert not hasattr(repro.serving, "ServingGateway")
         assert "ServingGateway" not in repro.serving.__all__
+        assert "batch_action" not in repro.runtime.__all__
 
     def test_the_router_takes_the_tenancy_arguments(self):
         import inspect
