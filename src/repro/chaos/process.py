@@ -17,7 +17,7 @@ and co-scheduled scenarios alike.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.chaos.plan import (CRASH, DERATE, NETWORK_END, NETWORK_START,
                               REVIVE, STRAGGLER_END, STRAGGLER_START,
@@ -141,11 +141,9 @@ class ChaosProcess:
         self.plan = plan
         self.controller = controller
         self.name = name
-        self._runtime = None
 
     def start(self, runtime) -> None:
-        self._runtime = runtime
         for ev in self.plan.events:
-            runtime.at(ev.time,
-                       (lambda t, ev=ev: self.controller.apply(t, ev)),
-                       kind=f"chaos_{ev.kind}", actor=self.name)
+            runtime.queue.post(ev.time,
+                               (lambda t, ev=ev: self.controller.apply(t, ev)),
+                               kind=f"chaos_{ev.kind}", actor=self.name)

@@ -194,20 +194,25 @@ def _tenancy_from_args(args):
     return registry, args.journal, args.dispatcher
 
 
-def _print_tenant_table(report) -> None:
-    """The per-tenant SLO attainment table of a gateway run."""
-    if not report.tenants:
-        return
+def _tenant_table(tenants, title: str) -> str:
+    """The per-tenant table, the same rows live (``report.tenants``) and
+    replayed from a journal (``audit_journal(...)["tenants"]``)."""
     rows = [
         [tenant, f"{d['weight']:g}", f"{int(d['requests'])}",
          f"{int(d['shed'])}", f"{d['latency_p99_ms']:.2f}",
          f"{d['slo_p99_ms']:.0f}", f"{d['slo_attainment']:.1%}"]
-        for tenant, d in report.tenants.items()
+        for tenant, d in tenants.items()
     ]
-    print(format_table(
+    return format_table(
         ["tenant", "weight", "served", "shed", "p99 (ms)", "SLO (ms)",
          "attainment"],
-        rows, title="per-tenant SLO attainment"))
+        rows, title=title)
+
+
+def _print_tenant_table(report) -> None:
+    """The per-tenant SLO attainment table of a gateway run."""
+    if report.tenants:
+        print(_tenant_table(report.tenants, "per-tenant SLO attainment"))
 
 
 def _add_cosched_flags(p: argparse.ArgumentParser) -> None:
@@ -760,19 +765,10 @@ def _cmd_audit(args) -> int:
         import json
         print(json.dumps(audit, indent=2, sort_keys=True))
         return 0
-    rows = [
-        [tenant, f"{d['weight']:g}", f"{int(d['requests'])}",
-         f"{int(d['shed'])}", f"{d['latency_p99_ms']:.2f}",
-         f"{d['slo_p99_ms']:.0f}", f"{d['slo_attainment']:.1%}"]
-        for tenant, d in audit["tenants"].items()
-    ]
-    print(format_table(
-        ["tenant", "weight", "served", "shed", "p99 (ms)", "SLO (ms)",
-         "attainment"],
-        rows,
-        title=f"journal audit: {audit['requests']} served, "
-              f"{audit['shed']} shed "
-              f"({audit['dispatcher'] or 'unknown'} dispatcher)"))
+    print(_tenant_table(
+        audit["tenants"],
+        f"journal audit: {audit['requests']} served, {audit['shed']} shed "
+        f"({audit['dispatcher'] or 'unknown'} dispatcher)"))
     if audit.get("torn_tail"):
         print(f"note: the journal ends in {audit['torn_tail']} torn "
               f"(unparsable) line; the table covers the intact prefix")

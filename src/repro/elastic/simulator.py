@@ -34,7 +34,7 @@ from repro.hardware.perfmodel import ClusterConditions, PerfModel, StepTimeBreak
 from repro.runtime import (
     DeviceLease,
     DevicePool,
-    Event,
+    EventQueue,
     EventTrace,
     Runtime,
     open_trace,
@@ -140,12 +140,13 @@ class TrainingClusterProcess:
         self._stall_until: Dict[int, float] = {}
         self._rates: Dict[int, float] = {}
         self._rate_cache: Dict[Tuple[int, int], float] = {}
-        self._eta_events: Dict[int, Event] = {}
+        # job_id -> (predicted completion time, handle of its "eta" event)
+        self._etas: Dict[int, Tuple[float, int]] = {}
         self._arrival_handles: Dict[int, int] = {}
         self._leases: Dict[int, DeviceLease] = {}
         self._lease_seconds: Dict[int, float] = {}
         self._time = 0.0
-        self._runtime: Optional[Runtime] = None
+        self._queue: Optional[EventQueue] = None
         # Chaos wiring (all inert until configure_chaos is called): shared
         # degradation state, the recovery timing policy, per-job recovery
         # stalls (kept separate from resize stalls so the no-chaos stall
@@ -162,10 +163,10 @@ class TrainingClusterProcess:
     # -- process protocol ----------------------------------------------------
 
     def start(self, runtime: Runtime) -> None:
-        self._runtime = runtime
+        self._queue = runtime.queue
         # One bulk post for the whole trace's arrival wave: sequence
-        # numbers are assigned exactly as the old per-spec push loop did.
-        handles = runtime.post_many(
+        # numbers are assigned exactly as a per-spec post loop would.
+        handles = self._queue.post_many(
             [spec.arrival_time for spec in self._arrivals], self._wake,
             kind="arrival", actor=self.name)
         self._arrival_handles = {
@@ -268,9 +269,7 @@ class TrainingClusterProcess:
             self.arrived.append(self.jobs[spec.job_id])
             # The arrival was absorbed by this wake; its own event (the same
             # instant, or within EPS) must not fire a second time.
-            assert self._runtime is not None
-            self._runtime.queue.cancel_handle(
-                self._arrival_handles.pop(spec.job_id))
+            self._queue.cancel_handle(self._arrival_handles.pop(spec.job_id))
             self._next_arrival += 1
             admitted.append(spec.job_id)
         return admitted
@@ -286,9 +285,9 @@ class TrainingClusterProcess:
                 job.allocation_log.append((t, 0))
                 job.gpus = 0
                 self._rates.pop(job.job_id, None)
-                event = self._eta_events.pop(job.job_id, None)
-                if event is not None:
-                    event.cancel()
+                eta = self._etas.pop(job.job_id, None)
+                if eta is not None:
+                    self._queue.cancel_handle(eta[1])
                 lease = self._leases.pop(job.job_id, None)
                 if lease is not None:
                     self._lease_seconds[job.job_id] = self.pool.release(lease, t)
@@ -355,7 +354,7 @@ class TrainingClusterProcess:
         advance's floating-point accumulation can drift a prediction by an
         ulp, and the golden traces pin the recomputed value.
         """
-        assert self._runtime is not None
+        queue = self._queue
         for job in self.arrived:
             if job.status != JobStatus.RUNNING:
                 continue
@@ -364,13 +363,14 @@ class TrainingClusterProcess:
                 continue
             start = max(t, self._stall_for(job.job_id, t))
             eta = start + job.remaining_steps / rate
-            event = self._eta_events.get(job.job_id)
-            if event is not None and event.alive and event.time == eta:
-                continue
-            if event is not None:
-                event.cancel()
-            self._eta_events[job.job_id] = self._runtime.at(
-                eta, self._wake, kind="eta", actor=self.name)
+            old = self._etas.get(job.job_id)
+            if old is not None:
+                old_eta, handle = old
+                if old_eta == eta and queue.handle_alive(handle):
+                    continue
+                queue.cancel_handle(handle)
+            self._etas[job.job_id] = (
+                eta, queue.post(eta, self._wake, kind="eta", actor=self.name))
 
     # -- co-scheduling hooks -------------------------------------------------
 
@@ -434,9 +434,9 @@ class TrainingClusterProcess:
         job.set_allocation(now, lease.size)
         self._recover(now, job, device_id, lease)
         if job.gpus == 0:
-            event = self._eta_events.pop(job_id, None)
-            if event is not None:
-                event.cancel()
+            eta = self._etas.pop(job_id, None)
+            if eta is not None:
+                self._queue.cancel_handle(eta[1])
         self._rates = {
             j.job_id: self._rate(j)
             for j in self.arrived

@@ -1,4 +1,4 @@
-"""The shared discrete-event core: clock, event queue, processes, runtime.
+"""The shared discrete-event core: event queue, processes, runtime.
 
 Both the elastic cluster simulator (training jobs) and the serving router
 (inference traffic) are discrete-event loops over the same simulated clock;
@@ -7,24 +7,26 @@ event ordering, which made the paper's most interesting scenario — training
 elastically donating devices to a serving spike on one shared pool —
 inexpressible.  This is the one event loop both now run on:
 
-* :class:`SimClock` — monotonic simulated time;
-* :class:`EventQueue` — the scheduler.  Events live in **slab storage**
-  (:class:`_EventSlab`: preallocated numpy arrays of sequence numbers and
-  slot generations plus a free list, addressed by integer handles) so the
-  hot path allocates no per-event objects, and one binary heap of
-  ``(time, seq, slot)`` tuples orders them.  :meth:`EventQueue.post_many`
-  schedules a whole wave of events sharing one action in a single call,
-  sequence-numbered exactly as a loop of ``push()`` calls would be.
+* :class:`EventQueue` — the scheduler, and the one way to schedule an
+  event.  Events live in **slab storage** (:class:`_EventSlab`:
+  preallocated numpy arrays of sequence numbers and slot generations plus
+  a free list, addressed by integer handles) so the hot path allocates no
+  per-event objects, and one binary heap of ``(time, seq, slot)`` tuples
+  orders them.  :meth:`EventQueue.post` schedules one event and returns
+  its integer handle; :meth:`EventQueue.post_many` schedules a whole wave
+  sharing one action in a single call, sequence-numbered exactly as a
+  loop of ``post()`` calls would be.
 
-  Cancellation is O(1) (ETA invalidation: a completion prediction that a
-  reallocation obsoletes is cancelled in place, not searched for), and
-  ``len(queue)`` is an O(1) live counter, not a scan.
-* :class:`Process` — the actor protocol: anything that registers events and
-  reacts to them (a training cluster, a request router, a co-scheduler);
-* :class:`Runtime` — drives the loop: pop the earliest live event, advance
-  the clock, dispatch to its action, optionally journal the event to a
-  :class:`~repro.runtime.trace.EventTrace` (the ``--trace-out`` JSONL
-  timeline).
+  Cancellation by handle is O(1) (ETA invalidation: a completion
+  prediction that a reallocation obsoletes is cancelled in place, not
+  searched for), and ``len(queue)`` is an O(1) live counter, not a scan.
+* :class:`Process` — the actor protocol: anything that posts events on
+  ``runtime.queue`` and reacts to them (a training cluster, a request
+  router, a chaos plan);
+* :class:`Runtime` — drives the loop: pop the earliest live event, move
+  ``now`` to its time, dispatch to its action, optionally journal the
+  event to a :class:`~repro.runtime.trace.EventTrace` (the
+  ``--trace-out`` JSONL timeline).
 
 Determinism is a contract, not an accident: events at the same timestamp
 fire in the order they were scheduled (``seq`` is a global monotone
@@ -46,11 +48,9 @@ import numpy as np
 from repro.runtime.trace import EventTrace
 
 __all__ = [
-    "Event",
     "EventQueue",
     "Process",
     "Runtime",
-    "SimClock",
 ]
 
 # An event action receives the fire time and may return a dict of fields to
@@ -59,24 +59,6 @@ Action = Callable[[float], Optional[Dict[str, Any]]]
 
 _SLOT_BITS = 32
 _SLOT_MASK = (1 << _SLOT_BITS) - 1
-
-
-class SimClock:
-    """Monotonic simulated time in seconds."""
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def advance(self, time: float) -> None:
-        """Move the clock forward; moving it backwards is a scheduling bug."""
-        if time < self._now:
-            raise RuntimeError(
-                f"clock cannot run backwards: {time!r} < {self._now!r}")
-        self._now = time
 
 
 class _EventSlab:
@@ -88,8 +70,8 @@ class _EventSlab:
     tuple per ``post_many`` wave.  Handles encode
     ``generation << 32 | slot``; freeing a slot bumps its generation, so a
     handle held across the slot's reuse is detectably stale:
-    ``cancel()`` on a fired-and-recycled event is a no-op, never a misfire
-    on the new tenant.
+    ``cancel_handle()`` on a fired-and-recycled event is a no-op, never a
+    misfire on the new tenant.
 
     Freed slots go back on the free list immediately — memory is bounded
     by the peak *live* event count, not the total scheduled count.  Heap
@@ -97,13 +79,12 @@ class _EventSlab:
     the slot's ``seq`` is reset to -1 (sequence numbers are never reused).
     """
 
-    __slots__ = ("seq", "gen", "payload", "facade", "_free", "live")
+    __slots__ = ("seq", "gen", "payload", "_free", "live")
 
     def __init__(self, capacity: int = 256) -> None:
         self.seq = np.full(capacity, -1, dtype=np.int64)
         self.gen = np.zeros(capacity, dtype=np.int64)
         self.payload: List[Optional[Tuple[Action, str, str]]] = [None] * capacity
-        self.facade: List[Optional["Event"]] = [None] * capacity
         self._free: List[int] = list(range(capacity - 1, -1, -1))
         self.live = 0
 
@@ -122,7 +103,6 @@ class _EventSlab:
         self.gen = np.concatenate(
             [self.gen, np.zeros(extra, dtype=np.int64)])
         self.payload.extend([None] * extra)
-        self.facade.extend([None] * extra)
         self._free.extend(range(new - 1, old - 1, -1))
 
     def alloc(self, seq: int, payload: Tuple[Action, str, str]) -> int:
@@ -159,51 +139,11 @@ class _EventSlab:
         self.seq[slot] = -1
         self.gen[slot] += 1
         self.payload[slot] = None
-        self.facade[slot] = None
         self._free.append(slot)
         self.live -= 1
 
     def handle_live(self, handle: int) -> bool:
         return self.gen[handle & _SLOT_MASK] == handle >> _SLOT_BITS
-
-
-class Event:
-    """A cancellable reference to one scheduled occurrence.
-
-    ``push()`` returns one of these per event (the pre-slab API); the event
-    itself lives in the queue's slab and this object is a view onto it.
-    ``time``/``seq``/``kind``/``actor``/``action`` are plain attributes
-    frozen at scheduling time; ``alive`` and ``cancel()`` consult the slab
-    through the generation-encoded handle, so they stay correct (and
-    harmless) after the event fires and its slot is recycled.
-    """
-
-    __slots__ = ("time", "seq", "kind", "actor", "action", "_queue", "_handle")
-
-    def __init__(self, queue: "EventQueue", handle: int, time: float,
-                 seq: int, kind: str, actor: str, action: Action) -> None:
-        self.time = time
-        self.seq = seq
-        self.kind = kind
-        self.actor = actor
-        self.action = action
-        self._queue = queue
-        self._handle = handle
-
-    @property
-    def alive(self) -> bool:
-        return self._queue._slab.handle_live(self._handle)
-
-    def cancel(self) -> None:
-        self._queue.cancel_handle(self._handle)
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "" if self.alive else " DEAD"
-        return (f"Event(t={self.time:.6f}, seq={self.seq}, "
-                f"kind={self.kind!r}, actor={self.actor!r}{state})")
 
 
 class EventQueue:
@@ -230,31 +170,13 @@ class EventQueue:
 
     # -- scheduling ----------------------------------------------------------
 
-    def push(self, time: float, action: Action, *, kind: str = "event",
-             actor: str = "runtime") -> Event:
-        """Schedule ``action`` at ``time``; returns the cancellable event."""
-        if not math.isfinite(time):
-            raise ValueError(f"event time must be finite, got {time!r}")
-        time = float(time)
-        seq = self._seq
-        self._seq = seq + 1
-        handle = self._slab.alloc(seq, (action, kind, actor))
-        slot = handle & _SLOT_MASK
-        event = Event(self, handle, time, seq, kind, actor, action)
-        self._slab.facade[slot] = event
-        heapq.heappush(self._heap, (time, seq, slot))
-        return event
-
     def post(self, time: float, action: Action, *, kind: str = "event",
              actor: str = "runtime") -> int:
         """Schedule ``action`` at ``time`` and return its *handle*.
 
-        The facade-free single-event twin of :meth:`post_many`: identical
-        scheduling semantics to :meth:`push` (same sequence numbering,
-        same ordering) but no :class:`Event` object is built — the
-        returned int handle drives :meth:`cancel_handle` and
-        :meth:`handle_alive` directly.  This is the seam a hot serving
-        loop posts its admit/dispatch/complete chain through.
+        The handle is an int that drives :meth:`cancel_handle` and
+        :meth:`handle_alive`; it stays safe to use after its event fired
+        (see :class:`_EventSlab`).  ``time`` must be finite.
         """
         if not math.isfinite(time):
             raise ValueError(f"event time must be finite, got {time!r}")
@@ -271,11 +193,10 @@ class EventQueue:
         """Schedule one event per entry of ``times``, all sharing ``action``.
 
         Equivalent to (and sequence-numbered exactly like) a loop of
-        :meth:`push` calls in array order, but with bulk slab allocation
-        and bulk heap insertion — this is how a generator schedules a
-        whole arrival wave in one call.  Returns an int64 array of event
-        *handles*; pass one to :meth:`cancel_handle`/:meth:`handle_alive`
-        (no per-event :class:`Event` objects are built on this path).
+        :meth:`post` calls in array order, but with bulk slab allocation
+        and bulk heap insertion — this is how a process schedules a whole
+        arrival wave in one call.  Returns an int64 array of event
+        *handles*.
         """
         times = np.ascontiguousarray(times, dtype=np.float64)
         if times.ndim != 1:
@@ -320,58 +241,27 @@ class EventQueue:
 
     # -- consumption ---------------------------------------------------------
 
-    def _head(self) -> Optional[Tuple[float, int, int]]:
-        """The earliest live heap entry, dropping dead ones on the way."""
+    def pop_dispatch(self, until: Optional[float] = None,
+                     ) -> Optional[Tuple[float, int, str, str, Action]]:
+        """Pop the earliest live event for the runtime's loop.
+
+        Returns ``None`` when drained (or the head lies beyond ``until``),
+        else ``(time, seq, kind, actor, action)``.  Dead heap entries met
+        on the way to the head are dropped.
+        """
         heap = self._heap
         seqs = self._slab.seq
         while heap:
-            entry = heap[0]
-            if seqs[entry[2]] == entry[1]:
-                return entry
+            time, seq, slot = heap[0]
+            if seqs[slot] == seq:
+                break
             heapq.heappop(heap)
             self._dead -= 1
-        return None
-
-    def _facade(self, entry: Tuple[float, int, int]) -> Event:
-        time, seq, slot = entry
-        event = self._slab.facade[slot]
-        if event is None:
-            action, kind, actor = self._slab.payload[slot]
-            handle = (int(self._slab.gen[slot]) << _SLOT_BITS) | slot
-            event = Event(self, handle, time, seq, kind, actor, action)
-            self._slab.facade[slot] = event
-        return event
-
-    def peek(self) -> Optional[Event]:
-        """The earliest live event without removing it (None if drained)."""
-        entry = self._head()
-        return None if entry is None else self._facade(entry)
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest live event (None if drained)."""
-        entry = self._head()
-        if entry is None:
+        else:
             return None
-        event = self._facade(entry)
-        heapq.heappop(self._heap)
-        self._slab.free(entry[2])
-        return event
-
-    def pop_dispatch(self, until: Optional[float] = None,
-                     ) -> Optional[Tuple[float, int, str, str, Action]]:
-        """Pop the next event for the runtime's hot loop.
-
-        Returns ``None`` when drained (or the head lies beyond ``until``),
-        else ``(time, seq, kind, actor, action)``.  No :class:`Event`
-        object is built on this path.
-        """
-        entry = self._head()
-        if entry is None:
-            return None
-        time, seq, slot = entry
         if until is not None and time > until:
             return None
-        heapq.heappop(self._heap)
+        heapq.heappop(heap)
         action, kind, actor = self._slab.payload[slot]
         self._slab.free(slot)
         return (time, seq, kind, actor, action)
@@ -393,11 +283,15 @@ class EventQueue:
 class Process(Protocol):
     """The actor protocol: a named participant in the event loop.
 
-    A process seeds its initial events in :meth:`start` and thereafter
-    reacts to the events it scheduled (each event's action closes over the
-    process).  Processes never call each other synchronously across
-    subsystem boundaries except through explicit mediator objects (the
-    co-scheduler), which keeps event ordering the single source of truth.
+    A process posts its initial events on ``runtime.queue`` in
+    :meth:`start` and thereafter reacts to the events it scheduled (each
+    event's action closes over the process).  A process reads
+    ``runtime.queue`` no earlier than :meth:`start`, so a test may swap
+    the queue for a reference model between building the runtime and
+    adding the process.  Processes never call each other synchronously
+    across subsystem boundaries except through explicit mediator objects
+    (the co-scheduler), which keeps event ordering the single source of
+    truth.
     """
 
     name: str
@@ -407,73 +301,27 @@ class Process(Protocol):
 
 
 class Runtime:
-    """The event loop: clock + queue + registered processes + trace.
+    """The event loop: a queue, the simulated time ``now``, and a trace.
 
-    ``run()`` pops live events in ``(time, seq)`` order, advances the clock
-    to each event's time, and dispatches.  An action may schedule further
-    events (including at the current instant — they fire later this same
-    timestamp, after already-queued same-time events) and may call
-    :meth:`stop` to end the run early (a co-scheduled run stops when the
-    serving trace drains, even though training ETAs remain queued).
-
-    Every event is one call of its action; a whole wave can still be
-    *scheduled* in one call (:meth:`post_many`).
+    ``run()`` pops live events in ``(time, seq)`` order, moves ``now`` to
+    each event's time, and dispatches.  An action may post further events
+    on :attr:`queue` (including at the current instant — they fire later
+    this same timestamp, after already-queued same-time events) and may
+    call :meth:`stop` to end the run early (a co-scheduled run stops when
+    the serving trace drains, even though training ETAs remain queued).
+    ``events_processed`` counts fired events across every ``run()``.
     """
 
     def __init__(self, trace: Optional[EventTrace] = None) -> None:
-        self.clock = SimClock()
         self.queue = EventQueue()
         self.trace = trace
-        self.processes: List[Process] = []
+        self.now = 0.0
+        self.events_processed = 0
         self._stopped = False
-        self._events_processed = 0
-
-    @property
-    def now(self) -> float:
-        return self.clock.now
-
-    @property
-    def events_processed(self) -> int:
-        return self._events_processed
 
     def add(self, process: Process) -> None:
-        """Register a process and let it seed its initial events."""
-        self.processes.append(process)
+        """Register a process: let it post its initial events."""
         process.start(self)
-
-    def at(self, time: float, action: Action, *, kind: str = "event",
-           actor: str = "runtime") -> Event:
-        """Schedule ``action`` at absolute simulated ``time``."""
-        return self.queue.push(time, action, kind=kind, actor=actor)
-
-    def after(self, delay: float, action: Action, *, kind: str = "event",
-              actor: str = "runtime") -> Event:
-        """Schedule ``action`` ``delay`` seconds from the current clock."""
-        if delay < 0:
-            raise ValueError(f"delay must be >= 0, got {delay}")
-        return self.queue.push(self.clock.now + delay, action,
-                               kind=kind, actor=actor)
-
-    def post(self, time: float, action: Action, *, kind: str = "event",
-             actor: str = "runtime") -> int:
-        """Schedule ``action`` at ``time`` facade-free; returns the event
-        handle (see :meth:`EventQueue.post`)."""
-        return self.queue.post(time, action, kind=kind, actor=actor)
-
-    def cancel(self, handle: int) -> bool:
-        """Cancel a handle-posted event; False if already dead/fired."""
-        return self.queue.cancel_handle(handle)
-
-    def alive(self, handle: int) -> bool:
-        """Whether a handle-posted event is still scheduled."""
-        return self.queue.handle_alive(handle)
-
-    def post_many(self, times: Union[Sequence[float], np.ndarray],
-                  action: Action, *, kind: str = "event",
-                  actor: str = "runtime") -> np.ndarray:
-        """Schedule a whole wave of events sharing one action in one call
-        (see :meth:`EventQueue.post_many`)."""
-        return self.queue.post_many(times, action, kind=kind, actor=actor)
 
     def stop(self) -> None:
         """End the run after the current event's action returns."""
@@ -488,9 +336,8 @@ class Runtime:
         registration) is honored: the loop never begins.  Any attached
         trace is flushed before returning.
         """
-        processed = 0
+        start = self.events_processed
         queue = self.queue
-        clock = self.clock
         trace = self.trace
         try:
             while not self._stopped:
@@ -498,11 +345,11 @@ class Runtime:
                 if item is None:
                     break
                 time, seq, kind, actor, action = item
-                if time < clock._now:
+                if time < self.now:
                     raise RuntimeError(
                         f"clock cannot run backwards: {time!r} < "
-                        f"{clock._now!r}")
-                clock._now = time
+                        f"{self.now!r}")
+                self.now = time
                 try:
                     data = action(time)
                 except BaseException as exc:
@@ -513,11 +360,10 @@ class Runtime:
                         trace.emit(time, seq, kind, actor,
                                    {"error": f"{type(exc).__name__}: {exc}"})
                     raise
-                processed += 1
-                self._events_processed += 1
+                self.events_processed += 1
                 if trace is not None:
                     trace.emit(time, seq, kind, actor, data)
         finally:
             if trace is not None:
                 trace.flush()
-        return processed
+        return self.events_processed - start

@@ -18,8 +18,8 @@ journal (empty object when it returned None).
 
 The line envelope — ``{"actor": …, "data": `` before the payload,
 ``, "kind": …, "seq": `` after it — has one writer,
-:meth:`EventTrace.line_parts`.  Every ``emit*`` method formats through it,
-and a hot caller that assembles whole lines for
+:meth:`EventTrace.line_parts`.  :meth:`EventTrace.emit` formats through
+it, and a hot caller that assembles whole lines for
 :meth:`EventTrace.emit_many_lines` (the serving gateway's journal) builds
 them around the same two fragments, so a line is byte-equal to
 ``json.dumps(record, sort_keys=True)`` whoever wrote it.
@@ -107,9 +107,9 @@ class EventTrace:
         is byte for byte ``json.dumps(record, sort_keys=True)`` (key order
         actor < data < kind < seq < t; a float's ``repr`` is json's).
 
-        This is the one place the line envelope is spelled: every ``emit*``
-        method formats through it, and a caller that assembles whole lines
-        for :meth:`emit_many_lines` takes its envelope from here too."""
+        This is the one place the line envelope is spelled: :meth:`emit`
+        formats through it, and a caller that assembles whole lines for
+        :meth:`emit_many_lines` takes its envelope from here too."""
         parts = self._fragments.get((actor, kind))
         if parts is None:
             parts = self._fragments[actor, kind] = (
@@ -136,49 +136,12 @@ class EventTrace:
         if len(self._buffer) >= self._buffer_lines:
             self.flush()
 
-    def emit_many_data(self, times: Sequence[float], seqs: Sequence[int],
-                       kind: str, actor: str,
-                       data_json: Sequence[str]) -> None:
-        """Journal a run of events that each carry a payload.
-
-        ``data_json[i]`` is event ``i``'s payload *already formatted* as a
-        JSON object string with its keys in sorted order (the caller
-        formats a whole wave in one pass).  Lines, sampling and buffering
-        counters come out exactly as from per-event :meth:`emit` calls.
-        """
-        n = len(times)
-        if n == 0:
-            return
-        if hasattr(times, "tolist"):
-            times = times.tolist()   # np.float64 repr != float repr
-        if hasattr(seqs, "tolist"):
-            seqs = seqs.tolist()
-        seen = self.events_seen
-        self.events_seen = seen + n
-        sample = self.sample
-        first = (-seen) % sample  # offset of the first kept event
-        if first >= n:
-            return
-        if sample > 1:
-            times = times[first::sample]
-            seqs = seqs[first::sample]
-            data_json = data_json[first::sample]
-        prefix, middle = self.line_parts(actor, kind)
-        buffer = self._buffer
-        buffer.extend(
-            f'{prefix}{d}{middle}{s}, "t": {t!r}}}\n'
-            for t, s, d in zip(times, seqs, data_json))
-        self.events_written += len(data_json)
-        if len(buffer) >= self._buffer_lines:
-            self.flush()
-
     def emit_many_lines(self, lines: Sequence[str]) -> None:
         """Journal a run of fully assembled JSONL lines.
 
-        The zero-copy sibling of :meth:`emit_many_data` for hot callers
-        that build each complete line themselves (one f-string per line,
-        around the envelope :meth:`line_parts` returns and whatever of the
-        payload is constant across the run).  The caller guarantees
+        For hot callers that build each complete line themselves (one
+        f-string per line, around the envelope :meth:`line_parts` returns
+        and whatever of the payload is constant across the run).  The caller guarantees
         every line is byte-identical to what :meth:`emit` would have
         produced — newline included; sampling and buffering counters
         advance exactly as if each line's event had been offered

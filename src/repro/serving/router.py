@@ -74,6 +74,7 @@ from repro.hardware.perfmodel import PerfModel
 from repro.runtime import (
     DeviceLease,
     DevicePool,
+    EventQueue,
     EventTrace,
     Runtime,
     open_trace,
@@ -358,6 +359,7 @@ class RequestRouter:
         self.report = ServingReport()
         self._cluster = pool if pool is not None else inference.mapping.cluster
         self._runtime: Optional[Runtime] = None
+        self._queue: Optional[EventQueue] = None
         self._device_pool: Optional[DevicePool] = None
         self._lease: Optional[DeviceLease] = None
         self._governor: Optional[Callable[[float, int], int]] = None
@@ -376,8 +378,8 @@ class RequestRouter:
         self._retry_delay = 0.05
         self._restore_target: Optional[int] = None
         self._halted = False
-        # Head-of-chain events are raw integer handles from Runtime.post —
-        # the batched path posts straight into the slab, no Event facades.
+        # Head-of-chain events are the integer handles runtime.queue.post
+        # returned; the queue cancels and tests them by handle.
         self._admit_handle: Optional[int] = None
         self._dispatch_handle: Optional[int] = None
         self._inflight: Optional[Tuple[int, List[tuple], int, float]] = None
@@ -425,24 +427,13 @@ class RequestRouter:
         clipped all the way back to the current allocation is a no-op —
         returns None, no remap, no scaling event.
         """
-        vn_set = self.inference.mapping.vn_set
-        target = min(target, vn_set.num_nodes)
+        target = min(target, self.inference.mapping.vn_set.num_nodes)
         if self._governor is not None:
             target = self._governor(now, target)
         if target == self._lease.size:
             return None
         self._device_pool.resize(self._lease, target, now)
-        old_mapping = self.inference.mapping
-        new_mapping = Mapping.even(
-            vn_set, self._cluster.subset(list(self._lease.device_ids)))
-        cost = migration_time(
-            old_mapping, new_mapping,
-            model_bytes=self.inference.workload.footprint.param_bytes,
-            state_bytes=0, interconnect=self._chaos_interconnect)
-        self.inference.remap(new_mapping)
-        if self._on_rescaled is not None:
-            self._on_rescaled(now)
-        return cost
+        return self._remap_to_lease(now)
 
     # -- runtime wiring -------------------------------------------------------
 
@@ -464,6 +455,7 @@ class RequestRouter:
         co-scheduled run stops there).
         """
         self._runtime = runtime
+        self._queue = runtime.queue
         if device_pool is None:
             device_pool = DevicePool(
                 sorted(d.device_id for d in self._cluster.devices))
@@ -471,7 +463,7 @@ class RequestRouter:
         if lease is None:
             ids = sorted(self.inference.mapping.active_devices())
             lease = device_pool.acquire(self.name, len(ids),
-                                        runtime.clock.now, ids=ids)
+                                        runtime.now, ids=ids)
         self._lease = lease
         self._governor = governor
         self._on_rescaled = on_rescaled
@@ -548,7 +540,7 @@ class RequestRouter:
         # busy past the arrival); the admission cutoff stays the arrival
         # time itself so the batch decision sees exactly the same queue.
         wake = max(nxt, self._runtime.now)
-        self._admit_handle = self._runtime.post(
+        self._admit_handle = self._queue.post(
             wake, lambda t, cutoff=nxt: self._on_admit(t, cutoff),
             kind="admit", actor=self.name)
 
@@ -641,7 +633,7 @@ class RequestRouter:
             policy.trigger_time(self._pending.arrival_times()),
             self._server_free, self._runtime.now)
         self._admit(launch)
-        self._dispatch_handle = self._runtime.post(
+        self._dispatch_handle = self._queue.post(
             launch, self._dispatch, kind="dispatch", actor=self.name)
 
     def _dispatch(self, launch: float) -> Dict[str, object]:
@@ -661,7 +653,7 @@ class RequestRouter:
         completion = launch + latency
         batch_id = self._batch_id
         self._batch_id += 1
-        handle = self._runtime.post(
+        handle = self._queue.post(
             completion,
             lambda t: self._on_completion(t, batch, batch_id, launch, result),
             kind="complete", actor=self.name)
@@ -696,10 +688,6 @@ class RequestRouter:
                 old = self._devices
                 cost = self._rescale(completion, target)
                 if cost is not None:
-                    report.scaling_events.append(
-                        (completion, old, self.devices, cost))
-                    self._devices = self.devices
-                    self._server_free = completion + cost
                     data["rescale"] = {"from": old, "to": self._devices,
                                        "cost": cost}
         self._schedule_next()
@@ -727,7 +715,7 @@ class RequestRouter:
             self._remap_to_lease(now)
         if self._inflight is not None:
             handle, batch, _batch_id, _launch = self._inflight
-            self._runtime.cancel(handle)
+            self._queue.cancel_handle(handle)
             self._inflight = None
             self._pending.requeue(batch)
             requeued = len(batch)
@@ -735,8 +723,8 @@ class RequestRouter:
             if not self._halted:
                 self._schedule_retry(now)
         elif (self._halted and self._dispatch_handle is not None
-                and self._runtime.alive(self._dispatch_handle)):
-            self._runtime.cancel(self._dispatch_handle)
+                and self._queue.handle_alive(self._dispatch_handle)):
+            self._queue.cancel_handle(self._dispatch_handle)
             self._dispatch_handle = None
         if self.autoscaler is not None:
             self.autoscaler.on_failure(now)
@@ -767,7 +755,12 @@ class RequestRouter:
             self._schedule_retry(now)
 
     def _remap_to_lease(self, now: float) -> float:
-        """Remap the engine onto exactly the lease's current devices."""
+        """Remap the engine onto exactly the lease's current devices.
+
+        The one remap path (autoscaler rescales and crash/revive reactions
+        alike): prices the §4.1 cost, records the scaling event, holds the
+        server busy for the cost, then notifies ``on_rescaled``.
+        """
         old_mapping = self.inference.mapping
         new_mapping = Mapping.even(
             old_mapping.vn_set,
@@ -787,7 +780,7 @@ class RequestRouter:
         return cost
 
     def _schedule_retry(self, now: float) -> None:
-        self._runtime.at(now + self._retry_delay, self._on_retry,
+        self._queue.post(now + self._retry_delay, self._on_retry,
                          kind="retry", actor=self.name)
 
     def _on_retry(self, t: float) -> Dict[str, object]:
@@ -796,18 +789,18 @@ class RequestRouter:
             return {"halted": True}
         if (self._inflight is not None
                 or (self._dispatch_handle is not None
-                    and self._runtime.alive(self._dispatch_handle))):
+                    and self._queue.handle_alive(self._dispatch_handle))):
             return {"resumed": False}  # the chain is already live again
         if self._pending:
             if (self._admit_handle is not None
-                    and self._runtime.alive(self._admit_handle)):
+                    and self._queue.handle_alive(self._admit_handle)):
                 # _plan's own admission pulls anything the cancelled admit
                 # event would have; the next _schedule_next re-posts one.
-                self._runtime.cancel(self._admit_handle)
+                self._queue.cancel_handle(self._admit_handle)
                 self._admit_handle = None
             self._plan()
         elif (self._admit_handle is None
-                or not self._runtime.alive(self._admit_handle)):
+                or not self._queue.handle_alive(self._admit_handle)):
             self._schedule_next()
         return {"pending": len(self._pending)}
 

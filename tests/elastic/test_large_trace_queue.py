@@ -18,16 +18,19 @@ from repro.runtime import DevicePool, Runtime
 
 
 class PeakCountingOracle(HeapQueueOracle):
-    """The reference model, remembering its largest live population."""
+    """The reference model, remembering its largest live population.
+
+    ``post_many`` schedules through ``post`` one event at a time, so the
+    peak is counted after every event either of them posts."""
 
     def __init__(self) -> None:
         super().__init__()
         self.peak = 0
 
-    def push(self, time, action, *, kind="event", actor="runtime"):
-        event = super().push(time, action, kind=kind, actor=actor)
+    def post(self, time, action, *, kind="event", actor="runtime"):
+        handle = super().post(time, action, kind=kind, actor=actor)
         self.peak = max(self.peak, len(self))
-        return event
+        return handle
 
 
 def _simulate(queue=None):
@@ -36,7 +39,7 @@ def _simulate(queue=None):
         gpu_budget=64, pool=DevicePool(64))
     runtime = Runtime()
     if queue is not None:
-        runtime.queue = queue
+        runtime.queue = queue   # before add(): start() reads the queue
     runtime.add(process)
     runtime.run()
     assert not process.unfinished()

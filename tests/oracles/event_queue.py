@@ -1,13 +1,14 @@
-"""The event queue's contract as a ``(time, seq)`` binary heap of objects.
+"""The event queue's contract as a ``(time, seq)`` binary heap of tuples.
 
 :class:`HeapQueueOracle` answers every call :class:`repro.runtime.EventQueue`
-answers — ``push`` / ``post`` / ``post_many`` / ``cancel_handle`` /
-``handle_alive`` / ``peek`` / ``pop`` / ``pop_dispatch`` / ``len`` — with one
-Python object per event on a ``heapq``, lazy deletion, and no slab or
+answers in production — ``post`` / ``post_many`` / ``cancel_handle`` /
+``handle_alive`` / ``pop_dispatch`` / ``len`` — with one Python tuple per
+event on a ``heapq``, a dict of live events, lazy deletion, and no slab or
 vectorisation: the pre-slab event core, kept as the thing the production
-queue must be indistinguishable from.  Assign one to
-``runtime.queue`` (or substitute the class for ``EventQueue`` while a run
-builds its own runtime) and the run must not change by a byte.
+queue must be indistinguishable from.  Assign one to ``runtime.queue``
+before any process is added (processes read the queue in ``start``), or
+substitute the class for ``EventQueue`` while a run builds its own
+runtime, and the run must not change by a byte.
 
 A handle is the event's sequence number: sequence numbers are never reused,
 so a handle held past its event's firing is stale by construction.
@@ -17,41 +18,17 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["HeapQueueOracle", "OracleEvent"]
-
-
-class OracleEvent:
-    """One scheduled occurrence; what ``push``/``peek``/``pop`` hand out."""
-
-    __slots__ = ("time", "seq", "kind", "actor", "action", "_queue")
-
-    def __init__(self, queue, time, seq, kind, actor, action) -> None:
-        self.time = time
-        self.seq = seq
-        self.kind = kind
-        self.actor = actor
-        self.action = action
-        self._queue = queue
-
-    @property
-    def alive(self) -> bool:
-        return self._queue.handle_alive(self.seq)
-
-    def cancel(self) -> None:
-        self._queue.cancel_handle(self.seq)
-
-    def __lt__(self, other: "OracleEvent") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+__all__ = ["HeapQueueOracle"]
 
 
 class HeapQueueOracle:
     def __init__(self) -> None:
-        self._heap: List[OracleEvent] = []
-        self._live: Dict[int, OracleEvent] = {}   # seq -> scheduled event
+        self._heap: List[Tuple[float, int]] = []
+        self._live: Dict[int, tuple] = {}   # seq -> (kind, actor, action)
         self._seq = 0
 
     def __len__(self) -> int:
@@ -59,17 +36,14 @@ class HeapQueueOracle:
 
     # -- scheduling ----------------------------------------------------------
 
-    def push(self, time, action, *, kind="event", actor="runtime"):
+    def post(self, time, action, *, kind="event", actor="runtime") -> int:
         if not math.isfinite(time):
             raise ValueError(f"event time must be finite, got {time!r}")
-        event = OracleEvent(self, float(time), self._seq, kind, actor, action)
+        seq = self._seq
         self._seq += 1
-        self._live[event.seq] = event
-        heapq.heappush(self._heap, event)
-        return event
-
-    def post(self, time, action, *, kind="event", actor="runtime") -> int:
-        return self.push(time, action, kind=kind, actor=actor).seq
+        self._live[seq] = (kind, actor, action)
+        heapq.heappush(self._heap, (float(time), seq))
+        return seq
 
     def post_many(self, times, action, *, kind="event", actor="runtime"):
         times = np.asarray(times, dtype=np.float64)
@@ -91,23 +65,13 @@ class HeapQueueOracle:
 
     # -- consumption ---------------------------------------------------------
 
-    def peek(self) -> Optional[OracleEvent]:
-        heap = self._heap
-        while heap and heap[0].seq not in self._live:
-            heapq.heappop(heap)   # cancelled: drop lazily
-        return heap[0] if heap else None
-
-    def pop(self) -> Optional[OracleEvent]:
-        event = self.peek()
-        if event is not None:
-            heapq.heappop(self._heap)
-            del self._live[event.seq]
-        return event
-
     def pop_dispatch(self, until: Optional[float] = None):
         """The next event due by ``until``, as the runtime's 5-tuple."""
-        head = self.peek()
-        if head is None or (until is not None and head.time > until):
+        heap = self._heap
+        while heap and heap[0][1] not in self._live:
+            heapq.heappop(heap)   # cancelled: drop lazily
+        if not heap or (until is not None and heap[0][0] > until):
             return None
-        self.pop()
-        return (head.time, head.seq, head.kind, head.actor, head.action)
+        time, seq = heapq.heappop(heap)
+        kind, actor, action = self._live.pop(seq)
+        return (time, seq, kind, actor, action)

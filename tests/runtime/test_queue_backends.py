@@ -17,11 +17,10 @@ import pytest
 from oracles.event_queue import HeapQueueOracle
 from repro.runtime import EventQueue, Runtime
 
-# "calendar" (the id the production queue kept from its time-wheel index)
-# is the production queue, "heap" the reference model: the contract tests
-# below hold for both, or the model is no reference.
+# The contract tests below hold for the production queue and for the
+# reference model, or the model is no reference.
 QUEUES = pytest.mark.parametrize(
-    "make_queue", [EventQueue, HeapQueueOracle], ids=["calendar", "heap"])
+    "make_queue", [EventQueue, HeapQueueOracle], ids=["production", "heap"])
 
 
 def _both():
@@ -31,7 +30,7 @@ def _both():
 
 def _runtime(make_queue=EventQueue) -> Runtime:
     rt = Runtime()
-    rt.queue = make_queue()
+    rt.queue = make_queue()   # before any process reads it
     return rt
 
 
@@ -45,8 +44,8 @@ def _random_schedule(seed: int, n: int, span: float = 500.0):
 
 def _drain(queue: EventQueue):
     order = []
-    while (event := queue.pop()) is not None:
-        order.append((event.time, event.seq))
+    while (item := queue.pop_dispatch()) is not None:
+        order.append(item[:2])   # (time, seq)
     return order
 
 
@@ -56,22 +55,22 @@ class TestBackendAgreement:
         times, cancel = _random_schedule(seed, n=2000)
         orders = {}
         for name, q in _both():
-            events = [q.push(float(t), lambda t: None) for t in times]
-            for event, dead in zip(events, cancel):
+            handles = [q.post(float(t), lambda t: None) for t in times]
+            for handle, dead in zip(handles, cancel):
                 if dead:
-                    event.cancel()
+                    q.cancel_handle(handle)
             orders[name] = _drain(q)
         assert orders["production"] == orders["heap"]
         fired = len(orders["heap"])
         assert fired == int((~cancel).sum())
         assert fired < len(times) // 2  # the storm really cancelled >50%
 
-    def test_post_many_matches_push_loop_order(self):
+    def test_post_many_matches_post_loop_order(self):
         times, _ = _random_schedule(seed=3, n=500)
         action = lambda t: None  # noqa: E731
         loop_q = EventQueue()
         for t in times:
-            loop_q.push(float(t), action)
+            loop_q.post(float(t), action)
         bulk_q = EventQueue()
         bulk_q.post_many(times, action)
         assert _drain(bulk_q) == _drain(loop_q)
@@ -115,13 +114,13 @@ class TestBackendAgreement:
             if pending:
                 # Cancel the previous tick's doomed event (fires at
                 # t + 0.5, i.e. after this tick) before it can go off.
-                pending.pop().cancel()
+                assert rt.queue.cancel_handle(pending.pop())
             if t < 50.0:
-                rt.after(1.0, tick)
-                pending.append(
-                    rt.after(1.5, lambda t2: fired.append((t2, "DOOM"))))
+                rt.queue.post(rt.now + 1.0, tick)
+                pending.append(rt.queue.post(
+                    rt.now + 1.5, lambda t2: fired.append((t2, "DOOM"))))
 
-        rt.at(0.0, tick)
+        rt.queue.post(0.0, tick)
         rt.run()
         # Every doomed event was cancelled before its fire time.
         assert sum(1 for _, k in fired if k == "DOOM") == 0
@@ -170,17 +169,17 @@ class TestBoundedMemory:
         assert stats["slab_capacity"] <= 256
         assert stats["index_entries"] <= 2 * len(live) + 128
 
-    # The ids name the index each round size lived on when the queue
-    # switched between a heap and a time wheel at 128 live events.
+    # Rounds below and above the 128 live events at which the queue once
+    # switched from a heap to a time wheel.
     @pytest.mark.parametrize("per_round", [100, 300],
-                             ids=["heap", "calendar"])
+                             ids=["heap", "production"])
     def test_slab_slots_recycled_after_fire(self, per_round):
         """Slots recycle whether a round holds 100 or 300 events."""
         q = EventQueue()
         for round_ in range(50):
             q.post_many(np.linspace(round_, round_ + 0.9, per_round),
                         lambda t: None)
-            while q.pop() is not None:
+            while q.pop_dispatch() is not None:
                 pass
         assert len(q) == 0
         # 50 rounds x per_round events reuse the same slots.
@@ -188,16 +187,20 @@ class TestBoundedMemory:
 
     @QUEUES
     def test_cancel_after_fire_is_harmless(self, make_queue):
-        """A stale Event/handle must never kill the slot's new tenant."""
+        """A stale handle must never kill the slot's new tenant."""
         q = make_queue()
-        first = q.push(1.0, lambda t: None)
-        assert q.pop() is first
-        # The slot is recycled by the next push; cancelling the fired
+        first = q.post(1.0, lambda t: None, kind="first")
+        assert q.pop_dispatch()[2] == "first"
+        assert not q.handle_alive(first)
+        # The slot is recycled by the next post; cancelling the fired
         # event must not touch it.
-        second = q.push(2.0, lambda t: None)
-        first.cancel()
-        assert second.alive
-        assert q.pop() is second
+        second = q.post(2.0, lambda t: None, kind="second")
+        if make_queue is EventQueue:
+            slot = (1 << 32) - 1
+            assert second & slot == first & slot and second != first
+        assert not q.cancel_handle(first)
+        assert q.handle_alive(second)
+        assert q.pop_dispatch()[2] == "second"
 
 
 class TestStructureObservability:

@@ -1,8 +1,8 @@
 """Generated interleavings of the event queue's operations, on small and
 large live populations.
 
-Every interleaving of ``push`` / ``post`` / ``post_many`` /
-``cancel_handle`` / ``pop`` / ``pop_dispatch(until)`` must fire the same
+Every interleaving of ``post`` / ``post_many`` / ``cancel_handle`` /
+``handle_alive`` / ``pop_dispatch(until)`` must fire the same
 ``(time, seq)`` sequence as a sorted-list model *and* the heap model in
 ``tests/oracles/event_queue.py``, with ``len(queue)`` and
 ``debug_stats()["live"]`` exact after every step.
@@ -42,8 +42,7 @@ class QueueHarness:
     def __init__(self) -> None:
         self.queues = {"heap": HeapQueueOracle(), "production": EventQueue()}
         self.model = []          # live (time, seq), sorted
-        self.handles = {}        # seq -> {queue: int handle, or the Event
-        #                          push() returned}; never forgotten
+        self.handles = {}        # seq -> {queue: int handle}; never forgotten
         self.seq = 0
         self.action = lambda t: None  # noqa: E731
 
@@ -53,12 +52,6 @@ class QueueHarness:
         bisect.insort(self.model, (float(time), self.seq))
         self.handles[self.seq] = handles
         self.seq += 1
-
-    def push(self, time: float) -> None:
-        events = {b: q.push(time, self.action)
-                  for b, q in self.queues.items()}
-        assert {e.seq for e in events.values()} == {self.seq}
-        self._scheduled(time, events)
 
     def post(self, time: float) -> None:
         self._scheduled(time, {b: q.post(time, self.action)
@@ -77,25 +70,13 @@ class QueueHarness:
         live = [e for e in self.model if e[1] == seq]
         for b, q in self.queues.items():
             handle = self.handles[seq][b]
-            if isinstance(handle, int):
-                assert q.handle_alive(handle) == bool(live)
-                assert q.cancel_handle(handle) == bool(live)
-                assert not q.handle_alive(handle)
-            else:   # scheduled by push(): the Event object is the handle
-                assert handle.alive == bool(live)
-                handle.cancel()
-                assert not handle.alive
+            assert q.handle_alive(handle) == bool(live)
+            assert q.cancel_handle(handle) == bool(live)
+            assert not q.handle_alive(handle)
         if live:
             self.model.remove(live[0])
 
     # -- consumption ----------------------------------------------------------
-
-    def pop(self) -> None:
-        expected = self.model.pop(0) if self.model else None
-        for q in self.queues.values():
-            event = q.pop()
-            assert (None if event is None
-                    else (event.time, event.seq)) == expected
 
     def pop_dispatch(self, until=None) -> None:
         model = self.model
@@ -126,10 +107,6 @@ class QueueMachine(RuleBasedStateMachine):
         self.h = QueueHarness()
 
     @rule(time=TIMES)
-    def push(self, time):
-        self.h.push(time)
-
-    @rule(time=TIMES)
     def post(self, time):
         self.h.post(time)
 
@@ -154,10 +131,6 @@ class QueueMachine(RuleBasedStateMachine):
         for seq in live:
             if rng.random() < share:
                 self.h.cancel(seq)
-
-    @rule()
-    def pop(self):
-        self.h.pop()
 
     @rule(until=st.one_of(st.none(), TIMES))
     def pop_dispatch(self, until):
@@ -218,7 +191,7 @@ def test_seeded_walk_crosses_the_line_in_both_directions():
     assert len(queue) == LINE + 6
     while h.model:
         h.pop_dispatch(until=float(rng.uniform(0.0, 60.0)))
-        h.pop()
+        h.pop_dispatch()
         h.check()
-    h.pop()
+    h.pop_dispatch()
     assert len(queue) == 0

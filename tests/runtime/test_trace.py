@@ -36,7 +36,7 @@ class TestBuffering:
         fh = StringIO()
         trace = EventTrace(fh, buffer_lines=1000)
         runtime = Runtime(trace=trace)
-        runtime.at(1.0, lambda t: None, kind="ping", actor="p")
+        runtime.queue.post(1.0, lambda t: None, kind="ping", actor="p")
         runtime.run()
         assert len(fh.getvalue().splitlines()) == 1
 
@@ -72,9 +72,9 @@ class TestCrashDurability:
 
         trace = EventTrace(path, buffer_lines=1000)
         runtime = Runtime(trace=trace)
-        runtime.at(1.0, lambda t: None, kind="ok", actor="a")
-        runtime.at(2.0, boom, kind="bad", actor="a")
-        runtime.at(3.0, lambda t: None, kind="never", actor="a")
+        runtime.queue.post(1.0, lambda t: None, kind="ok", actor="a")
+        runtime.queue.post(2.0, boom, kind="bad", actor="a")
+        runtime.queue.post(3.0, lambda t: None, kind="never", actor="a")
         with pytest.raises(RuntimeError, match="injected failure"):
             runtime.run()
         trace.close()
@@ -90,12 +90,12 @@ class TestCrashDurability:
         with pytest.raises(ValueError, match="sabotage"):
             with open_trace(path) as writer:
                 runtime = Runtime(trace=writer)
-                runtime.at(0.5, lambda t: None, kind="ok", actor="a")
+                runtime.queue.post(0.5, lambda t: None, kind="ok", actor="a")
 
                 def fail(t):
                     raise ValueError("sabotage")
 
-                runtime.at(1.0, fail, kind="bad", actor="a")
+                runtime.queue.post(1.0, fail, kind="bad", actor="a")
                 runtime.run()
         events = read_trace(path)
         assert [e["kind"] for e in events] == ["ok", "bad"]

@@ -1,12 +1,11 @@
 """Generated payloads through :class:`EventTrace`'s one line formatter.
 
-``emit`` / ``emit_many_data`` assemble every line from two
-cached ``(actor, kind)`` fragments around the payload and the sequence
-number — ``EventTrace.line_parts``, which callers of ``emit_many_lines``
-build their whole lines around as well.  The contract is byte equality
-with dumping the whole five-key record —
-``json.dumps({...}, sort_keys=True) + "\\n"`` — for whatever a caller can
-put in a line: nested payloads, floats whose repr is awkward
+``emit`` assembles every line from two cached ``(actor, kind)`` fragments
+around the payload and the sequence number — ``EventTrace.line_parts``,
+which callers of ``emit_many_lines`` build their whole lines around as
+well.  The contract is byte equality with dumping the whole five-key
+record — ``json.dumps({...}, sort_keys=True) + "\\n"`` — for whatever a
+caller can put in a line: nested payloads, floats whose repr is awkward
 (``-0.0``, ``1e-7``, ``1e22``), actor/kind strings that need escaping,
 numpy scalars for ``t`` and ``seq``, and decimated (``sample > 1``) runs.
 """
@@ -76,28 +75,25 @@ def test_emit_is_byte_equal_to_dumping_the_record(t, seq, kind, actor, data,
 @settings(max_examples=60, deadline=None)
 @given(events=st.lists(st.tuples(TIMES, SEQS, PAYLOADS), max_size=10),
        kind=NAMES, actor=NAMES, sample=st.integers(1, 4),
-       lead=st.integers(0, 3), as_arrays=st.booleans())
-def test_emit_many_data_is_byte_equal_and_samples_like_emit(
-        events, kind, actor, sample, lead, as_arrays):
+       lead=st.integers(0, 3))
+def test_emit_many_lines_is_byte_equal_and_samples_like_emit(
+        events, kind, actor, sample, lead):
+    """A run of lines assembled around ``line_parts`` journals exactly the
+    lines per-event ``emit`` calls would, decimated the same way after
+    ``lead`` scalar emits, with the same sampling counters."""
     fh = StringIO()
     trace = EventTrace(fh, sample=sample)
     for i in range(lead):
         trace.emit(0.0, i, "lead", "t")
-    times = [t for t, _, _ in events]
-    seqs = [s for _, s, _ in events]
-    payloads = [d for _, _, d in events]
-    data_json = [json.dumps(d, sort_keys=True) for d in payloads]
-    if as_arrays:
-        trace.emit_many_data(np.asarray(times, dtype=float),
-                             np.asarray(seqs, dtype=np.int64), kind, actor,
-                             data_json)
-    else:
-        trace.emit_many_data(times, seqs, kind, actor, data_json)
+    prefix, middle = trace.line_parts(actor, kind)
+    trace.emit_many_lines([
+        f'{prefix}{json.dumps(d, sort_keys=True)}{middle}{s}, "t": {t!r}}}\n'
+        for t, s, d in events])
     trace.close()
     lines = fh.getvalue().splitlines(keepends=True)[sample > 1:]
     want = [reference_line(0.0, i, "lead", "t", None)
             for i in kept(0, lead, sample)]
-    want += [reference_line(times[i], seqs[i], kind, actor, payloads[i])
+    want += [reference_line(*events[i][:2], kind, actor, events[i][2])
              for i in kept(lead, len(events), sample)]
     assert lines == want
     assert trace.events_seen == lead + len(events)
@@ -109,7 +105,7 @@ def test_fragments_fill_on_first_use_and_are_shared_by_all_emitters():
     assert trace._fragments == {}  # nothing is built at construction
     trace.emit(0.0, 0, "complete", "gateway", {"k": 1})
     parts = trace._fragments["gateway", "complete"]
-    trace.emit_many_data([2.0], [2], "complete", "gateway", ['{"k": 2}'])
+    trace.emit(2.0, 2, "complete", "gateway", {"k": 2})
     assert list(trace._fragments) == [("gateway", "complete")]
     assert trace._fragments["gateway", "complete"] is parts
     assert trace.line_parts("gateway", "complete") is parts

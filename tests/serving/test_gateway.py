@@ -662,7 +662,7 @@ class TestLiveTenantHistograms:
         runtime = Runtime()
         runtime.add(router)
         for t in (0.3, 0.6, 0.6):
-            runtime.at(t, poll, kind="poll")
+            runtime.queue.post(t, poll, kind="poll")
         runtime.run()
         records = router.report.records
         assert len(polls) == 3 and 0 < polls[0][0] < polls[1][0] < len(records)

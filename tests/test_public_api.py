@@ -140,6 +140,31 @@ class TestOneRequestRouter:
         assert len(modules) >= 8 and not subclasses, subclasses
 
 
+class TestOneSchedulingSeam:
+    """Every process schedules on ``runtime.queue``: ``post`` / ``post_many``
+    return integer handles that ``cancel_handle`` / ``handle_alive`` act on,
+    and ``Runtime`` keeps no second way to schedule or to tell the time."""
+
+    def test_no_event_facade_or_clock_is_exported(self):
+        import repro.runtime
+
+        for name in ("Event", "SimClock"):
+            assert name not in repro.runtime.__all__
+            assert not hasattr(repro.runtime, name)
+
+    def test_the_queue_is_the_only_scheduler(self):
+        from repro.runtime import EventQueue, Runtime
+
+        runtime = Runtime()
+        for name in ("push", "peek", "pop"):
+            assert not hasattr(runtime.queue, name), name
+        for name in ("at", "after", "post", "cancel", "alive", "post_many",
+                     "clock", "processes"):
+            assert not hasattr(runtime, name), name
+        assert (runtime.now, runtime.events_processed) == (0.0, 0)
+        assert isinstance(runtime.queue, EventQueue)
+
+
 class TestOneDefaultBackend:
     """One training configuration: every engine runs the one shared fused
     backend, the executor always installs the flat tensor arena, and no
