@@ -151,8 +151,10 @@ class FusedBackend(ExecutionBackend):
             start += len(x_vn)
         x_cat = np.concatenate(xs, axis=0)
         y_cat = np.concatenate(ys, axis=0)
-        rngs = [vn_rng(step.seed, step.epoch, step.step, node.index)
-                for node in nodes]
+
+        def rngs() -> List[np.random.Generator]:  # derived by the first Dropout
+            return [vn_rng(step.seed, step.epoch, step.step, node.index)
+                    for node in nodes]
 
         # Stateful kernels: one packed matrix in, stacked views through the
         # run, updated rows scattered back out — no per-wave dict round trip.

@@ -59,6 +59,21 @@ the reference wave loop *bit for bit*.  That constrains every kernel:
   order its terms are added in, which follows shape and layout: the
   ``seg_*`` reductions and GEMMs above keep the reference's order and
   shapes.
+* **Copies move bytes, so they may move whole pixels.**  A copy rounds
+  nothing: a kernel may view each row of C values as one opaque ``np.void``
+  item of ``C * itemsize`` bytes (:func:`_pixels`) and copy those, so the
+  copy's inner loop runs over pixels instead of six channels.  The
+  interleave copies of :meth:`VectorizedRun.seg_sum` do, and so does
+  MaxPool: it byte-copies the ``p x p`` window positions into contiguous
+  planes ``(p*p, n, h/p, w/p, C)``, folds them with elementwise
+  ``np.maximum`` in window order (the reference reduction's order, ±0 ties
+  and NaNs included), and copies its gradient planes back into place —
+  pixels are moved, never re-added.  The fold is the reference's own order
+  only while channels are the input's innermost memory axis and number two
+  or more; at C = 1 (or in a channels-first or column-major layout) NumPy
+  reduces along the window itself, vectorised, and meets ±0 ties and NaNs
+  in another order — there the kernel keeps the reference's ``max`` (the
+  planes still give the mask and the backward).
 * **The batch input has no gradient.**  The reference layers compute
   ``dL/dx`` for the input examples and nobody reads it; the fused backend
   asks its run not to (``backward(..., input_grad=False)``).  The flag
@@ -78,7 +93,9 @@ the reference wave loop *bit for bit*.  That constrains every kernel:
   averages update in place across all nodes in one vector op.
 * **Randomness** is drawn from one generator per virtual node in canonical
   order, filling that node's row segment, so each node consumes exactly the
-  dropout stream it would under the serial loop.
+  dropout stream it would under the serial loop.  The generators are
+  derived on demand, by the first Dropout with a non-zero rate
+  (:meth:`VectorizedRun.node_rngs`): a model that drops nothing derives none.
 
 Coverage
 --------
@@ -161,6 +178,18 @@ def _lookup(registry: Dict[Type[Module], Callable], cls: type) -> Optional[Calla
     return None
 
 
+def _pixels(a: np.ndarray) -> np.ndarray:
+    """``a`` with its last axis viewed as one opaque ``np.void`` item.
+
+    A copy between two such views moves whole ``C``-element pixels — bytes,
+    never values — with an inner loop over pixels instead of channels.  A
+    strided ``a`` is made C-contiguous first (itself a byte copy).
+    """
+    if not a.flags.c_contiguous:
+        a = np.ascontiguousarray(a)
+    return a.view(f"V{a.shape[-1] * a.itemsize}")[..., 0]
+
+
 class VectorizedRun:
     """One fused forward/backward over a segmented stack of wave shards.
 
@@ -195,7 +224,7 @@ class VectorizedRun:
     """
 
     def __init__(self, segments: Sequence[Tuple[int, int]], training: bool,
-                 rngs: Optional[List[np.random.Generator]] = None,
+                 rngs: Optional[Callable[[], List[np.random.Generator]]] = None,
                  state_views: Optional[Dict[str, np.ndarray]] = None,
                  workspace: Optional[Dict[tuple, object]] = None) -> None:
         if not segments:
@@ -218,7 +247,8 @@ class VectorizedRun:
         self.uniform: Optional[int] = (
             self.sizes[0] if self.runs[0][3] == self.num_stacked else None)
         self.training = training
-        self.rngs = rngs
+        self._derive_rngs = rngs
+        self._rngs: Optional[List[np.random.Generator]] = None
         self.state_views = state_views
         self.workspace = {} if training and workspace is None else workspace
         self._cache: Dict[str, Tuple] = {}
@@ -270,6 +300,20 @@ class VectorizedRun:
             self.param_grads[name] += value
         else:
             self.param_grads[name] = value
+
+    def node_rngs(self) -> List[np.random.Generator]:
+        """The per-virtual-node dropout generators, in canonical order.
+
+        Derived by the first call — the first Dropout with a non-zero rate —
+        and shared by every later one, so each node's stream runs on from
+        layer to layer exactly as under the serial loop; a run that drops
+        nothing derives none.
+        """
+        if self._rngs is None:
+            if self._derive_rngs is None:
+                raise ValueError("Dropout requires per-virtual-node rngs during training")
+            self._rngs = self._derive_rngs()
+        return self._rngs
 
     def state(self, name: str) -> np.ndarray:
         """The ``(V,) + shape`` stacked view of one stateful buffer."""
@@ -397,9 +441,11 @@ class VectorizedRun:
                 out[first:last] = block
             return out
         # Node-interleaved: each run's (count, n, C) rows of every tensor are
-        # copied into an (n, k, count, C) buffer, reduced over axis 0.
+        # copied, as whole C-element pixels, into an (n, k, count, C) buffer,
+        # reduced over axis 0.
         k = len(ts) if more else 1
         per_row = t.size // (t.shape[0] * c) if t.shape[0] else 0
+        pixels = tuple(map(_pixels, ts))
         out = None
         for start, end, first, last, size in self.runs:
             count = last - first
@@ -409,7 +455,7 @@ class VectorizedRun:
             except KeyError:  # first use
                 buf, dst = self._interleave_buffer(key)
             i = 0
-            for u in ts:
+            for u in pixels:
                 dst[i] = u[start:end].reshape(dst.shape[1:])
                 i += 1
             block = np.add.reduce(buf, 0)
@@ -422,11 +468,11 @@ class VectorizedRun:
 
     def _interleave_buffer(self, key: tuple) -> Tuple[np.ndarray, np.ndarray]:
         """The ``(n, k, count, C)`` buffer :meth:`seg_sum` reduces for
-        ``key`` and its ``(k, count, n, C)`` transposed view, the copies'
+        ``key`` and its ``(k, count, n)`` transposed pixel view, the copies'
         destination."""
         _, shape, dtype = key
         buf = np.empty(shape, dtype)
-        pair = self.workspace[key] = buf, buf.transpose(1, 2, 0, 3)
+        pair = self.workspace[key] = buf, _pixels(buf).transpose(1, 2, 0)
         return pair
 
     def seg_mean(self, t: np.ndarray) -> np.ndarray:
@@ -621,13 +667,11 @@ def _dropout_fwd(m: L.Dropout, run: VectorizedRun, prefix: str, x):
     if m.rate == 0.0:
         run.put(prefix, None)
         return x
-    if run.rngs is None:
-        raise ValueError("Dropout requires per-virtual-node rngs during training")
     keep = 1.0 - m.rate
     # One draw per virtual node, filling that node's row segment in canonical
     # order, so every node consumes the same stream it would serially.
     mask = np.empty_like(x)
-    for (start, end), rng in zip(run.segments, run.rngs):
+    for (start, end), rng in zip(run.segments, run.node_rngs()):
         mask[start:end] = (rng.random((end - start,) + x.shape[1:]) < keep) / keep
     run.put(prefix, mask)
     return x * mask
@@ -680,13 +724,15 @@ def _layernorm_bwd(m: L.LayerNorm, run: VectorizedRun, prefix: str, grad, input_
 
 @_fwd(L.BatchNorm)
 def _batchnorm_fwd(m: L.BatchNorm, run: VectorizedRun, prefix: str, x):
+    shape = x.shape
+    gamma, beta = m.params["gamma"], m.params["beta"]
     if not run.training:
         # Inference: statistics come from the model's frozen buffers, shared
         # by every shard exactly like the reference eval loop.
-        mean = m.buffers["running_mean"]
-        var = m.buffers["running_var"]
-        inv_std = 1.0 / np.sqrt(var + m.eps)
-        return m.params["gamma"] * ((x - mean) * inv_std) + m.params["beta"]
+        inv_std = 1.0 / np.sqrt(m.buffers["running_var"] + m.eps)
+        x_hat = ((run.tiled(x) - run.tile(m.buffers["running_mean"], shape))
+                 * run.tile(inv_std, shape))
+        return (run.tile(gamma, shape) * x_hat + run.tile(beta, shape)).reshape(shape)
     # Training: per-virtual-node batch statistics over each node's own
     # segment — the exact shard statistics of the serial wave — with the
     # moving averages updated in place across all nodes at once.  One
@@ -694,19 +740,22 @@ def _batchnorm_fwd(m: L.BatchNorm, run: VectorizedRun, prefix: str, x):
     # ``var``: the squared deviations summed and divided by the ``intp``
     # count — their seg_mean) and ``x_hat``.
     mean = run.seg_mean(x)
-    x_hat = run.tiled(x) - run.tile(mean, x.shape)
-    var = run.seg_mean((x_hat * x_hat).reshape(x.shape))
+    x_hat = run.tiled(x) - run.tile(mean, shape)
+    sq = x_hat * x_hat
+    var = run.seg_mean(sq.reshape(shape))
     mom = m.momentum
     running_mean = run.state(prefix + "running_mean")
     running_var = run.state(prefix + "running_var")
     running_mean[...] = mom * running_mean + (1 - mom) * mean
     running_var[...] = mom * running_var + (1 - mom) * var
     inv_std = 1.0 / np.sqrt(var + m.eps)
-    x_hat *= run.tile(inv_std, x.shape)
+    x_hat *= run.tile(inv_std, shape)
     run.put(prefix, x_hat, inv_std)
-    out = run.tile(m.params["gamma"], x.shape) * x_hat
-    out += run.tile(m.params["beta"], x.shape)
-    return out.reshape(x.shape)
+    # The squares are spent: the output overwrites them when it has their dtype.
+    out = np.multiply(run.tile(gamma, shape), x_hat,
+                      out=sq if gamma.dtype == sq.dtype else None)
+    out += run.tile(beta, shape)
+    return out.reshape(shape)
 
 
 @_bwd(L.BatchNorm)
@@ -907,24 +956,39 @@ def _conv2d_bwd(m: L.Conv2D, run: VectorizedRun, prefix: str, grad, input_grad):
 
 @_fwd(L.MaxPool2D)
 def _maxpool_fwd(m: L.MaxPool2D, run: VectorizedRun, prefix: str, x):
+    # The p x p window positions are byte-copied into contiguous planes
+    # (p*p, n, h/p, w/p, C), plane dy*p+dx holding pixel (dy, dx) of every
+    # window; the max and the tie mask are then elementwise over whole planes.
     p = m.pool
     n, h, w, c = x.shape
     if h % p or w % p:
         raise ValueError(f"input spatial dims {(h, w)} not divisible by pool {p}")
-    xr = x.reshape(n, h // p, p, w // p, p, c)
-    out = xr.max(axis=(2, 4))
+    planes = np.empty((p, p, n, h // p, w // p, c), x.dtype)
+    _pixels(planes)[...] = _pixels(x).reshape(n, h // p, p, w // p, p).transpose(2, 4, 0, 1, 3)
+    planes = planes.reshape(p * p, n, h // p, w // p, c)
+    s = x.strides
+    if c > 1 and 0 < s[3] < s[2] < s[1] < s[0]:
+        # Channels (two or more) innermost, rows outside columns: NumPy runs
+        # the reference's max as an elementwise fold over the window
+        # positions in plane order, which is this one.
+        out = np.maximum.reduce(planes, 0)
+    else:  # a single channel, or another memory order: another fold order
+        out = x.reshape(n, h // p, p, w // p, p, c).max(axis=(2, 4))
     if run.training:
-        run.put(prefix, xr == out[:, :, None, :, None, :], x.shape)
+        run.put(prefix, planes == out, x.shape)
     return out
 
 
 @_bwd(L.MaxPool2D)
 def _maxpool_bwd(m: L.MaxPool2D, run: VectorizedRun, prefix: str, grad, input_grad):
     mask, x_shape = run.get(prefix)
+    p = m.pool
     n, h, w, c = x_shape
-    counts = mask.sum(axis=(2, 4), keepdims=True)
-    g = grad[:, :, None, :, None, :] * mask / counts
-    return g.reshape(n, h, w, c)
+    g = grad * mask / mask.sum(0)  # every tied maximum gets its share
+    dx = np.empty(x_shape, g.dtype)
+    _pixels(dx).reshape(n, h // p, p, w // p, p).transpose(2, 4, 0, 1, 3)[...] = (
+        _pixels(g).reshape(p, p, n, h // p, w // p))
+    return dx
 
 
 @_fwd(L.GlobalAvgPool2D)

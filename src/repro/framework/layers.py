@@ -571,7 +571,8 @@ class MaxPool2D(Module):
         xr = x.reshape(n, h // p, p, w // p, p, c)
         out = xr.max(axis=(2, 4))
         mask = xr == out[:, :, None, :, None, :]
-        # Break ties deterministically: keep only the first max per window.
+        # Every tied maximum of a window is marked; backward shares the
+        # window's gradient equally among them (mask / counts).
         flat = mask.reshape(n, h // p, p, w // p, p, c)
         self._cache = (flat, x.shape)
         return out

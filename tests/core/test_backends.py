@@ -38,7 +38,7 @@ from repro.data import make_dataset
 from repro.data.augment import GaussianNoise
 from repro.elastic import JobSpec
 from repro.framework import FlatTensorArena, SoftmaxCrossEntropy, get_workload
-from repro.framework.layers import BatchNorm, Dense, ReLU, Residual, Sequential
+from repro.framework.layers import BatchNorm, Dense, Dropout, ReLU, Residual, Sequential
 from repro.hardware import Cluster
 from repro.utils.seeding import vn_rng
 from tests.conftest import on_reference
@@ -373,6 +373,97 @@ class TestBatchNormKernels:
                 np.testing.assert_array_equal(run.param_grads[key][i], layer.grads[key])
             for key in ("running_mean", "running_var"):
                 np.testing.assert_array_equal(state[key][i], layer.buffers[key])
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=5),
+           channels=st.sampled_from([1, 2, 6, 64]),
+           spatial=st.sampled_from([(), (3, 3)]),  # 2-D and 4-D inputs
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(sizes=[16] * 4, channels=6, spatial=(3, 3), dtype=np.float64, seed=0)
+    @example(sizes=[5, 1, 3], channels=64, spatial=(), dtype=np.float64, seed=1)
+    def test_inference_equals_the_reference_layer(self, sizes, channels, spatial,
+                                                  dtype, seed):
+        """``training=False`` on tiles: the frozen buffers' statistics, the
+        same bytes as ``BatchNorm.forward`` on the whole batch."""
+        rng = np.random.default_rng(seed)
+        shape = (sum(sizes),) + spatial + (channels,)
+        x = (rng.normal(size=shape) * np.exp(rng.uniform(-3, 3, size=shape))).astype(dtype)
+        layer = BatchNorm(channels)
+        layer.params["gamma"][...] = rng.normal(size=channels)
+        layer.params["beta"][...] = rng.normal(size=channels)
+        layer.buffers["running_mean"][...] = rng.normal(size=channels)
+        layer.buffers["running_var"][...] = rng.uniform(0.5, 2.0, size=channels)
+
+        out = VectorizedRun(_segments(sizes), training=False).forward(layer, x)
+        want = layer.forward(x, training=False)
+        assert out.dtype == want.dtype and out.shape == want.shape
+        assert out.tobytes() == want.tobytes()
+
+
+class TestDropoutStreamsOnDemand:
+    """A fused step derives its nodes' dropout generators when a Dropout
+    with a non-zero rate first asks for them — the same streams the serial
+    loop draws from — and a model that drops nothing derives none."""
+
+    @pytest.fixture
+    def derived(self, monkeypatch):
+        calls = []
+
+        def spy(*coords):
+            calls.append(coords)
+            return vn_rng(*coords)
+
+        monkeypatch.setattr(fused_module, "vn_rng", spy)
+        return calls
+
+    def test_a_resnet_step_derives_none(self, derived):
+        trainer = _trainer(workload="resnet56_cifar10", batch=32, vns=4,
+                           dataset_size=64, backend="fused")
+        trainer.train_epoch()
+        assert trainer.executor.examples_seen > 0
+        assert derived == []
+
+    def test_mlp_dropout_matches_the_reference_one_derivation_per_node_step(self, derived):
+        a = _trainer(batch=32, vns=8, devices=2, backend="reference")
+        b = _trainer(batch=32, vns=8, devices=2, backend="fused")
+        rates = {m.rate for m in b.executor.model.modules() if isinstance(m, Dropout)}
+        assert rates == {0.1}
+        steps = []
+        a.train(epochs=2)
+        for _ in range(2):
+            b.train_epoch(on_step=steps.append)
+        _assert_bit_identical(a, b)
+        # Two Dropout layers share each node's stream: derived once a step.
+        assert len(derived) == 8 * len(steps)
+
+    def test_a_rate_raised_after_the_first_step_takes_effect(self, derived):
+        def train(backend, raise_after_first_step):
+            trainer = _trainer(batch=32, vns=8, devices=2, backend=backend)
+            dropouts = [m for m in trainer.executor.model.modules()
+                        if isinstance(m, Dropout)]
+            for m in dropouts:
+                m.rate = 0.0
+            derived_after = []
+
+            def on_step(result):
+                derived_after.append(len(derived))
+                if raise_after_first_step:
+                    for m in dropouts:
+                        m.rate = 0.1
+
+            trainer.train_epoch(on_step=on_step)
+            trainer.train_epoch()
+            return trainer, derived_after
+
+        reference, _ = train("reference", True)
+        derived.clear()
+        fused, derived_after = train("fused", True)
+        _assert_bit_identical(reference, fused)
+        assert derived_after[:2] == [0, 8]  # nothing for the zero-rate step
+        never_raised, _ = train("fused", False)
+        assert not np.array_equal(fused.executor.model.parameters()["0.w"],
+                                  never_raised.executor.model.parameters()["0.w"])
 
 
 class _RecordingRun(VectorizedRun):

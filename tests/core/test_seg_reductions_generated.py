@@ -88,6 +88,51 @@ def test_several_tensors_sum_as_each_alone(sizes, c, dtypes, seed):
     assert isinstance(sums, np.ndarray) == one_reduction
 
 
+def _strided(t, layout):
+    """``t``'s values in a non-contiguous array of the given layout."""
+    if layout == "interior":  # the padded view col2im returns
+        pad = np.full((t.shape[0],) + tuple(d + 2 for d in t.shape[1:-1]) + t.shape[-1:],
+                      np.nan, t.dtype)
+        view = pad[(slice(None),) + (slice(1, -1),) * (t.ndim - 2)]
+    else:  # every other channel: a last axis of non-unit stride
+        pad = np.full(t.shape[:-1] + (2 * t.shape[-1],), np.nan, t.dtype)
+        view = pad[..., ::2]
+    view[...] = t
+    return view
+
+
+@settings(max_examples=100, deadline=None)
+@given(sizes=st.lists(st.integers(0, 6), min_size=1, max_size=5).filter(any),
+       c=st.sampled_from(WIDTHS),
+       inner=st.sampled_from([(), (5,), (3, 4)]),
+       layouts=st.lists(st.sampled_from(["contiguous", "interior", "channels"]),
+                        min_size=1, max_size=3),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(sizes=[16] * 4, c=6, inner=(8, 8), layouts=["interior", "channels"],
+         dtype=np.float64, seed=0)
+@example(sizes=[5, 0, 3], c=2, inner=(3, 4), layouts=["channels"], dtype=np.float32,
+         seed=1)
+def test_strided_inputs_sum_as_their_bytes(sizes, c, inner, layouts, dtype, seed):
+    """The interleave copies move whole pixels out of any layout: the
+    interior of a padded array and a channel slice of stride two sum, alone
+    or together, to per-segment NumPy's bytes."""
+    rng = np.random.default_rng(seed)
+    shape = (sum(sizes),) + inner + (c,)
+    ts = [_tensor(rng, shape, dtype) for _ in layouts]
+    views = [t if layout == "contiguous" else _strided(t, layout)
+             for t, layout in zip(ts, layouts)]
+    segments = _segments(sizes)
+    run = VectorizedRun(segments, training=True)
+    sums = run.seg_sum(*views)
+    if len(views) == 1:
+        sums = [sums]
+    for got, view in zip(sums, views):
+        _assert_rows_equal(got, _reference(view, segments, np.sum))
+    for view, t in zip(views, ts):  # and the same bytes as the contiguous input's
+        _assert_rows_equal(run.seg_sum(view), _reference(t, segments, np.sum))
+
+
 def test_one_channel_is_never_interleaved():
     """At C = 1 the reference sums a contiguous run pairwise; the interleaved
     (sequential) sum of the same values differs, so C = 1 must take the
