@@ -19,6 +19,7 @@ experiments ride.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -132,10 +133,12 @@ class ServingPhase:
     rate: float      # mean request arrivals per second (Poisson)
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError(f"phase duration must be positive, got {self.duration}")
-        if self.rate < 0:
-            raise ValueError(f"arrival rate must be >= 0, got {self.rate}")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(
+                f"phase duration must be positive and finite, got {self.duration}")
+        if not 0 <= self.rate < math.inf:
+            raise ValueError(
+                f"arrival rate must be >= 0 and finite, got {self.rate}")
 
 
 def spike_phases(base_rate: float, spike_factor: float = 4.0,

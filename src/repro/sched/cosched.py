@@ -32,7 +32,7 @@ from repro.chaos import (ChaosController, ChaosProcess,
                          FailureDomainTopology, FaultPlan)
 from repro.core.fault_tolerance import RecoveryPolicy
 from repro.elastic.jobs import JobSpec, JobState
-from repro.elastic.simulator import Scheduler, TrainingClusterProcess
+from repro.elastic.simulator import TrainingClusterProcess
 from repro.elastic.trace import ServingPhase
 from repro.elastic.wfs import ElasticWFSScheduler
 from repro.hardware.cluster import Cluster
@@ -238,9 +238,7 @@ def run_cosched(workload_name: str, phases: Sequence[ServingPhase],
                 virtual_nodes: Optional[int] = None,
                 initial_serving: int = 1,
                 autoscale: bool = True, slo_p99: Optional[float] = None,
-                min_devices: int = 1, cooldown: float = 0.25,
                 train_floor: int = 0, resize_delay: float = 0.5,
-                scheduler: Optional[Scheduler] = None,
                 seed: int = 0,
                 limit: Optional[int] = None,
                 source: Optional[RequestSource] = None,
@@ -303,14 +301,13 @@ def run_cosched(workload_name: str, phases: Sequence[ServingPhase],
         workload_name, cluster, serving_lease.device_ids, phases,
         virtual_nodes=virtual_nodes, grantable=pool_devices - train_floor,
         max_batch=max_batch, max_wait=max_wait, autoscale=autoscale,
-        slo_p99=slo_p99, min_devices=min_devices, cooldown=cooldown,
-        seed=seed, limit=limit, source=source,
+        slo_p99=slo_p99, seed=seed, limit=limit, source=source,
         admission=admission, tenants=tenants, journal=journal,
         dispatcher=dispatcher, name="router")
 
     # Training tenant: everything the router does not hold.
     training = TrainingClusterProcess(
-        train_specs, scheduler if scheduler is not None else ElasticWFSScheduler(),
+        train_specs, ElasticWFSScheduler(),
         gpu_budget=pool_devices - initial_serving, pool=dpool,
         resize_delay=resize_delay)
     conditions = ClusterConditions() if fault_plan is not None else None

@@ -29,7 +29,7 @@ Quickstart::
 # serving runs the router, which loads all of these modules anyway, and
 # loading them together defines every request source as soon as any
 # serving module is imported.
-from repro.serving.request import BatchRecord, Request, RequestRecord
+from repro.serving.request import BatchRecord, RequestRecord
 from repro.serving.batcher import (
     AdmissionPolicy,
     DispatchQueue,
@@ -48,11 +48,7 @@ from repro.serving.tenancy import (
     TenantSpec,
     TokenBucket,
 )
-from repro.serving.gateway import (
-    MultiTenantPoissonSource,
-    TenantTaggingSource,
-    audit_journal,
-)
+from repro.serving.gateway import MultiTenantPoissonSource, audit_journal
 
 __all__ = [
     "AdmissionPolicy",
@@ -63,7 +59,6 @@ __all__ = [
     "MicroBatchPolicy",
     "MultiTenantPoissonSource",
     "OpenLoopPoissonSource",
-    "Request",
     "RequestRecord",
     "RequestRouter",
     "RequestSource",
@@ -72,7 +67,6 @@ __all__ = [
     "ServingReport",
     "TenantRegistry",
     "TenantSpec",
-    "TenantTaggingSource",
     "TokenBucket",
     "audit_journal",
     "serve_workload",

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Mapping, Optional, Sequence
+from typing import Deque, Dict, List, Mapping, Optional
 
-from repro.serving.request import RecordBlock, RequestRecord
+from repro.serving.request import RecordBlock
 from repro.telemetry import LatencyHistogram
 
 __all__ = ["AllocationProfile", "LatencyAutoscaler", "ScalingDecision"]
@@ -242,17 +242,11 @@ class LatencyAutoscaler:
 
     # -- the decision --------------------------------------------------------
 
-    def observe(self, records: Sequence[RequestRecord], now: float,
+    def observe(self, block: RecordBlock, now: float,
                 devices: int) -> Optional[int]:
-        """Fold a completed micro-batch in; return a new device count or None.
-        A :class:`RecordBlock`'s columns are read as they are."""
-        if isinstance(records, RecordBlock):
-            arrivals, latencies = records.arrivals, records.latencies()
-        else:
-            arrivals = [r.arrival_time for r in records]
-            latencies = [r.latency for r in records]
-        self._arrivals.extend(arrivals)
-        self._hist.observe_many(latencies)
+        """Fold a completed micro-batch in; return a new device count or None."""
+        self._arrivals.extend(block.arrivals)
+        self._hist.observe_many(block.latencies())
         if len(self._arrivals) < self.burst_window:
             return None
         rate_burst = self.rate_estimate(self.burst_window)

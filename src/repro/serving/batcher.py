@@ -198,11 +198,6 @@ class DispatchQueue:
                 state.flow = None
         self._flows[:] = [flow for flow in self._flows if flow]
 
-    def push(self, entry: tuple) -> None:
-        self.push_wave((entry,))
-
-    extend = push_wave
-
     def requeue(self, batch: Sequence[tuple]) -> None:
         self._hold(batch)
         self._front.extendleft(reversed(batch))

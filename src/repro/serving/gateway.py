@@ -29,15 +29,12 @@ them three things a production front end does:
 
 Load arrives tagged: :class:`MultiTenantPoissonSource` merges one
 deterministic Poisson stream per tenant (independent seed domains, merged
-with a stable tenant-order tie-break), and :class:`TenantTaggingSource`
-stamps a fixed tenant onto any existing source — the single-tenant
-configuration the golden-trace suite uses to pin a tenant-serving router
-bit-identical to the plain one.
+with a stable tenant-order tie-break) into arrival waves whose tenant
+index column names each arrival's tenant.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from collections import Counter, defaultdict
 from itertools import groupby
@@ -52,15 +49,13 @@ from repro.elastic import trace as elastic_trace
 from repro.elastic.trace import ServingPhase
 from repro.runtime import EventTrace
 from repro.runtime.trace import load_trace
-from repro.serving.generators import OpenLoopPoissonSource, RequestSource
-from repro.serving.request import (RecordBlock, Request, RequestRecord,
-                                   ShedBlock)
+from repro.serving.generators import OpenLoopPoissonSource
+from repro.serving.request import RecordBlock, ShedBlock
 from repro.serving.tenancy import TenantRegistry, TenantSpec
 from repro.telemetry import StreamingHistogram, percentile
 from repro.utils.seeding import derive_seed
 
-__all__ = ["MultiTenantPoissonSource", "TenantAccounting",
-           "TenantTaggingSource", "audit_journal"]
+__all__ = ["MultiTenantPoissonSource", "TenantAccounting", "audit_journal"]
 
 # Seed domain for per-tenant arrival streams (coords: tenant index in
 # registry order) — disjoint from every other DOMAIN_* tag.
@@ -78,24 +73,6 @@ class _JsonCache(dict):
     def __missing__(self, value: Optional[str]) -> str:
         encoded = self[value] = json.dumps(value)  # None -> 'null'
         return encoded
-
-
-class TenantTaggingSource(RequestSource):
-    """Stamp every request from an inner source with one tenant id."""
-
-    def __init__(self, inner: RequestSource, tenant_id: str) -> None:
-        self._inner = inner
-        self._tenant = tenant_id
-
-    def next_arrival_time(self) -> Optional[float]:
-        return self._inner.next_arrival_time()
-
-    def take_arrivals(self, until: float) -> List[Request]:
-        return [dataclasses.replace(r, tenant=self._tenant)
-                for r in self._inner.take_arrivals(until)]
-
-    def on_completion(self, records: Sequence[RequestRecord]) -> None:
-        self._inner.on_completion(records)
 
 
 class MultiTenantPoissonSource(OpenLoopPoissonSource):

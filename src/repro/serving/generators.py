@@ -14,8 +14,11 @@ Two canonical load models from the serving literature:
   Load self-limits at the service rate, which is why closed-loop numbers
   alone can hide overload behavior.
 
-Both draw request payloads by cycling the rows of an example bank in a fixed
-order, so a serving run is fully reproducible from (trace, seed, bank).
+Both hand the router their arrivals the one way load enters it, as an
+:class:`ArrivalWave` per pull, and both draw request payloads by cycling the
+rows of an example bank in a fixed order, so a serving run is fully
+reproducible from (trace, seed, bank).  Completions come back as one
+:class:`~repro.serving.request.RecordBlock` per micro-batch.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 # this module whenever it loads (see repro._lazy).
 from repro.elastic import trace as elastic_trace
 from repro.elastic.trace import ServingPhase
-from repro.serving.request import Request, RequestRecord, ShedBlock
+from repro.serving.request import RecordBlock, ShedBlock
 from repro.utils.seeding import derive_rng
 
 __all__ = ["ArrivalWave", "RequestSource", "OpenLoopPoissonSource",
@@ -49,17 +52,14 @@ class ArrivalWave:
     are ``first_id + j``, and the payload row for wave offset ``j`` is the
     bank's row ``first_cursor + j`` (cyclically) — read only for the
     arrivals that survive admission, each of which becomes one plain queue
-    entry (:meth:`entries`).  A shed arrival becomes neither an entry nor a
-    :class:`Request`.
+    entry (:meth:`entries`).  A shed arrival becomes no entry.
 
     ``tenant_idx``/``tenant_table`` carry tenancy without per-request
     strings: offset ``j`` belongs to ``tenant_table[tenant_idx[j]]``.
     ``tenant_idx=None`` means every request in the wave belongs to
     ``tenant_table[0]`` (single-stream sources use ``[None]``).
-
-    A source that cannot cut array waves hands over the requests it already
-    built (:meth:`of`): ``prebuilt[j]`` is then offset ``j``'s entry, read
-    off its request — ids, client and payload included.
+    ``clients[j]`` is the closed-loop client that issued offset ``j``;
+    ``None`` on every open-loop wave.
     """
 
     times: np.ndarray
@@ -68,20 +68,7 @@ class ArrivalWave:
     first_cursor: int = 0
     tenant_idx: Optional[np.ndarray] = None
     tenant_table: Sequence[Optional[str]] = (None,)
-    prebuilt: Optional[List[tuple]] = None
-
-    @classmethod
-    def of(cls, requests: Sequence[Request]) -> "ArrivalWave":
-        """Wrap already-built requests, in order, as one wave."""
-        entries = [(r.arrival_time, r.request_id, r.tenant, r.client, r.example)
-                   for r in requests]
-        table = tuple(dict.fromkeys(e[2] for e in entries)) or (None,)
-        idx = None
-        if len(table) > 1:
-            position = {tenant: k for k, tenant in enumerate(table)}
-            idx = np.array([position[e[2]] for e in entries])
-        return cls(times=np.array([e[0] for e in entries], float),
-                   tenant_idx=idx, tenant_table=table, prebuilt=entries)
+    clients: Optional[List[int]] = None
 
     def __len__(self) -> int:
         return len(self.times)
@@ -91,19 +78,16 @@ class ArrivalWave:
         """The queue entries ``(arrival, request_id, tenant, client,
         example)`` of the arrivals at ``offsets`` (all of them by default);
         ``times`` is ``self.times`` as plain floats."""
-        if self.prebuilt is not None:
-            if offsets is None:
-                return self.prebuilt
-            return [self.prebuilt[j] for j in offsets]
         if offsets is None:
             offsets = range(len(times))
         table = self.tenant_table
         idx = ([0] * len(times) if self.tenant_idx is None
                else self.tenant_idx.tolist())
-        first_id, cursor = self.first_id, self.first_cursor
+        first_id, cursor, clients = self.first_id, self.first_cursor, self.clients
         examples = self.bank.examples
         n = len(examples)
-        return [(times[j], first_id + j, table[idx[j]], None,
+        # ``clients and ...``: None for every entry of an open-loop wave.
+        return [(times[j], first_id + j, table[idx[j]], clients and clients[j],
                  examples[(cursor + j) % n]) for j in offsets]
 
     def shed_block(self, offsets: Sequence[int],
@@ -111,10 +95,9 @@ class ArrivalWave:
         """The arrivals at ``offsets`` as one shed record block, ``reasons``
         parallel to them (no entry is built)."""
         at = np.asarray(offsets, dtype=np.intp)
-        ids = (at + self.first_id if self.prebuilt is None
-               else np.array([self.prebuilt[j][1] for j in offsets]))
         idx = self.tenant_idx
-        return ShedBlock(self.times[at], ids, None if idx is None else idx[at],
+        return ShedBlock(self.times[at], at + self.first_id,
+                         None if idx is None else idx[at],
                          self.tenant_table, reasons)
 
 
@@ -132,27 +115,16 @@ class RequestSource(ABC):
         """Arrival time of the next pending request, or None when drained."""
 
     @abstractmethod
-    def take_arrivals(self, until: float) -> List[Request]:
-        """Pop every request arriving at or before ``until``, in order."""
-
     def take_wave(self, until: float) -> ArrivalWave:
-        """Pop every request at or before ``until`` as one wave — what the
-        router pulls; an empty wave when nothing arrived.
+        """Pop every request at or before ``until`` as one wave, in order —
+        the router's only pull; an empty wave when nothing arrived."""
 
-        The default wraps :meth:`take_arrivals`' requests, so a source that
-        cannot cut array waves (closed-loop populations, or a subclass that
-        customized :meth:`take_arrivals`) never silently changes semantics.
-        An array wave consumes exactly the arrivals (and example-bank rows)
-        the equivalent :meth:`take_arrivals` call would have.
-        """
-        return ArrivalWave.of(self.take_arrivals(until))
-
-    def on_completion(self, records: Sequence[RequestRecord]) -> None:
+    def on_completion(self, block: RecordBlock) -> None:
         """Hook: a micro-batch completed (closed-loop sources react here)."""
 
 
 # What an array source returns when nothing arrived: shared, never mutated.
-EMPTY_WAVE = ArrivalWave.of([])
+EMPTY_WAVE = ArrivalWave(np.empty(0))
 
 
 class _ExampleBank:
@@ -164,17 +136,12 @@ class _ExampleBank:
         self.examples = examples
         self._cursor = 0
 
-    def next_example(self) -> np.ndarray:
-        row = self.examples[self._cursor % len(self.examples)]
-        self._cursor += 1
-        return row
-
     @property
     def cursor(self) -> int:
         return self._cursor
 
     def advance(self, n: int) -> None:
-        """Consume ``n`` rows in bulk (the wave path's cursor bump)."""
+        """Consume ``n`` rows in bulk (a wave's cursor bump)."""
         self._cursor += n
 
 
@@ -209,7 +176,7 @@ class OpenLoopPoissonSource(RequestSource):
     def next_arrival_time(self) -> Optional[float]:
         return self._next_time
 
-    def _cut(self, until: float) -> ArrivalWave:
+    def take_wave(self, until: float) -> ArrivalWave:
         # Nothing pending at or before ``until``: a float compare.
         if self._next_time is None or until < self._next_time:
             return EMPTY_WAVE
@@ -227,16 +194,6 @@ class OpenLoopPoissonSource(RequestSource):
             float(self._times[end]) if end < self._times.size else None)
         self._bank.advance(end - start)
         return wave
-
-    def take_arrivals(self, until: float) -> List[Request]:
-        wave = self._cut(until)
-        return [Request(request_id=i, arrival_time=t, example=x, tenant=tenant)
-                for t, i, tenant, _, x in wave.entries(wave.times.tolist())]
-
-    def take_wave(self, until: float) -> ArrivalWave:
-        if type(self).take_arrivals is not OpenLoopPoissonSource.take_arrivals:
-            return super().take_wave(until)  # a subclass re-defined arrivals
-        return self._cut(until)
 
 
 class ClosedLoopSource(RequestSource):
@@ -274,24 +231,26 @@ class ClosedLoopSource(RequestSource):
             return None
         return self._issues[0][0]
 
-    def take_arrivals(self, until: float) -> List[Request]:
-        out: List[Request] = []
+    def take_wave(self, until: float) -> ArrivalWave:
+        times: List[float] = []
+        clients: List[int] = []
         while self._issues and self._issues[0][0] <= until:
             issue_time, client = heapq.heappop(self._issues)
-            out.append(Request(
-                request_id=self._next_id,
-                arrival_time=issue_time,
-                example=self._bank.next_example(),
-                client=client,
-            ))
-            self._next_id += 1
-        return out
+            times.append(issue_time)
+            clients.append(client)
+        if not times:
+            return EMPTY_WAVE
+        wave = ArrivalWave(times=np.array(times), first_id=self._next_id,
+                           bank=self._bank, first_cursor=self._bank.cursor,
+                           clients=clients)
+        self._next_id += len(times)
+        self._bank.advance(len(times))
+        return wave
 
-    def on_completion(self, records: Sequence[RequestRecord]) -> None:
-        for record in records:
-            if record.client is None:
-                continue
-            if self._remaining.get(record.client, 0) > 0:
-                self._remaining[record.client] -= 1
+    def on_completion(self, block: RecordBlock) -> None:
+        completion = block.batch.completion_time
+        for client in block.clients:
+            if self._remaining.get(client, 0) > 0:
+                self._remaining[client] -= 1
                 heapq.heappush(self._issues, (
-                    record.completion_time + self._think_delay(), record.client))
+                    completion + self._think_delay(), client))

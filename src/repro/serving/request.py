@@ -1,13 +1,14 @@
-"""Request and per-request accounting records for the serving subsystem.
+"""Per-request accounting records for the serving subsystem.
 
-A :class:`Request` is one single-example inference call: a payload row (no
-batch axis) plus its arrival time in the simulated clock — what request-list
-sources build.  Inside the router an admitted request is a plain tuple
-``(arrival, request_id, tenant, client, example)``, a queue **entry**.  The
-router keeps its accounting as column blocks — a :class:`RecordBlock` per
-completed micro-batch of entries, a :class:`ShedBlock` per admission pull
-that shed — and builds a :class:`RequestRecord` (the per-request latency
-breakdown, queueing vs. service) only when one is read.
+A request is one single-example inference call: a payload row (no batch
+axis) plus its arrival time in the simulated clock.  It reaches the router
+as one offset of an :class:`~repro.serving.generators.ArrivalWave`, and
+once admitted it is a plain tuple ``(arrival, request_id, tenant, client,
+example)``, a queue **entry**.  The router keeps its accounting as column
+blocks — a :class:`RecordBlock` per completed micro-batch of entries, a
+:class:`ShedBlock` per admission pull that shed — and builds a
+:class:`RequestRecord` (the per-request latency breakdown, queueing vs.
+service) only when one is read.
 """
 
 from __future__ import annotations
@@ -19,23 +20,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["Request", "RequestRecord", "BatchRecord", "RecordBlock",
+__all__ = ["RequestRecord", "BatchRecord", "RecordBlock",
            "ShedBlock", "BlockLog"]
-
-
-@dataclass(frozen=True)
-class Request:
-    """One admitted single-example inference request."""
-
-    request_id: int
-    arrival_time: float
-    example: np.ndarray
-    client: Optional[int] = None  # set by closed-loop sources
-    tenant: Optional[str] = None  # set by multi-tenant sources (gateway path)
-
-    def __post_init__(self) -> None:
-        if self.arrival_time < 0:
-            raise ValueError(f"arrival_time must be >= 0, got {self.arrival_time}")
 
 
 @dataclass(frozen=True)
@@ -92,8 +78,8 @@ class RecordBlock(SequenceABC):
     ``batch`` holds what they share; ``ids``, ``arrivals``, ``tenants`` and
     ``clients`` are tuples in batch order, transposed off the batch's queue
     entries.  Element ``k`` is the request's :class:`RequestRecord`, built
-    on access (closed-loop sources iterate a block that way); the
-    accounting reads the columns.
+    on access (a report's ``records`` read that way); the accounting, the
+    autoscaler and closed-loop sources read the columns.
     """
 
     __slots__ = ("batch", "ids", "arrivals", "tenants", "clients")

@@ -31,14 +31,16 @@ training job's harvest during a spike.
 
 Every arrival enters through one door, :meth:`RequestRouter._pull`: the
 source hands over an :class:`~repro.serving.generators.ArrivalWave` (one
-arrival or ten thousand), and with an admission policy armed the shed rule
-in :mod:`repro.serving.admission` splits it into requests to queue and
-sheds to record.  Given a tenant registry, the router also orders
-dispatch by the tenants' weights, meters each wave on their quotas in
-front of the same rule, admits eagerly, and hands its shed blocks,
-completions and report to a
-:class:`~repro.serving.gateway.TenantAccounting` stage (per-tenant
-digests and the request journal).
+arrival or ten thousand; open- and closed-loop sources alike), and with an
+admission policy armed the shed rule in :mod:`repro.serving.admission`
+splits it into requests to queue and sheds to record.  Every completed
+micro-batch leaves as one :class:`~repro.serving.request.RecordBlock`, the
+columns the source, the autoscaler and the report all read.  Given a
+tenant registry, the router also orders dispatch by the tenants' weights,
+meters each wave on their quotas in front of the same rule, admits
+eagerly, and hands its shed blocks, completions and report to a
+:class:`~repro.serving.gateway.TenantAccounting` stage (per-tenant digests
+and the request journal).
 """
 
 from __future__ import annotations
@@ -853,8 +855,7 @@ def _build_router(workload_name: str, cluster: Cluster,
                   device_ids: Sequence[int], phases: Sequence[ServingPhase],
                   *, virtual_nodes: Optional[int], grantable: int,
                   max_batch: int, max_wait: float, autoscale: bool,
-                  slo_p99: Optional[float], min_devices: int, cooldown: float,
-                  seed: int, limit: Optional[int],
+                  slo_p99: Optional[float], seed: int, limit: Optional[int],
                   source: Optional[RequestSource],
                   admission: Optional[AdmissionPolicy],
                   tenants: Optional[TenantRegistry],
@@ -905,8 +906,8 @@ def _build_router(workload_name: str, cluster: Cluster,
             capacity=ladder_capacity(workload, vn_set, cluster, max_batch,
                                      len(device_ids),
                                      extra_rungs=(grantable,)),
-            min_devices=min_devices, max_devices=min(grantable, num_vns),
-            cooldown=cooldown)
+            min_devices=1, max_devices=min(grantable, num_vns),
+            cooldown=0.25)
     return RequestRouter(
         inference, source,
         policy=MicroBatchPolicy(max_batch=max_batch, max_wait=max_wait),
@@ -921,7 +922,6 @@ def serve_workload(workload_name: str, phases: Sequence[ServingPhase], *,
                    virtual_nodes: Optional[int] = None,
                    initial_devices: Optional[int] = None,
                    autoscale: bool = False, slo_p99: Optional[float] = None,
-                   min_devices: int = 1, cooldown: float = 0.25,
                    seed: int = 0,
                    limit: Optional[int] = None,
                    source: Optional[RequestSource] = None,
@@ -950,7 +950,7 @@ def serve_workload(workload_name: str, phases: Sequence[ServingPhase], *,
     if pool_devices < 1:
         raise ValueError(f"pool_devices must be >= 1, got {pool_devices}")
     start = initial_devices if initial_devices is not None else (
-        min_devices if autoscale else pool_devices)
+        1 if autoscale else pool_devices)
     if not 1 <= start <= pool_devices:
         raise ValueError(
             f"initial_devices must be in [1, {pool_devices}], got {start}")
@@ -960,8 +960,7 @@ def serve_workload(workload_name: str, phases: Sequence[ServingPhase], *,
         workload_name, pool, pool_ids[:start], phases,
         virtual_nodes=virtual_nodes, grantable=pool_devices,
         max_batch=max_batch, max_wait=max_wait, autoscale=autoscale,
-        slo_p99=slo_p99, min_devices=min_devices, cooldown=cooldown,
-        seed=seed, limit=limit, source=source,
+        slo_p99=slo_p99, seed=seed, limit=limit, source=source,
         admission=admission, tenants=tenants, journal=journal,
         dispatcher=dispatcher, collect_logits=collect_logits,
         name="router" if tenants is None else "gateway")

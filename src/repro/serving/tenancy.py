@@ -29,6 +29,7 @@ The quota is a protection boundary, not a hard drop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
@@ -80,6 +81,11 @@ class TenantSpec:
             raise ValueError(
                 f"unknown SLO class {self.slo_class!r}; "
                 f"known: {', '.join(sorted(SLO_CLASSES))}")
+        for name in ("weight", "quota_rps", "burst", "slo_p99", "share"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"tenant {self.tenant_id!r}: {name} must "
+                                 f"be finite, got {value}")
         if not self.weight > 0:
             raise ValueError(
                 f"tenant {self.tenant_id!r}: WFQ weight must be > 0, "

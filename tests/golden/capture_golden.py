@@ -210,7 +210,7 @@ def chaos_domain_wipe_recover() -> dict:
         admission=admission, topology=topology))
 
 
-def serve_shed_brownout_wave(**overrides) -> dict:
+def serve_shed_brownout_wave() -> dict:
     """The batched shed path: depth caps and brownout inside single waves.
 
     A premium tenant and a 3x best-effort flood drive ~5000 rps at one
@@ -219,10 +219,7 @@ def serve_shed_brownout_wave(**overrides) -> dict:
     straggler window derates the serving device with ``brownout=True``
     armed: outside the window both classes share one depth cap (the
     vectorized depth-only fast path), inside it the best-effort cap halves
-    (the scalar split-limit replay), and both regimes shed heavily.  Pinned
-    end to end: array waves and lists of already-built requests must
-    replay this timeline bit-identically.  ``overrides`` reach
-    ``run_cosched`` (the wave-less-source test passes a journal path).
+    (the scalar split-limit replay), and both regimes shed heavily.
     """
     from repro.serving.tenancy import TenantRegistry
 
@@ -241,18 +238,17 @@ def serve_shed_brownout_wave(**overrides) -> dict:
         pool_devices=3, max_batch=8, max_wait=0.002,
         initial_serving=1, autoscale=False,
         resize_delay=0.25, seed=11, fault_plan=plan,
-        admission=admission, tenants=registry, **overrides))
+        admission=admission, tenants=registry))
 
 
-def serve_tenants_wfq(**overrides) -> dict:
+def serve_tenants_wfq() -> dict:
     """The multi-tenant gateway under overload, pinned end to end.
 
     A premium tenant (weight 4, inside a 250 rps quota) and a best-effort
     tenant carrying twice the load share a 2-device pool that cannot absorb
     the offered rate, with load shedding armed: WFQ ordering, token-bucket
     quota decisions, tenant-attributed sheds, and the per-tenant SLO
-    digests all replay bit-identically.  ``overrides`` reach
-    ``serve_workload``.
+    digests all replay bit-identically.
     """
     from repro.serving.tenancy import TenantRegistry
 
@@ -263,7 +259,7 @@ def serve_tenants_wfq(**overrides) -> dict:
     return serving_to_dict(serve_workload(
         "mlp_synthetic", [ServingPhase(1.5, 1500.0)],
         max_batch=8, max_wait=0.002, pool_devices=2, seed=5,
-        tenants=registry, admission=admission, **overrides))
+        tenants=registry, admission=admission))
 
 
 # The fixture matrix.  Simulation fixtures cover both schedulers on the

@@ -41,35 +41,25 @@ def _load(name: str) -> dict:
 @pytest.fixture(scope="module", params=[
     ("heap", "wave"),
     ("calendar", "wave"),
-    ("heap", "per_request"),
-    ("calendar", "per_request"),
 ], ids=lambda p: f"{p[0]}-{p[1]}")
 def current(request) -> dict:
-    """One capture of every fixture scenario per event queue × arrival path.
+    """One capture of every fixture scenario per event queue.
 
     ``calendar-wave`` is the production stack as built (``calendar`` names
     the production ``EventQueue``, after the time-wheel index it had until
-    it became one binary heap).  The other three
-    substitute a reference from the test side, no mode of ``src/`` involved:
-    ``heap`` runs every scenario on the ``(time, seq)`` heap model in
-    ``tests/oracles/event_queue.py`` instead of ``EventQueue``, and
-    ``per_request`` strips the array-wave protocol from the Poisson
-    sources (single-stream and merged multi-tenant alike), so every pull
-    hands the router a list of already-built ``Request`` objects
-    (``RequestSource.take_wave``'s default).  All four must reproduce the
-    fixtures down to the last float.
+    it became one binary heap; ``wave`` the one arrival path).
+    ``heap-wave`` substitutes a reference from the test side, no mode of
+    ``src/`` involved: it runs every scenario on the ``(time, seq)`` heap
+    model in ``tests/oracles/event_queue.py`` instead of ``EventQueue``.
+    Both must reproduce the fixtures down to the last float.
     """
     import repro.runtime.core as runtime_core
     from oracles.event_queue import HeapQueueOracle
-    from repro.serving import OpenLoopPoissonSource, RequestSource
 
     queue, arrivals = request.param
     with pytest.MonkeyPatch.context() as patch:
         if queue == "heap":
             patch.setattr(runtime_core, "EventQueue", HeapQueueOracle)
-        if arrivals == "per_request":
-            patch.setattr(OpenLoopPoissonSource, "take_wave",
-                          RequestSource.take_wave)
         return {"variant": f"{queue}-{arrivals}", **capture()}
 
 
@@ -80,52 +70,6 @@ def test_matches_pre_refactor_golden(name, current):
     assert got == golden, (
         f"{name}: runtime-based implementation ({current['variant']}) "
         f"diverged from the pre-refactor golden fixture")
-
-
-@pytest.mark.parametrize("name", ["serve_tenants_wfq",
-                                  "serve_shed_brownout_wave"])
-def test_waveless_source_replays_the_golden_run(name, tmp_path, monkeypatch):
-    """Array waves and lists of built requests are one admission path: a
-    source that delegates everything but cannot cut array waves gives the
-    fixture's report and, byte for byte, the wave run's journal."""
-    import capture_golden
-    import repro.serving.router as router_module
-    from repro.serving import MultiTenantPoissonSource, RequestSource
-
-    class Waveless(RequestSource):
-        """The router's pulls get ``RequestSource.take_wave``'s default: a
-        wave over the ``Request`` objects ``take_arrivals`` built."""
-
-        def __init__(self, inner):
-            self._inner = inner
-            self.lists = 0
-
-        def next_arrival_time(self):
-            return self._inner.next_arrival_time()
-
-        def take_arrivals(self, until):
-            self.lists += 1
-            return self._inner.take_arrivals(until)
-
-        def on_completion(self, records):
-            self._inner.on_completion(records)
-
-    run = getattr(capture_golden, name)
-    waves = run(journal=str(tmp_path / "waves.jsonl"))
-    built = []
-
-    def waveless(*args, **kwargs):
-        built.append(Waveless(MultiTenantPoissonSource(*args, **kwargs)))
-        return built[-1]
-
-    # The shared builder looks the source class up in its own module.
-    monkeypatch.setattr(router_module, "MultiTenantPoissonSource", waveless)
-    lists = run(journal=str(tmp_path / "lists.jsonl"))
-    assert len(built) == 1 and built[0].lists > 100
-    assert json.loads(json.dumps(lists)) == _load(name)
-    assert json.loads(json.dumps(waves)) == _load(name)
-    assert (tmp_path / "lists.jsonl").read_bytes() \
-        == (tmp_path / "waves.jsonl").read_bytes()
 
 
 def test_simulation_event_order_deterministic():
@@ -154,19 +98,35 @@ def test_serving_event_order_deterministic():
 
 def _single_tenant_gateway_dict(phases, *, seed, **kwargs):
     """A WFQ gateway run whose one tenant wraps the plain Poisson source."""
+    import dataclasses
+
     from repro.data import make_dataset
     from repro.framework.models import get_workload
     from repro.serving import (
         OpenLoopPoissonSource,
+        RequestSource,
         TenantRegistry,
         TenantSpec,
-        TenantTaggingSource,
         serve_workload,
     )
 
+    class OneTenant(RequestSource):
+        """Every wave of ``inner`` as ``tenant``'s arrivals."""
+
+        def __init__(self, inner, tenant):
+            self._inner, self._tenant = inner, tenant
+
+        def next_arrival_time(self):
+            return self._inner.next_arrival_time()
+
+        def take_wave(self, until):
+            return dataclasses.replace(self._inner.take_wave(until),
+                                       tenant_idx=None,
+                                       tenant_table=(self._tenant,))
+
     workload = get_workload("mlp_synthetic")
     dataset = make_dataset(workload.dataset, n=512, seed=seed)
-    source = TenantTaggingSource(
+    source = OneTenant(
         OpenLoopPoissonSource(phases, dataset.x_val, seed=seed), "only")
     registry = TenantRegistry([TenantSpec("only", slo_class="premium")])
     report = serve_workload(

@@ -45,8 +45,6 @@ class _FromScratch:
         for request in requests:
             self.push(request)
 
-    extend = push_wave
-
     def __len__(self) -> int:
         return len(self._everything())
 

@@ -90,14 +90,15 @@ class EagerAccounting:
 
     def complete(self, batch: Sequence, batch_id: int, launch: float,
                  completion: float, devices: int) -> List[RequestRecord]:
-        """Account one micro-batch of requests; returns its records."""
+        """Account one micro-batch of queue entries ``(arrival, request_id,
+        tenant, client, example)``; returns its records."""
         records = [
             RequestRecord(
-                request_id=r.request_id, arrival_time=r.arrival_time,
+                request_id=request_id, arrival_time=arrival,
                 dispatch_time=launch, completion_time=completion,
                 batch_id=batch_id, batch_size=len(batch), devices=devices,
-                client=r.client, tenant=r.tenant)
-            for r in batch
+                client=client, tenant=tenant)
+            for arrival, request_id, tenant, client, _ in batch
         ]
         self.records.extend(records)
         for r in records:

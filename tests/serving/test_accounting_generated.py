@@ -1,21 +1,21 @@
 """A tenant router's column-block sinks against the eager accounting oracle.
 
-Hypothesis draws a run's accounting events in any order: admission pulls
-of array waves, tenant-index waves and ``ArrivalWave.of`` waves (request
-ids with gaps, clients set), of 0, 1, 2–31 and 33–80 arrivals, each arrival
-admitted or shed for either reason, several tenants in one wave (registered,
-unregistered, untagged, one whose id needs JSON escapes); micro-batches
-taken off the live WFQ queue and completed at drawn service times; and
-polls of ``accounting.live_tenant_histograms()``.  The pulls go through the
-router's real door (``RequestRouter._pull`` with the shed rule's verdict
-drawn, not derived) and the completions through ``_on_completion``; every
-event is replayed into ``tests/oracles/serving_accounting.py``.  Production
-must match it in: the ``records``/``shed``/``tenant_shed`` views (``len``,
-iteration, indexing from both ends, slices, ``==``, plain Python value
-types), the journal's ``shed`` and ``request`` lines byte for byte, the
-per-tenant shed counts and digests, every histogram poll, ``summary()``
-with and without an SLO, and the decisions of an autoscaler fed the
-completion blocks against one fed lists of records.
+Hypothesis draws a run's accounting events in any order: admission pulls of
+single-tenant waves, tenant-index waves and waves with a ``clients`` column
+and a tenant per arrival, of 0, 1, 2–31 and 33–80 arrivals, each arrival
+admitted or shed for either reason, several tenants in one wave
+(registered, unregistered, untagged, one whose id needs JSON escapes);
+micro-batches taken off the live WFQ queue and completed at drawn service
+times; and polls of ``accounting.live_tenant_histograms()``.  The pulls go
+through the router's real door (``RequestRouter._pull`` with the shed
+rule's verdict drawn, not derived) and the completions through
+``_on_completion``; every event is replayed into
+``tests/oracles/serving_accounting.py``.  Production must match it in: the
+``records``/``shed``/``tenant_shed`` views (``len``, iteration, indexing
+from both ends, slices, ``==``, plain Python value types), the journal's
+``shed`` and ``request`` lines byte for byte, the per-tenant shed counts
+and digests, every histogram poll, and ``summary()`` with and without an
+SLO.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ from repro.hardware import Cluster
 from repro.runtime import EventTrace, Runtime
 from repro.serving import (
     AdmissionPolicy,
-    LatencyAutoscaler,
-    Request,
     RequestRouter,
     RequestSource,
     TenantRegistry,
@@ -69,20 +67,13 @@ class _Feed(RequestSource):
 
     def __init__(self) -> None:
         self.wave = EMPTY_WAVE
-        self.completed = []
 
     def next_arrival_time(self):
         return 1e9
 
-    def take_arrivals(self, until):
-        raise AssertionError("the router pulls waves")
-
     def take_wave(self, until):
         wave, self.wave = self.wave, EMPTY_WAVE
         return wave
-
-    def on_completion(self, records) -> None:
-        self.completed.append(records)
 
 
 SIZES = st.one_of(st.just(0), st.just(1), st.integers(2, 31),
@@ -93,7 +84,8 @@ GAPS = st.sampled_from([0.0, 1e-5, 3e-4, 2e-3])
 @st.composite
 def pulls(draw):
     n = draw(SIZES)
-    op = {"op": "pull", "kind": draw(st.sampled_from(["array", "indexed", "of"])),
+    op = {"op": "pull",
+          "kind": draw(st.sampled_from(["array", "indexed", "clients"])),
           "gaps": draw(st.lists(GAPS, min_size=n, max_size=n)),
           "decisions": draw(st.lists(st.sampled_from([None, "depth", "wait"]),
                                      min_size=n, max_size=n))}
@@ -107,8 +99,6 @@ def pulls(draw):
                                   min_size=n, max_size=n))
     else:
         op["tenants"] = draw(st.lists(st.sampled_from(TENANTS), min_size=n,
-                                      max_size=n))
-        op["id_gaps"] = draw(st.lists(st.integers(1, 5), min_size=n,
                                       max_size=n))
         op["clients"] = draw(st.lists(st.one_of(st.none(), st.integers(0, 3)),
                                       min_size=n, max_size=n))
@@ -135,15 +125,14 @@ def _fixed_pull(kind, n, seed):
         op["idx"] = rng.integers(0, 3, n).tolist()
     else:
         op["tenants"] = [TENANTS[k] for k in rng.integers(0, len(TENANTS), n)]
-        op["id_gaps"] = rng.integers(1, 5, n).tolist()
         op["clients"] = [None if k == 0 else int(k) for k in rng.integers(0, 3, n)]
     return op
 
 
 EVERY_SHAPE = [
-    _fixed_pull("array", 0, 1), _fixed_pull("of", 1, 2),
+    _fixed_pull("array", 0, 1), _fixed_pull("clients", 1, 2),
     _fixed_pull("indexed", 40, 3), {"op": "complete", "size": 8, "service": 2e-3},
-    {"op": "poll"}, _fixed_pull("of", 50, 4), _fixed_pull("array", 36, 5),
+    {"op": "poll"}, _fixed_pull("clients", 50, 4), _fixed_pull("array", 36, 5),
     {"op": "complete", "size": 12, "service": 0.01}, {"op": "poll"},
     {"op": "poll"}, _fixed_pull("indexed", 7, 6),
     {"op": "complete", "size": 5, "service": 1e-4},
@@ -173,22 +162,20 @@ class _Run:
         times = (self.clock + np.cumsum(op["gaps"])) if n else np.empty(0)
         self.clock = float(times[-1]) if n else self.clock
         floats = times.tolist()
-        if op["kind"] == "of":
-            ids = (self.next_id + np.cumsum(op["id_gaps"])).tolist()
-            tenants = op["tenants"]
-            wave = ArrivalWave.of([
-                Request(i, t, BANK.examples[0], client=c, tenant=tenant)
-                for i, t, c, tenant in zip(ids, floats, op["clients"], tenants)])
+        ids = list(range(self.next_id, self.next_id + n))
+        clients = None
+        if op["kind"] == "array":
+            tenants, idx, table = [op["tenant"]] * n, None, (op["tenant"],)
+        elif op["kind"] == "indexed":
+            table, idx = tuple(op["table"]), np.asarray(op["idx"], np.int64)
+            tenants = [table[k] for k in op["idx"]]
         else:
-            ids = list(range(self.next_id, self.next_id + n))
-            if op["kind"] == "array":
-                tenants, idx, table = [op["tenant"]] * n, None, (op["tenant"],)
-            else:
-                table, idx = tuple(op["table"]), np.asarray(op["idx"], np.int64)
-                tenants = [table[k] for k in op["idx"]]
-            wave = ArrivalWave(times, first_id=self.next_id, bank=BANK,
-                               tenant_idx=idx, tenant_table=table)
-        self.next_id = (ids[-1] + 1) if n else self.next_id
+            tenants, clients = op["tenants"], op["clients"]
+            table = tuple(dict.fromkeys(tenants)) or (None,)
+            idx = np.asarray([table.index(t) for t in tenants], np.int64)
+        wave = ArrivalWave(times, first_id=self.next_id, bank=BANK,
+                           tenant_idx=idx, tenant_table=table, clients=clients)
+        self.next_id += n
         decisions = op["decisions"]
         self.staged["verdict"] = (
             [j for j, d in enumerate(decisions) if d is None],
@@ -212,10 +199,8 @@ class _Run:
         completion = launch + op["service"]
         router._on_completion(completion, batch, self.batch_id, launch,
                               SimpleNamespace(waves=1))
-        self.oracle.complete(
-            [Request(i, t, x, client=c, tenant=tenant)
-             for t, i, tenant, c, x in batch],
-            self.batch_id, launch, completion, router._devices)
+        self.oracle.complete(batch, self.batch_id, launch, completion,
+                             router._devices)
         self.batch_id += 1
         self.clock = completion
 
@@ -251,22 +236,6 @@ def _check_view(view, want, types=None):
     if types is not None:
         for row in view:
             assert tuple(type(v) for v in row) == types
-
-
-def _autoscalers_agree(blocks) -> None:
-    def scaler():
-        return LatencyAutoscaler(0.005, {1: 200.0, 2: 2000.0, 4: 20000.0},
-                                 window=8, rate_window=6, burst_window=2,
-                                 min_samples=1, cooldown=0.0, persistence=1)
-
-    columns, records = scaler(), scaler()
-    devices = 2
-    for block in blocks:
-        now = block.batch.completion_time
-        target = columns.observe(block, now, devices)
-        assert target == records.observe(list(block), now, devices)
-        devices = target or devices
-    assert columns.decisions == records.decisions
 
 
 def test_column_sinks_equal_the_eager_oracle(monkeypatch):
@@ -306,6 +275,5 @@ def test_column_sinks_equal_the_eager_oracle(monkeypatch):
             assert list(report.summary(target).items()) == list(
                 eager_summary(report, oracle.records, oracle.shed,
                               target).items())
-        _autoscalers_agree(drive.feed.completed)
 
     run()

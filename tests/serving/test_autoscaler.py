@@ -6,21 +6,19 @@ import pytest
 
 from repro.serving import LatencyAutoscaler
 from repro.serving.autoscaler import AllocationProfile
-from repro.serving.request import RequestRecord
+from repro.serving.request import BatchRecord, RecordBlock
 
 CAPACITY = {1: 500.0, 2: 1000.0, 4: 2000.0, 8: 4000.0}
 
 
 def _records(start_id, arrivals, latency, batch_id=0, devices=1):
-    """Fabricate one completed micro-batch's records."""
+    """Fabricate one completed micro-batch's record block."""
     completion = arrivals[-1] + latency
-    return [
-        RequestRecord(request_id=start_id + i, arrival_time=t,
-                      dispatch_time=completion - latency,
-                      completion_time=completion, batch_id=batch_id,
-                      batch_size=len(arrivals), devices=devices)
-        for i, t in enumerate(arrivals)
-    ]
+    batch = BatchRecord(batch_id=batch_id, dispatch_time=completion - latency,
+                        completion_time=completion, size=len(arrivals),
+                        devices=devices, waves=1)
+    return RecordBlock(batch, [(t, start_id + i, None, None, None)
+                               for i, t in enumerate(arrivals)])
 
 
 def _drive(scaler, rate, latency, devices, batches=40, batch_size=16,

@@ -90,19 +90,18 @@ class DispatchQueueMachine(RuleBasedStateMachine):
 
     @rule(gap=GAPS, tenant=TENANTS)
     def push(self, gap, tenant):
-        self._both("push", *self._entries([gap], [tenant]))
+        self._both("push_wave", self._entries([gap], [tenant]))
 
     @rule(tenant=TENANTS, back=st.floats(0.0, 1.0))
     def push_older_than_what_waits(self, tenant, back):
-        self._both("push", self._entry(self.now * back, tenant))
+        self._both("push_wave", (self._entry(self.now * back, tenant),))
 
     @rule(data=st.data(), n=st.integers(1, 40),
-          bulk=st.sampled_from(["push_wave", "extend"]),
           table=st.lists(TENANTS, min_size=1, max_size=3, unique=True))
-    def push_wave(self, data, n, bulk, table):
+    def push_wave(self, data, n, table):
         gaps = data.draw(st.lists(GAPS, min_size=n, max_size=n))
         tenants = data.draw(st.lists(st.sampled_from(table), min_size=n, max_size=n))
-        self._both(bulk, self._entries(gaps, tenants))
+        self._both("push_wave", self._entries(gaps, tenants))
 
     @rule(tenant=TENANTS, ahead=st.sampled_from([1e-5, 0.01]),
           max_batch=BATCHES)
@@ -112,8 +111,8 @@ class DispatchQueueMachine(RuleBasedStateMachine):
         late push behind that head, past the launch it arrived for."""
         launch = self.now
         self.now += ahead
-        self._both("push", self._entry(self.now, tenant))
-        self._both("push", self._entry(launch, tenant))
+        self._both("push_wave", (self._entry(self.now, tenant),))
+        self._both("push_wave", (self._entry(launch, tenant),))
         self._take(launch, max_batch)
 
     @rule(order=st.permutations(["gold"] * 8 + ["bulk", "ghost", None]),
@@ -131,7 +130,8 @@ class DispatchQueueMachine(RuleBasedStateMachine):
         """A tenant first seen mid-run weighs 1.0 and its start tag snaps up
         to the virtual time, like any idle tenant's."""
         self.now += gap
-        self._both("push", self._entry(self.now, f"stranger{self.next_id}"))
+        self._both("push_wave",
+                   (self._entry(self.now, f"stranger{self.next_id}"),))
 
     @rule(data=st.data(), max_batch=BATCHES)
     def take(self, data, max_batch):
@@ -185,7 +185,7 @@ TestDispatchQueueMachine.settings = settings(
 @pytest.mark.parametrize("kind", ["fifo", "wfq"])
 def test_empty_queues_refuse_oldest_arrival_the_same_way(kind):
     queue, oracle = make_queues(kind)
-    queue.push(entry(0, 1.0))
+    queue.push_wave((entry(0, 1.0),))
     queue.take(2.0, 8)
     for empty in (queue, oracle):
         with pytest.raises(IndexError, match="oldest_arrival on an empty queue"):
@@ -199,8 +199,8 @@ def test_a_front_head_not_yet_arrived(kind, want):
     heads the front at a launch only entry 1 has reached.  FIFO's front and
     flow are one sequence, so nothing dispatches; WFQ goes on to the flows."""
     for queue in make_queues(kind):
-        queue.push(entry(0, 1.0))
-        queue.push(entry(1, 0.5))
+        queue.push_wave((entry(0, 1.0),))
+        queue.push_wave((entry(1, 0.5),))
         queue.requeue(queue.take(1.0, 1))
         assert list(map(request_id, queue.take(0.5, 8))) == want
 

@@ -19,10 +19,8 @@ from repro.serving import (
     MultiTenantPoissonSource,
     OpenLoopPoissonSource,
     RequestRouter,
-    RequestSource,
     TenantRegistry,
     TenantSpec,
-    TenantTaggingSource,
     audit_journal,
     serve_workload,
 )
@@ -32,7 +30,6 @@ from repro.serving.batcher import (
     MicroBatchPolicy,
 )
 from repro.telemetry import StreamingHistogram
-from repro.serving.request import Request
 from repro.serving.tenancy import split_phases
 
 FLOOD_SPEC = ("prem:class=premium,weight=8,quota=300,share=250;"
@@ -57,15 +54,22 @@ def _ids(batch):
     return [e[1] for e in batch]
 
 
+def _take(source, until):
+    """One pull's queue entries ``(arrival, request_id, tenant, client,
+    example)``."""
+    wave = source.take_wave(until)
+    return wave.entries(wave.times.tolist()) if len(wave) else []
+
+
 class TestWFQDispatchQueue:
     def test_weighted_order_jumps_the_backlog(self):
         registry = TenantRegistry.from_spec(
             "prem:class=premium,weight=8;flood:weight=1")
         queue = DispatchQueue(registry)
         for i in range(20):
-            queue.push(_entry(i, 0.01 * i, "flood"))
-        queue.push(_entry(100, 0.25, "prem"))
-        queue.push(_entry(101, 0.26, "prem"))
+            queue.push_wave((_entry(i, 0.01 * i, "flood"),))
+        queue.push_wave((_entry(100, 0.25, "prem"),))
+        queue.push_wave((_entry(101, 0.26, "prem"),))
         batch = queue.take(1.0, 4)
         # Both premium requests beat the 20-deep flood backlog.
         assert _ids(batch) == [100, 101, 0, 1]
@@ -74,14 +78,14 @@ class TestWFQDispatchQueue:
         registry = TenantRegistry.from_spec("only:weight=3")
         queue = DispatchQueue(registry)
         for i in range(10):
-            queue.push(_entry(i, 0.001 * i, "only"))
+            queue.push_wave((_entry(i, 0.001 * i, "only"),))
         assert _ids(queue.take(1.0, 10)) == list(range(10))
 
     def test_not_yet_arrived_requests_stay_queued(self):
         registry = TenantRegistry.from_spec("a:weight=1")
         queue = DispatchQueue(registry)
-        queue.push(_entry(0, 0.0, "a"))
-        queue.push(_entry(1, 5.0, "a"))
+        queue.push_wave((_entry(0, 0.0, "a"),))
+        queue.push_wave((_entry(1, 5.0, "a"),))
         assert _ids(queue.take(1.0, 8)) == [0]
         assert len(queue) == 1
         assert queue.oldest_arrival() == 5.0
@@ -90,15 +94,15 @@ class TestWFQDispatchQueue:
         # The second push arrived before the first: it must dispatch at a
         # launch only it has reached, not wait behind the later arrival.
         queue = DispatchQueue(TenantRegistry.from_spec("a"))
-        queue.push(_entry(0, 5.0, "a"))
-        queue.push(_entry(1, 1.0, "a"))
+        queue.push_wave((_entry(0, 5.0, "a"),))
+        queue.push_wave((_entry(1, 1.0, "a"),))
         assert _ids(queue.take(2.0, 8)) == [1]
         assert _ids(queue.take(5.0, 8)) == [0]
 
     def test_an_unregistered_tenant_weighs_one(self):
         queue = DispatchQueue(TenantRegistry.from_spec("heavy:weight=4;one"))
         for i, tenant in enumerate(["ghost", "one", "heavy"] * 4):
-            queue.push(_entry(i, 0.0, tenant))
+            queue.push_wave((_entry(i, 0.0, tenant),))
         # ghost and one finish at 1, 2, 3, 4 — tied, push order decides;
         # heavy's four finish at 0.25 … 1.0.
         assert _ids(queue.take(1.0, 12)) == [2, 5, 8, 0, 1, 11, 3, 4, 6, 7,
@@ -227,23 +231,22 @@ class TestJournal:
     def test_journal_survives_a_mid_run_crash(self, tmp_path):
         # The source dies mid-trace; the journal's finally-close must still
         # land every completed request on disk, auditable.
-        class DyingSource(TenantTaggingSource):
-            def take_arrivals(self, until):
+        class DyingSource(MultiTenantPoissonSource):
+            def take_wave(self, until):
                 if until > 0.5:
                     raise RuntimeError("injected source failure")
-                return super().take_arrivals(until)
+                return super().take_wave(until)
 
         workload = get_workload("mlp_synthetic")
         dataset = make_dataset(workload.dataset, n=512, seed=0)
-        source = DyingSource(
-            OpenLoopPoissonSource([ServingPhase(2.0, 300.0)], dataset.x_val,
-                                  seed=0), "only")
+        registry = TenantRegistry.from_spec("only:class=premium")
+        source = DyingSource(registry, {"only": [ServingPhase(2.0, 300.0)]},
+                             dataset.x_val, seed=0)
         path = str(tmp_path / "journal.jsonl")
         with pytest.raises(RuntimeError, match="injected"):
             serve_workload(
                 "mlp_synthetic", [ServingPhase(2.0, 300.0)], pool_devices=2,
-                source=source, seed=0, journal=path,
-                tenants=TenantRegistry.from_spec("only:class=premium"))
+                source=source, seed=0, journal=path, tenants=registry)
         audit = audit_journal(path)
         assert audit["requests"] > 0
         assert audit["tenants"]["only"]["requests"] == audit["requests"]
@@ -275,19 +278,15 @@ class TestJournalLines:
         assert set(kinds) == {"registry", "request", "shed", "summary"}
 
 
-class _ListSource(RequestSource):
-    """Hands over prepared (already tagged) requests in arrival order."""
+class _ListSource(OpenLoopPoissonSource):
+    """Hands over prepared ``(arrival, tenant)`` pairs, in order, with
+    ``row`` as every request's payload."""
 
-    def __init__(self, requests):
-        self._requests = list(requests)
-
-    def next_arrival_time(self):
-        return self._requests[0].arrival_time if self._requests else None
-
-    def take_arrivals(self, until):
-        due = [r for r in self._requests if r.arrival_time <= until]
-        del self._requests[:len(due)]
-        return due
+    def __init__(self, arrivals, row):
+        table = tuple(dict.fromkeys(tenant for _, tenant in arrivals))
+        self._load(np.array([t for t, _ in arrivals], dtype=float), row[None],
+                   np.array([table.index(tenant) for _, tenant in arrivals]),
+                   table)
 
 
 # Registered, and not representable in JSON without escapes.
@@ -316,12 +315,12 @@ class TestJournalBytes:
 
         def run(sample):
             out = StringIO()
-            requests, now = [], 0.0
-            for i, (gap, tenant) in enumerate(arrivals):
+            tagged, now = [], 0.0
+            for gap, tenant in arrivals:
                 now += gap
-                requests.append(Request(i, now, row, tenant=tenant))
+                tagged.append((now, tenant))
             report = serve_workload(
-                "mlp_synthetic", [], source=_ListSource(requests),
+                "mlp_synthetic", [], source=_ListSource(tagged, row),
                 tenants=TenantRegistry(JOURNAL_SPEC), pool_devices=1,
                 max_batch=max_batch,
                 admission=(None if depth is None
@@ -359,34 +358,6 @@ class TestJournalBytes:
         path = tmp_path_factory.mktemp("journal") / "journal.jsonl"
         path.write_text(text)
         assert audit_journal(str(path))["tenants"] == report.tenants
-
-
-class TestArrivalPaths:
-    @pytest.mark.parametrize("admission", [
-        None, AdmissionPolicy(max_queue_depth=64, max_estimated_wait=0.02)])
-    def test_router_never_asks_a_wave_source_for_request_lists(
-            self, admission, monkeypatch):
-        """An empty pull costs one search: ``take_wave`` says "nothing
-        arrived" itself, so the router never falls back to
-        ``take_arrivals`` on a source that cuts array waves."""
-        def forbidden(self, until):
-            raise AssertionError("take_arrivals called on a wave source")
-
-        empty_pulls = []
-        take_wave = MultiTenantPoissonSource.take_wave
-
-        def counting(self, until):
-            wave = take_wave(self, until)
-            empty_pulls.append(len(wave) == 0)
-            return wave
-
-        # take_arrivals is defined on the base array source: patched there,
-        # the sources' "did a subclass customize it?" guard stays quiet.
-        monkeypatch.setattr(OpenLoopPoissonSource, "take_arrivals", forbidden)
-        monkeypatch.setattr(MultiTenantPoissonSource, "take_wave", counting)
-        report = _serve(rate=1200.0, pool_devices=2, admission=admission)
-        assert len(report.records) > 1000
-        assert any(empty_pulls) and not all(empty_pulls)
 
 
 class TestTornJournal:
@@ -483,27 +454,25 @@ class TestMultiTenantPoissonSource:
 
     def test_merged_stream_is_time_sorted_with_global_ids(self):
         source = self._source("a:share=1;b:share=2", 600.0)
-        requests = source.take_arrivals(float("inf"))
-        times = [r.arrival_time for r in requests]
+        entries = _take(source, float("inf"))
+        times = [e[0] for e in entries]
         assert times == sorted(times)
-        assert [r.request_id for r in requests] == list(range(len(requests)))
-        assert {r.tenant for r in requests} == {"a", "b"}
+        assert [e[1] for e in entries] == list(range(len(entries)))
+        assert {e[2] for e in entries} == {"a", "b"}
 
     def test_tenant_stream_independent_of_neighbours_rate(self):
         # prem's arrivals must be identical whether the other tenant offers
         # 1000 or 4000 req/s — per-tenant seed domains, not one shared draw.
         low = self._source("prem:share=250;flood:share=1000", 1250.0)
         high = self._source("prem:share=250;flood:share=4000", 4250.0)
-        prem_low = [r.arrival_time for r in low.take_arrivals(float("inf"))
-                    if r.tenant == "prem"]
-        prem_high = [r.arrival_time for r in high.take_arrivals(float("inf"))
-                     if r.tenant == "prem"]
+        prem_low = [e[0] for e in _take(low, float("inf")) if e[2] == "prem"]
+        prem_high = [e[0] for e in _take(high, float("inf")) if e[2] == "prem"]
         assert prem_low == prem_high
 
     def test_limit_caps_the_merged_total(self):
         source = self._source("a:share=1;b:share=1", 800.0, limit=37)
         assert source.total_requests == 37
-        assert len(source.take_arrivals(float("inf"))) == 37
+        assert len(_take(source, float("inf"))) == 37
 
     def test_missing_phase_trace_rejected(self):
         registry = TenantRegistry.from_spec("a;b")
@@ -514,21 +483,21 @@ class TestMultiTenantPoissonSource:
                 registry, {"a": [ServingPhase(1.0, 100.0)]}, dataset.x_val)
 
     def test_wave_drain_matches_per_request_drain(self):
-        # Two identical sources, one drained through take_wave and one
-        # through take_arrivals at the same staggered cutoffs, must yield
-        # the same requests — ids, times, tenants, and payload rows.
+        # Two identical sources, one drained in waves at staggered cutoffs
+        # and one pulled at each next arrival time in turn, must yield the
+        # same requests — ids, times, tenants, clients and payload rows.
         spec = "prem:share=250;flood:share=1000"
         waves = self._source(spec, 1250.0)
         oracle = self._source(spec, 1250.0)
         for until in (0.1, 0.25, 0.25, 0.6, float("inf")):
-            wave = waves.take_wave(until)
-            got = wave.entries(wave.times.tolist())
-            want = oracle.take_arrivals(until)
-            assert [e[:4] for e in got] == [
-                (r.arrival_time, r.request_id, r.tenant, r.client)
-                for r in want]
+            got = _take(waves, until)
+            want = []
+            while (oracle.next_arrival_time() is not None
+                   and oracle.next_arrival_time() <= until):
+                want += _take(oracle, oracle.next_arrival_time())
+            assert [e[:4] for e in got] == [e[:4] for e in want]
             for g, w in zip(got, want):
-                assert np.array_equal(g[4], w.example)
+                assert np.array_equal(g[4], w[4])
             assert waves.next_arrival_time() == oracle.next_arrival_time()
 
 
@@ -585,11 +554,12 @@ class TestMultiTenantWaveEdgeCases:
         assert tail.times.tolist() == [0.4]
         assert tail.first_id == 3
         assert len(source.take_wave(float("inf"))) == 0
-        # The per-request pull cuts the identical boundary.
+        # Pulls at each arrival time in turn cut the identical boundary.
         oracle = self._source(monkeypatch, streams)
-        head = oracle.take_arrivals(0.2)
-        assert [(r.arrival_time, r.tenant) for r in head] \
+        head = _take(oracle, 0.1) + _take(oracle, 0.2)
+        assert [(e[0], e[2]) for e in head] \
             == [(0.1, "a"), (0.2, "a"), (0.2, "b")]
+        assert oracle.next_arrival_time() == 0.4
 
 
 class TestLiveTenantHistograms:

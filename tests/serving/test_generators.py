@@ -9,7 +9,14 @@ from hypothesis import given, settings, strategies as st
 from repro.elastic import ServingPhase, serving_arrival_times, spike_phases
 from repro.serving import ClosedLoopSource, OpenLoopPoissonSource
 from repro.serving.generators import EMPTY_WAVE
-from repro.serving.request import RequestRecord
+from repro.serving.request import BatchRecord, RecordBlock
+
+
+def _take(source, until):
+    """One pull's queue entries ``(arrival, request_id, tenant, client,
+    example)``."""
+    wave = source.take_wave(until)
+    return wave.entries(wave.times.tolist()) if len(wave) else []
 
 
 class TestServingTrace:
@@ -47,10 +54,20 @@ class TestServingTrace:
             ServingPhase(0.0, 10.0)
         with pytest.raises(ValueError):
             ServingPhase(1.0, -1.0)
+        ServingPhase(1.0, 0.0)  # a silent phase is a phase
         with pytest.raises(ValueError):
             spike_phases(100.0, spike_factor=0.5)
         with pytest.raises(ValueError):
             serving_arrival_times([], seed=0)
+
+    @pytest.mark.parametrize("duration,rate", [
+        (float("nan"), 1.0), (float("inf"), 1.0), (-float("inf"), 1.0),
+        (1.0, float("nan")), (1.0, float("inf"))])
+    def test_non_finite_phases_are_rejected(self, duration, rate):
+        """A NaN rate once yielded no arrivals without a word, and a NaN
+        duration or an infinite rate never returned from sampling."""
+        with pytest.raises(ValueError, match="finite"):
+            ServingPhase(duration, rate)
 
 
 class TestOpenLoopSource:
@@ -58,19 +75,18 @@ class TestOpenLoopSource:
         examples = np.arange(6, dtype=float).reshape(3, 2)
         source = OpenLoopPoissonSource([ServingPhase(1.0, 200.0)], examples,
                                        seed=0)
-        got = source.take_arrivals(1.0)
+        got = _take(source, 1.0)
         assert len(got) == source.total_requests
-        assert [r.request_id for r in got] == list(range(len(got)))
-        for r in got:
-            np.testing.assert_array_equal(r.example,
-                                          examples[r.request_id % 3])
+        assert [e[1] for e in got] == list(range(len(got)))
+        for _, request_id, _, _, example in got:
+            np.testing.assert_array_equal(example, examples[request_id % 3])
 
     def test_take_respects_clock(self):
         examples = np.zeros((1, 2))
         source = OpenLoopPoissonSource([ServingPhase(2.0, 100.0)], examples,
                                        seed=0)
         first = source.next_arrival_time()
-        got = source.take_arrivals(first)
+        got = _take(source, first)
         assert len(got) >= 1
         nxt = source.next_arrival_time()
         assert nxt is None or nxt > first
@@ -79,7 +95,7 @@ class TestOpenLoopSource:
         examples = np.zeros((1, 2))
         source = OpenLoopPoissonSource([ServingPhase(0.5, 50.0)], examples,
                                        seed=0)
-        source.take_arrivals(10.0)
+        source.take_wave(10.0)
         assert source.next_arrival_time() is None
 
 
@@ -112,14 +128,12 @@ class TestOpenLoopSource:
         assert taken == len(times) and source.next_arrival_time() is None
 
 
-def _complete(requests, completion):
-    return [
-        RequestRecord(request_id=r.request_id, arrival_time=r.arrival_time,
-                      dispatch_time=completion - 0.001,
-                      completion_time=completion, batch_id=0,
-                      batch_size=len(requests), devices=1, client=r.client)
-        for r in requests
-    ]
+def _complete(entries, completion):
+    """The completion block of one micro-batch of ``entries``."""
+    batch = BatchRecord(batch_id=0, dispatch_time=completion - 0.001,
+                        completion_time=completion, size=len(entries),
+                        devices=1, waves=1)
+    return RecordBlock(batch, entries)
 
 
 class TestClosedLoopSource:
@@ -127,13 +141,13 @@ class TestClosedLoopSource:
         examples = np.zeros((4, 2))
         source = ClosedLoopSource(num_clients=3, requests_per_client=2,
                                   examples=examples, think_time=0.01, seed=0)
-        first = source.take_arrivals(10.0)
+        first = _take(source, 10.0)
         assert len(first) == 3  # one per client, nothing more until completion
         assert source.next_arrival_time() is None
         source.on_completion(_complete(first, completion=1.0))
-        second = source.take_arrivals(100.0)
+        second = _take(source, 100.0)
         assert len(second) == 3
-        assert all(r.arrival_time >= 1.0 for r in second)
+        assert all(e[0] >= 1.0 for e in second)
 
     def test_total_request_budget(self):
         examples = np.zeros((4, 2))
@@ -143,10 +157,41 @@ class TestClosedLoopSource:
         t = 0.0
         while source.next_arrival_time() is not None:
             t += 1.0
-            batch = source.take_arrivals(t)
+            batch = _take(source, t)
             served += len(batch)
-            source.on_completion(_complete(batch, completion=t))
+            if batch:
+                source.on_completion(_complete(batch, completion=t))
         assert served == 2 * 3
+
+    def test_waves_carry_clients_and_contiguous_ids_and_rows(self):
+        """A closed-loop pull is one wave like any other: its entries name
+        the client that issued them, ids and bank rows run on contiguously
+        in issue order across pulls, and a shed offset ``j`` is request
+        ``first_id + j``."""
+        examples = np.arange(10, dtype=float).reshape(5, 2)
+        source = ClosedLoopSource(num_clients=4, requests_per_client=3,
+                                  examples=examples, think_time=0.0, seed=3)
+        issued, t = 0, 0.0
+        while source.next_arrival_time() is not None:
+            t += 1.0
+            wave = source.take_wave(t)
+            assert (wave.first_id, wave.first_cursor) == (issued, issued)
+            assert wave.tenant_idx is None and list(wave.tenant_table) == [None]
+            entries = wave.entries(wave.times.tolist())
+            assert [e[1] for e in entries] == list(
+                range(issued, issued + len(wave)))
+            assert [e[3] for e in entries] == wave.clients
+            assert sorted(wave.clients) == [0, 1, 2, 3]  # one per client
+            for _, request_id, tenant, _, example in entries:
+                assert tenant is None
+                np.testing.assert_array_equal(example,
+                                              examples[request_id % 5])
+            shed = wave.shed_block([1, 3], ["depth", "wait"])
+            assert shed.ids.tolist() == [issued + 1, issued + 3]
+            assert shed.times.tolist() == [entries[1][0], entries[3][0]]
+            issued += len(wave)
+            source.on_completion(_complete(entries, completion=t))
+        assert issued == 4 * 3
 
     def test_validation(self):
         examples = np.zeros((1, 2))

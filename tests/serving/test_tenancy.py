@@ -134,6 +134,18 @@ class TestTenantRegistry:
         with pytest.raises(ValueError, match=fragment):
             TenantRegistry.from_spec(spec)
 
+    @pytest.mark.parametrize("key", ["share", "weight", "quota", "burst",
+                                     "p99"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_from_spec_rejects_non_finite_numbers(self, key, value):
+        """``share=inf`` once split the trace into a NaN rate for its
+        tenant and a zero rate for the rest: a run that served nothing
+        and reported full attainment."""
+        field = {"quota": "quota_rps", "p99": "slo_p99"}.get(key, key)
+        quota = ",quota=10" if key == "burst" else ""  # burst needs a quota
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TenantRegistry.from_spec(f"a:{key}={value}{quota};b")
+
     def test_journal_round_trip(self):
         # to_dict -> from_dict must preserve every field an audit needs.
         registry = TenantRegistry.from_spec(

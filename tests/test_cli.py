@@ -529,6 +529,16 @@ class TestTenancyFlags:
         assert exc.value.code == 2
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["share", "weight", "quota", "burst",
+                                     "p99"])
+    def test_an_infinite_tenant_number_is_a_usage_error(self, key, capsys):
+        spec = f"a:quota=10,{key}=inf;b" if key == "burst" else f"a:{key}=inf;b"
+        with pytest.raises(SystemExit) as exc:
+            main(VALID_ARGS["serve"] + ["--tenants", spec])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "bad --tenants" in err and "must be finite" in err
+
 
 class TestTenancyCommands:
     def test_serve_with_tenants_prints_tenant_table(self, capsys, tmp_path):

@@ -91,6 +91,20 @@ class TestOneProductionPath:
         assert "--trace-sample" in flags          # the walk sees the flags
         assert not [f for f in flags if "queue" in f and "depth" not in f]
 
+    def test_a_source_hands_the_router_waves_only(self):
+        """One way in: a source is its next arrival time and its wave pull;
+        nothing builds per-request objects for the router."""
+        import repro.serving
+        from repro.serving import DispatchQueue, RequestSource
+
+        assert RequestSource.__abstractmethods__ == {"next_arrival_time",
+                                                     "take_wave"}
+        for gone in ("Request", "TenantTaggingSource"):
+            assert not hasattr(repro.serving, gone)
+            assert gone not in repro.serving.__all__
+        assert not hasattr(DispatchQueue, "push")
+        assert not hasattr(DispatchQueue, "extend")
+
     def test_no_selector_left_in_src(self):
         import pathlib
 
