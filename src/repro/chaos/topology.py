@@ -175,25 +175,6 @@ class FailureDomainTopology:
                 f"no {level} domain {index} (have {len(doms)})")
         return doms[index]
 
-    def domain_of(self, device_id: int, level: str = RACK) -> int:
-        """Index of the ``level`` domain containing ``device_id``."""
-        rack = self._rack_of.get(device_id)
-        if rack is None:
-            raise ValueError(f"device {device_id} is not in the topology")
-        if level == DEVICE:
-            return self.device_ids.index(device_id)
-        if level == RACK:
-            return rack
-        if level == SWITCH:
-            if not self.switches:
-                return rack
-            for idx, rack_ids in enumerate(self.switches):
-                if rack in rack_ids:
-                    return idx
-            raise AssertionError("switch domains partition the racks")
-        raise ValueError(f"unknown failure-domain level {level!r}; "
-                         f"expected one of {LEVELS}")
-
     def blast_radius(self, level: str) -> int:
         """Devices lost when the largest ``level`` domain fails at once."""
         return max(len(d) for d in self.domains(level))

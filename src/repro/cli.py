@@ -1,31 +1,28 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands mirror the library's main entry points:
+Commands mirror the library's main entry points.  Each flag meaning is
+defined once, in the named argument group that owns it (``--help`` shows
+them):
 
-* ``train``    — train a workload under virtual node processing, with
-  optional mid-training resizes;
-* ``infer``    — serve inference batches under virtual node processing and
-  report per-request latency;
-* ``serve``    — online serving: admit a Poisson request stream, coalesce
-  micro-batches, and (optionally) autoscale the virtual-node→device
-  mapping against a p99 SLO;
-* ``cosched``  — co-scheduled training + serving on one shared device
-  pool: the co-scheduler harvests training GPUs during serving spikes and
-  returns them when the p99 recovers;
-* ``chaos``    — the same co-scheduled run under a seeded fault plan:
-  device crashes with recovery (migrate or checkpoint-restore), straggler
-  windows, and network-degradation windows injected as runtime events;
-* ``audit``    — replay a multi-tenant request journal (written by
-  ``serve``/``cosched``/``chaos`` ``--journal``) into per-tenant SLO
-  attainment, offline, from the journal alone;
-* ``plan``     — show the execution plan (waves, memory, predicted step
-  time) for a configuration without training;
-* ``profile``  — run the offline profiler for a workload across device
-  types (§5.1.1);
-* ``solve``    — run the heterogeneous solver for a device pool (§5.1.2);
-* ``simulate`` — run the elastic scheduling simulation (§6.4);
-* ``gavel``    — run the Gavel ± heterogeneous-allocations comparison
-  (§6.5.2).
+* **job** — a workload at a global batch size and the virtual nodes and
+  homogeneous pool it maps onto: ``train`` (with mid-training resizes),
+  ``infer``, ``plan`` (the execution plan, without training) and
+  ``solve`` (the §5.1.2 heterogeneous solver, over a ``--pool``);
+* **serving** — a Poisson request trace, micro-batching, the pool, the
+  p99 SLO, tenancy, ``--profile`` and the runtime's ``--trace-out``
+  timeline: ``serve`` (optionally autoscaled), ``cosched`` (training and
+  serving on one shared pool, harvested during spikes) and ``chaos`` (the
+  same under a seeded **fault plan**).  The defaults the three differ in
+  (``--devices``, ``--spike-factor``, ``--slo-p99``) are arguments;
+* **job trace** — ``simulate`` (the §6.4 elastic scheduling simulation)
+  and ``gavel`` (Gavel ± heterogeneous allocations, §6.5.2);
+* ``audit`` replays a serving ``--journal`` into per-tenant SLO
+  attainment, offline; ``profile`` runs the §5.1.1 offline profiler.
+
+Flags two groups take (``--workload``, ``--seed``, the pool) are defined
+once in ``_SHARED``.  Numbers parse through ``_bounded`` and device names
+and counts against the device registry, so a bad value is a usage error
+(exit 2), not a traceback.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ import argparse
 import math
 import sys
 from contextlib import contextmanager
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro._lazy import lazy_exports
 from repro.framework.models import WORKLOADS
@@ -56,18 +53,38 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 _module = sys.modules[__name__]
 
 
+def _device_type(text: str) -> str:
+    """A device type the registry (``hardware.device.DEVICE_SPECS``) knows."""
+    # Imported here, not at the top: ``import repro.cli`` stays 13 modules.
+    from repro.hardware.device import DEVICE_SPECS
+
+    if text not in DEVICE_SPECS:
+        raise argparse.ArgumentTypeError(
+            f"unknown device type {text!r} (known: {', '.join(sorted(DEVICE_SPECS))})")
+    return text
+
+
+def _device_types(text: str) -> List[str]:
+    """Parse 'V100,P100': at least one known device type."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError(f"expected TYPE[,TYPE...], got {text!r}")
+    return [_device_type(name) for name in names]
+
+
 def _parse_device_counts(text: str) -> Dict[str, int]:
-    """Parse 'V100=2,P100=4' into {'V100': 2, 'P100': 4}."""
+    """Parse 'V100=2,P100=4' into {'V100': 2, 'P100': 4}: known device
+    types, each named once, each with at least one device."""
     counts: Dict[str, int] = {}
     for part in text.split(","):
-        if "=" not in part:
+        name, sep, value = part.partition("=")
+        name = name.strip()
+        if not sep:
             raise argparse.ArgumentTypeError(
                 f"expected TYPE=COUNT entries, got {part!r}")
-        name, _, value = part.partition("=")
-        try:
-            counts[name.strip()] = int(value)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad count in {part!r}") from None
+        if name in counts:
+            raise argparse.ArgumentTypeError(f"{name} is named twice")
+        counts[_device_type(name)] = _positive_int(value)
     return counts
 
 
@@ -110,65 +127,57 @@ _positive_int = _bounded(int, 0)
 _nonnegative_int = _bounded(int, 0, exclusive=False)
 
 
-def _add_runtime_flags(sub_parser: argparse.ArgumentParser) -> None:
-    """The event-runtime knob shared by every discrete-event command."""
-    sub_parser.add_argument(
+def _add_runtime_flags(group) -> None:
+    """The event-timeline flags of every discrete-event command."""
+    group.add_argument("--trace-out", default=None, metavar="PATH",
+                       help="write the runtime's JSONL event timeline here")
+    group.add_argument(
         "--trace-sample", type=_positive_int, default=1, metavar="N",
         help="journal every Nth event to --trace-out (default 1 = all; the "
              "trace records the stride in a leading meta line)")
 
 
-def _make_trace(args):
-    """The ``trace`` argument for a run: a sampling writer, a path, or None."""
-    if args.trace_out is not None and args.trace_sample > 1:
-        from repro.runtime.trace import EventTrace
-        return EventTrace(args.trace_out, sample=args.trace_sample)
-    return args.trace_out
-
-
-def _add_profile_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--profile", default=None, metavar="PATH",
-                   help="run under cProfile and dump the stats file here "
-                        "(off by default; inspect with python -m pstats)")
-
-
 @contextmanager
-def _maybe_profile(path: Optional[str]):
-    """cProfile the wrapped run when ``--profile PATH`` is set.
+def _run_outputs(args, serving: Optional[Callable] = None):
+    """The run skeleton of the event-runtime commands: yields
+    ``run(entry, ...)``, which calls ``entry(..., trace=<the --trace-out
+    timeline, or None>)`` under ``--profile`` (stats dumped even when the
+    run raises) and returns its report.  The timeline is closed however the
+    block ends; a clean end prints the footer: the per-tenant table of the
+    report ``serving`` picks out (if given) and the journal, then the
+    timeline path."""
+    trace, reports = None, []
+    if args.trace_out is not None:
+        from repro.runtime.trace import EventTrace
+        trace = EventTrace(args.trace_out, sample=args.trace_sample)
 
-    Stats are dumped even when the run raises, so a profile of a crashing
-    configuration is still recoverable.
-    """
-    if not path:
-        yield
-        return
-    import cProfile
-    profiler = cProfile.Profile()
-    profiler.enable()
+    def run(entry, *positional, **keywords):
+        keywords["trace"] = trace
+        path = getattr(args, "profile", None)  # ``simulate`` has no --profile
+        if not path:
+            reports.append(entry(*positional, **keywords))
+            return reports[-1]
+        import cProfile
+        profiler = cProfile.Profile()
+        try:
+            reports.append(profiler.runcall(entry, *positional, **keywords))
+        finally:
+            profiler.dump_stats(path)
+            print(f"cProfile stats written to {path} "
+                  f"(inspect with: python -m pstats {path})")
+        return reports[-1]
+
     try:
-        yield
+        yield run
     finally:
-        profiler.disable()
-        profiler.dump_stats(path)
-        print(f"cProfile stats written to {path} "
-              f"(inspect with: python -m pstats {path})")
-
-
-def _add_tenancy_flags(p: argparse.ArgumentParser) -> None:
-    """The multi-tenant gateway surface (``serve``, ``cosched``, ``chaos``)."""
-    p.add_argument("--tenants", default=None, metavar="SPEC",
-                   help="serve through the multi-tenant gateway: "
-                        "';'-separated name[:key=value,...] entries with "
-                        "keys class/weight/quota/burst/p99/share, e.g. "
-                        "'prem:class=premium,weight=4,quota=300;"
-                        "batch:weight=1'")
-    p.add_argument("--journal", default=None, metavar="PATH",
-                   help="append the durable per-request JSONL journal here "
-                        "(needs --tenants; replay with 'repro audit')")
-    p.add_argument("--dispatcher", choices=("wfq", "fifo"), default="wfq",
-                   help="tenant dispatch policy (wfq = weighted fair "
-                        "queueing; fifo = strict arrival order, the "
-                        "fairness baseline)")
+        if trace is not None:
+            trace.close()
+    if serving is not None:
+        _print_tenant_table(serving(reports[-1]))
+        if args.journal:
+            print(f"request journal written to {args.journal}")
+    if args.trace_out:
+        print(f"event timeline written to {args.trace_out}")
 
 
 def _tenancy_from_args(args):
@@ -215,71 +224,146 @@ def _print_tenant_table(report) -> None:
         print(_tenant_table(report.tenants, "per-tenant SLO attainment"))
 
 
-def _add_cosched_flags(p: argparse.ArgumentParser) -> None:
-    """The shared co-scheduling surface (``cosched`` and ``chaos``)."""
-    p.add_argument("--workload", required=True, choices=sorted(WORKLOADS),
-                   help="the serving workload (training jobs come from "
-                        "--train-workload)")
-    p.add_argument("--arrival-rate", type=_positive_float, required=True,
-                   help="base request arrivals per second (open-loop Poisson)")
-    p.add_argument("--duration", type=_positive_float, default=8.0,
-                   help="seconds of base load (split around the spike)")
-    p.add_argument("--spike-factor", type=_spike_factor, default=4.0,
-                   help="multiply the rate by this for a mid-trace spike")
-    p.add_argument("--spike-duration", type=_positive_float, default=2.0,
-                   help="seconds the spike lasts")
-    p.add_argument("--max-batch", type=_positive_int, default=16)
-    p.add_argument("--max-wait", type=_nonnegative_float, default=2.0,
-                   help="micro-batch wait budget, milliseconds")
-    p.add_argument("--devices", type=_positive_int, default=8,
-                   help="shared pool size")
-    p.add_argument("--device-type", default="V100")
-    p.add_argument("--initial-serving", type=_positive_int, default=1,
-                   help="devices the router starts with")
-    p.add_argument("--slo-p99", type=_positive_float, default=35.0,
-                   help="p99 latency objective, milliseconds")
-    p.add_argument("--static", action="store_true",
-                   help="freeze the partition at --initial-serving "
-                        "(the baseline the harvest frontier beats)")
-    p.add_argument("--train-jobs", type=_positive_int, default=2,
-                   help="resident elastic training jobs on the pool")
-    p.add_argument("--train-workload", default="resnet56_cifar10",
-                   choices=sorted(WORKLOADS))
-    p.add_argument("--train-demand", type=_positive_int, default=4,
-                   help="GPUs each training job demands")
-    p.add_argument("--train-floor", type=_nonnegative_int, default=0,
-                   help="devices serving may never harvest")
-    p.add_argument("--resize-delay", type=_nonnegative_float, default=0.5,
-                   help="training-side §4.1 resize stall, seconds")
-    p.add_argument("--requests", type=_positive_int, default=None,
-                   help="cap on admitted requests")
-    p.add_argument("--shed-queue-depth", type=_positive_int, default=None,
-                   metavar="N",
-                   help="shed arrivals once N admitted requests are queued "
-                        "(load-shedding admission control)")
-    p.add_argument("--shed-wait", type=_positive_float, default=None,
-                   metavar="MS",
-                   help="shed arrivals whose estimated wait exceeds MS "
-                        "milliseconds")
-    p.add_argument("--brownout", action="store_true",
-                   help="halve max-batch/max-wait while serving capacity "
-                        "is derated")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trace-out", default=None, metavar="PATH",
-                   help="write the runtime's JSONL event timeline here")
-    _add_profile_flag(p)
-    _add_tenancy_flags(p)
-    _add_runtime_flags(p)
+def _add_cosched_flags(parser) -> None:
+    """The serving group plus the co-scheduling surface (``cosched`` and
+    ``chaos``): the resident training jobs, the harvest policy and load
+    shedding."""
+    group = _add_serving_flags(parser, devices=8, spike_factor=4.0,
+                               slo_p99=35.0)
+    group.add_argument("--initial-serving", type=_positive_int, default=1,
+                       help="devices the router starts with")
+    group.add_argument("--static", action="store_true",
+                       help="freeze the partition at --initial-serving "
+                            "(the baseline the harvest frontier beats)")
+    group.add_argument("--train-jobs", type=_positive_int, default=2,
+                       help="resident elastic training jobs on the pool")
+    group.add_argument("--train-workload", default="resnet56_cifar10",
+                       choices=_WORKLOAD_NAMES)
+    group.add_argument("--train-demand", type=_positive_int, default=4,
+                       help="GPUs each training job demands")
+    group.add_argument("--train-floor", type=_nonnegative_int, default=0,
+                       help="devices serving may never harvest")
+    group.add_argument("--resize-delay", type=_nonnegative_float, default=0.5,
+                       help="training-side §4.1 resize stall, seconds")
+    group.add_argument("--shed-queue-depth", type=_positive_int, default=None,
+                       metavar="N",
+                       help="shed arrivals once N admitted requests are "
+                            "queued (load-shedding admission control)")
+    group.add_argument("--shed-wait", type=_positive_float, default=None,
+                       metavar="MS",
+                       help="shed arrivals whose estimated wait exceeds MS "
+                            "milliseconds")
+    group.add_argument("--brownout", action="store_true",
+                       help="halve max-batch/max-wait while serving capacity "
+                            "is derated")
 
 
-def _parse_resize(text: str):
-    """Parse 'EPOCH:DEVICES' resize directives."""
-    epoch, _, devices = text.partition(":")
-    try:
-        return int(epoch), int(devices)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected EPOCH:DEVICES, got {text!r}") from None
+def _parse_resize(text: str) -> Tuple[int, int]:
+    """Parse an 'EPOCH:DEVICES' resize directive (epoch >= 0, devices >= 1)."""
+    epoch, sep, devices = text.partition(":")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected EPOCH:DEVICES, got {text!r}")
+    return _nonnegative_int(epoch), _positive_int(devices)
+
+
+_WORKLOAD_NAMES = sorted(WORKLOADS)
+
+# The flags more than one group takes, each defined here once.  A group adds
+# one with ``_add_shared``, naming only its own default or ``required``.
+_SHARED = {
+    "--workload": dict(choices=_WORKLOAD_NAMES, required=True),
+    "--seed": dict(type=_nonnegative_int, default=0, help="run seed"),
+    "--virtual-nodes": dict(type=_positive_int,
+                            help="virtual nodes (serve: default the pool size)"),
+    "--devices": dict(type=_positive_int, help="device pool size"),
+    "--device-type": dict(type=_device_type, default="V100"),
+    "--pool": dict(type=_parse_device_counts, metavar="TYPE=N[,TYPE=N...]",
+                   help="heterogeneous device pool"),
+}
+
+
+def _add_shared(group, flag: str, **own) -> None:
+    group.add_argument(flag, **_SHARED[flag], **own)
+
+
+def _add_job_flags(parser, *, mapping: bool = True, seed: bool = True):
+    """The job group of ``train``, ``infer``, ``plan`` and ``solve``: a
+    workload at a global batch size and, with ``mapping``, the virtual
+    nodes it is split over and the homogeneous pool they run on.  Returns
+    the group, for the command's own flags."""
+    group = parser.add_argument_group("job")
+    _add_shared(group, "--workload")
+    group.add_argument("--batch", type=_positive_int, required=True,
+                       help="global batch size (hardware-free)")
+    if mapping:
+        _add_shared(group, "--virtual-nodes", required=True)
+        _add_shared(group, "--devices", default=1)
+        _add_shared(group, "--device-type")
+    if seed:
+        _add_shared(group, "--seed")
+    return group
+
+
+def _add_serving_flags(parser, *, devices: int, spike_factor: float,
+                       slo_p99: float):
+    """The serving group of ``serve``, ``cosched`` and ``chaos``: the
+    request trace, micro-batching, the pool, the SLO, tenancy, profiling
+    and the event timeline.  The three defaults the commands differ in are
+    arguments.  Returns the group, for the command's own flags."""
+    group = parser.add_argument_group("serving")
+    _add_shared(group, "--workload")
+    group.add_argument(
+        "--arrival-rate", type=_positive_float, required=True,
+        help="base request arrivals per second (open-loop Poisson)")
+    group.add_argument("--duration", type=_positive_float, default=8.0,
+                       help="seconds of base load (split around the spike)")
+    group.add_argument("--spike-factor", type=_spike_factor,
+                       default=spike_factor,
+                       help="multiply the rate by this for a mid-trace spike "
+                            "(1 = steady load)")
+    group.add_argument("--spike-duration", type=_positive_float, default=2.0,
+                       help="seconds the spike lasts")
+    group.add_argument("--max-batch", type=_positive_int, default=16,
+                       help="micro-batch coalescing cap")
+    group.add_argument("--max-wait", type=_nonnegative_float, default=2.0,
+                       help="micro-batch wait budget, milliseconds")
+    _add_shared(group, "--devices", default=devices)
+    _add_shared(group, "--device-type")
+    group.add_argument("--slo-p99", type=_positive_float, default=slo_p99,
+                       help="p99 latency objective, milliseconds")
+    group.add_argument("--requests", type=_positive_int, default=None,
+                       help="cap on admitted requests")
+    _add_shared(group, "--seed")
+    group.add_argument("--tenants", default=None, metavar="SPEC",
+                       help="serve through the multi-tenant gateway: "
+                            "';'-separated name[:key=value,...] entries with "
+                            "keys class/weight/quota/burst/p99/share, e.g. "
+                            "'prem:class=premium,weight=4,quota=300;"
+                            "batch:weight=1'")
+    group.add_argument("--journal", default=None, metavar="PATH",
+                       help="append the durable per-request JSONL journal "
+                            "here (needs --tenants; replay with 'repro "
+                            "audit')")
+    group.add_argument("--dispatcher", choices=("wfq", "fifo"), default="wfq",
+                       help="tenant dispatch policy (wfq = weighted fair "
+                            "queueing; fifo = strict arrival order, the "
+                            "fairness baseline)")
+    group.add_argument("--profile", default=None, metavar="PATH",
+                       help="run under cProfile and dump the stats file here "
+                            "(off by default; inspect with python -m pstats)")
+    _add_runtime_flags(group)
+    return group
+
+
+def _add_job_trace_flags(parser, *, jobs: int, rate: float):
+    """The synthetic job trace of ``simulate`` and ``gavel``.  Returns the
+    group, for the command's own flags."""
+    group = parser.add_argument_group("job trace")
+    group.add_argument("--jobs", type=_positive_int, default=jobs)
+    group.add_argument("--rate", type=_positive_float, default=rate,
+                       help="job arrivals per hour")
+    _add_shared(group, "--seed")
+    return group
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,130 +374,92 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    train = sub.add_parser("train", help="train a workload under virtual nodes")
-    train.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
-    train.add_argument("--batch", type=int, required=True,
-                       help="global batch size (hardware-free)")
-    train.add_argument("--virtual-nodes", type=int, required=True)
-    train.add_argument("--devices", type=int, default=1)
-    train.add_argument("--device-type", default="V100")
-    train.add_argument("--epochs", type=int, default=3)
-    train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--dataset-size", type=int, default=2048)
-    train.add_argument("--lr", type=float, default=None)
+    train = _add_job_flags(sub.add_parser(
+        "train", help="train a workload under virtual nodes"))
+    train.add_argument("--epochs", type=_nonnegative_int, default=3)
+    train.add_argument("--dataset-size", type=_positive_int, default=2048)
+    train.add_argument("--lr", type=_positive_float, default=None)
     train.add_argument("--resize", type=_parse_resize, action="append",
                        default=[], metavar="EPOCH:DEVICES",
                        help="resize after EPOCH to DEVICES (repeatable)")
     # Older command lines spell the one execution backend; accepted, ignored.
     train.add_argument("--backend", choices=["fused"], help=argparse.SUPPRESS)
 
-    infer = sub.add_parser("infer", help="serve inference under virtual nodes")
-    infer.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
-    infer.add_argument("--batch", type=int, required=True,
-                       help="virtual-node-set batch size (hardware-free)")
-    infer.add_argument("--virtual-nodes", type=int, required=True)
-    infer.add_argument("--devices", type=int, default=1)
-    infer.add_argument("--device-type", default="V100")
-    infer.add_argument("--requests", type=int, default=4,
+    infer = _add_job_flags(sub.add_parser(
+        "infer", help="serve inference under virtual nodes"))
+    infer.add_argument("--requests", type=_nonnegative_int, default=4,
                        help="number of request batches to serve")
-    infer.add_argument("--seed", type=int, default=0)
 
-    serve = sub.add_parser(
-        "serve", help="online serving with micro-batching and autoscaling")
-    serve.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
-    serve.add_argument("--arrival-rate", type=_positive_float, required=True,
-                       help="base request arrivals per second (open-loop Poisson)")
-    serve.add_argument("--duration", type=_positive_float, default=8.0,
-                       help="seconds of base load (split around the spike)")
-    serve.add_argument("--spike-factor", type=_spike_factor, default=1.0,
-                       help="multiply the rate by this for a mid-trace spike "
-                            "(1 = steady load)")
-    serve.add_argument("--spike-duration", type=_positive_float, default=2.0,
-                       help="seconds the spike lasts")
-    serve.add_argument("--max-batch", type=_positive_int, default=16,
-                       help="micro-batch coalescing cap")
-    serve.add_argument("--max-wait", type=_nonnegative_float, default=2.0,
-                       help="micro-batch wait budget, milliseconds")
-    serve.add_argument("--devices", type=_positive_int, default=4,
-                       help="device pool size")
-    serve.add_argument("--device-type", default="V100")
-    serve.add_argument("--virtual-nodes", type=_positive_int, default=None,
-                       help="virtual nodes for the serving job "
-                            "(default: pool size)")
+    serve = _add_serving_flags(
+        sub.add_parser("serve", help="online serving with micro-batching and "
+                                     "autoscaling"),
+        devices=4, spike_factor=1.0, slo_p99=50.0)
+    _add_shared(serve, "--virtual-nodes")
     serve.add_argument("--initial-devices", type=_positive_int, default=None,
-                       help="starting allocation (default: the full pool, or "
-                            "1 with --autoscale)")
+                       help="starting allocation (default: the full pool, "
+                            "or 1 with --autoscale)")
     serve.add_argument("--autoscale", action="store_true",
                        help="remap the virtual-node mapping against the SLO")
-    serve.add_argument("--slo-p99", type=_positive_float, default=50.0,
-                       help="p99 latency objective, milliseconds")
-    serve.add_argument("--requests", type=_positive_int, default=None,
-                       help="cap on admitted requests")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--trace-out", default=None, metavar="PATH",
-                       help="write the runtime's JSONL event timeline here")
-    _add_profile_flag(serve)
-    _add_tenancy_flags(serve)
-    _add_runtime_flags(serve)
 
-    cosched = sub.add_parser(
-        "cosched", help="co-scheduled training + serving on one shared pool")
-    _add_cosched_flags(cosched)
+    _add_cosched_flags(sub.add_parser(
+        "cosched", help="co-scheduled training + serving on one shared pool"))
 
     chaos = sub.add_parser(
         "chaos", help="co-scheduled run under seeded fault injection")
     _add_cosched_flags(chaos)
-    chaos.add_argument("--crash-rate", type=_nonnegative_float, default=0.25,
-                       help="device crashes per simulated second (Poisson)")
-    chaos.add_argument("--mttr", type=_positive_float, default=2.0,
-                       help="mean seconds a crashed device stays down")
-    chaos.add_argument("--straggler-rate", type=_nonnegative_float,
-                       default=0.15,
-                       help="straggler-window onsets per simulated second")
-    chaos.add_argument("--straggler-factor", type=_straggler_speed,
-                       default=0.6,
-                       help="straggler speed multiplier in (0, 1)")
-    chaos.add_argument("--straggler-duration", type=_positive_float,
-                       default=2.0, help="mean straggler window, seconds")
-    chaos.add_argument("--network-rate", type=_nonnegative_float, default=0.1,
-                       help="network-degradation onsets per simulated second")
-    chaos.add_argument("--network-factor", type=_degradation_factor,
-                       default=3.0,
-                       help="collective-time multiplier while degraded (> 1)")
-    chaos.add_argument("--network-duration", type=_positive_float, default=1.5,
-                       help="mean network-degradation window, seconds")
-    chaos.add_argument("--topology", default=None, metavar="SPEC",
-                       help="failure-domain tree over the pool, e.g. "
-                            "racks=4x8 or racks=4x8,switches=2 (device "
-                            "count must equal --devices)")
-    chaos.add_argument("--correlated", action="store_true",
-                       help="correlated chaos over --topology: straggler "
-                            "windows open rack-wide and domain wipes are "
-                            "drawn (at --wipe-rate, default 0.15)")
-    chaos.add_argument("--wipe-rate", type=_nonnegative_float, default=None,
-                       help="domain-wipe onsets per simulated second "
-                            "(needs --topology; implied 0.15 by "
-                            "--correlated)")
-    chaos.add_argument("--wipe-level", choices=("rack", "switch"),
-                       default="rack",
-                       help="failure-domain level a wipe takes out at once")
-    chaos.add_argument("--derate-rate", type=_nonnegative_float, default=0.0,
-                       help="partial-degradation (ECC-throttle) onsets per "
-                            "simulated second")
-    chaos.add_argument("--derate-floor", type=_straggler_speed, default=0.55,
-                       help="derated speed in (0, 1) while throttled")
-    chaos.add_argument("--derate-duration", type=_positive_float, default=2.0,
-                       help="seconds a derate lasts before full recovery")
-    chaos.add_argument("--chaos-seed", type=int, default=None,
-                       help="fault-plan seed (default: --seed)")
-    chaos.add_argument("--recovery", choices=("migrate", "checkpoint"),
-                       default="migrate",
-                       help="training recovery mode: migrate survivors "
-                            "(elastic, no lost steps) or restore the last "
-                            "checkpoint")
-    chaos.add_argument("--retry-delay", type=_positive_float, default=0.05,
-                       help="serving re-admission delay after a crash, "
-                            "seconds")
+    faults = chaos.add_argument_group("fault plan")
+    faults.add_argument("--crash-rate", type=_nonnegative_float, default=0.25,
+                        help="device crashes per simulated second (Poisson)")
+    faults.add_argument("--mttr", type=_positive_float, default=2.0,
+                        help="mean seconds a crashed device stays down")
+    faults.add_argument("--straggler-rate", type=_nonnegative_float,
+                        default=0.15,
+                        help="straggler-window onsets per simulated second")
+    faults.add_argument("--straggler-factor", type=_straggler_speed,
+                        default=0.6,
+                        help="straggler speed multiplier in (0, 1)")
+    faults.add_argument("--straggler-duration", type=_positive_float,
+                        default=2.0, help="mean straggler window, seconds")
+    faults.add_argument("--network-rate", type=_nonnegative_float, default=0.1,
+                        help="network-degradation onsets per simulated second")
+    faults.add_argument("--network-factor", type=_degradation_factor,
+                        default=3.0,
+                        help="collective-time multiplier while degraded (> 1)")
+    faults.add_argument("--network-duration", type=_positive_float,
+                        default=1.5,
+                        help="mean network-degradation window, seconds")
+    faults.add_argument("--topology", default=None, metavar="SPEC",
+                        help="failure-domain tree over the pool, e.g. "
+                             "racks=4x8 or racks=4x8,switches=2 (device "
+                             "count must equal --devices)")
+    faults.add_argument("--correlated", action="store_true",
+                        help="correlated chaos over --topology: straggler "
+                             "windows open rack-wide and domain wipes are "
+                             "drawn (at --wipe-rate, default 0.15)")
+    faults.add_argument("--wipe-rate", type=_nonnegative_float, default=None,
+                        help="domain-wipe onsets per simulated second "
+                             "(needs --topology; implied 0.15 by "
+                             "--correlated)")
+    faults.add_argument("--wipe-level", choices=("rack", "switch"),
+                        default="rack",
+                        help="failure-domain level a wipe takes out at once")
+    faults.add_argument("--derate-rate", type=_nonnegative_float, default=0.0,
+                        help="partial-degradation (ECC-throttle) onsets per "
+                             "simulated second")
+    faults.add_argument("--derate-floor", type=_straggler_speed, default=0.55,
+                        help="derated speed in (0, 1) while throttled")
+    faults.add_argument("--derate-duration", type=_positive_float, default=2.0,
+                        help="seconds a derate lasts before full recovery")
+    faults.add_argument("--chaos-seed", type=_nonnegative_int, default=None,
+                        help="fault-plan seed (default: --seed)")
+    faults.add_argument("--recovery", choices=("migrate", "checkpoint"),
+                        default="migrate",
+                        help="training recovery mode: migrate survivors "
+                             "(elastic, no lost steps) or restore the last "
+                             "checkpoint")
+    faults.add_argument("--retry-delay", type=_positive_float, default=0.05,
+                        help="serving re-admission delay after a crash, "
+                             "seconds")
 
     audit = sub.add_parser(
         "audit", help="replay a gateway request journal into per-tenant "
@@ -424,43 +470,28 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--json", action="store_true",
                        help="print the raw audit payload as JSON")
 
-    plan = sub.add_parser("plan", help="show the execution plan for a config")
-    plan.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
-    plan.add_argument("--batch", type=int, required=True)
-    plan.add_argument("--virtual-nodes", type=int, required=True)
-    plan.add_argument("--devices", type=int, default=1)
-    plan.add_argument("--device-type", default="V100")
+    _add_job_flags(sub.add_parser(
+        "plan", help="show the execution plan for a config"), seed=False)
 
     profile = sub.add_parser("profile", help="offline throughput profiling")
-    profile.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
-    profile.add_argument("--device-types", default="V100,P100,K80,RTX2080Ti")
-    profile.add_argument("--seed", type=int, default=0)
+    profile.add_argument("--device-types", type=_device_types,
+                         default="V100,P100,K80,RTX2080Ti",
+                         metavar="TYPE[,TYPE...]")
+    _add_shared(profile, "--workload")
+    _add_shared(profile, "--seed")
 
-    solve = sub.add_parser("solve", help="heterogeneous solver")
-    solve.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
-    solve.add_argument("--batch", type=int, required=True)
-    solve.add_argument("--pool", type=_parse_device_counts, required=True,
-                       metavar="TYPE=N[,TYPE=N...]")
-    solve.add_argument("--seed", type=int, default=0)
+    solve = _add_job_flags(sub.add_parser(
+        "solve", help="heterogeneous solver"), mapping=False)
+    _add_shared(solve, "--pool", required=True)
 
-    simulate = sub.add_parser("simulate", help="elastic scheduling simulation")
-    simulate.add_argument("--jobs", type=_positive_int, default=20)
-    simulate.add_argument("--rate", type=_positive_float, default=12.0,
-                          help="job arrivals per hour")
+    simulate = _add_job_trace_flags(sub.add_parser(
+        "simulate", help="elastic scheduling simulation"), jobs=20, rate=12.0)
     simulate.add_argument("--gpus", type=_positive_int, default=8)
-    simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--trace-out", default=None, metavar="PATH",
-                          help="write the runtime's JSONL event timeline "
-                               "here (elastic scheduler run only)")
     _add_runtime_flags(simulate)
 
-    gavel = sub.add_parser("gavel", help="Gavel vs Gavel+heterogeneous")
-    gavel.add_argument("--jobs", type=_positive_int, default=12)
-    gavel.add_argument("--rate", type=_positive_float, default=8.0)
-    gavel.add_argument("--pool", type=_parse_device_counts,
-                       default={"V100": 4, "P100": 8, "K80": 16},
-                       metavar="TYPE=N[,TYPE=N...]")
-    gavel.add_argument("--seed", type=int, default=0)
+    gavel = _add_job_trace_flags(sub.add_parser(
+        "gavel", help="Gavel vs Gavel+heterogeneous"), jobs=12, rate=8.0)
+    _add_shared(gavel, "--pool", default={"V100": 4, "P100": 8, "K80": 16})
 
     return parser
 
@@ -490,19 +521,25 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_infer(args) -> int:
-    from repro.core.inference import InferenceEngine
+def _job_mapping(args):
+    """The job group's workload, and its virtual nodes mapped evenly onto
+    ``--devices`` x ``--device-type``."""
     from repro.core.mapping import Mapping
     from repro.core.virtual_node import VirtualNodeSet
-    from repro.data.datasets import make_dataset
     from repro.framework.models import get_workload
     from repro.hardware.cluster import Cluster
 
-    workload = get_workload(args.workload)
-    vn_set = VirtualNodeSet.even(args.batch, args.virtual_nodes)
-    cluster = Cluster.homogeneous(args.device_type, args.devices)
-    engine = InferenceEngine(workload, workload.build_model(args.seed),
-                             Mapping.even(vn_set, cluster))
+    return get_workload(args.workload), Mapping.even(
+        VirtualNodeSet.even(args.batch, args.virtual_nodes),
+        Cluster.homogeneous(args.device_type, args.devices))
+
+
+def _cmd_infer(args) -> int:
+    from repro.core.inference import InferenceEngine
+    from repro.data.datasets import make_dataset
+
+    workload, mapping = _job_mapping(args)
+    engine = InferenceEngine(workload, workload.build_model(args.seed), mapping)
     # val_fraction is 0.2, so 8x the batch guarantees full request batches.
     dataset = make_dataset(workload.dataset, n=max(8 * args.batch, 64), seed=args.seed)
     rows = []
@@ -522,7 +559,6 @@ def _cmd_infer(args) -> int:
 
 def _cmd_serve(args) -> int:
     from repro.elastic.trace import ServingPhase, spike_phases
-    from repro.runtime.trace import EventTrace
 
     if args.spike_factor > 1.0:
         phases = spike_phases(args.arrival_rate, args.spike_factor,
@@ -531,58 +567,47 @@ def _cmd_serve(args) -> int:
     else:
         phases = [ServingPhase(args.duration, args.arrival_rate)]
     slo = args.slo_p99 / 1e3
-    trace = _make_trace(args)
     tenants, journal, dispatcher = _tenancy_from_args(args)
-    try:
-        with _maybe_profile(args.profile):
-            report = _module.serve_workload(
-                args.workload, phases,
-                max_batch=args.max_batch, max_wait=args.max_wait / 1e3,
-                pool_devices=args.devices, device_type=args.device_type,
-                virtual_nodes=args.virtual_nodes,
-                initial_devices=args.initial_devices,
-                autoscale=args.autoscale,
-                slo_p99=slo if args.autoscale else None,
-                seed=args.seed, limit=args.requests,
-                trace=trace, tenants=tenants, journal=journal,
-                dispatcher=dispatcher)
-    finally:
-        if isinstance(trace, EventTrace):
-            trace.close()
-    summary = report.summary(slo_p99=slo)
-    rows = [
-        ["requests served", f"{int(summary['requests'])}"],
-        ["micro-batches", f"{int(summary['batches'])} "
-                          f"(mean size {summary['mean_batch_size']:.1f})"],
-        ["sim duration", format_duration(summary["duration_s"])],
-        ["throughput", f"{summary['throughput_rps']:.0f} req/s"],
-        ["latency p50 / p99", f"{summary['latency_p50_ms']:.2f} / "
-                              f"{summary['latency_p99_ms']:.2f} ms"],
-        ["queue / service (mean)", f"{summary['mean_queue_delay_ms']:.2f} / "
-                                   f"{summary['mean_service_ms']:.2f} ms"],
-        [f"SLO p99 <= {args.slo_p99:.0f} ms",
-         f"{'MET' if summary['meets_slo'] else 'MISSED'} "
-         f"(attainment {summary['slo_attainment']:.1%})"],
-        ["devices (avg / final)", f"{summary['avg_devices']:.2f} / "
-                                  f"{report.final_devices}"],
-        ["remaps", f"{int(summary['remaps'])}"],
-    ]
-    mode = "autoscaled" if args.autoscale else "fixed mapping"
-    print(format_table(
-        ["metric", "value"], rows,
-        title=f"{args.workload} serving on a pool of "
-              f"{args.devices}x{args.device_type} ({mode}), "
-              f"rate {args.arrival_rate:.0f}/s"
-              + (f" with {args.spike_factor:.0f}x spike"
-                 if args.spike_factor > 1 else "")))
-    for when, old, new, cost in report.scaling_events:
-        print(f"  t={when:7.3f}s  remapped {old} -> {new} devices "
-              f"(cost {cost*1e3:.1f} ms)")
-    _print_tenant_table(report)
-    if journal:
-        print(f"request journal written to {journal}")
-    if args.trace_out:
-        print(f"event timeline written to {args.trace_out}")
+    with _run_outputs(args, serving=lambda report: report) as run:
+        report = run(
+            _module.serve_workload, args.workload, phases,
+            max_batch=args.max_batch, max_wait=args.max_wait / 1e3,
+            pool_devices=args.devices, device_type=args.device_type,
+            virtual_nodes=args.virtual_nodes,
+            initial_devices=args.initial_devices,
+            autoscale=args.autoscale,
+            slo_p99=slo if args.autoscale else None,
+            seed=args.seed, limit=args.requests,
+            tenants=tenants, journal=journal, dispatcher=dispatcher)
+        summary = report.summary(slo_p99=slo)
+        rows = [
+            ["requests served", f"{int(summary['requests'])}"],
+            ["micro-batches", f"{int(summary['batches'])} "
+                              f"(mean size {summary['mean_batch_size']:.1f})"],
+            ["sim duration", format_duration(summary["duration_s"])],
+            ["throughput", f"{summary['throughput_rps']:.0f} req/s"],
+            ["latency p50 / p99", f"{summary['latency_p50_ms']:.2f} / "
+                                  f"{summary['latency_p99_ms']:.2f} ms"],
+            ["queue / service (mean)", f"{summary['mean_queue_delay_ms']:.2f} / "
+                                       f"{summary['mean_service_ms']:.2f} ms"],
+            [f"SLO p99 <= {args.slo_p99:.0f} ms",
+             f"{'MET' if summary['meets_slo'] else 'MISSED'} "
+             f"(attainment {summary['slo_attainment']:.1%})"],
+            ["devices (avg / final)", f"{summary['avg_devices']:.2f} / "
+                                      f"{report.final_devices}"],
+            ["remaps", f"{int(summary['remaps'])}"],
+        ]
+        mode = "autoscaled" if args.autoscale else "fixed mapping"
+        print(format_table(
+            ["metric", "value"], rows,
+            title=f"{args.workload} serving on a pool of "
+                  f"{args.devices}x{args.device_type} ({mode}), "
+                  f"rate {args.arrival_rate:.0f}/s"
+                  + (f" with {args.spike_factor:.0f}x spike"
+                     if args.spike_factor > 1 else "")))
+        for when, old, new, cost in report.scaling_events:
+            print(f"  t={when:7.3f}s  remapped {old} -> {new} devices "
+                  f"(cost {cost*1e3:.1f} ms)")
     return 0
 
 
@@ -602,7 +627,6 @@ def _admission_from_args(args):
 def _cmd_cosched(args, fault_plan=None, recovery=None,
                  retry_delay: float = 0.05, topology=None) -> int:
     from repro.elastic.trace import spike_phases
-    from repro.runtime.trace import EventTrace
     from repro.sched.cosched import resident_training_jobs
 
     phases = spike_phases(args.arrival_rate, args.spike_factor,
@@ -612,91 +636,81 @@ def _cmd_cosched(args, fault_plan=None, recovery=None,
     train_specs = resident_training_jobs(
         args.train_jobs, demand_gpus=args.train_demand,
         workload=args.train_workload)
-    trace = _make_trace(args)
     admission = _admission_from_args(args)
     tenants, journal, dispatcher = _tenancy_from_args(args)
-    try:
-        with _maybe_profile(args.profile):
-            report = _module.run_cosched(
-                args.workload, phases, train_specs,
-                pool_devices=args.devices, device_type=args.device_type,
-                max_batch=args.max_batch, max_wait=args.max_wait / 1e3,
-                initial_serving=args.initial_serving,
-                autoscale=not args.static,
-                slo_p99=None if args.static else slo,
-                train_floor=args.train_floor, resize_delay=args.resize_delay,
-                seed=args.seed, limit=args.requests,
-                trace=trace, fault_plan=fault_plan, recovery=recovery,
-                retry_delay=retry_delay,
-                admission=admission, topology=topology,
-                tenants=tenants, journal=journal, dispatcher=dispatcher)
-    finally:
-        if isinstance(trace, EventTrace):
-            trace.close()
-    summary = report.summary(slo_p99=slo)
-    rows = [
-        ["requests served", f"{int(summary['serving_requests'])}"],
-        ["serving p50 / p99", f"{summary['serving_latency_p50_ms']:.2f} / "
-                              f"{summary['serving_latency_p99_ms']:.2f} ms"],
-        [f"SLO p99 <= {args.slo_p99:.0f} ms",
-         f"{'MET' if summary['serving_meets_slo'] else 'MISSED'} "
-         f"(attainment {summary['serving_slo_attainment']:.1%})"],
-        ["serving devices (avg)", f"{summary['serving_avg_devices']:.2f}"],
-        ["training goodput", f"{summary['train_goodput_sps']:.1f} steps/s "
-                             f"({summary['train_steps']:.0f} steps)"],
-        ["training devices (avg)", f"{summary['train_avg_devices']:.2f}"],
-        ["harvests / remaps", f"{int(summary['harvests'])} / "
-                              f"{int(summary['serving_remaps'])}"],
-        ["sim duration", format_duration(summary["duration_s"])],
-    ]
-    if admission is not None:
-        rows.append(
-            ["requests shed (brownout batches)",
-             f"{int(summary['serving_shed_requests'])} "
-             f"({summary['serving_shed_rate']:.1%} of offered, "
-             f"{int(summary['serving_brownout_batches'])} brownout)"])
-    if report.chaos is not None:
-        rows.extend([
-            ["chaos crashes / revives",
-             f"{report.chaos['crashes']} / {report.chaos['revives']}"],
-            ["chaos windows (straggler / network)",
-             f"{report.chaos['straggler_windows']} / "
-             f"{report.chaos['network_windows']}"],
-            ["chaos derate events",
-             f"{report.chaos.get('derate_events', 0)}"],
-            ["requests requeued after crashes",
-             f"{report.chaos.get('requeued_requests', 0)}"],
-            ["train recoveries (checkpoint restores)",
-             f"{len(report.chaos.get('train_recoveries', []))} "
-             f"({report.chaos.get('checkpoint_restores', 0)})"],
-        ])
-    mode = "static partition" if args.static else "co-scheduled"
-    if fault_plan is not None:
-        mode += " + chaos"
-    print(format_table(
-        ["metric", "value"], rows,
-        title=f"{args.workload} serving + {args.train_jobs}x "
-              f"{args.train_workload} on a shared pool of "
-              f"{args.devices}x{args.device_type} ({mode}), "
-              f"rate {args.arrival_rate:.0f}/s with "
-              f"{args.spike_factor:.0f}x spike"))
-    for when, before, after in report.harvests:
-        verb = "harvested" if after < before else "restored"
-        print(f"  t={when:7.3f}s  {verb} training budget {before} -> {after} "
-              f"GPUs")
-    if report.chaos is not None:
-        for when, kind, device, factor, owner in report.chaos["events"]:
-            detail = f"device {device}" if device >= 0 else "fabric"
-            if kind in ("straggler_start", "network_start", "derate"):
-                detail += f" x{factor:.2f}"
-            if owner:
-                detail += f" (held by {owner})"
-            print(f"  t={when:7.3f}s  chaos {kind:<15s} {detail}")
-    _print_tenant_table(report.serving)
-    if journal:
-        print(f"request journal written to {journal}")
-    if args.trace_out:
-        print(f"event timeline written to {args.trace_out}")
+    with _run_outputs(args, serving=lambda report: report.serving) as run:
+        report = run(
+            _module.run_cosched, args.workload, phases, train_specs,
+            pool_devices=args.devices, device_type=args.device_type,
+            max_batch=args.max_batch, max_wait=args.max_wait / 1e3,
+            initial_serving=args.initial_serving,
+            autoscale=not args.static,
+            slo_p99=None if args.static else slo,
+            train_floor=args.train_floor, resize_delay=args.resize_delay,
+            seed=args.seed, limit=args.requests,
+            fault_plan=fault_plan, recovery=recovery,
+            retry_delay=retry_delay,
+            admission=admission, topology=topology,
+            tenants=tenants, journal=journal, dispatcher=dispatcher)
+        summary = report.summary(slo_p99=slo)
+        rows = [
+            ["requests served", f"{int(summary['serving_requests'])}"],
+            ["serving p50 / p99", f"{summary['serving_latency_p50_ms']:.2f} / "
+                                  f"{summary['serving_latency_p99_ms']:.2f} ms"],
+            [f"SLO p99 <= {args.slo_p99:.0f} ms",
+             f"{'MET' if summary['serving_meets_slo'] else 'MISSED'} "
+             f"(attainment {summary['serving_slo_attainment']:.1%})"],
+            ["serving devices (avg)", f"{summary['serving_avg_devices']:.2f}"],
+            ["training goodput", f"{summary['train_goodput_sps']:.1f} steps/s "
+                                 f"({summary['train_steps']:.0f} steps)"],
+            ["training devices (avg)", f"{summary['train_avg_devices']:.2f}"],
+            ["harvests / remaps", f"{int(summary['harvests'])} / "
+                                  f"{int(summary['serving_remaps'])}"],
+            ["sim duration", format_duration(summary["duration_s"])],
+        ]
+        if admission is not None:
+            rows.append(
+                ["requests shed (brownout batches)",
+                 f"{int(summary['serving_shed_requests'])} "
+                 f"({summary['serving_shed_rate']:.1%} of offered, "
+                 f"{int(summary['serving_brownout_batches'])} brownout)"])
+        if report.chaos is not None:
+            rows.extend([
+                ["chaos crashes / revives",
+                 f"{report.chaos['crashes']} / {report.chaos['revives']}"],
+                ["chaos windows (straggler / network)",
+                 f"{report.chaos['straggler_windows']} / "
+                 f"{report.chaos['network_windows']}"],
+                ["chaos derate events",
+                 f"{report.chaos.get('derate_events', 0)}"],
+                ["requests requeued after crashes",
+                 f"{report.chaos.get('requeued_requests', 0)}"],
+                ["train recoveries (checkpoint restores)",
+                 f"{len(report.chaos.get('train_recoveries', []))} "
+                 f"({report.chaos.get('checkpoint_restores', 0)})"],
+            ])
+        mode = "static partition" if args.static else "co-scheduled"
+        if fault_plan is not None:
+            mode += " + chaos"
+        print(format_table(
+            ["metric", "value"], rows,
+            title=f"{args.workload} serving + {args.train_jobs}x "
+                  f"{args.train_workload} on a shared pool of "
+                  f"{args.devices}x{args.device_type} ({mode}), "
+                  f"rate {args.arrival_rate:.0f}/s with "
+                  f"{args.spike_factor:.0f}x spike"))
+        for when, before, after in report.harvests:
+            verb = "harvested" if after < before else "restored"
+            print(f"  t={when:7.3f}s  {verb} training budget {before} -> {after} "
+                  f"GPUs")
+        if report.chaos is not None:
+            for when, kind, device, factor, owner in report.chaos["events"]:
+                detail = f"device {device}" if device >= 0 else "fabric"
+                if kind in ("straggler_start", "network_start", "derate"):
+                    detail += f" x{factor:.2f}"
+                if owner:
+                    detail += f" (held by {owner})"
+                print(f"  t={when:7.3f}s  chaos {kind:<15s} {detail}")
     return 0
 
 
@@ -776,26 +790,17 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    from repro.core.mapping import Mapping
     from repro.core.plan import ExecutionPlan
-    from repro.core.virtual_node import VirtualNodeSet
-    from repro.framework.models import get_workload
-    from repro.hardware.cluster import Cluster
 
-    workload = get_workload(args.workload)
-    vn_set = VirtualNodeSet.even(args.batch, args.virtual_nodes)
-    cluster = Cluster.homogeneous(args.device_type, args.devices)
-    plan = ExecutionPlan(workload, Mapping.even(vn_set, cluster))
-    print(plan.describe())
+    print(ExecutionPlan(*_job_mapping(args)).describe())
     return 0
 
 
 def _cmd_profile(args) -> int:
     from repro.profiler.offline import OfflineProfiler
 
-    device_types = [t.strip() for t in args.device_types.split(",") if t.strip()]
     profiler = OfflineProfiler(seed=args.seed)
-    for device_type in device_types:
+    for device_type in args.device_types:
         try:
             profile = profiler.profile(args.workload, device_type)
         except ValueError as exc:
@@ -832,31 +837,25 @@ def _cmd_simulate(args) -> int:
     from repro.elastic.simulator import ClusterSimulator
     from repro.elastic.trace import generate_trace
     from repro.elastic.wfs import ElasticWFSScheduler
-    from repro.runtime.trace import EventTrace
 
     trace = generate_trace(args.jobs, args.rate, seed=args.seed)
     rows = []
-    for scheduler in (ElasticWFSScheduler(), StaticPriorityScheduler()):
-        # The JSONL timeline (when asked for) records the elastic run — the
-        # scheduler the paper's figures are about.
-        trace_out = _make_trace(args) if scheduler.elastic else None
-        try:
+    with _run_outputs(args) as run:
+        for scheduler in (ElasticWFSScheduler(), StaticPriorityScheduler()):
+            simulator = ClusterSimulator(args.gpus, scheduler)
+            # The JSONL timeline (when asked for) records the elastic run —
+            # the scheduler the paper's figures are about.
             metrics = compute_metrics(
-                ClusterSimulator(args.gpus, scheduler).run(
-                    trace, trace=trace_out))
-        finally:
-            if isinstance(trace_out, EventTrace):
-                trace_out.close()
-        rows.append([metrics.scheduler_name,
-                     format_duration(metrics.makespan),
-                     format_duration(metrics.median_jct),
-                     format_duration(metrics.median_queuing_delay),
-                     f"{metrics.utilization:.1%}"])
-    print(format_table(
-        ["scheduler", "makespan", "median JCT", "median queue", "util"], rows,
-        title=f"{args.jobs} jobs at {args.rate}/h on {args.gpus} GPUs"))
-    if args.trace_out:
-        print(f"event timeline written to {args.trace_out}")
+                run(simulator.run, trace) if scheduler.elastic
+                else simulator.run(trace))
+            rows.append([metrics.scheduler_name,
+                         format_duration(metrics.makespan),
+                         format_duration(metrics.median_jct),
+                         format_duration(metrics.median_queuing_delay),
+                         f"{metrics.utilization:.1%}"])
+        print(format_table(
+            ["scheduler", "makespan", "median JCT", "median queue", "util"],
+            rows, title=f"{args.jobs} jobs at {args.rate}/h on {args.gpus} GPUs"))
     return 0
 
 

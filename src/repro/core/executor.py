@@ -42,7 +42,6 @@ import numpy as np
 
 from repro.core.backends import TrainStep
 from repro.core.engine import VirtualNodeEngine
-from repro.core.gradient_buffer import GradientBuffer
 from repro.core.mapping import Mapping
 from repro.core.plan import ExecutionPlan
 from repro.core.sharding import shard_batch
@@ -212,20 +211,6 @@ class VirtualFlowExecutor:
             sim_step_time=step_time,
             grad_norm=float(np.sqrt(sq)),
         )
-
-    # -- gradient-buffer view (memory/systems path) ------------------------------
-
-    def device_gradient_buffers(self) -> Dict[int, GradientBuffer]:
-        """Fresh per-device gradient buffers, for memory accounting and tests.
-
-        Each is model-sized regardless of how many virtual nodes the device
-        hosts — the §3.3 constant-overhead property.
-        """
-        template = self.model.gradients()
-        return {
-            device_id: GradientBuffer(template)
-            for device_id in self.mapping.active_devices()
-        }
 
     # -- evaluation ----------------------------------------------------------------
 

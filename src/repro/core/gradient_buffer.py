@@ -53,10 +53,6 @@ class GradientBuffer:
         """Buffer size in bytes — equals the model size (§3.3)."""
         return int(self._flat.nbytes)
 
-    @property
-    def total_weight(self) -> float:
-        return self._weight
-
     def add(self, grads: Grads, weight: float = 1.0) -> None:
         """Fold one virtual node's mean gradients in with the given weight.
 

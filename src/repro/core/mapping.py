@@ -73,9 +73,6 @@ class Mapping:
 
     # -- queries ------------------------------------------------------------------
 
-    def device_of(self, vn_index: int) -> int:
-        return self.assignment[vn_index]
-
     def nodes_on(self, device_id: int) -> List[int]:
         """Virtual node indices hosted by ``device_id``, in canonical order."""
         return [i for i in range(self.vn_set.num_nodes) if self.assignment[i] == device_id]

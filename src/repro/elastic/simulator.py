@@ -179,9 +179,6 @@ class TrainingClusterProcess:
     def time(self) -> float:
         return self._time
 
-    def active_jobs(self) -> List[JobState]:
-        return [j for j in self.arrived if j.status != JobStatus.FINISHED]
-
     def unfinished(self) -> List[JobState]:
         return [j for j in self.jobs.values() if j.status != JobStatus.FINISHED]
 

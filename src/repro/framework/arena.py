@@ -287,14 +287,6 @@ class FlatTensorArena:
         """Wrap a parameter-arena-shaped flat buffer in the dict API."""
         return ArenaView(self.layout, flat)
 
-    def load_params_flat(self, flat: np.ndarray) -> None:
-        """Copy a serialized flat parameter buffer into the arena."""
-        if flat.shape != (self.layout.total_size,):
-            raise ValueError(
-                f"flat parameter buffer has shape {flat.shape}, arena needs "
-                f"({self.layout.total_size},)")
-        self.params_flat[...] = flat
-
     @property
     def nbytes(self) -> int:
         return int(self.params_flat.nbytes + self.grads_flat.nbytes)

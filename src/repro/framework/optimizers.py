@@ -110,13 +110,6 @@ class Optimizer:
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         pass
 
-    def num_slots_per_param(self) -> int:
-        """How many parameter-sized slot buffers this optimizer keeps.
-
-        Used by the memory model to account for optimizer state on device.
-        """
-        return 0
-
 
 class SGD(Optimizer):
     """Plain stochastic gradient descent."""
@@ -165,9 +158,6 @@ class Momentum(Optimizer):
         for key, value in state.items():
             if key.startswith("velocity."):
                 self._load_slot(self._velocity, key[len("velocity."):], value)
-
-    def num_slots_per_param(self) -> int:
-        return 1
 
 
 class Adam(Optimizer):
@@ -225,9 +215,6 @@ class Adam(Optimizer):
                 self._load_slot(self._m, key[2:], value)
             elif key.startswith("v."):
                 self._load_slot(self._v, key[2:], value)
-
-    def num_slots_per_param(self) -> int:
-        return 2
 
 
 class AdamW(Adam):

@@ -79,9 +79,6 @@ class Cluster:
     def counts(self) -> Dict[str, int]:
         return dict(Counter(d.spec.name for d in self.devices))
 
-    def devices_of(self, type_name: str) -> List[Device]:
-        return [d for d in self.devices if d.spec.name == type_name]
-
     @property
     def is_homogeneous(self) -> bool:
         return len({d.spec.name for d in self.devices}) == 1

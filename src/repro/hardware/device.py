@@ -90,9 +90,6 @@ class Device:
     def free(self, category: str, nbytes: Optional[int] = None) -> None:
         self.memory.free(category, nbytes)
 
-    def reset_memory(self) -> None:
-        self.memory.reset()
-
     def __repr__(self) -> str:
         return (f"Device({self.name}, used={format_bytes(self.memory.used)}/"
                 f"{format_bytes(self.spec.memory_bytes)})")

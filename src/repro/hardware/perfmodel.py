@@ -114,10 +114,6 @@ class ClusterConditions:
         return (bool(self._speed) or bool(self._derate)
                 or self._network != 1.0)
 
-    @property
-    def straggler_ids(self) -> Sequence[int]:
-        return sorted(self._speed)
-
     def set_straggler(self, device_id: int, speed: float) -> None:
         """Mark ``device_id`` as running at ``speed`` (0 < speed < 1)."""
         if not 0.0 < speed <= 1.0:
@@ -149,9 +145,6 @@ class ClusterConditions:
             self._derate.pop(device_id, None)
         else:
             self._derate[device_id] = float(speed)
-
-    def clear_derate(self, device_id: int) -> None:
-        self._derate.pop(device_id, None)
 
     def derate_speed(self, device_id: int) -> float:
         return self._derate.get(device_id, 1.0)
@@ -271,10 +264,3 @@ class PerfModel:
         per_wave, rem = divmod(per_device, vn_per_device)
         waves = [per_wave + (1 if i < rem else 0) for i in range(vn_per_device)]
         return self.step_time(workload, {spec: [waves] * n_devices})
-
-    def homogeneous_throughput(self, workload: "Workload", spec: "DeviceSpec",
-                               n_devices: int, global_batch: int,
-                               vn_per_device: int) -> float:
-        t = self.homogeneous_step_time(workload, spec, n_devices, global_batch, vn_per_device)
-        usable = (global_batch // n_devices) * n_devices
-        return usable / t if t > 0 else 0.0

@@ -140,9 +140,6 @@ class DevicePool:
     def leases(self) -> Tuple[DeviceLease, ...]:
         return tuple(self._leases)
 
-    def leased_count(self) -> int:
-        return sum(lease.size for lease in self._leases if lease.active)
-
     @property
     def failed_ids(self) -> Tuple[int, ...]:
         """Devices currently quarantined by :meth:`fail_device`, ascending."""

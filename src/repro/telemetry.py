@@ -20,7 +20,6 @@ exactness for a footprint independent of the observation count.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 from bisect import bisect_left, insort
@@ -358,9 +357,6 @@ class TelemetryRecorder:
     def total_examples(self) -> int:
         return sum(s.examples for s in self.steps)
 
-    def total_sim_time(self) -> float:
-        return sum(s.sim_step_time for s in self.steps)
-
     # -- export -----------------------------------------------------------------
 
     def to_csv(self, path: str) -> None:
@@ -374,16 +370,3 @@ class TelemetryRecorder:
             for record in self.steps:
                 writer.writerow(asdict(record))
 
-    def to_json(self, path: str) -> None:
-        """Write steps + epochs + summaries as a JSON document."""
-        document = {
-            "steps": [asdict(s) for s in self.steps],
-            "epochs": [asdict(e) for e in self.epochs],
-            "summaries": {
-                "loss": self.loss_summary() if self.steps else None,
-                "throughput": self.throughput_summary() if self.steps else None,
-            },
-        }
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(document, fh, indent=2)

@@ -70,14 +70,6 @@ class TestSpec:
 
 
 class TestQueries:
-    def test_domain_of_each_level(self):
-        topo = FailureDomainTopology.regular(4, 2, num_switches=2)
-        assert topo.domain_of(5) == 2                    # rack by default
-        assert topo.domain_of(5, RACK) == 2
-        assert topo.domain_of(5, SWITCH) == 1
-        with pytest.raises(ValueError, match="not in the topology"):
-            topo.domain_of(99)
-
     def test_switch_level_degenerates_to_racks(self):
         topo = FailureDomainTopology.regular(3, 2)       # no switch domains
         assert topo.domains(SWITCH) == topo.racks
@@ -147,7 +139,8 @@ class TestCorrelatedRandomPlans:
                 crashes_at.setdefault(e.time, []).append(e.device_id)
         assert crashes_at, "wipe_rate=0.3 over 60s drew no wipes"
         for time, ids in crashes_at.items():
-            rack = topo.domain_of(ids[0])
+            rack = next(r for r in range(len(topo.racks))
+                        if ids[0] in topo.members(RACK, r))
             assert sorted(ids) == list(topo.members(RACK, rack)), (
                 f"wipe at t={time} is not an atomic rack: {ids}")
 
@@ -163,7 +156,8 @@ class TestCorrelatedRandomPlans:
                 starts.setdefault(e.time, []).append(e.device_id)
         assert starts, "straggler_rate=0.4 over 40s drew no windows"
         for time, ids in starts.items():
-            rack = topo.domain_of(ids[0])
+            rack = next(r for r in range(len(topo.racks))
+                        if ids[0] in topo.members(RACK, r))
             assert sorted(ids) == list(topo.members(RACK, rack))
 
     def test_infeasible_blast_radius_rejected_up_front(self):

@@ -163,16 +163,3 @@ class TestRemap:
         ex = build_executor(global_batch=32, num_vns=8, num_devices=2)
         ex.remap(Mapping.even(ex.vn_set, Cluster.homogeneous("RTX2080Ti", 2)))
         assert ex.plan.device_plans[0].spec_name == "RTX2080Ti"
-
-
-class TestGradientBuffers:
-    def test_one_buffer_per_active_device(self):
-        ex = build_executor(global_batch=32, num_vns=8, num_devices=4)
-        buffers = ex.device_gradient_buffers()
-        assert sorted(buffers) == [0, 1, 2, 3]
-
-    def test_buffer_size_matches_model(self):
-        ex = build_executor()
-        model_bytes = sum(v.nbytes for v in ex.model.parameters().values())
-        for buf in ex.device_gradient_buffers().values():
-            assert buf.nbytes == model_bytes

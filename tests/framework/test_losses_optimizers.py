@@ -170,11 +170,6 @@ class TestOptimizers:
         opt2.step(p2, {"w": np.array([1.0])})
         np.testing.assert_array_equal(p1["w"], p2["w"])
 
-    def test_slot_counts_for_memory_model(self):
-        assert SGD(lr=1).num_slots_per_param() == 0
-        assert Momentum(lr=1).num_slots_per_param() == 1
-        assert Adam(lr=1).num_slots_per_param() == 2
-
     def test_adamw_decays_weights(self):
         opt = AdamW(lr=0.1, weight_decay=0.5)
         params = {"w": np.array([10.0])}

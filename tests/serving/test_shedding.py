@@ -335,8 +335,7 @@ class TestBrownoutProbedOncePerPull:
                 return original(self, *args, **kwargs)
             return wrapper
 
-        for name in ("set_straggler", "clear_straggler", "set_derate",
-                     "clear_derate"):
+        for name in ("set_straggler", "clear_straggler", "set_derate"):
             monkeypatch.setattr(ClusterConditions, name, guarded(name))
         report = self._run()
         assert report.chaos["derate_events"] == 8

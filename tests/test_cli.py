@@ -16,15 +16,17 @@ class TestParsing:
 
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_device_counts("V100")
-        with pytest.raises(argparse.ArgumentTypeError):
-            _parse_device_counts("V100=x")
+        for bad in ("V100=x", "V100=0", "H100=2", "V100=1,V100=2"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                _parse_device_counts(bad)
 
     def test_resize(self):
         assert _parse_resize("2:4") == (2, 4)
         import argparse
 
-        with pytest.raises(argparse.ArgumentTypeError):
-            _parse_resize("2-4")
+        for bad in ("2-4", "0:0", "-1:2", "x:2"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                _parse_resize(bad)
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
@@ -286,6 +288,66 @@ class TestBoundedNumbers:
                 parser.parse_args(VALID_ARGS[command] + [flag, bad])
             assert exc.value.code == 2, (flag, bad)
             assert f"argument {flag}" in capsys.readouterr().err
+
+
+_JOB = "--workload mlp_synthetic --batch 32 --virtual-nodes 4"
+_SERVING = "--workload mlp_synthetic --arrival-rate 100"
+
+
+class TestUsageErrors:
+    """Values that used to end in a traceback, a 100,000-round spin or an
+    empty report exit 2 at parse time, naming the flag."""
+
+    @pytest.mark.parametrize("argv", [
+        *(f"{command} --seed -1" for command in (
+            f"train {_JOB}", f"infer {_JOB}", f"serve {_SERVING}",
+            f"cosched {_SERVING}", f"chaos {_SERVING}",
+            "profile --workload mlp_synthetic",
+            "solve --workload mlp_synthetic --batch 64 --pool V100=2",
+            "simulate", "gavel")),
+        f"chaos {_SERVING} --chaos-seed -1",
+        *(f"{command} {_JOB} {flag} 0" for command in ("train", "infer", "plan")
+          for flag in ("--devices", "--virtual-nodes", "--batch")),
+        f"train {_JOB} --dataset-size 0",
+        f"train {_JOB} --epochs -1",
+        f"infer {_JOB} --requests -2",
+        f"train {_JOB} --lr nan",
+        *(f"{command} --device-type H100" for command in (
+            f"train {_JOB}", f"infer {_JOB}", f"plan {_JOB}",
+            f"serve {_SERVING}", f"cosched {_SERVING}", f"chaos {_SERVING}")),
+        "profile --workload mlp_synthetic --device-types ,,",
+        "profile --workload mlp_synthetic --device-types V100,H100",
+        "gavel --pool V100=-1",
+        "gavel --pool V100=2,V100=0",
+        "solve --workload mlp_synthetic --batch 64 --pool V100=0",
+        "solve --workload mlp_synthetic --batch 64 --pool H100=2",
+        f"train {_JOB} --resize 0:0",
+    ])
+    def test_bad_value_is_a_usage_error(self, argv, capsys):
+        argv = argv.split()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        flag = argv[-2] if argv[-2].startswith("--") else argv[-1]
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    def test_each_flag_is_defined_once(self):
+        """One definition per flag meaning; ``--requests`` (a batch count
+        on ``infer``, an admission cap when serving) and ``--journal`` (read
+        by ``audit``, written when serving) have two meanings each."""
+        import ast
+        import collections
+        import inspect
+
+        from repro import cli
+
+        flags = list(cli._SHARED) + [
+            node.args[0].value for node in ast.walk(ast.parse(inspect.getsource(cli)))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_argument" and node.args
+            and isinstance(node.args[0], ast.Constant)]
+        repeated = {f: n for f, n in collections.Counter(flags).items() if n > 1}
+        assert repeated == {"--requests": 2, "--journal": 2}
 
 
 class TestCommands:

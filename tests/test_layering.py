@@ -109,6 +109,27 @@ def test_chaos_loads_the_whole_stack_within_budget(loaded):
     assert len(modules) <= 70, modules
 
 
+# AST nodes each path compiles before its loop starts (``ast.walk`` over the
+# sources of the modules it loaded).  Start-up compile time tracks this count,
+# and a docstring is one node, so deleting prose cannot move it.  Python 3.11
+# and 3.13 count these sources alike.
+AST_NODE_BUDGETS = {"train": 42_923, "serve": 65_263, "chaos": 78_765}
+
+
+def _ast_nodes(modules):
+    total = 0
+    for module in modules:
+        path = SRC.joinpath(*module.split(".")[1:])
+        source = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+        total += sum(1 for _ in ast.walk(ast.parse(source.read_text())))
+    return total
+
+
+@pytest.mark.parametrize("entry", sorted(AST_NODE_BUDGETS))
+def test_each_path_compiles_within_its_ast_node_budget(loaded, entry):
+    assert _ast_nodes(loaded[entry]) <= AST_NODE_BUDGETS[entry]
+
+
 # -- the static import graph ---------------------------------------------------
 
 LOWER = {"core", "data", "framework", "hardware", "utils"}
