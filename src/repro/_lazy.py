@@ -18,6 +18,7 @@ module (``datasets.make_dataset(...)``) rather than binding a copy with
 
 from __future__ import annotations
 
+import sys
 from importlib import import_module
 from typing import Callable, Dict, List, Tuple
 
@@ -34,7 +35,7 @@ def lazy_exports(module: str, exports: Dict[str, str]
         home = exports.get(name)
         if home is None:
             raise AttributeError(f"module {module!r} has no attribute {name!r}")
-        return getattr(import_module(home), name)
+        return getattr(sys.modules.get(home) or import_module(home), name)
 
     def __dir__() -> List[str]:
         return sorted(set(import_module(module).__dict__) | set(exports))

@@ -366,7 +366,9 @@ def _add_job_trace_flags(parser, *, jobs: int, rate: float):
     return group
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """Every subcommand, registered (``repro --help`` lists them all); the
+    flags of ``command`` alone when it is given, else of every one."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="VirtualFlow reproduction: virtual node processing for "
@@ -374,124 +376,124 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    train = _add_job_flags(sub.add_parser(
-        "train", help="train a workload under virtual nodes"))
-    train.add_argument("--epochs", type=_nonnegative_int, default=3)
-    train.add_argument("--dataset-size", type=_positive_int, default=2048)
-    train.add_argument("--lr", type=_positive_float, default=None)
-    train.add_argument("--resize", type=_parse_resize, action="append",
-                       default=[], metavar="EPOCH:DEVICES",
-                       help="resize after EPOCH to DEVICES (repeatable)")
-    # Older command lines spell the one execution backend; accepted, ignored.
-    train.add_argument("--backend", choices=["fused"], help=argparse.SUPPRESS)
+    def add(name: str, help: str):  # the parser, if its flags are built
+        built = command in (None, name)
+        found = sub.add_parser(name, help=help, add_help=built)
+        return found if built else None
 
-    infer = _add_job_flags(sub.add_parser(
-        "infer", help="serve inference under virtual nodes"))
-    infer.add_argument("--requests", type=_nonnegative_int, default=4,
-                       help="number of request batches to serve")
+    if train := add("train", "train a workload under virtual nodes"):
+        train = _add_job_flags(train)
+        train.add_argument("--epochs", type=_nonnegative_int, default=3)
+        train.add_argument("--dataset-size", type=_positive_int, default=2048)
+        train.add_argument("--lr", type=_positive_float, default=None)
+        train.add_argument("--resize", type=_parse_resize, action="append",
+                           default=[], metavar="EPOCH:DEVICES",
+                           help="resize after EPOCH to DEVICES (repeatable)")
+        # Older command lines spell the one execution backend; accepted, ignored.
+        train.add_argument("--backend", choices=["fused"], help=argparse.SUPPRESS)
 
-    serve = _add_serving_flags(
-        sub.add_parser("serve", help="online serving with micro-batching and "
-                                     "autoscaling"),
-        devices=4, spike_factor=1.0, slo_p99=50.0)
-    _add_shared(serve, "--virtual-nodes")
-    serve.add_argument("--initial-devices", type=_positive_int, default=None,
-                       help="starting allocation (default: the full pool, "
-                            "or 1 with --autoscale)")
-    serve.add_argument("--autoscale", action="store_true",
-                       help="remap the virtual-node mapping against the SLO")
+    if infer := add("infer", "serve inference under virtual nodes"):
+        _add_job_flags(infer).add_argument(
+            "--requests", type=_nonnegative_int, default=4,
+            help="number of request batches to serve")
 
-    _add_cosched_flags(sub.add_parser(
-        "cosched", help="co-scheduled training + serving on one shared pool"))
+    if serve := add("serve", "online serving with micro-batching and autoscaling"):
+        serve = _add_serving_flags(serve, devices=4, spike_factor=1.0, slo_p99=50.0)
+        _add_shared(serve, "--virtual-nodes")
+        serve.add_argument("--initial-devices", type=_positive_int, default=None,
+                           help="starting allocation (default: the full pool, "
+                                "or 1 with --autoscale)")
+        serve.add_argument("--autoscale", action="store_true",
+                           help="remap the virtual-node mapping against the SLO")
 
-    chaos = sub.add_parser(
-        "chaos", help="co-scheduled run under seeded fault injection")
-    _add_cosched_flags(chaos)
-    faults = chaos.add_argument_group("fault plan")
-    faults.add_argument("--crash-rate", type=_nonnegative_float, default=0.25,
-                        help="device crashes per simulated second (Poisson)")
-    faults.add_argument("--mttr", type=_positive_float, default=2.0,
-                        help="mean seconds a crashed device stays down")
-    faults.add_argument("--straggler-rate", type=_nonnegative_float,
-                        default=0.15,
-                        help="straggler-window onsets per simulated second")
-    faults.add_argument("--straggler-factor", type=_straggler_speed,
-                        default=0.6,
-                        help="straggler speed multiplier in (0, 1)")
-    faults.add_argument("--straggler-duration", type=_positive_float,
-                        default=2.0, help="mean straggler window, seconds")
-    faults.add_argument("--network-rate", type=_nonnegative_float, default=0.1,
-                        help="network-degradation onsets per simulated second")
-    faults.add_argument("--network-factor", type=_degradation_factor,
-                        default=3.0,
-                        help="collective-time multiplier while degraded (> 1)")
-    faults.add_argument("--network-duration", type=_positive_float,
-                        default=1.5,
-                        help="mean network-degradation window, seconds")
-    faults.add_argument("--topology", default=None, metavar="SPEC",
-                        help="failure-domain tree over the pool, e.g. "
-                             "racks=4x8 or racks=4x8,switches=2 (device "
-                             "count must equal --devices)")
-    faults.add_argument("--correlated", action="store_true",
-                        help="correlated chaos over --topology: straggler "
-                             "windows open rack-wide and domain wipes are "
-                             "drawn (at --wipe-rate, default 0.15)")
-    faults.add_argument("--wipe-rate", type=_nonnegative_float, default=None,
-                        help="domain-wipe onsets per simulated second "
-                             "(needs --topology; implied 0.15 by "
-                             "--correlated)")
-    faults.add_argument("--wipe-level", choices=("rack", "switch"),
-                        default="rack",
-                        help="failure-domain level a wipe takes out at once")
-    faults.add_argument("--derate-rate", type=_nonnegative_float, default=0.0,
-                        help="partial-degradation (ECC-throttle) onsets per "
-                             "simulated second")
-    faults.add_argument("--derate-floor", type=_straggler_speed, default=0.55,
-                        help="derated speed in (0, 1) while throttled")
-    faults.add_argument("--derate-duration", type=_positive_float, default=2.0,
-                        help="seconds a derate lasts before full recovery")
-    faults.add_argument("--chaos-seed", type=_nonnegative_int, default=None,
-                        help="fault-plan seed (default: --seed)")
-    faults.add_argument("--recovery", choices=("migrate", "checkpoint"),
-                        default="migrate",
-                        help="training recovery mode: migrate survivors "
-                             "(elastic, no lost steps) or restore the last "
-                             "checkpoint")
-    faults.add_argument("--retry-delay", type=_positive_float, default=0.05,
-                        help="serving re-admission delay after a crash, "
-                             "seconds")
+    if cosched := add("cosched", "co-scheduled training + serving on one shared pool"):
+        _add_cosched_flags(cosched)
 
-    audit = sub.add_parser(
-        "audit", help="replay a gateway request journal into per-tenant "
-                      "SLO attainment (offline, journal-only)")
-    audit.add_argument("--journal", required=True, metavar="PATH",
-                       help="JSONL journal written by serve/cosched/chaos "
-                            "--journal")
-    audit.add_argument("--json", action="store_true",
-                       help="print the raw audit payload as JSON")
+    if chaos := add("chaos", "co-scheduled run under seeded fault injection"):
+        _add_cosched_flags(chaos)
+        faults = chaos.add_argument_group("fault plan")
+        faults.add_argument("--crash-rate", type=_nonnegative_float, default=0.25,
+                            help="device crashes per simulated second (Poisson)")
+        faults.add_argument("--mttr", type=_positive_float, default=2.0,
+                            help="mean seconds a crashed device stays down")
+        faults.add_argument("--straggler-rate", type=_nonnegative_float,
+                            default=0.15,
+                            help="straggler-window onsets per simulated second")
+        faults.add_argument("--straggler-factor", type=_straggler_speed,
+                            default=0.6,
+                            help="straggler speed multiplier in (0, 1)")
+        faults.add_argument("--straggler-duration", type=_positive_float,
+                            default=2.0, help="mean straggler window, seconds")
+        faults.add_argument("--network-rate", type=_nonnegative_float, default=0.1,
+                            help="network-degradation onsets per simulated second")
+        faults.add_argument("--network-factor", type=_degradation_factor,
+                            default=3.0,
+                            help="collective-time multiplier while degraded (> 1)")
+        faults.add_argument("--network-duration", type=_positive_float,
+                            default=1.5,
+                            help="mean network-degradation window, seconds")
+        faults.add_argument("--topology", default=None, metavar="SPEC",
+                            help="failure-domain tree over the pool, e.g. "
+                                 "racks=4x8 or racks=4x8,switches=2 (device "
+                                 "count must equal --devices)")
+        faults.add_argument("--correlated", action="store_true",
+                            help="correlated chaos over --topology: straggler "
+                                 "windows open rack-wide and domain wipes are "
+                                 "drawn (at --wipe-rate, default 0.15)")
+        faults.add_argument("--wipe-rate", type=_nonnegative_float, default=None,
+                            help="domain-wipe onsets per simulated second "
+                                 "(needs --topology; implied 0.15 by "
+                                 "--correlated)")
+        faults.add_argument("--wipe-level", choices=("rack", "switch"),
+                            default="rack",
+                            help="failure-domain level a wipe takes out at once")
+        faults.add_argument("--derate-rate", type=_nonnegative_float, default=0.0,
+                            help="partial-degradation (ECC-throttle) onsets per "
+                                 "simulated second")
+        faults.add_argument("--derate-floor", type=_straggler_speed, default=0.55,
+                            help="derated speed in (0, 1) while throttled")
+        faults.add_argument("--derate-duration", type=_positive_float, default=2.0,
+                            help="seconds a derate lasts before full recovery")
+        faults.add_argument("--chaos-seed", type=_nonnegative_int, default=None,
+                            help="fault-plan seed (default: --seed)")
+        faults.add_argument("--recovery", choices=("migrate", "checkpoint"),
+                            default="migrate",
+                            help="training recovery mode: migrate survivors "
+                                 "(elastic, no lost steps) or restore the last "
+                                 "checkpoint")
+        faults.add_argument("--retry-delay", type=_positive_float, default=0.05,
+                            help="serving re-admission delay after a crash, "
+                                 "seconds")
 
-    _add_job_flags(sub.add_parser(
-        "plan", help="show the execution plan for a config"), seed=False)
+    if audit := add("audit", "replay a gateway request journal into per-tenant "
+                             "SLO attainment (offline, journal-only)"):
+        audit.add_argument("--journal", required=True, metavar="PATH",
+                           help="JSONL journal written by serve/cosched/chaos "
+                                "--journal")
+        audit.add_argument("--json", action="store_true",
+                           help="print the raw audit payload as JSON")
 
-    profile = sub.add_parser("profile", help="offline throughput profiling")
-    profile.add_argument("--device-types", type=_device_types,
-                         default="V100,P100,K80,RTX2080Ti",
-                         metavar="TYPE[,TYPE...]")
-    _add_shared(profile, "--workload")
-    _add_shared(profile, "--seed")
+    if plan := add("plan", "show the execution plan for a config"):
+        _add_job_flags(plan, seed=False)
 
-    solve = _add_job_flags(sub.add_parser(
-        "solve", help="heterogeneous solver"), mapping=False)
-    _add_shared(solve, "--pool", required=True)
+    if profile := add("profile", "offline throughput profiling"):
+        profile.add_argument("--device-types", type=_device_types,
+                             default="V100,P100,K80,RTX2080Ti",
+                             metavar="TYPE[,TYPE...]")
+        _add_shared(profile, "--workload")
+        _add_shared(profile, "--seed")
 
-    simulate = _add_job_trace_flags(sub.add_parser(
-        "simulate", help="elastic scheduling simulation"), jobs=20, rate=12.0)
-    simulate.add_argument("--gpus", type=_positive_int, default=8)
-    _add_runtime_flags(simulate)
+    if solve := add("solve", "heterogeneous solver"):
+        _add_shared(_add_job_flags(solve, mapping=False), "--pool", required=True)
 
-    gavel = _add_job_trace_flags(sub.add_parser(
-        "gavel", help="Gavel vs Gavel+heterogeneous"), jobs=12, rate=8.0)
-    _add_shared(gavel, "--pool", default={"V100": 4, "P100": 8, "K80": 16})
+    if simulate := add("simulate", "elastic scheduling simulation"):
+        simulate = _add_job_trace_flags(simulate, jobs=20, rate=12.0)
+        simulate.add_argument("--gpus", type=_positive_int, default=8)
+        _add_runtime_flags(simulate)
+
+    if gavel := add("gavel", "Gavel vs Gavel+heterogeneous"):
+        gavel = _add_job_trace_flags(gavel, jobs=12, rate=8.0)
+        _add_shared(gavel, "--pool", default={"V100": 4, "P100": 8, "K80": 16})
 
     return parser
 
@@ -893,7 +895,8 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     return _COMMANDS[args.command](args)
 
 

@@ -29,15 +29,16 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.state import VirtualNodeState
-from repro.core.virtual_node import VirtualNodeSet
-from repro.framework.arena import FlatTensorArena
-from repro.framework.layers import Module
-from repro.framework.losses import Loss
+if TYPE_CHECKING:
+    from repro.core.state import VirtualNodeState
+    from repro.core.virtual_node import VirtualNodeSet
+    from repro.framework.arena import FlatTensorArena
+    from repro.framework.layers import Module
+    from repro.framework.losses import Loss
 
 __all__ = ["TrainStep", "TrainStepOutput", "ExecutionBackend"]
 
@@ -111,6 +112,11 @@ class ExecutionBackend(ABC):
     """
 
     name: str = "abstract"
+
+    def bind(self, model: Module) -> None:
+        """Prepare to run ``model``; every engine built for it calls this
+        before its first step, so nothing a backend resolves (or loads) per
+        model lands inside a run loop.  The serial loop needs nothing."""
 
     @abstractmethod
     def train_step(self, step: TrainStep) -> TrainStepOutput:

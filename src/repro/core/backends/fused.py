@@ -29,7 +29,8 @@ cost for the entire built-in workload zoo:
   (:func:`~repro.core.backends.vectorized.inference_steps`).
 * The serial loop (:class:`~repro.core.backends.reference.ReferenceBackend`)
   runs only as the fallback for user-defined modules with no vectorized
-  kernel; every built-in workload reports ``can_fuse(...) == True``.  Every
+  kernel; every built-in workload reports ``can_fuse(...) == True``.  :meth:`bind`
+  resolves (and imports) a model's kernels when an engine is built.  Every
   engine shares one instance of this backend (:mod:`repro.core.engine`), so
   the per-model and per-bounds caches below serve them all.
 
@@ -59,7 +60,6 @@ from repro.core.backends.vectorized import (
     vectorized_loss,
 )
 from repro.core.sharding import check_shard_bounds, shard_indices
-from repro.core.state import packed_state_matrix, scatter_states, state_layout
 from repro.core.virtual_node import VirtualNodeSet
 from repro.framework.layers import Module
 from repro.utils.seeding import augment_rng, vn_rng
@@ -90,6 +90,11 @@ class FusedBackend(ExecutionBackend):
             weakref.WeakKeyDictionary())
         self._inference_runs: Dict[Tuple[Tuple[int, int], ...], VectorizedRun] = {}
 
+    def bind(self, model: Module) -> None:
+        """Resolve ``model``'s inference kernels (see the module doc)."""
+        if model not in self._inference_steps:
+            self._inference_steps[model] = inference_steps(model)
+
     # -- training ------------------------------------------------------------
 
     def can_fuse(self, step: TrainStep) -> bool:
@@ -115,20 +120,6 @@ class FusedBackend(ExecutionBackend):
             return step.state_layout is not None or any(
                 state.buffers for state in step.vn_states)
         return True
-
-    @staticmethod
-    def _packed_states(step: TrainStep):
-        """Pack per-node stateful buffers into one (V, S) matrix, reused
-        through the step's workspace."""
-        layout = step.state_layout
-        if layout is None:
-            layout = state_layout(step.vn_states)
-        if layout is None:
-            return None, None
-        ws = step.workspace
-        matrix = ws[("states",)] = packed_state_matrix(step.vn_states, layout,
-                                                       ws.get(("states",)))
-        return layout, matrix
 
     def train_step(self, step: TrainStep) -> TrainStepOutput:
         if not self.can_fuse(step):
@@ -156,10 +147,19 @@ class FusedBackend(ExecutionBackend):
             return [vn_rng(step.seed, step.epoch, step.step, node.index)
                     for node in nodes]
 
-        # Stateful kernels: one packed matrix in, stacked views through the
-        # run, updated rows scattered back out — no per-wave dict round trip.
-        layout, state_matrix = self._packed_states(step)
-        state_views = None if layout is None else layout.stacked_views(state_matrix)
+        # Stateful kernels: one packed matrix in (reused through the step's
+        # workspace), stacked views through the run, updated rows scattered
+        # back out — no per-wave dict round trip.  Only training loads them.
+        import repro.core.state as vn_state
+        layout = step.state_layout
+        if layout is None:
+            layout = vn_state.state_layout(step.vn_states)
+        state_views = None
+        if layout is not None:
+            ws = step.workspace
+            state_matrix = ws[("states",)] = vn_state.packed_state_matrix(
+                step.vn_states, layout, ws.get(("states",)))
+            state_views = layout.stacked_views(state_matrix)
 
         run = VectorizedRun(segments, training=True, rngs=rngs,
                             state_views=state_views, workspace=step.workspace)
@@ -169,7 +169,7 @@ class FusedBackend(ExecutionBackend):
 
         if layout is not None:
             # Stateful kernels updated during the wave belong to each node.
-            scatter_states(state_matrix, layout, step.vn_states)
+            vn_state.scatter_states(state_matrix, layout, step.vn_states)
 
         # Segment reduction in canonical virtual-node order — the exact
         # arithmetic of sync.weighted_average, including its sorted key

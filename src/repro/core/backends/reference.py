@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.core.backends.base import ExecutionBackend, TrainStep, TrainStepOutput
 from repro.core.sharding import check_shard_bounds, shard_indices
-from repro.core.sync import weighted_average_flat
 from repro.core.virtual_node import VirtualNodeSet
 from repro.framework.layers import Module
 from repro.utils.seeding import augment_rng, vn_rng
@@ -84,7 +83,8 @@ class ReferenceBackend(ExecutionBackend):
             if stateful:
                 # Stateful kernels updated during the wave belong to this node.
                 state.buffers = model.state_dict()
-        avg_flat = weighted_average_flat(stack, weights, clobber=True)
+        import repro.core.sync as sync  # training only: serving never loads it
+        avg_flat = sync.weighted_average_flat(stack, weights, clobber=True)
         return TrainStepOutput(
             avg_grads=arena.view_of(avg_flat),
             weighted_loss=weighted_loss,

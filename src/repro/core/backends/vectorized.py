@@ -100,11 +100,14 @@ the reference wave loop *bit for bit*.  That constrains every kernel:
 Coverage
 --------
 Forward (training + inference) and backward kernels exist for **every**
-built-in layer, loss, and model container — Dense, activations, Dropout,
-LayerNorm, BatchNorm, Conv2D, the poolings, Embedding, multi-head
-attention, transformer blocks, and the model zoo.  BatchNorm computes its
-training statistics per virtual-node segment inside the stacked pass, so
-fusing changes its schedule, never its semantics.  The serial reference
+built-in layer, loss, and model container: here for the dense core, the
+containers and the losses; in :mod:`~repro.core.backends.vectorized_conv`
+and :mod:`~repro.core.backends.vectorized_attention` for the two layer
+families, which :func:`_lookup` imports when it first meets one of their
+classes (the fused backend's ``bind``, before a run's first step), so a run
+compiles only the kernels of the families it executes.  BatchNorm computes
+its training statistics per virtual-node segment inside the stacked pass,
+so fusing changes its schedule, never its semantics.  The serial reference
 loop survives only as the oracle that equivalence tests assert against.
 """
 
@@ -112,13 +115,13 @@ from __future__ import annotations
 
 import math
 import weakref
+from importlib import import_module
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
 from repro.framework import layers as L
-from repro.framework import models as M
-from repro.framework.layers import Module, col2im, im2col, softmax, softmax_backward
+from repro.framework.layers import Module, softmax
 from repro.framework.losses import Loss, MSELoss, SoftmaxCrossEntropy
 
 __all__ = [
@@ -143,8 +146,13 @@ _BWD: Dict[Type[Module], Callable] = {}
 # module *carrying* buffers may only fuse when it is one of these — a user
 # subclass of a stateless layer that adds buffers would otherwise inherit
 # the stateless kernel via the MRO walk and have its buffer semantics
-# silently ignored.
-_STATEFUL_OK: Tuple[Type[Module], ...] = (L.BatchNorm,)
+# silently ignored.  Filled by the family kernel modules, which _lookup
+# imports when it first meets a class of their layer module, before a miss.
+_STATEFUL_OK: List[Type[Module]] = []
+_FAMILIES = {
+    "repro.framework.conv": "repro.core.backends.vectorized_conv",
+    "repro.framework.attention": "repro.core.backends.vectorized_attention",
+}
 
 
 def _fwd(*types: Type[Module]):
@@ -169,7 +177,10 @@ def _lookup(registry: Dict[Type[Module], Callable], cls: type) -> Optional[Calla
         return None
     if fn is not None:
         return fn
-    for base in cls.__mro__[1:]:
+    for base in cls.__mro__:
+        family = _FAMILIES.pop(base.__module__, None)
+        if family is not None:
+            import_module(family)  # registers the family's kernels
         fn = registry.get(base)
         if fn is not None and fn is not _MISSING:
             registry[cls] = fn  # memoize the MRO walk
@@ -321,35 +332,6 @@ class VectorizedRun:
             raise UnsupportedModule(
                 f"stateful kernel needs per-virtual-node state views ({name!r})")
         return self.state_views[name]
-
-    def patch_rows(self, prefix: str, x: np.ndarray, k: int, stride: int,
-                   pad: int) -> Tuple[np.ndarray, int, int]:
-        """``im2col(x, k, k, stride, pad)`` for the convolution at ``prefix``.
-
-        In a training run the rows land in that layer's own workspace
-        buffer — the first step's rows, reused while ``x``'s shape and dtype
-        hold and replaced when they change — and the input is padded inside
-        the zero-bordered scratch shared by every layer of its geometry.
-        """
-        ws = self.workspace
-        if ws is None:  # an inference run
-            return im2col(x, k, k, stride, pad)
-        padded = None
-        if pad:
-            key = ("padded", pad, x.shape, x.dtype)
-            padded = ws.get(key)
-            if padded is None:
-                n, h, w, c = x.shape
-                padded = ws[key] = np.zeros((n, h + 2 * pad, w + 2 * pad, c), x.dtype)
-        key = ("cols", prefix)
-        held = ws.get(key)
-        if held is not None and held[0] == x.shape and held[1] == x.dtype:
-            return im2col(x, k, k, stride, pad, out=held[2], padded=padded)
-        cols, oh, ow = im2col(x, k, k, stride, pad, padded=padded)
-        if not cols.flags.writeable:  # a view of x itself (a 1x1 kernel)
-            cols = cols.copy()
-        ws[key] = (x.shape, x.dtype, cols)
-        return cols, oh, ow
 
     # -- segment-exact primitives ------------------------------------------
     #
@@ -543,7 +525,7 @@ def supports_training(model: Module, loss_fn: Loss) -> bool:
     for module in model.modules():
         if _lookup(_FWD, type(module)) is None or _lookup(_BWD, type(module)) is None:
             return False
-        if module.buffers and not isinstance(module, _STATEFUL_OK):
+        if module.buffers and not isinstance(module, tuple(_STATEFUL_OK)):
             return False
     return True
 
@@ -643,23 +625,6 @@ def _tanh_bwd(m: L.Tanh, run: VectorizedRun, prefix: str, grad, input_grad):
     return grad * (1.0 - t**2)
 
 
-@_fwd(L.GELU)
-def _gelu_fwd(m: L.GELU, run: VectorizedRun, prefix: str, x):
-    u = L.GELU._C * (x + 0.044715 * x**3)
-    t = np.tanh(u)
-    if run.training:
-        run.put(prefix, x, t)
-    return 0.5 * x * (1.0 + t)
-
-
-@_bwd(L.GELU)
-def _gelu_bwd(m: L.GELU, run: VectorizedRun, prefix: str, grad, input_grad):
-    x, t = run.get(prefix)
-    du_dx = L.GELU._C * (1.0 + 3 * 0.044715 * x**2)
-    dt_dx = (1.0 - t**2) * du_dx
-    return grad * (0.5 * (1.0 + t) + 0.5 * x * dt_dx)
-
-
 @_fwd(L.Dropout)
 def _dropout_fwd(m: L.Dropout, run: VectorizedRun, prefix: str, x):
     if not run.training:
@@ -698,167 +663,6 @@ def _flatten_bwd(m: L.Flatten, run: VectorizedRun, prefix: str, grad, input_grad
     return grad.reshape(shape)
 
 
-@_fwd(L.LayerNorm)
-def _layernorm_fwd(m: L.LayerNorm, run: VectorizedRun, prefix: str, x):
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + m.eps)
-    x_hat = (x - mean) * inv_std
-    if run.training:
-        run.put(prefix, x_hat, inv_std)
-    return m.params["gamma"] * x_hat + m.params["beta"]
-
-
-@_bwd(L.LayerNorm)
-def _layernorm_bwd(m: L.LayerNorm, run: VectorizedRun, prefix: str, grad, input_grad):
-    x_hat, inv_std = run.get(prefix)
-    run.add_grad(prefix + "gamma", run.seg_sum(grad * x_hat))
-    run.add_grad(prefix + "beta", run.seg_sum(grad))
-    g = grad * m.params["gamma"]
-    n = m.dim
-    return (
-        inv_std / n * (n * g - np.sum(g, axis=-1, keepdims=True)
-                       - x_hat * np.sum(g * x_hat, axis=-1, keepdims=True))
-    )
-
-
-@_fwd(L.BatchNorm)
-def _batchnorm_fwd(m: L.BatchNorm, run: VectorizedRun, prefix: str, x):
-    shape = x.shape
-    gamma, beta = m.params["gamma"], m.params["beta"]
-    if not run.training:
-        # Inference: statistics come from the model's frozen buffers, shared
-        # by every shard exactly like the reference eval loop.
-        inv_std = 1.0 / np.sqrt(m.buffers["running_var"] + m.eps)
-        x_hat = ((run.tiled(x) - run.tile(m.buffers["running_mean"], shape))
-                 * run.tile(inv_std, shape))
-        return (run.tile(gamma, shape) * x_hat + run.tile(beta, shape)).reshape(shape)
-    # Training: per-virtual-node batch statistics over each node's own
-    # segment — the exact shard statistics of the serial wave — with the
-    # moving averages updated in place across all nodes at once.  One
-    # centred pass: ``x - mean`` feeds both the variance (NumPy's own
-    # ``var``: the squared deviations summed and divided by the ``intp``
-    # count — their seg_mean) and ``x_hat``.
-    mean = run.seg_mean(x)
-    x_hat = run.tiled(x) - run.tile(mean, shape)
-    sq = x_hat * x_hat
-    var = run.seg_mean(sq.reshape(shape))
-    mom = m.momentum
-    running_mean = run.state(prefix + "running_mean")
-    running_var = run.state(prefix + "running_var")
-    running_mean[...] = mom * running_mean + (1 - mom) * mean
-    running_var[...] = mom * running_var + (1 - mom) * var
-    inv_std = 1.0 / np.sqrt(var + m.eps)
-    x_hat *= run.tile(inv_std, shape)
-    run.put(prefix, x_hat, inv_std)
-    # The squares are spent: the output overwrites them when it has their dtype.
-    out = np.multiply(run.tile(gamma, shape), x_hat,
-                      out=sq if gamma.dtype == sq.dtype else None)
-    out += run.tile(beta, shape)
-    return out.reshape(shape)
-
-
-@_bwd(L.BatchNorm)
-def _batchnorm_bwd(m: L.BatchNorm, run: VectorizedRun, prefix: str, grad, input_grad):
-    x_hat, inv_std = run.get(prefix)  # x_hat as tiles, see the forward
-    shape = grad.shape
-    gt = run.tiled(grad)
-    g = gt * run.tile(m.params["gamma"], shape)
-    # inv_std / n * (n * g - sum(g) - x_hat * sum(g * x_hat)): the sums and n
-    # per node, every product and difference on the reference's operands in
-    # the reference's order.  ``t`` has the widest dtype any of them
-    # produces, so it takes each result that would otherwise be a temporary.
-    # The four sums — gamma's and beta's gradients among them — share one
-    # reduction.
-    t = g * x_hat
-    dgamma, dbeta, sum_g, sum_gx = run.seg_sum(
-        (gt * x_hat).reshape(shape), grad, g.reshape(shape), t.reshape(shape))
-    run.add_grad(prefix + "gamma", dgamma)
-    run.add_grad(prefix + "beta", dbeta)
-    n = run.seg_counts(shape, grad.dtype)
-    np.multiply(run.tile(n, shape), g, out=g)
-    g -= run.tile(sum_g, shape)
-    np.multiply(x_hat, run.tile(sum_gx, shape), out=t)
-    np.subtract(g, t, out=t)
-    return np.multiply(run.tile(inv_std / n, shape), t, out=t).reshape(shape)
-
-
-@_fwd(L.Embedding)
-def _embedding_fwd(m: L.Embedding, run: VectorizedRun, prefix: str, tokens):
-    tokens = np.asarray(tokens)
-    if tokens.min() < 0 or tokens.max() >= m.vocab_size:
-        raise ValueError("token id out of range")
-    if run.training:
-        run.put(prefix, tokens)
-    return m.params["table"][tokens]
-
-
-@_bwd(L.Embedding)
-def _embedding_bwd(m: L.Embedding, run: VectorizedRun, prefix: str, grad, input_grad):
-    (tokens,) = run.get(prefix)
-    table_grads = np.zeros((run.num_stacked,) + m.params["table"].shape,
-                           dtype=grad.dtype)
-    for i, (start, end) in enumerate(run.segments):
-        np.add.at(table_grads[i], tokens[start:end], grad[start:end])
-    run.add_grad(prefix + "table", table_grads)
-    if not input_grad:
-        return None
-    return np.zeros_like(grad)  # no gradient flows to integer inputs
-
-
-def _split_heads(m: L.MultiHeadSelfAttention, x: np.ndarray) -> np.ndarray:
-    b, t, _ = x.shape
-    return x.reshape(b, t, m.num_heads, m.head_dim).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    b, h, t, d = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, t, h * d)
-
-
-@_fwd(L.MultiHeadSelfAttention)
-def _mhsa_fwd(m: L.MultiHeadSelfAttention, run: VectorizedRun, prefix: str, x):
-    p = m.params
-    q = _split_heads(m, x @ p["wq"] + p["bq"])
-    k = _split_heads(m, x @ p["wk"] + p["bk"])
-    v = _split_heads(m, x @ p["wv"] + p["bv"])
-    scale = 1.0 / np.sqrt(m.head_dim)
-    scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-    if m.causal:
-        t = scores.shape[-1]
-        mask = np.triu(np.ones((t, t), dtype=bool), k=1)
-        scores = np.where(mask, -1e30, scores)
-    attn = softmax(scores, axis=-1)
-    ctx = attn @ v
-    merged = _merge_heads(ctx)
-    out = merged @ p["wo"] + p["bo"]
-    if run.training:
-        run.put(prefix, x, q, k, v, attn, merged, scale)
-    return out
-
-
-@_bwd(L.MultiHeadSelfAttention)
-def _mhsa_bwd(m: L.MultiHeadSelfAttention, run: VectorizedRun, prefix: str, grad, input_grad):
-    x, q, k, v, attn, merged, scale = run.get(prefix)
-    p = m.params
-    run.add_grad(prefix + "wo", run.seg_outer(merged, grad))
-    run.add_grad(prefix + "bo", run.seg_sum(grad))
-    d_merged = grad @ p["wo"].T
-    d_ctx = _split_heads(m, d_merged)
-    d_attn = d_ctx @ v.transpose(0, 1, 3, 2)
-    d_v = attn.transpose(0, 1, 3, 2) @ d_ctx
-    d_scores = softmax_backward(attn, d_attn) * scale
-    d_q = d_scores @ k
-    d_k = d_scores.transpose(0, 1, 3, 2) @ q
-    dx = np.zeros_like(x)
-    for name, dproj in (("wq", d_q), ("wk", d_k), ("wv", d_v)):
-        dflat = _merge_heads(dproj)
-        run.add_grad(prefix + name, run.seg_outer(x, dflat))
-        run.add_grad(prefix + "b" + name[1], run.seg_sum(dflat))
-        dx += dflat @ p[name].T
-    return dx
-
-
 @_fwd(L.Residual)
 def _residual_fwd(m: L.Residual, run: VectorizedRun, prefix: str, x):
     return x + run.forward(m.body, x, prefix + "body.")
@@ -883,168 +687,6 @@ def _sequential_bwd(m: L.Sequential, run: VectorizedRun, prefix: str, grad, inpu
     for i, (name, child) in reversed(list(enumerate(m.children()))):
         grad = run.backward(child, grad, f"{prefix}{name}.", input_grad or i > 0)
     return grad
-
-
-@_fwd(L.TransformerBlock)
-def _block_fwd(m: L.TransformerBlock, run: VectorizedRun, prefix: str, x):
-    h = run.forward(
-        m.drop1,
-        run.forward(m.attn, run.forward(m.ln1, x, prefix + "ln1."), prefix + "attn."),
-        prefix + "drop1.",
-    )
-    x = x + h
-    h2 = run.forward(
-        m.drop2,
-        run.forward(m.ffn, run.forward(m.ln2, x, prefix + "ln2."), prefix + "ffn."),
-        prefix + "drop2.",
-    )
-    return x + h2
-
-
-@_bwd(L.TransformerBlock)
-def _block_bwd(m: L.TransformerBlock, run: VectorizedRun, prefix: str, grad, input_grad):
-    g2 = run.backward(
-        m.ln2,
-        run.backward(m.ffn, run.backward(m.drop2, grad, prefix + "drop2."), prefix + "ffn."),
-        prefix + "ln2.",
-    )
-    grad = grad + g2
-    g1 = run.backward(
-        m.ln1,
-        run.backward(m.attn, run.backward(m.drop1, grad, prefix + "drop1."), prefix + "attn."),
-        prefix + "ln1.",
-    )
-    return grad + g1
-
-
-@_fwd(L.Conv2D)
-def _conv2d_fwd(m: L.Conv2D, run: VectorizedRun, prefix: str, x):
-    k = m.kernel_size
-    cols2, oh, ow = run.patch_rows(prefix, x, k, m.stride, m.pad)
-    cols = cols2.reshape(len(x), oh * ow, -1)  # (B, OH*OW, K*K*C) view
-    w2 = m.params["w"].reshape(-1, m.out_channels)
-    out = run.seg_matmul(cols, w2)
-    tiles = run.tiled(out)
-    tiles += run.tile(m.params["b"], out.shape)
-    if run.training:
-        run.put(prefix, x.shape, cols, oh, ow)
-    return tiles.reshape(x.shape[0], oh, ow, m.out_channels)
-
-
-@_bwd(L.Conv2D)
-def _conv2d_bwd(m: L.Conv2D, run: VectorizedRun, prefix: str, grad, input_grad):
-    x_shape, cols, oh, ow = run.get(prefix)
-    k = m.kernel_size
-    g3 = grad.reshape(x_shape[0], oh * ow, m.out_channels)
-    w2 = m.params["w"].reshape(-1, m.out_channels)
-    run.add_grad(
-        prefix + "w",
-        run.seg_outer(cols, g3).reshape((run.num_stacked,) + m.params["w"].shape))
-    run.add_grad(prefix + "b", run.seg_sum(g3))
-    if not input_grad:
-        return None
-    # This is the patch rows' last reader: the input-gradient rows, of the
-    # same shape, overwrite them when they share their dtype (a read-only
-    # ``cols`` is a view of the layer's input, which nothing may write).
-    out = None
-    if cols.flags.writeable and g3.dtype == cols.dtype == w2.dtype:
-        out = cols
-    dcols = run.seg_matmul(g3, w2.T, out=out)
-    return col2im(dcols.reshape(-1, dcols.shape[-1]), x_shape, k, k,
-                  m.stride, m.pad, oh, ow)
-
-
-@_fwd(L.MaxPool2D)
-def _maxpool_fwd(m: L.MaxPool2D, run: VectorizedRun, prefix: str, x):
-    # The p x p window positions are byte-copied into contiguous planes
-    # (p*p, n, h/p, w/p, C), plane dy*p+dx holding pixel (dy, dx) of every
-    # window; the max and the tie mask are then elementwise over whole planes.
-    p = m.pool
-    n, h, w, c = x.shape
-    if h % p or w % p:
-        raise ValueError(f"input spatial dims {(h, w)} not divisible by pool {p}")
-    planes = np.empty((p, p, n, h // p, w // p, c), x.dtype)
-    _pixels(planes)[...] = _pixels(x).reshape(n, h // p, p, w // p, p).transpose(2, 4, 0, 1, 3)
-    planes = planes.reshape(p * p, n, h // p, w // p, c)
-    s = x.strides
-    if c > 1 and 0 < s[3] < s[2] < s[1] < s[0]:
-        # Channels (two or more) innermost, rows outside columns: NumPy runs
-        # the reference's max as an elementwise fold over the window
-        # positions in plane order, which is this one.
-        out = np.maximum.reduce(planes, 0)
-    else:  # a single channel, or another memory order: another fold order
-        out = x.reshape(n, h // p, p, w // p, p, c).max(axis=(2, 4))
-    if run.training:
-        run.put(prefix, planes == out, x.shape)
-    return out
-
-
-@_bwd(L.MaxPool2D)
-def _maxpool_bwd(m: L.MaxPool2D, run: VectorizedRun, prefix: str, grad, input_grad):
-    mask, x_shape = run.get(prefix)
-    p = m.pool
-    n, h, w, c = x_shape
-    g = grad * mask / mask.sum(0)  # every tied maximum gets its share
-    dx = np.empty(x_shape, g.dtype)
-    _pixels(dx).reshape(n, h // p, p, w // p, p).transpose(2, 4, 0, 1, 3)[...] = (
-        _pixels(g).reshape(p, p, n, h // p, w // p))
-    return dx
-
-
-@_fwd(L.GlobalAvgPool2D)
-def _gap_fwd(m: L.GlobalAvgPool2D, run: VectorizedRun, prefix: str, x):
-    if run.training:
-        run.put(prefix, x.shape)
-    return x.mean(axis=(1, 2))
-
-
-@_bwd(L.GlobalAvgPool2D)
-def _gap_bwd(m: L.GlobalAvgPool2D, run: VectorizedRun, prefix: str, grad, input_grad):
-    (shape,) = run.get(prefix)
-    n, h, w, c = shape
-    return np.broadcast_to(grad[:, None, None, :], shape) / (h * w)
-
-
-@_fwd(M.SmallCNN)
-def _smallcnn_fwd(m: M.SmallCNN, run: VectorizedRun, prefix: str, x):
-    return run.forward(m.body, x, prefix + "body.")
-
-
-@_bwd(M.SmallCNN)
-def _smallcnn_bwd(m: M.SmallCNN, run: VectorizedRun, prefix: str, grad, input_grad):
-    return run.backward(m.body, grad, prefix + "body.", input_grad)
-
-
-@_fwd(M.TinyBert)
-def _tinybert_fwd(m: M.TinyBert, run: VectorizedRun, prefix: str, tokens):
-    tokens = np.asarray(tokens)
-    b, t = tokens.shape
-    if t != m.seq_len:
-        raise ValueError(f"expected sequence length {m.seq_len}, got {t}")
-    positions = np.broadcast_to(np.arange(t), (b, t))
-    x = (run.forward(m.tok, tokens, prefix + "tok.")
-         + run.forward(m.pos, positions, prefix + "pos."))
-    for i, block in enumerate(m.blocks):
-        x = run.forward(block, x, f"{prefix}block{i}.")
-    if run.training:
-        run.put(prefix, tokens.shape)
-    pooled = x.mean(axis=1)
-    return run.forward(m.head, run.forward(m.pooler, pooled, prefix + "pooler."),
-                       prefix + "head.")
-
-
-@_bwd(M.TinyBert)
-def _tinybert_bwd(m: M.TinyBert, run: VectorizedRun, prefix: str, grad, input_grad):
-    (tokens_shape,) = run.get(prefix)
-    b, t = tokens_shape
-    g = run.backward(m.pooler, run.backward(m.head, grad, prefix + "head."),
-                     prefix + "pooler.")
-    g = np.broadcast_to(g[:, None, :], (b, t, m.dim)) / t
-    g = np.ascontiguousarray(g)
-    for i, block in reversed(list(enumerate(m.blocks))):
-        g = run.backward(block, g, f"{prefix}block{i}.")
-    run.backward(m.pos, g, prefix + "pos.", input_grad=False)
-    return run.backward(m.tok, g, prefix + "tok.", input_grad)
 
 
 # ---------------------------------------------------------------------------

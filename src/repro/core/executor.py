@@ -103,6 +103,7 @@ class VirtualFlowExecutor:
         self.augment = augment  # optional repro.data.augment.Transform
         self.arena = FlatTensorArena.install(model)
         self.engine = VirtualNodeEngine(workload, mapping, perf=perf)
+        self.engine.backend.bind(model)
         self.sim_time = 0.0
         self.steps_run = 0
         self.examples_seen = 0

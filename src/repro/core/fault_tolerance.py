@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from repro.core.executor import VirtualFlowExecutor
 from repro.core.mapping import Mapping
 from repro.core.plan import ExecutionPlan, PlanValidationError
 from repro.hardware.cluster import Cluster
+
+if TYPE_CHECKING:
+    from repro.core.executor import VirtualFlowExecutor
 
 __all__ = [
     "FaultToleranceError",

@@ -32,20 +32,19 @@ placement but never state — rather than being recomputed per batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.engine import VirtualNodeEngine
 from repro.core.mapping import Mapping
 from repro.core.plan import ExecutionPlan
-# Called through its module, so that a patch of the function reaches
-# this module whenever it loads (see repro._lazy).
-from repro.core import state as vn_state
-from repro.core.state import VirtualNodeState, state_layout
 from repro.framework.layers import Module
 from repro.framework.models import Workload
 from repro.hardware.perfmodel import PerfModel
+
+if TYPE_CHECKING:
+    from repro.core.state import VirtualNodeState
 
 __all__ = ["InferenceEngine", "InferenceResult"]
 
@@ -81,6 +80,7 @@ class InferenceEngine:
         # Plan validation at construction (the simulated analogue of OOM at
         # graph build time) happens inside the shared engine.
         self.engine = VirtualNodeEngine(workload, mapping, perf=perf)
+        self.engine.backend.bind(model)
         self.requests_served = 0
         self.sim_time = 0.0
         self._vn_states: Optional[List[VirtualNodeState]] = None
@@ -135,9 +135,10 @@ class InferenceEngine:
         recomputes it.  Remapping does *not* invalidate the cache —
         placement changes never touch virtual-node state.
         """
+        import repro.core.state as vn_state  # only an engine with node state
         self._vn_states = list(vn_states)
         self._eval_state = None
-        self._state_layout = state_layout(self._vn_states)
+        self._state_layout = vn_state.state_layout(self._vn_states)
 
     def _ensure_eval_state(self) -> None:
         """Serve under the cached merged evaluation view.
@@ -152,6 +153,7 @@ class InferenceEngine:
         if self._state_layout is None:
             return
         if self._eval_state is None:
+            import repro.core.state as vn_state  # through the module: a patch is seen
             self._eval_state, self._state_stack = vn_state.merged_eval_state(
                 self._vn_states, self._state_layout, self._state_stack)
         self.model.load_state_dict(self._eval_state)

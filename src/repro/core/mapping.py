@@ -7,12 +7,13 @@ device executes which waves, and therefore step time and memory placement.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping as TMapping
+from typing import Dict, List, Mapping as TMapping, Optional
 
 from repro.core.virtual_node import VirtualNodeSet
 from repro.hardware.cluster import Cluster
+from repro.hardware.interconnect import Interconnect
 
-__all__ = ["Mapping"]
+__all__ = ["Mapping", "migration_time"]
 
 
 class Mapping:
@@ -113,3 +114,21 @@ class Mapping:
             f"dev{dev}:{len(nodes)}vn" for dev, nodes in sorted(self.waves().items()) if nodes
         )
         return f"Mapping({parts})"
+
+
+def migration_time(old_mapping: Mapping, new_mapping: Mapping, model_bytes: int,
+                   state_bytes: int, interconnect: Optional[Interconnect] = None) -> float:
+    """Simulated cost of the §4.1 all-gather that bootstraps new workers.
+
+    Only devices that gained virtual nodes need state; when the device sets
+    are identical (pure re-balance) or the job is shrinking onto existing
+    devices, no parameter broadcast is needed and the cost is zero.
+    """
+    interconnect = interconnect or new_mapping.cluster.interconnect
+    old_devices = set(old_mapping.active_devices())
+    new_devices = set(new_mapping.active_devices())
+    joiners = new_devices - old_devices
+    if not joiners:
+        return 0.0
+    payload = model_bytes + state_bytes
+    return interconnect.allgather_time(payload, len(new_devices))

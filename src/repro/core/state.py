@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.mapping import Mapping
+from repro.core.mapping import Mapping, migration_time
 from repro.framework.arena import FlatLayout
 from repro.hardware.interconnect import Interconnect
 
@@ -153,24 +153,6 @@ def merged_eval_state(states: List[VirtualNodeState], layout: Optional[FlatLayou
     merged_flat = scratch.sum(axis=0)
     merged_flat /= len(states)
     return layout.views(merged_flat), scratch
-
-
-def migration_time(old_mapping: Mapping, new_mapping: Mapping, model_bytes: int,
-                   state_bytes: int, interconnect: Optional[Interconnect] = None) -> float:
-    """Simulated cost of the §4.1 all-gather that bootstraps new workers.
-
-    Only devices that gained virtual nodes need state; when the device sets
-    are identical (pure re-balance) or the job is shrinking onto existing
-    devices, no parameter broadcast is needed and the cost is zero.
-    """
-    interconnect = interconnect or new_mapping.cluster.interconnect
-    old_devices = set(old_mapping.active_devices())
-    new_devices = set(new_mapping.active_devices())
-    joiners = new_devices - old_devices
-    if not joiners:
-        return 0.0
-    payload = model_bytes + state_bytes
-    return interconnect.allgather_time(payload, len(new_devices))
 
 
 def migrate_states(states: List[VirtualNodeState], old_mapping: Mapping,

@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.elastic.jobs import JobSpec
 from repro.utils.seeding import derive_rng
+
+if TYPE_CHECKING:
+    from repro.elastic.jobs import JobSpec
 
 __all__ = [
     "TraceJob",
@@ -93,6 +95,7 @@ def generate_trace(num_jobs: int, jobs_per_hour: float, seed: int = 0,
         raise ValueError("num_jobs must be >= 1")
     if jobs_per_hour <= 0:
         raise ValueError("jobs_per_hour must be positive")
+    from repro.elastic.jobs import JobSpec  # job traces only: serving never loads it
     workloads = list(workloads) if workloads is not None else TABLE3_WORKLOADS
     rng = derive_rng(seed, _TRACE_DOMAIN)
     mean_interarrival = 3600.0 / jobs_per_hour
@@ -227,6 +230,7 @@ def three_job_trace(steps_scale: float = 1.0) -> List[JobSpec]:
     """
     if steps_scale <= 0:
         raise ValueError("steps_scale must be positive")
+    from repro.elastic.jobs import JobSpec
 
     def steps(n: int) -> int:
         return max(1, int(round(n * steps_scale)))

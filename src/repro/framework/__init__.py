@@ -19,36 +19,36 @@ _EXPORTS = {
     "FlatTensorArena": "repro.framework.arena",
     "ConstantSchedule": "repro.framework.schedules",
     "CosineSchedule": "repro.framework.schedules",
-    "BatchNorm": "repro.framework.layers",
-    "Conv2D": "repro.framework.layers",
+    "BatchNorm": "repro.framework.conv",
+    "Conv2D": "repro.framework.conv",
     "Dense": "repro.framework.layers",
     "Dropout": "repro.framework.layers",
-    "Embedding": "repro.framework.layers",
+    "Embedding": "repro.framework.attention",
     "Flatten": "repro.framework.layers",
-    "GELU": "repro.framework.layers",
-    "GlobalAvgPool2D": "repro.framework.layers",
+    "GELU": "repro.framework.attention",
+    "GlobalAvgPool2D": "repro.framework.conv",
     "LAMB": "repro.framework.optimizers",
-    "LayerNorm": "repro.framework.layers",
+    "LayerNorm": "repro.framework.attention",
     "Loss": "repro.framework.losses",
     "MLPClassifier": "repro.framework.models",
     "MSELoss": "repro.framework.losses",
-    "MaxPool2D": "repro.framework.layers",
+    "MaxPool2D": "repro.framework.conv",
     "Module": "repro.framework.layers",
     "Momentum": "repro.framework.optimizers",
-    "MultiHeadSelfAttention": "repro.framework.layers",
+    "MultiHeadSelfAttention": "repro.framework.attention",
     "Optimizer": "repro.framework.optimizers",
     "ReLU": "repro.framework.layers",
     "Residual": "repro.framework.layers",
     "ResourceFootprint": "repro.framework.models",
     "SGD": "repro.framework.optimizers",
     "Sequential": "repro.framework.layers",
-    "SmallCNN": "repro.framework.models",
+    "SmallCNN": "repro.framework.conv",
     "SoftmaxCrossEntropy": "repro.framework.losses",
     "StepDecaySchedule": "repro.framework.schedules",
     "Tanh": "repro.framework.layers",
-    "TinyBert": "repro.framework.models",
-    "TinyTransformer": "repro.framework.models",
-    "TransformerBlock": "repro.framework.layers",
+    "TinyBert": "repro.framework.attention",
+    "TinyTransformer": "repro.framework.attention",
+    "TransformerBlock": "repro.framework.attention",
     "WORKLOADS": "repro.framework.models",
     "Workload": "repro.framework.models",
     "WarmupSchedule": "repro.framework.schedules",

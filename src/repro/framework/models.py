@@ -2,8 +2,9 @@
 
 Two concerns are deliberately separated:
 
-* **Numeric models** (:class:`MLPClassifier`, :class:`SmallCNN`,
-  :class:`TinyBert`, :class:`TinyTransformer`) are small enough to train on a
+* **Numeric models** (:class:`MLPClassifier` here, ``SmallCNN`` in
+  :mod:`repro.framework.conv`, ``TinyBert`` and ``TinyTransformer`` in
+  :mod:`repro.framework.attention`) are small enough to train on a
   CPU in seconds.  They exercise every framework feature the real workloads
   do (conv + batch-norm stateful kernels, attention + dropout, Adam/Momentum)
   so the virtual-node *semantics* — mapping invariance, weighted sync,
@@ -17,40 +18,27 @@ Two concerns are deliberately separated:
   BERT-LARGE capping at batch 4 on an RTX 2080 Ti).
 
 A :class:`Workload` couples the two, and :data:`WORKLOADS` registers the
-workloads used across the paper's evaluation (§6, Table 3).
+workloads used across the paper's evaluation (§6, Table 3).  A workload
+imports its model's layer family and its optimizer only to build them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass, field
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.framework.layers import (
-    BatchNorm,
-    Conv2D,
-    Dense,
-    Dropout,
-    Embedding,
-    GlobalAvgPool2D,
-    MaxPool2D,
-    Module,
-    ReLU,
-    Residual,
-    Sequential,
-    Tanh,
-    TransformerBlock,
-)
-from repro.framework.optimizers import Adam, AdamW, Momentum, Optimizer
+from repro.framework.layers import Dense, Dropout, Module, ReLU, Sequential
 from repro.utils.seeding import DOMAIN_INIT, derive_rng
 from repro.utils.units import GB, MB
 
+if TYPE_CHECKING:
+    from repro.framework.optimizers import Optimizer
+
 __all__ = [
     "MLPClassifier",
-    "SmallCNN",
-    "TinyBert",
-    "TinyTransformer",
     "ResourceFootprint",
     "Workload",
     "WORKLOADS",
@@ -75,106 +63,6 @@ class MLPClassifier(Sequential):
         )
         self.input_dim = input_dim
         self.num_classes = num_classes
-
-
-class SmallCNN(Module):
-    """A miniature residual CNN (stand-in for ResNet-50/56).
-
-    conv-BN-ReLU stem, one residual block per stage with max-pool
-    downsampling, global average pooling, and a linear head.  BatchNorm gives
-    it the "stateful kernel" behaviour the resize-migration path must handle.
-    """
-
-    def __init__(self, image_size: int, channels: int, num_classes: int,
-                 rng: np.random.Generator, width: int = 8, stages: int = 2) -> None:
-        super().__init__()
-        if image_size % (2 ** stages):
-            raise ValueError(f"image_size {image_size} not divisible by 2^{stages}")
-        self.image_size, self.channels, self.num_classes = image_size, channels, num_classes
-        layers = [
-            Conv2D(channels, width, 3, rng),
-            BatchNorm(width),
-            ReLU(),
-        ]
-        for _ in range(stages):
-            layers.append(
-                Residual(Sequential(
-                    Conv2D(width, width, 3, rng),
-                    BatchNorm(width),
-                    ReLU(),
-                    Conv2D(width, width, 3, rng),
-                    BatchNorm(width),
-                ))
-            )
-            layers.append(ReLU())
-            layers.append(MaxPool2D(2))
-        layers += [GlobalAvgPool2D(), Dense(width, num_classes, rng)]
-        self.body = self.add_child("body", Sequential(*layers))
-
-    def forward(self, x, *, training=False, rng=None):
-        return self.body.forward(x, training=training, rng=rng)
-
-    def backward(self, grad):
-        return self.body.backward(grad)
-
-
-class TinyBert(Module):
-    """A miniature BERT-style encoder classifier.
-
-    Token + learned positional embeddings, ``num_layers`` pre-LN transformer
-    blocks, mean pooling, tanh "pooler", linear head — the same architecture
-    skeleton as BERT fine-tuning, at a CPU-friendly size.
-    """
-
-    def __init__(self, vocab_size: int, seq_len: int, dim: int, num_heads: int,
-                 num_layers: int, num_classes: int, rng: np.random.Generator,
-                 dropout: float = 0.1) -> None:
-        super().__init__()
-        self.vocab_size, self.seq_len, self.dim = vocab_size, seq_len, dim
-        self.num_classes = num_classes
-        self.tok = self.add_child("tok", Embedding(vocab_size, dim, rng))
-        self.pos = self.add_child("pos", Embedding(seq_len, dim, rng))
-        self.blocks = [
-            self.add_child(f"block{i}", TransformerBlock(dim, num_heads, 4 * dim, rng, dropout))
-            for i in range(num_layers)
-        ]
-        self.pooler = self.add_child("pooler", Sequential(Dense(dim, dim, rng), Tanh()))
-        self.head = self.add_child("head", Dense(dim, num_classes, rng))
-        self._tokens_shape: Optional[tuple] = None
-
-    def forward(self, tokens, *, training=False, rng=None):
-        tokens = np.asarray(tokens)
-        b, t = tokens.shape
-        if t != self.seq_len:
-            raise ValueError(f"expected sequence length {self.seq_len}, got {t}")
-        self._tokens_shape = tokens.shape
-        x = self.tok.forward(tokens) + self.pos.forward(np.arange(t)[None, :].repeat(b, 0))
-        for block in self.blocks:
-            x = block.forward(x, training=training, rng=rng)
-        pooled = x.mean(axis=1)
-        return self.head.forward(self.pooler.forward(pooled, training=training))
-
-    def backward(self, grad):
-        g = self.pooler.backward(self.head.backward(grad))
-        b, t = self._tokens_shape
-        g = np.broadcast_to(g[:, None, :], (b, t, self.dim)) / t
-        g = np.ascontiguousarray(g)
-        for block in reversed(self.blocks):
-            g = block.backward(g)
-        self.pos.backward(g)
-        return self.tok.backward(g)
-
-
-class TinyTransformer(TinyBert):
-    """Stand-in for the WMT14 Transformer: same skeleton, deeper/wider defaults."""
-
-    def __init__(self, vocab_size: int = 64, seq_len: int = 16, dim: int = 32,
-                 num_heads: int = 4, num_layers: int = 2, num_classes: int = 8,
-                 rng: Optional[np.random.Generator] = None, dropout: float = 0.1) -> None:
-        if rng is None:
-            raise ValueError("TinyTransformer requires an rng")
-        super().__init__(vocab_size, seq_len, dim, num_heads, num_layers,
-                         num_classes, rng, dropout)
 
 
 @dataclass(frozen=True)
@@ -226,7 +114,7 @@ class Workload:
     model_builder: Callable[[int], Module]
     dataset: str
     num_classes: int
-    optimizer_factory: Callable[[], Optimizer]
+    optimizer: Tuple[str, Dict[str, float]] = field(hash=False)  # an optimizers class, its args
     footprint: ResourceFootprint
     optimizer_slots: int
     # reference throughput shape on a V100: step_time(b) = alpha + beta * b
@@ -247,7 +135,10 @@ class Workload:
         a learning rate for a (global batch, virtual node) configuration and
         VirtualFlow carries it unchanged to any hardware.
         """
-        optimizer = self.optimizer_factory()
+        from repro.framework import optimizers
+
+        name, args = self.optimizer
+        optimizer = getattr(optimizers, name)(**args)
         if learning_rate is not None:
             if learning_rate <= 0:
                 raise ValueError(f"learning_rate must be positive, got {learning_rate}")
@@ -259,25 +150,19 @@ def _rng(seed: int) -> np.random.Generator:
     return derive_rng(seed, DOMAIN_INIT)
 
 
-def _resnet50_model(seed: int) -> Module:
-    return SmallCNN(image_size=8, channels=3, num_classes=10, rng=_rng(seed), width=8)
+def _resnet_model(seed: int, width: int) -> Module:
+    from repro.framework.conv import SmallCNN
+    return SmallCNN(image_size=8, channels=3, num_classes=10, rng=_rng(seed), width=width)
 
 
-def _resnet56_model(seed: int) -> Module:
-    return SmallCNN(image_size=8, channels=3, num_classes=10, rng=_rng(seed), width=6, stages=2)
-
-
-def _bert_base_model(seed: int) -> Module:
-    return TinyBert(vocab_size=64, seq_len=12, dim=24, num_heads=4, num_layers=2,
-                    num_classes=2, rng=_rng(seed))
-
-
-def _bert_large_model(seed: int) -> Module:
-    return TinyBert(vocab_size=64, seq_len=12, dim=32, num_heads=4, num_layers=3,
+def _bert_model(seed: int, dim: int, num_layers: int) -> Module:
+    from repro.framework.attention import TinyBert
+    return TinyBert(vocab_size=64, seq_len=12, dim=dim, num_heads=4, num_layers=num_layers,
                     num_classes=2, rng=_rng(seed))
 
 
 def _transformer_model(seed: int) -> Module:
+    from repro.framework.attention import TinyTransformer
     return TinyTransformer(rng=_rng(seed))
 
 
@@ -347,10 +232,10 @@ def _register(workload: Workload) -> Workload:
 # and V100 ≈ 4x P100 on this workload (§5.1.2).
 _register(Workload(
     name="resnet50_imagenet",
-    model_builder=_resnet50_model,
+    model_builder=partial(_resnet_model, width=8),
     dataset="synthetic_imagenet",
     num_classes=10,
-    optimizer_factory=lambda: Momentum(lr=0.1, momentum=0.9),
+    optimizer=("Momentum", {"lr": 0.1, "momentum": 0.9}),
     footprint=_RESNET50_FOOTPRINT,
     optimizer_slots=1,
     v100_alpha=0.013,
@@ -363,10 +248,10 @@ _register(Workload(
 ))
 _register(Workload(
     name="resnet56_cifar10",
-    model_builder=_resnet56_model,
+    model_builder=partial(_resnet_model, width=6),
     dataset="synthetic_cifar10",
     num_classes=10,
-    optimizer_factory=lambda: Momentum(lr=0.1, momentum=0.9),
+    optimizer=("Momentum", {"lr": 0.1, "momentum": 0.9}),
     footprint=_RESNET56_FOOTPRINT,
     optimizer_slots=1,
     v100_alpha=0.004,
@@ -376,10 +261,10 @@ _register(Workload(
 ))
 _register(Workload(
     name="bert_base_glue",
-    model_builder=_bert_base_model,
+    model_builder=partial(_bert_model, dim=24, num_layers=2),
     dataset="synthetic_glue",
     num_classes=2,
-    optimizer_factory=lambda: AdamW(lr=3e-4),
+    optimizer=("AdamW", {"lr": 3e-4}),
     footprint=_BERT_BASE_FOOTPRINT,
     optimizer_slots=2,
     v100_alpha=0.020,
@@ -389,10 +274,10 @@ _register(Workload(
 ))
 _register(Workload(
     name="bert_large_glue",
-    model_builder=_bert_large_model,
+    model_builder=partial(_bert_model, dim=32, num_layers=3),
     dataset="synthetic_glue",
     num_classes=2,
-    optimizer_factory=lambda: AdamW(lr=2e-4),
+    optimizer=("AdamW", {"lr": 2e-4}),
     footprint=_BERT_LARGE_FOOTPRINT,
     optimizer_slots=2,
     v100_alpha=0.030,
@@ -408,7 +293,7 @@ _register(Workload(
     model_builder=_transformer_model,
     dataset="synthetic_wmt",
     num_classes=8,
-    optimizer_factory=lambda: Adam(lr=1e-3),
+    optimizer=("Adam", {"lr": 1e-3}),
     footprint=_TRANSFORMER_FOOTPRINT,
     optimizer_slots=2,
     v100_alpha=0.015,
@@ -421,7 +306,7 @@ _register(Workload(
     model_builder=_mlp_model,
     dataset="synthetic_vectors",
     num_classes=10,
-    optimizer_factory=lambda: Momentum(lr=0.05, momentum=0.9),
+    optimizer=("Momentum", {"lr": 0.05, "momentum": 0.9}),
     footprint=_MLP_FOOTPRINT,
     optimizer_slots=1,
     v100_alpha=0.002,

@@ -16,7 +16,7 @@ _EXPORTS = {
     "Device": "repro.hardware.device",
     "DeviceSpec": "repro.hardware.device",
     "Interconnect": "repro.hardware.interconnect",
-    "MemoryLedger": "repro.hardware.memory",
+    "MemoryLedger": "repro.hardware.device",
     "MemoryTimeline": "repro.hardware.memory",
     "OutOfDeviceMemory": "repro.hardware.device",
     "ParameterServerStrategy": "repro.hardware.sync_strategy",

@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.hardware.memory import MemoryLedger
 from repro.utils.units import GB, format_bytes
 
-__all__ = ["DeviceSpec", "Device", "DEVICE_SPECS", "get_spec", "OutOfDeviceMemory"]
+__all__ = ["DeviceSpec", "Device", "DEVICE_SPECS", "get_spec", "MemoryLedger",
+           "OutOfDeviceMemory"]
 
 
 class OutOfDeviceMemory(RuntimeError):
@@ -64,6 +64,61 @@ def get_spec(name: str) -> DeviceSpec:
         return DEVICE_SPECS[name]
     except KeyError:
         raise KeyError(f"unknown device type {name!r}; available: {sorted(DEVICE_SPECS)}") from None
+
+
+class MemoryLedger:
+    """Per-category byte accounting with capacity enforcement."""
+
+    def __init__(self, capacity_bytes: int) -> None:
+        if capacity_bytes <= 0:
+            raise ValueError(f"capacity must be positive, got {capacity_bytes}")
+        self.capacity_bytes = capacity_bytes
+        self._live: Dict[str, int] = {}
+        self.peak = 0
+        self.peak_by_category: Dict[str, int] = {}
+
+    @property
+    def used(self) -> int:
+        return sum(self._live.values())
+
+    def live(self, category: str) -> int:
+        return self._live.get(category, 0)
+
+    def breakdown(self) -> Dict[str, int]:
+        return dict(self._live)
+
+    def allocate(self, category: str, nbytes: int) -> None:
+        if nbytes < 0:
+            raise ValueError(f"cannot allocate negative bytes ({nbytes})")
+        new_total = self.used + nbytes
+        if new_total > self.capacity_bytes:
+            raise MemoryError(
+                f"allocation of {format_bytes(nbytes)} for {category!r} would use "
+                f"{format_bytes(new_total)} of {format_bytes(self.capacity_bytes)}"
+            )
+        self._live[category] = self._live.get(category, 0) + nbytes
+        self.peak = max(self.peak, new_total)
+        self.peak_by_category[category] = max(
+            self.peak_by_category.get(category, 0), self._live[category]
+        )
+
+    def free(self, category: str, nbytes: Optional[int] = None) -> None:
+        live = self._live.get(category, 0)
+        if nbytes is None:
+            nbytes = live
+        if nbytes > live:
+            raise ValueError(
+                f"cannot free {format_bytes(nbytes)} from {category!r}; only "
+                f"{format_bytes(live)} live"
+            )
+        self._live[category] = live - nbytes
+        if self._live[category] == 0:
+            del self._live[category]
+
+    def reset(self) -> None:
+        self._live.clear()
+        self.peak = 0
+        self.peak_by_category.clear()
 
 
 class Device:

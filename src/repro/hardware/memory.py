@@ -1,82 +1,27 @@
 """Device memory accounting and the Figure-6 style step memory timeline.
 
-:class:`MemoryLedger` tracks live bytes per category with peak statistics —
-the simulated analogue of a GPU memory allocator.  :func:`simulate_step_memory`
-replays the virtual-node execution of one or more training steps (paper
-Figure 5) and emits a time series of per-category usage, reproducing the
-paper's Figure 6 breakdown where activations dominate at the peak.
+The per-device :class:`~repro.hardware.device.MemoryLedger` (re-exported
+here) tracks live bytes per category.  :func:`simulate_step_memory`, which
+no CLI run loads, replays the virtual-node execution of one or more
+training steps (paper Figure 5) and emits a time series of per-category
+usage, reproducing the paper's Figure 6 breakdown where activations
+dominate at the peak.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
-from repro.utils.units import format_bytes
+from repro.hardware.device import DeviceSpec, MemoryLedger
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+if TYPE_CHECKING:
     from repro.framework.models import Workload
-    from repro.hardware.device import DeviceSpec
 
 __all__ = ["MemoryLedger", "MemoryTimeline", "simulate_step_memory"]
 
 CATEGORIES = ("parameters", "grad_buffer", "optimizer", "activations", "inputs",
               "kernel_temp", "other")
-
-
-class MemoryLedger:
-    """Per-category byte accounting with capacity enforcement."""
-
-    def __init__(self, capacity_bytes: int) -> None:
-        if capacity_bytes <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity_bytes}")
-        self.capacity_bytes = capacity_bytes
-        self._live: Dict[str, int] = {}
-        self.peak = 0
-        self.peak_by_category: Dict[str, int] = {}
-
-    @property
-    def used(self) -> int:
-        return sum(self._live.values())
-
-    def live(self, category: str) -> int:
-        return self._live.get(category, 0)
-
-    def breakdown(self) -> Dict[str, int]:
-        return dict(self._live)
-
-    def allocate(self, category: str, nbytes: int) -> None:
-        if nbytes < 0:
-            raise ValueError(f"cannot allocate negative bytes ({nbytes})")
-        new_total = self.used + nbytes
-        if new_total > self.capacity_bytes:
-            raise MemoryError(
-                f"allocation of {format_bytes(nbytes)} for {category!r} would use "
-                f"{format_bytes(new_total)} of {format_bytes(self.capacity_bytes)}"
-            )
-        self._live[category] = self._live.get(category, 0) + nbytes
-        self.peak = max(self.peak, new_total)
-        self.peak_by_category[category] = max(
-            self.peak_by_category.get(category, 0), self._live[category]
-        )
-
-    def free(self, category: str, nbytes: Optional[int] = None) -> None:
-        live = self._live.get(category, 0)
-        if nbytes is None:
-            nbytes = live
-        if nbytes > live:
-            raise ValueError(
-                f"cannot free {format_bytes(nbytes)} from {category!r}; only "
-                f"{format_bytes(live)} live"
-            )
-        self._live[category] = live - nbytes
-        if self._live[category] == 0:
-            del self._live[category]
-
-    def reset(self) -> None:
-        self._live.clear()
-        self.peak = 0
-        self.peak_by_category.clear()
 
 
 @dataclass

@@ -10,7 +10,9 @@ a :class:`LatencyAutoscaler` attached — remaps the virtual-node→device
 assignment over a device pool whenever the observed p99 breaches (or clears)
 the SLO.  Every dispatched micro-batch is bit-identical to a one-shot
 :class:`~repro.core.inference.InferenceEngine` batch of the same requests,
-under any mapping and any scaling history; only latency moves.
+under any mapping and any scaling history; only latency moves.  Like every
+package, this one loads a name's module on first use: a run imports the
+autoscaler or the shed rule only when it arms them.
 
 Quickstart::
 
@@ -25,49 +27,28 @@ Quickstart::
     print(report.summary(slo_p99=0.030))
 """
 
-# Imported eagerly, unlike the other packages: every command that reaches
-# serving runs the router, which loads all of these modules anyway, and
-# loading them together defines every request source as soon as any
-# serving module is imported.
-from repro.serving.request import BatchRecord, RequestRecord
-from repro.serving.batcher import (
-    AdmissionPolicy,
-    DispatchQueue,
-    MicroBatchPolicy,
-)
-from repro.serving.generators import (
-    ClosedLoopSource,
-    OpenLoopPoissonSource,
-    RequestSource,
-)
-from repro.serving.autoscaler import LatencyAutoscaler, ScalingDecision
-from repro.serving.router import RequestRouter, ServingReport, serve_workload
-from repro.serving.tenancy import (
-    SLO_CLASSES,
-    TenantRegistry,
-    TenantSpec,
-    TokenBucket,
-)
-from repro.serving.gateway import MultiTenantPoissonSource, audit_journal
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionPolicy",
-    "BatchRecord",
-    "ClosedLoopSource",
-    "DispatchQueue",
-    "LatencyAutoscaler",
-    "MicroBatchPolicy",
-    "MultiTenantPoissonSource",
-    "OpenLoopPoissonSource",
-    "RequestRecord",
-    "RequestRouter",
-    "RequestSource",
-    "SLO_CLASSES",
-    "ScalingDecision",
-    "ServingReport",
-    "TenantRegistry",
-    "TenantSpec",
-    "TokenBucket",
-    "audit_journal",
-    "serve_workload",
-]
+_EXPORTS = {
+    "AdmissionPolicy": "repro.serving.batcher",
+    "BatchRecord": "repro.serving.request",
+    "ClosedLoopSource": "repro.serving.generators",
+    "DispatchQueue": "repro.serving.batcher",
+    "LatencyAutoscaler": "repro.serving.autoscaler",
+    "MicroBatchPolicy": "repro.serving.batcher",
+    "MultiTenantPoissonSource": "repro.serving.gateway",
+    "OpenLoopPoissonSource": "repro.serving.generators",
+    "RequestRecord": "repro.serving.request",
+    "RequestRouter": "repro.serving.router",
+    "RequestSource": "repro.serving.generators",
+    "SLO_CLASSES": "repro.serving.tenancy",
+    "ScalingDecision": "repro.serving.autoscaler",
+    "ServingReport": "repro.serving.router",
+    "TenantRegistry": "repro.serving.tenancy",
+    "TenantSpec": "repro.serving.tenancy",
+    "TokenBucket": "repro.serving.tenancy",
+    "audit_journal": "repro.serving.gateway",
+    "serve_workload": "repro.serving.router",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

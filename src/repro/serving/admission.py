@@ -3,8 +3,9 @@
 When a domain wipe or a spike drives the queue past what the surviving
 capacity can serve inside the latency budget, the router sheds *new*
 arrivals at the door instead of admitting work already doomed to blow its
-SLO.  :class:`AdmissionPolicy` holds the thresholds and :func:`decide` is
-the only place the rule is spelled.  Each arrival of a wave, in order: a
+SLO.  :class:`~repro.serving.batcher.AdmissionPolicy` holds the thresholds
+and :func:`decide` is the only place the rule is spelled; a router imports
+this module only when it is given a policy.  Each arrival of a wave, in order: a
 **bypass** arrival (premium tenant inside its quota) is admitted
 unconditionally; anyone else is shed for *depth* when the queue already
 holds the depth limit, else for *wait* when the estimated wait exceeds the
@@ -19,60 +20,13 @@ lives in ``tests/oracles/admission.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.serving.batcher import VECTOR_MIN, AdmissionPolicy
+
 __all__ = ["AdmissionPolicy", "decide"]
-
-# Below this many arrivals numpy's setup costs more than the loop it saves.
-VECTOR_MIN = 32
-
-
-@dataclass(frozen=True)
-class AdmissionPolicy:
-    """Load-shedding thresholds evaluated at each request's arrival.
-
-    A new arrival is **shed** (rejected at the door, never queued) when
-    either threshold trips:
-
-    * ``max_queue_depth`` — the router already holds that many admitted,
-      undispatched requests.  Without a tenant registry the router's
-      coalescing pull itself stops filling the queue at ``max_batch``, so
-      there a depth threshold trips when set *below* the batch size;
-      serving tenants it admits eagerly, so the threshold polices the
-      whole backlog;
-    * ``max_estimated_wait`` — the deterministic wait estimate (current
-      server backlog plus queued-batches-ahead times the last observed
-      batch service time) exceeds this many seconds.  Until the first
-      batch completes the estimate is zero, so a cold router never
-      wait-sheds.
-
-    Requests re-queued after a device failure were already admitted and are
-    **never** shed — shedding is an admission decision, not an eviction.
-
-    ``brownout`` additionally halves the router's ``max_batch``/``max_wait``
-    whenever the serving lease's capacity is derated below 1.0, so admitted
-    requests see smaller, sooner batches while the hardware runs slow.
-    """
-
-    max_queue_depth: Optional[int] = None
-    max_estimated_wait: Optional[float] = None
-    brownout: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_queue_depth is not None and self.max_queue_depth < 1:
-            raise ValueError(
-                f"max_queue_depth must be >= 1, got {self.max_queue_depth}")
-        if self.max_estimated_wait is not None and self.max_estimated_wait <= 0:
-            raise ValueError(
-                f"max_estimated_wait must be positive, "
-                f"got {self.max_estimated_wait}")
-        if (self.max_queue_depth is None and self.max_estimated_wait is None
-                and not self.brownout):
-            raise ValueError("an admission policy needs at least one "
-                             "threshold (or brownout)")
 
 
 def decide(policy: AdmissionPolicy, times: Sequence[float], depth: int,

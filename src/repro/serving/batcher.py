@@ -15,9 +15,9 @@ times it reads come from the :class:`DispatchQueue`, which guarantees them
 as kept order statistics: ``oldest_arrival()`` and ``arrival_times()`` cost
 the same at any queue depth, because the queue maintains the ascending
 list on every push, requeue and take instead of scanning or sorting what
-is pending per planned batch.  The overload half of the contract
-(:class:`~repro.serving.admission.AdmissionPolicy`, re-exported here) lives
-with its decision kernel in :mod:`repro.serving.admission`.
+is pending per planned batch.  The overload half of the contract,
+:class:`AdmissionPolicy`, is defined here too; its decision kernel is
+:func:`repro.serving.admission.decide`, loaded only by a router that sheds.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence
-
-from repro.serving.admission import AdmissionPolicy
 
 if TYPE_CHECKING:
     from repro.serving.tenancy import TenantRegistry
@@ -65,6 +63,55 @@ class MicroBatchPolicy:
         if len(arrivals) >= self.max_batch:
             return arrivals[self.max_batch - 1]
         return self.deadline(arrivals[0])
+
+
+# Below this many arrivals numpy's setup costs more than the loop it saves.
+VECTOR_MIN = 32
+
+
+@dataclass(frozen=True)
+class AdmissionPolicy:
+    """Load-shedding thresholds evaluated at each request's arrival.
+
+    A new arrival is **shed** (rejected at the door, never queued) when
+    either threshold trips:
+
+    * ``max_queue_depth`` — the router already holds that many admitted,
+      undispatched requests.  Without a tenant registry the router's
+      coalescing pull itself stops filling the queue at ``max_batch``, so
+      there a depth threshold trips when set *below* the batch size;
+      serving tenants it admits eagerly, so the threshold polices the
+      whole backlog;
+    * ``max_estimated_wait`` — the deterministic wait estimate (current
+      server backlog plus queued-batches-ahead times the last observed
+      batch service time) exceeds this many seconds.  Until the first
+      batch completes the estimate is zero, so a cold router never
+      wait-sheds.
+
+    Requests re-queued after a device failure were already admitted and are
+    **never** shed — shedding is an admission decision, not an eviction.
+
+    ``brownout`` additionally halves the router's ``max_batch``/``max_wait``
+    whenever the serving lease's capacity is derated below 1.0, so admitted
+    requests see smaller, sooner batches while the hardware runs slow.
+    """
+
+    max_queue_depth: Optional[int] = None
+    max_estimated_wait: Optional[float] = None
+    brownout: bool = False
+
+    def __post_init__(self) -> None:
+        if self.max_queue_depth is not None and self.max_queue_depth < 1:
+            raise ValueError(
+                f"max_queue_depth must be >= 1, got {self.max_queue_depth}")
+        if self.max_estimated_wait is not None and self.max_estimated_wait <= 0:
+            raise ValueError(
+                f"max_estimated_wait must be positive, "
+                f"got {self.max_estimated_wait}")
+        if (self.max_queue_depth is None and self.max_estimated_wait is None
+                and not self.brownout):
+            raise ValueError("an admission policy needs at least one "
+                             "threshold (or brownout)")
 
 
 class _Tenant:

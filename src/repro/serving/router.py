@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     List,
@@ -60,10 +61,9 @@ import numpy as np
 
 from repro.core.engine import VirtualNodeEngine
 from repro.core.inference import InferenceEngine
-from repro.core.mapping import Mapping
+from repro.core.mapping import Mapping, migration_time
 from repro.core.plan import PlanValidationError
 from repro.core.sharding import shard_sizes
-from repro.core.state import migration_time
 from repro.core.virtual_node import VirtualNodeSet
 # Called through its module, so that a patch of the function reaches
 # this module whenever it loads (see repro._lazy).
@@ -81,9 +81,7 @@ from repro.runtime import (
     Runtime,
     open_trace,
 )
-from repro.serving.admission import AdmissionPolicy, decide
-from repro.serving.autoscaler import AllocationProfile, LatencyAutoscaler
-from repro.serving.batcher import DispatchQueue, MicroBatchPolicy
+from repro.serving.batcher import AdmissionPolicy, DispatchQueue, MicroBatchPolicy
 from repro.serving.gateway import (
     DISPATCHERS,
     MultiTenantPoissonSource,
@@ -93,6 +91,9 @@ from repro.serving.generators import OpenLoopPoissonSource, RequestSource
 from repro.serving.request import BatchRecord, BlockLog, RecordBlock, ShedBlock
 from repro.serving.tenancy import TenantRegistry, meter, split_phases
 from repro.telemetry import percentile
+
+if TYPE_CHECKING:
+    from repro.serving.autoscaler import AllocationProfile, LatencyAutoscaler
 
 __all__ = ["RequestRouter", "ServingReport", "capacity_table",
            "ladder_capacity", "serve_workload"]
@@ -114,6 +115,7 @@ def capacity_table(workload: Workload, vn_set: VirtualNodeSet, pool: Cluster,
     in device memory) are simply absent — the autoscaler never proposes
     them.
     """
+    from repro.serving.autoscaler import AllocationProfile  # autoscaling only
     ids = sorted(d.device_id for d in pool.devices)
     sizes = shard_sizes(vn_set, max_batch)
     profiles: Dict[int, AllocationProfile] = {}
@@ -354,6 +356,9 @@ class RequestRouter:
         self.pool = pool
         self.autoscaler = autoscaler
         self.admission = admission
+        if admission is not None:  # only a router that sheds loads the rule
+            from repro.serving.admission import decide
+            self._decide = decide
         self.collect_logits = collect_logits
         self.name = name
         self.accounting = None if tenants is None else TenantAccounting(
@@ -588,7 +593,7 @@ class RequestRouter:
         if accounting is not None:
             bypass, halved = meter(wave, times, accounting.contracts,
                                    in_force is not self.policy)
-        admitted, shed, reasons = decide(
+        admitted, shed, reasons = self._decide(
             self.admission, times, len(self._pending), self._server_free,
             self._service_estimate, in_force.max_batch, bypass, halved)
         if admitted:
@@ -896,6 +901,7 @@ def _build_router(workload_name: str, cluster: Cluster,
                 seed=seed, limit=limit)
     autoscaler = None
     if autoscale:
+        from repro.serving.autoscaler import LatencyAutoscaler
         # The scaler may only target allocations that can actually be
         # granted (under a co-scheduler: up to the training tenancy floor).
         # Otherwise it keeps "acting" toward an unreachable allocation —

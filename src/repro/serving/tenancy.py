@@ -36,7 +36,7 @@ from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional,
 
 import numpy as np
 
-from repro.serving.admission import VECTOR_MIN
+from repro.serving.batcher import VECTOR_MIN
 
 if TYPE_CHECKING:
     from repro.serving.generators import ArrivalWave

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.backends.vectorized import VectorizedRun
-from repro.framework.layers import MaxPool2D
+from repro.framework.conv import MaxPool2D
 
 DTYPES = {np.float32: np.uint32, np.float64: np.uint64}
 

@@ -36,17 +36,9 @@ from repro.core.backends.vectorized import VectorizedRun
 from repro.core.sharding import shard_indices
 from repro.core.state import merged_eval_state, state_layout
 from repro.framework import MSELoss, SoftmaxCrossEntropy, get_workload
-from repro.framework.layers import (
-    GELU,
-    BatchNorm,
-    Conv2D,
-    Dense,
-    Flatten,
-    LayerNorm,
-    MaxPool2D,
-    ReLU,
-    Sequential,
-)
+from repro.framework.attention import GELU, LayerNorm
+from repro.framework.conv import BatchNorm, Conv2D, MaxPool2D
+from repro.framework.layers import Dense, Flatten, ReLU, Sequential
 from repro.hardware import Cluster
 from tests.conftest import on_reference
 

@@ -17,15 +17,8 @@ import pytest
 from repro.core import FusedBackend, Mapping, VirtualFlowExecutor, VirtualNodeSet
 from repro.data import make_dataset
 from repro.framework import SoftmaxCrossEntropy, get_workload
-from repro.framework.layers import (
-    BatchNorm,
-    Conv2D,
-    Dense,
-    GlobalAvgPool2D,
-    ReLU,
-    Residual,
-    Sequential,
-)
+from repro.framework.conv import BatchNorm, Conv2D, GlobalAvgPool2D
+from repro.framework.layers import Dense, ReLU, Residual, Sequential
 from repro.hardware import Cluster
 from tests.conftest import on_reference
 

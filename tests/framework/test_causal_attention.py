@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.framework.layers import MultiHeadSelfAttention
+from repro.framework.attention import MultiHeadSelfAttention
 from tests.conftest import assert_grads_close, numeric_gradient
 
 

@@ -1,6 +1,6 @@
 """``im2col`` / ``col2im`` against the spellings they replaced.
 
-``framework/layers.py`` extracts patches through one strided window view
+``framework/conv.py`` extracts patches through one strided window view
 over a zero-filled buffer and scatters gradients through a cached index one
 cache-sized chunk of examples at a time; ``tests/oracles/conv.py`` keeps
 ``np.pad`` + ``sliding_window_view`` and the one-``bincount``-per-call
@@ -19,13 +19,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import conv as oracle
-from repro.framework import layers
-from repro.framework.layers import col2im, im2col
+from repro.framework import conv
+from repro.framework.conv import col2im, im2col
 
 # c = 8, 12x12, k = 5, "same": 28,800 index entries an example, so a chunk
 # of the scatter holds exactly FAT_CHUNK examples.
 FAT = dict(h=12, w=12, c=8, k=5, stride=1, pad=2)
-FAT_CHUNK = layers._COL2IM_CHUNK_ENTRIES // (12 * 12 * 5 * 5 * 8)
+FAT_CHUNK = conv._COL2IM_CHUNK_ENTRIES // (12 * 12 * 5 * 5 * 8)
 
 GEOMETRY = st.fixed_dictionaries(dict(
     h=st.integers(1, 12), w=st.integers(1, 12), c=st.integers(1, 8),
@@ -101,7 +101,7 @@ def test_batches_on_both_sides_of_the_chunk_length(n, dtype):
 def test_one_example_larger_than_a_chunk_scatters_whole():
     """A plane above the chunk bound is its own chunk, never split."""
     g = dict(h=24, w=24, c=10, k=5, stride=1, pad=2)
-    assert 24 * 24 * 25 * 10 > layers._COL2IM_CHUNK_ENTRIES
+    assert 24 * 24 * 25 * 10 > conv._COL2IM_CHUNK_ENTRIES
     check_both(3, g, np.float64, seed=0, strided=False)
 
 
@@ -126,8 +126,8 @@ def test_im2col_rejects_buffers_it_cannot_fill():
         im2col(x, 3, 3, 1, 1, padded=np.zeros((2, 6, 6, 3), np.float32))
 
 
-@pytest.mark.parametrize("table", [layers._col2im_plane_indices,
-                                   layers._col2im_chunk_indices])
+@pytest.mark.parametrize("table", [conv._col2im_plane_indices,
+                                   conv._col2im_chunk_indices])
 def test_cached_index_tables_are_shared_and_read_only(table):
     geometry = (6, 10, 10, 8, 8, 3, 3, 1)
     index = table(*geometry)
@@ -140,11 +140,11 @@ def test_cached_index_tables_are_shared_and_read_only(table):
 
 
 def test_chunk_table_is_bounded_per_geometry_and_in_count():
-    index = layers._col2im_chunk_indices(6, 10, 10, 8, 8, 3, 3, 1)
-    assert index.size <= layers._COL2IM_CHUNK_ENTRIES
+    index = conv._col2im_chunk_indices(6, 10, 10, 8, 8, 3, 3, 1)
+    assert index.size <= conv._COL2IM_CHUNK_ENTRIES
     assert index.size % (8 * 8 * 3 * 3 * 6) == 0  # whole examples only
-    bound = layers._col2im_chunk_indices.cache_info().maxsize
-    assert bound * layers._COL2IM_CHUNK_ENTRIES * 8 <= 8 * 2 ** 20
+    bound = conv._col2im_chunk_indices.cache_info().maxsize
+    assert bound * conv._COL2IM_CHUNK_ENTRIES * 8 <= 8 * 2 ** 20
 
 
 def test_col2im_allocates_no_index_on_the_ledger_geometry():

@@ -5,17 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.framework.layers import (
-    BatchNorm,
-    Conv2D,
-    Dense,
-    Dropout,
-    Embedding,
-    MaxPool2D,
-    MultiHeadSelfAttention,
-    Sequential,
-    softmax,
-)
+from repro.framework.attention import Embedding, MultiHeadSelfAttention
+from repro.framework.conv import BatchNorm, Conv2D, MaxPool2D
+from repro.framework.layers import Dense, Dropout, Sequential, softmax
 
 
 class TestModuleParameterPlumbing:

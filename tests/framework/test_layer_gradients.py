@@ -10,23 +10,22 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.framework.attention import (
+    Embedding,
+    GELU,
+    LayerNorm,
+    MultiHeadSelfAttention,
+    TransformerBlock,
+)
+from repro.framework.conv import BatchNorm, Conv2D, GlobalAvgPool2D, MaxPool2D
 from repro.framework.layers import (
-    BatchNorm,
-    Conv2D,
     Dense,
     Dropout,
-    Embedding,
     Flatten,
-    GELU,
-    GlobalAvgPool2D,
-    LayerNorm,
-    MaxPool2D,
-    MultiHeadSelfAttention,
     ReLU,
     Residual,
     Sequential,
     Tanh,
-    TransformerBlock,
     softmax,
     softmax_backward,
 )

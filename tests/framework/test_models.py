@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.framework.attention import TinyBert
+from repro.framework.conv import SmallCNN
 from repro.framework.models import (
     MLPClassifier,
     ResourceFootprint,
-    SmallCNN,
-    TinyBert,
     WORKLOADS,
     build_model,
     get_workload,

@@ -27,7 +27,7 @@ from types import SimpleNamespace
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-import repro.serving.router as router_module
+import repro.serving.admission as admission_module
 from oracles.serving_accounting import EagerAccounting, eager_summary
 from repro.core import InferenceEngine, Mapping, VirtualNodeSet
 from repro.framework.models import get_workload
@@ -240,7 +240,7 @@ def _check_view(view, want, types=None):
 
 def test_column_sinks_equal_the_eager_oracle(monkeypatch):
     staged = {}
-    monkeypatch.setattr(router_module, "decide",
+    monkeypatch.setattr(admission_module, "decide",
                         lambda *args, **kwargs: staged["verdict"])
 
     @settings(max_examples=60, deadline=None)

@@ -267,10 +267,11 @@ class TestBrownoutProbedOncePerPull:
     def test_decisions_equal_a_per_arrival_recomputation(self, monkeypatch):
         """Every pull of the live run, replayed through the oracle that
         re-derives brownout, batch size and limits for each arrival."""
+        import repro.serving.admission as admission_module
         import repro.serving.router as router_module
         from oracles.admission import BucketOracle, admit
 
-        meter, decide = router_module.meter, router_module.decide
+        meter, decide = router_module.meter, admission_module.decide
         quota = {"prem": BucketOracle(300.0, 30.0)}   # burst = quota / 10
         pulls, staged = [], {}
 
@@ -298,7 +299,7 @@ class TestBrownoutProbedOncePerPull:
             return admitted, shed, reasons
 
         monkeypatch.setattr(router_module, "meter", recording_meter)
-        monkeypatch.setattr(router_module, "decide", checking_decide)
+        monkeypatch.setattr(admission_module, "decide", checking_decide)
         report = self._run().serving
         assert report.brownout_batches > 0
         # The scenario exercises what it claims to: both shed reasons,

@@ -267,6 +267,58 @@ def _bounded_flags():
             if getattr(action.type, "__qualname__", "").startswith("_bounded.")]
 
 
+def _subcommands(parser):
+    import argparse
+
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _flags(subparser):
+    return {flag for action in subparser._actions for flag in action.option_strings}
+
+
+COMMANDS = list(_subcommands(build_parser()))
+
+
+class TestParserForOneCommand:
+    """``main`` builds the flags of the invoked subcommand only; every
+    subcommand stays registered, so no help output can tell."""
+
+    def test_eleven_subcommands_are_registered_whatever_runs(self):
+        assert len(COMMANDS) == 11
+        for command in COMMANDS:
+            assert list(_subcommands(build_parser(command))) == COMMANDS
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_only_the_named_subcommand_gets_its_flags(self, command):
+        full, one = _subcommands(build_parser()), _subcommands(build_parser(command))
+        assert _flags(one[command]) == _flags(full[command])
+        for other in COMMANDS:
+            if other != command:
+                assert _flags(one[other]) == set()
+
+    def test_top_level_help_names_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(command in out for command in COMMANDS)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_each_subcommand_help_lists_its_own_flags(self, command, capsys):
+        import argparse
+
+        shown = {flag for action in _subcommands(build_parser())[command]._actions
+                 if action.help != argparse.SUPPRESS for flag in action.option_strings}
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: repro {command}")
+        assert len(shown) > 1 and all(flag in out for flag in shown)
+
+
 class TestBoundedNumbers:
     """A number flag takes a finite value inside its range or the command
     ends as a usage error — never an empty report, a hang or a traceback

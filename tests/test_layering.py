@@ -1,11 +1,14 @@
 """The package is layered: each entry point loads only the layers it runs.
 
 Two checks.  Dynamically, one fresh interpreter per entry point runs a
-small command and stops at the door of its run loop (the end-to-end
-benchmark's set-up probe stops at the same place), then reports which
-``repro`` modules it loaded.  Statically, the import statements of every
-module (``if TYPE_CHECKING:`` blocks exempt) keep the lower layers free of
-the simulator stack above them.
+small command and notes which ``repro`` modules are loaded at the door of
+its run loop (where the end-to-end benchmark's set-up probe stops) and
+again when the command has finished: the two sets must be equal, so all
+of a run's compiling happens before its loop.  Statically, the import
+statements of every module (``if TYPE_CHECKING:`` blocks exempt) keep the
+lower layers free of the simulator stack above them, the serving and
+scheduling stack free of the training stack, and the dense core free of
+the layer families.
 """
 
 from __future__ import annotations
@@ -29,32 +32,48 @@ BASE = {"", "_lazy"}
 TRAIN = BASE | {"cli", "core", "data", "framework", "hardware", "utils"}
 SERVE = TRAIN | {"runtime", "serving", "telemetry", "elastic"}
 
-# Stops the run at its loop's door and prints the loaded ``repro`` modules.
+# Runs the command and prints the ``repro`` modules loaded at its loop's
+# door (the first call of the loop's entry) and at its end.
 _PROBE = """
-import importlib, json, os, sys
+import contextlib, importlib, io, json, sys
 module, cls, method, argv = json.loads(sys.argv[1])
-def door(*args, **kwargs):
-    loaded = sorted(m for m in sys.modules if m == "repro" or m.startswith("repro."))
-    sys.stdout.write("\\n" + json.dumps(loaded) + "\\n")
-    sys.stdout.flush()
-    os._exit(0)
+def loaded():
+    return sorted(m for m in sys.modules if m == "repro" or m.startswith("repro."))
+at_door = []
 if module:
-    setattr(getattr(importlib.import_module(module), cls), method, door)
+    owner = getattr(importlib.import_module(module), cls)
+    entry = getattr(owner, method)
+    def door(*args, **kwargs):
+        if not at_door:
+            at_door.append(loaded())
+        return entry(*args, **kwargs)
+    setattr(owner, method, door)
     from repro.cli import main
-    main(argv)
-    sys.exit("the command never reached its run loop")
-import repro
-door()
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+    if not at_door:
+        sys.exit("the command never reached its run loop")
+else:
+    import repro
+    at_door.append(loaded())
+print(json.dumps([at_door[0], loaded()]))
 """
 
 _TENANTS = "prem:class=premium,weight=8,quota=300;flood:share=4"
 _RUNTIME = ("repro.runtime.core", "Runtime", "run")
+_STEP = ("repro.core.executor", "VirtualFlowExecutor", "run_step")
+
+
+def _train(workload):
+    return (_STEP, ["train", "--workload", workload, "--batch", "32", "--virtual-nodes", "4",
+                    "--devices", "2", "--epochs", "1", "--dataset-size", "128",
+                    "--backend", "fused"])
+
+
 ENTRY_POINTS = {
     "import": (("", "", ""), []),
-    "train": (("repro.core.executor", "VirtualFlowExecutor", "run_step"), [
-        "train", "--workload", "mlp_synthetic", "--batch", "32",
-        "--virtual-nodes", "4", "--devices", "2", "--epochs", "1",
-        "--dataset-size", "128", "--backend", "fused"]),
+    "train": _train("mlp_synthetic"),
+    "train_resnet": _train("resnet56_cifar10"),  # the only entry with a layer family
     "serve": (_RUNTIME, [
         "serve", "--workload", "mlp_synthetic", "--arrival-rate", "200",
         "--duration", "0.2", "--devices", "2", "--tenants", _TENANTS]),
@@ -67,8 +86,8 @@ ENTRY_POINTS = {
 
 
 @pytest.fixture(scope="module")
-def loaded(tmp_path_factory):
-    """``{entry point: [repro modules loaded at its run loop's door]}``."""
+def runs(tmp_path_factory):
+    """``{entry point: ([repro modules at its loop's door], [... at its end])}``."""
     cwd = tmp_path_factory.mktemp("layering")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = {}
@@ -81,6 +100,18 @@ def loaded(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def loaded(runs):
+    """``{entry point: [repro modules loaded at its run loop's door]}``."""
+    return {name: at_door for name, (at_door, _) in runs.items()}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_nothing_loads_after_the_loop_door(runs, entry):
+    at_door, at_end = runs[entry]
+    assert at_end == at_door, sorted(set(at_end) ^ set(at_door))
+
+
 def _packages(modules):
     return {m.split(".")[1] if "." in m else "" for m in modules}
 
@@ -89,31 +120,53 @@ def test_import_repro_loads_only_the_export_tables(loaded):
     assert loaded["import"] == ["repro", "repro._lazy"]
 
 
+_CONV = {"repro.framework.conv", "repro.core.backends.vectorized_conv"}
+_ATTENTION = {"repro.framework.attention", "repro.core.backends.vectorized_attention"}
+# Modules a serving or co-scheduling run must not load: training runs them.
+_TRAINING = {"repro.framework.optimizers", "repro.framework.arena", "repro.core.sync",
+             "repro.core.state", "repro.core.executor"}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_no_run_loads_the_memory_timeline(loaded, entry):
+    assert "repro.hardware.memory" not in loaded[entry]  # Figure 6's simulation
+
+
 def test_train_loads_only_the_training_layers(loaded):
     modules = loaded["train"]
     assert _packages(modules) <= TRAIN, sorted(_packages(modules) - TRAIN)
-    assert len(modules) <= 40, modules
+    assert not (_CONV | _ATTENTION) & set(modules)
+    assert len(modules) <= 37, modules
+
+
+def test_a_model_loads_its_layer_family_before_the_loop(loaded):
+    modules = set(loaded["train_resnet"])
+    assert _CONV <= modules and not _ATTENTION & modules
+    assert modules - _CONV == set(loaded["train"])
 
 
 def test_serve_adds_only_the_serving_layers(loaded):
     modules = loaded["serve"]
     assert _packages(modules) <= SERVE, sorted(_packages(modules) - SERVE)
     elastic = {m for m in modules if m.startswith("repro.elastic.")}
-    assert elastic <= {"repro.elastic.trace", "repro.elastic.jobs"}, elastic
-    assert len(modules) <= 55, modules
+    assert elastic == {"repro.elastic.trace"}, elastic
+    unarmed = {"repro.serving.autoscaler", "repro.serving.admission"}
+    assert not (_TRAINING | unarmed | _CONV | _ATTENTION) & set(modules)
+    assert len(modules) <= 45, modules
 
 
 def test_chaos_loads_the_whole_stack_within_budget(loaded):
     modules = loaded["chaos"]
     assert {"chaos", "sched"} <= _packages(modules)
-    assert len(modules) <= 70, modules
+    assert not (_TRAINING | _CONV | _ATTENTION) & set(modules)
+    assert len(modules) <= 58, modules
 
 
 # AST nodes each path compiles before its loop starts (``ast.walk`` over the
 # sources of the modules it loaded).  Start-up compile time tracks this count,
 # and a docstring is one node, so deleting prose cannot move it.  Python 3.11
 # and 3.13 count these sources alike.
-AST_NODE_BUDGETS = {"train": 42_923, "serve": 65_263, "chaos": 78_765}
+AST_NODE_BUDGETS = {"train": 32_253, "train_resnet": 37_056, "serve": 47_458, "chaos": 62_427}
 
 
 def _ast_nodes(modules):
@@ -185,15 +238,65 @@ def test_only_sched_and_cli_import_chaos():
     assert {s for s, t in _graph() if t == "chaos"} <= {"sched", "cli"}
 
 
+def _module_level_imports(tree: ast.AST):
+    """Every module named by an import that runs when the module loads (not
+    inside a function), outside TYPE_CHECKING; ``from a import b`` names
+    both ``a`` and ``a.b``, which may be a submodule."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and _is_type_checking(node):
+            stack.extend(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _module_level_violations(importers, banned):
+    bad = []
+    for path in SRC.rglob("*.py"):
+        name = ".".join(("repro",) + path.relative_to(SRC).with_suffix("").parts)
+        if not any(name == i or name.startswith(i + ".") for i in importers):
+            continue
+        for target in _module_level_imports(ast.parse(path.read_text())):
+            if any(target == b or target.startswith(b + ".") for b in banned):
+                bad.append((name, target))
+    return sorted(bad)
+
+
+def test_the_serving_stack_imports_nothing_of_the_training_stack():
+    """A serving, scheduling or chaos run loads no optimizer, gradient
+    reduction, serial oracle loop or training executor when it starts."""
+    importers = ("repro.serving", "repro.sched", "repro.chaos", "repro.elastic",
+                 "repro.core.inference")
+    banned = ("repro.framework.optimizers", "repro.core.sync",
+              "repro.core.backends.reference", "repro.core.executor")
+    assert not _module_level_violations(importers, banned)
+
+
+def test_the_dense_core_imports_no_layer_family():
+    """The families load with a model that uses them, never with the core."""
+    importers = ("repro.framework.layers", "repro.framework.models",
+                 "repro.core.backends.vectorized")
+    banned = ("repro.framework.conv", "repro.framework.attention",
+              "repro.core.backends.vectorized_conv",
+              "repro.core.backends.vectorized_attention")
+    assert not _module_level_violations(importers, banned)
+
+
 def test_each_name_has_one_home_in_the_export_tables():
     """A subpackage's table names only its own modules, and the top-level
     table names only subpackages: the module that defines a name is written
     down once, and ``import repro.<pkg>`` cannot drag another layer in."""
     for init in SRC.glob("*/**/__init__.py"):
         package = "repro." + ".".join(init.parent.relative_to(SRC).parts)
-        exports = getattr(importlib.import_module(package), "_EXPORTS", None)
-        if exports is None:  # an eager package
-            continue
+        exports = importlib.import_module(package)._EXPORTS  # every package is lazy
         assert exports, package
         assert all(h.startswith(package + ".") for h in exports.values()), package
     for name, home in repro._EXPORTS.items():
