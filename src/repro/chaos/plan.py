@@ -28,6 +28,7 @@ at runtime.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -91,8 +92,12 @@ class ChaosEvent:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown chaos event kind {self.kind!r}")
-        if self.time < 0:
-            raise ValueError(f"chaos events cannot predate t=0: {self.time}")
+        if not 0 <= self.time < math.inf:  # NaN fails this too
+            raise ValueError(
+                f"chaos events need a finite time and cannot predate t=0: "
+                f"{self.time}")
+        if not math.isfinite(self.factor):
+            raise ValueError(f"chaos event factor must be finite, got {self.factor}")
         if self.kind in _DEVICE_KINDS and self.device_id < 0:
             raise ValueError(f"{self.kind} event needs a device id")
         if self.kind == STRAGGLER_START and not 0.0 < self.factor < 1.0:

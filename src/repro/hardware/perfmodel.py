@@ -30,6 +30,7 @@ This single model reproduces all of the paper's performance figures:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Sequence
 
@@ -54,32 +55,22 @@ class StepTimeBreakdown:
     def total(self) -> float:
         return self.compute + self.update + self.comm
 
-    def degraded(self, speed: float = 1.0, network: float = 1.0) -> float:
-        """Step time when the bottleneck device runs at ``speed`` (a straggler
-        at e.g. 0.6x) and the interconnect costs ``network`` times its clean
-        rate (a degradation window).
-
-        Both on-device components slow by the straggler (a synchronous step is
-        bottlenecked on the slowest worker) while only the gradient sync pays
-        the network multiplier.  At ``speed == network == 1.0`` this returns
-        exactly :attr:`total`, bit for bit — ``(c+u)/1.0 + m*1.0`` is the same
-        float expression — so chaos-free paths can share one code path.
-        """
-        if speed <= 0:
-            raise ValueError(f"straggler speed must be positive, got {speed}")
-        if network <= 0:
-            raise ValueError(f"network factor must be positive, got {network}")
-        return (self.compute + self.update) / speed + self.comm * network
-
     def degraded_total(self, conditions: "ClusterConditions",
                        device_ids: Iterable[int]) -> float:
         """Step time under the current cluster conditions for a synchronous
-        group: the bottleneck combines straggler and derate speeds (their
-        product per device), the comm term pays the network factor.  On a
-        clean cluster this is exactly :attr:`total`, bit for bit.
+        group.
+
+        Both on-device components slow by the group's bottleneck speed
+        (straggler x derate, per device: a synchronous step waits for its
+        slowest worker) while only the gradient sync pays the network
+        factor.  On a clean cluster this is exactly :attr:`total`, bit for
+        bit — ``(c+u)/1.0 + m*1.0`` is the same float expression — so
+        chaos-free paths can share one code path.  Both factors are
+        validated where :class:`ClusterConditions` sets them.
         """
-        return self.degraded(conditions.bottleneck_speed(device_ids),
-                             conditions.network_factor)
+        return ((self.compute + self.update)
+                / conditions.bottleneck_speed(device_ids)
+                + self.comm * conditions.network_factor)
 
 
 class ClusterConditions:
@@ -97,6 +88,8 @@ class ClusterConditions:
         self._speed: Dict[int, float] = {}
         self._derate: Dict[int, float] = {}
         self._network = 1.0
+        # bottleneck_speed per device-id tuple; every speed change clears it.
+        self._bottleneck: Dict[tuple, float] = {}
 
     @property
     def network_factor(self) -> float:
@@ -104,8 +97,9 @@ class ClusterConditions:
 
     @network_factor.setter
     def network_factor(self, factor: float) -> None:
-        if factor <= 0:
-            raise ValueError(f"network factor must be positive, got {factor}")
+        if not 0 < factor < math.inf:  # NaN too
+            raise ValueError(
+                f"network factor must be finite and positive, got {factor}")
         self._network = float(factor)
 
     @property
@@ -116,16 +110,10 @@ class ClusterConditions:
 
     def set_straggler(self, device_id: int, speed: float) -> None:
         """Mark ``device_id`` as running at ``speed`` (0 < speed < 1)."""
-        if not 0.0 < speed <= 1.0:
-            raise ValueError(
-                f"straggler speed must be in (0, 1], got {speed}")
-        if speed == 1.0:
-            self._speed.pop(device_id, None)
-        else:
-            self._speed[device_id] = float(speed)
+        self._set(self._speed, device_id, speed, "straggler")
 
     def clear_straggler(self, device_id: int) -> None:
-        self._speed.pop(device_id, None)
+        self._set(self._speed, device_id, 1.0, "straggler")
 
     @property
     def derated_ids(self) -> Sequence[int]:
@@ -139,12 +127,19 @@ class ClusterConditions:
         windows multiplicatively: a 0.7x-derated device inside a 0.6x
         straggler window runs at 0.42x.
         """
+        self._set(self._derate, device_id, speed, "derate")
+
+    def _set(self, table: Dict[int, float], device_id: int, speed: float,
+             what: str) -> None:
+        """The one speed write: validate, clear the bottleneck memo, then
+        store ``speed`` — or drop the entry at exactly 1.0."""
         if not 0.0 < speed <= 1.0:
-            raise ValueError(f"derate speed must be in (0, 1], got {speed}")
+            raise ValueError(f"{what} speed must be in (0, 1], got {speed}")
+        self._bottleneck.clear()
         if speed == 1.0:
-            self._derate.pop(device_id, None)
+            table.pop(device_id, None)
         else:
-            self._derate[device_id] = float(speed)
+            table[device_id] = float(speed)
 
     def derate_speed(self, device_id: int) -> float:
         return self._derate.get(device_id, 1.0)
@@ -155,14 +150,16 @@ class ClusterConditions:
                 * self._derate.get(device_id, 1.0))
 
     def bottleneck_speed(self, device_ids: Iterable[int]) -> float:
-        """Speed of the slowest device in a synchronous group (1.0 if clean)."""
-        speed, derate = self._speed, self._derate
-        if not speed and not derate:
-            return 1.0
-        slowest = 1.0  # every factor is in (0, 1], so no product exceeds it
-        for d in device_ids:
-            slowest = min(slowest, speed.get(d, 1.0) * derate.get(d, 1.0))
-        return slowest
+        """Speed of the slowest device in a synchronous group (1.0 if clean),
+        memoized per group until the next speed change."""
+        key = tuple(device_ids)
+        try:
+            return self._bottleneck[key]
+        except KeyError:  # every factor is in (0, 1], so no product exceeds 1.0
+            slowest = self._bottleneck[key] = min(
+                (self._speed.get(d, 1.0) * self._derate.get(d, 1.0)
+                 for d in key), default=1.0)
+            return slowest
 
     def effective_capacity(self, device_ids: Iterable[int]) -> float:
         """Sum of derate-only speeds over a group — the sustained fraction of

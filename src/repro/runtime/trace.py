@@ -24,6 +24,15 @@ it, and a hot caller that assembles whole lines for
 them around the same two fragments, so a line is byte-equal to
 ``json.dumps(record, sort_keys=True)`` whoever wrote it.
 
+Payloads go through one C encoder built at import (:data:`_encode`):
+``json.dumps(o, sort_keys=True)`` builds exactly this
+``json.encoder.c_make_encoder`` on every call — same ``default``, ASCII
+escaping, separators and ``NaN``/``Infinity`` spelling — so a payload's
+bytes are the same, minus one encoder construction per line.  It skips the
+circular-reference check (a marker table shared across calls would keep a
+failed encode's entries), so a cyclic payload raises ``RecursionError``
+where ``json.dumps`` raises ``ValueError``; either way no line is written.
+
 Two throughput knobs exist for million-event runs, both off by default:
 
 * **buffering** — lines are accumulated in memory and written in blocks
@@ -41,6 +50,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import (
     Any,
     Dict,
@@ -55,8 +65,15 @@ from typing import (
 
 __all__ = ["EventTrace", "load_trace", "open_trace", "read_trace"]
 
-# json.dumps(..., sort_keys=True) builds a JSONEncoder per call; this is it.
-_encode = json.JSONEncoder(sort_keys=True).encode
+# ``_encode(o, 0)[0]`` is ``json.dumps(o, sort_keys=True)``; its arguments
+# are that call's encoder's, but for the circular check (module docstring).
+if c_make_encoder is None:  # pragma: no cover - an interpreter without _json
+    _encode = lambda o, _level: (  # noqa: E731
+        json.dumps(o, sort_keys=True, check_circular=False),)
+else:
+    _encode = c_make_encoder(None, json.JSONEncoder().default,
+                             encode_basestring_ascii, None, ": ", ", ",
+                             True, False, True)
 
 
 class EventTrace:
@@ -90,7 +107,7 @@ class EventTrace:
         else:
             self._fh = destination
         if sample > 1:
-            self._buffer.append(_encode({"meta": {"sample": sample}}) + "\n")
+            self._buffer.append(_encode({"meta": {"sample": sample}}, 0)[0] + "\n")
 
     def _handle(self) -> IO[str]:
         if self._fh is None:
@@ -129,7 +146,7 @@ class EventTrace:
         if seen % self.sample:
             return
         prefix, middle = self.line_parts(actor, kind)
-        payload = _encode(data) if data else "{}"
+        payload = _encode(data, 0)[0] if data else "{}"
         self._buffer.append(
             f'{prefix}{payload}{middle}{int(seq)}, "t": {t!r}}}\n')
         self.events_written += 1

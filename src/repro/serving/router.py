@@ -537,7 +537,7 @@ class RequestRouter:
     def _schedule_next(self) -> None:
         """Post the event that produces the next dispatch (or finish)."""
         if self._pending:
-            self._plan()
+            self._plan(self._policy_now())
             return
         nxt = self.source.next_arrival_time()
         if nxt is None:
@@ -558,7 +558,11 @@ class RequestRouter:
         brownout half while the admission policy's brownout is armed *and*
         the lease's capacity is currently derated below full speed.
         Otherwise this is always the configured object — bit-identical
-        behaviour, and how browned-out batches are told apart."""
+        behaviour, and how browned-out batches are told apart.
+
+        Conditions and the lease change only in event actions, so an
+        action probes once and hands the answer to the pulls and the plan
+        it makes."""
         if (self.admission is None or not self.admission.brownout
                 or self._conditions is None or self._lease is None
                 or self._conditions.bottleneck_speed(
@@ -566,9 +570,9 @@ class RequestRouter:
             return self.policy
         return self._brownout_policy
 
-    def _pull(self, until: float) -> int:
+    def _pull(self, until: float, in_force: MicroBatchPolicy) -> int:
         """Move every arrival at or before ``until`` through admission into
-        the queue; returns how many were shed.
+        the queue under the ``in_force`` policy; returns how many were shed.
 
         The one door: ``_on_admit`` and ``_admit`` both come through here,
         for a wave of any length.  Crash-requeued requests never do — they
@@ -585,9 +589,8 @@ class RequestRouter:
             return 0
         # No event fires inside a pull, so the admission state (server
         # backlog, service estimate, degradation) is frozen but for the
-        # queue depth, which decide() tracks: probe brownout once, not per
-        # arrival; browned out is "not the configured policy".
-        in_force = self._policy_now()
+        # queue depth, which decide() tracks: the whole wave is decided on
+        # the caller's one probe; browned out is "not the configured policy".
         accounting = self.accounting
         bypass = halved = None  # a single stream: nobody bypasses or halves
         if accounting is not None:
@@ -607,9 +610,10 @@ class RequestRouter:
 
     def _on_admit(self, t: float, cutoff: float) -> Dict[str, object]:
         self._admit_handle = None
-        shed = self._pull(cutoff)
+        policy = self._policy_now()
+        shed = self._pull(cutoff, policy)
         if self._pending:
-            self._plan()
+            self._plan(policy)
         elif not self._halted:
             # Everything this wake pulled was shed: skip straight to the
             # next arrival instead of planning over an empty queue.
@@ -619,8 +623,9 @@ class RequestRouter:
             out["shed"] = shed
         return out
 
-    def _plan(self) -> None:
-        """Fix this batch's launch time and post the dispatch event.
+    def _plan(self, policy: MicroBatchPolicy) -> None:
+        """Fix this batch's launch time under ``policy`` (the calling
+        action's probe) and post the dispatch event.
 
         Pulls every arrival that can influence the decision: the batch can
         fill no later than max(deadline, server_free), and requests landing
@@ -630,16 +635,15 @@ class RequestRouter:
         """
         if self._halted:
             return
-        policy = self._policy_now()
         deadline = policy.deadline(self._pending.oldest_arrival())
         horizon = max(deadline, self._server_free)
-        self._admit(horizon)
+        self._admit(horizon, policy)
         # The clamp to the clock matters only after a crash reset
         # _server_free: every normal plan already launches at or after now.
         launch = max(
             policy.trigger_time(self._pending.arrival_times()),
             self._server_free, self._runtime.now)
-        self._admit(launch)
+        self._admit(launch, policy)
         self._dispatch_handle = self._queue.post(
             launch, self._dispatch, kind="dispatch", actor=self.name)
 
@@ -805,7 +809,7 @@ class RequestRouter:
                 # event would have; the next _schedule_next re-posts one.
                 self._queue.cancel_handle(self._admit_handle)
                 self._admit_handle = None
-            self._plan()
+            self._plan(self._policy_now())
         elif (self._admit_handle is None
                 or not self._queue.handle_alive(self._admit_handle)):
             self._schedule_next()
@@ -824,7 +828,7 @@ class RequestRouter:
         if self.accounting is not None:
             self.accounting.finalize(self.report)
 
-    def _admit(self, until: float) -> None:
+    def _admit(self, until: float, in_force: MicroBatchPolicy) -> None:
         """Move every arrival at or before ``until`` into the queue.
 
         Serving tenants, every one of them, in one pull: WFQ can only
@@ -842,18 +846,17 @@ class RequestRouter:
         threshold trips there only when set below the batch size.
         """
         if self.accounting is not None:
-            self._pull(until)
+            self._pull(until, in_force)
             return
-        max_batch = self._policy_now().max_batch
         while True:
             nxt = self.source.next_arrival_time()
             if nxt is None or nxt > until:
                 return
-            if len(self._pending) >= max_batch:
+            if len(self._pending) >= in_force.max_batch:
                 # The decision this pull serves is already settled; later
                 # arrivals queue behind it on their own event.
                 return
-            self._pull(nxt)
+            self._pull(nxt, in_force)
 
 
 def _build_router(workload_name: str, cluster: Cluster,

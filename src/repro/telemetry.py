@@ -1,37 +1,31 @@
-"""Telemetry: per-step training records, latency histograms, and export.
+"""Telemetry: latency histograms for the serving stack.
 
-A :class:`TelemetryRecorder` attaches to the trainer's ``on_step``/
-``on_epoch`` callbacks and accumulates a structured record stream.  The
-recorder is purely observational — it never affects training — and its
-output is what a downstream user would feed into dashboards or regression
-checks.
+:class:`LatencyHistogram` is a streaming accumulator of per-request
+latencies with percentile queries (p50/p99 are what SLOs are written
+against) and an optional sliding window, which is what the serving
+autoscaler watches to decide when to remap.  Its percentiles are exact
+(``np.percentile`` bit for bit) and read off a sorted list that is
+maintained per batch of inserts and evictions.  :class:`StreamingHistogram`
+is the approximate sibling for million-request runs: fixed log-spaced bins
+give O(1) insert and O(bins) quantiles with a bounded relative error,
+trading exactness for a footprint independent of the observation count.
 
-:class:`LatencyHistogram` is the serving-side counterpart: a streaming
-accumulator of per-request latencies with percentile queries (p50/p99 are
-what SLOs are written against) and an optional sliding window, which is what
-the serving autoscaler watches to decide when to remap.  Its percentiles
-are exact (``np.percentile`` bit for bit) and read off a sorted list that
-is maintained per insert and eviction.  :class:`StreamingHistogram` is the
-approximate sibling for million-request runs: fixed log-spaced bins give
-O(1) insert and O(bins) quantiles with a bounded relative error, trading
-exactness for a footprint independent of the observation count.
+The training-side recorder (:class:`TelemetryRecorder`, :class:`StepRecord`,
+:func:`summary_stats`) lives in :mod:`repro.core.recorder`, with the
+training stack it observes; it is read through this module on first use,
+so a serving run never compiles it.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-import os
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import deque
-from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.executor import StepResult
-    from repro.core.trainer import EpochResult
+from repro._lazy import lazy_exports
 
 __all__ = [
     "LatencyHistogram",
@@ -42,17 +36,9 @@ __all__ = [
     "summary_stats",
 ]
 
-
-@dataclass(frozen=True)
-class StepRecord:
-    """One training step's observables."""
-
-    step: int
-    loss: float
-    grad_norm: float
-    examples: int
-    sim_step_time: float
-    throughput: float  # examples per simulated second
+# Training-side names, defined with the training stack (module docstring).
+__getattr__, __dir__ = lazy_exports(__name__, dict.fromkeys(
+    ("StepRecord", "TelemetryRecorder", "summary_stats"), "repro.core.recorder"))
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -60,22 +46,6 @@ def percentile(values: Sequence[float], q: float) -> float:
     if len(values) == 0:
         raise ValueError("no values to take a percentile of")
     return float(np.percentile(np.asarray(values, dtype=float), q))
-
-
-def summary_stats(values: List[float]) -> Dict[str, float]:
-    """Mean / std / min / max / p50 / p95 / p99 of a series."""
-    if not values:
-        raise ValueError("no values to summarize")
-    arr = np.asarray(values, dtype=float)
-    return {
-        "mean": float(arr.mean()),
-        "std": float(arr.std()),
-        "min": float(arr.min()),
-        "max": float(arr.max()),
-        "p50": float(np.percentile(arr, 50)),
-        "p95": float(np.percentile(arr, 95)),
-        "p99": float(np.percentile(arr, 99)),
-    }
 
 
 def _as_float_array(values: Iterable[float]) -> np.ndarray:
@@ -92,9 +62,11 @@ class LatencyHistogram:
     the service doing *right now*").  Values are seconds by convention.
 
     Beside the insertion-order deque the window's values are kept in an
-    ascending list: ``insort`` per insert, a delete of the value the
-    ``deque(maxlen)`` is about to evict; a bulk append at least as large as
-    what is held marks the list stale and the next query sorts once.
+    ascending list.  Per batch, the values the ``deque(maxlen)`` is about
+    to evict are deleted from it, the batch is appended and the list is
+    sorted once (a long ascending run and a short tail, which timsort
+    merges); a batch at least as large as what is held marks the list
+    stale and the next query sorts once.
     """
 
     def __init__(self, window: Optional[int] = None) -> None:
@@ -122,11 +94,14 @@ class LatencyHistogram:
             window.extend(batch)
             self._sorted = None
             return
-        for value in batch:
-            if len(window) == self.window:  # this append evicts window[0]
-                del view[bisect_left(view, window[0])]
-            insort(view, value)
-            window.append(value)
+        # The extend evicts the window's oldest `excess` values (fewer than
+        # it holds): drop those from the view, then merge the batch in.
+        excess = len(window) + len(batch) - self.window if self.window else 0
+        for i in range(excess):
+            del view[bisect_left(view, window[i])]
+        view += batch
+        view.sort()
+        window.extend(batch)
 
     def __len__(self) -> int:
         return len(self._values)
@@ -312,61 +287,3 @@ class StreamingHistogram:
             "p99": self.percentile(99),
             "count": float(self.count),
         }
-
-
-class TelemetryRecorder:
-    """Collects step and epoch records from a trainer run.
-
-    Usage::
-
-        recorder = TelemetryRecorder()
-        trainer.train_epoch(on_step=recorder.on_step)
-        recorder.on_epoch(trainer.history[-1])
-        recorder.to_csv("run.csv")
-    """
-
-    def __init__(self) -> None:
-        self.steps: List[StepRecord] = []
-        self.epochs: List[EpochResult] = []
-
-    # -- callbacks ---------------------------------------------------------
-
-    def on_step(self, result: StepResult) -> None:
-        throughput = (result.examples / result.sim_step_time
-                      if result.sim_step_time > 0 else 0.0)
-        self.steps.append(StepRecord(
-            step=len(self.steps),
-            loss=result.loss,
-            grad_norm=result.grad_norm,
-            examples=result.examples,
-            sim_step_time=result.sim_step_time,
-            throughput=throughput,
-        ))
-
-    def on_epoch(self, result: EpochResult) -> None:
-        self.epochs.append(result)
-
-    # -- summaries ------------------------------------------------------------
-
-    def loss_summary(self) -> Dict[str, float]:
-        return summary_stats([s.loss for s in self.steps])
-
-    def throughput_summary(self) -> Dict[str, float]:
-        return summary_stats([s.throughput for s in self.steps])
-
-    def total_examples(self) -> int:
-        return sum(s.examples for s in self.steps)
-
-    # -- export -----------------------------------------------------------------
-
-    def to_csv(self, path: str) -> None:
-        """Write per-step records as CSV."""
-        if not self.steps:
-            raise ValueError("no step records to export")
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(asdict(self.steps[0])))
-            writer.writeheader()
-            for record in self.steps:
-                writer.writerow(asdict(record))
-

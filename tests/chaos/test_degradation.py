@@ -127,3 +127,14 @@ class TestConditionsDerates:
         # The float-exactness invariant the golden traces rely on.
         cond = ClusterConditions()
         assert cond.bottleneck_speed([0, 1, 2, 3]) == 1.0
+
+
+class TestNetworkFactor:
+    @pytest.mark.parametrize("bad", [0.0, -2.0, float("nan"), float("inf"),
+                                     -float("inf")])
+    def test_rejects_a_non_positive_or_non_finite_factor(self, bad):
+        # NaN passed `factor <= 0` and poisoned every collective cost.
+        cond = ClusterConditions()
+        with pytest.raises(ValueError, match="network factor must be finite"):
+            cond.network_factor = bad
+        assert cond.network_factor == 1.0

@@ -6,6 +6,7 @@ import pytest
 
 from repro.chaos import (
     CRASH,
+    DERATE,
     NETWORK_END,
     NETWORK_START,
     REVIVE,
@@ -45,6 +46,24 @@ class TestChaosEvent:
         ChaosEvent(1.0, NETWORK_START, factor=1.01)
         with pytest.raises(ValueError, match="network degradation factor"):
             ChaosEvent(1.0, NETWORK_START, factor=1.0)
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"),
+                                      -float("inf")])
+    def test_rejects_a_non_finite_time(self, time):
+        # NaN passes `time < 0`; the CLI's `_bounded` already refused it.
+        with pytest.raises(ValueError, match="finite time"):
+            ChaosEvent(time, CRASH, device_id=0)
+
+    @pytest.mark.parametrize("kind, device", [
+        (NETWORK_START, -1), (STRAGGLER_START, 0), (DERATE, 0), (CRASH, 0),
+        (NETWORK_END, -1)])
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"),
+                                        -float("inf")])
+    def test_rejects_a_non_finite_factor(self, kind, device, factor):
+        # `factor <= 1.0` is False for NaN and +inf: a network window
+        # could open at an infinite or NaN collective-cost multiplier.
+        with pytest.raises(ValueError, match="factor must be finite"):
+            ChaosEvent(1.0, kind, device_id=device, factor=factor)
 
 
 class TestFaultPlanValidation:

@@ -183,7 +183,7 @@ class _Run:
             [d for d in decisions if d is not None])
         self.feed.wave = wave
         shed = [j for j, d in enumerate(decisions) if d is not None]
-        assert self.router._pull(self.clock) == len(shed)
+        assert self.router._pull(self.clock, self.router._policy_now()) == len(shed)
         if shed:
             self.oracle.record_shed([floats[j] for j in shed],
                                     [ids[j] for j in shed],

@@ -319,7 +319,11 @@ class TestBrownoutProbedOncePerPull:
         from repro.serving.router import RequestRouter
 
         event_loop = Runtime.run.__code__
-        pull_frames = {RequestRouter._pull.__code__}
+        # An action probes brownout once and hands it to the plan and the
+        # pulls it makes, so none of them may see conditions change either.
+        pull_frames = {RequestRouter._pull.__code__,
+                       RequestRouter._admit.__code__,
+                       RequestRouter._plan.__code__}
         mutations = []
 
         def guarded(name):

@@ -1,8 +1,9 @@
 """Generated interleavings over :class:`LatencyHistogram`'s sorted window.
 
 The histogram answers ``percentile(q)`` from an ascending list it keeps in
-step with its ``deque(maxlen=window)`` — one ``insort`` per insert, one
-delete per eviction, a lazy re-sort after a bulk append — using numpy's
+step with its ``deque(maxlen=window)`` — per batch, one delete per value
+the deque evicts, then the batch appended and one sort; a lazy re-sort
+after a bulk append at least as long as the window — using numpy's
 ``method="linear"`` rule written out on Python floats.  The contract is
 *equality*, not closeness: every query must return the very double
 ``np.percentile`` returns for the window's values, for every window size
@@ -150,3 +151,23 @@ def test_repeated_evicted_values_keep_the_list_sorted():
             assert hist.percentile(q) == float(
                 np.percentile(list(hist._values), q))
         assert hist._sorted == sorted(hist._values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), window=st.integers(1, 64))
+def test_batches_up_to_three_windows_long_keep_the_multiset(data, window):
+    """Batches of 0 to 3x the window, full of zeros and repeats: each one
+    evicts what ``deque(maxlen)`` evicts from the ascending list before
+    the single sort, so the list stays the window's multiset."""
+    pool = st.sampled_from([0.0, -0.0, 0.0, 0.5, 0.5, 1.0, 2.5e-3, 7.0])
+    hist = LatencyHistogram(window=window)
+    for _ in range(data.draw(st.integers(1, 8))):
+        batch = data.draw(st.lists(pool, max_size=3 * window))
+        hist.observe_many(batch)
+        values = list(hist._values)
+        assert hist._sorted is None or hist._sorted == sorted(values)
+        if not values:
+            continue
+        for q in (0, 50, 99, 100):
+            assert hist.percentile(q) == float(np.percentile(values, q))
+        assert hist._sorted == sorted(values)
