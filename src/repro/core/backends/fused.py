@@ -19,13 +19,16 @@ cost for the entire built-in workload zoo:
   through ``(V, ...)``-stacked views, and the updated rows are scattered
   back to the virtual-node states afterwards — replacing V pairs of
   ``state_dict()``/``load_state_dict()`` deep copies per step.
-* Inference batches run the same kernels over a **cached, stateless** run:
-  the run for a shard-bounds table (its segment runs, validated once) is
-  built on first use and reused for every later micro-batch of that shape —
-  a serving session asks for at most ``max_batch`` tables, thousands of
-  times each; the cache is bounded (oldest table out) and an inference
-  run stashes nothing, so it pins no arrays.  Kernel
-  dispatch is resolved once per model into a flat step list
+* Inference batches run the same kernels over a **stateless** run.  The
+  run for a shard-bounds table (its segment runs, validated once) is cached
+  on first use and reused for every later batch of that shape — an
+  inference engine asks for one table per batch length; the cache is
+  bounded (oldest table out) and an inference run stashes nothing, so it
+  pins no arrays.  A serving router's micro-batches arrive instead stacked,
+  as one array table of every micro-batch's node segments grouped by size
+  (:meth:`~repro.core.inference.InferenceEngine.predict_stacked`): that
+  run is built for its one call and never cached.  Kernel dispatch is
+  resolved once per model into a flat step list
   (:func:`~repro.core.backends.vectorized.inference_steps`).
 * The serial loop (:class:`~repro.core.backends.reference.ReferenceBackend`)
   runs only as the fallback for user-defined modules with no vectorized
@@ -66,8 +69,8 @@ from repro.utils.seeding import augment_rng, vn_rng
 
 __all__ = ["FusedBackend"]
 
-# Distinct shard-bounds tables whose inference run is kept.  A serving engine
-# asks for one per micro-batch length, so this is many engines' worth.
+# Distinct shard-bounds tables whose inference run is kept.  An inference
+# engine asks for one per batch length, so this is many engines' worth.
 _MAX_INFERENCE_RUNS = 256
 
 
@@ -203,18 +206,23 @@ class FusedBackend(ExecutionBackend):
 
     def _inference_run(self, bounds: Sequence[Tuple[int, int]],
                        batch_size: int) -> VectorizedRun:
-        """The cached run for ``bounds``, built (and checked) on first use."""
-        table = tuple((int(start), int(end)) for start, end in bounds)
-        run = self._inference_runs.get(table)
+        """The run for ``bounds``, built (and checked) on first use: cached
+        per shard table; an array table (stacked micro-batches, see the
+        module doc) gets a run for its one call."""
+        stacked = isinstance(bounds, np.ndarray)
+        table = (bounds.tolist() if stacked
+                 else tuple((int(start), int(end)) for start, end in bounds))
+        run = None if stacked else self._inference_runs.get(table)
         if run is None:
             check_shard_bounds(table, batch_size)
-            if len(self._inference_runs) >= _MAX_INFERENCE_RUNS:
-                del self._inference_runs[next(iter(self._inference_runs))]
             # Non-empty shards tile the batch contiguously in canonical
             # order, so the request batch already *is* the run's input.
-            run = self._inference_runs[table] = VectorizedRun(
-                [(start, end) for start, end in table if end > start],
-                training=False)
+            run = VectorizedRun([(start, end) for start, end in table if end > start],
+                                training=False)
+            if not stacked:
+                if len(self._inference_runs) >= _MAX_INFERENCE_RUNS:
+                    del self._inference_runs[next(iter(self._inference_runs))]
+                self._inference_runs[table] = run
         return run
 
     def infer(self, model: Module, vn_set: VirtualNodeSet, x: np.ndarray,
@@ -229,7 +237,7 @@ class FusedBackend(ExecutionBackend):
             bounds = shard_indices(vn_set, len(x))
         try:
             run = self._inference_runs[bounds]
-        except (KeyError, TypeError):  # first use, or bounds not a tuple
+        except (KeyError, TypeError):  # first use, a list, or an array table
             run = self._inference_run(bounds, len(x))
         if run.batch != len(x):
             check_shard_bounds(bounds, len(x))  # raises: another length's table

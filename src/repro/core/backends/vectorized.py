@@ -100,12 +100,14 @@ the reference wave loop *bit for bit*.  That constrains every kernel:
 Coverage
 --------
 Forward (training + inference) and backward kernels exist for **every**
-built-in layer, loss, and model container: here for the dense core, the
-containers and the losses; in :mod:`~repro.core.backends.vectorized_conv`
+built-in layer, loss, and model container: here for the dense core and the
+containers; in :mod:`~repro.core.backends.vectorized_conv`
 and :mod:`~repro.core.backends.vectorized_attention` for the two layer
 families, which :func:`_lookup` imports when it first meets one of their
 classes (the fused backend's ``bind``, before a run's first step), so a run
-compiles only the kernels of the families it executes.  BatchNorm computes
+compiles only the kernels of the families it executes; and for the losses
+next to the losses themselves (:mod:`repro.framework.losses`), which only
+training loads.  BatchNorm computes
 its training statistics per virtual-node segment inside the stacked pass,
 so fusing changes its schedule, never its semantics.  The serial reference
 loop survives only as the oracle that equivalence tests assert against.
@@ -116,13 +118,15 @@ from __future__ import annotations
 import math
 import weakref
 from importlib import import_module
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
 from repro.framework import layers as L
-from repro.framework.layers import Module, softmax
-from repro.framework.losses import Loss, MSELoss, SoftmaxCrossEntropy
+from repro.framework.layers import Module
+
+if TYPE_CHECKING:
+    from repro.framework.losses import Loss
 
 __all__ = [
     "UnsupportedModule",
@@ -520,6 +524,7 @@ def supports_training(model: Module, loss_fn: Loss) -> bool:
     does not consume (user subclasses of stateless layers) still fall back
     to the serial oracle — fusing them would silently freeze their state.
     """
+    from repro.framework.losses import _LOSS  # training only
     if type(loss_fn) not in _LOSS:
         return False
     for module in model.modules():
@@ -689,67 +694,18 @@ def _sequential_bwd(m: L.Sequential, run: VectorizedRun, prefix: str, grad, inpu
     return grad
 
 
-# ---------------------------------------------------------------------------
-# Loss kernels: per-virtual-node losses and loss gradients over the segments.
-# ---------------------------------------------------------------------------
-
-_LOSS: Dict[Type[Loss], Callable] = {}
-
-
-def _loss(*types: Type[Loss]):
-    def deco(fn):
-        for t in types:
-            _LOSS[t] = fn
-        return fn
-    return deco
-
-
 def vectorized_loss(loss_fn: Loss, run: VectorizedRun, outputs: np.ndarray,
                     targets: np.ndarray) -> Tuple[List[float], np.ndarray]:
     """Per-virtual-node ``(losses, loss_gradients)`` for a segmented batch.
 
     Each segment's loss and gradient is bit-identical to calling
-    ``loss_fn.forward``/``backward`` on that shard alone.
+    ``loss_fn.forward``/``backward`` on that shard alone.  The kernels live
+    with the losses (:mod:`repro.framework.losses`), which only training
+    loads.
     """
+    from repro.framework.losses import _LOSS
     fn = _LOSS.get(type(loss_fn))
     if fn is None:
         raise UnsupportedModule(
             f"no vectorized loss kernel for {type(loss_fn).__name__}")
     return fn(loss_fn, run, outputs, targets)
-
-
-@_loss(SoftmaxCrossEntropy)
-def _softmax_xent(loss_fn: SoftmaxCrossEntropy, run: VectorizedRun, logits, targets):
-    if logits.ndim != 2:
-        raise ValueError(f"expected (batch, classes) logits, got {logits.shape}")
-    b, k = logits.shape
-    targets = np.asarray(targets, dtype=np.int64)
-    if targets.shape != (b,):
-        raise ValueError(f"targets shape {targets.shape} != {(b,)}")
-    probs = softmax(logits, axis=-1)
-    eps = loss_fn.label_smoothing
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(b), targets] = 1.0
-    soft = onehot * (1 - eps) + eps / k
-    logp = np.log(np.clip(probs, 1e-12, None))
-    weighted = soft * logp
-    losses = [float(-weighted[start:end].sum() / (end - start))
-              for start, end in run.segments]
-    # Reference divides by the shard size; dividing by a per-row column with
-    # the same value is the identical elementwise operation.
-    n_rows = run.row_scale([float(s) for s in run.sizes], probs.ndim,
-                           dtype=probs.dtype)
-    return losses, (probs - soft) / n_rows
-
-
-@_loss(MSELoss)
-def _mse(loss_fn: MSELoss, run: VectorizedRun, outputs, targets):
-    targets = np.asarray(targets, dtype=outputs.dtype)
-    if targets.shape != outputs.shape:
-        raise ValueError(f"shape mismatch: {outputs.shape} vs {targets.shape}")
-    sq = (outputs - targets) ** 2
-    losses = [float(np.mean(sq[start:end])) for start, end in run.segments]
-    per_example = int(np.prod(outputs.shape[1:], dtype=np.int64))
-    sizes = [float(s * per_example) for s in run.sizes]
-    n_rows = run.row_scale(sizes, outputs.ndim, dtype=outputs.dtype)
-    return losses, 2.0 * (outputs - targets) / n_rows

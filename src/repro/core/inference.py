@@ -17,22 +17,29 @@ logic training uses, not a private reimplementation.
 Serving
 -------
 The online serving layer (:mod:`repro.serving`) drives this engine with
-*micro-batches* of single-example requests.  :meth:`predict_requests` is the
-batch-of-requests entry point: it stacks request rows into one batch and
-serves them through the exact same code path as :meth:`predict`, so a
-micro-batch's logits are bit-identical to a one-shot batch of the same
-examples.  A serving engine built from a trained job
-(:meth:`from_executor`, or ``vn_states=...``) evaluates under the canonical
-merged view of the per-virtual-node stateful kernels
-(:func:`repro.core.state.merged_eval_state`); the merge is computed once and
-cached across micro-batches — and across :meth:`remap` calls, which change
-placement but never state — rather than being recomputed per batch.
+*micro-batches* of single-example requests, in two halves.  At dispatch the
+router only prices a batch (:meth:`price`: the latency and waves of the
+validated plan, charged to the engine's counters as :meth:`predict` charges
+them), since simulated time comes from the perf model, never from host
+compute.  The numbers come later: completed micro-batches queue up and
+:meth:`predict_stacked` forwards them together, every node segment of every
+micro-batch gathered by segment size into one backend call, so each layer
+runs one stacked op per segment size instead of a few per micro-batch.
+Every segment keeps the shape it has in its own micro-batch, so each
+micro-batch's logits are byte-equal to :meth:`predict_requests` of it — a
+one-shot batch of the same examples — on every backend.  A serving engine
+built from a trained job (:meth:`from_executor`, or ``vn_states=...``)
+evaluates under the canonical merged view of the per-virtual-node stateful
+kernels (:func:`repro.core.state.merged_eval_state`); the merge is computed
+once and cached across micro-batches — and across :meth:`remap` calls,
+which change placement but never state — rather than being recomputed per
+batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -182,15 +189,67 @@ class InferenceEngine:
         order; they are stacked into one batch and served through the exact
         :meth:`predict` path, so row ``i`` of the returned logits is
         request ``i``'s result and the whole micro-batch is bit-identical to
-        a one-shot batch of the same examples.  The request router dispatches
-        every micro-batch through here; the merged-eval-state cache persists
-        across calls.
+        a one-shot batch of the same examples.  The merged-eval-state cache
+        persists across calls.
         """
         if len(examples) == 0:
             raise ValueError("cannot serve an empty micro-batch")
         # One array construction gathers the rows (ragged payloads raise
         # ValueError here, as stacking them would).
         return self.predict(np.array(examples))
+
+    def price(self, batch_size: int) -> Tuple[float, int]:
+        """``(latency, waves)`` of one batch of ``batch_size``, charged to the
+        engine's counters as :meth:`predict` charges them, without running
+        it: the request router's dispatch (see "Serving" in the module doc).
+        """
+        _, latency, waves = self.engine.inference_plan(batch_size)
+        self.requests_served += 1
+        self.sim_time += latency
+        return latency, waves
+
+    def predict_stacked(self, examples: Sequence[np.ndarray],
+                        lengths: Sequence[int]) -> np.ndarray:
+        """Logits of several micro-batches of single-example requests, in
+        one backend call.
+
+        ``examples`` are the micro-batches' payloads back to back and
+        ``lengths`` their sizes, in order; row ``i`` of the result is
+        example ``i``'s, and each micro-batch's rows are byte-equal to
+        :meth:`predict_requests` of that micro-batch.  That call splits a
+        micro-batch of length ``L`` along its plan's node segments
+        (``inference_plan(L)``); here every row is labelled with the size of
+        its node segment, a stable sort by that label lines the segments of
+        every micro-batch up, whole and grouped by size, and the backend runs
+        the gathered rows over that table — one run of equal-size segments
+        per size, each segment at its own micro-batch's shape — before the
+        rows are scattered back.  Prices nothing: :meth:`price` did.
+        """
+        x = np.array(examples)
+        lengths = np.asarray(lengths, dtype=np.intp)
+        if not len(lengths) or lengths.min() < 1 or lengths.sum() != len(x):
+            raise ValueError(
+                f"micro-batch lengths {lengths.tolist()} do not split "
+                f"{len(x)} examples into non-empty batches")
+        self._ensure_eval_state()
+        engine = self.engine
+        # size_of[L, p]: the node-segment size of row p of a length-L batch.
+        distinct = np.unique(lengths).tolist()
+        size_of = np.zeros((distinct[-1] + 1, distinct[-1]), dtype=np.intp)
+        for length in distinct:
+            node_sizes = np.diff(engine.inference_plan(length)[0]).ravel()
+            size_of[length, :length] = np.repeat(node_sizes, node_sizes)
+        starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        row_sizes = size_of[np.repeat(lengths, lengths), np.arange(len(x)) - starts]
+        order = np.argsort(row_sizes, kind="stable")
+        sizes, rows = np.unique(row_sizes, return_counts=True)
+        segment_sizes = np.repeat(sizes, rows // sizes)
+        ends = np.cumsum(segment_sizes)
+        table = np.stack([ends - segment_sizes, ends], axis=1)
+        gathered = engine.backend.infer(self.model, engine.vn_set, x[order], table)
+        logits = np.empty_like(gathered)
+        logits[order] = gathered
+        return logits
 
     def remap(self, mapping: Mapping) -> None:
         """Move the serving job to different hardware (no state migration

@@ -337,6 +337,7 @@ def run_cosched(workload_name: str, phases: Sequence[ServingPhase],
             runtime.add(ChaosProcess(fault_plan, controller))
         try:
             runtime.run()
+            router.forward_completed()  # the router may never have drained
         finally:
             # Crash-safe journal durability on the shared-runtime path.
             router.close_journal()

@@ -8,11 +8,12 @@ into micro-batches under a :class:`MicroBatchPolicy`, serves each batch
 through the shared :class:`~repro.core.inference.InferenceEngine`, and — with
 a :class:`LatencyAutoscaler` attached — remaps the virtual-node→device
 assignment over a device pool whenever the observed p99 breaches (or clears)
-the SLO.  Every dispatched micro-batch is bit-identical to a one-shot
-:class:`~repro.core.inference.InferenceEngine` batch of the same requests,
-under any mapping and any scaling history; only latency moves.  Like every
-package, this one loads a name's module on first use: a run imports the
-autoscaler or the shed rule only when it arms them.
+the SLO.  Dispatch prices a micro-batch from the perf model; completed
+micro-batches are forwarded together, and every one's logits are
+bit-identical to a one-shot :class:`~repro.core.inference.InferenceEngine`
+batch of the same requests, under any mapping and any scaling history; only
+latency moves.  Like every package, this one loads a name's module on first
+use: a run imports the autoscaler or the shed rule only when it arms them.
 
 Quickstart::
 

@@ -3,11 +3,15 @@
 This is the online serving driver the paper's "each step of training or
 inference" clause points at: a discrete-event loop that admits a stream of
 single-example requests, coalesces them into micro-batches under a
-:class:`~repro.serving.batcher.MicroBatchPolicy`, dispatches each batch
-through the shared :class:`~repro.core.inference.InferenceEngine` (one
-numeric forward per batch, bit-identical to a one-shot batch of the same
-examples), and accounts per-request queueing + service latency on the
-simulated clock the engine's validated plan prices.
+:class:`~repro.serving.batcher.MicroBatchPolicy`, dispatches each batch on
+the shared :class:`~repro.core.inference.InferenceEngine`, and accounts
+per-request queueing + service latency on the simulated clock the engine's
+validated plan prices.  Dispatch only prices a batch; its numbers are
+computed after it completes, together with other completed batches
+(:meth:`RequestRouter.forward_completed`: one stacked pass per
+``_FORWARD_ROWS`` requests and one at the end of the run), bit-identical
+to a one-shot batch of the same examples.  A batch a crash cancels is
+never forwarded.
 
 Elasticity closes the loop: with a :class:`~repro.serving.autoscaler.
 LatencyAutoscaler` attached, the router remaps the virtual-node→device
@@ -97,6 +101,11 @@ if TYPE_CHECKING:
 
 __all__ = ["RequestRouter", "ServingReport", "capacity_table",
            "ladder_capacity", "serve_workload"]
+
+# Completed requests that wait for their numeric forward before it runs:
+# enough that a pass is a few stacked ops per layer, few enough that its
+# activations stay small.
+_FORWARD_ROWS = 512
 
 
 def capacity_table(workload: Workload, vn_set: VirtualNodeSet, pool: Cluster,
@@ -390,6 +399,10 @@ class RequestRouter:
         self._admit_handle: Optional[int] = None
         self._dispatch_handle: Optional[int] = None
         self._inflight: Optional[Tuple[int, List[tuple], int, float]] = None
+        # Completed micro-batches whose forward has not run yet, and their
+        # request count (see forward_completed).
+        self._completed: List[List[tuple]] = []
+        self._completed_rows = 0
         # Last observed batch service time — the deterministic basis for the
         # admission controller's wait estimate (0.0 until a batch completes,
         # so a cold router never wait-sheds).
@@ -523,6 +536,7 @@ class RequestRouter:
         self._admit_handle = None
         self._dispatch_handle = None
         self._inflight = None
+        self._completed, self._completed_rows = [], 0
         self._service_estimate = 0.0
         self._runtime = None  # force start() to rebind a fresh pool/lease
         try:
@@ -530,6 +544,7 @@ class RequestRouter:
                 runtime = Runtime(trace=writer)
                 runtime.add(self)
                 runtime.run()
+            self.forward_completed()  # a halted router never drained
         finally:
             self.close_journal()
         return self.report
@@ -648,15 +663,14 @@ class RequestRouter:
             launch, self._dispatch, kind="dispatch", actor=self.name)
 
     def _dispatch(self, launch: float) -> Dict[str, object]:
-        """Coalesce the batch, run it, and post its completion event."""
+        """Coalesce the batch, price it, and post its completion event."""
         self._dispatch_handle = None
         policy = self._policy_now()
         if policy is not self.policy:
             self.report.brownout_batches += 1
         batch = self._pending.take(launch, policy.max_batch)
 
-        result = self.inference.predict_requests([e[4] for e in batch])
-        latency = result.sim_latency
+        latency, waves = self.inference.price(len(batch))
         if self._conditions is not None and self._conditions.degraded:
             # A straggler in the lease bottlenecks the whole micro-batch.
             latency = self._conditions.serving_latency(
@@ -666,28 +680,30 @@ class RequestRouter:
         self._batch_id += 1
         handle = self._queue.post(
             completion,
-            lambda t: self._on_completion(t, batch, batch_id, launch, result),
+            lambda t: self._on_completion(t, batch, batch_id, launch, waves),
             kind="complete", actor=self.name)
         self._inflight = (handle, batch, batch_id, launch)
         return {"batch_id": batch_id, "size": len(batch),
-                "devices": self._devices, "waves": result.waves}
+                "devices": self._devices, "waves": waves}
 
     def _on_completion(self, completion: float, batch: List[tuple],
                        batch_id: int, launch: float,
-                       result) -> Dict[str, object]:
+                       waves: int) -> Dict[str, object]:
         self._inflight = None
         report = self.report
         record = BatchRecord(
             batch_id=batch_id, dispatch_time=launch,
             completion_time=completion, size=len(batch),
-            devices=self._devices, waves=result.waves)
+            devices=self._devices, waves=waves)
         block = RecordBlock(record, batch)
         report.batches.append(record)
         report.records.append(block)
         if self.accounting is not None:
             self.accounting.record_completion(block)
-        if self.collect_logits:
-            report.logits.update(zip(block.ids, result.logits))
+        self._completed.append(batch)
+        self._completed_rows += len(batch)
+        if self._completed_rows >= _FORWARD_ROWS:
+            self.forward_completed()
         self._server_free = completion
         self._service_estimate = completion - launch
         self.source.on_completion(block)
@@ -815,10 +831,29 @@ class RequestRouter:
             self._schedule_next()
         return {"pending": len(self._pending)}
 
+    def forward_completed(self) -> None:
+        """Run the numeric forward of every completed micro-batch still
+        waiting for it, in one stacked pass
+        (:meth:`~repro.core.inference.InferenceEngine.predict_stacked`);
+        with ``collect_logits``, their rows land in ``report.logits`` in
+        completion order.  Called once ``_FORWARD_ROWS`` requests wait, when
+        the source is served dry, and by :meth:`run` (and the co-scheduler)
+        after the loop, drained or not."""
+        batches, self._completed, self._completed_rows = self._completed, [], 0
+        if not batches:
+            return
+        logits = self.inference.predict_stacked(
+            [e[4] for batch in batches for e in batch],
+            [len(batch) for batch in batches])
+        if self.collect_logits:
+            self.report.logits.update(
+                zip([e[1] for batch in batches for e in batch], logits))
+
     def _finalize(self) -> None:
         if self._done:
             return
         self._done = True
+        self.forward_completed()
         self.report.duration = self._server_free
         self._device_pool.settle(self._server_free)
         self.report.device_seconds = self._lease.device_seconds

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 from io import StringIO
-from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -50,7 +49,9 @@ REGISTRY = TenantRegistry([
 ])
 # "ghost" is unregistered, None untagged: accounted, never in a digest.
 TENANTS = ["prem", ESCAPED, "bulk", "ghost", None]
-BANK = _ExampleBank(np.zeros((3, 4)))
+# Payloads of the engine's input width: the completed batches are forwarded
+# when the router finalizes.
+BANK = _ExampleBank(np.zeros((3, 32)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -197,8 +198,7 @@ class _Run:
         if not batch:
             return
         completion = launch + op["service"]
-        router._on_completion(completion, batch, self.batch_id, launch,
-                              SimpleNamespace(waves=1))
+        router._on_completion(completion, batch, self.batch_id, launch, 1)
         self.oracle.complete(batch, self.batch_id, launch, completion,
                              router._devices)
         self.batch_id += 1

@@ -7,7 +7,14 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from repro.core import InferenceEngine, Mapping, TrainerConfig, VirtualFlowTrainer, VirtualNodeSet
+from repro.core import (
+    FusedBackend,
+    InferenceEngine,
+    Mapping,
+    TrainerConfig,
+    VirtualFlowTrainer,
+    VirtualNodeSet,
+)
 from repro.data import make_dataset
 from repro.elastic import ServingPhase, spike_phases
 from repro.framework import get_workload
@@ -103,6 +110,25 @@ class TestRouterInvariants:
         assert len(report.records) == 4 * 5
 
 
+def _one_shot_logits_hold(report, seed):
+    """Each completed batch's collected logits equal a one-shot engine batch
+    of the same examples.  The engine is a fresh one on a *different*
+    mapping: predictions are mapping-invariant, so this is the strictest
+    form of the check."""
+    workload = get_workload("mlp_synthetic")
+    bank = _example_bank("mlp_synthetic", seed)
+    oneshot = InferenceEngine(
+        workload, workload.build_model(seed),
+        Mapping.even(VirtualNodeSet.even(4, 4), Cluster.homogeneous("V100", 1)))
+    by_batch = defaultdict(list)
+    for r in report.records:
+        by_batch[r.batch_id].append(r)
+    for records in by_batch.values():
+        x = np.stack([bank[r.request_id % len(bank)] for r in records])
+        got = np.stack([report.logits[r.request_id] for r in records])
+        np.testing.assert_array_equal(got, oneshot.predict(x).logits)
+
+
 class TestBitIdentity:
     """The acceptance bar: router micro-batches == one-shot engine batches."""
 
@@ -115,24 +141,7 @@ class TestBitIdentity:
         report = _serve(rate=600.0, duration=0.8, seed=seed,
                         collect_logits=True, **kwargs)
         assert report.logits, "collect_logits must populate the report"
-
-        workload = get_workload("mlp_synthetic")
-        bank = _example_bank("mlp_synthetic", seed)
-        # A fresh one-shot engine on a *different* mapping: predictions are
-        # mapping-invariant, so this is the strictest form of the check.
-        vn_set = VirtualNodeSet.even(4, 4)
-        oneshot = InferenceEngine(
-            workload, workload.build_model(seed),
-            Mapping.even(vn_set, Cluster.homogeneous("V100", 1)))
-
-        by_batch = defaultdict(list)
-        for r in report.records:
-            by_batch[r.batch_id].append(r)
-        for records in by_batch.values():
-            x = np.stack([bank[r.request_id % len(bank)] for r in records])
-            expected = oneshot.predict(x).logits
-            got = np.stack([report.logits[r.request_id] for r in records])
-            np.testing.assert_array_equal(got, expected)
+        _one_shot_logits_hold(report, seed)
 
     def test_autoscaled_results_match_fixed_results(self):
         # Scaling policy changes *when* batches launch, so the two runs
@@ -166,6 +175,87 @@ class TestBitIdentity:
         assert len(ref.logits) == len(fused.logits) > 0
         for request_id, logits in ref.logits.items():
             np.testing.assert_array_equal(logits, fused.logits[request_id])
+
+
+class TestWhenTheForwardRuns:
+    """Dispatch prices a batch; the numbers come after it completes, in a
+    stacked pass over the completed batches — so a batch a crash cancels is
+    never forwarded, and every run forwards what it completed before it
+    returns."""
+
+    SEED = 2
+
+    def _router(self, devices, rate=500.0, duration=0.5, limit=None):
+        workload = get_workload("mlp_synthetic")
+        mapping = Mapping.even(VirtualNodeSet.even(4, 4),
+                               Cluster.homogeneous("V100", devices))
+        router = RequestRouter(
+            InferenceEngine(workload, workload.build_model(self.SEED), mapping),
+            OpenLoopPoissonSource([ServingPhase(duration, rate)],
+                                  _example_bank("mlp_synthetic", self.SEED),
+                                  seed=self.SEED, limit=limit),
+            policy=MicroBatchPolicy(max_batch=8, max_wait=0.002),
+            collect_logits=True)
+        # Every request id each stacked pass forwards, in order.
+        router.forwarded = []
+        forward = router.forward_completed
+
+        def recording():
+            router.forwarded += [e[1] for batch in router._completed for e in batch]
+            forward()
+
+        router.forward_completed = recording
+        return router
+
+    def _crash_during(self, router, dispatch_number, device_id):
+        """Crash ``device_id`` right after the router's ``dispatch_number``-th
+        dispatch, with that batch in flight; return its request ids."""
+        dispatch, cancelled = router._dispatch, []
+
+        def dispatch_then_crash(launch):
+            out = dispatch(launch)
+            if out["batch_id"] == dispatch_number:
+                cancelled.extend(e[1] for e in router._inflight[1])
+                router._queue.post(launch, lambda now: (
+                    router._device_pool.fail_device(device_id, now),
+                    router.on_device_failed(now, device_id)), kind="crash")
+            return out
+
+        router._dispatch = dispatch_then_crash
+        return cancelled
+
+    def test_a_cancelled_batch_is_never_forwarded(self):
+        router = self._router(devices=2, rate=1500.0)  # several stacked passes
+        cancelled = self._crash_during(router, 20, device_id=1)
+        report = router.run()
+        assert report.failures and report.failures[0][2] == len(cancelled) > 0
+        served = [r.request_id for r in report.records]
+        # Each served request forwarded exactly once, the cancelled ones too:
+        # only when the batch that served them completed.
+        assert sorted(router.forwarded) == sorted(served)
+        assert len(set(router.forwarded)) == len(served)
+        assert set(cancelled) <= set(served)
+        assert list(report.logits) == served  # completion order
+        _one_shot_logits_hold(report, self.SEED)
+
+    def test_a_run_that_serves_nothing_forwards_nothing(self):
+        router = self._router(devices=2, limit=0)
+        router.inference.engine.backend = backend = FusedBackend()
+        calls = []
+        backend.infer = lambda *args: calls.append(args)
+        report = router.run()
+        assert not report.records and calls == [] and report.logits == {}
+
+    def test_a_halted_router_forwards_what_it_completed(self):
+        router = self._router(devices=1)
+        self._crash_during(router, 5, device_id=0)
+        report = router.run()
+        # The lone device died: the router halted with requests still
+        # queued and never drained; the run forwarded its batches anyway.
+        assert router._halted and not router._done
+        assert 0 < len(report.records) < router.source.total_requests
+        assert sorted(router.forwarded) == [r.request_id for r in report.records]
+        _one_shot_logits_hold(report, self.SEED)
 
 
 class TestStatefulServing:
