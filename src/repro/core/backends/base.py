@@ -138,9 +138,11 @@ class ExecutionBackend(ABC):
         across backends and mappings.  ``bounds`` are the batch's
         :func:`~repro.core.sharding.shard_indices` when the caller already
         holds them (the engine memoizes them per batch length).  They may
-        also be an ``(S, 2)`` integer array of ``[start, end)`` rows: any
-        segments that tile ``x``, such as the node segments of several
-        micro-batches gathered into one pass
+        also be **size runs**, an ``(R, 2)`` integer array of ``(size,
+        count)`` rows: ``count`` consecutive segments of ``size`` rows
+        each, the rows in order tiling ``x`` — such as the
+        node segments of several micro-batches gathered into one pass and
+        grouped by size
         (:meth:`~repro.core.inference.InferenceEngine.predict_stacked`).
         Either way each segment's rows must equal ``model.forward`` of that
         segment alone, bit for bit, whatever the rest of the table holds.

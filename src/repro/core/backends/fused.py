@@ -25,10 +25,11 @@ cost for the entire built-in workload zoo:
   inference engine asks for one table per batch length; the cache is
   bounded (oldest table out) and an inference run stashes nothing, so it
   pins no arrays.  A serving router's micro-batches arrive instead stacked,
-  as one array table of every micro-batch's node segments grouped by size
+  every micro-batch's node segments grouped by size and handed over as
+  size runs, one ``(size, count)`` row per segment size
   (:meth:`~repro.core.inference.InferenceEngine.predict_stacked`): that
-  run is built for its one call and never cached.  Kernel dispatch is
-  resolved once per model into a flat step list
+  run is built from those few rows for its one call and never cached.
+  Kernel dispatch is resolved once per model into a flat step list
   (:func:`~repro.core.backends.vectorized.inference_steps`).
 * The serial loop (:class:`~repro.core.backends.reference.ReferenceBackend`)
   runs only as the fallback for user-defined modules with no vectorized
@@ -207,22 +208,21 @@ class FusedBackend(ExecutionBackend):
     def _inference_run(self, bounds: Sequence[Tuple[int, int]],
                        batch_size: int) -> VectorizedRun:
         """The run for ``bounds``, built (and checked) on first use: cached
-        per shard table; an array table (stacked micro-batches, see the
-        module doc) gets a run for its one call."""
-        stacked = isinstance(bounds, np.ndarray)
-        table = (bounds.tolist() if stacked
-                 else tuple((int(start), int(end)) for start, end in bounds))
-        run = None if stacked else self._inference_runs.get(table)
+        per shard table; size runs (stacked micro-batches, see the module
+        doc) get a run for their one call."""
+        if isinstance(bounds, np.ndarray):
+            return VectorizedRun(bounds, training=False)
+        table = tuple((int(start), int(end)) for start, end in bounds)
+        run = self._inference_runs.get(table)
         if run is None:
             check_shard_bounds(table, batch_size)
             # Non-empty shards tile the batch contiguously in canonical
             # order, so the request batch already *is* the run's input.
             run = VectorizedRun([(start, end) for start, end in table if end > start],
                                 training=False)
-            if not stacked:
-                if len(self._inference_runs) >= _MAX_INFERENCE_RUNS:
-                    del self._inference_runs[next(iter(self._inference_runs))]
-                self._inference_runs[table] = run
+            if len(self._inference_runs) >= _MAX_INFERENCE_RUNS:
+                del self._inference_runs[next(iter(self._inference_runs))]
+            self._inference_runs[table] = run
         return run
 
     def infer(self, model: Module, vn_set: VirtualNodeSet, x: np.ndarray,
@@ -237,10 +237,11 @@ class FusedBackend(ExecutionBackend):
             bounds = shard_indices(vn_set, len(x))
         try:
             run = self._inference_runs[bounds]
-        except (KeyError, TypeError):  # first use, a list, or an array table
+        except (KeyError, TypeError):  # first use, a list, or size runs
             run = self._inference_run(bounds, len(x))
-        if run.batch != len(x):
-            check_shard_bounds(bounds, len(x))  # raises: another length's table
+        if run.batch != len(x):  # another length's table, or short size runs
+            raise ValueError(
+                f"shard bounds cover {run.batch} rows of a batch of {len(x)}")
         for kernel, module, prefix in steps:
             x = kernel(module, run, prefix, x)
         return x

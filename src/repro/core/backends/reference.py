@@ -95,6 +95,9 @@ class ReferenceBackend(ExecutionBackend):
         if bounds is None:
             bounds = shard_indices(vn_set, len(x))
         else:
+            if isinstance(bounds, np.ndarray):  # size runs: their segments
+                sizes = np.repeat(*bounds.T)
+                bounds = list(zip(np.cumsum(sizes) - sizes, np.cumsum(sizes)))
             check_shard_bounds(bounds, len(x))
         outputs: List[np.ndarray] = []
         for start, end in bounds:

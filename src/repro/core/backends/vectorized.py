@@ -209,7 +209,9 @@ class VectorizedRun:
     """One fused forward/backward over a segmented stack of wave shards.
 
     ``segments`` are the per-virtual-node ``[start, end)`` row ranges of the
-    concatenated batch, in canonical virtual-node order.  The run owns all
+    concatenated batch, in canonical virtual-node order — or, for an
+    inference run, an ``(R, 2)`` integer array of ``(size, count)`` size
+    runs, which leaves ``segments`` and ``sizes`` None.  The run owns all
     transient state (activation caches, per-node parameter gradients) so the
     model instance itself is never mutated — its own caches, gradients, and
     buffers are untouched.  Per-virtual-node stateful buffers, when present,
@@ -242,25 +244,39 @@ class VectorizedRun:
                  rngs: Optional[Callable[[], List[np.random.Generator]]] = None,
                  state_views: Optional[Dict[str, np.ndarray]] = None,
                  workspace: Optional[Dict[tuple, object]] = None) -> None:
-        if not segments:
-            raise ValueError("a vectorized run needs at least one segment")
-        self.segments: List[Tuple[int, int]] = list(segments)
-        self.sizes: List[int] = [end - start for start, end in self.segments]
-        self.num_stacked = len(self.segments)
-        self.batch = self.segments[-1][1]
-        # Maximal runs of consecutive equal-size segments, each as (first
-        # row, end row, first node, end node, segment size): what the seg_*
+        # Runs of consecutive equal-size segments, each as (first row, end
+        # row, first node, end node, segment size): what the seg_*
         # primitives stack over.  A uniform table is one run.
         self.runs: List[Tuple[int, int, int, int, int]] = []
-        first = 0
-        for node in range(1, self.num_stacked + 1):
-            if node == self.num_stacked or self.sizes[node] != self.sizes[first]:
-                self.runs.append((self.segments[first][0], self.segments[node - 1][1],
-                                  first, node, self.sizes[first]))
-                first = node
+        if not training and isinstance(segments, np.ndarray):
+            # An inference pass over size runs (see ExecutionBackend.infer):
+            # one step per (size, count) row, however many segments it holds.
+            # No per-segment lists: only training kernels read them.
+            if segments.min() < 0:
+                raise ValueError("shard bounds (size runs) hold a negative number")
+            self.segments = self.sizes = None
+            row = node = 0
+            for size, count in segments.tolist():
+                self.runs.append((row, row + size * count, node, node + count, size))
+                row += size * count
+                node += count
+            self.num_stacked = node
+        else:
+            self.segments = list(segments)
+            self.sizes = [end - start for start, end in self.segments]
+            self.num_stacked = len(self.segments)
+            first = 0  # the runs are maximal
+            for node in range(1, self.num_stacked + 1):
+                if node == self.num_stacked or self.sizes[node] != self.sizes[first]:
+                    self.runs.append((self.segments[first][0], self.segments[node - 1][1],
+                                      first, node, self.sizes[first]))
+                    first = node
+        if not self.runs:
+            raise ValueError("a vectorized run needs at least one segment")
+        self.batch = self.runs[-1][1]
         # Uniform segment size, or None when the wave group mixes sizes.
         self.uniform: Optional[int] = (
-            self.sizes[0] if self.runs[0][3] == self.num_stacked else None)
+            self.runs[0][4] if self.runs[0][3] == self.num_stacked else None)
         self.training = training
         self._derive_rngs = rngs
         self._rngs: Optional[List[np.random.Generator]] = None

@@ -20,11 +20,6 @@ that physical half exactly once:
   serial oracle by assigning a
   :class:`~repro.core.backends.ReferenceBackend` to an engine's
   ``backend``.
-
-The engine layer is also the home of the primitive wave-schedule costs
-(:func:`sequential_sweep_time`, :func:`pipelined_makespan`) that the
-model-parallel pipeline configurations of :mod:`repro.core.pipeline` are
-priced with, so schedule arithmetic has one owner.
 """
 
 from __future__ import annotations
@@ -41,11 +36,7 @@ from repro.hardware.perfmodel import PerfModel
 
 from repro.framework.models import Workload
 
-__all__ = [
-    "VirtualNodeEngine",
-    "sequential_sweep_time",
-    "pipelined_makespan",
-]
+__all__ = ["VirtualNodeEngine"]
 
 # Backends hold no step state, only caches of what is constant per model or
 # per shard table: one instance serves every engine in the process.
@@ -139,32 +130,3 @@ class VirtualNodeEngine:
                 f"({self.mapping.vn_set!r} -> {new_mapping.vn_set!r})"
             )
         self._install(new_mapping)
-
-
-# ---------------------------------------------------------------------------
-# Wave-schedule primitives consumed by the model-parallel pipeline layer.
-# ---------------------------------------------------------------------------
-
-
-def sequential_sweep_time(stage_times: Sequence[Tuple[float, float]]) -> float:
-    """One full forward-then-backward sweep over all pipeline stages.
-
-    This is the cost of one wave through a model-parallel pipeline — the
-    unit both the data-parallel and unrolled virtual-node configurations of
-    Figure 19 are priced in.
-    """
-    return sum(f for f, _ in stage_times) + sum(b for _, b in stage_times)
-
-
-def pipelined_makespan(virtual_nodes: int,
-                       stage_times: Sequence[Tuple[float, float]]) -> float:
-    """GPipe-style makespan of ``virtual_nodes`` waves over the stages.
-
-    The classic ``(V + P - 1)`` slot schedule on the bottleneck stage, run
-    once for forwards and once for backwards.
-    """
-    stages = len(stage_times)
-    slot_f = max(f for f, _ in stage_times)
-    slot_b = max(b for _, b in stage_times)
-    slots = virtual_nodes + stages - 1
-    return slots * (slot_f + slot_b)

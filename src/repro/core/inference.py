@@ -90,6 +90,9 @@ class InferenceEngine:
         self.engine.backend.bind(model)
         self.requests_served = 0
         self.sim_time = 0.0
+        # batch length -> each row's node-segment size (predict_stacked),
+        # dropped with the engine's plan memo on remap
+        self._row_labels: Dict[int, np.ndarray] = {}
         self._vn_states: Optional[List[VirtualNodeState]] = None
         self._state_layout = None
         self._state_stack: Optional[np.ndarray] = None  # (V, S) merge scratch
@@ -208,45 +211,41 @@ class InferenceEngine:
         self.sim_time += latency
         return latency, waves
 
-    def predict_stacked(self, examples: Sequence[np.ndarray],
+    def predict_stacked(self, bank: np.ndarray, rows: Sequence[int],
                         lengths: Sequence[int]) -> np.ndarray:
         """Logits of several micro-batches of single-example requests, in
         one backend call.
 
-        ``examples`` are the micro-batches' payloads back to back and
-        ``lengths`` their sizes, in order; row ``i`` of the result is
-        example ``i``'s, and each micro-batch's rows are byte-equal to
+        ``rows`` index the micro-batches' payloads in ``bank``, back to back,
+        and ``lengths`` are their sizes, in order; row ``i`` of the result is
+        ``bank[rows[i]]``'s, and each micro-batch's rows are byte-equal to
         :meth:`predict_requests` of that micro-batch.  That call splits a
         micro-batch of length ``L`` along its plan's node segments
         (``inference_plan(L)``); here every row is labelled with the size of
-        its node segment, a stable sort by that label lines the segments of
-        every micro-batch up, whole and grouped by size, and the backend runs
-        the gathered rows over that table — one run of equal-size segments
-        per size, each segment at its own micro-batch's shape — before the
-        rows are scattered back.  Prices nothing: :meth:`price` did.
+        its node segment (each length's labels are computed once, and
+        dropped with the plans on :meth:`remap`), a stable sort by that
+        label lines the segments of every micro-batch up, whole and grouped
+        by size, and the backend runs the gathered rows over the size runs
+        — one ``(size, count)`` row per segment size, each segment at its
+        own micro-batch's shape — before the rows are scattered back.
+        Prices nothing: :meth:`price` did.
         """
-        x = np.array(examples)
-        lengths = np.asarray(lengths, dtype=np.intp)
-        if not len(lengths) or lengths.min() < 1 or lengths.sum() != len(x):
+        if not lengths or min(lengths) < 1 or sum(lengths) != len(rows):
             raise ValueError(
-                f"micro-batch lengths {lengths.tolist()} do not split "
-                f"{len(x)} examples into non-empty batches")
+                f"micro-batch lengths {list(lengths)} do not split "
+                f"{len(rows)} examples into non-empty batches")
         self._ensure_eval_state()
         engine = self.engine
-        # size_of[L, p]: the node-segment size of row p of a length-L batch.
-        distinct = np.unique(lengths).tolist()
-        size_of = np.zeros((distinct[-1] + 1, distinct[-1]), dtype=np.intp)
-        for length in distinct:
-            node_sizes = np.diff(engine.inference_plan(length)[0]).ravel()
-            size_of[length, :length] = np.repeat(node_sizes, node_sizes)
-        starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
-        row_sizes = size_of[np.repeat(lengths, lengths), np.arange(len(x)) - starts]
-        order = np.argsort(row_sizes, kind="stable")
-        sizes, rows = np.unique(row_sizes, return_counts=True)
-        segment_sizes = np.repeat(sizes, rows // sizes)
-        ends = np.cumsum(segment_sizes)
-        table = np.stack([ends - segment_sizes, ends], axis=1)
-        gathered = engine.backend.infer(self.model, engine.vn_set, x[order], table)
+        labels = self._row_labels
+        for length in set(lengths).difference(labels):
+            node_sizes = [end - start for start, end in engine.inference_plan(length)[0]]
+            labels[length] = np.repeat(node_sizes, node_sizes)
+        row_sizes = np.concatenate([labels[length] for length in lengths])
+        order = row_sizes.argsort(kind="stable")
+        runs = np.array([(size, count // size) for size, count
+                         in enumerate(np.bincount(row_sizes).tolist()) if count])
+        gathered = engine.backend.infer(self.model, engine.vn_set,
+                                        bank[np.take(rows, order)], runs)
         logits = np.empty_like(gathered)
         logits[order] = gathered
         return logits
@@ -257,3 +256,4 @@ class InferenceEngine:
         if mapping.vn_set != self.mapping.vn_set:
             raise ValueError("inference remap must preserve the virtual node set")
         self.engine.remap(mapping)
+        self._row_labels = {}

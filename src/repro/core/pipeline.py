@@ -8,11 +8,10 @@ stage GPU "unrolls" the data-parallel pipelines into sequential passes —
 ``P`` GPUs, roughly ``r`` times the step time.  Pipelining the virtual nodes
 GPipe-style recovers most of the time.
 
-This module prices the Figure 19 configurations; the underlying wave-schedule
-arithmetic (sequential sweeps, GPipe slot makespans) is shared with the rest
-of the execution layer via :mod:`repro.core.engine`, so pipeline costs and
-data-parallel step costs come from one set of primitives.  Inputs are
-per-stage forward/backward times (seconds per microbatch).
+This module prices the Figure 19 configurations from two wave-schedule
+primitives, both here (:func:`sequential_sweep_time`,
+:func:`pipelined_makespan`), so training and serving never compile them.
+Inputs are per-stage forward/backward times (seconds per microbatch).
 """
 
 from __future__ import annotations
@@ -20,13 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from repro.core.engine import pipelined_makespan, sequential_sweep_time
-
 __all__ = [
     "PipelineConfig",
     "data_parallel_pipeline",
     "virtual_node_pipeline",
     "pipelined_virtual_nodes",
+    "sequential_sweep_time",
+    "pipelined_makespan",
 ]
 
 
@@ -107,3 +106,32 @@ def pipelined_virtual_nodes(stage_times: Sequence[Tuple[float, float]],
         num_gpus=len(stage_times),
         step_time=pipelined_makespan(virtual_nodes, stage_times),
     )
+
+
+# ---------------------------------------------------------------------------
+# Wave-schedule primitives.
+# ---------------------------------------------------------------------------
+
+
+def sequential_sweep_time(stage_times: Sequence[Tuple[float, float]]) -> float:
+    """One full forward-then-backward sweep over all pipeline stages.
+
+    This is the cost of one wave through a model-parallel pipeline — the
+    unit both the data-parallel and unrolled virtual-node configurations of
+    Figure 19 are priced in.
+    """
+    return sum(f for f, _ in stage_times) + sum(b for _, b in stage_times)
+
+
+def pipelined_makespan(virtual_nodes: int,
+                       stage_times: Sequence[Tuple[float, float]]) -> float:
+    """GPipe-style makespan of ``virtual_nodes`` waves over the stages.
+
+    The classic ``(V + P - 1)`` slot schedule on the bottleneck stage, run
+    once for forwards and once for backwards.
+    """
+    stages = len(stage_times)
+    slot_f = max(f for f, _ in stage_times)
+    slot_b = max(b for _, b in stage_times)
+    slots = virtual_nodes + stages - 1
+    return slots * (slot_f + slot_b)

@@ -9,8 +9,8 @@ inexpressible.  This is the one event loop both now run on:
 
 * :class:`EventQueue` — the scheduler, and the one way to schedule an
   event.  Events live in **slab storage** (:class:`_EventSlab`:
-  preallocated numpy arrays of sequence numbers and slot generations plus
-  a free list, addressed by integer handles) so the hot path allocates no
+  preallocated lists of sequence numbers and slot generations plus a free
+  list, addressed by integer handles) so the hot path allocates no
   per-event objects, and one binary heap of ``(time, seq, slot)`` tuples
   orders them.  :meth:`EventQueue.post` schedules one event and returns
   its integer handle; :meth:`EventQueue.post_many` schedules a whole wave
@@ -62,35 +62,33 @@ _SLOT_MASK = (1 << _SLOT_BITS) - 1
 
 
 class _EventSlab:
-    """Array-of-struct event storage: parallel arrays plus a free list.
+    """Array-of-struct event storage: parallel lists plus a free list.
 
-    Each live event occupies one *slot*: ``seq`` and ``gen`` live in numpy
-    arrays (so a whole ``post_many`` wave is written vectorized), and
+    Each live event occupies one *slot*: ``seq`` and ``gen`` are plain
+    Python lists of ints (an event reads and writes them one slot at a
+    time, where a list index costs less than a numpy scalar), and
     ``payload`` holds the ``(action, kind, actor)`` triple — one shared
-    tuple per ``post_many`` wave.  Handles encode
-    ``generation << 32 | slot``; freeing a slot bumps its generation, so a
-    handle held across the slot's reuse is detectably stale:
-    ``cancel_handle()`` on a fired-and-recycled event is a no-op, never a
-    misfire on the new tenant.
+    tuple per ``post_many`` wave.  :meth:`EventQueue.post` and
+    :meth:`EventQueue.pop_dispatch` take and release their slot inline.
+    Handles encode ``generation << 32 | slot``; releasing a slot bumps its
+    generation, so a handle held across the slot's reuse is detectably
+    stale: ``cancel_handle()`` on a fired-and-recycled event is a no-op,
+    never a misfire on the new tenant.
 
-    Freed slots go back on the free list immediately — memory is bounded
+    Released slots go back on the free list immediately — memory is bounded
     by the peak *live* event count, not the total scheduled count.  Heap
-    entries pointing at a freed slot identify themselves as dead because
+    entries pointing at a released slot identify themselves as dead because
     the slot's ``seq`` is reset to -1 (sequence numbers are never reused).
     """
 
     __slots__ = ("seq", "gen", "payload", "_free", "live")
 
     def __init__(self, capacity: int = 256) -> None:
-        self.seq = np.full(capacity, -1, dtype=np.int64)
-        self.gen = np.zeros(capacity, dtype=np.int64)
+        self.seq: List[int] = [-1] * capacity
+        self.gen: List[int] = [0] * capacity
         self.payload: List[Optional[Tuple[Action, str, str]]] = [None] * capacity
         self._free: List[int] = list(range(capacity - 1, -1, -1))
         self.live = 0
-
-    @property
-    def capacity(self) -> int:
-        return len(self.payload)
 
     def _grow(self, need: int = 1) -> None:
         old = len(self.payload)
@@ -98,41 +96,34 @@ class _EventSlab:
         while new - old + len(self._free) < need:
             new *= 2
         extra = new - old
-        self.seq = np.concatenate(
-            [self.seq, np.full(extra, -1, dtype=np.int64)])
-        self.gen = np.concatenate(
-            [self.gen, np.zeros(extra, dtype=np.int64)])
+        self.seq.extend([-1] * extra)
+        self.gen.extend([0] * extra)
         self.payload.extend([None] * extra)
-        self._free.extend(range(new - 1, old - 1, -1))
-
-    def alloc(self, seq: int, payload: Tuple[Action, str, str]) -> int:
-        if not self._free:
-            self._grow()
-        slot = self._free.pop()
-        self.seq[slot] = seq
-        self.payload[slot] = payload
-        self.live += 1
-        return (int(self.gen[slot]) << _SLOT_BITS) | slot
+        # New slots go under the free ones (a bulk allocation pops those
+        # first, as single pops would) and pop in ascending order.
+        self._free[:0] = range(new - 1, old - 1, -1)
 
     def alloc_many(self, n: int, seq0: int,
                    payload: Tuple[Action, str, str]) -> np.ndarray:
         """Allocate ``n`` slots; seqs run ``seq0..seq0+n-1`` in order.
 
-        Returns generation-encoded handles as an int64 array.  All events
-        share one payload tuple — no per-event allocation beyond the slot
-        bookkeeping itself.
+        Returns generation-encoded handles as an int64 array, equal to
+        those ``n`` single :meth:`EventQueue.post` calls would return.  All
+        events share one payload tuple — no per-event allocation beyond the
+        slot bookkeeping itself.
         """
         if len(self._free) < n:
             self._grow(n)
-        # Identical slot order to n individual alloc() pops.
-        slots = np.array(self._free[: -n - 1: -1], dtype=np.int64)
+        # Identical slot order to n single pops.
+        slots = self._free[: -n - 1: -1]
         del self._free[-n:]
-        self.seq[slots] = np.arange(seq0, seq0 + n, dtype=np.int64)
-        store = self.payload
-        for s in slots.tolist():
-            store[s] = payload
+        seqs, gens, store = self.seq, self.gen, self.payload
+        for seq, slot in zip(range(seq0, seq0 + n), slots):
+            seqs[slot] = seq
+            store[slot] = payload
         self.live += n
-        return (self.gen[slots] << _SLOT_BITS) | slots
+        return np.array([(gens[slot] << _SLOT_BITS) | slot for slot in slots],
+                        dtype=np.int64)
 
     def free(self, slot: int) -> None:
         """Release a slot: stale-mark its heap entry and recycle it."""
@@ -183,9 +174,15 @@ class EventQueue:
         time = float(time)
         seq = self._seq
         self._seq = seq + 1
-        handle = self._slab.alloc(seq, (action, kind, actor))
-        heapq.heappush(self._heap, (time, seq, handle & _SLOT_MASK))
-        return handle
+        slab = self._slab
+        if not slab._free:
+            slab._grow()
+        slot = slab._free.pop()
+        slab.seq[slot] = seq
+        slab.payload[slot] = (action, kind, actor)
+        slab.live += 1
+        heapq.heappush(self._heap, (time, seq, slot))
+        return (slab.gen[slot] << _SLOT_BITS) | slot
 
     def post_many(self, times: Union[Sequence[float], np.ndarray],
                   action: Action, *, kind: str = "event",
@@ -250,7 +247,8 @@ class EventQueue:
         on the way to the head are dropped.
         """
         heap = self._heap
-        seqs = self._slab.seq
+        slab = self._slab
+        seqs = slab.seq
         while heap:
             time, seq, slot = heap[0]
             if seqs[slot] == seq:
@@ -262,8 +260,14 @@ class EventQueue:
         if until is not None and time > until:
             return None
         heapq.heappop(heap)
-        action, kind, actor = self._slab.payload[slot]
-        self._slab.free(slot)
+        # Release the slot (as _EventSlab.free does).
+        payload = slab.payload
+        action, kind, actor = payload[slot]
+        seqs[slot] = -1
+        slab.gen[slot] += 1
+        payload[slot] = None
+        slab._free.append(slot)
+        slab.live -= 1
         return (time, seq, kind, actor, action)
 
     # -- introspection -------------------------------------------------------
@@ -274,7 +278,7 @@ class EventQueue:
         dead ones)."""
         return {
             "live": self._slab.live,
-            "slab_capacity": self._slab.capacity,
+            "slab_capacity": len(self._slab.payload),
             "index_entries": len(self._heap),
         }
 

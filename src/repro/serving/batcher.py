@@ -131,7 +131,8 @@ class DispatchQueue:
 
     What it holds are **entries**: one plain tuple ``(arrival, request_id,
     tenant, client, example)`` per admitted request, built by the arrival
-    wave (:meth:`repro.serving.generators.ArrivalWave.entries`).  The
+    wave (:meth:`repro.serving.generators.ArrivalWave.entries`); ``example``
+    is the request's row index in the source's example bank.  The
     router admits entries with :meth:`push_wave`, asks which arrivals are
     pending (:meth:`oldest_arrival` / :meth:`arrival_times` feed the
     coalescing policy's trigger computation), and drains a micro-batch —

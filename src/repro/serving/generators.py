@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -49,10 +50,10 @@ class ArrivalWave:
 
     The admission path consumes arrivals the way the event core consumes
     event runs: ``times`` is the ascending arrival-time array, request ids
-    are ``first_id + j``, and the payload row for wave offset ``j`` is the
-    bank's row ``first_cursor + j`` (cyclically) — read only for the
-    arrivals that survive admission, each of which becomes one plain queue
-    entry (:meth:`entries`).  A shed arrival becomes no entry.
+    are ``first_id + j``, and the payload of wave offset ``j`` is the
+    bank's row ``first_cursor + j`` (cyclically).  An arrival that survives
+    admission becomes one plain queue entry (:meth:`entries`) naming that
+    row by its index; a shed arrival becomes no entry.
 
     ``tenant_idx``/``tenant_table`` carry tenancy without per-request
     strings: offset ``j`` belongs to ``tenant_table[tenant_idx[j]]``.
@@ -77,18 +78,19 @@ class ArrivalWave:
                 offsets: Optional[Sequence[int]] = None) -> List[tuple]:
         """The queue entries ``(arrival, request_id, tenant, client,
         example)`` of the arrivals at ``offsets`` (all of them by default);
-        ``times`` is ``self.times`` as plain floats."""
+        ``times`` is ``self.times`` as plain floats.  ``example`` is the
+        request's row index into ``bank.examples``, a plain int: the rows
+        themselves are gathered once per forward pass, as one column."""
         if offsets is None:
             offsets = range(len(times))
         table = self.tenant_table
         idx = ([0] * len(times) if self.tenant_idx is None
                else self.tenant_idx.tolist())
         first_id, cursor, clients = self.first_id, self.first_cursor, self.clients
-        examples = self.bank.examples
-        n = len(examples)
+        n = len(self.bank.examples)
         # ``clients and ...``: None for every entry of an open-loop wave.
         return [(times[j], first_id + j, table[idx[j]], clients and clients[j],
-                 examples[(cursor + j) % n]) for j in offsets]
+                 (cursor + j) % n) for j in offsets]
 
     def shed_block(self, offsets: Sequence[int],
                    reasons: List[str]) -> ShedBlock:
@@ -160,14 +162,16 @@ class OpenLoopPoissonSource(RequestSource):
         """Install the sorted arrival array and, for a merged multi-tenant
         stream, whose arrival each one is (see :class:`ArrivalWave`)."""
         self._times = times
+        # The same times as plain floats: a pull cuts its wave with a
+        # bisection over them and peeks the next arrival, touching no array.
+        self._time_list: List[float] = times.tolist()
         self._tenant_idx = tenant_idx
         self._tenant_table = tenant_table
         self._bank = _ExampleBank(examples)
         self._next = 0
-        # The next pending arrival as a plain float (None once drained), so
-        # peeking and empty pulls touch no array.
+        # The next pending arrival (None once drained).
         self._next_time: Optional[float] = (
-            float(times[0]) if times.size else None)
+            self._time_list[0] if self._time_list else None)
 
     @property
     def total_requests(self) -> int:
@@ -180,10 +184,10 @@ class OpenLoopPoissonSource(RequestSource):
         # Nothing pending at or before ``until``: a float compare.
         if self._next_time is None or until < self._next_time:
             return EMPTY_WAVE
-        # One searchsorted over the sorted arrival array cuts the wave;
-        # nothing per request happens until admission has decided.
-        end = int(self._times.searchsorted(until, "right"))
+        # One bisection cuts the wave; nothing per request happens until
+        # admission has decided.
         start = self._next
+        end = bisect_right(self._time_list, until, start)
         idx = self._tenant_idx
         wave = ArrivalWave(times=self._times[start:end], first_id=start,
                            bank=self._bank, first_cursor=self._bank.cursor,
@@ -191,7 +195,7 @@ class OpenLoopPoissonSource(RequestSource):
                            tenant_table=self._tenant_table)
         self._next = end
         self._next_time = (
-            float(self._times[end]) if end < self._times.size else None)
+            self._time_list[end] if end < len(self._time_list) else None)
         self._bank.advance(end - start)
         return wave
 

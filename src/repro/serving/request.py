@@ -4,7 +4,9 @@ A request is one single-example inference call: a payload row (no batch
 axis) plus its arrival time in the simulated clock.  It reaches the router
 as one offset of an :class:`~repro.serving.generators.ArrivalWave`, and
 once admitted it is a plain tuple ``(arrival, request_id, tenant, client,
-example)``, a queue **entry**.  The router keeps its accounting as column
+example)``, a queue **entry**, where ``example`` is the payload's row index
+in the source's example bank (the rows themselves are gathered once per
+forward pass).  The router keeps its accounting as column
 blocks — a :class:`RecordBlock` per completed micro-batch of entries, a
 :class:`ShedBlock` per admission pull that shed — and builds a
 :class:`RequestRecord` (the per-request latency breakdown, queueing vs.

@@ -399,10 +399,12 @@ class RequestRouter:
         self._admit_handle: Optional[int] = None
         self._dispatch_handle: Optional[int] = None
         self._inflight: Optional[Tuple[int, List[tuple], int, float]] = None
-        # Completed micro-batches whose forward has not run yet, and their
-        # request count (see forward_completed).
+        # Completed micro-batches whose forward has not run yet, their
+        # request count, and the example bank their entries index (the
+        # source's, from the waves it hands over; see forward_completed).
         self._completed: List[List[tuple]] = []
         self._completed_rows = 0
+        self._examples: Optional[np.ndarray] = None
         # Last observed batch service time — the deterministic basis for the
         # admission controller's wait estimate (0.0 until a batch completes,
         # so a cold router never wait-sheds).
@@ -598,6 +600,7 @@ class RequestRouter:
         wave = self.source.take_wave(until)
         if not len(wave.times):
             return 0
+        self._examples = wave.bank.examples
         times = wave.times.tolist()
         if self.admission is None:
             self._pending.push_wave(wave.entries(times))
@@ -843,7 +846,7 @@ class RequestRouter:
         if not batches:
             return
         logits = self.inference.predict_stacked(
-            [e[4] for batch in batches for e in batch],
+            self._examples, [e[4] for batch in batches for e in batch],
             [len(batch) for batch in batches])
         if self.collect_logits:
             self.report.logits.update(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import itertools
 import pathlib
 import sys
 import weakref
@@ -164,6 +165,19 @@ class TestRuns:
         assert run.runs == [(0, 72, 0, 3, 24), (72, 112, 3, 8, 8)]
         assert len(VectorizedRun(_segments([2, 1, 2, 1]), training=False).runs) == 4
 
+    @settings(max_examples=100, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=12))
+    def test_size_runs_give_the_run_their_segments_give(self, sizes):
+        """An inference run built from ``(size, count)`` rows — the stacked
+        serving pass's form — equals the one its segment table builds, with
+        no per-segment lists."""
+        pairs = [(size, len(list(group))) for size, group in itertools.groupby(sizes)]
+        got = VectorizedRun(np.array(pairs), training=False)
+        want = VectorizedRun(_segments(sizes), training=False)
+        assert (got.runs, got.uniform, got.batch, got.num_stacked) == (
+            want.runs, want.uniform, want.batch, want.num_stacked)
+        assert got.segments is None and got.sizes is None
+
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 class TestInferenceEqualsTheOracle:
@@ -189,6 +203,16 @@ class TestInferenceEqualsTheOracle:
     def test_drawn_uneven_tables(self, name, sizes):
         _assert_same_logits(name, VirtualNodeSet.uneven(sizes), sum(sizes),
                             tuple(_segments(sizes)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(runs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4)),
+                         min_size=1, max_size=5).filter(
+                             lambda runs: any(size * count for size, count in runs)))
+    def test_drawn_size_runs(self, name, runs):
+        """Size runs: neighbours of equal size (not maximal), empty runs
+        and empty segments included."""
+        _assert_same_logits(name, VirtualNodeSet.even(1, 1),
+                            sum(size * count for size, count in runs), np.array(runs))
 
     def test_a_cached_run_serves_every_batch_like_a_fresh_backend(self, name):
         backend = FusedBackend()
@@ -270,12 +294,36 @@ class TestBoundsMustTileTheBatch:
         with pytest.raises(ValueError, match="shard bounds"):
             backend().infer(_serving_model("mlp"), VirtualNodeSet.even(2, 2), x, bounds)
 
+    @pytest.mark.parametrize("runs", [
+        [[2, 2]],                    # short of the batch
+        [[2, 4]],                    # past the batch
+        [[2, 4], [-1, 2]],           # a negative size
+        [[2, 4], [1, -2]],           # a negative count
+    ])
+    def test_size_runs_rejected(self, backend, runs):
+        x, _ = _batch("mlp", 6)
+        with pytest.raises(ValueError, match="shard bounds|negative"):
+            backend().infer(_serving_model("mlp"), VirtualNodeSet.even(2, 2), x,
+                            np.array(runs))
+
     def test_a_cached_table_still_checks_the_batch_length(self, backend):
         instance, model = backend(), _serving_model("mlp")
         vn_set, bounds = VirtualNodeSet.even(2, 2), ((0, 2), (2, 4))
         assert len(instance.infer(model, vn_set, _batch("mlp", 4)[0], bounds)) == 4
         with pytest.raises(ValueError, match="shard bounds"):
             instance.infer(model, vn_set, _batch("mlp", 6)[0], bounds)
+
+
+def _count_without_gc(fn):
+    """``count_calls(fn)`` with the collector off: earlier tests' dead
+    models leave weak-cache callbacks, and a collection inside the count
+    would run them."""
+    gc.collect()
+    gc.disable()
+    try:
+        return count_calls(fn)[0]
+    finally:
+        gc.enable()
 
 
 class TestCallBudget:
@@ -296,7 +344,6 @@ class TestCallBudget:
         mapping = Mapping.even(vn_set, Cluster.homogeneous("V100", 1))
         engines = [on_reference(InferenceEngine(workload, model, mapping)),
                    InferenceEngine(workload, model, mapping)]
-        gc.collect()  # no earlier test's weak-cache callbacks inside a count
         for n in range(1, 9):
             x, _ = _batch("mlp", n)
             counts = []
@@ -304,7 +351,7 @@ class TestCallBudget:
                 bounds, _, _ = engine.engine.inference_plan(n)
                 infer = functools.partial(engine.backend.infer, model, vn_set, x, bounds)
                 infer()  # plans, kernel list and run are memoized on first use
-                counts.append(count_calls(lambda: infer())[0])
+                counts.append(_count_without_gc(infer))
             loop, fused = counts
             assert fused <= loop, (v, n, counts)
             assert fused <= self.LOOP_CALLS[min(n, v)], (v, n, counts)
@@ -317,10 +364,7 @@ class TestCallBudget:
         rows = list(_batch("mlp", 5)[0])
         # Outside ``predict``: a stub that hands the gathered batch back.
         monkeypatch.setattr(InferenceEngine, "predict", lambda self, x: x)
-        # Earlier tests' dead models leave weak-cache callbacks that a
-        # collection inside the count would run: collect them first.
-        gc.collect()
-        assert count_calls(lambda: engine.predict_requests(rows))[0] <= 6
+        assert _count_without_gc(lambda: engine.predict_requests(rows)) <= 6
         _assert_same_array(engine.predict_requests(rows), np.stack(rows, axis=0))
         with pytest.raises(ValueError):
             engine.predict_requests([np.zeros(32), np.zeros(31)])

@@ -1,7 +1,8 @@
 """Stacked inference: many micro-batches forwarded in one backend call.
 
-``InferenceEngine.predict_stacked`` gathers the node segments of every
-micro-batch, grouped by segment size, into one batch and one array table.
+``InferenceEngine.predict_stacked`` gathers the bank rows of every
+micro-batch, its node segments grouped by segment size, into one batch and
+hands the backend one ``(size, count)`` size run per segment size.
 Hypothesis draws the model family (the MLP, ``SmallCNN`` serving a trained
 job's merged ``vn_states``, ``TinyBert``, ``TinyTransformer``, and an MLP
 with a user layer that has no kernel, which the fused backend hands to its
@@ -117,7 +118,7 @@ def test_stacked_rows_equal_each_micro_batch_predicted_alone(reference, case):
     engine = _engine(case["family"], case["vn_set"], case["devices"], reference)
     bank = _served(case["family"])[3]
     examples = [bank[i] for i in case["rows"]]
-    stacked = engine.predict_stacked(examples, case["lengths"])
+    stacked = engine.predict_stacked(bank, case["rows"], case["lengths"])
     assert len(stacked) == len(examples)
     start = 0
     for length in case["lengths"]:
@@ -134,11 +135,21 @@ def test_stacked_rows_equal_each_micro_batch_predicted_alone(reference, case):
 def test_a_stacked_pass_caches_no_table_and_charges_nothing():
     engine = _engine("mlp_synthetic", VirtualNodeSet.even(4, 4), 2, reference=False)
     bank = _served("mlp_synthetic")[3]
-    engine.predict_stacked(list(bank[:25]), [1, 5, 8, 3, 8])
+    engine.predict_stacked(bank, list(range(25)), [1, 5, 8, 3, 8])
     assert engine.backend._inference_runs == {}
     assert (engine.requests_served, engine.sim_time) == (0, 0.0)
     assert engine.price(5) == engine.engine.inference_plan(5)[1:]
     assert engine.requests_served == 1
+
+
+def test_row_labels_are_kept_per_length_and_dropped_on_remap():
+    engine = _engine("mlp_synthetic", VirtualNodeSet.even(4, 4), 2, reference=False)
+    bank = _served("mlp_synthetic")[3]
+    want = engine.predict_stacked(bank, list(range(17)), [1, 5, 8, 3])
+    assert sorted(engine._row_labels) == [1, 3, 5, 8]
+    engine.remap(Mapping.even(engine.mapping.vn_set, Cluster.homogeneous("V100", 4)))
+    assert engine._row_labels == {}
+    _same_bytes(engine.predict_stacked(bank, list(range(17)), [1, 5, 8, 3]), want)
 
 
 def test_the_call_count_does_not_grow_with_batches_or_segments():
@@ -147,8 +158,8 @@ def test_the_call_count_does_not_grow_with_batches_or_segments():
 
     def calls(repeat):
         lengths = [1, 5, 8, 3] * repeat
-        examples = list(bank[np.arange(sum(lengths)) % len(bank)])
-        return count_calls(lambda: engine.predict_stacked(examples, lengths))[0]
+        rows = (np.arange(sum(lengths)) % len(bank)).tolist()
+        return count_calls(lambda: engine.predict_stacked(bank, rows, lengths))[0]
 
     calls(1)  # plans and kernel lists are memoized on first use
     gc.collect()
@@ -163,4 +174,4 @@ def test_the_call_count_does_not_grow_with_batches_or_segments():
 def test_lengths_must_split_the_examples_into_non_empty_batches(lengths):
     engine = _engine("mlp_synthetic", VirtualNodeSet.even(2, 2), 1, reference=False)
     with pytest.raises(ValueError, match="micro-batch lengths"):
-        engine.predict_stacked(list(_served("mlp_synthetic")[3][:5]), lengths)
+        engine.predict_stacked(_served("mlp_synthetic")[3], list(range(5)), lengths)

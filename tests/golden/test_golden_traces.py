@@ -40,14 +40,13 @@ def _load(name: str) -> dict:
 
 @pytest.fixture(scope="module", params=[
     ("heap", "wave"),
-    ("calendar", "wave"),
+    ("production", "wave"),
 ], ids=lambda p: f"{p[0]}-{p[1]}")
 def current(request) -> dict:
     """One capture of every fixture scenario per event queue.
 
-    ``calendar-wave`` is the production stack as built (``calendar`` names
-    the production ``EventQueue``, after the time-wheel index it had until
-    it became one binary heap; ``wave`` the one arrival path).
+    ``production-wave`` is the production stack as built (the production
+    ``EventQueue``; ``wave`` the one arrival path).
     ``heap-wave`` substitutes a reference from the test side, no mode of
     ``src/`` involved: it runs every scenario on the ``(time, seq)`` heap
     model in ``tests/oracles/event_queue.py`` instead of ``EventQueue``.

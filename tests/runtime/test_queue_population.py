@@ -7,8 +7,11 @@ Every interleaving of ``post`` / ``post_many`` / ``cancel_handle`` /
 ``tests/oracles/event_queue.py``, with ``len(queue)`` and
 ``debug_stats()["live"]`` exact after every step.
 
-One harness applies each operation to the sorted list, the oracle and the
-production queue; a hypothesis state machine draws the interleavings, and a
+One harness applies each operation to the sorted list, the oracle and two
+production queues — one takes each wave through ``post_many``, the other
+through a loop of ``post``, and their handles must be equal, wave or not
+(the slab's handle contract); a hypothesis state machine draws the
+interleavings, and a
 seeded walk steers the population across ``LINE`` live events (where the
 queue once switched from a heap to a time wheel) in both directions, with
 waves, drains and cancellation storms, so large populations are guaranteed,
@@ -37,10 +40,13 @@ TIMES = st.one_of(
 
 
 class QueueHarness:
-    """A sorted list, the heap oracle and the production queue, in lockstep."""
+    """A sorted list, the heap oracle and the production queue, in lockstep
+    — the latter twice: ``post_loop`` posts each wave one ``post`` at a
+    time."""
 
     def __init__(self) -> None:
-        self.queues = {"heap": HeapQueueOracle(), "production": EventQueue()}
+        self.queues = {"heap": HeapQueueOracle(), "production": EventQueue(),
+                       "post_loop": EventQueue()}
         self.model = []          # live (time, seq), sorted
         self.handles = {}        # seq -> {queue: int handle}; never forgotten
         self.seq = 0
@@ -54,12 +60,16 @@ class QueueHarness:
         self.seq += 1
 
     def post(self, time: float) -> None:
-        self._scheduled(time, {b: q.post(time, self.action)
-                               for b, q in self.queues.items()})
+        handles = {b: q.post(time, self.action) for b, q in self.queues.items()}
+        assert handles["production"] == handles["post_loop"]
+        self._scheduled(time, handles)
 
     def post_many(self, times) -> None:
         per_backend = {b: q.post_many(times, self.action).tolist()
-                       for b, q in self.queues.items()}
+                       for b, q in self.queues.items() if b != "post_loop"}
+        per_backend["post_loop"] = [self.queues["post_loop"].post(t, self.action)
+                                    for t in times]
+        assert per_backend["production"] == per_backend["post_loop"]
         for i, t in enumerate(times):
             self._scheduled(t, {b: hs[i] for b, hs in per_backend.items()})
 
@@ -96,9 +106,10 @@ class QueueHarness:
     def check(self) -> None:
         live = len(self.model)
         assert len(self.queues["heap"]) == live
-        stats = self.queues["production"].debug_stats()
-        assert len(self.queues["production"]) == stats["live"] == live
-        assert stats["index_entries"] >= live
+        for name in ("production", "post_loop"):
+            stats = self.queues[name].debug_stats()
+            assert len(self.queues[name]) == stats["live"] == live
+            assert stats["index_entries"] >= live
 
 
 class QueueMachine(RuleBasedStateMachine):

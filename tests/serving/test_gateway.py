@@ -46,8 +46,9 @@ def _serve(spec=FLOOD_SPEC, rate=4250.0, duration=1.0, seed=7, **kwargs):
 
 
 def _entry(request_id, arrival, tenant):
-    """A queue entry: ``(arrival, request_id, tenant, client, example)``."""
-    return (arrival, request_id, tenant, None, np.zeros(4))
+    """A queue entry: ``(arrival, request_id, tenant, client, example)``,
+    ``example`` a bank row index."""
+    return (arrival, request_id, tenant, None, request_id % 4)
 
 
 def _ids(batch):
@@ -496,8 +497,10 @@ class TestMultiTenantPoissonSource:
                    and oracle.next_arrival_time() <= until):
                 want += _take(oracle, oracle.next_arrival_time())
             assert [e[:4] for e in got] == [e[:4] for e in want]
+            # Each entry names its payload by bank row index.
             for g, w in zip(got, want):
-                assert np.array_equal(g[4], w[4])
+                assert np.array_equal(waves._bank.examples[g[4]],
+                                      oracle._bank.examples[w[4]])
             assert waves.next_arrival_time() == oracle.next_arrival_time()
 
 

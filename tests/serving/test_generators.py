@@ -79,7 +79,9 @@ class TestOpenLoopSource:
         assert len(got) == source.total_requests
         assert [e[1] for e in got] == list(range(len(got)))
         for _, request_id, _, _, example in got:
-            np.testing.assert_array_equal(example, examples[request_id % 3])
+            assert type(example) is int  # a bank row index, not a row view
+            np.testing.assert_array_equal(examples[example],
+                                          examples[request_id % 3])
 
     def test_take_respects_clock(self):
         examples = np.zeros((1, 2))
@@ -183,8 +185,8 @@ class TestClosedLoopSource:
             assert [e[3] for e in entries] == wave.clients
             assert sorted(wave.clients) == [0, 1, 2, 3]  # one per client
             for _, request_id, tenant, _, example in entries:
-                assert tenant is None
-                np.testing.assert_array_equal(example,
+                assert tenant is None and type(example) is int
+                np.testing.assert_array_equal(wave.bank.examples[example],
                                               examples[request_id % 5])
             shed = wave.shed_block([1, 3], ["depth", "wait"])
             assert shed.ids.tolist() == [issued + 1, issued + 3]
