@@ -49,7 +49,7 @@ def test_fig15_16_gavel_heterogeneous(benchmark):
     # Fig 16-style allocation trace for one run.
     lines = []
     for job in example.jobs.values():
-        for t, alloc in job.allocation_log:
+        for t, alloc in job.round_log:
             if alloc:
                 kinds = "+".join(f"{n}x{k}" for k, n in sorted(alloc.items()))
                 tag = "HETERO" if len(alloc) > 1 else "homog"

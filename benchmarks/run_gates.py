@@ -61,6 +61,8 @@ GATES: Tuple[Gate, ...] = (
     Gate("chaos_goodput", "bench_chaos_goodput.py", wall_clock=False),
     Gate("cosched_harvest", "bench_cosched_harvest.py", wall_clock=False),
     Gate("domain_blast", "bench_domain_blast.py", wall_clock=False),
+    Gate("fig15_16_gavel", "bench_fig15_16_gavel_hetero.py", smoke=False,
+         wall_clock=False),
     Gate("fig17_microbench", "bench_fig17_microbench.py", smoke=False),
     Gate("fused_coverage", "bench_fused_coverage.py"),
     Gate("gateway_throughput", "bench_gateway_throughput.py"),

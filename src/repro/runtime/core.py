@@ -1,11 +1,12 @@
 """The shared discrete-event core: event queue, processes, runtime.
 
-Both the elastic cluster simulator (training jobs) and the serving router
-(inference traffic) are discrete-event loops over the same simulated clock;
-until this module existed each hand-rolled its own time bookkeeping and
-event ordering, which made the paper's most interesting scenario — training
-elastically donating devices to a serving spike on one shared pool —
-inexpressible.  This is the one event loop both now run on:
+The elastic cluster simulator (training jobs), the serving router
+(inference traffic) and the Gavel scheduler (one event per round) are
+discrete-event loops over the same simulated clock; until this module
+existed each hand-rolled its own time bookkeeping and event ordering, which
+made the paper's most interesting scenario — training elastically donating
+devices to a serving spike on one shared pool — inexpressible.  This is the
+one event loop all three run on:
 
 * :class:`EventQueue` — the scheduler, and the one way to schedule an
   event.  Events live in **slab storage** (:class:`_EventSlab`:

@@ -2,9 +2,10 @@
 
 Gavel-style round-based scheduling (§6.5.2): the Least Attained Service
 policy over a heterogeneous cluster, with and without VirtualFlow's
-heterogeneous allocations.  Co-scheduling: elastic training and a serving
-router sharing one device pool on the unified discrete-event runtime, with
-the :class:`CoScheduler` harvesting training GPUs during serving spikes.
+heterogeneous allocations, one runtime event per round.  Co-scheduling:
+elastic training and a serving router sharing one device pool, with the
+:class:`CoScheduler` harvesting training GPUs during serving spikes.  Both
+run on the unified discrete-event runtime.
 """
 
 from repro._lazy import lazy_exports

@@ -1,45 +1,52 @@
 """Gavel [Narayanan et al., OSDI 2020] reimplementation and the VirtualFlow
 heterogeneous-training extension (§6.5.2).
 
-Gavel schedules a heterogeneous cluster in fixed rounds (the paper uses 6
-minutes) under a policy; we implement Least Attained Service (LAS): each
-round, jobs that have consumed the least normalized GPU-time are served
-first.  Stock Gavel considers *homogeneous* allocations only — a job runs on
-GPUs of a single type each round.  The extension lets a job additionally
-absorb leftover GPUs of other types, with throughput given by a balanced
-batch split across types (VirtualFlow's heterogeneous training), which is
-what produces the hatched allocations of Figure 16 and the JCT reductions of
-Figure 15.
+Gavel schedules a heterogeneous cluster in fixed rounds of :data:`ROUND_S`
+seconds (the paper's 6 minutes) under a policy; we implement Least Attained
+Service (LAS): each round, jobs that have consumed the least normalized
+GPU-time are served first.  Stock Gavel considers *homogeneous* allocations
+only — a job runs on GPUs of a single type each round.  The extension lets
+a job additionally absorb leftover GPUs of other types, with throughput
+given by a balanced batch split across types (VirtualFlow's heterogeneous
+training), which is what produces the hatched allocations of Figure 16 and
+the JCT reductions of Figure 15.
+
+Each round is one event on the shared discrete-event
+:class:`~repro.runtime.core.Runtime`, and a job is a
+:class:`~repro.elastic.jobs.JobState` plus Gavel's two fields of its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.elastic.jobs import JobSpec
+from repro.elastic.jobs import JobSpec, JobState, JobStatus
 from repro.framework.models import get_workload
 from repro.hardware.device import get_spec
 from repro.hardware.perfmodel import PerfModel
+from repro.runtime.core import Runtime
 
 __all__ = ["GavelJob", "GavelSimulator", "GavelResult", "hetero_split", "hetero_throughput"]
 
-# Normalized GPU-time weights for attained service (V100-equivalents).
-def _service_weight(device_type: str) -> float:
-    return get_spec(device_type).compute_factor
+ROUND_S = 360.0      # seconds per scheduling round (paper: 6 minutes)
+# Extra devices join a job only when they raise its predicted throughput by
+# at least this factor (guards against sync overhead swamping slow-GPU
+# contributions — the Figure 15 "graceful fallback").
+MIN_SPEEDUP = 1.05
+MAX_ROUNDS = 100_000  # a trace still unfinished after this many rounds is an error
+_PERF = PerfModel()
 
 
-def hetero_split(spec: JobSpec, allocation: Mapping[str, int],
-                 perf: Optional[PerfModel] = None) -> Dict[str, int]:
+def hetero_split(spec: JobSpec, allocation: Mapping[str, int]) -> Dict[str, int]:
     """Split the job's global batch across device types, balancing step times.
 
     Shares are proportional to each type's aggregate per-example rate, then
     rounded to whole examples with the remainder going to the fastest type.
     """
-    perf = perf or PerfModel()
     workload = get_workload(spec.workload)
     rates = {}
     for t, n in allocation.items():
@@ -47,7 +54,7 @@ def hetero_split(spec: JobSpec, allocation: Mapping[str, int],
             continue
         # examples/second of one device of this type at the job's wave batch
         wave = max(1, spec.wave_batch)
-        rate = wave / perf.wave_time(workload, get_spec(t), wave)
+        rate = wave / _PERF.wave_time(workload, get_spec(t), wave)
         rates[t] = n * rate
     if not rates:
         raise ValueError("empty allocation")
@@ -59,19 +66,17 @@ def hetero_split(spec: JobSpec, allocation: Mapping[str, int],
     return shares
 
 
-def hetero_throughput(spec: JobSpec, allocation: Mapping[str, int],
-                      perf: Optional[PerfModel] = None) -> float:
+def hetero_throughput(spec: JobSpec, allocation: Mapping[str, int]) -> float:
     """Steps/second for a (possibly heterogeneous) allocation.
 
     Uses the balanced split from :func:`hetero_split`; the synchronous step is
     bottlenecked on the slowest type plus the all-reduce.
     """
-    perf = perf or PerfModel()
     workload = get_workload(spec.workload)
     alloc = {t: n for t, n in allocation.items() if n > 0}
     if not alloc:
         raise ValueError("empty allocation")
-    shares = hetero_split(spec, alloc, perf)
+    shares = hetero_split(spec, alloc)
     slowest = 0.0
     for t, n in alloc.items():
         per_device = shares[t] / n
@@ -80,72 +85,50 @@ def hetero_throughput(spec: JobSpec, allocation: Mapping[str, int],
         # Waves sized at most the job's wave batch (virtual nodes).
         n_waves = max(1, math.ceil(per_device / max(1, spec.wave_batch)))
         per_wave = per_device / n_waves
-        t_dev = n_waves * perf.wave_time(workload, get_spec(t), max(1, int(round(per_wave))))
-        t_dev += perf.update_time(workload, get_spec(t))
+        t_dev = n_waves * _PERF.wave_time(workload, get_spec(t), max(1, int(round(per_wave))))
+        t_dev += _PERF.update_time(workload, get_spec(t))
         slowest = max(slowest, t_dev)
     n_devices = sum(alloc.values())
-    comm = perf.interconnect.allreduce_time(workload.footprint.param_bytes, n_devices)
+    comm = _PERF.interconnect.allreduce_time(workload.footprint.param_bytes, n_devices)
     return 1.0 / (slowest + comm)
 
 
 @dataclass
-class GavelJob:
-    """Per-job scheduling state in the Gavel simulation."""
+class GavelJob(JobState):
+    """A :class:`JobState` plus Gavel's own two fields.
 
-    spec: JobSpec
-    steps_done: float = 0.0
+    Gavel keeps ``steps_done``, ``finish_time`` and ``status`` (``FINISHED``
+    once the job completes).  The per-allocation fields (``gpus``,
+    ``first_alloc_time``, ``allocation_log``, ``resizes``) keep their
+    defaults: a Gavel allocation is per device type and per round, which
+    ``round_log`` records.
+    """
+
     attained_service: float = 0.0  # normalized (V100-equivalent) GPU-seconds
-    finish_time: Optional[float] = None
-    # (round start time, {type: count}) for Figure-16 style plots.
-    allocation_log: List[Tuple[float, Dict[str, int]]] = field(default_factory=list)
-
-    @property
-    def job_id(self) -> int:
-        return self.spec.job_id
-
-    @property
-    def finished(self) -> bool:
-        return self.finish_time is not None
-
-    @property
-    def remaining_steps(self) -> float:
-        return max(0.0, self.spec.total_steps - self.steps_done)
-
-    def jct(self) -> float:
-        if self.finish_time is None:
-            raise RuntimeError(f"job {self.job_id} did not finish")
-        return self.finish_time - self.spec.arrival_time
-
-    def used_heterogeneous(self) -> bool:
-        return any(sum(1 for v in alloc.values() if v > 0) > 1
-                   for _, alloc in self.allocation_log)
+    # (round start time, {type: count}) per active round, for Figure 16.
+    round_log: List[Tuple[float, Dict[str, int]]] = field(default_factory=list)
 
 
 @dataclass
 class GavelResult:
     """Outcome of one Gavel simulation."""
 
-    heterogeneous: bool
     jobs: Dict[int, GavelJob]
-    makespan: float
 
     def avg_jct(self) -> float:
         return float(np.mean([j.jct() for j in self.jobs.values()]))
 
     def hetero_round_fraction(self) -> float:
         """Fraction of allocated rounds that were heterogeneous."""
-        total = hetero = 0
-        for job in self.jobs.values():
-            for _, alloc in job.allocation_log:
-                if sum(alloc.values()) > 0:
-                    total += 1
-                    if sum(1 for v in alloc.values() if v > 0) > 1:
-                        hetero += 1
-        return hetero / total if total else 0.0
+        allocated = [a for job in self.jobs.values() for _, a in job.round_log if a]
+        return sum(len(a) > 1 for a in allocated) / len(allocated) if allocated else 0.0
 
 
 class GavelSimulator:
-    """Round-based LAS scheduling over a heterogeneous cluster.
+    """Round-based scheduling over a heterogeneous cluster.
+
+    Rounds last :data:`ROUND_S` seconds, and the extension adds a device
+    type to a job only at a predicted speedup of :data:`MIN_SPEEDUP` or more.
 
     Parameters
     ----------
@@ -154,33 +137,21 @@ class GavelSimulator:
     heterogeneous:
         If True, jobs may absorb leftover GPUs of other types (the
         VirtualFlow extension); if False, stock Gavel behaviour.
-    round_duration:
-        Seconds per scheduling round (paper: 6 minutes).
-    min_speedup:
-        Extra devices are only added when they improve a job's predicted
-        throughput by at least this factor (guards against sync overhead
-        swamping slow-GPU contributions — the Figure 15 "graceful fallback").
     """
 
     POLICIES = ("las", "fifo", "srtf")
 
     def __init__(self, cluster_counts: Mapping[str, int], heterogeneous: bool = False,
-                 round_duration: float = 360.0, min_speedup: float = 1.05,
-                 perf: Optional[PerfModel] = None, policy: str = "las") -> None:
-        if round_duration <= 0:
-            raise ValueError("round_duration must be positive")
+                 policy: str = "las") -> None:
         if policy not in self.POLICIES:
             raise ValueError(f"unknown policy {policy!r}; choose from {self.POLICIES}")
-        if not cluster_counts:
-            raise ValueError("cluster_counts is empty")
+        if sum(cluster_counts.values()) < 1:
+            raise ValueError("cluster has no devices")
         for t in cluster_counts:
             get_spec(t)
         self.cluster_counts = dict(cluster_counts)
         self.heterogeneous = heterogeneous
-        self.round_duration = round_duration
-        self.min_speedup = min_speedup
         self.policy = policy
-        self.perf = perf or PerfModel()
         # Fastest types first for the homogeneous pass.
         self.types_by_speed = sorted(
             self.cluster_counts, key=lambda t: -get_spec(t).compute_factor
@@ -198,7 +169,7 @@ class GavelSimulator:
             key = lambda j: (j.remaining_steps, j.spec.arrival_time, j.job_id)
         return sorted(active, key=key)
 
-    def _allocate_round(self, time: float, active: List[GavelJob]) -> Dict[int, Dict[str, int]]:
+    def _allocate_round(self, active: List[GavelJob]) -> Dict[int, Dict[str, int]]:
         free = dict(self.cluster_counts)
         order = self._round_order(active)
         allocations: Dict[int, Dict[str, int]] = {j.job_id: {} for j in active}
@@ -218,15 +189,13 @@ class GavelSimulator:
                 alloc = allocations[job.job_id]
                 if not alloc:
                     continue
-                base = hetero_throughput(job.spec, alloc, self.perf)
+                base = hetero_throughput(job.spec, alloc)
                 for t in self.types_by_speed:
                     if free[t] < 1 or t in alloc:
                         continue
-                    extra = free[t]
-                    trial = dict(alloc)
-                    trial[t] = extra
-                    tput = hetero_throughput(job.spec, trial, self.perf)
-                    if tput >= base * self.min_speedup:
+                    trial = {**alloc, t: free[t]}
+                    tput = hetero_throughput(job.spec, trial)
+                    if tput >= base * MIN_SPEEDUP:
                         alloc = trial
                         base = tput
                         free[t] = 0
@@ -235,35 +204,42 @@ class GavelSimulator:
 
     # -- full simulation -----------------------------------------------------------
 
-    def run(self, specs: Sequence[JobSpec], max_rounds: int = 100_000) -> GavelResult:
+    def run(self, specs: Sequence[JobSpec]) -> GavelResult:
         if not specs:
             raise ValueError("no jobs in trace")
         jobs = {s.job_id: GavelJob(spec=s) for s in specs}
-        time = 0.0
-        rounds = 0
-        while any(not j.finished for j in jobs.values()):
-            if rounds >= max_rounds:
-                raise RuntimeError(f"exceeded {max_rounds} rounds")
+        if len(jobs) != len(specs):
+            raise ValueError("duplicate job ids in trace")
+        runtime = Runtime()
+        unfinished = len(jobs)
+
+        def play_round(time: float) -> None:
+            nonlocal unfinished
             active = [j for j in jobs.values()
-                      if not j.finished and j.spec.arrival_time <= time]
+                      if j.status is not JobStatus.FINISHED and j.spec.arrival_time <= time]
             if active:
-                allocations = self._allocate_round(time, active)
+                allocations = self._allocate_round(active)
                 for job in active:
                     alloc = {t: n for t, n in allocations[job.job_id].items() if n > 0}
-                    job.allocation_log.append((time, dict(alloc)))
+                    job.round_log.append((time, alloc))
                     if not alloc:
                         continue
-                    rate = hetero_throughput(job.spec, alloc, self.perf)
-                    remaining_time = job.remaining_steps / rate
-                    span = min(self.round_duration, remaining_time)
+                    rate = hetero_throughput(job.spec, alloc)
+                    span = min(ROUND_S, job.remaining_steps / rate)
                     job.steps_done = min(job.spec.total_steps,
                                          job.steps_done + rate * span)
-                    weight = sum(n * _service_weight(t) for t, n in alloc.items())
+                    weight = sum(n * get_spec(t).compute_factor for t, n in alloc.items())
                     job.attained_service += weight * span
                     if job.remaining_steps <= 1e-9 * max(1, job.spec.total_steps):
                         job.steps_done = job.spec.total_steps
                         job.finish_time = time + span
-            time += self.round_duration
-            rounds += 1
-        makespan = max(j.finish_time or 0.0 for j in jobs.values())
-        return GavelResult(heterogeneous=self.heterogeneous, jobs=jobs, makespan=makespan)
+                        job.status = JobStatus.FINISHED
+                        unfinished -= 1
+            if unfinished:
+                runtime.queue.post(time + ROUND_S, play_round, kind="round", actor="gavel")
+
+        runtime.queue.post(0.0, play_round, kind="round", actor="gavel")
+        runtime.run(until=(MAX_ROUNDS - 1) * ROUND_S)
+        if unfinished:
+            raise RuntimeError(f"exceeded {MAX_ROUNDS} rounds")
+        return GavelResult(jobs=jobs)

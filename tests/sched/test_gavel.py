@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.elastic.jobs import JobSpec
+from repro.elastic.jobs import JobSpec, JobStatus
 from repro.elastic.trace import generate_trace
-from repro.sched import GavelSimulator, hetero_split, hetero_throughput
+from repro.sched import GavelSimulator, gavel, hetero_split, hetero_throughput
 
 CLUSTER = {"V100": 4, "P100": 8, "K80": 16}
 
@@ -54,7 +54,7 @@ class TestGavelSimulator:
     def test_all_jobs_finish(self):
         trace = [_spec(job_id=i, arrival=i * 600.0, steps=300) for i in range(4)]
         result = GavelSimulator(CLUSTER).run(trace)
-        assert all(j.finished for j in result.jobs.values())
+        assert all(j.status is JobStatus.FINISHED for j in result.jobs.values())
 
     def test_las_prefers_low_attained_service(self):
         """A newcomer must get the fast GPUs over a long-running job."""
@@ -65,7 +65,7 @@ class TestGavelSimulator:
         ]
         result = sim.run(trace)
         late = result.jobs[1]
-        first_alloc = next(a for _, a in late.allocation_log if a)
+        first_alloc = next(a for _, a in late.round_log if a)
         assert "V100" in first_alloc  # newcomer has zero attained service
 
     def test_hetero_extension_reduces_avg_jct(self):
@@ -78,7 +78,7 @@ class TestGavelSimulator:
         trace = generate_trace(8, jobs_per_hour=6, seed=3, target_runtime=1800)
         result = GavelSimulator(CLUSTER, heterogeneous=False).run(trace)
         for job in result.jobs.values():
-            assert not job.used_heterogeneous()
+            assert all(len(alloc) <= 1 for _, alloc in job.round_log)
 
     def test_extension_produces_hetero_rounds_at_low_load(self):
         trace = generate_trace(8, jobs_per_hour=4, seed=2, target_runtime=2400)
@@ -105,9 +105,22 @@ class TestGavelSimulator:
     def test_validation(self):
         with pytest.raises(ValueError):
             GavelSimulator({})
-        with pytest.raises(ValueError):
-            GavelSimulator(CLUSTER, round_duration=0)
+        with pytest.raises(ValueError, match="no devices"):
+            GavelSimulator({"V100": 0})
         with pytest.raises(ValueError):
             GavelSimulator(CLUSTER).run([])
         with pytest.raises(KeyError):
             GavelSimulator({"H100": 2})
+
+    def test_duplicate_job_ids_rejected(self):
+        """Two specs sharing an id must not run as one job."""
+        with pytest.raises(ValueError, match="duplicate job ids"):
+            GavelSimulator(CLUSTER).run([_spec(job_id=0), _spec(job_id=0, steps=100)])
+
+    def test_round_guard(self, monkeypatch):
+        """A trace still unfinished after ``MAX_ROUNDS`` rounds is an error."""
+        monkeypatch.setattr(gavel, "MAX_ROUNDS", 3)
+        with pytest.raises(RuntimeError, match="exceeded 3 rounds"):
+            GavelSimulator(CLUSTER).run([_spec(arrival=3 * gavel.ROUND_S)])
+        last = GavelSimulator(CLUSTER).run([_spec(steps=1, arrival=2 * gavel.ROUND_S)])
+        assert last.jobs[0].finish_time < 3 * gavel.ROUND_S  # served in round 3 of 3

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.elastic.jobs import JobSpec
+from repro.elastic.jobs import JobSpec, JobStatus
 from repro.sched import GavelSimulator
 
 CLUSTER = {"V100": 2, "P100": 4}
@@ -25,7 +25,7 @@ class TestPolicies:
         trace = [_spec(0, 20000), _spec(1, 4000, arrival=360.0)]
         for policy in GavelSimulator.POLICIES:
             result = GavelSimulator(CLUSTER, policy=policy).run(trace)
-            assert all(j.finished for j in result.jobs.values())
+            assert all(j.status is JobStatus.FINISHED for j in result.jobs.values())
 
     def test_srtf_prefers_short_job(self):
         """Under SRTF the short job gets the fast GPUs and finishes sooner
@@ -40,7 +40,7 @@ class TestPolicies:
         trace = [_spec(0, 30000), _spec(1, 30000, arrival=1.0)]
         result = sim.run(trace)
         # Job 0 keeps the fast GPUs: its first allocation is the V100s.
-        first = next(a for _, a in result.jobs[0].allocation_log if a)
+        first = next(a for _, a in result.jobs[0].round_log if a)
         assert "V100" in first
 
     def test_policy_changes_outcomes(self):

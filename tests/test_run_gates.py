@@ -56,6 +56,13 @@ class TestRegistry:
         assert gate.smoke and gate.gate
         assert not gate.wall_clock   # simulated time: no retry, no noise
 
+    def test_fig15_16_is_a_deterministic_pytest_gate(self, run_gates):
+        by_name = {g.name: g for g in run_gates.GATES}
+        gate = by_name["fig15_16_gavel"]
+        assert gate.script == "bench_fig15_16_gavel_hetero.py"
+        assert gate.gate and not gate.smoke   # no --smoke mode: pytest only
+        assert not gate.wall_clock            # simulated time: no retry
+
     def test_check_registry_cli_mode(self, run_gates, capsys):
         assert run_gates.main(["--check-registry"]) == 0
         capsys.readouterr()
