@@ -53,7 +53,7 @@ from repro.core import (
 from repro.core.backends import TrainStep
 from repro.core.backends.vectorized import supports_inference, supports_training
 from repro.core.sharding import shard_batch
-from repro.core.state import VirtualNodeState
+from repro.core.state import StateMatrix, VirtualNodeState
 from repro.core.virtual_node import VirtualNodeSet
 from repro.data import make_dataset
 from repro.framework import WORKLOADS, FlatTensorArena, SoftmaxCrossEntropy, get_workload
@@ -98,9 +98,8 @@ def coverage_matrix() -> List[Dict]:
         ds = make_dataset(workload.dataset, n=16, seed=0)
         step = TrainStep(
             model=model, loss_fn=SoftmaxCrossEntropy(), vn_set=vn_set,
-            vn_states=[VirtualNodeState(i, {k: v.copy() for k, v in
-                                            model.state_dict().items()})
-                       for i in range(4)],
+            state_matrix=StateMatrix.of([VirtualNodeState(i, model.state_dict())
+                                         for i in range(4)]),
             shards=shard_batch(vn_set, ds.x_train[:8], ds.y_train[:8]),
             seed=0, epoch=0, step=0, arena=FlatTensorArena.install(model))
         rows.append({

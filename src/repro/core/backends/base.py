@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 if TYPE_CHECKING:
-    from repro.core.state import VirtualNodeState
+    from repro.core.state import StateMatrix
     from repro.core.virtual_node import VirtualNodeSet
     from repro.framework.arena import FlatTensorArena
     from repro.framework.layers import Module
@@ -50,8 +50,7 @@ class TrainStep:
     """The logical inputs of one training step, independent of backend.
 
     ``shards`` are the per-virtual-node ``(x, y)`` slices in canonical order
-    (produced by :func:`repro.core.sharding.shard_batch`); ``vn_states`` are
-    updated in place when the model carries stateful kernels.
+    (produced by :func:`repro.core.sharding.shard_batch`).
 
     ``arena`` is the model's installed
     :class:`~repro.framework.arena.FlatTensorArena`: backends stack
@@ -59,16 +58,16 @@ class TrainStep:
     average as an arena view (one flat array), which the optimizer updates
     in one whole-arena pass.
 
-    ``state_layout`` is the shared :class:`~repro.framework.arena.FlatLayout`
-    over the per-virtual-node stateful buffers (None when the model carries
-    none).  The executor computes it once per state template so backends can
-    skip the per-wave ``state_dict`` round trip for stateless models and
-    pack/scatter stateful ones through one flat matrix; backends fall back to
-    deriving it from ``vn_states`` when a caller leaves it unset.
+    ``state_matrix`` is the job's per-virtual-node stateful buffers, one
+    row per node (:class:`~repro.core.state.StateMatrix`; None when the
+    model carries none): the step updates the rows in place — the
+    executor's own matrix, so its ``vn_states`` see the update.  A
+    hand-built step over plain states passes ``StateMatrix.of(states)``;
+    a stateful model on a step without one raises ``KeyError``.
 
     ``workspace`` is the executor's per-run buffer dict, handed to every
     step: the buffers a step needs again next step with the same shapes
-    (patch rows, kernel scratch, the packed state matrix) live there instead
+    (patch rows, kernel scratch) live there instead
     of being freed and faulted back in each step (see
     :class:`~repro.core.backends.vectorized.VectorizedRun`).  A step built
     without one gets an empty dict of its own, filled on first use.
@@ -77,14 +76,13 @@ class TrainStep:
     model: Module
     loss_fn: Loss
     vn_set: VirtualNodeSet
-    vn_states: List[VirtualNodeState]
     shards: List[Tuple[np.ndarray, np.ndarray]]
     seed: int
     epoch: int
     step: int
     arena: FlatTensorArena
+    state_matrix: Optional[StateMatrix] = None
     augment: Optional[object] = None  # repro.data.augment.Transform
-    state_layout: Optional[object] = None  # repro.framework.arena.FlatLayout
     workspace: Dict[tuple, object] = field(default_factory=dict)
 
 

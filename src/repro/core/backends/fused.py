@@ -14,11 +14,10 @@ cost for the entire built-in workload zoo:
   bit-identical to the reference loop (see the vectorized module's
   contract) without fragmenting into one stacked run per shard size.
 * Stateful kernels (BatchNorm moving statistics) no longer force the serial
-  loop: the per-virtual-node states are packed into one ``(V, S)`` matrix
-  (:func:`repro.core.state.pack_states`), the run reads and updates them
-  through ``(V, ...)``-stacked views, and the updated rows are scattered
-  back to the virtual-node states afterwards — replacing V pairs of
-  ``state_dict()``/``load_state_dict()`` deep copies per step.
+  loop: the per-virtual-node states are the rows of the job's one
+  ``(V, S)`` matrix (:class:`repro.core.state.StateMatrix`), and the run
+  reads and updates them in place through its ``(V, ...)``-stacked views,
+  built once per matrix — no per-node copy in or out of a step.
 * Inference batches run the same kernels over a **stateless** run.  The
   run for a shard-bounds table (its segment runs, validated once) is cached
   on first use and reused for every later batch of that shape — an
@@ -107,10 +106,10 @@ class FusedBackend(ExecutionBackend):
         True for every built-in workload — including stateful (BatchNorm)
         models and mixed-size wave groups; only user modules with no
         registered kernel fall back to the serial reference loop.  A
-        stateful model whose step carries no per-node buffers (a
-        hand-constructed :class:`TrainStep`) also falls back: the stacked
-        state views the kernels need cannot be built, and the reference
-        loop then raises its usual loud KeyError for the missing buffers.
+        stateful model whose step carries no state matrix (a
+        hand-constructed :class:`TrainStep`) also falls back: the kernels
+        have no stacked state views to update, and the reference loop then
+        raises its loud KeyError for the missing buffers.
         """
         per_loss = self._coverage.setdefault(step.model, {})
         loss_type = type(step.loss_fn)
@@ -120,10 +119,7 @@ class FusedBackend(ExecutionBackend):
             return False
         if "stateful" not in per_loss:
             per_loss["stateful"] = any(m.buffers for m in step.model.modules())
-        if per_loss["stateful"]:
-            return step.state_layout is not None or any(
-                state.buffers for state in step.vn_states)
-        return True
+        return not per_loss["stateful"] or step.state_matrix is not None
 
     def train_step(self, step: TrainStep) -> TrainStepOutput:
         if not self.can_fuse(step):
@@ -151,29 +147,15 @@ class FusedBackend(ExecutionBackend):
             return [vn_rng(step.seed, step.epoch, step.step, node.index)
                     for node in nodes]
 
-        # Stateful kernels: one packed matrix in (reused through the step's
-        # workspace), stacked views through the run, updated rows scattered
-        # back out — no per-wave dict round trip.  Only training loads them.
-        import repro.core.state as vn_state
-        layout = step.state_layout
-        if layout is None:
-            layout = vn_state.state_layout(step.vn_states)
-        state_views = None
-        if layout is not None:
-            ws = step.workspace
-            state_matrix = ws[("states",)] = vn_state.packed_state_matrix(
-                step.vn_states, layout, ws.get(("states",)))
-            state_views = layout.stacked_views(state_matrix)
-
+        # Stateful kernels update every node's row of the state matrix in
+        # place, through its stacked views.
+        states = step.state_matrix
         run = VectorizedRun(segments, training=True, rngs=rngs,
-                            state_views=state_views, workspace=step.workspace)
+                            state_views=None if states is None else states.stacked,
+                            workspace=step.workspace)
         logits = run.forward(step.model, x_cat)
         losses, dloss = vectorized_loss(step.loss_fn, run, logits, y_cat)
         run.backward(step.model, dloss, input_grad=False)  # nobody reads dL/dx
-
-        if layout is not None:
-            # Stateful kernels updated during the wave belong to each node.
-            vn_state.scatter_states(state_matrix, layout, step.vn_states)
 
         # Segment reduction in canonical virtual-node order — the exact
         # arithmetic of sync.weighted_average, including its sorted key

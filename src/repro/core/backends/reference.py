@@ -1,8 +1,9 @@
 """The canonical serial execution backend (paper Figure 5).
 
 One training step processes every virtual node's shard as a strictly serial
-wave loop in **canonical virtual-node order**: load the node's stateful
-kernels, forward, backward, snapshot its gradients, save its kernels.
+wave loop in **canonical virtual-node order**: load the node's row of the
+state matrix into the model's stateful kernels, forward, backward, snapshot
+its gradients, write the kernels back into the row.
 Floating-point addition is not associative, so this fixed order is what makes
 training bit-identical across any virtual-node-to-device mapping — the
 strongest form of the paper's "convergence depends only on virtual nodes"
@@ -37,27 +38,14 @@ class ReferenceBackend(ExecutionBackend):
 
     name = "reference"
 
-    @staticmethod
-    def _is_stateful(step: TrainStep) -> bool:
-        """Whether this step must round-trip per-node stateful kernels.
-
-        Stateless models (the empty-buffer common case) skip the per-wave
-        ``state_dict()``/``load_state_dict()`` pair entirely — the reference
-        loop used to deep-copy empty-adjacent dicts once per wave.  A
-        stateful *model* never skips: if its step carries empty per-node
-        buffers, ``load_state_dict`` raises the same loud KeyError it always
-        did rather than silently sharing one running state across waves.
-        """
-        if step.state_layout is not None:
-            return True
-        if any(True for _ in step.model.named_buffers()):
-            return True
-        return any(state.buffers for state in step.vn_states)
-
     def train_step(self, step: TrainStep) -> TrainStepOutput:
         model = step.model
         arena = step.arena
-        stateful = self._is_stateful(step)
+        states = step.state_matrix
+        buffers = [name for name, _ in model.named_buffers()]
+        if buffers and states is None:
+            # Never let one running state be shared silently across waves.
+            raise KeyError(f"missing buffer {buffers[0]!r}: the step carries no state matrix")
         num_nodes = step.vn_set.num_nodes
         stack = arena.grad_stack(num_nodes)
         weights = [0.0] * num_nodes
@@ -66,9 +54,8 @@ class ReferenceBackend(ExecutionBackend):
         # every wave reads the same (frozen) parameters, iterating in
         # canonical virtual-node order computes identical values.
         for node, (x_vn, y_vn) in zip(step.vn_set, step.shards):
-            state = step.vn_states[node.index]
-            if stateful:
-                model.load_state_dict(state.buffers)
+            if states is not None:
+                model.load_state_dict(states.nodes[node.index].buffers)
             if step.augment is not None:
                 x_vn = step.augment.apply(
                     x_vn, augment_rng(step.seed, step.epoch, step.step, node.index))
@@ -80,9 +67,10 @@ class ReferenceBackend(ExecutionBackend):
             stack[node.index] = arena.grads_flat  # one contiguous snapshot
             weights[node.index] = float(node.batch_size)
             weighted_loss += loss_value * node.batch_size
-            if stateful:
+            if states is not None:
                 # Stateful kernels updated during the wave belong to this node.
-                state.buffers = model.state_dict()
+                states.layout.pack(dict(model.named_buffers()),
+                                   out=states.rows[node.index])
         import repro.core.sync as sync  # training only: serving never loads it
         avg_flat = sync.weighted_average_flat(stack, weights, clobber=True)
         return TrainStepOutput(

@@ -215,9 +215,8 @@ class VectorizedRun:
     transient state (activation caches, per-node parameter gradients) so the
     model instance itself is never mutated — its own caches, gradients, and
     buffers are untouched.  Per-virtual-node stateful buffers, when present,
-    arrive as ``state_views`` — ``name -> (V,) + shape`` arrays backed by
-    one packed state matrix that the caller round-trips to the virtual-node
-    states.
+    arrive as ``state_views`` — ``name -> (V,) + shape`` views of the job's
+    state matrix, which the kernels update in place.
 
     ``workspace`` is the training step's buffer dict, owned by the executor
     and reused from step to step; a training run built without one gets an
@@ -232,8 +231,7 @@ class VectorizedRun:
       geometry: the zero-bordered padded input (``("padded", pad, shape,
       dtype)``: zeroed once, only its interior ever written) and the
       interleave buffers of the narrow reductions (``("sum", shape,
-      dtype)``);
-    * the fused backend's packed ``(V, S)`` state matrix (``("states",)``).
+      dtype)``).
 
     Anything a kernel returns or stashes — activations, gradients, the
     ``col2im`` result — stays a fresh allocation: a shared buffer would

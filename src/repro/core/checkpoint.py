@@ -28,7 +28,7 @@ from typing import Dict
 import numpy as np
 
 from repro.core.executor import VirtualFlowExecutor
-from repro.core.state import VirtualNodeState, pack_states, state_layout, unpack_states
+from repro.core.state import StateMatrix
 from repro.framework.arena import FlatLayout
 
 __all__ = ["save_checkpoint", "load_checkpoint"]
@@ -64,10 +64,10 @@ def save_checkpoint(executor: VirtualFlowExecutor, path: str) -> None:
         slots.setdefault(slot, {})[name] = value
     for slot, values in slots.items():
         arrays[f"optimizer.flat/{slot}"] = arena.layout.pack(values)
-    layout = state_layout(executor.vn_states)
-    if layout is not None:
-        arrays["vn.flat"] = pack_states(executor.vn_states, layout)
-        meta["state_layout"] = layout.spec()
+    states = executor.state_matrix
+    if states is not None:
+        arrays["vn.flat"] = states.rows
+        meta["state_layout"] = states.layout.spec()
     arrays[_META_KEY] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8
     ).copy()
@@ -129,17 +129,9 @@ def load_checkpoint(executor: VirtualFlowExecutor, path: str) -> Dict:
                     optimizer_state[f"{slot}.{name}"] = view
         executor.optimizer.load_state_dict(optimizer_state)
         executor.optimizer.step_count = int(meta["optimizer_step_count"])
-        num_nodes = executor.vn_set.num_nodes
-        if "vn.flat" in data.files:
-            new_states = unpack_states(data["vn.flat"],
-                                       _layout_from_meta(meta, "state_layout"))
-            if len(new_states) != num_nodes:
-                raise ValueError(
-                    f"checkpoint packs state for {len(new_states)} virtual "
-                    f"nodes, executor has {num_nodes}")
-        else:  # a stateless model
-            new_states = [VirtualNodeState(vn_index=i) for i in range(num_nodes)]
-        executor.vn_states = new_states
+        if "vn.flat" in data.files:  # copied into the executor's state matrix
+            executor.vn_states = StateMatrix(
+                _layout_from_meta(meta, "state_layout"), data["vn.flat"]).nodes
     executor.steps_run = int(meta["steps_run"])
     executor.examples_seen = int(meta["examples_seen"])
     executor.sim_time = float(meta["sim_time"])

@@ -16,9 +16,10 @@ across any mapping — the strongest possible version of the paper's
 gradient buffer is still modeled (its bytes appear in every memory number);
 only the reduction order is canonicalized.
 
-Stateful kernels (BatchNorm moving statistics) are loaded from and saved to
-per-virtual-node state around each wave, so they follow virtual nodes across
-resizes exactly as §4.1 requires.
+Stateful kernels (BatchNorm moving statistics) are per-virtual-node state:
+the rows of one matrix the executor owns (:class:`~repro.core.state.
+StateMatrix`), which every step updates in place, node by node, so they
+follow virtual nodes across resizes exactly as §4.1 requires.
 
 Execution strategy
 ------------------
@@ -46,10 +47,10 @@ from repro.core.mapping import Mapping
 from repro.core.plan import ExecutionPlan
 from repro.core.sharding import shard_batch
 from repro.core.state import (
+    StateMatrix,
     VirtualNodeState,
     merged_eval_state,
     migrate_states,
-    state_layout,
 )
 from repro.core.virtual_node import VirtualNodeSet
 from repro.framework.arena import FlatTensorArena
@@ -108,22 +109,18 @@ class VirtualFlowExecutor:
         self.steps_run = 0
         self.examples_seen = 0
         self.resize_count = 0
-        # Every virtual node starts from the model's initial stateful buffers.
+        # Every virtual node starts from the model's initial stateful buffers,
+        # as a row of the job's one state matrix (None: a stateless model).
         init_state = model.state_dict()
-        self._vn_states: List[VirtualNodeState] = [
-            VirtualNodeState(vn_index=i, buffers={k: v.copy() for k, v in init_state.items()})
-            for i in range(mapping.vn_set.num_nodes)
-        ]
+        states = [VirtualNodeState(i, dict(init_state))
+                  for i in range(mapping.vn_set.num_nodes)]
+        self.state_matrix = StateMatrix.of(states)
+        self._vn_states = states if self.state_matrix is None else self.state_matrix.nodes
         self._eval_state: Optional[Dict[str, np.ndarray]] = None
         # The step workspace (TrainStep.workspace): buffers every step needs
         # again at the same shapes.  Kept across remap, which preserves the
-        # virtual-node set and with it every shape.  The evaluation merge
-        # packs into its ("states",) matrix too: both fill it before reading.
+        # virtual-node set and with it every shape.
         self._workspace: Dict[tuple, object] = {}
-        # Shared flat layout over the stateful-kernel template (None when the
-        # model is stateless), computed once per state template and handed to
-        # backends so they can skip — or pack — the per-wave state round trip.
-        self._state_layout = state_layout(self._vn_states)
 
     # -- engine-delegated views ---------------------------------------------
 
@@ -151,19 +148,23 @@ class VirtualFlowExecutor:
     def vn_states(self) -> List[VirtualNodeState]:
         """Per-virtual-node stateful kernels (the live list).
 
-        The merged evaluation view of these states is cached; the cache is
-        invalidated by :meth:`run_step`, :meth:`remap`, and reassignment of
-        this property (the checkpoint-restore path).  Callers that mutate
-        states *in place* must reassign the property (``ex.vn_states =
+        Each state's ``buffers`` are views into its row of
+        :attr:`state_matrix`, which :meth:`run_step` updates in place; take a
+        :meth:`~repro.core.state.VirtualNodeState.copy` to keep values.
+        Assigning the property (the checkpoint-restore path) copies the
+        given states' values into the rows.  The merged evaluation view of
+        the states is cached; the cache is invalidated by :meth:`run_step`,
+        :meth:`remap`, and assignment.  Callers that write into the buffers
+        directly must reassign the property (``ex.vn_states =
         ex.vn_states``) so stale evaluation results cannot be served.
         """
         return self._vn_states
 
     @vn_states.setter
     def vn_states(self, states: List[VirtualNodeState]) -> None:
-        self._vn_states = states
+        if self.state_matrix is not None:
+            self.state_matrix.load(states)
         self._eval_state = None
-        self._state_layout = state_layout(states)
 
     # -- one step (Figure 5) ---------------------------------------------------
 
@@ -184,14 +185,13 @@ class VirtualFlowExecutor:
             model=self.model,
             loss_fn=self.loss_fn,
             vn_set=self.vn_set,
-            vn_states=self._vn_states,
+            state_matrix=self.state_matrix,
             shards=shards,
             seed=self.seed,
             epoch=epoch,
             step=step,
             augment=self.augment,
             arena=self.arena,
-            state_layout=self._state_layout,
             workspace=self._workspace,
         ))
         avg_grads = out.avg_grads
@@ -222,9 +222,7 @@ class VirtualFlowExecutor:
         until a step, remap, or checkpoint restore invalidates it.
         """
         if self._eval_state is None:
-            ws = self._workspace
-            self._eval_state, ws[("states",)] = merged_eval_state(
-                self._vn_states, self._state_layout, ws.get(("states",)))
+            self._eval_state = merged_eval_state(self.state_matrix)
         return self._eval_state
 
     def evaluate(self, x: np.ndarray, y: np.ndarray, batch_size: int = 256) -> Tuple[float, float]:
@@ -239,7 +237,7 @@ class VirtualFlowExecutor:
         if len(x) == 0:
             raise ValueError("cannot evaluate on an empty dataset")
         saved = self.model.state_dict()
-        if self._vn_states and self._vn_states[0].buffers:
+        if self.state_matrix is not None:
             self.model.load_state_dict(self._merged_eval_state())
         infer = self.engine.backend.infer
         total_loss = 0.0

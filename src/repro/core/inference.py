@@ -29,8 +29,9 @@ Every segment keeps the shape it has in its own micro-batch, so each
 micro-batch's logits are byte-equal to :meth:`predict_requests` of it — a
 one-shot batch of the same examples — on every backend.  A serving engine
 built from a trained job (:meth:`from_executor`, or ``vn_states=...``)
-evaluates under the canonical merged view of the per-virtual-node stateful
-kernels (:func:`repro.core.state.merged_eval_state`); the merge is computed
+copies the per-virtual-node stateful kernels into a state matrix of its own
+and evaluates under their canonical merged view
+(:func:`repro.core.state.merged_eval_state`); the merge is computed
 once and cached across micro-batches — and across :meth:`remap` calls,
 which change placement but never state — rather than being recomputed per
 batch.
@@ -39,7 +40,7 @@ batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,7 +52,7 @@ from repro.framework.models import Workload
 from repro.hardware.perfmodel import PerfModel
 
 if TYPE_CHECKING:
-    from repro.core.state import VirtualNodeState
+    from repro.core.state import StateMatrix, VirtualNodeState
 
 __all__ = ["InferenceEngine", "InferenceResult"]
 
@@ -93,9 +94,7 @@ class InferenceEngine:
         # batch length -> each row's node-segment size (predict_stacked),
         # dropped with the engine's plan memo on remap
         self._row_labels: Dict[int, np.ndarray] = {}
-        self._vn_states: Optional[List[VirtualNodeState]] = None
-        self._state_layout = None
-        self._state_stack: Optional[np.ndarray] = None  # (V, S) merge scratch
+        self._state_matrix: Optional[StateMatrix] = None
         self._eval_state: Optional[Dict[str, np.ndarray]] = None
         if vn_states is not None:
             self.set_vn_states(vn_states)
@@ -107,7 +106,7 @@ class InferenceEngine:
 
         The returned engine shares the executor's model instance (parameters
         are replicated everywhere by synchronous training, so one copy is
-        semantically exact) and snapshots its per-virtual-node states for the
+        semantically exact) and copies its per-virtual-node states for the
         evaluation merge.  ``mapping`` defaults to the executor's current
         mapping.
         """
@@ -139,33 +138,32 @@ class InferenceEngine:
     # -- stateful-kernel evaluation view -------------------------------------
 
     def set_vn_states(self, vn_states: Sequence[VirtualNodeState]) -> None:
-        """Install (or replace) the per-virtual-node states this engine serves.
+        """Install (or replace) the per-virtual-node states this engine serves:
+        their values, copied into the engine's own state matrix.
 
         Invalidates the cached merged evaluation view; the next request
         recomputes it.  Remapping does *not* invalidate the cache —
         placement changes never touch virtual-node state.
         """
         import repro.core.state as vn_state  # only an engine with node state
-        self._vn_states = list(vn_states)
+        self._state_matrix = vn_state.StateMatrix.of(list(vn_states))
         self._eval_state = None
-        self._state_layout = vn_state.state_layout(self._vn_states)
 
     def _ensure_eval_state(self) -> None:
         """Serve under the cached merged evaluation view.
 
-        The merge (pack + in-order reduce over all virtual-node states) is
+        The merge (an in-order reduce over the state matrix's rows) is
         computed once and reused across micro-batches; the cheap buffer
         *load* happens per request batch, because an engine built with
         :meth:`from_executor` shares the executor's live model — a training
         step between requests leaves the last wave's un-merged kernels in
         the model's buffers, and they must not leak into serving results.
         """
-        if self._state_layout is None:
+        if self._state_matrix is None:
             return
         if self._eval_state is None:
             import repro.core.state as vn_state  # through the module: a patch is seen
-            self._eval_state, self._state_stack = vn_state.merged_eval_state(
-                self._vn_states, self._state_layout, self._state_stack)
+            self._eval_state = vn_state.merged_eval_state(self._state_matrix)
         self.model.load_state_dict(self._eval_state)
 
     # -- serving --------------------------------------------------------------

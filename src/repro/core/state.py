@@ -7,6 +7,13 @@ batch-normalization moving means and variances.  VirtualFlow treats these as
 new worker (scale-out) all-gathers them instead of resetting them, and model
 quality is unaffected by any resize.
 
+A job's state is the rows of one ``(num_nodes, state_size)`` matrix
+(:class:`StateMatrix`, owned by the executor): each
+:class:`VirtualNodeState`'s ``buffers`` are views into its node's row, and
+a training step updates those arrays in place — it never replaces the
+dict.  Copy a state (:meth:`VirtualNodeState.copy`) to keep its values
+across a step.
+
 In this reproduction the state lives in process memory, so "migration" is a
 bookkeeping + cost-model operation: :func:`migrate_states` verifies that the
 full state survives a mapping change and returns the simulated all-gather
@@ -16,7 +23,7 @@ time the paper reports as "typically less than a second".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -25,15 +32,11 @@ from repro.framework.arena import FlatLayout
 from repro.hardware.interconnect import Interconnect
 
 __all__ = [
+    "StateMatrix",
     "VirtualNodeState",
     "merged_eval_state",
     "migrate_states",
     "migration_time",
-    "state_layout",
-    "pack_states",
-    "packed_state_matrix",
-    "unpack_states",
-    "scatter_states",
 ]
 
 Buffers = Dict[str, np.ndarray]
@@ -41,7 +44,8 @@ Buffers = Dict[str, np.ndarray]
 
 @dataclass
 class VirtualNodeState:
-    """Stateful-kernel buffers owned by one virtual node."""
+    """Stateful-kernel buffers owned by one virtual node (views into its row
+    of a :class:`StateMatrix` when a job owns it; :meth:`copy` detaches)."""
 
     vn_index: int
     buffers: Buffers = field(default_factory=dict)
@@ -62,97 +66,65 @@ class VirtualNodeState:
         return all(np.array_equal(self.buffers[k], other.buffers[k]) for k in self.buffers)
 
 
-# -- flat snapshots ----------------------------------------------------------
+# -- the state matrix ----------------------------------------------------------
 #
 # Stateful kernels are tiny compared to parameters, but there is one set per
-# virtual node — a 32-node job snapshots/merges/serializes 32 dicts.  A
-# FlatLayout over the buffer template turns all of that into operations on
-# one (num_nodes, state_size) matrix.
+# virtual node — a 32-node job steps, merges and serializes 32 of them.  They
+# live as the rows of one (num_nodes, state_size) matrix over a FlatLayout of
+# the buffer template, so each of those is one operation on the matrix.
 
 
-def state_layout(states: List[VirtualNodeState]) -> Optional[FlatLayout]:
-    """A flat layout over the (shared) buffer template, or None if stateless."""
-    if not states or not states[0].buffers:
-        return None
-    return FlatLayout(states[0].buffers)
+class StateMatrix:
+    """Every virtual node's stateful buffers as the rows of one matrix.
 
-
-def pack_states(states: List[VirtualNodeState], layout: FlatLayout,
-                out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Stack every node's buffers into one ``(num_nodes, state_size)`` matrix.
-
-    Row order is list order (callers keep states in canonical vn order).
+    ``rows`` is ``(num_nodes, layout.total_size)``; ``nodes[i].buffers`` are
+    named views into row ``i`` and ``stacked`` the named ``(num_nodes,) +
+    shape`` views over all rows, both built once, so a training step reads
+    and updates the rows in place through either (the serial loop per node,
+    the fused kernels all at once) and nothing is packed or scattered.
     """
-    if out is None:
-        out = np.empty((len(states), layout.total_size), dtype=layout.dtype)
-    for row, state in zip(out, states):
-        layout.pack(state.buffers, out=row)
-    return out
+
+    __slots__ = ("layout", "rows", "nodes", "stacked")
+
+    def __init__(self, layout: FlatLayout, rows: np.ndarray) -> None:
+        self.layout = layout
+        self.rows = rows
+        self.nodes = [VirtualNodeState(i, layout.views(row)) for i, row in enumerate(rows)]
+        self.stacked = layout.stacked_views(rows)
+
+    @classmethod
+    def of(cls, states: Sequence[VirtualNodeState]) -> Optional["StateMatrix"]:
+        """A new matrix holding copies of ``states``' buffers, row ``i`` from
+        ``states[i]``; None for a stateless template (no states, or empty
+        buffers)."""
+        if not states or not states[0].buffers:
+            return None
+        layout = FlatLayout(states[0].buffers)
+        matrix = cls(layout, np.empty((len(states), layout.total_size), dtype=layout.dtype))
+        matrix.load(states)
+        return matrix
+
+    def load(self, states: Sequence[VirtualNodeState]) -> None:
+        """Copy ``states``' buffers into the rows, in list order."""
+        if len(states) != len(self.rows):
+            raise ValueError(f"{len(states)} states for {len(self.rows)} state rows")
+        for row, state in zip(self.rows, states):
+            self.layout.pack(state.buffers, out=row)
 
 
-def packed_state_matrix(states: List[VirtualNodeState], layout: FlatLayout,
-                        scratch: Optional[np.ndarray] = None) -> np.ndarray:
-    """Pack states into a reusable ``(num_nodes, state_size)`` scratch.
-
-    Reuses ``scratch`` when its shape and dtype still fit, reallocating
-    otherwise — the one hot-path caching pattern shared by the executor's
-    merged-eval-state view and the fused backend's state round trip.
-    Callers hold on to the returned matrix as next call's ``scratch``.
-    """
-    rows = len(states)
-    if (scratch is None or scratch.shape != (rows, layout.total_size)
-            or scratch.dtype != layout.dtype):
-        scratch = np.empty((rows, layout.total_size), dtype=layout.dtype)
-    return pack_states(states, layout, out=scratch)
-
-
-def unpack_states(matrix: np.ndarray, layout: FlatLayout) -> List[VirtualNodeState]:
-    """Rebuild per-node states from a packed ``(num_nodes, state_size)`` matrix."""
-    return [
-        VirtualNodeState(vn_index=i,
-                         buffers={k: v.copy() for k, v in layout.views(row).items()})
-        for i, row in enumerate(matrix)
-    ]
-
-
-def scatter_states(matrix: np.ndarray, layout: FlatLayout,
-                   states: List[VirtualNodeState]) -> None:
-    """Write a packed ``(num_nodes, state_size)`` matrix back into states.
-
-    Row ``i`` replaces ``states[i].buffers`` with fresh copies — the same
-    ownership semantics as the reference loop's per-wave
-    ``state.buffers = model.state_dict()``, but driven from the one matrix a
-    fused run updated in place.
-    """
-    if matrix.shape[0] != len(states):
-        raise ValueError(
-            f"{matrix.shape[0]} state rows for {len(states)} virtual nodes")
-    for state, row in zip(states, matrix):
-        state.buffers = {k: v.copy() for k, v in layout.views(row).items()}
-
-
-def merged_eval_state(states: List[VirtualNodeState], layout: Optional[FlatLayout],
-                      scratch: Optional[np.ndarray] = None):
+def merged_eval_state(states: StateMatrix) -> Buffers:
     """Canonical evaluation view of stateful kernels: the virtual-node mean.
 
     Per-node moving statistics differ slightly (they are never synchronized);
     averaging in index order gives a mapping-independent evaluation model.
-    The merge packs all node states into one ``(num_nodes, state_size)``
-    matrix and reduces it in one in-order pass — bit-identical to a per-key
-    accumulation loop.
-
-    Returns ``(buffers, scratch)``: the merged buffer dict (empty for a
-    stateless template, i.e. ``layout is None``) plus the pack matrix, which
-    callers hold on to as next call's ``scratch``.  Both the training
-    executor's evaluation path and the inference engine's serving path cache
-    the result of this merge between steps / across micro-batches.
+    The rows are reduced in one in-order pass — bit-identical to a per-key
+    accumulation loop.  Both the training executor's evaluation path and
+    the inference engine's serving path cache the result between steps /
+    across micro-batches.
     """
-    if layout is None:
-        return {}, scratch
-    scratch = packed_state_matrix(states, layout, scratch)
-    merged_flat = scratch.sum(axis=0)
-    merged_flat /= len(states)
-    return layout.views(merged_flat), scratch
+    merged_flat = states.rows.sum(axis=0)
+    merged_flat /= len(states.rows)
+    return states.layout.views(merged_flat)
 
 
 def migrate_states(states: List[VirtualNodeState], old_mapping: Mapping,

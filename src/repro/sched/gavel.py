@@ -37,7 +37,7 @@ ROUND_S = 360.0      # seconds per scheduling round (paper: 6 minutes)
 # at least this factor (guards against sync overhead swamping slow-GPU
 # contributions — the Figure 15 "graceful fallback").
 MIN_SPEEDUP = 1.05
-MAX_ROUNDS = 100_000  # a trace still unfinished after this many rounds is an error
+MAX_ROUNDS = 100_000  # a trace still unfinished after this many played rounds is an error
 _PERF = PerfModel()
 
 
@@ -212,12 +212,14 @@ class GavelSimulator:
             raise ValueError("duplicate job ids in trace")
         runtime = Runtime()
         unfinished = len(jobs)
+        played = 0
 
         def play_round(time: float) -> None:
-            nonlocal unfinished
+            nonlocal unfinished, played
             active = [j for j in jobs.values()
                       if j.status is not JobStatus.FINISHED and j.spec.arrival_time <= time]
             if active:
+                played += 1
                 allocations = self._allocate_round(active)
                 for job in active:
                     alloc = {t: n for t, n in allocations[job.job_id].items() if n > 0}
@@ -235,11 +237,20 @@ class GavelSimulator:
                         job.finish_time = time + span
                         job.status = JobStatus.FINISHED
                         unfinished -= 1
-            if unfinished:
-                runtime.queue.post(time + ROUND_S, play_round, kind="round", actor="gavel")
+                start = time + ROUND_S
+            else:
+                # Nothing to schedule: no empty rounds, resume at the first
+                # round boundary whose start admits the next arrival.
+                arrival = min(j.spec.arrival_time for j in jobs.values()
+                              if j.status is not JobStatus.FINISHED)
+                start = math.ceil(arrival / ROUND_S) * ROUND_S
+                if start < arrival:  # the division rounded down to a boundary
+                    start += ROUND_S
+            if unfinished and played < MAX_ROUNDS:
+                runtime.queue.post(start, play_round, kind="round", actor="gavel")
 
         runtime.queue.post(0.0, play_round, kind="round", actor="gavel")
-        runtime.run(until=(MAX_ROUNDS - 1) * ROUND_S)
+        runtime.run()
         if unfinished:
             raise RuntimeError(f"exceeded {MAX_ROUNDS} rounds")
         return GavelResult(jobs=jobs)

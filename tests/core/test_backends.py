@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles.evaluate import evaluate as oracle_evaluate
 from repro.core import (
     FusedBackend,
     InferenceEngine,
@@ -34,6 +35,7 @@ from repro.core.backends.vectorized import (
     supports_training,
 )
 from repro.core.sharding import shard_batch
+from repro.core.state import StateMatrix, VirtualNodeState
 from repro.data import make_dataset
 from repro.data.augment import GaussianNoise
 from repro.elastic import JobSpec
@@ -193,10 +195,9 @@ def _train_step(model, dataset, sizes, loss_fn=None, xy=None):
 
     The batch is the head of ``dataset``, or the explicit ``xy`` pair for a
     model no registered dataset feeds.  The model gets its flat tensor arena
-    installed, as an executor would.
+    installed, and its initial stateful buffers a state matrix, as an
+    executor would.
     """
-    from repro.core import VirtualNodeState
-
     vn_set = VirtualNodeSet.uneven(sizes)
     batch = sum(sizes)
     if xy is None:
@@ -204,9 +205,8 @@ def _train_step(model, dataset, sizes, loss_fn=None, xy=None):
         xy = ds.x_train[:batch], ds.y_train[:batch]
     return TrainStep(
         model=model, loss_fn=loss_fn or SoftmaxCrossEntropy(), vn_set=vn_set,
-        vn_states=[VirtualNodeState(i, {k: v.copy() for k, v in
-                                        model.state_dict().items()})
-                   for i in range(len(sizes))],
+        state_matrix=StateMatrix.of([VirtualNodeState(i, model.state_dict())
+                                     for i in range(len(sizes))]),
         shards=shard_batch(vn_set, *xy),
         seed=0, epoch=0, step=0, arena=FlatTensorArena.install(model))
 
@@ -241,15 +241,15 @@ class TestFusability:
             assert np.isfinite(out.weighted_loss)
 
     def test_stateful_model_without_state_falls_back(self):
-        """A hand-built TrainStep with empty per-node buffers on a BatchNorm
-        model cannot supply stacked state views — it must take the serial
-        loop, which raises the same loud KeyError it always did (never a
-        silent cross-wave sharing of one running state)."""
-        from repro.core import VirtualNodeState
-
+        """A hand-built TrainStep with no state matrix on a BatchNorm model
+        cannot supply stacked state views — it must take the serial loop,
+        which raises a loud KeyError (never a silent cross-wave sharing of
+        one running state)."""
         fused = FusedBackend()
         step = self._step("resnet56_cifar10")
-        step.vn_states = [VirtualNodeState(i) for i in range(len(step.vn_states))]
+        # Empty per-node buffers make no matrix: the same step.
+        assert StateMatrix.of([VirtualNodeState(i) for i in range(4)]) is None
+        step.state_matrix = None
         assert not fused.can_fuse(step)
         with pytest.raises(KeyError, match="missing buffer"):
             fused.train_step(step)
@@ -509,10 +509,12 @@ class TestBatchInputHasNoGradient:
 
     def _check(self, step, monkeypatch):
         model = step.model
+        nodes = (step.state_matrix.nodes if step.state_matrix is not None
+                 else [VirtualNodeState(node.index) for node in step.vn_set])
         # The reference loop, one wave at a time.
         want_grads, want_states = [], []
         for node, (x, y) in zip(step.vn_set, step.shards):
-            model.load_state_dict(step.vn_states[node.index].buffers)
+            model.load_state_dict(nodes[node.index].buffers)
             logits = model.forward(x, training=True,
                                    rng=vn_rng(step.seed, step.epoch, step.step, node.index))
             step.loss_fn.forward(logits, y)
@@ -533,7 +535,7 @@ class TestBatchInputHasNoGradient:
         for key, stack in run.param_grads.items():
             for i, want in enumerate(want_grads):
                 np.testing.assert_array_equal(stack[i], want[key], err_msg=f"{key}[{i}]")
-        for state, want in zip(step.vn_states, want_states):
+        for state, want in zip(nodes, want_states):
             assert set(state.buffers) == set(want)
             for key in want:
                 np.testing.assert_array_equal(state.buffers[key], want[key], err_msg=key)
@@ -736,6 +738,60 @@ class TestEvalStateCache:
         ex.evaluate(t.dataset.x_val, t.dataset.y_val)
         ex.vn_states = [s.copy() for s in ex.vn_states]  # checkpoint restore path
         assert ex._eval_state is None
+
+
+class TestStateMatrixOwnership:
+    """The executor owns its nodes' stateful buffers as the rows of one
+    matrix: steps write the rows in place, node states are views of them."""
+
+    def _trained(self, backend):
+        t = _trainer(workload="resnet56_cifar10", batch=32, vns=4, devices=2,
+                     dataset_size=64, backend=backend)
+        t.executor.run_step(t.dataset.x_train[:32], t.dataset.y_train[:32], 0, 0)
+        return t
+
+    @pytest.mark.parametrize("backend", ["fused", "reference"])
+    def test_a_step_updates_the_rows_in_place(self, backend):
+        t = self._trained(backend)
+        ex = t.executor
+        rows, layout = ex.state_matrix.rows, ex.state_matrix.layout
+        buffers = [dict(state.buffers) for state in ex.vn_states]
+        kept = [state.copy() for state in ex.vn_states]
+        before = rows.copy()
+        ex.run_step(t.dataset.x_train[:32], t.dataset.y_train[:32], 0, 1)
+        assert ex.state_matrix.rows is rows and not np.array_equal(rows, before)
+        for i, state in enumerate(ex.vn_states):
+            for key, view in state.buffers.items():
+                assert view is buffers[i][key]  # updated, not replaced
+                assert np.shares_memory(view, rows[i])
+            assert layout.pack(state.buffers).tobytes() == rows[i].tobytes()
+            assert layout.pack(kept[i].buffers).tobytes() == before[i].tobytes()
+
+    def test_restore_writes_the_rows_and_drops_the_merge(self):
+        t = self._trained("fused")
+        ex = t.executor
+        x, y = t.dataset.x_val, t.dataset.y_val
+        saved = [state.copy() for state in ex.vn_states]
+        ex.run_step(t.dataset.x_train[:32], t.dataset.y_train[:32], 0, 1)
+        stale = ex.evaluate(x, y)  # caches the merge of the stepped rows
+        rows = ex.state_matrix.rows
+        ex.vn_states = saved  # the checkpoint-restore path
+        assert ex.state_matrix.rows is rows  # copied in, not replaced
+        assert all(got.equals(want) for got, want in zip(ex.vn_states, saved))
+        restored = ex.evaluate(x, y)
+        assert restored == oracle_evaluate(ex, x, y) and restored != stale
+
+    def test_inference_engine_serves_the_merge_of_the_trained_rows(self):
+        t = self._trained("fused")
+        ex = t.executor
+        engine = InferenceEngine.from_executor(ex)
+        batch = t.dataset.x_val[:8]
+        served = engine.predict(batch).logits
+        rows = ex.state_matrix.rows
+        merged = ex.state_matrix.layout.views(rows.sum(axis=0) / len(rows))
+        ex.model.load_state_dict(merged)
+        np.testing.assert_array_equal(served, ex.model.forward(batch, training=False))
+        assert engine._state_matrix.rows is not rows  # the engine's own copy
 
 
 class TestElasticBackendThreading:

@@ -1,13 +1,15 @@
 """Evaluation as ``VirtualFlowExecutor.evaluate`` spelled it before it ran
 on the execution backend's inference path.
 
-Kept verbatim: the virtual-node mean of the stateful buffers is loaded into
-the model, the reference layers' ``model.forward`` runs once per
-``batch_size`` slice, the example-weighted loss and accuracy are summed in
-slice order, and the model's own buffers are restored.  The production
-method must return the same ``(loss, accuracy)`` floats bit for bit on
-either backend.  Unlike it, this loop leaves every layer's forward cache
-(``Conv2D``'s patch rows among them) pinned on the model.
+Kept verbatim, but for the merge, which it computes itself (the nodes'
+buffers summed in index order, then divided by the node count): the
+virtual-node mean of the stateful buffers is loaded into the model, the
+reference layers' ``model.forward`` runs once per ``batch_size`` slice,
+the example-weighted loss and accuracy are summed in slice order, and the
+model's own buffers are restored.  The production method must return the
+same ``(loss, accuracy)`` floats bit for bit on either backend.  Unlike
+it, this loop leaves every layer's forward cache (``Conv2D``'s patch rows
+among them) pinned on the model.
 """
 
 from __future__ import annotations
@@ -16,10 +18,19 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.core.state import merged_eval_state, state_layout
 from repro.framework.metrics import accuracy
 
 __all__ = ["evaluate"]
+
+
+def _merged(states):
+    merged = {}
+    for key in states[0].buffers:
+        total = states[0].buffers[key].copy()
+        for state in states[1:]:
+            total += state.buffers[key]
+        merged[key] = total / len(states)
+    return merged
 
 
 def evaluate(executor, x: np.ndarray, y: np.ndarray,
@@ -30,7 +41,7 @@ def evaluate(executor, x: np.ndarray, y: np.ndarray,
     states = executor.vn_states
     saved = model.state_dict()
     if states and states[0].buffers:
-        model.load_state_dict(merged_eval_state(states, state_layout(states))[0])
+        model.load_state_dict(_merged(states))
     total_loss = 0.0
     correct_weighted = 0.0
     for start in range(0, len(x), batch_size):

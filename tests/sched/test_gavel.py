@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.elastic.jobs import JobSpec, JobStatus
@@ -118,9 +120,45 @@ class TestGavelSimulator:
             GavelSimulator(CLUSTER).run([_spec(job_id=0), _spec(job_id=0, steps=100)])
 
     def test_round_guard(self, monkeypatch):
-        """A trace still unfinished after ``MAX_ROUNDS`` rounds is an error."""
+        """A trace still unfinished after ``MAX_ROUNDS`` played rounds is an
+        error; rounds with nothing to schedule are not played, so how late
+        a job arrives does not count against it."""
         monkeypatch.setattr(gavel, "MAX_ROUNDS", 3)
         with pytest.raises(RuntimeError, match="exceeded 3 rounds"):
-            GavelSimulator(CLUSTER).run([_spec(arrival=3 * gavel.ROUND_S)])
-        last = GavelSimulator(CLUSTER).run([_spec(steps=1, arrival=2 * gavel.ROUND_S)])
-        assert last.jobs[0].finish_time < 3 * gavel.ROUND_S  # served in round 3 of 3
+            GavelSimulator(CLUSTER).run([_spec(steps=5000)])  # needs 8 rounds
+        last = GavelSimulator(CLUSTER).run([_spec(steps=1500, arrival=4.0e7)])
+        assert len(last.jobs[0].round_log) == 3  # served in round 3 of 3
+
+
+class TestIdleGaps:
+    """With nothing to schedule, the next round starts at the first round
+    boundary that admits the next arrival; the rounds in between are not
+    played and log nothing."""
+
+    def _rounds(self, job):
+        return [time for time, _ in job.round_log]
+
+    def test_far_first_arrival(self):
+        job = GavelSimulator(CLUSTER).run([_spec(arrival=4.0e7)]).jobs[0]
+        start = 111_112 * gavel.ROUND_S  # the first boundary past 4.0e7 s
+        assert self._rounds(job) == [start]
+        alone = GavelSimulator(CLUSTER).run([_spec()]).jobs[0]
+        assert job.finish_time - start == pytest.approx(alone.finish_time, abs=1e-6)
+        assert job.status is JobStatus.FINISHED
+
+    def test_gap_between_arrivals(self):
+        late = 10 * gavel.ROUND_S + 5.0
+        result = GavelSimulator(CLUSTER).run(
+            [_spec(job_id=0, steps=5000), _spec(job_id=1, steps=5000, arrival=late)])
+        first, second = result.jobs[0], result.jobs[1]
+        assert self._rounds(first) == [k * gavel.ROUND_S for k in range(8)]
+        assert self._rounds(second) == [k * gavel.ROUND_S for k in range(11, 19)]
+        assert [a for _, a in second.round_log] == [a for _, a in first.round_log]
+
+    def test_arrival_a_hair_past_a_boundary(self):
+        boundary = 2 * gavel.ROUND_S
+        on = GavelSimulator(CLUSTER).run([_spec(arrival=boundary)]).jobs[0]
+        past = GavelSimulator(CLUSTER).run(
+            [_spec(arrival=math.nextafter(boundary, math.inf))]).jobs[0]
+        assert self._rounds(on) == [boundary]
+        assert self._rounds(past) == [boundary + gavel.ROUND_S]
