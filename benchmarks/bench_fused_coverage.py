@@ -5,8 +5,9 @@ PR 1 vectorized equal-size waves for stateless models; the stateful frontier
 the serial reference loop — O(V) forwards/backwards plus per-wave
 ``state_dict`` deep copies per step.  With the segmented kernels the fused
 backend now covers the *entire* built-in workload zoo with no training
-fallback, so this benchmark (a) asserts that coverage — ``can_fuse`` must be
-True for every registered workload — and (b) measures the host wall-clock
+fallback, so this benchmark (a) asserts that coverage — every registered
+workload's model must have a kernel plan (``kernel_plan``), which training
+and inference both walk — and (b) measures the host wall-clock
 win on the ResNet wave hot path at many virtual nodes, the regime the
 paper's Table 1 / Fig 8 / Fig 2 workloads live in.
 
@@ -42,21 +43,12 @@ from typing import Dict, List
 import numpy as np
 
 from _common import report, save_bench_json
-from repro.core import (
-    FusedBackend,
-    InferenceEngine,
-    Mapping,
-    ReferenceBackend,
-    TrainerConfig,
-    VirtualFlowTrainer,
-)
-from repro.core.backends import TrainStep
-from repro.core.backends.vectorized import supports_inference, supports_training
-from repro.core.sharding import shard_batch
-from repro.core.state import StateMatrix, VirtualNodeState
+from repro.core import InferenceEngine, Mapping, TrainerConfig, VirtualFlowTrainer
+from repro.core.backends.reference import ReferenceBackend
+from repro.core.backends.vectorized import UnsupportedModule, kernel_plan, loss_kernel
 from repro.core.virtual_node import VirtualNodeSet
 from repro.data import make_dataset
-from repro.framework import WORKLOADS, FlatTensorArena, SoftmaxCrossEntropy, get_workload
+from repro.framework import WORKLOADS, SoftmaxCrossEntropy, get_workload
 from repro.hardware import Cluster
 
 # (workload, virtual nodes, per-node batch) — headline config first.
@@ -88,27 +80,18 @@ def _best_of(fn, steps: int, reps: int) -> float:
 
 
 def coverage_matrix() -> List[Dict]:
-    """``can_fuse`` / vectorized-inference coverage for every workload."""
+    """Every workload's kernel plan and loss kernel, or the error that names
+    what the fused pass cannot run (there is no other path)."""
     rows = []
-    fused = FusedBackend()
+    loss_fn = SoftmaxCrossEntropy()  # the trainer's, for every workload
     for name in sorted(WORKLOADS):
-        workload = get_workload(name)
-        model = workload.build_model(0)
-        vn_set = VirtualNodeSet.even(8, 4)
-        ds = make_dataset(workload.dataset, n=16, seed=0)
-        step = TrainStep(
-            model=model, loss_fn=SoftmaxCrossEntropy(), vn_set=vn_set,
-            state_matrix=StateMatrix.of([VirtualNodeState(i, model.state_dict())
-                                         for i in range(4)]),
-            shards=shard_batch(vn_set, ds.x_train[:8], ds.y_train[:8]),
-            seed=0, epoch=0, step=0, arena=FlatTensorArena.install(model))
-        rows.append({
-            "workload": name,
-            "can_fuse_training": bool(fused.can_fuse(step)),
-            "vectorized_inference": bool(supports_inference(model)),
-            "training_kernels": bool(
-                supports_training(model, SoftmaxCrossEntropy())),
-        })
+        try:
+            plan = kernel_plan(get_workload(name).build_model(0))
+            loss_kernel(loss_fn)
+        except UnsupportedModule as error:
+            rows.append({"workload": name, "fused": False, "error": str(error)})
+        else:
+            rows.append({"workload": name, "fused": True, "plan_steps": len(plan)})
     return rows
 
 
@@ -189,8 +172,7 @@ def _infer_times(workload_name: str, num_vns: int, length: int,
 
 def run(smoke: bool = False) -> Dict:
     coverage = coverage_matrix()
-    uncovered = [row["workload"] for row in coverage
-                 if not (row["can_fuse_training"] and row["vectorized_inference"])]
+    uncovered = [row["workload"] for row in coverage if not row["fused"]]
     assert not uncovered, f"workloads outside the fused path: {uncovered}"
 
     configs = SMOKE_CONFIGS if smoke else CONFIGS
@@ -257,7 +239,7 @@ def run(smoke: bool = False) -> Dict:
            title="Fused-backend coverage: ResNet wave hot path, serial "
                  "reference loop vs one segmented vectorized pass "
                  "(bit-identical results)",
-           notes="can_fuse=True for all "
+           notes="a kernel plan for all "
                  f"{len(coverage)} registered workloads; fused must be "
                  "bit-identical and never slower, the best speedup is "
                  "reported, not gated")

@@ -17,7 +17,7 @@ The core is organized around two seams:
   the host is a strategy behind one interface.  Every engine runs the fused
   backend, which executes all of a step's waves — or an inference batch's
   shards — as one segmented vectorized pass, bit-identical to the canonical
-  serial loop (``ReferenceBackend``) that tests compare against.
+  serial loop tests import from :mod:`repro.core.backends.reference`.
 """
 
 from repro._lazy import lazy_exports
@@ -35,7 +35,6 @@ _EXPORTS = {
     "PipelineConfig": "repro.core.pipeline",
     "PlanValidationError": "repro.core.plan",
     "RecoveryPolicy": "repro.core.fault_tolerance",
-    "ReferenceBackend": "repro.core.backends.reference",
     "StepResult": "repro.core.executor",
     "VirtualNodeEngine": "repro.core.engine",
     "data_parallel_pipeline": "repro.core.pipeline",

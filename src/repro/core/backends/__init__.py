@@ -6,10 +6,10 @@ state) is fixed; *how* waves execute on the host sits behind the
 
 * :class:`FusedBackend` — what every engine runs: every wave of a step,
   equal- or mixed-size, stateless or stateful, as one segmented vectorized
-  pass, bit-identical to the serial loop, with a per-model serial fallback
-  for user modules without kernels;
-* :class:`ReferenceBackend` — the canonical serial wave loop: that fallback,
-  and the bit-exactness oracle tests assign to an engine's ``backend``.
+  pass over the model's kernel plan, bit-identical to the serial loop;
+* ``reference.ReferenceBackend`` — the canonical serial wave loop, the
+  bit-exactness oracle tests import from its module and assign to an
+  engine's ``backend``.  It is not exported here, so no run loads it.
 """
 
 from repro._lazy import lazy_exports
@@ -17,7 +17,6 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "ExecutionBackend": "repro.core.backends.base",
     "FusedBackend": "repro.core.backends.fused",
-    "ReferenceBackend": "repro.core.backends.reference",
     "TrainStep": "repro.core.backends.base",
     "TrainStepOutput": "repro.core.backends.base",
 }

@@ -17,12 +17,12 @@ Two implementations exist, and nothing selects between them:
     What every engine runs (one shared instance, see
     :mod:`repro.core.engine`): every wave of a step — equal- or mixed-size,
     stateless or stateful (BatchNorm) — as one segmented forward/backward,
-    bit-identical to the serial loop for all built-in workloads.
+    bit-identical to the serial loop for all built-in workloads; a model it
+    cannot run raises ``UnsupportedModule``.
 
 :class:`~repro.core.backends.reference.ReferenceBackend`
-    The canonical serial wave loop: the fused backend's fallback for
-    user-defined modules without kernels, and the bit-exactness oracle the
-    tests compare against by assigning it to an engine's ``backend``.
+    The canonical serial wave loop: the bit-exactness oracle the tests
+    compare against by assigning it to an engine's ``backend``.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class TrainStep:
     model carries none): the step updates the rows in place — the
     executor's own matrix, so its ``vn_states`` see the update.  A
     hand-built step over plain states passes ``StateMatrix.of(states)``;
-    a stateful model on a step without one raises ``KeyError``.
+    a stateful model on a step without one raises ``UnsupportedModule``.
 
     ``workspace`` is the executor's per-run buffer dict, handed to every
     step: the buffers a step needs again next step with the same shapes
@@ -114,7 +114,8 @@ class ExecutionBackend(ABC):
     def bind(self, model: Module) -> None:
         """Prepare to run ``model``; every engine built for it calls this
         before its first step, so nothing a backend resolves (or loads) per
-        model lands inside a run loop.  The serial loop needs nothing."""
+        model lands inside a run loop, and a model the backend cannot run
+        fails there.  The serial loop needs nothing."""
 
     @abstractmethod
     def train_step(self, step: TrainStep) -> TrainStepOutput:

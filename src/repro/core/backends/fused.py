@@ -1,9 +1,9 @@
 """The fused execution backend: every wave of a step as one vectorized pass.
 
-The reference executor pays for determinism with a strictly serial per-wave
-loop — one forward/backward, one full ``state_dict`` round-trip, and one
-deep gradient copy per virtual node.  :class:`FusedBackend` removes that
-cost for the entire built-in workload zoo:
+The serial wave loop (the oracle) pays for determinism with one
+forward/backward, one full ``state_dict`` round-trip, and one deep
+gradient copy per virtual node.  :class:`FusedBackend` removes that cost
+for the entire built-in workload zoo:
 
 * All of a step's shards are concatenated along the batch axis in canonical
   virtual-node order and executed as **one** segmented forward/backward
@@ -28,14 +28,13 @@ cost for the entire built-in workload zoo:
   size runs, one ``(size, count)`` row per segment size
   (:meth:`~repro.core.inference.InferenceEngine.predict_stacked`): that
   run is built from those few rows for its one call and never cached.
-  Kernel dispatch is resolved once per model into a flat step list
-  (:func:`~repro.core.backends.vectorized.inference_steps`).
-* The serial loop (:class:`~repro.core.backends.reference.ReferenceBackend`)
-  runs only as the fallback for user-defined modules with no vectorized
-  kernel; every built-in workload reports ``can_fuse(...) == True``.  :meth:`bind`
-  resolves (and imports) a model's kernels when an engine is built.  Every
-  engine shares one instance of this backend (:mod:`repro.core.engine`), so
-  the per-model and per-bounds caches below serve them all.
+* Kernel dispatch is resolved once per model, at :meth:`bind`, into one
+  plan (:func:`~repro.core.backends.vectorized.kernel_plan`) that training
+  and inference walk.  There is no serial fallback: what the pass cannot
+  run raises ``UnsupportedModule`` — a module at ``bind``; a loss, or a
+  stateful step without a state matrix, at the first step before any row
+  changes.  Every engine shares one instance of this backend
+  (:mod:`repro.core.engine`), so its caches serve them all.
 
 Fusing changes *host wall-clock* cost only: the simulated device schedule
 (waves, memory, step time) is a property of the mapping and is accounted by
@@ -55,12 +54,11 @@ from repro.core.backends.base import (
     TrainStep,
     TrainStepOutput,
 )
-from repro.core.backends.reference import ReferenceBackend
 from repro.core.backends.vectorized import (
     VectorizedRun,
-    inference_steps,
-    supports_training,
-    vectorized_loss,
+    _dropout_fwd,
+    kernel_plan,
+    loss_kernel,
 )
 from repro.core.sharding import check_shard_bounds, shard_indices
 from repro.core.virtual_node import VirtualNodeSet
@@ -75,55 +73,30 @@ _MAX_INFERENCE_RUNS = 256
 
 
 class FusedBackend(ExecutionBackend):
-    """Vectorize whole wave groups; the serial oracle remains only as the
-    fallback for modules without kernels."""
+    """Vectorize whole wave groups, walking one kernel plan per model."""
 
     name = "fused"
 
     def __init__(self) -> None:
-        self._reference = ReferenceBackend()
-        # Module graphs and loss types are immutable, so kernel coverage is a
-        # per-model constant; memoize it (weakly, models outlive no executor).
-        self._coverage: "weakref.WeakKeyDictionary[Module, Dict[type, bool]]" = (
-            weakref.WeakKeyDictionary())
-        # The same for inference: the flat kernel list per model (None when
-        # a module has no kernel and the oracle serves it), and one
-        # stateless run per shard-bounds table.
-        self._inference_steps: "weakref.WeakKeyDictionary[Module, Optional[List]]" = (
-            weakref.WeakKeyDictionary())
+        # Module graphs are immutable, so a model's kernel plan is a
+        # constant; memoize it (weakly, models outlive no executor), and one
+        # stateless inference run per shard-bounds table.
+        self._plans: "weakref.WeakKeyDictionary[Module, List]" = weakref.WeakKeyDictionary()
         self._inference_runs: Dict[Tuple[Tuple[int, int], ...], VectorizedRun] = {}
 
     def bind(self, model: Module) -> None:
-        """Resolve ``model``'s inference kernels (see the module doc)."""
-        if model not in self._inference_steps:
-            self._inference_steps[model] = inference_steps(model)
+        """Resolve ``model``'s kernel plan (see the module doc)."""
+        if model not in self._plans:
+            self._plans[model] = kernel_plan(model)
 
     # -- training ------------------------------------------------------------
 
-    def can_fuse(self, step: TrainStep) -> bool:
-        """Whether this step takes the vectorized path (exposed for tests).
-
-        True for every built-in workload — including stateful (BatchNorm)
-        models and mixed-size wave groups; only user modules with no
-        registered kernel fall back to the serial reference loop.  A
-        stateful model whose step carries no state matrix (a
-        hand-constructed :class:`TrainStep`) also falls back: the kernels
-        have no stacked state views to update, and the reference loop then
-        raises its loud KeyError for the missing buffers.
-        """
-        per_loss = self._coverage.setdefault(step.model, {})
-        loss_type = type(step.loss_fn)
-        if loss_type not in per_loss:
-            per_loss[loss_type] = supports_training(step.model, step.loss_fn)
-        if not per_loss[loss_type]:
-            return False
-        if "stateful" not in per_loss:
-            per_loss["stateful"] = any(m.buffers for m in step.model.modules())
-        return not per_loss["stateful"] or step.state_matrix is not None
-
     def train_step(self, step: TrainStep) -> TrainStepOutput:
-        if not self.can_fuse(step):
-            return self._reference.train_step(step)
+        try:
+            plan = self._plans[step.model]
+        except KeyError:  # a hand-built step on an unbound model
+            plan = self._plans[step.model] = kernel_plan(step.model)
+        loss = loss_kernel(step.loss_fn)  # before any kernel writes a state row
 
         # Concatenate shards along the batch axis in canonical virtual-node
         # order; the segment table keeps each node's rows addressable.
@@ -140,8 +113,8 @@ class FusedBackend(ExecutionBackend):
             ys.append(y_vn)
             segments.append((start, start + len(x_vn)))
             start += len(x_vn)
-        x_cat = np.concatenate(xs, axis=0)
-        y_cat = np.concatenate(ys, axis=0)
+        x = np.concatenate(xs, axis=0)
+        y = np.concatenate(ys, axis=0)
 
         def rngs() -> List[np.random.Generator]:  # derived by the first Dropout
             return [vn_rng(step.seed, step.epoch, step.step, node.index)
@@ -153,9 +126,13 @@ class FusedBackend(ExecutionBackend):
         run = VectorizedRun(segments, training=True, rngs=rngs,
                             state_views=None if states is None else states.stacked,
                             workspace=step.workspace)
-        logits = run.forward(step.model, x_cat)
-        losses, dloss = vectorized_loss(step.loss_fn, run, logits, y_cat)
-        run.backward(step.model, dloss, input_grad=False)  # nobody reads dL/dx
+        for forward, _, module, prefix in plan:
+            x = forward(module, run, prefix, x)
+        losses, grad = loss(step.loss_fn, run, x, y)
+        for i in range(len(plan) - 1, -1, -1):
+            _, backward, module, prefix = plan[i]
+            # Step 0 receives the batch input, whose gradient nobody reads.
+            grad = backward(module, run, prefix, grad, i > 0)
 
         # Segment reduction in canonical virtual-node order — the exact
         # arithmetic of sync.weighted_average, including its sorted key
@@ -210,11 +187,9 @@ class FusedBackend(ExecutionBackend):
     def infer(self, model: Module, vn_set: VirtualNodeSet, x: np.ndarray,
               bounds: Optional[Sequence[Tuple[int, int]]] = None) -> np.ndarray:
         try:
-            steps = self._inference_steps[model]
-        except KeyError:
-            steps = self._inference_steps[model] = inference_steps(model)
-        if steps is None:
-            return self._reference.infer(model, vn_set, x, bounds)
+            plan = self._plans[model]
+        except KeyError:  # a model no engine bound
+            plan = self._plans[model] = kernel_plan(model)
         if bounds is None:
             bounds = shard_indices(vn_set, len(x))
         try:
@@ -224,6 +199,7 @@ class FusedBackend(ExecutionBackend):
         if run.batch != len(x):  # another length's table, or short size runs
             raise ValueError(
                 f"shard bounds cover {run.batch} rows of a batch of {len(x)}")
-        for kernel, module, prefix in steps:
-            x = kernel(module, run, prefix, x)
+        for forward, _, module, prefix in plan:
+            if forward is not _dropout_fwd:  # the identity outside training
+                x = forward(module, run, prefix, x)
         return x

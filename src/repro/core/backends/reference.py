@@ -11,7 +11,8 @@ guarantee.
 
 This backend is deliberately unoptimized: it is the *oracle* the fused
 backend (:mod:`repro.core.backends.fused`) is tested against, wave for wave
-and bit for bit, and that backend's fallback for modules without kernels.
+and bit for bit.  No run loads it: tests and benchmark gates import it from
+this module.
 Each wave's gradients are snapshotted as one contiguous row of a reused
 ``(V, P)`` stack over the model's flat tensor arena, and the §5.2 weighted
 average is one scaled stack reduction — the same arithmetic as the per-key

@@ -99,18 +99,15 @@ the reference wave loop *bit for bit*.  That constrains every kernel:
 
 Coverage
 --------
-Forward (training + inference) and backward kernels exist for **every**
-built-in layer, loss, and model container: here for the dense core and the
-containers; in :mod:`~repro.core.backends.vectorized_conv`
-and :mod:`~repro.core.backends.vectorized_attention` for the two layer
-families, which :func:`_lookup` imports when it first meets one of their
-classes (the fused backend's ``bind``, before a run's first step), so a run
-compiles only the kernels of the families it executes; and for the losses
-next to the losses themselves (:mod:`repro.framework.losses`), which only
-training loads.  BatchNorm computes
-its training statistics per virtual-node segment inside the stacked pass,
-so fusing changes its schedule, never its semantics.  The serial reference
-loop survives only as the oracle that equivalence tests assert against.
+Forward and backward kernels exist for **every** built-in layer, loss, and
+model container: here for the dense core and the containers; in
+:mod:`~repro.core.backends.vectorized_conv` and
+:mod:`~repro.core.backends.vectorized_attention` for the two layer
+families, which the kernel tables import on first meeting one of their
+classes — when :func:`kernel_plan` resolves a model as an engine is built,
+so a run compiles only the families it executes; and for the losses next
+to the losses (:mod:`repro.framework.losses`), which only training loads.
+What has no kernel raises :class:`UnsupportedModule`: no serial fallback.
 """
 
 from __future__ import annotations
@@ -131,28 +128,49 @@ if TYPE_CHECKING:
 __all__ = [
     "UnsupportedModule",
     "VectorizedRun",
-    "supports_training",
-    "supports_inference",
-    "inference_steps",
-    "vectorized_loss",
+    "kernel_plan",
+    "loss_kernel",
 ]
 
 
 class UnsupportedModule(TypeError):
-    """A module (or loss) with no vectorized kernel."""
+    """A module (or loss) the fused pass cannot run."""
 
 
-_MISSING = object()  # negative-cache sentinel for _lookup
+def _at(prefix: str) -> str:
+    return f"at {prefix[:-1] or 'the model root'!r}"
 
-_FWD: Dict[Type[Module], Callable] = {}
-_BWD: Dict[Type[Module], Callable] = {}
-# Module types whose kernels actually read/update stateful buffers.  A
-# module *carrying* buffers may only fuse when it is one of these — a user
-# subclass of a stateless layer that adds buffers would otherwise inherit
-# the stateless kernel via the MRO walk and have its buffer semantics
-# silently ignored.  Filled by the family kernel modules, which _lookup
-# imports when it first meets a class of their layer module, before a miss.
-_STATEFUL_OK: List[Type[Module]] = []
+
+class _Kernels(dict):
+    """``module type -> kernel``; a type without an entry takes its nearest
+    base's (memoized), loading each base's layer family on the way, or
+    raises :class:`UnsupportedModule`.  A hit makes no Python call."""
+
+    def __init__(self, kind: str) -> None:
+        super().__init__()
+        self.kind = kind
+
+    def __missing__(self, cls: type) -> Callable:
+        for base in cls.__mro__:
+            family = _FAMILIES.pop(base.__module__, None)
+            if family is not None:
+                import_module(family)  # registers the family's kernels
+            fn = self.get(base)
+            if fn is not None:
+                self[cls] = fn
+                return fn
+        raise UnsupportedModule(f"{cls.__name__} has no vectorized {self.kind} kernel")
+
+
+_FWD = _Kernels("forward")
+_BWD = _Kernels("backward")
+# Module type -> the buffers its kernels read and update.  A module may only
+# fuse when every buffer it carries is one of its type's — a user subclass
+# that adds buffers would otherwise inherit a kernel via the MRO walk and
+# have their semantics silently ignored.  Filled by the family kernel
+# modules, which _Kernels imports when it first meets a class of their
+# layer module, before a miss.
+_STATEFUL_OK: Dict[Type[Module], Tuple[str, ...]] = {}
 _FAMILIES = {
     "repro.framework.conv": "repro.core.backends.vectorized_conv",
     "repro.framework.attention": "repro.core.backends.vectorized_attention",
@@ -173,24 +191,6 @@ def _bwd(*types: Type[Module]):
             _BWD[t] = fn
         return fn
     return deco
-
-
-def _lookup(registry: Dict[Type[Module], Callable], cls: type) -> Optional[Callable]:
-    fn = registry.get(cls)
-    if fn is _MISSING:
-        return None
-    if fn is not None:
-        return fn
-    for base in cls.__mro__:
-        family = _FAMILIES.pop(base.__module__, None)
-        if family is not None:
-            import_module(family)  # registers the family's kernels
-        fn = registry.get(base)
-        if fn is not None and fn is not _MISSING:
-            registry[cls] = fn  # memoize the MRO walk
-            return fn
-    registry[cls] = _MISSING  # memoize misses too: no per-call MRO rescans
-    return None
 
 
 def _pixels(a: np.ndarray) -> np.ndarray:
@@ -287,11 +287,7 @@ class VectorizedRun:
     # -- dispatch -----------------------------------------------------------
 
     def forward(self, module: Module, x: np.ndarray, prefix: str = "") -> np.ndarray:
-        fn = _lookup(_FWD, type(module))
-        if fn is None:
-            raise UnsupportedModule(
-                f"no vectorized forward kernel for {type(module).__name__}")
-        return fn(module, self, prefix, x)
+        return _FWD[type(module)](module, self, prefix, x)
 
     def backward(self, module: Module, grad: np.ndarray, prefix: str = "",
                  input_grad: bool = True) -> Optional[np.ndarray]:
@@ -304,11 +300,7 @@ class VectorizedRun:
         forward the flag to the child that receives their own input and to
         no other.
         """
-        fn = _lookup(_BWD, type(module))
-        if fn is None:
-            raise UnsupportedModule(
-                f"no vectorized backward kernel for {type(module).__name__}")
-        return fn(module, self, prefix, grad, input_grad)
+        return _BWD[type(module)](module, self, prefix, grad, input_grad)
 
     # -- kernel support -----------------------------------------------------
 
@@ -344,12 +336,12 @@ class VectorizedRun:
             self._rngs = self._derive_rngs()
         return self._rngs
 
-    def state(self, name: str) -> np.ndarray:
-        """The ``(V,) + shape`` stacked view of one stateful buffer."""
+    def state(self, module: Module, prefix: str) -> List[np.ndarray]:
+        """The ``(V,) + shape`` stacked views of ``module``'s buffers."""
         if self.state_views is None:
-            raise UnsupportedModule(
-                f"stateful kernel needs per-virtual-node state views ({name!r})")
-        return self.state_views[name]
+            raise UnsupportedModule(f"{type(module).__name__} carries per-virtual-node "
+                                    f"state, but the step has no state matrix, {_at(prefix)}")
+        return [self.state_views[prefix + key] for key in module.buffers]
 
     # -- segment-exact primitives ------------------------------------------
     #
@@ -529,59 +521,43 @@ class VectorizedRun:
         return rows.reshape((self.batch,) + (1,) * (ndim - 1))
 
 
-def supports_training(model: Module, loss_fn: Loss) -> bool:
-    """True when every module has forward *and* backward kernels.
+Step = Tuple[Callable, Callable, Module, str]  # (forward, backward, module, prefix)
 
-    Stateful modules (BatchNorm) are fully covered: their per-virtual-node
-    buffers ride through the run as stacked state views, so carrying buffers
-    no longer forces the serial loop.  Modules that carry buffers a kernel
-    does not consume (user subclasses of stateless layers) still fall back
-    to the serial oracle — fusing them would silently freeze their state.
+
+def kernel_plan(model: Module) -> List[Step]:
+    """``model`` as a flat list of ``(forward, backward, module, prefix)``
+    steps, every kernel resolved once; ``Sequential`` nesting is flattened,
+    other containers dispatch their children themselves.
+
+    The fused backend walks it forward (training), in reverse with
+    ``input_grad`` False only at step 0 — the ``Sequential`` rule — and
+    forward without ``Dropout`` (inference).  Every module, nested or not,
+    needs both kernels, and one with buffers a kernel that updates them:
+    otherwise :class:`UnsupportedModule` names its class and path.  A step
+    on ``model`` itself holds it through a weak proxy, so a weak per-model
+    cache never keeps its own key alive.
     """
-    from repro.framework.losses import _LOSS  # training only
-    if type(loss_fn) not in _LOSS:
-        return False
-    for module in model.modules():
-        if _lookup(_FWD, type(module)) is None or _lookup(_BWD, type(module)) is None:
-            return False
-        if module.buffers and not isinstance(module, tuple(_STATEFUL_OK)):
-            return False
-    return True
+    steps: List[Step] = []
 
+    def walk(module: Module, prefix: str, flat: bool) -> None:
+        cls = type(module)
+        try:
+            forward, backward = _FWD[cls], _BWD[cls]
+        except UnsupportedModule as miss:
+            raise UnsupportedModule(f"{miss}, {_at(prefix)}") from None
+        kept = next((keys for t, keys in _STATEFUL_OK.items() if isinstance(module, t)), ())
+        if set(module.buffers) - set(kept):
+            raise UnsupportedModule(f"{cls.__name__} carries buffers no vectorized "
+                                    f"kernel updates, {_at(prefix)}")
+        flat_children = flat and forward is _sequential_fwd
+        if flat and not flat_children:
+            steps.append((forward, backward, module, prefix))
+        for name, child in module.children():
+            walk(child, f"{prefix}{name}.", flat_children)
 
-def supports_inference(model: Module) -> bool:
-    """True when every module has a forward kernel."""
-    return all(_lookup(_FWD, type(m)) is not None for m in model.modules())
-
-
-def inference_steps(model: Module) -> Optional[List[Tuple[Callable, Module, str]]]:
-    """``model``'s inference forward as a flat ``(kernel, module, prefix)``
-    list, or ``None`` when some module has no forward kernel.
-
-    Dispatch resolved once instead of per call: ``Sequential`` nesting is
-    flattened and ``Dropout`` — the identity outside training — is dropped,
-    so ``for kernel, module, prefix in steps: x = kernel(module, run,
-    prefix, x)`` on an inference run equals ``run.forward(model, x)``.
-    Other containers stay one step and dispatch their children themselves.
-    The list is meant to be cached per model, weakly: a step on ``model``
-    itself (a model that is not a ``Sequential``) holds it through a weak
-    proxy, so the cached value never keeps its own key alive.
-    """
-    if not supports_inference(model):
-        return None
-    steps: List[Tuple[Callable, Module, str]] = []
-
-    def flatten(module: Module, prefix: str) -> None:
-        kernel = _lookup(_FWD, type(module))
-        if kernel is _sequential_fwd:
-            for name, child in module.children():
-                flatten(child, f"{prefix}{name}.")
-        elif kernel is not _dropout_fwd:
-            steps.append((kernel, module, prefix))
-
-    flatten(model, "")
-    if steps and steps[0][1] is model:
-        steps[0] = (steps[0][0], weakref.proxy(model), "")
+    walk(model, "", True)
+    if steps and steps[0][2] is model:
+        steps[0] = steps[0][:2] + (weakref.proxy(model), "")
     return steps
 
 
@@ -708,18 +684,14 @@ def _sequential_bwd(m: L.Sequential, run: VectorizedRun, prefix: str, grad, inpu
     return grad
 
 
-def vectorized_loss(loss_fn: Loss, run: VectorizedRun, outputs: np.ndarray,
-                    targets: np.ndarray) -> Tuple[List[float], np.ndarray]:
-    """Per-virtual-node ``(losses, loss_gradients)`` for a segmented batch.
-
-    Each segment's loss and gradient is bit-identical to calling
-    ``loss_fn.forward``/``backward`` on that shard alone.  The kernels live
-    with the losses (:mod:`repro.framework.losses`), which only training
-    loads.
-    """
+def loss_kernel(loss_fn: Loss) -> Callable:
+    """The vectorized kernel of ``loss_fn``: ``kernel(loss_fn, run, outputs,
+    targets)`` gives per-virtual-node ``(losses, loss_gradients)``, each
+    segment's bit-identical to ``loss_fn.forward``/``backward`` on that
+    shard alone.  The kernels live with the losses
+    (:mod:`repro.framework.losses`), which only training loads."""
     from repro.framework.losses import _LOSS
     fn = _LOSS.get(type(loss_fn))
     if fn is None:
-        raise UnsupportedModule(
-            f"no vectorized loss kernel for {type(loss_fn).__name__}")
-    return fn(loss_fn, run, outputs, targets)
+        raise UnsupportedModule(f"{type(loss_fn).__name__} has no vectorized loss kernel")
+    return fn

@@ -1,5 +1,5 @@
 """Vectorized kernels of the attention family (:mod:`repro.framework.attention`): loaded by
-:mod:`repro.core.backends.vectorized`'s ``_lookup``, bound by the contract written there."""
+:mod:`repro.core.backends.vectorized`'s kernel tables, bound by the contract written there."""
 
 from __future__ import annotations
 

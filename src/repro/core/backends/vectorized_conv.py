@@ -1,5 +1,5 @@
 """Vectorized kernels of the convolution family (:mod:`repro.framework.conv`): loaded by
-:mod:`repro.core.backends.vectorized`'s ``_lookup``, bound by the contract written there."""
+:mod:`repro.core.backends.vectorized`'s kernel tables, bound by the contract written there."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from repro.framework.conv import (BatchNorm, Conv2D, GlobalAvgPool2D, MaxPool2D,
                                   col2im, im2col)
 
 # BatchNorm's kernels read and update its moving statistics per virtual node.
-_STATEFUL_OK.append(BatchNorm)
+_STATEFUL_OK[BatchNorm] = ("running_mean", "running_var")
 
 
 def _patch_rows(run: VectorizedRun, prefix: str, x: np.ndarray, k: int, stride: int,
@@ -67,8 +67,7 @@ def _batchnorm_fwd(m: BatchNorm, run: VectorizedRun, prefix: str, x):
     sq = x_hat * x_hat
     var = run.seg_mean(sq.reshape(shape))
     mom = m.momentum
-    running_mean = run.state(prefix + "running_mean")
-    running_var = run.state(prefix + "running_var")
+    running_mean, running_var = run.state(m, prefix)
     running_mean[...] = mom * running_mean + (1 - mom) * mean
     running_var[...] = mom * running_var + (1 - mom) * var
     inv_std = 1.0 / np.sqrt(var + m.eps)

@@ -15,10 +15,10 @@ that physical half exactly once:
   and the per-batch-size serving plan memo (:meth:`inference_plan`);
 * the execution backend (:mod:`repro.core.backends`) that decides *how*
   waves run on the host: one :class:`~repro.core.backends.FusedBackend`
-  shared by every engine, so its per-model kernel lists and per-bounds
+  shared by every engine, so its per-model kernel plans and per-bounds
   inference runs are built once per process.  Tests compare against the
   serial oracle by assigning a
-  :class:`~repro.core.backends.ReferenceBackend` to an engine's
+  :class:`~repro.core.backends.reference.ReferenceBackend` to an engine's
   ``backend``.
 """
 

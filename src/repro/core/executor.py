@@ -24,14 +24,15 @@ follow virtual nodes across resizes exactly as §4.1 requires.
 Execution strategy
 ------------------
 *How* the waves run on the host is delegated to the engine's
-:class:`~repro.core.backends.ExecutionBackend` (the fused vectorized pass;
-tests swap in the serial oracle loop).  A backend may only change host
-wall-clock cost; the simulated device schedule and the numeric results are
-backend-independent (bit-exactly so for every built-in workload, stateful
-kernels included).  Parameters and gradients live in the model's
-:class:`~repro.framework.arena.FlatTensorArena`, installed at construction:
-two contiguous buffers, so synchronization and the optimizer update run as
-a handful of whole-arena vector ops.
+:class:`~repro.core.backends.ExecutionBackend` (the fused vectorized pass,
+which resolves the model's kernel plan at construction and refuses a model
+it cannot run there; tests swap in the serial oracle loop).  A backend may
+only change host wall-clock cost; the simulated device schedule and the
+numeric results are backend-independent (bit-exactly so for every built-in
+workload, stateful kernels included).  Parameters and gradients live in
+the model's :class:`~repro.framework.arena.FlatTensorArena`, installed at
+construction: two contiguous buffers, so synchronization and the optimizer
+update run as a handful of whole-arena vector ops.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ local batch size, matching the convention used by TensorFlow/Horovod that the
 paper's weighted gradient synchronization (§5.2) is defined against.
 
 Each built-in loss also has a *segmented* kernel (``_LOSS``), which the fused
-backend's training step runs through
-:func:`repro.core.backends.vectorized.vectorized_loss`: the per-virtual-node
+backend's training step looks up through
+:func:`repro.core.backends.vectorized.loss_kernel`: the per-virtual-node
 losses and gradients of a batch that concatenates every node's shard, each
 bit-identical to ``forward``/``backward`` on that shard alone.  They live
 here, not with the layer kernels, because only training loads this module.
@@ -133,6 +133,6 @@ def _mse(loss_fn: MSELoss, run: VectorizedRun, outputs, targets):
     return losses, 2.0 * (outputs - targets) / n_rows
 
 
-# Keyed on the exact class: a subclass may change the math, so it falls back
-# to the serial loop until it registers a kernel of its own.
+# Keyed on the exact class: a subclass may change the math, so the fused
+# backend refuses it until it registers a kernel of its own.
 _LOSS = {SoftmaxCrossEntropy: _softmax_xent, MSELoss: _mse}

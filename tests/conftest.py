@@ -7,7 +7,8 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from repro.core import Mapping, ReferenceBackend, VirtualFlowExecutor, VirtualNodeSet
+from repro.core import Mapping, VirtualFlowExecutor, VirtualNodeSet
+from repro.core.backends.reference import ReferenceBackend
 from repro.data import make_dataset
 from repro.framework import SoftmaxCrossEntropy, get_workload
 from repro.hardware import Cluster

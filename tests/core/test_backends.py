@@ -24,24 +24,27 @@ from repro.core import (
     InferenceEngine,
     Mapping,
     TrainerConfig,
+    VirtualFlowExecutor,
     VirtualFlowTrainer,
     VirtualNodeSet,
 )
 from repro.core.backends import TrainStep
 from repro.core.backends import fused as fused_module
+from repro.core.backends import vectorized
 from repro.core.backends.vectorized import (
+    UnsupportedModule,
     VectorizedRun,
-    supports_inference,
-    supports_training,
+    kernel_plan,
+    loss_kernel,
 )
 from repro.core.sharding import shard_batch
 from repro.core.state import StateMatrix, VirtualNodeState
 from repro.data import make_dataset
 from repro.data.augment import GaussianNoise
 from repro.elastic import JobSpec
-from repro.framework import FlatTensorArena, SoftmaxCrossEntropy, get_workload
+from repro.framework import SGD, FlatTensorArena, SoftmaxCrossEntropy, get_workload
 from repro.framework.conv import BatchNorm
-from repro.framework.layers import Dense, Dropout, ReLU, Residual, Sequential
+from repro.framework.layers import Dense, Dropout, Module, ReLU, Residual, Sequential
 from repro.hardware import Cluster
 from repro.utils.seeding import vn_rng
 from tests.conftest import on_reference
@@ -211,124 +214,157 @@ def _train_step(model, dataset, sizes, loss_fn=None, xy=None):
         seed=0, epoch=0, step=0, arena=FlatTensorArena.install(model))
 
 
-class TestFusability:
+class _NoKernel(Module):
+    """A user layer with no vectorized kernel."""
+
+    def forward(self, x, *, training=False, rng=None):
+        return x
+
+    def backward(self, grad):
+        return grad
+
+
+class _StatefulDense(Dense):
+    """A stateless layer's subclass that adds a buffer: the MRO walk would
+    hand it Dense's kernels, which never update the buffer."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.buffers["x_mean"] = np.zeros(self.in_dim)
+
+    def forward(self, x, *, training=False, rng=None):
+        if training:
+            self.buffers["x_mean"][...] = x.mean(axis=0)
+        return super().forward(x, training=training, rng=rng)
+
+
+class _TallyBatchNorm(BatchNorm):
+    """A stateful layer's subclass with a buffer its kernels never update."""
+
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.buffers["seen"] = np.zeros(1)
+
+
+def _snapshot(step):
+    """The parameters, model buffers and state rows a step could touch."""
+    rows = None if step.state_matrix is None else step.state_matrix.rows.copy()
+    return step.arena.params_flat.copy(), step.model.state_dict(), rows
+
+
+def _assert_untouched(step, before):
+    params, buffers, rows = _snapshot(step)
+    np.testing.assert_array_equal(params, before[0])
+    assert buffers.keys() == before[1].keys()
+    for key, value in buffers.items():
+        np.testing.assert_array_equal(value, before[1][key], err_msg=key)
+    if rows is not None:
+        np.testing.assert_array_equal(rows, before[2])
+
+
+class TestOnePath:
+    """Every model runs on its one kernel plan; what the fused pass cannot
+    run fails loudly, naming the class and its path — a module when the
+    engine is built, a loss or a stateful step without a state matrix at the
+    first step, before any parameter or state row changes."""
+
     def _step(self, workload_name, vns=4, batch=32):
         wl = get_workload(workload_name)
         return _train_step(wl.build_model(0), wl.dataset, [batch // vns] * vns)
 
-    def test_every_builtin_workload_fuses(self):
-        """can_fuse is True for the whole zoo — no training fallback left."""
+    def test_every_builtin_workload_has_a_plan_and_a_loss_kernel(self):
         fused = FusedBackend()
         for name in STATELESS_WORKLOADS + STATEFUL_WORKLOADS:
-            assert fused.can_fuse(self._step(name)), name
+            step = self._step(name)
+            plan = kernel_plan(step.model)
+            assert plan and all(len(s) == 4 for s in plan), name
+            assert loss_kernel(step.loss_fn) is not None, name
+            assert np.isfinite(fused.train_step(step).weighted_loss), name
 
-    def test_mixed_size_wave_group_fuses(self):
+    def test_the_plan_flattens_sequentials_and_names_every_path(self):
+        rng = np.random.default_rng(0)
+        model = Sequential(Dense(4, 4, rng), Sequential(ReLU(), Dropout(0.5)),
+                           Residual(Sequential(Dense(4, 4, rng))))
+        plan = kernel_plan(model)
+        assert [prefix for *_, prefix in plan] == ["0.", "1.0.", "1.1.", "2."]
+        assert [type(module) for _, _, module, _ in plan] == [Dense, ReLU, Dropout, Residual]
+
+    def test_one_plan_serves_training_and_inference(self):
+        step = self._step("mlp_synthetic")
         fused = FusedBackend()
+        fused.bind(step.model)
+        (plan,) = fused._plans.values()
+        fused.train_step(step)
+        fused.infer(step.model, step.vn_set, np.concatenate([x for x, _ in step.shards]))
+        assert list(fused._plans.values()) == [plan]
+
+    @pytest.mark.parametrize("child, message", [
+        (lambda: Residual(Sequential(_NoKernel())),
+         "_NoKernel has no vectorized forward kernel, at 'odd.body.0'"),
+        (lambda: _StatefulDense(10, 10, np.random.default_rng(0)),
+         "_StatefulDense carries buffers no vectorized kernel updates, at 'odd'"),
+        (lambda: Sequential(_TallyBatchNorm(10)),
+         "_TallyBatchNorm carries buffers no vectorized kernel updates, at 'odd.0'"),
+    ], ids=["no_kernel", "stateless_subclass_with_buffers",
+            "stateful_subclass_with_more_buffers"])
+    def test_a_module_the_pass_cannot_run_is_rejected_when_the_engine_is_built(
+            self, child, message):
+        model = get_workload("mlp_synthetic").build_model(0)
+        model.add_child("odd", child())
+        mapping = Mapping.even(VirtualNodeSet.even(8, 4), Cluster.homogeneous("V100", 2))
+        with pytest.raises(UnsupportedModule, match=message):
+            VirtualFlowExecutor(workload=get_workload("mlp_synthetic"), model=model,
+                                loss_fn=SoftmaxCrossEntropy(), optimizer=SGD(0.1),
+                                mapping=mapping)
+        with pytest.raises(UnsupportedModule, match=message):
+            InferenceEngine(get_workload("mlp_synthetic"), model, mapping)
+
+    def test_a_hand_built_step_on_such_a_module_is_rejected_before_it_runs(self):
+        step = self._step("mlp_synthetic")
+        step.model.add_child("tap", _StatefulDense(10, 10, np.random.default_rng(0)))
+        before = _snapshot(step)
+        with pytest.raises(UnsupportedModule,
+                           match="_StatefulDense carries buffers no vectorized kernel "
+                                 "updates, at 'tap'"):
+            FusedBackend().train_step(step)
+        _assert_untouched(step, before)
+
+    def test_a_loss_without_a_kernel_is_rejected_before_any_row_changes(self):
+        class MyLoss(SoftmaxCrossEntropy):
+            pass
+
         step = self._step("resnet56_cifar10")
-        # Mixed shard sizes no longer matter to fusability.
-        assert fused.can_fuse(step)
+        step.loss_fn = MyLoss()
+        before = _snapshot(step)
+        with pytest.raises(UnsupportedModule, match="MyLoss has no vectorized loss kernel"):
+            FusedBackend().train_step(step)
+        _assert_untouched(step, before)
 
-    def test_fused_path_taken_not_fallback(self):
-        """The vectorized path really runs (the oracle loop is never hit)."""
-        fused = FusedBackend()
-
-        def _boom(step):
-            raise AssertionError("fused backend fell back to the serial loop")
-
-        fused._reference.train_step = _boom
-        for name in STATELESS_WORKLOADS + STATEFUL_WORKLOADS:
-            out = fused.train_step(self._step(name))
-            assert np.isfinite(out.weighted_loss)
-
-    def test_stateful_model_without_state_falls_back(self):
-        """A hand-built TrainStep with no state matrix on a BatchNorm model
-        cannot supply stacked state views — it must take the serial loop,
-        which raises a loud KeyError (never a silent cross-wave sharing of
-        one running state)."""
-        fused = FusedBackend()
+    def test_a_stateful_step_without_a_state_matrix_is_rejected(self):
+        """A hand-built step on a BatchNorm model with no state matrix has no
+        per-node rows to update: never one running state shared silently
+        across waves."""
         step = self._step("resnet56_cifar10")
         # Empty per-node buffers make no matrix: the same step.
         assert StateMatrix.of([VirtualNodeState(i) for i in range(4)]) is None
         step.state_matrix = None
-        assert not fused.can_fuse(step)
-        with pytest.raises(KeyError, match="missing buffer"):
-            fused.train_step(step)
+        before = _snapshot(step)
+        with pytest.raises(UnsupportedModule,
+                           match=r"BatchNorm carries per-virtual-node state, but the "
+                                 r"step has no state matrix, at '[\w.]+'"):
+            FusedBackend().train_step(step)
+        _assert_untouched(step, before)
 
-    def test_kernel_lookup_miss_cache_is_stable(self):
-        """Unsupported-module verdicts must not flip on repeated lookups
-        (the negative cache once leaked its sentinel through the MRO walk)."""
-        from repro.framework.layers import Module, Sequential
-
-        class NoKernel(Module):
-            def forward(self, x, *, training=False, rng=None):
-                return x
-
-            def backward(self, grad):
-                return grad
-
-        model = Sequential(NoKernel())
-        assert not supports_inference(model)
-        assert not supports_inference(model)  # second call: same verdict
-        assert not supports_training(model, SoftmaxCrossEntropy())
-        assert not supports_training(model, SoftmaxCrossEntropy())
-        # A layer family's kernels load before a miss could be recorded for
-        # one of its classes (from a fresh start:
-        # tests/core/test_kernel_families.py).
-        from repro.core.backends import vectorized
-
-        families = {"repro.framework.conv", "repro.framework.attention"}
-        misses = [cls for table in (vectorized._FWD, vectorized._BWD)
-                  for cls, fn in table.items() if fn is vectorized._MISSING]
-        assert NoKernel in misses
-        assert not [cls for cls in misses
-                    if {base.__module__ for base in cls.__mro__} & families]
-
-    def test_unknown_module_still_falls_back(self):
-        from repro.framework.layers import Module
-
-        class Mystery(Module):
-            def forward(self, x, *, training=False, rng=None):
-                return x
-
-            def backward(self, grad):
-                return grad
-
-        fused = FusedBackend()
-        step = self._step("mlp_synthetic")
-        step.model.add_child("mystery", Mystery())
-        assert not fused.can_fuse(step)
-
-    def test_stateless_subclass_with_buffers_falls_back(self):
-        """A user subclass that adds buffers to a stateless layer inherits
-        that layer's kernel via the MRO walk — fusing it would silently
-        ignore the buffer semantics, so it must take the serial loop."""
-        import numpy as np
-
-        from repro.framework.layers import Dense
-
-        class StatefulDense(Dense):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.buffers["x_mean"] = np.zeros(self.in_dim)
-
-            def forward(self, x, *, training=False, rng=None):
-                if training:
-                    self.buffers["x_mean"][...] = x.mean(axis=0)
-                return super().forward(x, training=training, rng=rng)
-
-        fused = FusedBackend()
-        step = self._step("mlp_synthetic")
-        rng = np.random.default_rng(0)
-        step.model.add_child("tap", StatefulDense(10, 10, rng))
-        assert not supports_training(step.model, SoftmaxCrossEntropy())
-        assert not fused.can_fuse(step)
-
-    def test_kernel_coverage(self):
-        for name in STATELESS_WORKLOADS + STATEFUL_WORKLOADS:
-            wl = get_workload(name)
-            model = wl.build_model(0)
-            assert supports_training(model, SoftmaxCrossEntropy()), name
-            assert supports_inference(model), name
+    def test_a_kernel_miss_is_never_cached(self):
+        """A miss raises every time and leaves no entry behind; the family
+        kernels load before a miss could be raised for one of their classes
+        (from a fresh start: tests/core/test_kernel_families.py)."""
+        for table in (vectorized._FWD, vectorized._BWD):
+            for _ in range(2):
+                with pytest.raises(UnsupportedModule,
+                                   match=f"_NoKernel has no vectorized {table.kind} kernel"):
+                    table[_NoKernel]
+            assert _NoKernel not in table
 
 
 def _segments(sizes):
@@ -526,9 +562,7 @@ class TestBatchInputHasNoGradient:
         made = []
         monkeypatch.setattr(fused_module, "VectorizedRun",
                             lambda *a, **k: made.append(_RecordingRun(*a, **k)) or made[-1])
-        backend = FusedBackend()
-        backend._reference.train_step = None  # the vectorized path or nothing
-        backend.train_step(step)
+        FusedBackend().train_step(step)
         (run,) = made
 
         assert set(run.param_grads) == set(want_grads[0])

@@ -1,10 +1,11 @@
 """The layer families' kernels load with the first model that uses them.
 
 The convolution and attention kernels live in modules of their own, which
-``vectorized._lookup`` imports the first time it meets one of a family's
-classes.  These checks start from a fresh interpreter, where no family is
-loaded yet — an in-process pytest session has imported every module by
-collection time and would hide a family that never loads.
+``vectorized``'s kernel tables import the first time they meet one of a
+family's classes, when an engine builds the model's kernel plan.  These
+checks start from a fresh interpreter, where no family is loaded yet — an
+in-process pytest session has imported every module by collection time
+and would hide a family that never loads.
 """
 
 from __future__ import annotations
@@ -34,11 +35,10 @@ def _fresh(script: str, *argv: str):
 
 
 # Builds a trainer (which binds the model), then trains and evaluates one
-# epoch with the serial fallback disabled.
+# epoch on the model's kernel plan.
 _TRAIN = """
 import json, sys
 from repro.core import TrainerConfig, VirtualFlowTrainer
-from repro.core.backends.vectorized import supports_inference, supports_training
 
 families = lambda: sorted(m for m in sys.modules if m in %r)
 before = families()
@@ -47,17 +47,12 @@ trainer = VirtualFlowTrainer(TrainerConfig(workload=sys.argv[1], global_batch_si
                                            dataset_size=16))
 bound = families()
 executor = trainer.executor
-
-def fallback(*args, **kwargs):
-    raise AssertionError("fell back to the serial loop")
-
-executor.backend._reference.train_step = executor.backend._reference.infer = fallback
 trainer.train_epoch()
 print(json.dumps({
     "model": type(executor.model).__name__,
     "before": before, "bound": bound, "after": families(),
-    "training": supports_training(executor.model, executor.loss_fn),
-    "inference": supports_inference(executor.model),
+    "planned": executor.model in executor.backend._plans,
+    "reference": "repro.core.backends.reference" in sys.modules,
 }))
 """ % (_FAMILIES,)
 
@@ -71,14 +66,14 @@ print(json.dumps({
 def test_each_family_takes_the_fused_path_from_a_fresh_start(workload, model, family):
     run = _fresh(_TRAIN, workload)
     assert run["model"] == model
-    assert run["training"] and run["inference"]
+    assert run["planned"] and not run["reference"]
     assert run["before"] == []
     # Bound when the executor was built: nothing loads inside the loop.
     assert run["bound"] == run["after"] == ([family] if family else [])
 
 
-# Looks up kernels for a family class (and a user subclass of one) before
-# the family's module is loaded, next to a class that has no kernel at all.
+# Looks up kernels for a class with no kernel at all, then for a user
+# subclass of a family class before the family's module is loaded.
 _LOOKUP = """
 import json, sys
 from repro.core.backends import vectorized as V
@@ -91,20 +86,26 @@ class NoKernel(Module):
 class MyConv(Conv2D):
     pass
 
+def miss(cls):
+    try:
+        V._FWD[cls]
+    except V.UnsupportedModule as error:
+        return str(error)
+
 loaded = lambda: "repro.core.backends.vectorized_conv" in sys.modules
 out = {"loaded_before": loaded()}
-out["no_kernel"] = [V._lookup(V._FWD, NoKernel) is None for _ in range(2)]
-out["subclass"] = V._lookup(V._BWD, MyConv) is V._BWD[Conv2D]
+out["no_kernel"] = [miss(NoKernel) for _ in range(2)]
+out["subclass"] = V._BWD[MyConv] is V._BWD[Conv2D]
 out["loaded_after"] = loaded()
-out["misses"] = sorted(cls.__name__ for table in (V._FWD, V._BWD)
-                       for cls, fn in table.items() if fn is V._MISSING)
+out["cached"] = sorted(cls.__name__ for table in (V._FWD, V._BWD) for cls in table
+                       if cls.__module__ == "__main__")
 print(json.dumps(out))
 """
 
 
-def test_a_family_class_is_never_a_cached_miss():
+def test_a_family_loads_before_a_miss_is_raised_for_its_classes():
     out = _fresh(_LOOKUP)
     assert not out["loaded_before"] and out["loaded_after"]
-    assert out["no_kernel"] == [True, True]
+    assert out["no_kernel"] == ["NoKernel has no vectorized forward kernel"] * 2
     assert out["subclass"]
-    assert out["misses"] == ["NoKernel"]
+    assert out["cached"] == ["MyConv"]  # the walk is memoized; a miss is not

@@ -29,10 +29,10 @@ from repro.core import (
     FusedBackend,
     InferenceEngine,
     Mapping,
-    ReferenceBackend,
     VirtualNodeSet,
 )
 from repro.core.backends import fused as fused_module
+from repro.core.backends.reference import ReferenceBackend
 from repro.core.backends.vectorized import VectorizedRun
 from repro.core.sharding import shard_indices
 from repro.core.state import merged_eval_state
@@ -124,9 +124,7 @@ def _assert_same_logits(name, vn_set, n, bounds):
 def _assert_same_step(name, sizes):
     want_step, got_step = _step(name, sizes), _step(name, sizes)
     want = ReferenceBackend().train_step(want_step)
-    fused = FusedBackend()
-    fused._reference.train_step = None  # the vectorized path or nothing
-    got = fused.train_step(got_step)
+    got = FusedBackend().train_step(got_step)
     assert got.weighted_loss == want.weighted_loss
     assert list(got.avg_grads) == list(want.avg_grads)
     for key, grad in want.avg_grads.items():
@@ -258,19 +256,23 @@ class TestInferenceRunCache:
             backend.infer(model, vn_set, x, bounds)
         assert len(backend._inference_runs) == 1
 
-    def test_the_memo_does_not_keep_a_model_alive(self):
+    def test_the_plan_cache_does_not_keep_a_model_alive(self):
         """Also for a model that is one step itself (no ``Sequential`` to
-        flatten): the cached list must not pin its own weak key."""
+        flatten): the cached plan must not pin its own weak key, after a
+        training step as well as an inference pass."""
         backend = FusedBackend()
         workload = get_workload("resnet56_cifar10")
-        model = workload.build_model(0)
+        step = _train_step(workload.build_model(0), workload.dataset, [2, 1, 1])
+        backend.train_step(step)
+        model = step.model
         x = np.random.default_rng(0).normal(size=(4, 8, 8, 3))
         want = ReferenceBackend().infer(model, VirtualNodeSet.even(4, 2), x)
         _assert_same_array(backend.infer(model, VirtualNodeSet.even(4, 2), x), want)
+        assert len(backend._plans) == 1
         alive = weakref.ref(model)
-        del model
+        del model, step
         gc.collect()
-        assert alive() is None and len(backend._inference_steps) == 0
+        assert alive() is None and len(backend._plans) == 0
 
 
 @pytest.mark.parametrize("backend", [ReferenceBackend, FusedBackend])

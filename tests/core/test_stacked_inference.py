@@ -4,9 +4,9 @@
 micro-batch, its node segments grouped by segment size, into one batch and
 hands the backend one ``(size, count)`` size run per segment size.
 Hypothesis draws the model family (the MLP, ``SmallCNN`` serving a trained
-job's merged ``vn_states``, ``TinyBert``, ``TinyTransformer``, and an MLP
-with a user layer that has no kernel, which the fused backend hands to its
-``ReferenceBackend`` fallback), the virtual node set (1–8 nodes, even or
+job's merged ``vn_states``, ``TinyBert`` and ``TinyTransformer``; an MLP
+with a user layer that has no kernel is refused when its engine is built),
+the virtual node set (1–8 nodes, even or
 uneven), the device count and 1–40 micro-batches of 1–8 requests — lengths
 below V leave nodes empty — and holds every row byte-equal to ``predict``
 of its own micro-batch, on the fused backend and on the serial
@@ -34,6 +34,7 @@ from repro.core import (
     VirtualFlowTrainer,
     VirtualNodeSet,
 )
+from repro.core.backends.vectorized import UnsupportedModule
 from repro.data import make_dataset
 from repro.framework import get_workload
 from repro.framework.layers import Dense, Module, ReLU, Sequential
@@ -43,8 +44,7 @@ from tests.conftest import on_reference
 sys.path.insert(0, str(pathlib.Path(__file__).parents[2] / "benchmarks" / "e2e"))
 from e2e_measure import count_calls  # noqa: E402
 
-FAMILIES = ("mlp_synthetic", "resnet56_cifar10", "bert_base_glue", "transformer_wmt",
-            "no_kernel")
+FAMILIES = ("mlp_synthetic", "resnet56_cifar10", "bert_base_glue", "transformer_wmt")
 
 
 class _Halve(Module):
@@ -58,11 +58,6 @@ class _Halve(Module):
 def _served(workload_name):
     """``(workload, model, vn_states, example bank)``; the conv model is a
     trained job's, served under the merge of its per-node BatchNorm state."""
-    if workload_name == "no_kernel":
-        workload, bank = _served("mlp_synthetic")[0], _served("mlp_synthetic")[3]
-        rng = np.random.default_rng(3)
-        return workload, Sequential(Dense(32, 16, rng), _Halve(), ReLU(),
-                                    Dense(16, 10, rng)), None, bank
     workload = get_workload(workload_name)
     bank = make_dataset(workload.dataset, n=64, seed=1).x_train
     if workload_name != "resnet56_cifar10":
@@ -125,11 +120,24 @@ def test_stacked_rows_equal_each_micro_batch_predicted_alone(reference, case):
         alone = engine.predict(np.array(examples[start:start + length])).logits
         _same_bytes(stacked[start:start + length], alone)
         start += length
-    if not reference and case["family"] != "no_kernel":
+    if not reference:
         # Every cached table is one micro-batch's shard table: V entries.
         tables = engine.backend._inference_runs
         assert all(len(t) == case["vn_set"].num_nodes for t in tables)
         assert len(tables) == len(set(case["lengths"]))
+
+
+def test_a_model_with_a_kernel_less_layer_is_refused_when_its_engine_is_built():
+    rng = np.random.default_rng(3)
+    model = Sequential(Dense(32, 16, rng), _Halve(), ReLU(), Dense(16, 10, rng))
+    backend = FusedBackend()
+    mapping = Mapping.even(VirtualNodeSet.even(4, 4), Cluster.homogeneous("V100", 2))
+    message = "_Halve has no vectorized forward kernel, at '1'"
+    with pytest.raises(UnsupportedModule, match=message):
+        InferenceEngine(get_workload("mlp_synthetic"), model, mapping)
+    with pytest.raises(UnsupportedModule, match=message):
+        backend.infer(model, mapping.vn_set, _served("mlp_synthetic")[3][:6])
+    assert len(backend._plans) == 0 and backend._inference_runs == {}
 
 
 def test_a_stacked_pass_caches_no_table_and_charges_nothing():
