@@ -40,7 +40,6 @@ _EXPORTS = {
     "ExecutionBackend": "repro.core",
     "ExecutionPlan": "repro.core",
     "FaultToleranceError": "repro.core",
-    "GradientBuffer": "repro.core",
     "InferenceEngine": "repro.core",
     "InferenceResult": "repro.core",
     "Interconnect": "repro.hardware",

@@ -10,13 +10,14 @@ plain accumulation cannot do (resize, span device types).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.core.sync import weighted_average
+from repro.core.sync import weighted_average_flat
 from repro.data.datasets import Dataset, make_dataset
 from repro.data.loader import BatchLoader
+from repro.framework.arena import FlatTensorArena
 from repro.framework.losses import SoftmaxCrossEntropy
 from repro.framework.models import get_workload
 from repro.utils.seeding import vn_rng
@@ -45,12 +46,13 @@ class GradientAccumulationTrainer:
         self.dataset = dataset or make_dataset(self.workload.dataset, n=dataset_size, seed=seed)
         self.loader = BatchLoader(self.dataset, global_batch_size, seed=seed)
         self.model = self.workload.build_model(seed)
+        self.arena = FlatTensorArena.install(self.model)
         self.loss_fn = SoftmaxCrossEntropy()
         self.optimizer = self.workload.build_optimizer()
 
     def run_step(self, x: np.ndarray, y: np.ndarray, epoch: int, step: int) -> float:
         """One optimizer step over k sequential micro-batches."""
-        contributions: List[Tuple[Dict[str, np.ndarray], float]] = []
+        stack = self.arena.grad_stack(self.accumulation_steps)
         total_loss = 0.0
         for k in range(self.accumulation_steps):
             lo, hi = k * self.micro_batch, (k + 1) * self.micro_batch
@@ -60,10 +62,9 @@ class GradientAccumulationTrainer:
             total_loss += self.loss_fn.forward(logits, yk) * len(xk)
             self.model.zero_grad()
             self.model.backward(self.loss_fn.backward())
-            grads = {k2: v.copy() for k2, v in self.model.gradients().items()}
-            contributions.append((grads, float(len(xk))))
-        avg = weighted_average(contributions)
-        self.optimizer.step(self.model.parameters(), avg)
+            stack[k] = self.arena.grads_flat
+        avg = weighted_average_flat(stack, [float(self.micro_batch)] * len(stack))
+        self.optimizer.step(self.arena.params, self.arena.view_of(avg))
         return total_loss / len(x)
 
     def train_epoch(self, epoch: int) -> float:

@@ -28,7 +28,6 @@ _EXPORTS = {
     "ExecutionPlan": "repro.core.plan",
     "FaultToleranceError": "repro.core.fault_tolerance",
     "FusedBackend": "repro.core.backends.fused",
-    "GradientBuffer": "repro.core.gradient_buffer",
     "InferenceEngine": "repro.core.inference",
     "InferenceResult": "repro.core.inference",
     "Mapping": "repro.core.mapping",
@@ -46,7 +45,6 @@ _EXPORTS = {
     "VirtualNode": "repro.core.virtual_node",
     "VirtualNodeSet": "repro.core.virtual_node",
     "VirtualNodeState": "repro.core.state",
-    "allreduce_gradients": "repro.core.sync",
     "handle_device_failure": "repro.core.fault_tolerance",
     "load_checkpoint": "repro.core.checkpoint",
     "migrate_states": "repro.core.state",

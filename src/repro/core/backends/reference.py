@@ -73,7 +73,7 @@ class ReferenceBackend(ExecutionBackend):
                 states.layout.pack(dict(model.named_buffers()),
                                    out=states.rows[node.index])
         import repro.core.sync as sync  # training only: serving never loads it
-        avg_flat = sync.weighted_average_flat(stack, weights, clobber=True)
+        avg_flat = sync.weighted_average_flat(stack, weights)
         return TrainStepOutput(
             avg_grads=arena.view_of(avg_flat),
             weighted_loss=weighted_loss,

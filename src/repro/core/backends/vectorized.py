@@ -533,13 +533,16 @@ def kernel_plan(model: Module) -> List[Step]:
     ``input_grad`` False only at step 0 — the ``Sequential`` rule — and
     forward without ``Dropout`` (inference).  Every module, nested or not,
     needs both kernels, and one with buffers a kernel that updates them:
-    otherwise :class:`UnsupportedModule` names its class and path.  A step
+    otherwise :class:`UnsupportedModule` names its class and path.  Every
+    module walked records its path in ``planned_at``, so a child added to
+    it later raises instead of being skipped by every cached plan.  A step
     on ``model`` itself holds it through a weak proxy, so a weak per-model
     cache never keeps its own key alive.
     """
     steps: List[Step] = []
 
     def walk(module: Module, prefix: str, flat: bool) -> None:
+        module.planned_at = prefix  # Module.add_child now refuses it
         cls = type(module)
         try:
             forward, backward = _FWD[cls], _BWD[cls]

@@ -12,11 +12,11 @@ optimizer slots as one buffer per slot kind (``optimizer.flat/<slot>``),
 both in the flat tensor arena's layout, and — for a model with stateful
 kernels — all virtual nodes' kernels as one ``(num_nodes, state_size)``
 matrix (``vn.flat``), with the name -> slice tables recorded in the
-metadata.  What is written depends only on the training state, never on
-whether the optimizer has stepped since a restore.  Any other file — the
-per-tensor layout of format version 1, an unknown version, an ``.npz``
-that is not a checkpoint — is rejected with a ``ValueError`` naming what
-it holds.
+metadata.  The optimizer's slots are written as its ``state_dict`` holds
+them, so a restored run saved again before its next step writes the same
+bytes.  Any other file — the per-tensor layout of format version 1, an
+unknown version, an ``.npz`` that is not a checkpoint — is rejected with a
+``ValueError`` naming what it holds.
 """
 
 from __future__ import annotations
@@ -55,15 +55,8 @@ def save_checkpoint(executor: VirtualFlowExecutor, path: str) -> None:
     arena = executor.arena
     arrays["model.flat"] = arena.params_flat
     meta["param_layout"] = arena.layout.spec()
-    # One buffer per slot kind, packed through the parameter layout: the same
-    # bytes whether the slots are flat (after a step) or per-key dicts (after
-    # a restore, before the next step).
-    slots: Dict[str, Dict[str, np.ndarray]] = {}
-    for key, value in executor.optimizer.state_dict().items():
-        slot, _, name = key.partition(".")
-        slots.setdefault(slot, {})[name] = value
-    for slot, values in slots.items():
-        arrays[f"optimizer.flat/{slot}"] = arena.layout.pack(values)
+    for slot, flat in executor.optimizer.state_dict().items():
+        arrays[f"optimizer.flat/{slot}"] = flat
     states = executor.state_matrix
     if states is not None:
         arrays["vn.flat"] = states.rows
@@ -119,15 +112,9 @@ def load_checkpoint(executor: VirtualFlowExecutor, path: str) -> Dict:
             )
         layout = _layout_from_meta(meta, "param_layout")
         executor.model.set_parameters(layout.views(data["model.flat"]))
-        # Expand each slot buffer back into the per-key state-dict namespace
-        # the optimizer API speaks (views: load copies them).
-        optimizer_state = {}
-        for key in data.files:
-            if key.startswith("optimizer.flat/"):
-                slot = key[len("optimizer.flat/"):]
-                for name, view in layout.views(data[key]).items():
-                    optimizer_state[f"{slot}.{name}"] = view
-        executor.optimizer.load_state_dict(optimizer_state)
+        executor.optimizer.load_state_dict({
+            key[len("optimizer.flat/"):]: data[key]
+            for key in data.files if key.startswith("optimizer.flat/")})
         executor.optimizer.step_count = int(meta["optimizer_step_count"])
         if "vn.flat" in data.files:  # copied into the executor's state matrix
             executor.vn_states = StateMatrix(

@@ -7,38 +7,26 @@ instead weights each local mean by its example count::
     (6/8) * mean(g1..g6) + (2/8) * mean(g7, g8) = mean(g1..g8)
 
 :func:`weighted_average` implements that contract over any number of
-contributions.  :func:`allreduce_gradients` is the cluster-wide step: it
-reduces per-device weighted sums in a canonical device order and hands every
-device the identical averaged result, mirroring a deterministic ring
-all-reduce.
+contributions, as a canonical per-key loop over named gradients.
 
-Flat fast path
---------------
-When every contribution is an arena view over one shared
-:class:`~repro.framework.arena.FlatLayout`, the per-key accumulation loops
-collapse into :func:`weighted_average_flat`: the contributions form an
-``(n, P)`` stack whose rows are scaled and summed over the leading axis.
-NumPy accumulates a leading-axis reduction row by row in order, so the
-result is **bit-identical** to the canonical per-key loop — the same
-property the fused execution backend relies on — while doing one vector
-multiply and one vector reduction instead of ``2 * n * num_params`` small
-ops.
+Flat stack
+----------
+Training reduces flat gradients: :func:`weighted_average_flat` takes the
+contributions as the rows of an ``(n, P)`` stack over the flat tensor
+arena's layout, scales them and sums over the leading axis.  NumPy
+accumulates a leading-axis reduction row by row in order, so the result is
+**bit-identical** to the canonical per-key loop — the same property the
+fused execution backend relies on — while doing one vector multiply and one
+vector reduction instead of ``2 * n * num_params`` small ops.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.framework.arena import ArenaView, FlatLayout
-
-__all__ = [
-    "weighted_average",
-    "weighted_average_flat",
-    "allreduce_gradients",
-    "naive_average",
-]
+__all__ = ["weighted_average", "weighted_average_flat", "naive_average"]
 
 Grads = Dict[str, np.ndarray]
 
@@ -53,19 +41,6 @@ def _check_keys(contributions: Sequence[Tuple[Grads, float]]) -> List[str]:
     return keys
 
 
-def _common_layout(contributions: Sequence[Tuple[Grads, float]],
-                   ) -> Optional[FlatLayout]:
-    """The shared arena layout, when every contribution carries the same one."""
-    first = getattr(contributions[0][0], "layout", None)
-    if first is None:
-        return None
-    for grads, _ in contributions[1:]:
-        layout = getattr(grads, "layout", None)
-        if layout is None or not (layout is first or layout == first):
-            return None
-    return first
-
-
 def _total_weight(weights: Sequence[float]) -> float:
     # Plain sequential Python sum — the canonical accumulation order (NumPy's
     # pairwise np.sum could differ in the last ulp for many contributions).
@@ -75,32 +50,23 @@ def _total_weight(weights: Sequence[float]) -> float:
     return total
 
 
-def weighted_average_flat(stack: np.ndarray, weights: Sequence[float],
-                          out: Optional[np.ndarray] = None,
-                          clobber: bool = False) -> np.ndarray:
+def weighted_average_flat(stack: np.ndarray, weights: Sequence[float]) -> np.ndarray:
     """Example-weighted average of an ``(n, P)`` flat-gradient stack.
 
     Row ``i`` is one contribution's flat gradients with weight
-    ``weights[i]``.  Rows are scaled by ``weight / total`` and summed over
-    the leading axis — a sequential, in-order accumulation, bit-identical to
-    :func:`weighted_average`'s per-key loop.  ``out`` receives the result
-    when given (preallocated hot-path buffers); ``clobber=True`` lets the
-    scaling happen in place on ``stack`` (scratch buffers).
+    ``weights[i]``.  Rows are scaled by ``weight / total`` **in place** (the
+    stack is scratch afterwards) and summed over the leading axis — a
+    sequential, in-order accumulation, bit-identical to
+    :func:`weighted_average`'s per-key loop.
     """
-    stack = np.asarray(stack)
     if stack.ndim != 2:
         raise ValueError(f"expected an (n, P) stack, got shape {stack.shape}")
     if len(weights) != stack.shape[0]:
         raise ValueError(
             f"{len(weights)} weights for {stack.shape[0]} contributions")
     total = _total_weight(weights)
-    scale = np.asarray([w / total for w in weights], dtype=stack.dtype)
-    if clobber:
-        stack *= scale[:, None]
-        scaled = stack
-    else:
-        scaled = stack * scale[:, None]
-    return scaled.sum(axis=0, out=out)
+    stack *= np.asarray([w / total for w in weights], dtype=stack.dtype)[:, None]
+    return stack.sum(axis=0)
 
 
 def weighted_average(contributions: Sequence[Tuple[Grads, float]]) -> Grads:
@@ -109,16 +75,8 @@ def weighted_average(contributions: Sequence[Tuple[Grads, float]]) -> Grads:
     Each contribution is ``(mean_grads, example_count)``.  The result equals
     the plain mean over all examples, however they were split — the §5.2
     correctness property.  Summation follows the given (canonical) order, so
-    results are bit-reproducible.  Arena-backed contributions reduce as one
-    flat stack (see :func:`weighted_average_flat`).
+    results are bit-reproducible.
     """
-    if not contributions:
-        raise ValueError("no gradient contributions to synchronize")
-    layout = _common_layout(contributions)
-    if layout is not None:
-        stack = np.stack([grads.flat for grads, _ in contributions])
-        weights = [w for _, w in contributions]
-        return ArenaView(layout, weighted_average_flat(stack, weights, clobber=True))
     keys = _check_keys(contributions)
     total = _total_weight([w for _, w in contributions])
     out: Grads = {}
@@ -144,32 +102,4 @@ def naive_average(contributions: Sequence[Tuple[Grads, float]]) -> Grads:
         for grads, _ in contributions:
             acc += grads[key] / n
         out[key] = acc
-    return out
-
-
-def allreduce_gradients(per_device: Dict[int, Tuple[Grads, float]]) -> Grads:
-    """Synchronize per-device (weighted_sum, weight) pairs into one average.
-
-    Devices are visited in ascending id order so the floating-point reduction
-    is independent of arrival order; every device receives the same arrays,
-    exactly as a synchronous all-reduce guarantees.  Arena-backed sums (the
-    gradient buffer's flat views) reduce as one stacked pass.
-    """
-    if not per_device:
-        raise ValueError("no devices to synchronize")
-    ordered = [per_device[d] for d in sorted(per_device)]
-    layout = _common_layout(ordered)
-    total = _total_weight([w for _, w in ordered])
-    if layout is not None:
-        stack = np.stack([sums.flat for sums, _ in ordered])
-        avg = stack.sum(axis=0)
-        avg /= total
-        return ArenaView(layout, avg)
-    keys = _check_keys(ordered)
-    out: Grads = {}
-    for key in keys:
-        acc = np.zeros_like(ordered[0][0][key])
-        for sums, _ in ordered:
-            acc += sums[key]
-        out[key] = acc / total
     return out

@@ -21,21 +21,19 @@ Horovod's fusion buffer and PyTorch DDP's gradient buckets — end to end:
   and the dict API keeps working, now backed by views instead of scattered
   allocations.
 * :class:`ArenaView` is that dict API: a plain ``dict`` of named views that
-  also carries the flat base array, so flat-aware consumers (the optimizers'
-  fast paths, :func:`repro.core.sync.weighted_average_flat`, the gradient
-  buffer's axpy fold) can detect it and collapse their per-key loops into a
-  handful of fused vector operations.
+  also carries the flat base array and its layout, which is what the
+  optimizers take: each updates the whole arena in a handful of fused vector
+  operations.
 
 Bit-exactness contract
 ----------------------
-Every fused path reproduces the dict path's floating-point arithmetic **bit
-for bit**: elementwise updates are order-free, reductions keep the canonical
-accumulation order (a scaled ``(n, P)`` stack summed over its leading axis
-accumulates rows sequentially, exactly like the per-key loop), and LAMB's
-per-parameter trust ratios use the same BLAS dot that ``np.linalg.norm``
-ravels into.  ``np.add.reduceat`` (exposed as :meth:`FlatLayout.
-segment_sums`) sums segments sequentially, which differs from that dot in
-the last ulp — it is therefore reserved for diagnostics, never for updates.
+Every fused path reproduces the per-key loop's floating-point arithmetic
+**bit for bit**: elementwise updates are order-free, reductions keep the
+canonical accumulation order (a scaled ``(n, P)`` stack summed over its
+leading axis accumulates rows sequentially, exactly like the per-key loop),
+and LAMB's per-parameter trust ratios use the same BLAS dot that
+``np.linalg.norm`` ravels into (``np.add.reduceat`` sums segments
+sequentially, which differs from that dot in the last ulp).
 
 Invalidation rules
 ------------------
@@ -53,14 +51,14 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["FlatLayout", "ArenaView", "FlatTensorArena", "flat_pair"]
+__all__ = ["FlatLayout", "ArenaView", "FlatTensorArena"]
 
 
 class FlatLayout:
     """Immutable name -> slice table over one contiguous 1-D buffer.
 
     Names are ordered canonically (sorted), matching the deterministic key
-    order the dict-path optimizer and synchronization code already use.
+    order of the per-key synchronization loop.
     """
 
     __slots__ = ("names", "shapes", "sizes", "starts", "total_size", "dtype",
@@ -122,10 +120,6 @@ class FlatLayout:
 
     # -- views & packing -----------------------------------------------------
 
-    def view(self, flat: np.ndarray, name: str) -> np.ndarray:
-        start, end, shape = self._slices[name]
-        return flat[start:end].reshape(shape)
-
     def views(self, flat: np.ndarray) -> Dict[str, np.ndarray]:
         """Named reshaped views over ``flat`` (no copies)."""
         if flat.shape != (self.total_size,):
@@ -158,21 +152,13 @@ class FlatLayout:
         return np.full(self.total_size, fill, dtype=self.dtype)
 
     def pack(self, arrays: Mapping[str, np.ndarray],
-             out: Optional[np.ndarray] = None,
-             missing_zero: bool = False) -> np.ndarray:
-        """Gather named arrays into one contiguous buffer.
-
-        ``missing_zero`` fills absent names with zeros (used when packing
-        lazily-populated optimizer slot dicts).
-        """
+             out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Gather named arrays into one contiguous buffer (``out`` when given)."""
         flat = out if out is not None else self.alloc(fill=None)
         for name, (start, end, shape) in self._slices.items():
-            if name in arrays:
-                flat[start:end] = np.asarray(arrays[name]).reshape(-1)
-            elif missing_zero:
-                flat[start:end] = 0.0
-            else:
+            if name not in arrays:
                 raise KeyError(f"missing tensor {name!r} while packing")
+            flat[start:end] = np.asarray(arrays[name]).reshape(-1)
         return flat
 
     # -- segmented reductions -------------------------------------------------
@@ -191,22 +177,13 @@ class FlatLayout:
             out[i] = seg.dot(seg)
         return out
 
-    def segment_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-segment sums in one ``np.add.reduceat`` call.
-
-        Sequential in-segment accumulation: last-ulp different from
-        :meth:`segment_dots`, so this is for diagnostics (per-parameter
-        gradient-norm breakdowns), not for bit-exact update paths.
-        """
-        return np.add.reduceat(values, self.starts)
-
 
 class ArenaView(dict):
     """Named views over one flat buffer, presented through the dict API.
 
     Behaves exactly like the plain ``{name: ndarray}`` dicts the rest of the
-    system exchanges, but carries ``.layout`` and ``.flat`` so flat-aware
-    consumers can skip the per-key loop.  Mutating an entry's *contents*
+    system exchanges, but carries ``.layout`` and ``.flat``, which the
+    optimizers update as one array.  Mutating an entry's *contents*
     writes through to the flat buffer; rebinding an entry would detach it
     (nothing in the codebase does).
     """
@@ -217,15 +194,6 @@ class ArenaView(dict):
         super().__init__(layout.views(flat))
         self.layout = layout
         self.flat = flat
-
-
-def flat_pair(params, grads) -> Optional[Tuple[FlatLayout, np.ndarray, np.ndarray]]:
-    """(layout, params_flat, grads_flat) when both dicts share one arena layout."""
-    layout = getattr(params, "layout", None)
-    other = getattr(grads, "layout", None)
-    if layout is not None and (layout is other or layout == other):
-        return layout, params.flat, grads.flat
-    return None
 
 
 class FlatTensorArena:
@@ -286,7 +254,3 @@ class FlatTensorArena:
     def view_of(self, flat: np.ndarray) -> ArenaView:
         """Wrap a parameter-arena-shaped flat buffer in the dict API."""
         return ArenaView(self.layout, flat)
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.params_flat.nbytes + self.grads_flat.nbytes)

@@ -59,6 +59,11 @@ def softmax_backward(s: np.ndarray, grad_s: np.ndarray, axis: int = -1) -> np.nd
 class Module:
     """Base class for all layers and models."""
 
+    # Path prefix ("" for the model, "0.body." below it) once an engine's
+    # kernel plan holds this module (set by ``core.backends.vectorized.
+    # kernel_plan``), so no child can join it.
+    planned_at = None
+
     def __init__(self) -> None:
         self.params: Dict[str, np.ndarray] = {}
         self.grads: Dict[str, np.ndarray] = {}
@@ -68,6 +73,10 @@ class Module:
     # -- composition -------------------------------------------------------
 
     def add_child(self, name: str, module: "Module") -> "Module":
+        if self.planned_at is not None:
+            raise RuntimeError(f"cannot add {name!r} to {type(self).__name__} at "
+                               f"{self.planned_at[:-1] or 'the model root'!r}: an "
+                               f"engine has planned the model")
         self._children.append((name, module))
         return module
 
@@ -132,9 +141,8 @@ class Module:
         if arena is not None:
             arena.zero_grads()
             return
-        for module in self.modules():
-            for key in module.grads:
-                module.grads[key][...] = 0.0
+        for grad in self.gradients().values():
+            grad[...] = 0.0
 
     def _register(self, name: str, value: np.ndarray) -> np.ndarray:
         self.params[name] = value
@@ -177,9 +185,6 @@ class Module:
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def __call__(self, x: np.ndarray, **kwargs) -> np.ndarray:
-        return self.forward(x, **kwargs)
 
     def num_parameters(self) -> int:
         return int(sum(p.size for p in self.parameters().values()))
@@ -306,16 +311,12 @@ class Sequential(Module):
         for i, module in enumerate(modules):
             self.add_child(str(i), module)
 
-    @property
-    def layers(self) -> List[Module]:
-        return [m for _, m in self._children]
-
     def forward(self, x, *, training=False, rng=None):
-        for layer in self.layers:
+        for _, layer in self._children:
             x = layer.forward(x, training=training, rng=rng)
         return x
 
     def backward(self, grad):
-        for layer in reversed(self.layers):
+        for _, layer in reversed(self._children):
             grad = layer.backward(grad)
         return grad

@@ -1,21 +1,22 @@
-"""Optimizers operating on flat parameter/gradient dicts.
+"""Optimizers: whole-arena updates of a model's flat parameter buffer.
 
 Updates are applied *in place* so that every virtual node's view of the model
 (which aliases the same arrays) advances together — mirroring how the real
 system keeps a single cached copy of the model per accelerator (§3.2).
 
-Flat fast path
---------------
-When both ``params`` and ``grads`` are arena views sharing one
-:class:`~repro.framework.arena.FlatLayout` (see ``repro.framework.arena``),
-:meth:`Optimizer.step` dispatches to :meth:`Optimizer._update_flat`, which
-updates the entire parameter arena in O(1) NumPy calls instead of
-O(num_params) Python iterations.  Slot variables (velocity, Adam moments)
-are then kept as one flat array each, with the per-key dict rebound to
-layout views so ``state_dict``/``load_state_dict`` and any interleaved
-dict-path steps stay coherent.
+:meth:`Optimizer.step` takes the two arena views a training step holds —
+``model.parameters()`` and the averaged gradients, both
+:class:`~repro.framework.arena.ArenaView` s on one
+:class:`~repro.framework.arena.FlatLayout` — and each optimizer's
+``_update`` advances the whole parameter arena in O(1) NumPy calls.  Slot
+variables are one flat array per slot kind (``velocity``; Adam's ``m`` and
+``v``) in the same layout; :meth:`Optimizer.state_dict` returns copies of
+them, which is what a checkpoint stores.  A plain dict, gradients on another
+layout, or a restored slot whose size is not the layout's raise before any
+parameter or slot changes.
 
-Every flat update is **bit-identical** to the per-key loop: the updates are
+Every update is **bit-identical** to the per-key loop
+(``PerKeyOptimizer`` in ``tests/oracles/serial_step.py``): the updates are
 elementwise (order-free across parameters), scalar factors are computed with
 the same IEEE operations, and LAMB's per-parameter trust ratios use the same
 BLAS dot that ``np.linalg.norm`` performs on each parameter (a segmented
@@ -25,104 +26,88 @@ used here — see :meth:`FlatLayout.segment_dots`).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.framework.arena import ArenaView, FlatLayout, flat_pair
+from repro.framework.arena import ArenaView, FlatLayout
 
 __all__ = ["Optimizer", "SGD", "Momentum", "Adam", "AdamW", "LAMB"]
 
-Params = Dict[str, np.ndarray]
-
 
 class Optimizer:
-    """Base optimizer; subclasses implement :meth:`_update` (and may override
-    :meth:`_update_flat` with a fused whole-arena update)."""
+    """Base optimizer; subclasses implement :meth:`_update` over the whole
+    arena and name their slot kinds in ``SLOTS``."""
+
+    SLOTS: Tuple[str, ...] = ()
 
     def __init__(self, lr: float) -> None:
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = lr
         self.step_count = 0
+        self._slots: Dict[str, np.ndarray] = {}
+        self._layout: Optional[FlatLayout] = None  # the layout _slots were checked for
 
-    def step(self, params: Params, grads: Params) -> None:
-        """Apply one update. ``grads`` must share keys with ``params``."""
-        pair = flat_pair(params, grads)
-        if pair is not None:
-            # A shared layout certifies matching keys — no set diff needed.
-            layout, params_flat, grads_flat = pair
-            self.step_count += 1
-            self._update_flat(layout, params_flat, grads_flat)
-            return
-        missing = set(params) - set(grads)
-        if missing:
-            raise KeyError(f"gradients missing for: {sorted(missing)[:5]}")
+    def step(self, params: ArenaView, grads: ArenaView) -> None:
+        """Apply one update to the parameter arena behind ``params``."""
+        layout = getattr(params, "layout", None)
+        other = getattr(grads, "layout", None)
+        if layout is None or other is None:
+            raise TypeError(
+                f"{type(self).__name__}.step takes arena views (a model's "
+                f"parameters() with a FlatTensorArena installed), got "
+                f"{type(params).__name__} and {type(grads).__name__}")
+        if other is not layout and other != layout:
+            raise ValueError("gradients are on another layout than the parameters")
+        if layout is not self._layout:
+            self._bind(layout)
         self.step_count += 1
-        for key in sorted(params):  # sorted: deterministic update order
-            self._update(key, params[key], grads[key])
+        self._update(layout, params.flat, grads.flat)
 
-    def _update(self, key: str, param: np.ndarray, grad: np.ndarray) -> None:
+    def _bind(self, layout: FlatLayout) -> None:
+        """Check restored slots against ``layout``, or zero fresh ones."""
+        for name, slot in self._slots.items():
+            if slot.shape != (layout.total_size,):
+                raise ValueError(
+                    f"optimizer slot {name!r} has shape {slot.shape}, the "
+                    f"parameter layout needs ({layout.total_size},)")
+        if not self._slots:
+            self._slots = {name: layout.alloc() for name in self.SLOTS}
+        self._layout = layout
+
+    def _update(self, layout: FlatLayout, params_flat: np.ndarray,
+                grads_flat: np.ndarray) -> None:
         raise NotImplementedError
 
-    def _update_flat(self, layout: FlatLayout, params_flat: np.ndarray,
-                     grads_flat: np.ndarray) -> None:
-        """Whole-arena update; the default replays the per-key loop over
-        layout views so subclasses without a fused form keep working."""
-        params = layout.views(params_flat)
-        grads = layout.views(grads_flat)
-        for key in layout.names:  # layout order IS the sorted order
-            self._update(key, params[key], grads[key])
-
-    # -- slot-variable plumbing -------------------------------------------------
-
-    def _flat_slot(self, layout: FlatLayout, dict_attr: str,
-                   flat_attr: str) -> np.ndarray:
-        """Return (creating on first use) the flat array behind a slot dict.
-
-        Any values already accumulated through the dict path are packed in
-        (absent keys start at zero, matching the lazy ``setdefault``), and
-        the slot dict is rebound to views of the flat array so both paths
-        share storage from then on.
-        """
-        flat = getattr(self, flat_attr, None)
-        if flat is None or flat.size != layout.total_size:
-            flat = layout.pack(getattr(self, dict_attr), missing_zero=True)
-            setattr(self, flat_attr, flat)
-            setattr(self, dict_attr, ArenaView(layout, flat))
-        return flat
-
-    @staticmethod
-    def _load_slot(slots: Dict[str, np.ndarray], name: str,
-                   value: np.ndarray) -> None:
-        """Restore one slot array, writing in place when the slot already
-        exists (so arena-backed slot views keep aliasing their flat array)."""
-        existing = slots.get(name)
-        if existing is not None and existing.shape == np.shape(value):
-            existing[...] = value
-        else:
-            slots[name] = np.array(value, copy=True)
-
     def state_dict(self) -> Dict[str, np.ndarray]:
-        """Slot variables, for checkpoint/migration. Overridden by stateful opts."""
-        return {}
+        """A copy of each slot, ``{slot kind: flat array}`` (empty before the
+        first step): the arrays a checkpoint writes as ``optimizer.flat/<slot>``."""
+        return {name: slot.copy() for name, slot in self._slots.items()}
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        pass
+        """Restore slots saved by :meth:`state_dict`: every slot kind of this
+        optimizer, or none (saved before its first step)."""
+        if state and set(state) != set(self.SLOTS):
+            raise ValueError(
+                f"{type(self).__name__} has slots {list(self.SLOTS)}, the state "
+                f"holds {sorted(state)}")
+        self._slots = {name: np.array(state[name]) for name in self.SLOTS
+                       if name in state}
+        self._layout = None
 
 
 class SGD(Optimizer):
     """Plain stochastic gradient descent."""
 
-    def _update(self, key, param, grad):
-        param -= self.lr * grad
-
-    def _update_flat(self, layout, params_flat, grads_flat):
+    def _update(self, layout, params_flat, grads_flat):
         params_flat -= self.lr * grads_flat  # one axpy over the whole arena
 
 
 class Momentum(Optimizer):
     """SGD with (optionally Nesterov) momentum."""
+
+    SLOTS = ("velocity",)
 
     def __init__(self, lr: float, momentum: float = 0.9, nesterov: bool = False) -> None:
         super().__init__(lr)
@@ -130,20 +115,9 @@ class Momentum(Optimizer):
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = momentum
         self.nesterov = nesterov
-        self._velocity: Dict[str, np.ndarray] = {}
-        self._velocity_flat: Optional[np.ndarray] = None
 
-    def _update(self, key, param, grad):
-        v = self._velocity.setdefault(key, np.zeros_like(param))
-        v *= self.momentum
-        v += grad
-        if self.nesterov:
-            param -= self.lr * (grad + self.momentum * v)
-        else:
-            param -= self.lr * v
-
-    def _update_flat(self, layout, params_flat, grads_flat):
-        v = self._flat_slot(layout, "_velocity", "_velocity_flat")
+    def _update(self, layout, params_flat, grads_flat):
+        v = self._slots["velocity"]
         v *= self.momentum
         v += grads_flat
         if self.nesterov:
@@ -151,43 +125,20 @@ class Momentum(Optimizer):
         else:
             params_flat -= self.lr * v
 
-    def state_dict(self):
-        return {f"velocity.{k}": v.copy() for k, v in self._velocity.items()}
-
-    def load_state_dict(self, state):
-        for key, value in state.items():
-            if key.startswith("velocity."):
-                self._load_slot(self._velocity, key[len("velocity."):], value)
-
 
 class Adam(Optimizer):
     """Adam with bias correction."""
+
+    SLOTS = ("m", "v")
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8) -> None:
         super().__init__(lr)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self._m: Dict[str, np.ndarray] = {}
-        self._v: Dict[str, np.ndarray] = {}
-        self._m_flat: Optional[np.ndarray] = None
-        self._v_flat: Optional[np.ndarray] = None
 
-    def _moments(self, key: str, param: np.ndarray, grad: np.ndarray):
-        m = self._m.setdefault(key, np.zeros_like(param))
-        v = self._v.setdefault(key, np.zeros_like(param))
-        m *= self.beta1
-        m += (1 - self.beta1) * grad
-        v *= self.beta2
-        v += (1 - self.beta2) * grad * grad
-        m_hat = m / (1 - self.beta1**self.step_count)
-        v_hat = v / (1 - self.beta2**self.step_count)
-        return m_hat, v_hat
-
-    def _flat_moments(self, layout, grads_flat):
-        """The whole-arena analogue of :meth:`_moments` — same elementwise
-        arithmetic, two fused passes instead of a loop per parameter."""
-        m = self._flat_slot(layout, "_m", "_m_flat")
-        v = self._flat_slot(layout, "_v", "_v_flat")
+    def _moments(self, grads_flat: np.ndarray):
+        """Advance both moments; return them bias-corrected."""
+        m, v = self._slots["m"], self._slots["v"]
         m *= self.beta1
         m += (1 - self.beta1) * grads_flat
         v *= self.beta2
@@ -196,25 +147,9 @@ class Adam(Optimizer):
         v_hat = v / (1 - self.beta2**self.step_count)
         return m_hat, v_hat
 
-    def _update(self, key, param, grad):
-        m_hat, v_hat = self._moments(key, param, grad)
-        param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def _update_flat(self, layout, params_flat, grads_flat):
-        m_hat, v_hat = self._flat_moments(layout, grads_flat)
+    def _update(self, layout, params_flat, grads_flat):
+        m_hat, v_hat = self._moments(grads_flat)
         params_flat -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def state_dict(self):
-        out = {f"m.{k}": v.copy() for k, v in self._m.items()}
-        out.update({f"v.{k}": v.copy() for k, v in self._v.items()})
-        return out
-
-    def load_state_dict(self, state):
-        for key, value in state.items():
-            if key.startswith("m."):
-                self._load_slot(self._m, key[2:], value)
-            elif key.startswith("v."):
-                self._load_slot(self._v, key[2:], value)
 
 
 class AdamW(Adam):
@@ -225,12 +160,8 @@ class AdamW(Adam):
         super().__init__(lr, beta1, beta2, eps)
         self.weight_decay = weight_decay
 
-    def _update(self, key, param, grad):
-        m_hat, v_hat = self._moments(key, param, grad)
-        param -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * param)
-
-    def _update_flat(self, layout, params_flat, grads_flat):
-        m_hat, v_hat = self._flat_moments(layout, grads_flat)
+    def _update(self, layout, params_flat, grads_flat):
+        m_hat, v_hat = self._moments(grads_flat)
         params_flat -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps)
                                   + self.weight_decay * params_flat)
 
@@ -243,25 +174,17 @@ class LAMB(AdamW):
     lets benchmarks contrast "retune with LAMB" against "fix batch via VNs".
     """
 
-    def _update(self, key, param, grad):
-        m_hat, v_hat = self._moments(key, param, grad)
-        update = m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * param
-        w_norm = float(np.linalg.norm(param))
-        u_norm = float(np.linalg.norm(update))
-        trust = w_norm / u_norm if w_norm > 0 and u_norm > 0 else 1.0
-        param -= self.lr * trust * update
-
-    def _update_flat(self, layout, params_flat, grads_flat):
-        m_hat, v_hat = self._flat_moments(layout, grads_flat)
+    def _update(self, layout, params_flat, grads_flat):
+        m_hat, v_hat = self._moments(grads_flat)
         update = m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * params_flat
         # Per-parameter trust ratios over arena segments.  segment_dots is
         # the same BLAS dot np.linalg.norm ravels each parameter into, so
-        # these norms are bit-identical to the per-key loop's.
+        # these norms are bit-identical to a per-parameter loop's.
         w_norm = np.sqrt(layout.segment_dots(params_flat))
         u_norm = np.sqrt(layout.segment_dots(update))
         safe_u = np.where(u_norm > 0, u_norm, 1.0)
         trust = np.where((w_norm > 0) & (u_norm > 0), w_norm / safe_u, 1.0)
-        # Dict path computes (lr * trust) per parameter then scales the
-        # update; broadcasting the per-segment factor elementwise is the
-        # identical arithmetic.
+        # A per-parameter loop computes (lr * trust) per parameter, then
+        # scales the update; broadcasting the per-segment factor elementwise
+        # is the identical arithmetic.
         params_flat -= np.repeat(self.lr * trust, layout.sizes) * update

@@ -10,7 +10,7 @@ import pytest
 from repro.core import Mapping, VirtualFlowExecutor, VirtualNodeSet
 from repro.core.backends.reference import ReferenceBackend
 from repro.data import make_dataset
-from repro.framework import SoftmaxCrossEntropy, get_workload
+from repro.framework import ArenaView, FlatLayout, SoftmaxCrossEntropy, get_workload
 from repro.hardware import Cluster
 
 
@@ -35,6 +35,14 @@ def numeric_gradient(f: Callable[[], float], array: np.ndarray,
 def assert_grads_close(analytic: np.ndarray, numeric: np.ndarray,
                        rtol: float = 1e-5, atol: float = 1e-7) -> None:
     np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
+
+
+def arena_views(**params):
+    """``(params, grads)``: arena views on one layout, as an optimizer steps
+    them — the parameters at the given values, the gradients at zero."""
+    params = {name: np.array(value, dtype=float) for name, value in params.items()}
+    layout = FlatLayout(params)
+    return ArenaView(layout, layout.pack(params)), ArenaView(layout, layout.alloc())
 
 
 @pytest.fixture

@@ -319,6 +319,32 @@ class TestOnePath:
         with pytest.raises(UnsupportedModule, match=message):
             InferenceEngine(get_workload("mlp_synthetic"), model, mapping)
 
+    @pytest.mark.parametrize("engine", ["executor", "inference"])
+    def test_a_planned_model_refuses_a_new_child(self, engine):
+        """A child added after an engine planned the model would be skipped
+        by the cached plan (and, training, by the parameter arena): it is
+        refused, naming the parent, and the model keeps its children."""
+        wl = get_workload("mlp_synthetic")
+        model = wl.build_model(0)
+        mapping = Mapping.even(VirtualNodeSet.even(8, 4), Cluster.homogeneous("V100", 2))
+        if engine == "executor":
+            VirtualFlowExecutor(workload=wl, model=model, loss_fn=SoftmaxCrossEntropy(),
+                                optimizer=SGD(0.1), mapping=mapping)
+        else:
+            InferenceEngine(wl, model, mapping)
+        children = list(model.children())
+        name, first = children[0]
+        rng = np.random.default_rng(0)
+        with pytest.raises(RuntimeError, match=f"cannot add 'extra' to {type(model).__name__} "
+                                               f"at 'the model root': an engine has planned"):
+            model.add_child("extra", Dense(10, 3, rng))
+        with pytest.raises(RuntimeError, match=f"to {type(first).__name__} at '{name}'"):
+            first.add_child("extra", Dense(10, 3, rng))
+        assert list(model.children()) == children and not list(first.children())
+        x = make_dataset(wl.dataset, n=8, seed=0).x_train[:4]
+        out = FusedBackend().infer(model, VirtualNodeSet.even(4, 2), x)
+        assert out.shape == model.forward(x).shape
+
     def test_a_hand_built_step_on_such_a_module_is_rejected_before_it_runs(self):
         step = self._step("mlp_synthetic")
         step.model.add_child("tap", _StatefulDense(10, 10, np.random.default_rng(0)))

@@ -1,4 +1,4 @@
-"""Gradient buffer, virtual-node state migration, and execution plans."""
+"""Virtual-node state migration and execution plans."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.core import (
     ExecutionPlan,
-    GradientBuffer,
     Mapping,
     PlanValidationError,
     VirtualNodeSet,
@@ -15,107 +14,6 @@ from repro.core import (
 from repro.core.state import VirtualNodeState, migrate_states, migration_time
 from repro.framework import get_workload
 from repro.hardware import Cluster
-
-
-def _template(rng):
-    return {"w": rng.standard_normal((4, 3)), "b": rng.standard_normal(3)}
-
-
-class TestGradientBuffer:
-    def test_nbytes_equals_model_size_constant_in_vns(self, rng):
-        """§3.3: buffer bytes == model bytes, independent of VN count."""
-        template = _template(rng)
-        model_bytes = sum(v.nbytes for v in template.values())
-        buf = GradientBuffer(template)
-        assert buf.nbytes == model_bytes
-        for _ in range(32):  # accumulating many VNs does not grow it
-            buf.add(_template(rng), weight=2.0)
-        assert buf.nbytes == model_bytes
-
-    def test_average_is_weighted(self, rng):
-        template = {"w": np.zeros(2)}
-        buf = GradientBuffer(template)
-        buf.add({"w": np.array([1.0, 1.0])}, weight=3.0)
-        buf.add({"w": np.array([5.0, 5.0])}, weight=1.0)
-        np.testing.assert_allclose(buf.average()["w"], [2.0, 2.0])
-
-    def test_reset(self, rng):
-        buf = GradientBuffer(_template(rng))
-        buf.add(_template(rng), 1.0)
-        buf.reset()
-        assert buf.num_accumulated == 0
-        with pytest.raises(RuntimeError):  # the total weight is back at 0
-            buf.average()
-
-    def test_key_checks(self, rng):
-        buf = GradientBuffer(_template(rng))
-        with pytest.raises(KeyError, match="unknown"):
-            buf.add({"w": np.zeros((4, 3)), "b": np.zeros(3), "x": np.zeros(1)})
-        with pytest.raises(KeyError, match="missing"):
-            buf.add({"w": np.zeros((4, 3))})
-
-    def test_weight_validation(self, rng):
-        buf = GradientBuffer(_template(rng))
-        with pytest.raises(ValueError):
-            buf.add(_template(rng), weight=0.0)
-
-    def test_empty_template_rejected(self):
-        with pytest.raises(ValueError):
-            GradientBuffer({})
-
-    def test_weighted_sum_is_readonly_views_not_copies(self, rng):
-        """Regression: weighted_sum must not deep-copy — and must not let
-        callers mutate the live buffer through the result either."""
-        buf = GradientBuffer(_template(rng))
-        first = _template(rng)
-        buf.add(first, weight=2.0)
-        ws = buf.weighted_sum()
-        for key in ws:
-            assert not ws[key].flags.writeable
-            with pytest.raises(ValueError):
-                ws[key][...] = 99.0
-        # Views, not snapshots: they track later accumulation...
-        buf.add(first, weight=1.0)
-        np.testing.assert_array_equal(ws["w"], 3.0 * first["w"])
-        # ...and the failed write above corrupted nothing.
-        np.testing.assert_allclose(buf.average()["w"], first["w"])
-
-    def test_weighted_sum_flat_matches_dict_view(self, rng):
-        buf = GradientBuffer(_template(rng))
-        buf.add(_template(rng), weight=1.5)
-        flat = buf.weighted_sum_flat()
-        assert not flat.flags.writeable
-        ws = buf.weighted_sum()
-        np.testing.assert_array_equal(flat[:3], ws["b"])  # 'b' sorts first
-
-    def test_allreduce_consumes_readonly_sums(self, rng):
-        from repro.core import allreduce_gradients
-
-        template = _template(rng)
-        bufs = {d: GradientBuffer(template) for d in (0, 1)}
-        contribs = {d: _template(rng) for d in bufs}
-        for d, buf in bufs.items():
-            buf.add(contribs[d], weight=d + 1.0)
-        out = allreduce_gradients(
-            {d: (buf.weighted_sum(), d + 1.0) for d, buf in bufs.items()})
-        expected_w = (1.0 * contribs[0]["w"] + 2.0 * contribs[1]["w"]) / 3.0
-        np.testing.assert_allclose(out["w"], expected_w)
-
-    def test_arena_backed_add_is_single_axpy_equivalent(self, rng):
-        """Folding arena gradients matches the per-key loop bit for bit."""
-        from repro.framework import FlatTensorArena, get_workload
-
-        model = get_workload("mlp_synthetic").build_model(0)
-        arena = FlatTensorArena.install(model)
-        arena.grads_flat[...] = rng.standard_normal(arena.layout.total_size)
-        flat_buf = GradientBuffer(model.gradients())
-        dict_buf = GradientBuffer({k: v.copy() for k, v in model.gradients().items()})
-        for weight in (1.0, 2.5):
-            flat_buf.add(model.gradients(), weight)   # layout-matched: axpy
-            dict_buf.add({k: v.copy() for k, v in model.gradients().items()}, weight)
-        np.testing.assert_array_equal(flat_buf.weighted_sum_flat(),
-                                      dict_buf.weighted_sum_flat())
-        np.testing.assert_array_equal(flat_buf.average_flat(), dict_buf.average_flat())
 
 
 class TestStateMigration:

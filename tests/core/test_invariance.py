@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines import GradientAccumulationTrainer
 from repro.core import Mapping, TrainerConfig, VirtualFlowTrainer, VirtualNodeSet
 from repro.hardware import Cluster
+from tests.conftest import build_executor
 
 
 def _params_equal(a, b) -> bool:
@@ -124,6 +125,23 @@ class TestGradientAccumulationEquivalence:
         pg = ga.model.parameters()
         for k in pv:
             np.testing.assert_array_equal(pv[k], pg[k])
+
+    @pytest.mark.parametrize("workload", ["mlp_synthetic", "resnet56_cifar10"])
+    def test_each_step_is_four_virtual_nodes_on_one_device(self, workload):
+        """k = 4 accumulation and 4 virtual nodes on one V100: the same step
+        losses and final parameters, bit for bit (BatchNorm included: its
+        training-mode forward reads batch statistics, never the running ones)."""
+        ga = GradientAccumulationTrainer(workload, global_batch_size=32,
+                                         accumulation_steps=4, dataset_size=128)
+        ex = build_executor(workload, global_batch=32, num_vns=4, num_devices=1)
+        for step in range(3):
+            x = ga.dataset.x_train[32 * step:32 * (step + 1)]
+            y = ga.dataset.y_train[32 * step:32 * (step + 1)]
+            assert ex.run_step(x, y, 0, step).loss == ga.run_step(x, y, 0, step), step
+        pv, pg = ex.model.parameters(), ga.model.parameters()
+        assert set(pv) == set(pg)
+        for key in pv:
+            np.testing.assert_array_equal(pv[key], pg[key], err_msg=key)
 
 
 class TestBatchSizeDrivesTrajectory:

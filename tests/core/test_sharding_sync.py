@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.sharding import shard_batch, shard_indices, shard_sizes
-from repro.core.sync import allreduce_gradients, naive_average, weighted_average
+from repro.core.sync import naive_average, weighted_average
 from repro.core.virtual_node import VirtualNodeSet
 
 
@@ -112,26 +112,6 @@ class TestWeightedSync:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             weighted_average([])
-
-    def test_allreduce_matches_weighted_average(self, rng):
-        """Per-device weighted sums reduce to the same example-weighted mean."""
-        per_example = [_grads(rng) for _ in range(10)]
-        mean_all = {k: np.mean([g[k] for g in per_example], axis=0)
-                    for k in per_example[0]}
-        dev0 = {k: np.sum([per_example[i][k] for i in range(7)], axis=0)
-                for k in per_example[0]}
-        dev1 = {k: np.sum([per_example[i][k] for i in range(7, 10)], axis=0)
-                for k in per_example[0]}
-        out = allreduce_gradients({0: (dev0, 7.0), 1: (dev1, 3.0)})
-        for k in mean_all:
-            np.testing.assert_allclose(out[k], mean_all[k], rtol=1e-12)
-
-    def test_allreduce_order_independent_of_dict_order(self, rng):
-        g1, g2 = _grads(rng), _grads(rng)
-        a = allreduce_gradients({0: (g1, 2.0), 1: (g2, 3.0)})
-        b = allreduce_gradients({1: (g2, 3.0), 0: (g1, 2.0)})
-        for k in a:
-            np.testing.assert_array_equal(a[k], b[k])
 
     @given(st.lists(st.integers(1, 12), min_size=1, max_size=6),
            st.integers(0, 2**31 - 1))

@@ -236,11 +236,6 @@ class TestArenaMechanics:
         for i, name in enumerate(layout.names):
             assert norms[i] == float(np.linalg.norm(template[name]))
 
-    def test_segment_sums_reduceat(self):
-        layout = FlatLayout({"a": np.zeros(3), "b": np.zeros(2)})
-        flat = np.array([1.0, 2.0, 3.0, 10.0, 20.0])
-        np.testing.assert_array_equal(layout.segment_sums(flat), [6.0, 30.0])
-
     def test_spec_round_trip(self):
         template = {"w": np.zeros((4, 3)), "b": np.zeros(3)}
         layout = FlatLayout(template)

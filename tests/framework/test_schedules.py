@@ -82,15 +82,15 @@ class TestSchedules:
 
     def test_schedule_drives_optimizer(self):
         """The intended usage pattern: assign lr before each step."""
-        import numpy as np
-
         from repro.framework.optimizers import SGD
+        from tests.conftest import arena_views
 
         opt = SGD(lr=1.0)
         schedule = StepDecaySchedule(lr=1.0, milestones=(1,), gamma=0.5)
-        params = {"w": np.array([10.0])}
+        params, grads = arena_views(w=[10.0])
+        grads["w"][...] = 1.0
         for step in range(2):
             opt.lr = schedule(step)
-            opt.step(params, {"w": np.array([1.0])})
+            opt.step(params, grads)
         # step 0 at lr 1.0, step 1 at lr 0.5 -> 10 - 1 - 0.5
         assert params["w"][0] == pytest.approx(8.5)

@@ -5,12 +5,13 @@ each virtual node's wave runs in canonical order (load its stateful kernels,
 forward under its RNG stream, backward, save its kernels), its gradients are
 snapshotted as a dict of per-key copies, the §5.2 example-weighted average
 is ``sync.weighted_average``'s per-key loop over those dicts, and
-``Optimizer.step`` updates the model through plain dicts (its per-key
-``_update`` path).  The model carries no arena, so nothing here touches a
-flat buffer.  ``VirtualFlowExecutor.run_step`` — arena, stacked gradient
-rows, whole-arena optimizer updates, on either backend — must produce the
-same loss, gradient norm, parameters, optimizer slots and per-node states
-bit for bit.
+:class:`PerKeyOptimizer` updates the model one parameter at a time, in
+sorted key order, with the update rules the optimizers ran before they
+became whole-arena updates.  The model carries no arena, so nothing here
+touches a flat buffer.  ``VirtualFlowExecutor.run_step`` — arena, stacked
+gradient rows, whole-arena optimizer updates, on either backend — must
+produce the same loss, gradient norm, parameters, optimizer slots and
+per-node states bit for bit.
 """
 
 from __future__ import annotations
@@ -22,9 +23,82 @@ import numpy as np
 from repro.core.sharding import shard_batch
 from repro.core.state import VirtualNodeState
 from repro.core.sync import weighted_average
+from repro.framework.arena import FlatLayout
+from repro.framework.optimizers import LAMB, SGD, Adam, AdamW, Momentum
 from repro.utils.seeding import vn_rng
 
-__all__ = ["SerialExecutor"]
+__all__ = ["PerKeyOptimizer", "SerialExecutor"]
+
+
+class PerKeyOptimizer:
+    """``optimizer``'s update rule (and hyperparameters) applied per key.
+
+    Slots are per-key dicts, created at zero on a key's first update;
+    :meth:`state_dict` packs each into the flat ``{slot kind: array}`` form
+    ``Optimizer.state_dict`` returns, so the two compare directly.
+    """
+
+    def __init__(self, optimizer) -> None:
+        self.hyper = optimizer
+        self.rule = {SGD: self._sgd, Momentum: self._momentum, Adam: self._adam,
+                     AdamW: self._adamw, LAMB: self._lamb}[type(optimizer)]
+        self.step_count = 0
+        self.slots = {name: {} for name in optimizer.SLOTS}
+
+    def step(self, params, grads) -> None:
+        self.step_count += 1
+        for key in sorted(params):  # sorted: deterministic update order
+            self.rule(key, params[key], grads[key])
+
+    def state_dict(self):
+        return {name: FlatLayout(values).pack(values)
+                for name, values in self.slots.items() if values}
+
+    def _slot(self, name, key, param):
+        return self.slots[name].setdefault(key, np.zeros_like(param))
+
+    def _sgd(self, key, param, grad):
+        param -= self.hyper.lr * grad
+
+    def _momentum(self, key, param, grad):
+        h = self.hyper
+        v = self._slot("velocity", key, param)
+        v *= h.momentum
+        v += grad
+        if h.nesterov:
+            param -= h.lr * (grad + h.momentum * v)
+        else:
+            param -= h.lr * v
+
+    def _moments(self, key, param, grad):
+        h = self.hyper
+        m = self._slot("m", key, param)
+        v = self._slot("v", key, param)
+        m *= h.beta1
+        m += (1 - h.beta1) * grad
+        v *= h.beta2
+        v += (1 - h.beta2) * grad * grad
+        m_hat = m / (1 - h.beta1**self.step_count)
+        v_hat = v / (1 - h.beta2**self.step_count)
+        return m_hat, v_hat
+
+    def _adam(self, key, param, grad):
+        m_hat, v_hat = self._moments(key, param, grad)
+        param -= self.hyper.lr * m_hat / (np.sqrt(v_hat) + self.hyper.eps)
+
+    def _adamw(self, key, param, grad):
+        h = self.hyper
+        m_hat, v_hat = self._moments(key, param, grad)
+        param -= h.lr * (m_hat / (np.sqrt(v_hat) + h.eps) + h.weight_decay * param)
+
+    def _lamb(self, key, param, grad):
+        h = self.hyper
+        m_hat, v_hat = self._moments(key, param, grad)
+        update = m_hat / (np.sqrt(v_hat) + h.eps) + h.weight_decay * param
+        w_norm = float(np.linalg.norm(param))
+        u_norm = float(np.linalg.norm(update))
+        trust = w_norm / u_norm if w_norm > 0 and u_norm > 0 else 1.0
+        param -= h.lr * trust * update
 
 
 class SerialExecutor:
@@ -37,7 +111,7 @@ class SerialExecutor:
     def __init__(self, model, loss_fn, optimizer, vn_set, seed: int = 0) -> None:
         self.model = model
         self.loss_fn = loss_fn
-        self.optimizer = optimizer
+        self.optimizer = PerKeyOptimizer(optimizer)
         self.vn_set = vn_set
         self.seed = seed
         init = model.state_dict()
