@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.sharding import shard_batch, shard_indices, shard_sizes
-from repro.core.sync import naive_average, weighted_average
+from repro.core.sync import naive_average, weighted_average, weighted_average_flat
 from repro.core.virtual_node import VirtualNodeSet
+from repro.framework.arena import FlatLayout
 
 
 class TestSharding:
@@ -130,3 +131,58 @@ class TestWeightedSync:
             start += c
         out = weighted_average(contributions)
         np.testing.assert_allclose(out["w"], global_mean, rtol=1e-9, atol=1e-12)
+
+
+class TestWeightedAverageFlat:
+    """The flat-stack reduction training uses, held to the per-key contract."""
+
+    def test_bit_identical_to_the_per_key_loop(self, rng):
+        contributions = [(_grads(rng), w) for w in (6.0, 2.0, 3.0)]
+        layout = FlatLayout(contributions[0][0])
+        stack = np.stack([layout.pack(g) for g, _ in contributions])
+        flat = weighted_average_flat(stack, [w for _, w in contributions])
+        np.testing.assert_array_equal(
+            flat, layout.pack(weighted_average(contributions)))
+
+    def test_device_means_reduce_to_the_global_mean(self, rng):
+        """Per-device mean gradients weighted by example count: 7 + 3."""
+        per_example = rng.standard_normal((10, 5))
+        stack = np.stack([per_example[:7].mean(axis=0),
+                          per_example[7:].mean(axis=0)])
+        out = weighted_average_flat(stack, [7.0, 3.0])
+        np.testing.assert_allclose(out, per_example.mean(axis=0), rtol=1e-12)
+
+    def test_scales_the_stack_in_place(self, rng):
+        """The stack is scratch afterwards: each row holds its weighted share."""
+        original = rng.standard_normal((3, 4))
+        stack = original.copy()
+        weights = [1.0, 2.0, 5.0]
+        weighted_average_flat(stack, weights)
+        for row, weight in enumerate(weights):
+            np.testing.assert_array_equal(stack[row], original[row] * (weight / 8.0))
+
+    def test_rejects_a_stack_that_is_not_a_matrix(self):
+        with pytest.raises(ValueError, match="stack"):
+            weighted_average_flat(np.zeros(4), [1.0])
+
+    def test_rejects_a_weight_count_that_differs_from_the_rows(self):
+        with pytest.raises(ValueError, match="2 weights for 3"):
+            weighted_average_flat(np.zeros((3, 4)), [1.0, 1.0])
+
+    def test_rejects_a_non_positive_total_weight(self):
+        with pytest.raises(ValueError, match="positive"):
+            weighted_average_flat(np.zeros((2, 4)), [0.0, 0.0])
+
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=6),
+           st.integers(0, 2**31 - 1))
+    @settings(max_examples=50)
+    def test_property_equals_global_mean(self, counts, seed):
+        """However examples are grouped into rows, the result is the mean."""
+        rng = np.random.default_rng(seed)
+        per_example = rng.standard_normal((sum(counts), 4))
+        bounds = np.cumsum([0] + counts)
+        stack = np.stack([per_example[lo:hi].mean(axis=0)
+                          for lo, hi in zip(bounds[:-1], bounds[1:])])
+        out = weighted_average_flat(stack, [float(c) for c in counts])
+        np.testing.assert_allclose(out, per_example.mean(axis=0),
+                                   rtol=1e-9, atol=1e-12)

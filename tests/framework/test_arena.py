@@ -236,6 +236,22 @@ class TestArenaMechanics:
         for i, name in enumerate(layout.names):
             assert norms[i] == float(np.linalg.norm(template[name]))
 
+    def test_pack_names_a_missing_tensor(self):
+        layout = FlatLayout({"w": np.zeros((4, 3)), "b": np.zeros(3)})
+        with pytest.raises(KeyError, match="'w'"):
+            layout.pack({"b": np.ones(3)})
+
+    def test_grad_stack_is_one_reused_scratch_buffer(self):
+        """Gradient stacks share memory across calls and grow only on demand."""
+        model = get_workload("mlp_synthetic").build_model(0)
+        arena = FlatTensorArena.install(model)
+        four = arena.grad_stack(4)
+        assert four.shape == (4, arena.layout.total_size)
+        assert np.shares_memory(arena.grad_stack(2), four)
+        eight = arena.grad_stack(8)
+        assert eight.shape[0] == 8 and not np.shares_memory(eight, four)
+        assert np.shares_memory(arena.grad_stack(4), eight)
+
     def test_spec_round_trip(self):
         template = {"w": np.zeros((4, 3)), "b": np.zeros(3)}
         layout = FlatLayout(template)
