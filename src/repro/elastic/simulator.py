@@ -17,6 +17,12 @@ allocations are held as :class:`~repro.runtime.pool.DevicePool` leases, so
 per-job device-seconds come from the same audited accounting the serving
 router uses, and a co-scheduler can run training and serving on one pool.
 
+A wake's cost follows the jobs alive at that instant, not the length of the
+trace: the process keeps its live jobs (arrived, not yet finished) in one
+insertion-ordered map, and its running jobs are exactly the keys of the
+step-rate map.  Both iterate in arrival order, which fixes the order of
+lease grants and ETA posts, and so every event's sequence number.
+
 The simulator records per-job allocation logs — exactly what Figures 10a/10b
 and 11 plot — and feeds :mod:`repro.elastic.metrics`.
 """
@@ -44,6 +50,8 @@ __all__ = ["ClusterSimulator", "SimulationResult", "Scheduler",
            "TrainingClusterProcess"]
 
 _EPS = 1e-9
+MAX_TIME = 10_000_000.0  # simulated seconds: a wake past this is a runaway trace
+_PERF = PerfModel()
 
 
 class Scheduler(Protocol):
@@ -104,6 +112,12 @@ class TrainingClusterProcess:
     re-validates every running job's ETA — cancelling and rescheduling the
     prediction when a resize (or the advance itself) moved it.
 
+    A job enters the live map (``job_id -> JobState``, arrival order) when
+    it arrives and leaves it when it finishes; the scheduler, the lease sync
+    and completion walk that map.  The advance and the ETA refresh walk the
+    step-rate map, which holds exactly the running jobs.  Finished jobs stay
+    in :attr:`jobs` for the result and are never walked again.
+
     ``gpu_budget`` is the share of the pool the scheduler may hand out; a
     co-scheduler shrinks and restores it at runtime via :meth:`set_budget`
     to harvest devices for serving spikes.  Job allocations are mirrored
@@ -113,10 +127,7 @@ class TrainingClusterProcess:
 
     def __init__(self, specs: Sequence[JobSpec], scheduler: Scheduler,
                  gpu_budget: int, pool: DevicePool,
-                 resize_delay: float = 1.0,
-                 perf: Optional[PerfModel] = None,
-                 max_time: float = 10_000_000.0,
-                 name: str = "train") -> None:
+                 resize_delay: float = 1.0, name: str = "train") -> None:
         if not specs:
             raise ValueError("no jobs in trace")
         ids = [s.job_id for s in specs]
@@ -129,15 +140,13 @@ class TrainingClusterProcess:
         self.gpu_budget = gpu_budget
         self.pool = pool
         self.resize_delay = resize_delay
-        self.perf = perf or PerfModel()
-        self.max_time = max_time
         self.jobs: Dict[int, JobState] = {s.job_id: JobState(spec=s) for s in specs}
-        self.arrived: List[JobState] = []
+        self._live: Dict[int, JobState] = {}
         self.history: List[Tuple[float, Dict[int, int]]] = []
-        self.resize_events: List[Tuple[float, int, int, int]] = []  # (t, job, old, new)
         self._arrivals = sorted(specs, key=lambda s: (s.arrival_time, s.job_id))
         self._next_arrival = 0
         self._stall_until: Dict[int, float] = {}
+        # job_id -> steps/second of every running job, in arrival order.
         self._rates: Dict[int, float] = {}
         self._rate_cache: Dict[Tuple[int, int], float] = {}
         # job_id -> (predicted completion time, handle of its "eta" event)
@@ -182,11 +191,7 @@ class TrainingClusterProcess:
     def unfinished(self) -> List[JobState]:
         return [j for j in self.jobs.values() if j.status != JobStatus.FINISHED]
 
-    def steps_done(self) -> float:
-        """Total training steps completed across all jobs (the goodput sum)."""
-        return sum(j.steps_done for j in self.jobs.values())
-
-    def _rate(self, job: JobState) -> float:
+    def _rate(self, job_id: int, job: JobState) -> float:
         """Steps/second at the job's current allocation (memoized: the rate
         is a pure function of (spec, gpus) under a fixed perf model).
 
@@ -195,44 +200,48 @@ class TrainingClusterProcess:
         on-device components, a network window inflates the all-reduce.  With
         no active degradation the memoized clean rate is returned unchanged.
         """
-        key = (job.job_id, job.gpus)
+        key = (job_id, job.gpus)
         rate = self._rate_cache.get(key)
         if rate is None:
-            rate = job.spec.throughput_steps(job.gpus, self.perf)
+            rate = job.spec.throughput_steps(job.gpus, _PERF)
             self._rate_cache[key] = rate
         conditions = self.conditions
         if conditions is not None and conditions.degraded:
-            lease = self._leases.get(job.job_id)
+            lease = self._leases.get(job_id)
             ids = lease.device_ids if lease is not None else ()
             speed = conditions.bottleneck_speed(ids)
             network = conditions.network_factor
             if speed != 1.0 or network != 1.0:
                 bd = self._breakdowns.get(key)
                 if bd is None:
-                    bd = job.spec.step_breakdown(job.gpus, self.perf)
+                    bd = job.spec.step_breakdown(job.gpus, _PERF)
                     self._breakdowns[key] = bd
                 return 1.0 / bd.degraded_total(conditions, ids)
         return rate
 
+    def _rerate(self) -> None:
+        """Re-price every running job, in arrival order."""
+        self._rates = {job_id: self._rate(job_id, job)
+                       for job_id, job in self._live.items()
+                       if job.status == JobStatus.RUNNING}
+
     # -- the event wake ------------------------------------------------------
 
     def _wake(self, t: float) -> Dict[str, object]:
-        if t > self.max_time:
-            raise RuntimeError(f"simulation exceeded max_time={self.max_time}")
+        if t > MAX_TIME:
+            raise RuntimeError(f"simulation exceeded MAX_TIME={MAX_TIME}")
         self.advance_to(t)
         arrived = self._drain_arrivals(t)
         completed = self._complete(t)
+        data: Dict[str, object] = {}
         if arrived or completed:
             self._reallocate(t)
+            data["allocation"] = self.history[-1][1]
+            if arrived:
+                data["arrived"] = arrived
+            if completed:
+                data["completed"] = completed
         self._refresh_etas(t)
-        data: Dict[str, object] = {}
-        if arrived:
-            data["arrived"] = arrived
-        if completed:
-            data["completed"] = completed
-        if arrived or completed:
-            data["allocation"] = {j.job_id: j.gpus for j in self.arrived
-                                  if j.status == JobStatus.RUNNING}
         return data
 
     def _stall_for(self, job_id: int, default: float) -> float:
@@ -247,33 +256,31 @@ class TrainingClusterProcess:
 
     def advance_to(self, t: float) -> None:
         """Progress every running job from the last event time to ``t``."""
-        for job in self.arrived:
-            if job.status == JobStatus.FINISHED:
-                continue
-            rate = self._rates.get(job.job_id)
-            if rate is not None:
-                start = max(self._time, self._stall_for(job.job_id, self._time))
-                span = max(0.0, t - start)
-                job.steps_done = min(job.spec.total_steps,
-                                     job.steps_done + span * rate)
+        live = self._live
+        for job_id, rate in self._rates.items():
+            job = live[job_id]
+            start = max(self._time, self._stall_for(job_id, self._time))
+            span = max(0.0, t - start)
+            job.steps_done = min(job.spec.total_steps,
+                                 job.steps_done + span * rate)
         self._time = t
 
     def _drain_arrivals(self, t: float) -> List[int]:
         admitted: List[int] = []
         while (self._next_arrival < len(self._arrivals)
                and self._arrivals[self._next_arrival].arrival_time <= t + _EPS):
-            spec = self._arrivals[self._next_arrival]
-            self.arrived.append(self.jobs[spec.job_id])
+            job_id = self._arrivals[self._next_arrival].job_id
+            self._live[job_id] = self.jobs[job_id]
             # The arrival was absorbed by this wake; its own event (the same
             # instant, or within EPS) must not fire a second time.
-            self._queue.cancel_handle(self._arrival_handles.pop(spec.job_id))
+            self._queue.cancel_handle(self._arrival_handles.pop(job_id))
             self._next_arrival += 1
-            admitted.append(spec.job_id)
+            admitted.append(job_id)
         return admitted
 
     def _complete(self, t: float) -> List[int]:
         finished: List[int] = []
-        for job in self.arrived:
+        for job_id, job in self._live.items():
             if (job.status == JobStatus.RUNNING
                     and job.remaining_steps <= _EPS * max(1, job.spec.total_steps)):
                 job.steps_done = job.spec.total_steps
@@ -281,19 +288,22 @@ class TrainingClusterProcess:
                 job.status = JobStatus.FINISHED
                 job.allocation_log.append((t, 0))
                 job.gpus = 0
-                self._rates.pop(job.job_id, None)
-                eta = self._etas.pop(job.job_id, None)
+                self._rates.pop(job_id, None)
+                eta = self._etas.pop(job_id, None)
                 if eta is not None:
                     self._queue.cancel_handle(eta[1])
-                lease = self._leases.pop(job.job_id, None)
+                lease = self._leases.pop(job_id, None)
                 if lease is not None:
-                    self._lease_seconds[job.job_id] = self.pool.release(lease, t)
-                finished.append(job.job_id)
+                    self._lease_seconds[job_id] = self.pool.release(lease, t)
+                finished.append(job_id)
+        for job_id in finished:
+            del self._live[job_id]
         return finished
 
     def _reallocate(self, now: float) -> None:
-        running = [j for j in self.arrived if j.status == JobStatus.RUNNING]
-        queued = [j for j in self.arrived if j.status == JobStatus.QUEUED]
+        live = self._live
+        running = [j for j in live.values() if j.status == JobStatus.RUNNING]
+        queued = [j for j in live.values() if j.status == JobStatus.QUEUED]
         target = self.scheduler.allocate(now, self.gpu_budget, running, queued)
         used = sum(target.values())
         if used > self.gpu_budget:
@@ -301,43 +311,36 @@ class TrainingClusterProcess:
                 f"{self.scheduler.name} over-allocated {used} of "
                 f"{self.gpu_budget} GPUs at t={now:.1f}"
             )
-        for job in self.arrived:
-            if job.status == JobStatus.FINISHED:
-                continue
-            new_gpus = target.get(job.job_id, 0)
+        for job_id, job in live.items():
+            new_gpus = target.get(job_id, 0)
             if new_gpus != job.gpus:
                 was_running = job.gpus > 0
-                self.resize_events.append((now, job.job_id, job.gpus, new_gpus))
                 job.set_allocation(now, new_gpus)
                 if was_running and new_gpus > 0 and self.scheduler.elastic:
-                    self._stall_until[job.job_id] = now + self.resize_delay
+                    self._stall_until[job_id] = now + self.resize_delay
         # Leases sync before rates: under chaos a job's rate depends on
         # which devices its lease holds (straggler bottleneck), so the rate
         # must see the post-resize membership.  Without chaos _rate is a
         # pure function of (spec, gpus) and the order is immaterial.
         self._sync_leases(now)
-        self._rates = {
-            job.job_id: self._rate(job)
-            for job in self.arrived
-            if job.status == JobStatus.RUNNING and job.gpus > 0
-        }
-        self.history.append((now, {j.job_id: j.gpus for j in self.arrived
-                                   if j.status == JobStatus.RUNNING}))
+        self._rerate()
+        self.history.append((now, {job_id: live[job_id].gpus
+                                   for job_id in self._rates}))
 
     def _sync_leases(self, now: float) -> None:
         """Mirror the new allocation into pool leases, shrinks before grows
         so a rebalance never transiently over-draws the pool."""
-        live = [j for j in self.arrived if j.status != JobStatus.FINISHED]
-        for job in live:
-            lease = self._leases.get(job.job_id)
+        leases = self._leases
+        for job_id, job in self._live.items():
+            lease = leases.get(job_id)
             if lease is not None and job.gpus < lease.size:
                 self.pool.resize(lease, job.gpus, now)
-        for job in live:
-            lease = self._leases.get(job.job_id)
+        for job_id, job in self._live.items():
+            lease = leases.get(job_id)
             if lease is None:
                 if job.gpus > 0:
-                    self._leases[job.job_id] = self.pool.acquire(
-                        f"{self.name}/job-{job.job_id}", job.gpus, now)
+                    leases[job_id] = self.pool.acquire(
+                        f"{self.name}/job-{job_id}", job.gpus, now)
             elif job.gpus > lease.size:
                 self.pool.resize(lease, job.gpus, now)
 
@@ -352,21 +355,17 @@ class TrainingClusterProcess:
         ulp, and the golden traces pin the recomputed value.
         """
         queue = self._queue
-        for job in self.arrived:
-            if job.status != JobStatus.RUNNING:
-                continue
-            rate = self._rates.get(job.job_id)
-            if rate is None:
-                continue
-            start = max(t, self._stall_for(job.job_id, t))
-            eta = start + job.remaining_steps / rate
-            old = self._etas.get(job.job_id)
+        live = self._live
+        for job_id, rate in self._rates.items():
+            start = max(t, self._stall_for(job_id, t))
+            eta = start + live[job_id].remaining_steps / rate
+            old = self._etas.get(job_id)
             if old is not None:
                 old_eta, handle = old
                 if old_eta == eta and queue.handle_alive(handle):
                     continue
                 queue.cancel_handle(handle)
-            self._etas[job.job_id] = (
+            self._etas[job_id] = (
                 eta, queue.post(eta, self._wake, kind="eta", actor=self.name))
 
     # -- co-scheduling hooks -------------------------------------------------
@@ -399,16 +398,12 @@ class TrainingClusterProcess:
         self.conditions = conditions
         self.recovery = recovery or RecoveryPolicy()
         self._chaos_interconnect = DegradedInterconnect(
-            self.perf.interconnect, conditions)
+            _PERF.interconnect, conditions)
 
     def on_conditions_changed(self, now: float) -> None:
         """Re-rate every running job after a straggler or network change."""
         self.advance_to(now)
-        self._rates = {
-            job.job_id: self._rate(job)
-            for job in self.arrived
-            if job.status == JobStatus.RUNNING and job.gpus > 0
-        }
+        self._rerate()
         self._refresh_etas(now)
 
     def on_device_failed(self, now: float, device_id: int,
@@ -426,19 +421,14 @@ class TrainingClusterProcess:
         if job_id is None:
             return  # lease was released at this same instant (job finished)
         self.advance_to(now)
-        job = self.jobs[job_id]
-        self.resize_events.append((now, job_id, job.gpus, lease.size))
+        job = self._live[job_id]
         job.set_allocation(now, lease.size)
         self._recover(now, job, device_id, lease)
         if job.gpus == 0:
             eta = self._etas.pop(job_id, None)
             if eta is not None:
                 self._queue.cancel_handle(eta[1])
-        self._rates = {
-            j.job_id: self._rate(j)
-            for j in self.arrived
-            if j.status == JobStatus.RUNNING and j.gpus > 0
-        }
+        self._rerate()
         self._refresh_etas(now)
 
     def _recover(self, now: float, job: JobState, device_id: int,
@@ -466,7 +456,7 @@ class TrainingClusterProcess:
         else:
             mode = "migrate"
             param_bytes = get_workload(job.spec.workload).footprint.param_bytes
-            interconnect = self._chaos_interconnect or self.perf.interconnect
+            interconnect = self._chaos_interconnect or _PERF.interconnect
             stall = policy.migration_stall(param_bytes, survivors, interconnect)
         stall += policy.backoff(attempt)
         until = now + stall
@@ -497,29 +487,23 @@ class TrainingClusterProcess:
 class ClusterSimulator:
     """Simulates a trace of jobs on a homogeneous GPU cluster."""
 
-    def __init__(self, total_gpus: int, scheduler: Scheduler,
-                 resize_delay: float = 1.0,
-                 perf: Optional[PerfModel] = None) -> None:
+    def __init__(self, total_gpus: int, scheduler: Scheduler) -> None:
         if total_gpus < 1:
             raise ValueError("total_gpus must be >= 1")
-        if resize_delay < 0:
-            raise ValueError("resize_delay must be >= 0")
         self.total_gpus = total_gpus
         self.scheduler = scheduler
-        self.resize_delay = resize_delay
-        self.perf = perf or PerfModel()
 
-    def run(self, specs: Sequence[JobSpec], max_time: float = 10_000_000.0,
+    def run(self, specs: Sequence[JobSpec],
             trace: Optional[Union[str, EventTrace]] = None) -> SimulationResult:
-        """Simulate until all jobs finish (or ``max_time``).
+        """Simulate until all jobs finish (a wake past :data:`MAX_TIME`
+        raises).
 
         ``trace`` (a path or an :class:`EventTrace`) journals the event
         timeline as JSONL — the ``--trace-out`` export.
         """
         process = TrainingClusterProcess(
             specs, self.scheduler, gpu_budget=self.total_gpus,
-            pool=DevicePool(self.total_gpus), resize_delay=self.resize_delay,
-            perf=self.perf, max_time=max_time)
+            pool=DevicePool(self.total_gpus))
         with open_trace(trace) as writer:
             runtime = Runtime(trace=writer)
             runtime.add(process)

@@ -115,10 +115,6 @@ class ClusterConditions:
     def clear_straggler(self, device_id: int) -> None:
         self._set(self._speed, device_id, 1.0, "straggler")
 
-    @property
-    def derated_ids(self) -> Sequence[int]:
-        return sorted(self._derate)
-
     def set_derate(self, device_id: int, speed: float) -> None:
         """Set ``device_id``'s sustained derate speed (0 < speed <= 1).
 
@@ -140,14 +136,6 @@ class ClusterConditions:
             table.pop(device_id, None)
         else:
             table[device_id] = float(speed)
-
-    def derate_speed(self, device_id: int) -> float:
-        return self._derate.get(device_id, 1.0)
-
-    def device_speed(self, device_id: int) -> float:
-        """Combined speed: straggler x derate (each defaults to 1.0)."""
-        return (self._speed.get(device_id, 1.0)
-                * self._derate.get(device_id, 1.0))
 
     def bottleneck_speed(self, device_ids: Iterable[int]) -> float:
         """Speed of the slowest device in a synchronous group (1.0 if clean),
@@ -248,16 +236,3 @@ class PerfModel:
         )
         t = self.step_time(workload, per_device_waves)
         return total_examples / t if t > 0 else 0.0
-
-    # -- homogeneous convenience ----------------------------------------------
-
-    def homogeneous_step_time(self, workload: "Workload", spec: "DeviceSpec",
-                              n_devices: int, global_batch: int,
-                              vn_per_device: int) -> float:
-        """Step time for an even split of ``global_batch`` across identical devices."""
-        if n_devices < 1 or vn_per_device < 1:
-            raise ValueError("n_devices and vn_per_device must be >= 1")
-        per_device = global_batch // n_devices
-        per_wave, rem = divmod(per_device, vn_per_device)
-        waves = [per_wave + (1 if i < rem else 0) for i in range(vn_per_device)]
-        return self.step_time(workload, {spec: [waves] * n_devices})

@@ -100,18 +100,18 @@ class TestConditionsDerates:
         cond = ClusterConditions()
         cond.set_straggler(0, 0.5)
         cond.set_derate(0, 0.8)
-        assert cond.device_speed(0) == 0.5 * 0.8
-        assert cond.derate_speed(0) == 0.8
+        assert cond.bottleneck_speed([0]) == 0.5 * 0.8
+        assert cond.effective_capacity([0]) == 0.8   # the derate alone
         assert cond.bottleneck_speed([0, 1]) == 0.4
 
     def test_restore_to_exactly_one_clears(self):
         cond = ClusterConditions()
         cond.set_derate(2, 0.7)
         assert cond.degraded
-        assert cond.derated_ids == [2]
+        assert [d for d in range(8) if cond.bottleneck_speed([d]) != 1.0] == [2]
         cond.set_derate(2, 1.0)
         assert not cond.degraded
-        assert cond.derated_ids == []
+        assert [d for d in range(8) if cond.bottleneck_speed([d]) != 1.0] == []
         assert cond.bottleneck_speed([2]) == 1.0
 
     def test_effective_capacity_sums_derated_speeds(self):

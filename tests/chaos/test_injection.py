@@ -124,14 +124,14 @@ class TestChaosController:
         pool, router, training, controller = self._wire()
         conditions = controller.conditions
         controller.apply(1.0, ChaosEvent(1.0, STRAGGLER_START, 2, factor=0.5))
-        assert conditions.device_speed(2) == pytest.approx(0.5)
+        assert conditions.bottleneck_speed([2]) == pytest.approx(0.5)
         assert conditions.bottleneck_speed([1, 2, 3]) == pytest.approx(0.5)
         controller.apply(2.0, ChaosEvent(2.0, NETWORK_START, factor=3.0))
         assert conditions.network_factor == pytest.approx(3.0)
         assert conditions.degraded
         controller.apply(3.0, ChaosEvent(3.0, STRAGGLER_END, 2))
         controller.apply(4.0, ChaosEvent(4.0, NETWORK_END))
-        assert conditions.device_speed(2) == pytest.approx(1.0)
+        assert conditions.bottleneck_speed([2]) == pytest.approx(1.0)
         assert conditions.network_factor == pytest.approx(1.0)
         assert not conditions.degraded
         # Training was told to recompute step rates on every change.

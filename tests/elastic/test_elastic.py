@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from repro.elastic import (
     three_job_trace,
 )
 from repro.elastic.metrics import improvement
+from repro.elastic.simulator import MAX_TIME
 from repro.elastic.wfs import weighted_fair_shares
 
 
@@ -176,6 +179,11 @@ class TestSimulator:
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
             ClusterSimulator(4, ElasticWFSScheduler()).run([])
+
+    def test_an_arrival_past_the_runaway_bound_raises(self):
+        trace = [_spec(steps=50), _spec(job_id=1, arrival=MAX_TIME + 1.0)]
+        with pytest.raises(RuntimeError, match=re.escape(f"MAX_TIME={MAX_TIME}")):
+            ClusterSimulator(4, ElasticWFSScheduler()).run(trace)
 
     def test_resize_logs_recorded(self):
         trace = three_job_trace(steps_scale=0.3)

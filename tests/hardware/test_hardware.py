@@ -145,6 +145,14 @@ class TestInterconnect:
         assert Interconnect().allgather_time(10**9, 1) == 0.0
 
 
+def _even_step_time(perf, wl, n_devices, global_batch, vn_per_device):
+    """Step time of ``global_batch`` split evenly over ``n_devices`` V100s,
+    ``vn_per_device`` waves each (the first waves take the remainder)."""
+    per_wave, rem = divmod(global_batch // n_devices, vn_per_device)
+    waves = [per_wave + (1 if i < rem else 0) for i in range(vn_per_device)]
+    return perf.step_time(wl, {get_spec("V100"): [waves] * n_devices})
+
+
 class TestPerfModel:
     def setup_method(self):
         self.perf = PerfModel()
@@ -165,9 +173,7 @@ class TestPerfModel:
 
     def test_throughput_anchor_v100_resnet(self):
         """Calibration: one V100 sustains ~1000 img/s on ResNet-50."""
-        step = self.perf.homogeneous_step_time(self.wl, get_spec("V100"),
-                                               n_devices=1, global_batch=256,
-                                               vn_per_device=1)
+        step = self.perf.step_time(self.wl, {get_spec("V100"): [[256]]})
         tput = 256 / step
         assert 900 < tput < 1200
 
@@ -205,8 +211,8 @@ class TestPerfModel:
             return
         lo, hi = min(n1, n2), max(n1, n2)
         b = 8192
-        t_lo = perf.homogeneous_step_time(wl, get_spec("V100"), lo, b, max(1, 32 // lo))
-        t_hi = perf.homogeneous_step_time(wl, get_spec("V100"), hi, b, max(1, 32 // hi))
+        t_lo = _even_step_time(perf, wl, lo, b, max(1, 32 // lo))
+        t_hi = _even_step_time(perf, wl, hi, b, max(1, 32 // hi))
         assert t_hi <= t_lo * 1.01
 
 

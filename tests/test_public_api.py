@@ -46,6 +46,21 @@ def test_readme_quickstart_snippet_runs():
     assert len(history) == 2
 
 
+def test_the_cluster_simulator_takes_a_cluster_and_a_trace_only():
+    """Resize delay, perf model and runaway bound are the simulator's own
+    constants; a caller picks the cluster size, the scheduler and whether
+    to journal the timeline."""
+    import inspect
+
+    from repro.elastic import ClusterSimulator
+
+    assert list(inspect.signature(ClusterSimulator).parameters) == [
+        "total_gpus", "scheduler"]
+    run = inspect.signature(ClusterSimulator.run).parameters
+    assert list(run) == ["self", "specs", "trace"]
+    assert run["trace"].default is None
+
+
 class TestOneProductionPath:
     """How a run executes is the system's business: nothing lets a caller
     pick between implementations that are bit-identical by contract.  The
