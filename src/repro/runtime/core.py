@@ -40,7 +40,6 @@ seq)`` reference model in ``tests/oracles/event_queue.py``.
 from __future__ import annotations
 
 import heapq
-import math
 from typing import (Any, Callable, Dict, List, Optional, Protocol, Sequence,
                     Tuple, Union, runtime_checkable)
 
@@ -170,9 +169,10 @@ class EventQueue:
         :meth:`handle_alive`; it stays safe to use after its event fired
         (see :class:`_EventSlab`).  ``time`` must be finite.
         """
-        if not math.isfinite(time):
+        if type(time) is not float:
+            time = float(time)
+        if time - time != 0.0:  # inf - inf and nan - nan are nan
             raise ValueError(f"event time must be finite, got {time!r}")
-        time = float(time)
         seq = self._seq
         self._seq = seq + 1
         slab = self._slab
@@ -270,18 +270,6 @@ class EventQueue:
         slab._free.append(slot)
         slab.live -= 1
         return (time, seq, kind, actor, action)
-
-    # -- introspection -------------------------------------------------------
-
-    def debug_stats(self) -> Dict[str, Any]:
-        """Memory-shape counters for the reclamation stress tests: live
-        events, slab slots, and heap entries (live plus not yet dropped
-        dead ones)."""
-        return {
-            "live": self._slab.live,
-            "slab_capacity": len(self._slab.payload),
-            "index_entries": len(self._heap),
-        }
 
 
 @runtime_checkable

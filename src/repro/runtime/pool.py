@@ -133,10 +133,6 @@ class DevicePool:
         return len(self._free)
 
     @property
-    def free_ids(self) -> Tuple[int, ...]:
-        return tuple(self._free)
-
-    @property
     def leases(self) -> Tuple[DeviceLease, ...]:
         return tuple(self._leases)
 

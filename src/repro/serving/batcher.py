@@ -15,7 +15,9 @@ times it reads come from the :class:`DispatchQueue`, which guarantees them
 as kept order statistics: ``oldest_arrival()`` and ``arrival_times()`` cost
 the same at any queue depth, because the queue maintains the ascending
 list on every push, requeue and take instead of scanning or sorting what
-is pending per planned batch.  The overload half of the contract,
+is pending per planned batch.  It keeps the number of entries pending the
+same way, as the plain attribute ``depth`` the router reads at every
+event.  The overload half of the contract,
 :class:`AdmissionPolicy`, is defined here too; its decision kernel is
 :func:`repro.serving.admission.decide`, loaded only by a router that sheds.
 """
@@ -173,7 +175,10 @@ class DispatchQueue:
     :meth:`oldest_arrival` is its first element and :meth:`arrival_times`
     is the multiset itself — a *read-only view*, ascending, valid until the
     queue is next mutated.  :meth:`_hold` files what is queued and
-    :meth:`_release` forgets what :meth:`take` hands out.
+    :meth:`_release` forgets what :meth:`take` hands out; both keep
+    ``depth``, the number of entries queued, as a plain attribute (the
+    router reads it several times per event; ``len(queue)`` is the same
+    number).
     """
 
     def __init__(self, registry: Optional["TenantRegistry"] = None) -> None:
@@ -198,11 +203,13 @@ class DispatchQueue:
                 insort(arrivals, t)
             else:
                 arrivals.append(t)
+        self.depth = len(arrivals)
 
     def _release(self, batch: Sequence[tuple]) -> None:
         """Forget the arrival times of the entries ``take`` hands out."""
         arrivals = self._arrivals
-        if len(batch) == len(arrivals):
+        self.depth -= len(batch)
+        if not self.depth:
             arrivals.clear()  # the batch is everything pending
             return
         for entry in batch:
@@ -302,6 +309,7 @@ class DispatchQueue:
 
     def clear(self) -> None:
         self._arrivals.clear()
+        self.depth = 0
         self._front.clear()
         # FIFO keeps its one flow for good; WFQ flows come and go.
         self._flows: List[Deque[tuple]] = (
@@ -311,4 +319,4 @@ class DispatchQueue:
         self._seq = 0
 
     def __len__(self) -> int:
-        return len(self._arrivals)
+        return self.depth

@@ -300,7 +300,8 @@ class TenantAccounting:
         # Incremental per-tenant accounting: append-only latency lists — the
         # finalize digests and live_tenant_histograms() both read these.
         lat_map = self.latencies
-        completion = block.batch.completion_time
+        batch = block.batch
+        completion = batch.completion_time
         for tenant, arrival in zip(block.tenants, block.arrivals):
             lat_map[tenant].append(completion - arrival)
         journal = self._journal
@@ -310,20 +311,19 @@ class TenantAccounting:
         # the line's "t"): format those once, then one f-string per request
         # around what differs.  Sorted key order: arrival < batch_id <
         # completion < dispatch < request_id < tenant.
-        batch = block.batch
         prefix, middle = journal.line_parts(self.actor, "request")
+        stamp = f'{completion!r}'
         head = f'{prefix}{{"arrival": '
-        shared = (f', "batch_id": {batch.batch_id}, '
-                  f'"completion": {completion!r}, '
+        shared = (f', "batch_id": {batch.batch_id}, "completion": {stamp}, '
                   f'"dispatch": {batch.dispatch_time!r}, "request_id": ')
-        tail = f', "t": {completion!r}}}\n'
+        tail = f', "t": {stamp}}}\n'
         tenant_json = self._tenant_json
         seq0 = self._journal_seq
-        self._journal_seq = seq0 + len(block)
+        self._journal_seq = seq1 = seq0 + batch.size
         journal.emit_many_lines([
             f'{head}{arrival!r}{shared}{i}, '
             f'"tenant": {tenant_json[tenant]}}}{middle}{seq}{tail}'
-            for seq, arrival, i, tenant in zip(range(seq0, seq0 + len(block)),
+            for seq, arrival, i, tenant in zip(range(seq0, seq1),
                                                block.arrivals, block.ids,
                                                block.tenants)])
 

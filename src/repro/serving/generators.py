@@ -19,6 +19,12 @@ Both hand the router their arrivals the one way load enters it, as an
 rows of an example bank in a fixed order, so a serving run is fully
 reproducible from (trace, seed, bank).  Completions come back as one
 :class:`~repro.serving.request.RecordBlock` per micro-batch.
+
+A wave holds its arrival times and tenant indices twice: as arrays, for
+shed blocks and long-wave metering, and as the plain lists the admission
+path reads.  The open-loop source keeps both forms of its whole stream and
+cuts a wave as slices of each, so a pull converts nothing from numpy to
+Python.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import heapq
 from abc import ABC, abstractmethod
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -61,6 +68,13 @@ class ArrivalWave:
     ``tenant_table[0]`` (single-stream sources use ``[None]``).
     ``clients[j]`` is the closed-loop client that issued offset ``j``;
     ``None`` on every open-loop wave.
+
+    The admission path reads the times and (when there are any) the tenant
+    indices as plain Python lists, :attr:`time_list` and :attr:`idx_list`;
+    the arrays stay for the readers that need one (a shed block, long-wave
+    metering).  A source that keeps its columns as lists too sets the two
+    to its list slices when it cuts the wave; otherwise they are read off
+    the arrays once.
     """
 
     times: np.ndarray
@@ -74,20 +88,27 @@ class ArrivalWave:
     def __len__(self) -> int:
         return len(self.times)
 
-    def entries(self, times: List[float],
-                offsets: Optional[Sequence[int]] = None) -> List[tuple]:
+    @cached_property
+    def time_list(self) -> List[float]:
+        return self.times.tolist()
+
+    @cached_property
+    def idx_list(self) -> List[int]:
+        return self.tenant_idx.tolist()
+
+    def entries(self, offsets: Optional[Sequence[int]] = None) -> List[tuple]:
         """The queue entries ``(arrival, request_id, tenant, client,
-        example)`` of the arrivals at ``offsets`` (all of them by default);
-        ``times`` is ``self.times`` as plain floats.  ``example`` is the
-        request's row index into ``bank.examples``, a plain int: the rows
-        themselves are gathered once per forward pass, as one column."""
+        example)`` of the arrivals at ``offsets`` (all of them by default).
+        ``example`` is the request's row index into ``bank.examples``, a
+        plain int: the rows themselves are gathered once per forward pass,
+        as one column."""
+        times = self.time_list
         if offsets is None:
             offsets = range(len(times))
         table = self.tenant_table
-        idx = ([0] * len(times) if self.tenant_idx is None
-               else self.tenant_idx.tolist())
+        idx = [0] * len(times) if self.tenant_idx is None else self.idx_list
         first_id, cursor, clients = self.first_id, self.first_cursor, self.clients
-        n = len(self.bank.examples)
+        n = self.bank.rows
         # ``clients and ...``: None for every entry of an open-loop wave.
         return [(times[j], first_id + j, table[idx[j]], clients and clients[j],
                  (cursor + j) % n) for j in offsets]
@@ -130,21 +151,16 @@ EMPTY_WAVE = ArrivalWave(np.empty(0))
 
 
 class _ExampleBank:
-    """Cycles the rows of a fixed example array in canonical order."""
+    """Cycles the rows of a fixed example array in canonical order:
+    ``cursor`` counts the rows handed out, and a source moves it by a whole
+    wave at a time."""
 
     def __init__(self, examples: np.ndarray) -> None:
-        if len(examples) == 0:
-            raise ValueError("the example bank needs at least one row")
         self.examples = examples
-        self._cursor = 0
-
-    @property
-    def cursor(self) -> int:
-        return self._cursor
-
-    def advance(self, n: int) -> None:
-        """Consume ``n`` rows in bulk (a wave's cursor bump)."""
-        self._cursor += n
+        self.rows = len(examples)
+        if not self.rows:
+            raise ValueError("the example bank needs at least one row")
+        self.cursor = 0
 
 
 class OpenLoopPoissonSource(RequestSource):
@@ -162,20 +178,19 @@ class OpenLoopPoissonSource(RequestSource):
         """Install the sorted arrival array and, for a merged multi-tenant
         stream, whose arrival each one is (see :class:`ArrivalWave`)."""
         self._times = times
-        # The same times as plain floats: a pull cuts its wave with a
-        # bisection over them and peeks the next arrival, touching no array.
-        self._time_list: List[float] = times.tolist()
         self._tenant_idx = tenant_idx
+        # The same columns as plain lists: a pull cuts its wave with a
+        # bisection over the times and hands over list slices, touching no
+        # array.
+        floats = times.tolist()
+        self._time_list: List[float] = floats
+        self._idx_list = None if tenant_idx is None else tenant_idx.tolist()
+        self.total_requests = len(floats)
         self._tenant_table = tenant_table
         self._bank = _ExampleBank(examples)
         self._next = 0
         # The next pending arrival (None once drained).
-        self._next_time: Optional[float] = (
-            self._time_list[0] if self._time_list else None)
-
-    @property
-    def total_requests(self) -> int:
-        return len(self._times)
+        self._next_time: Optional[float] = floats[0] if floats else None
 
     def next_arrival_time(self) -> Optional[float]:
         return self._next_time
@@ -187,16 +202,18 @@ class OpenLoopPoissonSource(RequestSource):
         # One bisection cuts the wave; nothing per request happens until
         # admission has decided.
         start = self._next
-        end = bisect_right(self._time_list, until, start)
-        idx = self._tenant_idx
-        wave = ArrivalWave(times=self._times[start:end], first_id=start,
-                           bank=self._bank, first_cursor=self._bank.cursor,
-                           tenant_idx=None if idx is None else idx[start:end],
-                           tenant_table=self._tenant_table)
-        self._next = end
-        self._next_time = (
-            self._time_list[end] if end < len(self._time_list) else None)
-        self._bank.advance(end - start)
+        times = self._time_list
+        idx = self._idx_list
+        bank = self._bank
+        self._next = end = bisect_right(times, until, start)
+        wave = ArrivalWave(self._times[start:end], start, bank, bank.cursor,
+                           None if idx is None else self._tenant_idx[start:end],
+                           self._tenant_table)
+        wave.time_list = times[start:end]
+        if idx is not None:
+            wave.idx_list = idx[start:end]
+        self._next_time = times[end] if end < self.total_requests else None
+        bank.cursor += end - start
         return wave
 
 
@@ -244,11 +261,10 @@ class ClosedLoopSource(RequestSource):
             clients.append(client)
         if not times:
             return EMPTY_WAVE
-        wave = ArrivalWave(times=np.array(times), first_id=self._next_id,
-                           bank=self._bank, first_cursor=self._bank.cursor,
-                           clients=clients)
+        wave = ArrivalWave(np.array(times), self._next_id, self._bank,
+                           self._bank.cursor, clients=clients)
         self._next_id += len(times)
-        self._bank.advance(len(times))
+        self._bank.cursor += len(times)
         return wave
 
     def on_completion(self, block: RecordBlock) -> None:

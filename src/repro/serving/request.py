@@ -58,9 +58,11 @@ class RequestRecord:
         return self.completion_time - self.arrival_time
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BatchRecord:
-    """One dispatched micro-batch."""
+    """One dispatched micro-batch.  Not frozen: the router builds one per
+    batch and changes none, and plain slot stores cost a fraction of a
+    frozen dataclass's ``object.__setattr__`` per field."""
 
     batch_id: int
     dispatch_time: float
@@ -145,7 +147,8 @@ class ShedBlock:
 
 class BlockLog(SequenceABC):
     """Rows over column blocks appended whole — a report's ``records``,
-    ``shed`` and ``tenant_shed``.  ``len`` is O(1); a row is built when read
+    ``shed`` and ``tenant_shed``; ``append(block, size)`` takes the block's
+    row count from the caller.  ``len`` is O(1); a row is built when read
     (indexing bisects to its block), from ``rows(block)`` — by default the
     block itself.  ``==`` compares the rows with any sequence."""
 
@@ -162,9 +165,9 @@ class BlockLog(SequenceABC):
         other.blocks, other._bounds = self.blocks, self._bounds
         return other
 
-    def append(self, block) -> None:
+    def append(self, block, size: int) -> None:
         self.blocks.append(block)
-        self._bounds.append(self._bounds[-1] + len(block))
+        self._bounds.append(self._bounds[-1] + size)
 
     def _read(self, block) -> Sequence:
         return block if self._rows is None else self._rows(block)

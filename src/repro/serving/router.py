@@ -212,14 +212,16 @@ class ServingReport:
 
     def _columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every record's arrival, dispatch and completion time: their
-        differences are bit for bit the records' own."""
-        blocks = self.records.blocks
-        sizes = [len(b) for b in blocks]
-        arrivals = np.array([a for b in blocks for a in b.arrivals], float)
+        differences are bit for bit the records' own.  ``batches`` and the
+        record blocks are appended together, one per completed batch."""
+        batches = self.batches
+        sizes = [b.size for b in batches]
+        arrivals = np.array(
+            [a for b in self.records.blocks for a in b.arrivals], float)
         dispatch = np.repeat(
-            np.array([b.batch.dispatch_time for b in blocks], float), sizes)
+            np.array([b.dispatch_time for b in batches], float), sizes)
         completion = np.repeat(
-            np.array([b.batch.completion_time for b in blocks], float), sizes)
+            np.array([b.completion_time for b in batches], float), sizes)
         return arrivals, dispatch, completion
 
     def latencies(self) -> np.ndarray:
@@ -553,7 +555,7 @@ class RequestRouter:
 
     def _schedule_next(self) -> None:
         """Post the event that produces the next dispatch (or finish)."""
-        if self._pending:
+        if self._pending.depth:
             self._plan(self._policy_now())
             return
         nxt = self.source.next_arrival_time()
@@ -598,12 +600,12 @@ class RequestRouter:
         the pull's shed block.
         """
         wave = self.source.take_wave(until)
-        if not len(wave.times):
+        times = wave.time_list
+        if not times:
             return 0
         self._examples = wave.bank.examples
-        times = wave.times.tolist()
         if self.admission is None:
-            self._pending.push_wave(wave.entries(times))
+            self._pending.push_wave(wave.entries())
             return 0
         # No event fires inside a pull, so the admission state (server
         # backlog, service estimate, degradation) is frozen but for the
@@ -615,13 +617,13 @@ class RequestRouter:
             bypass, halved = meter(wave, times, accounting.contracts,
                                    in_force is not self.policy)
         admitted, shed, reasons = self._decide(
-            self.admission, times, len(self._pending), self._server_free,
+            self.admission, times, self._pending.depth, self._server_free,
             self._service_estimate, in_force.max_batch, bypass, halved)
         if admitted:
-            self._pending.push_wave(wave.entries(times, admitted))
+            self._pending.push_wave(wave.entries(admitted))
         if shed:
             block = wave.shed_block(shed, reasons)
-            self.report.shed.append(block)
+            self.report.shed.append(block, len(shed))
             if accounting is not None:
                 accounting.record_shed(block)
         return len(shed)
@@ -630,13 +632,13 @@ class RequestRouter:
         self._admit_handle = None
         policy = self._policy_now()
         shed = self._pull(cutoff, policy)
-        if self._pending:
+        if self._pending.depth:
             self._plan(policy)
         elif not self._halted:
             # Everything this wake pulled was shed: skip straight to the
             # next arrival instead of planning over an empty queue.
             self._schedule_next()
-        out: Dict[str, object] = {"pending": len(self._pending)}
+        out: Dict[str, object] = {"pending": self._pending.depth}
         if shed:
             out["shed"] = shed
         return out
@@ -673,7 +675,8 @@ class RequestRouter:
             self.report.brownout_batches += 1
         batch = self._pending.take(launch, policy.max_batch)
 
-        latency, waves = self.inference.price(len(batch))
+        size = len(batch)
+        latency, waves = self.inference.price(size)
         if self._conditions is not None and self._conditions.degraded:
             # A straggler in the lease bottlenecks the whole micro-batch.
             latency = self._conditions.serving_latency(
@@ -686,7 +689,7 @@ class RequestRouter:
             lambda t: self._on_completion(t, batch, batch_id, launch, waves),
             kind="complete", actor=self.name)
         self._inflight = (handle, batch, batch_id, launch)
-        return {"batch_id": batch_id, "size": len(batch),
+        return {"batch_id": batch_id, "size": size,
                 "devices": self._devices, "waves": waves}
 
     def _on_completion(self, completion: float, batch: List[tuple],
@@ -694,24 +697,23 @@ class RequestRouter:
                        waves: int) -> Dict[str, object]:
         self._inflight = None
         report = self.report
-        record = BatchRecord(
-            batch_id=batch_id, dispatch_time=launch,
-            completion_time=completion, size=len(batch),
-            devices=self._devices, waves=waves)
+        size = len(batch)
+        record = BatchRecord(batch_id, launch, completion, size,
+                             self._devices, waves)
         block = RecordBlock(record, batch)
         report.batches.append(record)
-        report.records.append(block)
+        report.records.append(block, size)
         if self.accounting is not None:
             self.accounting.record_completion(block)
         self._completed.append(batch)
-        self._completed_rows += len(batch)
+        self._completed_rows += size
         if self._completed_rows >= _FORWARD_ROWS:
             self.forward_completed()
         self._server_free = completion
         self._service_estimate = completion - launch
         self.source.on_completion(block)
 
-        data: Dict[str, object] = {"batch_id": batch_id, "size": len(batch)}
+        data: Dict[str, object] = {"batch_id": batch_id, "size": size}
         if self.autoscaler is not None:
             target = self.autoscaler.observe(block, completion, self._devices)
             if target is not None and target != self._devices:
@@ -821,7 +823,7 @@ class RequestRouter:
                 or (self._dispatch_handle is not None
                     and self._queue.handle_alive(self._dispatch_handle))):
             return {"resumed": False}  # the chain is already live again
-        if self._pending:
+        if self._pending.depth:
             if (self._admit_handle is not None
                     and self._queue.handle_alive(self._admit_handle)):
                 # _plan's own admission pulls anything the cancelled admit
@@ -832,7 +834,7 @@ class RequestRouter:
         elif (self._admit_handle is None
                 or not self._queue.handle_alive(self._admit_handle)):
             self._schedule_next()
-        return {"pending": len(self._pending)}
+        return {"pending": self._pending.depth}
 
     def forward_completed(self) -> None:
         """Run the numeric forward of every completed micro-batch still
@@ -890,7 +892,7 @@ class RequestRouter:
             nxt = self.source.next_arrival_time()
             if nxt is None or nxt > until:
                 return
-            if len(self._pending) >= in_force.max_batch:
+            if self._pending.depth >= in_force.max_batch:
                 # The decision this pull serves is already settled; later
                 # arrivals queue behind it on their own event.
                 return

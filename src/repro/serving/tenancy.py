@@ -228,7 +228,7 @@ def meter(wave: "ArrivalWave", times: Sequence[float],
     tenants it does not know have neither.  Every arrival draws on its
     tenant's bucket whether or not the decision will need the grant (quota
     state must not depend on load), each bucket sees its own arrivals in
-    order, and ``times`` is ``wave.times`` as plain floats.  ``bypass[j]``:
+    order, and ``times`` is the wave's ``time_list``.  ``bypass[j]``:
     arrival ``j`` is premium and inside its quota.  ``halved[j]``: it is
     not premium, so a brownout halves its limits — ``None`` unless
     ``browned``.  Short waves :meth:`~TokenBucket.take` per arrival, long
@@ -240,7 +240,7 @@ def meter(wave: "ArrivalWave", times: Sequence[float],
     n = len(times)
     if n < VECTOR_MIN:
         per_arrival = (known * n if idx is None
-                       else [known[k] for k in idx.tolist()])
+                       else [known[k] for k in wave.idx_list])
         bypass = [(bucket is None or bucket.take(t)) and premium
                   for t, (bucket, premium) in zip(times, per_arrival)]
         return bypass, ([not c[1] for c in per_arrival] if browned else None)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.runtime import DevicePool, LeaseError
+from runtime_state import free_ids
 
 
 class TestLeaseInvariants:
@@ -12,7 +13,7 @@ class TestLeaseInvariants:
         pool = DevicePool(4)
         lease = pool.acquire("a", 2)
         assert lease.device_ids == (0, 1)
-        assert pool.free_ids == (2, 3)
+        assert free_ids(pool) == (2, 3)
 
     def test_no_double_lease(self):
         pool = DevicePool(4)
@@ -38,7 +39,7 @@ class TestLeaseInvariants:
         gained, lost = pool.resize(lease, 1, 2.0)
         assert gained == () and lost == (1, 2, 3)
         assert lease.device_ids == (0,)        # prefix survives
-        assert pool.free_ids == (1, 2, 3, 4, 5)
+        assert free_ids(pool) == (1, 2, 3, 4, 5)
 
     def test_solo_lease_always_holds_a_prefix(self):
         # The property the golden serving traces rely on: a lease alone on
@@ -150,7 +151,7 @@ class TestFailRevive:
         pool = DevicePool(4)
         pool.acquire("a", 2, 0.0)
         assert pool.fail_device(3, 1.0) is None
-        assert pool.free_ids == (2,)
+        assert free_ids(pool) == (2,)
         assert pool.free_count == 1
         # The quarantined device is not leasable.
         with pytest.raises(LeaseError):

@@ -16,6 +16,7 @@ import pytest
 
 from oracles.event_queue import HeapQueueOracle
 from repro.runtime import EventQueue, Runtime
+from runtime_state import queue_stats
 
 # The contract tests below hold for the production queue and for the
 # reference model, or the model is no reference.
@@ -140,7 +141,7 @@ class TestBoundedMemory:
             for h in handles[doomed].tolist():
                 q.cancel_handle(h)
             survivors += int((~doomed).sum())
-        stats = q.debug_stats()
+        stats = queue_stats(q)
         assert stats["live"] == survivors == len(q)
         # Slab capacity is a function of peak live events, not of the
         # 20k scheduled: with ~90% cancelled it must stay well below the
@@ -164,7 +165,7 @@ class TestBoundedMemory:
             live.extend(handles[~doomed].tolist())
             while len(live) > 20:   # keep the population small
                 assert q.cancel_handle(live.pop())
-        stats = q.debug_stats()
+        stats = queue_stats(q)
         assert stats["live"] == len(live) == len(q)
         assert stats["slab_capacity"] <= 256
         assert stats["index_entries"] <= 2 * len(live) + 128
@@ -183,7 +184,7 @@ class TestBoundedMemory:
                 pass
         assert len(q) == 0
         # 50 rounds x per_round events reuse the same slots.
-        assert q.debug_stats()["slab_capacity"] <= 512
+        assert queue_stats(q)["slab_capacity"] <= 512
 
     @QUEUES
     def test_cancel_after_fire_is_harmless(self, make_queue):
@@ -219,7 +220,7 @@ class TestStructureObservability:
                 return original(self, until)
             finally:
                 finished.append((self.events_processed,
-                                 self.queue.debug_stats()))
+                                 queue_stats(self.queue)))
 
         monkeypatch.setattr(Runtime, "run", run)
         report = serve_workload(

@@ -5,7 +5,8 @@ Every interleaving of ``post`` / ``post_many`` / ``cancel_handle`` /
 ``handle_alive`` / ``pop_dispatch(until)`` must fire the same
 ``(time, seq)`` sequence as a sorted-list model *and* the heap model in
 ``tests/oracles/event_queue.py``, with ``len(queue)`` and
-``debug_stats()["live"]`` exact after every step.
+``queue_stats(queue)["live"]`` (``tests/runtime_state.py``) exact after
+every step.
 
 One harness applies each operation to the sorted list, the oracle and two
 production queues — one takes each wave through ``post_many``, the other
@@ -28,6 +29,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from oracles.event_queue import HeapQueueOracle
 from repro.runtime import EventQueue
+from runtime_state import queue_stats
 
 LINE = 128
 
@@ -107,7 +109,7 @@ class QueueHarness:
         live = len(self.model)
         assert len(self.queues["heap"]) == live
         for name in ("production", "post_loop"):
-            stats = self.queues[name].debug_stats()
+            stats = queue_stats(self.queues[name])
             assert len(self.queues[name]) == stats["live"] == live
             assert stats["index_entries"] >= live
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import io
 import json
 
+import numpy as np
 import pytest
 
 from repro.runtime import EventQueue, EventTrace, Runtime, read_trace
@@ -48,13 +49,20 @@ class TestEventQueue:
 
     def test_rejects_non_finite_times(self):
         q = EventQueue()
-        with pytest.raises(ValueError):
-            q.post(float("inf"), lambda t: None)
-        with pytest.raises(ValueError):
-            q.post(float("nan"), lambda t: None)
-        with pytest.raises(ValueError):
-            q.post_many([1.0, float("inf")], lambda t: None)
+        for bad in (float("inf"), float("-inf"), float("nan"),
+                    np.float64("nan"), np.float64("inf")):
+            with pytest.raises(ValueError, match="event time must be finite"):
+                q.post(bad, lambda t: None)
+            with pytest.raises(ValueError):
+                q.post_many([1.0, bad], lambda t: None)
         assert len(q) == 0
+        # An int or numpy time is stored as the plain float it equals: the
+        # timeline spells "t" with that float's repr.
+        q.post(3, lambda t: None)
+        q.post(np.float64(2.5), lambda t: None)
+        popped = [q.pop_dispatch()[0] for _ in range(2)]
+        assert [(type(t), repr(t)) for t in popped] == [
+            (float, "2.5"), (float, "3.0")]
 
 
 class TestRuntime:

@@ -6,8 +6,9 @@ FIFO runs monotone in arrival time (and, under WFQ, in ``(finish, seq)``)
 ascending list it keeps in step with them — an append per in-order arrival,
 an ``insort`` per requeue or late push, a ``bisect`` + delete per
 dispatched entry.  The contract is that nobody can tell: after every
-operation, in **both** orderings, ``len``, ``oldest_arrival()`` and
-``list(arrival_times())`` equal what ``tests/oracles/dispatch_queue.py``
+operation, in **both** orderings, ``len`` (and the ``depth`` attribute the
+router reads), ``oldest_arrival()`` and ``list(arrival_times())`` equal
+what ``tests/oracles/dispatch_queue.py``
 recomputes over everything pending (``min`` / collect-and-sort), and
 ``take`` hands out the same entries in the same order as the by-the-book
 models there.  The walk is built to reach every flow branch: waves of any
@@ -170,6 +171,7 @@ class DispatchQueueMachine(RuleBasedStateMachine):
     @invariant()
     def reads_equal_a_recomputation(self):
         assert len(self.queue) == len(self.oracle)
+        assert self.queue.depth == len(self.queue.arrival_times())
         assert bool(self.queue) == (len(self.oracle) > 0)
         assert list(self.queue.arrival_times()) == self.oracle.arrival_times()
         if len(self.oracle):

@@ -59,7 +59,7 @@ def _take(source, until):
     """One pull's queue entries ``(arrival, request_id, tenant, client,
     example)``."""
     wave = source.take_wave(until)
-    return wave.entries(wave.times.tolist()) if len(wave) else []
+    return wave.entries() if len(wave) else []
 
 
 class TestWFQDispatchQueue:
@@ -529,19 +529,19 @@ class TestMultiTenantWaveEdgeCases:
             self, monkeypatch):
         source = self._source(monkeypatch, [[0.1, 0.5], [0.1, 0.3, 0.5]])
         wave = source.take_wave(float("inf"))
-        merged = [(e[0], e[2]) for e in wave.entries(wave.times.tolist())]
+        merged = [(e[0], e[2]) for e in wave.entries()]
         # Ties at 0.1 and 0.5 break in registry order: a before b.
         assert merged == [(0.1, "a"), (0.1, "b"), (0.3, "b"),
                           (0.5, "a"), (0.5, "b")]
         assert wave.first_id == 0
-        entries = wave.entries(wave.times.tolist())
+        entries = wave.entries()
         assert [e[1] for e in entries] == list(range(5))
 
     def test_empty_phase_tenant_contributes_nothing(self, monkeypatch):
         source = self._source(monkeypatch, [[], [0.1, 0.2, 0.3]])
         assert source.total_requests == 3
         wave = source.take_wave(float("inf"))
-        assert [e[2] for e in wave.entries(wave.times.tolist())] == ["b"] * 3
+        assert [e[2] for e in wave.entries()] == ["b"] * 3
         assert len(source.take_wave(float("inf"))) == 0
 
     def test_wave_straddling_until_exactly(self, monkeypatch):
@@ -550,7 +550,7 @@ class TestMultiTenantWaveEdgeCases:
         # An arrival at exactly ``until`` belongs to this wave, not the next.
         wave = source.take_wave(0.2)
         assert wave.times.tolist() == [0.1, 0.2, 0.2]
-        assert [e[2] for e in wave.entries(wave.times.tolist())] == [
+        assert [e[2] for e in wave.entries()] == [
             "a", "a", "b"]
         assert source.next_arrival_time() == 0.4
         tail = source.take_wave(0.4)

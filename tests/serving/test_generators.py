@@ -7,8 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.elastic import ServingPhase, serving_arrival_times, spike_phases
-from repro.serving import ClosedLoopSource, OpenLoopPoissonSource
-from repro.serving.generators import EMPTY_WAVE
+from repro.serving import (
+    ClosedLoopSource,
+    MultiTenantPoissonSource,
+    OpenLoopPoissonSource,
+    TenantRegistry,
+)
+from repro.serving.generators import EMPTY_WAVE, ArrivalWave, _ExampleBank
 from repro.serving.request import BatchRecord, RecordBlock
 
 
@@ -16,7 +21,7 @@ def _take(source, until):
     """One pull's queue entries ``(arrival, request_id, tenant, client,
     example)``."""
     wave = source.take_wave(until)
-    return wave.entries(wave.times.tolist()) if len(wave) else []
+    return wave.entries() if len(wave) else []
 
 
 class TestServingTrace:
@@ -130,6 +135,74 @@ class TestOpenLoopSource:
         assert taken == len(times) and source.next_arrival_time() is None
 
 
+def _entries_from_arrays(wave, offsets):
+    """A wave's queue entries built from its arrays alone, one
+    ``tolist()`` each, the way the router built them before waves carried
+    plain columns."""
+    times = wave.times.tolist()
+    idx = ([0] * len(times) if wave.tenant_idx is None
+           else wave.tenant_idx.tolist())
+    n = len(wave.bank.examples)
+    return [(times[j], wave.first_id + j, wave.tenant_table[idx[j]],
+             wave.clients and wave.clients[j], (wave.first_cursor + j) % n)
+            for j in offsets]
+
+
+def _open_loop(seed):
+    return OpenLoopPoissonSource([ServingPhase(0.3, 400.0)],
+                                 np.zeros((7, 2)), seed=seed)
+
+
+def _multi_tenant(seed):
+    registry = TenantRegistry.from_spec("a:share=1;b:share=3;c:share=1")
+    phases = {t: [ServingPhase(0.3, 150.0)] for t in registry.tenant_ids}
+    return MultiTenantPoissonSource(registry, phases, np.zeros((7, 2)),
+                                    seed=seed)
+
+
+def _closed_loop(seed):
+    return ClosedLoopSource(num_clients=5, requests_per_client=4,
+                            examples=np.zeros((7, 2)), think_time=0.002,
+                            seed=seed)
+
+
+class TestWavePlainColumns:
+    """The admission path reads a wave's times and tenant indices as plain
+    lists: they must be the arrays' values, plain floats and ints, and the
+    entries built from them the entries the arrays give."""
+
+    @staticmethod
+    def _check(wave):
+        assert wave.time_list == wave.times.tolist()
+        assert all(type(t) is float for t in wave.time_list)
+        if wave.tenant_idx is not None:
+            assert wave.idx_list == wave.tenant_idx.tolist()
+        every = range(len(wave))
+        assert wave.entries() == _entries_from_arrays(wave, every)
+        assert wave.entries(every[1::2]) == _entries_from_arrays(
+            wave, every[1::2])
+
+    @pytest.mark.parametrize("make", [_open_loop, _multi_tenant, _closed_loop])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_every_wave_of_every_source(self, make, seed):
+        source, waves, t = make(seed), 0, 0.0
+        while source.next_arrival_time() is not None:
+            t += 0.003
+            wave = source.take_wave(t)
+            if not len(wave):
+                continue
+            self._check(wave)
+            waves += 1
+            source.on_completion(_complete(wave.entries(), completion=t))
+        assert waves > 5
+
+    def test_a_wave_built_over_arrays_alone(self):
+        bank = _ExampleBank(np.zeros((3, 2)))
+        for idx in (None, np.array([1, 0, 1, 1], np.int64)):
+            self._check(ArrivalWave(np.array([0.5, 0.5, 0.75, 2.0]), 9, bank,
+                                    4, idx, ("x", "y"), [3, 1, 2, 0]))
+
+
 def _complete(entries, completion):
     """The completion block of one micro-batch of ``entries``."""
     batch = BatchRecord(batch_id=0, dispatch_time=completion - 0.001,
@@ -179,7 +252,7 @@ class TestClosedLoopSource:
             wave = source.take_wave(t)
             assert (wave.first_id, wave.first_cursor) == (issued, issued)
             assert wave.tenant_idx is None and list(wave.tenant_table) == [None]
-            entries = wave.entries(wave.times.tolist())
+            entries = wave.entries()
             assert [e[1] for e in entries] == list(
                 range(issued, issued + len(wave)))
             assert [e[3] for e in entries] == wave.clients

@@ -276,7 +276,7 @@ class TestBrownoutProbedOncePerPull:
         pulls, staged = [], {}
 
         def recording_meter(wave, times, contracts, browned):
-            staged.update(tenants=[e[2] for e in wave.entries(times)],
+            staged.update(tenants=[e[2] for e in wave.entries()],
                           browned=browned, live=contracts["prem"][0])
             return meter(wave, times, contracts, browned)
 
