@@ -75,7 +75,12 @@ def _child_env() -> dict:
     env = dict(os.environ)
     for key, value in THREAD_PINS.items():
         env.setdefault(key, value)
-    env.setdefault("PYTHONPATH", os.path.join(HERE, os.pardir, "src"))
+    # Each child runs in HERE, so an inherited relative entry (or an empty
+    # one, which means the cwd) is resolved against the caller's cwd.
+    paths = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = (
+        os.pathsep.join(os.path.abspath(p) for p in paths.split(os.pathsep))
+        if paths else os.path.join(HERE, os.pardir, "src"))
     return env
 
 

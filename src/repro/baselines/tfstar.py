@@ -18,8 +18,6 @@ from typing import Optional
 
 from repro.core.trainer import TrainerConfig, VirtualFlowTrainer
 from repro.data.datasets import Dataset
-from repro.framework.models import get_workload
-from repro.hardware.device import get_spec
 
 __all__ = ["TFStarConfig", "TFStarTrainer"]
 
@@ -48,23 +46,6 @@ class TFStarConfig:
     def global_batch_size(self) -> int:
         """Coupled to hardware: local batch x device count (§2.1)."""
         return self.local_batch_size * self.num_devices
-
-    @classmethod
-    def at_memory_max(cls, workload: str, device_type: str, num_devices: int,
-                      seed: int = 0, dataset_size: int = 4096) -> "TFStarConfig":
-        """The common practice: local batch = largest that fits in memory."""
-        wl = get_workload(workload)
-        spec = get_spec(device_type)
-        max_batch = wl.footprint.max_batch(
-            spec.memory_bytes, wl.optimizer_slots, grad_buffer=False
-        )
-        if max_batch < 1:
-            raise ValueError(
-                f"workload {workload!r} does not fit on {device_type} at any batch size"
-            )
-        return cls(workload=workload, local_batch_size=max_batch,
-                   device_type=device_type, num_devices=num_devices,
-                   seed=seed, dataset_size=dataset_size)
 
 
 class TFStarTrainer(VirtualFlowTrainer):

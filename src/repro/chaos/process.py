@@ -135,12 +135,12 @@ class ChaosController:
 class ChaosProcess:
     """A runtime process that fires a :class:`FaultPlan` event by event."""
 
-    def __init__(self, plan: FaultPlan, controller: ChaosController,
-                 name: str = "chaos") -> None:
+    name = "chaos"
+
+    def __init__(self, plan: FaultPlan, controller: ChaosController) -> None:
         plan.validate()
         self.plan = plan
         self.controller = controller
-        self.name = name
 
     def start(self, runtime) -> None:
         for ev in self.plan.events:

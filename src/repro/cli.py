@@ -127,6 +127,13 @@ _positive_int = _bounded(int, 0)
 _nonnegative_int = _bounded(int, 0, exclusive=False)
 
 
+def _usage_error(flag: str, message: str):
+    """Exit 2 naming ``flag``, as argparse does, for values each valid alone
+    but not together."""
+    print(f"error: argument {flag}: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _add_runtime_flags(group) -> None:
     """The event-timeline flags of every discrete-event command."""
     group.add_argument("--trace-out", default=None, metavar="PATH",
@@ -188,11 +195,9 @@ def _tenancy_from_args(args):
     """
     if args.tenants is None:
         if args.journal is not None:
-            print("error: --journal needs --tenants", file=sys.stderr)
-            raise SystemExit(2)
+            _usage_error("--journal", "needs --tenants")
         if args.dispatcher != "wfq":
-            print("error: --dispatcher needs --tenants", file=sys.stderr)
-            raise SystemExit(2)
+            _usage_error("--dispatcher", "needs --tenants")
         return None, None, "wfq"
     from repro.serving.tenancy import TenantRegistry
     try:
@@ -562,6 +567,10 @@ def _cmd_infer(args) -> int:
 def _cmd_serve(args) -> int:
     from repro.elastic.trace import ServingPhase, spike_phases
 
+    if args.virtual_nodes is not None and args.virtual_nodes < args.devices:
+        _usage_error("--virtual-nodes", "must be >= --devices")
+    if args.initial_devices is not None and args.initial_devices > args.devices:
+        _usage_error("--initial-devices", "must be <= --devices")
     if args.spike_factor > 1.0:
         phases = spike_phases(args.arrival_rate, args.spike_factor,
                               base_duration=args.duration / 2,
@@ -631,13 +640,20 @@ def _cmd_cosched(args, fault_plan=None, recovery=None,
     from repro.elastic.trace import spike_phases
     from repro.sched.cosched import resident_training_jobs
 
+    if args.train_floor >= args.devices:
+        _usage_error("--train-floor", "must be < --devices")
+    try:
+        train_specs = resident_training_jobs(
+            args.train_jobs, demand_gpus=args.train_demand,
+            workload=args.train_workload)
+    except ValueError as exc:  # the demand does not divide the batch
+        _usage_error("--train-demand", str(exc))
+    if fault_plan is not None:  # printed once every flag has been checked
+        print(fault_plan.describe())
     phases = spike_phases(args.arrival_rate, args.spike_factor,
                           base_duration=args.duration / 2,
                           spike_duration=args.spike_duration)
     slo = args.slo_p99 / 1e3
-    train_specs = resident_training_jobs(
-        args.train_jobs, demand_gpus=args.train_demand,
-        workload=args.train_workload)
     admission = _admission_from_args(args)
     tenants, journal, dispatcher = _tenancy_from_args(args)
     with _run_outputs(args, serving=lambda report: report.serving) as run:
@@ -760,7 +776,6 @@ def _cmd_chaos(args) -> int:
     except ValueError as exc:
         print(f"error: infeasible fault plan: {exc}", file=sys.stderr)
         return 2
-    print(plan.describe())
     return _cmd_cosched(args, fault_plan=plan,
                         recovery=RecoveryPolicy(mode=args.recovery),
                         retry_delay=args.retry_delay, topology=topology)
@@ -841,6 +856,11 @@ def _cmd_simulate(args) -> int:
     from repro.elastic.wfs import ElasticWFSScheduler
 
     trace = generate_trace(args.jobs, args.rate, seed=args.seed)
+    demand = max(spec.demand_gpus for spec in trace)
+    if demand > args.gpus:
+        _usage_error("--gpus", f"must be >= {demand}, the trace's largest "
+                     "demand: the static-priority baseline runs a job at its "
+                     "full demand only")
     rows = []
     with _run_outputs(args) as run:
         for scheduler in (ElasticWFSScheduler(), StaticPriorityScheduler()):

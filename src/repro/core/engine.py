@@ -32,7 +32,6 @@ from repro.core.plan import ExecutionPlan
 from repro.core.sharding import shard_indices
 from repro.core.virtual_node import VirtualNodeSet
 from repro.hardware.device import DeviceSpec, get_spec
-from repro.hardware.perfmodel import PerfModel
 
 from repro.framework.models import Workload
 
@@ -46,17 +45,15 @@ _BACKEND = FusedBackend()
 class VirtualNodeEngine:
     """Physical execution substrate for one job under one mapping."""
 
-    def __init__(self, workload: Workload, mapping: Mapping,
-                 perf: Optional[PerfModel] = None) -> None:
+    def __init__(self, workload: Workload, mapping: Mapping) -> None:
         self.workload = workload
         self.backend: ExecutionBackend = _BACKEND
-        self._install(mapping, perf)
+        self._install(mapping)
 
-    def _install(self, mapping: Mapping, perf: Optional[PerfModel] = None) -> None:
+    def _install(self, mapping: Mapping) -> None:
         """(Re)build the plan, perf model, and device table for a mapping."""
         self.mapping = mapping
-        self.perf = perf or PerfModel(mapping.cluster.interconnect)
-        self.plan = ExecutionPlan(self.workload, mapping, self.perf)
+        self.plan = ExecutionPlan(self.workload, mapping)
         self._specs: Dict[int, DeviceSpec] = {
             dp.device_id: get_spec(dp.spec_name) for dp in self.plan.device_plans
         }
@@ -91,9 +88,10 @@ class VirtualNodeEngine:
         """
         latency = 0.0
         waves = 0
+        perf = self.plan.perf
         for dp in self.plan.device_plans:
             spec = self._specs[dp.device_id]
-            t = sum(self.perf.wave_time(self.workload, spec, shard_sizes[i])
+            t = sum(perf.wave_time(self.workload, spec, shard_sizes[i])
                     for i in dp.vn_indices if shard_sizes[i] > 0)
             if t > latency:
                 latency = t

@@ -59,7 +59,6 @@ from repro.framework.layers import Module
 from repro.framework.losses import Loss
 from repro.framework.metrics import accuracy
 from repro.framework.optimizers import Optimizer
-from repro.hardware.perfmodel import PerfModel
 
 from repro.framework.models import Workload
 
@@ -96,7 +95,7 @@ class VirtualFlowExecutor:
 
     def __init__(self, workload: Workload, model: Module, loss_fn: Loss,
                  optimizer: Optimizer, mapping: Mapping, seed: int = 0,
-                 perf: Optional[PerfModel] = None, augment=None) -> None:
+                 augment=None) -> None:
         self.workload = workload
         self.model = model
         self.loss_fn = loss_fn
@@ -104,7 +103,7 @@ class VirtualFlowExecutor:
         self.seed = seed
         self.augment = augment  # optional repro.data.augment.Transform
         self.arena = FlatTensorArena.install(model)
-        self.engine = VirtualNodeEngine(workload, mapping, perf=perf)
+        self.engine = VirtualNodeEngine(workload, mapping)
         self.engine.backend.bind(model)
         self.sim_time = 0.0
         self.steps_run = 0
@@ -136,10 +135,6 @@ class VirtualFlowExecutor:
     @property
     def plan(self) -> ExecutionPlan:
         return self.engine.plan
-
-    @property
-    def perf(self) -> PerfModel:
-        return self.engine.perf
 
     @property
     def backend(self):

@@ -78,6 +78,15 @@ def restore_device(executor: VirtualFlowExecutor, cluster: Cluster) -> float:
     return executor.remap(new_mapping)
 
 
+# RecoveryPolicy's timing (its docstring says how each is paid).
+_DETECTION_DELAY = 0.05
+_RESTORE_DELAY = 2.0
+_CHECKPOINT_INTERVAL_STEPS = 50.0
+MAX_RETRIES = 4
+_BACKOFF_BASE = 0.25
+_BACKOFF_FACTOR = 2.0
+
+
 @dataclass(frozen=True)
 class RecoveryPolicy:
     """Timing model for crash recovery on the discrete-event runtime.
@@ -89,42 +98,27 @@ class RecoveryPolicy:
       training progress is lost; the job stalls for detection plus the
       priced all-gather.
     * ``"checkpoint"`` — the baseline the paper argues against: reload the
-      last checkpoint, paying ``restore_delay`` and rolling progress back to
-      the last ``checkpoint_interval_steps`` boundary.
+      last checkpoint, paying the restore delay and rolling progress back
+      to the last checkpoint boundary.
 
     Repeated crashes during one recovery episode retry with exponential
-    backoff; after ``max_retries`` piled-up attempts the migrate path gives
+    backoff; after :data:`MAX_RETRIES` piled-up attempts the migrate path gives
     up and falls back to a checkpoint restore (matching real systems, where
     cascading failures eventually force a cold restart).
     """
 
     mode: str = "migrate"
-    detection_delay: float = 0.05
-    restore_delay: float = 2.0
-    checkpoint_interval_steps: float = 50.0
-    max_retries: int = 4
-    backoff_base: float = 0.25
-    backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
         if self.mode not in ("migrate", "checkpoint"):
             raise ValueError(
                 f"mode must be 'migrate' or 'checkpoint', got {self.mode!r}")
-        for name in ("detection_delay", "restore_delay", "backoff_base"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.checkpoint_interval_steps <= 0:
-            raise ValueError("checkpoint_interval_steps must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
 
     def backoff(self, attempt: int) -> float:
         """Extra stall before retry ``attempt`` (attempt 0 pays none)."""
         if attempt <= 0:
             return 0.0
-        return self.backoff_base * self.backoff_factor ** (attempt - 1)
+        return _BACKOFF_BASE * _BACKOFF_FACTOR ** (attempt - 1)
 
     def migration_stall(self, param_bytes: int, survivors: int,
                         interconnect) -> float:
@@ -136,14 +130,14 @@ class RecoveryPolicy:
         if survivors < 1:
             raise FaultToleranceError(
                 "no survivors to migrate onto; checkpoint restore required")
-        return self.detection_delay + interconnect.allgather_time(
+        return _DETECTION_DELAY + interconnect.allgather_time(
             param_bytes, survivors)
 
     def checkpoint_stall(self) -> float:
         """Stall for the baseline path: detection + checkpoint reload."""
-        return self.detection_delay + self.restore_delay
+        return _DETECTION_DELAY + _RESTORE_DELAY
 
     def rollback_steps(self, steps_done: float) -> float:
         """Progress remaining after rolling back to the last checkpoint."""
-        interval = self.checkpoint_interval_steps
-        return math.floor(steps_done / interval) * interval
+        return (math.floor(steps_done / _CHECKPOINT_INTERVAL_STEPS)
+                * _CHECKPOINT_INTERVAL_STEPS)

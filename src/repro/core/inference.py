@@ -49,7 +49,6 @@ from repro.core.mapping import Mapping
 from repro.core.plan import ExecutionPlan
 from repro.framework.layers import Module
 from repro.framework.models import Workload
-from repro.hardware.perfmodel import PerfModel
 
 if TYPE_CHECKING:
     from repro.core.state import StateMatrix, VirtualNodeState
@@ -81,13 +80,12 @@ class InferenceEngine:
     """
 
     def __init__(self, workload: Workload, model: Module, mapping: Mapping,
-                 perf: Optional[PerfModel] = None,
                  vn_states: Optional[Sequence[VirtualNodeState]] = None) -> None:
         self.workload = workload
         self.model = model
         # Plan validation at construction (the simulated analogue of OOM at
         # graph build time) happens inside the shared engine.
-        self.engine = VirtualNodeEngine(workload, mapping, perf=perf)
+        self.engine = VirtualNodeEngine(workload, mapping)
         self.engine.backend.bind(model)
         self.requests_served = 0
         self.sim_time = 0.0
@@ -126,10 +124,6 @@ class InferenceEngine:
     @property
     def plan(self) -> ExecutionPlan:
         return self.engine.plan
-
-    @property
-    def perf(self) -> PerfModel:
-        return self.engine.perf
 
     @property
     def backend(self):

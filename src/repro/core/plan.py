@@ -10,7 +10,7 @@ graph build time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.core.mapping import Mapping
 from repro.hardware.perfmodel import PerfModel, StepTimeBreakdown
@@ -48,12 +48,10 @@ class DevicePlan:
 class ExecutionPlan:
     """Validated physical schedule for one training step."""
 
-    def __init__(self, workload: "Workload", mapping: Mapping,
-                 perf: Optional[PerfModel] = None, grad_buffer: bool = True) -> None:
+    def __init__(self, workload: "Workload", mapping: Mapping) -> None:
         self.workload = workload
         self.mapping = mapping
-        self.perf = perf or PerfModel(mapping.cluster.interconnect)
-        self.grad_buffer = grad_buffer
+        self.perf = PerfModel(mapping.cluster.interconnect)
         self.device_plans: List[DevicePlan] = []
         fp = workload.footprint
         for device in mapping.cluster.devices:
@@ -61,7 +59,7 @@ class ExecutionPlan:
             if not vn_indices:
                 continue
             batches = tuple(mapping.vn_set[i].batch_size for i in vn_indices)
-            peak = fp.wave_bytes(max(batches), workload.optimizer_slots, grad_buffer)
+            peak = fp.wave_bytes(max(batches), workload.optimizer_slots)
             if peak > device.spec.memory_bytes:
                 raise PlanValidationError(
                     f"device {device.name}: wave of {max(batches)} examples needs "

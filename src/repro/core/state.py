@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.core.mapping import Mapping, migration_time
 from repro.framework.arena import FlatLayout
-from repro.hardware.interconnect import Interconnect
 
 __all__ = [
     "StateMatrix",
@@ -128,8 +127,7 @@ def merged_eval_state(states: StateMatrix) -> Buffers:
 
 
 def migrate_states(states: List[VirtualNodeState], old_mapping: Mapping,
-                   new_mapping: Mapping, model_bytes: int,
-                   interconnect: Optional[Interconnect] = None) -> float:
+                   new_mapping: Mapping, model_bytes: int) -> float:
     """Validate and cost a state migration across a mapping change.
 
     The virtual node set must be unchanged (that is the whole point of the
@@ -148,4 +146,4 @@ def migrate_states(states: List[VirtualNodeState], old_mapping: Mapping,
             f"states cover virtual nodes {indices[:8]}..., expected {expected[:8]}..."
         )
     state_bytes = sum(s.nbytes for s in states)
-    return migration_time(old_mapping, new_mapping, model_bytes, state_bytes, interconnect)
+    return migration_time(old_mapping, new_mapping, model_bytes, state_bytes)

@@ -24,6 +24,8 @@ from repro.hardware.perfmodel import PerfModel, StepTimeBreakdown
 
 __all__ = ["JobSpec", "JobState", "JobStatus"]
 
+_PERF = PerfModel()
+
 
 class JobStatus(Enum):
     QUEUED = "queued"
@@ -67,8 +69,7 @@ class JobSpec:
     def wave_batch(self) -> int:
         return self.global_batch_size // self.total_virtual_nodes
 
-    def step_breakdown(self, gpus: int,
-                       perf: Optional[PerfModel] = None) -> StepTimeBreakdown:
+    def step_breakdown(self, gpus: int) -> StepTimeBreakdown:
         """Component times for one synchronous step at ``gpus`` devices.
 
         Priced with the shared :meth:`PerfModel.step_breakdown` — the same
@@ -81,20 +82,19 @@ class JobSpec:
             raise ValueError(f"gpus must be >= 1, got {gpus}")
         if gpus > self.total_virtual_nodes:
             gpus = self.total_virtual_nodes  # extra devices would idle
-        perf = perf or PerfModel()
         workload: Workload = get_workload(self.workload)
         spec: DeviceSpec = get_spec(self.device_type)
         bottleneck_waves = math.ceil(self.total_virtual_nodes / gpus)
         waves = [self.wave_batch] * bottleneck_waves
-        return perf.step_breakdown(workload, {spec: [waves] * gpus})
+        return _PERF.step_breakdown(workload, {spec: [waves] * gpus})
 
-    def step_time(self, gpus: int, perf: Optional[PerfModel] = None) -> float:
+    def step_time(self, gpus: int) -> float:
         """Synchronous step time at an allocation of ``gpus`` devices."""
-        return self.step_breakdown(gpus, perf).total
+        return self.step_breakdown(gpus).total
 
-    def throughput_steps(self, gpus: int, perf: Optional[PerfModel] = None) -> float:
+    def throughput_steps(self, gpus: int) -> float:
         """Training progress rate, steps per simulated second."""
-        return 1.0 / self.step_time(gpus, perf)
+        return 1.0 / self.step_time(gpus)
 
     def serial_runtime(self, gpus: int) -> float:
         """Runtime at a fixed allocation (used for trace sizing)."""

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union
 
-from repro.core.fault_tolerance import RecoveryPolicy
+from repro.core.fault_tolerance import MAX_RETRIES, RecoveryPolicy
 from repro.elastic.jobs import JobSpec, JobState, JobStatus
 from repro.framework import get_workload
 from repro.hardware.interconnect import DegradedInterconnect
@@ -125,9 +125,11 @@ class TrainingClusterProcess:
     audited device-second accounting.
     """
 
+    name = "train"
+
     def __init__(self, specs: Sequence[JobSpec], scheduler: Scheduler,
                  gpu_budget: int, pool: DevicePool,
-                 resize_delay: float = 1.0, name: str = "train") -> None:
+                 resize_delay: float = 1.0) -> None:
         if not specs:
             raise ValueError("no jobs in trace")
         ids = [s.job_id for s in specs]
@@ -135,7 +137,6 @@ class TrainingClusterProcess:
             raise ValueError("duplicate job ids in trace")
         if gpu_budget < 0:
             raise ValueError("gpu_budget must be >= 0")
-        self.name = name
         self.scheduler = scheduler
         self.gpu_budget = gpu_budget
         self.pool = pool
@@ -203,7 +204,7 @@ class TrainingClusterProcess:
         key = (job_id, job.gpus)
         rate = self._rate_cache.get(key)
         if rate is None:
-            rate = job.spec.throughput_steps(job.gpus, _PERF)
+            rate = job.spec.throughput_steps(job.gpus)
             self._rate_cache[key] = rate
         conditions = self.conditions
         if conditions is not None and conditions.degraded:
@@ -214,7 +215,7 @@ class TrainingClusterProcess:
             if speed != 1.0 or network != 1.0:
                 bd = self._breakdowns.get(key)
                 if bd is None:
-                    bd = job.spec.step_breakdown(job.gpus, _PERF)
+                    bd = job.spec.step_breakdown(job.gpus)
                     self._breakdowns[key] = bd
                 return 1.0 / bd.degraded_total(conditions, ids)
         return rate
@@ -437,7 +438,7 @@ class TrainingClusterProcess:
 
         A crash landing while the job is still recovering from the last one
         counts as a retry and pays exponential backoff on top; after
-        ``max_retries`` piled-up attempts (or under the checkpoint-baseline
+        ``MAX_RETRIES`` piled-up attempts (or under the checkpoint-baseline
         policy) the job rolls back to its last checkpoint boundary instead.
         """
         policy = self.recovery or RecoveryPolicy()
@@ -447,7 +448,7 @@ class TrainingClusterProcess:
         self._recover_attempt[jid] = attempt
         survivors = max(1, lease.size)
         lost = 0.0
-        if policy.mode == "checkpoint" or attempt > policy.max_retries:
+        if policy.mode == "checkpoint" or attempt > MAX_RETRIES:
             mode = "checkpoint"
             stall = policy.checkpoint_stall()
             rolled = policy.rollback_steps(job.steps_done)

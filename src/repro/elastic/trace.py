@@ -82,9 +82,7 @@ def _pick_config(rng: np.random.Generator, template: TraceJob,
 
 
 def generate_trace(num_jobs: int, jobs_per_hour: float, seed: int = 0,
-                   target_runtime: float = 1800.0,
-                   workloads: Optional[Sequence[TraceJob]] = None,
-                   ) -> List[JobSpec]:
+                   target_runtime: float = 1800.0) -> List[JobSpec]:
     """Poisson-arrival trace drawn from the Table 3 mix.
 
     ``target_runtime`` sets each job's step budget so it would run roughly
@@ -96,14 +94,13 @@ def generate_trace(num_jobs: int, jobs_per_hour: float, seed: int = 0,
     if jobs_per_hour <= 0:
         raise ValueError("jobs_per_hour must be positive")
     from repro.elastic.jobs import JobSpec  # job traces only: serving never loads it
-    workloads = list(workloads) if workloads is not None else TABLE3_WORKLOADS
     rng = derive_rng(seed, _TRACE_DOMAIN)
     mean_interarrival = 3600.0 / jobs_per_hour
     specs: List[JobSpec] = []
     t = 0.0
     for job_id in range(num_jobs):
         t += float(rng.exponential(mean_interarrival))
-        template = workloads[int(rng.integers(len(workloads)))]
+        template = TABLE3_WORKLOADS[int(rng.integers(len(TABLE3_WORKLOADS)))]
         batch, total_vns, demand = _pick_config(rng, template)
         probe = JobSpec(job_id=job_id, workload=template.workload,
                         global_batch_size=batch, total_virtual_nodes=total_vns,

@@ -55,7 +55,6 @@ def simulate_step_memory(
     spec: "DeviceSpec",
     wave_batches: Sequence[int],
     num_steps: int = 3,
-    grad_buffer: bool = True,
     first_step_overhead: float = 2.0,
 ) -> MemoryTimeline:
     """Replay the Figure-5 execution and record a Figure-6 memory timeline.
@@ -77,8 +76,7 @@ def simulate_step_memory(
     # Step-invariant residents.
     ledger.allocate("parameters", fp.param_bytes)
     ledger.allocate("optimizer", fp.param_bytes * workload.optimizer_slots)
-    if grad_buffer:
-        ledger.allocate("grad_buffer", fp.param_bytes)
+    ledger.allocate("grad_buffer", fp.param_bytes)
     ledger.allocate("kernel_temp", fp.kernel_temp_bytes)
     ledger.allocate("other", fp.other_bytes)
 

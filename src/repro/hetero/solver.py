@@ -22,7 +22,6 @@ from typing import Dict, List, Mapping as TMapping, Optional, Sequence, Tuple
 
 from repro.framework.models import Workload, get_workload
 from repro.hardware.device import get_spec
-from repro.hardware.perfmodel import ClusterConditions
 from repro.hetero.assignment import HeteroAssignment, TypeAssignment
 from repro.profiler.profiles import ProfileStore, ThroughputProfile
 from repro.utils.validation import power_of_two_like_sizes
@@ -55,19 +54,10 @@ def _min_vn_count(batch: int, max_wave: int) -> Optional[int]:
 class HeterogeneousSolver:
     """Searches heterogeneous configurations using offline profiles."""
 
-    def __init__(self, workload_name: str, profiles: ProfileStore,
-                 conditions: Optional[ClusterConditions] = None,
-                 device_ids: Optional[TMapping[str, Sequence[int]]] = None,
-                 ) -> None:
+    def __init__(self, workload_name: str, profiles: ProfileStore) -> None:
         self.workload_name = workload_name
         self.workload: Workload = get_workload(workload_name)
         self.profiles = profiles
-        # Live degradation state: when set (with a per-type device-id map),
-        # profile step times stretch by each type's bottleneck speed, so the
-        # solver re-balances batches away from derated hardware instead of
-        # scoring against offline clean-cluster profiles.
-        self.conditions = conditions
-        self.device_ids = dict(device_ids) if device_ids is not None else {}
         # Profiles are immutable per (workload, device_type); memoize lookups
         # so the _search recursion and the fig13/15/16 sweeps stop re-fetching
         # them in the inner loop.
@@ -82,24 +72,10 @@ class HeterogeneousSolver:
 
     # -- scoring -------------------------------------------------------------------
 
-    def _type_speed(self, device_type: str) -> float:
-        """Bottleneck speed of this type's devices (1.0 when clean)."""
-        if self.conditions is None:
-            return 1.0
-        ids = self.device_ids.get(device_type)
-        if not ids:
-            return 1.0
-        return self.conditions.bottleneck_speed(ids)
-
     def _type_step_time(self, profile: ThroughputProfile, batch_per_device: int,
-                        vn_per_device: int, device_type: str = "") -> float:
+                        vn_per_device: int) -> float:
         wave = batch_per_device // vn_per_device
-        clean = vn_per_device * profile.step_time(wave) + profile.update_time
-        if device_type:
-            speed = self._type_speed(device_type)
-            if speed != 1.0:
-                return clean / speed
-        return clean
+        return vn_per_device * profile.step_time(wave) + profile.update_time
 
     def predict(self, assignments: Sequence[TypeAssignment]) -> Tuple[float, float]:
         """(step time, throughput) predicted from profiles for a configuration."""
@@ -111,8 +87,7 @@ class HeterogeneousSolver:
         for ta in assignments:
             profile = self._profile(ta.device_type)
             times.append(self._type_step_time(
-                profile, ta.batch_per_device, ta.vn_per_device,
-                device_type=ta.device_type))
+                profile, ta.batch_per_device, ta.vn_per_device))
             if n_devices > 1:
                 comm = max(comm, profile.comm_overhead)
         step = max(times) + comm

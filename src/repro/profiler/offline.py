@@ -24,15 +24,16 @@ from repro.utils.validation import power_of_two_like_sizes
 __all__ = ["OfflineProfiler"]
 
 _NOISE_DOMAIN = 0x5E
+_PERF = PerfModel()
 
 
 class OfflineProfiler:
     """Generates :class:`ThroughputProfile` objects for solver input.
 
+    The ground truth being "measured" is the module's :class:`PerfModel`.
+
     Parameters
     ----------
-    perf:
-        The ground-truth performance model being "measured".
     noise:
         Relative standard deviation of per-measurement noise.  Averaging
         ``steps_per_point`` samples shrinks it as 1/sqrt(n); the default pair
@@ -41,13 +42,12 @@ class OfflineProfiler:
         Seed for the measurement noise (profiles are reproducible).
     """
 
-    def __init__(self, perf: Optional[PerfModel] = None, noise: float = 0.02,
-                 steps_per_point: int = 20, seed: int = 0) -> None:
+    def __init__(self, noise: float = 0.02, steps_per_point: int = 20,
+                 seed: int = 0) -> None:
         if noise < 0:
             raise ValueError(f"noise must be >= 0, got {noise}")
         if steps_per_point < 1:
             raise ValueError(f"steps_per_point must be >= 1, got {steps_per_point}")
-        self.perf = perf or PerfModel()
         self.noise = noise
         self.steps_per_point = steps_per_point
         self.seed = seed
@@ -83,8 +83,8 @@ class OfflineProfiler:
         for b in sorted(set(int(b) for b in batch_sizes)):
             if b < 1:
                 raise ValueError(f"batch sizes must be >= 1, got {b}")
-            step_times[b] = self._measure(self.perf.wave_time(workload, spec, b), rng)
-        update = self._measure(self.perf.update_time(workload, spec), rng)
+            step_times[b] = self._measure(_PERF.wave_time(workload, spec, b), rng)
+        update = self._measure(_PERF.update_time(workload, spec), rng)
         comm = self.estimate_comm_overhead(workload, n_devices=2)
         return ThroughputProfile(
             workload=workload_name,
@@ -96,7 +96,7 @@ class OfflineProfiler:
 
     def estimate_comm_overhead(self, workload: Workload, n_devices: int = 2) -> float:
         """§5.1.2: distributed minus single-node step time at local batch 1."""
-        return self.perf.interconnect.allreduce_time(
+        return _PERF.interconnect.allreduce_time(
             workload.footprint.param_bytes, n_devices
         )
 

@@ -59,6 +59,8 @@ Action = Callable[[float], Optional[Dict[str, Any]]]
 
 _SLOT_BITS = 32
 _SLOT_MASK = (1 << _SLOT_BITS) - 1
+# Slots a new slab starts with; it doubles when a post finds none free.
+_SLAB_SLOTS = 256
 
 
 class _EventSlab:
@@ -83,11 +85,11 @@ class _EventSlab:
 
     __slots__ = ("seq", "gen", "payload", "_free", "live")
 
-    def __init__(self, capacity: int = 256) -> None:
-        self.seq: List[int] = [-1] * capacity
-        self.gen: List[int] = [0] * capacity
-        self.payload: List[Optional[Tuple[Action, str, str]]] = [None] * capacity
-        self._free: List[int] = list(range(capacity - 1, -1, -1))
+    def __init__(self) -> None:
+        self.seq: List[int] = [-1] * _SLAB_SLOTS
+        self.gen: List[int] = [0] * _SLAB_SLOTS
+        self.payload: List[Optional[Tuple[Action, str, str]]] = [None] * _SLAB_SLOTS
+        self._free: List[int] = list(range(_SLAB_SLOTS - 1, -1, -1))
         self.live = 0
 
     def _grow(self, need: int = 1) -> None:

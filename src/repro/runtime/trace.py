@@ -33,11 +33,11 @@ circular-reference check (a marker table shared across calls would keep a
 failed encode's entries), so a cyclic payload raises ``RecursionError``
 where ``json.dumps`` raises ``ValueError``; either way no line is written.
 
-Two throughput knobs exist for million-event runs, both off by default:
+Two things keep tracing cheap on million-event runs:
 
 * **buffering** — lines are accumulated in memory and written in blocks
-  of ``buffer_lines`` (the runtime flushes on run exit, and ``close()``
-  always flushes), so tracing does not turn every event into a syscall;
+  of 1,024 (the runtime flushes on run exit, and ``close()`` always
+  flushes), so tracing does not turn every event into a syscall;
 * **sampling** — ``sample=N`` keeps every N-th fired event (the first,
   then every N-th after it, counted over the whole run).  A sampled
   timeline starts with a metadata line ``{"meta": {"sample": N}}`` so a
@@ -65,6 +65,9 @@ from typing import (
 
 __all__ = ["EventTrace", "load_trace", "open_trace", "read_trace"]
 
+# Formatted lines held in memory before one physical write.
+_BUFFER_LINES = 1024
+
 # ``_encode(o, 0)[0]`` is ``json.dumps(o, sort_keys=True)``; its arguments
 # are that call's encoder's, but for the circular check (module docstring).
 if c_make_encoder is None:  # pragma: no cover - an interpreter without _json
@@ -82,22 +85,18 @@ class EventTrace:
     Accepts a path (opened lazily, directories created) or any writable
     file object.  Usable as a context manager; ``close()`` is idempotent
     and never closes a file object the caller handed in.  ``sample=N``
-    keeps every N-th event; ``buffer_lines`` bounds how many formatted
-    lines are held before a physical write.
+    keeps every N-th event; at most ``_BUFFER_LINES`` formatted lines are
+    held before a physical write.
     """
 
     def __init__(self, destination: Union[str, IO[str]], *,
-                 buffer_lines: int = 1024, sample: int = 1) -> None:
+                 sample: int = 1) -> None:
         if sample < 1:
             raise ValueError(f"sample must be >= 1, got {sample}")
-        if buffer_lines < 1:
-            raise ValueError(
-                f"buffer_lines must be >= 1, got {buffer_lines}")
         self._path: Optional[str] = None
         self._fh: Optional[IO[str]] = None
         self._owns = False
         self._buffer: List[str] = []
-        self._buffer_lines = buffer_lines
         self.sample = sample
         self.events_written = 0   # lines emitted (post-sampling)
         self.events_seen = 0      # events offered (pre-sampling)
@@ -150,7 +149,7 @@ class EventTrace:
         self._buffer.append(
             f'{prefix}{payload}{middle}{int(seq)}, "t": {t!r}}}\n')
         self.events_written += 1
-        if len(self._buffer) >= self._buffer_lines:
+        if len(self._buffer) >= _BUFFER_LINES:
             self.flush()
 
     def emit_many_lines(self, lines: Sequence[str]) -> None:
@@ -178,7 +177,7 @@ class EventTrace:
         buffer = self._buffer
         buffer.extend(lines)
         self.events_written += len(lines)
-        if len(buffer) >= self._buffer_lines:
+        if len(buffer) >= _BUFFER_LINES:
             self.flush()
 
     def flush(self) -> None:

@@ -76,7 +76,7 @@ class CoScheduler:
 
     def __init__(self, pool: DevicePool, training: TrainingClusterProcess,
                  serving_lease: DeviceLease,
-                 train_floor: int = 0, name: str = "cosched",
+                 train_floor: int = 0,
                  conditions: Optional[ClusterConditions] = None) -> None:
         if not 0 <= train_floor < pool.capacity:
             raise ValueError(
@@ -85,7 +85,6 @@ class CoScheduler:
         self.training = training
         self.serving_lease = serving_lease
         self.train_floor = train_floor
-        self.name = name
         # When wired, derates scale the arbitrated capacity: four devices at
         # 0.5x sustain two devices' worth of work, and the budget says so.
         self.conditions = conditions
@@ -203,12 +202,15 @@ class CoschedReport:
         return out
 
 
+# The resident jobs' shape: a fixed global batch over two virtual nodes per
+# demanded GPU, and a step budget far beyond any serving trace.
+_RESIDENT_BATCH = 64
+_RESIDENT_VN_PER_GPU = 2
+_RESIDENT_STEPS = 10_000_000
+
+
 def resident_training_jobs(num_jobs: int, demand_gpus: int = 4,
-                           workload: str = "resnet56_cifar10",
-                           global_batch_size: int = 64,
-                           vn_per_gpu: int = 2,
-                           total_steps: int = 10_000_000,
-                           priority: float = 1.0) -> List[JobSpec]:
+                           workload: str = "resnet56_cifar10") -> List[JobSpec]:
     """Long-running training tenants for a co-scheduled pool.
 
     All jobs arrive at t=0 with a step budget far beyond the serving trace,
@@ -217,16 +219,16 @@ def resident_training_jobs(num_jobs: int, demand_gpus: int = 4,
     """
     if num_jobs < 1:
         raise ValueError(f"num_jobs must be >= 1, got {num_jobs}")
-    total_vns = demand_gpus * vn_per_gpu
-    if global_batch_size % total_vns:
+    total_vns = demand_gpus * _RESIDENT_VN_PER_GPU
+    if _RESIDENT_BATCH % total_vns:
         raise ValueError(
-            f"global_batch_size {global_batch_size} must divide across "
-            f"{total_vns} virtual nodes")
+            f"a batch of {_RESIDENT_BATCH} does not divide across "
+            f"{total_vns} virtual nodes ({_RESIDENT_VN_PER_GPU} per GPU)")
     return [
         JobSpec(job_id=i, workload=workload,
-                global_batch_size=global_batch_size,
+                global_batch_size=_RESIDENT_BATCH,
                 total_virtual_nodes=total_vns, demand_gpus=demand_gpus,
-                total_steps=total_steps, priority=priority, arrival_time=0.0)
+                total_steps=_RESIDENT_STEPS, arrival_time=0.0)
         for i in range(num_jobs)
     ]
 

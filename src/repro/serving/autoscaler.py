@@ -12,19 +12,19 @@ complementary signals:
   front — a capacity table ``{devices: requests/second}``.  The scaler
   estimates the observed arrival rate from request timestamps (arrivals are
   exogenous, so the estimate survives remaps unchanged) and picks the
-  smallest allocation whose capacity covers it with ``headroom``.  A load
+  smallest allocation whose capacity covers it with ``_HEADROOM``.  A load
   spike bigger than one doubling is handled in a single remap, because the
   target comes from the rate, not from a fixed step.
 * **Feedback on the observed tail.**  Queueing pathologies the capacity
   model cannot see (burstiness, batch under-fill) show up in the measured
   p99; a breach while the rate is genuinely near capacity escalates one
   allocation step.  The latency window is cleared on every action so each
-  escalation is justified by at least ``min_samples`` fresh observations.
+  escalation is justified by at least ``_MIN_SAMPLES`` fresh observations.
 
-Scale-down is deliberately sticky: it waits out a ``cooldown``, demands the
-rate fit the *smaller* allocation with stricter ``down_headroom``, and
+Scale-down is deliberately sticky: it waits out a ``_COOLDOWN``, demands the
+rate fit the *smaller* allocation with stricter ``_DOWN_HEADROOM``, and
 requires a comfortably healthy tail — the hysteresis band between
-``headroom`` and ``down_headroom`` is what prevents flapping between two
+``_HEADROOM`` and ``_DOWN_HEADROOM`` is what prevents flapping between two
 allocations that straddle the offered load.
 """
 
@@ -69,6 +69,39 @@ class ScalingDecision:
     rate_hat: float  # estimated arrival rate, requests/second
 
 
+# Latency observations retained for the p99 estimate: small enough that a
+# spike dominates the window within a few micro-batches.
+_WINDOW = 32
+# Arrival timestamps retained for the rate estimates.  Scale-*up* decisions
+# read the trailing _BURST_WINDOW arrivals (a spike must dominate the
+# estimate within milliseconds); scale-*down* decisions read the full
+# _RATE_WINDOW (shedding capacity on a noisy under-estimate is how flapping
+# starts — a Poisson rate estimate over N arrivals carries ~1/√N relative
+# noise, so the long window buys the down path ~3× less variance).
+_RATE_WINDOW = 128
+_BURST_WINDOW = 48
+# Fresh latency observations required before a feedback action.
+_MIN_SAMPLES = 12
+# Fraction of modeled capacity an allocation is allowed to carry: the scaler
+# sizes up when the observed rate exceeds _HEADROOM * capacity[devices].
+_HEADROOM = 0.75
+# Stricter fraction the rate must fit in at the *smaller* allocation before
+# shedding devices: the gap to _HEADROOM is the anti-flap hysteresis band.
+_DOWN_HEADROOM = 0.45
+# The observed p99 must also sit below _SCALE_DOWN_MARGIN * slo to scale down.
+_SCALE_DOWN_MARGIN = 0.45
+# Consecutive micro-batches a scaling condition must hold before it acts.
+# Decisions are evaluated at every batch completion — hundreds of times per
+# second — so a noisy estimator *will* eventually cross any fixed threshold
+# under steady load (a stopping-time selection effect); demanding the
+# crossing persist turns one-batch excursions into no-ops while delaying
+# reaction to a real spike by only a few batch times.
+_PERSISTENCE = 3
+# Simulated seconds an action must wait before a *scale-down*; scale-ups act
+# immediately (capacity breaches compound by the batch).
+_COOLDOWN = 0.25
+
+
 class LatencyAutoscaler:
     """Propose device counts from observed arrival rate and tail latency.
 
@@ -79,110 +112,35 @@ class LatencyAutoscaler:
     capacity:
         ``{devices: AllocationProfile}`` for every candidate allocation,
         priced from the shared perf model (see
-        :func:`repro.serving.router.capacity_table`); plain
-        ``{devices: requests/second}`` floats are also accepted (no
-        burst-latency floor is enforced then).  Candidates whose full-batch
-        service latency exceeds ``scale_down_margin * slo_p99`` are never
-        *scale-down* targets: even if the mean rate fits, one Poisson burst
-        filling a batch would blow the tail there, which is exactly the
-        marginal allocation a scaler oscillates against.
-    min_devices, max_devices:
-        Clamp the candidate allocations (``max_devices`` defaults to the
-        largest capacity key).
-    window:
-        Latency observations retained for the p99 estimate; small enough
-        that a spike dominates the window within a few micro-batches.
-    rate_window, burst_window:
-        Arrival timestamps retained for the rate estimates.  Scale-*up*
-        decisions read the trailing ``burst_window`` arrivals (a spike must
-        dominate the estimate within milliseconds); scale-*down* decisions
-        read the full ``rate_window`` (shedding capacity on a noisy
-        under-estimate is how flapping starts — a Poisson rate estimate over
-        N arrivals carries ~1/√N relative noise, so the long window buys the
-        down path ~3× less variance).
-    min_samples:
-        Fresh latency observations required before a feedback action.
-    cooldown:
-        Simulated seconds an action must wait before a *scale-down*;
-        scale-ups act immediately (capacity breaches compound by the batch).
-    headroom:
-        Fraction of modeled capacity an allocation is allowed to carry; the
-        scaler sizes up when the observed rate exceeds
-        ``headroom * capacity[devices]``.
-    down_headroom:
-        Stricter fraction the rate must fit in at the *smaller* allocation
-        before shedding devices (must be < ``headroom``: the gap is the
-        anti-flap hysteresis band).
-    scale_down_margin:
-        The observed p99 must also sit below ``margin * slo`` to scale down.
-    persistence:
-        Consecutive micro-batches a scaling condition must hold before it
-        acts.  Decisions are evaluated at every batch completion — hundreds
-        of times per second — so a noisy estimator *will* eventually cross
-        any fixed threshold under steady load (a stopping-time selection
-        effect); demanding the crossing persist turns one-batch excursions
-        into no-ops while delaying reaction to a real spike by only a few
-        batch times.
+        :func:`repro.serving.router.capacity_table`).  Candidates whose
+        full-batch service latency exceeds ``_SCALE_DOWN_MARGIN * slo_p99``
+        are never *scale-down* targets: even if the mean rate fits, one
+        Poisson burst filling a batch would blow the tail there, which is
+        exactly the marginal allocation a scaler oscillates against.
+    max_devices:
+        The largest candidate allocation (default: the largest capacity
+        key); the smallest is one device.
     """
 
-    def __init__(self, slo_p99: float, capacity: Mapping[int, float],
-                 min_devices: int = 1, max_devices: Optional[int] = None,
-                 window: int = 32, rate_window: int = 128,
-                 burst_window: int = 48, min_samples: int = 12,
-                 cooldown: float = 1.0, headroom: float = 0.75,
-                 down_headroom: float = 0.45,
-                 scale_down_margin: float = 0.45,
-                 persistence: int = 3) -> None:
+    def __init__(self, slo_p99: float,
+                 capacity: Mapping[int, AllocationProfile],
+                 max_devices: Optional[int] = None) -> None:
         if slo_p99 <= 0:
             raise ValueError(f"slo_p99 must be positive, got {slo_p99}")
         if not capacity:
             raise ValueError("need a non-empty capacity table")
         if max_devices is None:
             max_devices = max(capacity)
-        if min_devices < 1 or max_devices < min_devices:
-            raise ValueError(
-                f"need 1 <= min_devices <= max_devices, got "
-                f"[{min_devices}, {max_devices}]")
-        if not 0 < down_headroom < headroom <= 1.0:
-            raise ValueError(
-                f"need 0 < down_headroom < headroom <= 1, got "
-                f"down_headroom={down_headroom}, headroom={headroom}")
-        if not 0 < scale_down_margin < 1:
-            raise ValueError(
-                f"scale_down_margin must be in (0, 1), got {scale_down_margin}")
-        if min_samples < 1:
-            raise ValueError(f"min_samples must be >= 1, got {min_samples}")
-        if burst_window < 2 or rate_window < burst_window:
-            raise ValueError(
-                f"need 2 <= burst_window <= rate_window, got "
-                f"burst_window={burst_window}, rate_window={rate_window}")
-        if persistence < 1:
-            raise ValueError(f"persistence must be >= 1, got {persistence}")
         self.slo_p99 = slo_p99
-        self.candidates = sorted(
-            k for k in capacity if min_devices <= k <= max_devices)
+        self.candidates = sorted(k for k in capacity if 1 <= k <= max_devices)
         if not self.candidates:
-            raise ValueError(
-                f"no capacity entries inside [{min_devices}, {max_devices}]")
-        self.capacity: Dict[int, float] = {}
-        self.service_floor: Dict[int, float] = {}
-        for k in self.candidates:
-            profile = capacity[k]
-            if isinstance(profile, AllocationProfile):
-                self.capacity[k] = profile.capacity_rps
-                self.service_floor[k] = profile.full_batch_latency
-            else:
-                self.capacity[k] = float(profile)
-                self.service_floor[k] = 0.0
-        self.min_samples = min_samples
-        self.cooldown = cooldown
-        self.headroom = headroom
-        self.down_headroom = down_headroom
-        self.scale_down_margin = scale_down_margin
-        self.burst_window = burst_window
-        self.persistence = persistence
-        self._hist = LatencyHistogram(window=window)
-        self._arrivals: Deque[float] = deque(maxlen=rate_window)
+            raise ValueError(f"no capacity entries inside [1, {max_devices}]")
+        self.capacity: Dict[int, float] = {
+            k: capacity[k].capacity_rps for k in self.candidates}
+        self.service_floor: Dict[int, float] = {
+            k: capacity[k].full_batch_latency for k in self.candidates}
+        self._hist = LatencyHistogram(window=_WINDOW)
+        self._arrivals: Deque[float] = deque(maxlen=_RATE_WINDOW)
         self._last_action: Optional[float] = None
         self._up_streak = 0
         self._down_streak = 0
@@ -216,7 +174,7 @@ class LatencyAutoscaler:
         """
         for k in self.candidates:
             if (respect_floor and self.service_floor[k]
-                    > self.slo_p99 * self.scale_down_margin):
+                    > self.slo_p99 * _SCALE_DOWN_MARGIN):
                 continue
             if rate <= fraction * self.capacity[k]:
                 return k
@@ -247,39 +205,39 @@ class LatencyAutoscaler:
         """Fold a completed micro-batch in; return a new device count or None."""
         self._arrivals.extend(block.arrivals)
         self._hist.observe_many(block.latencies())
-        if len(self._arrivals) < self.burst_window:
+        if len(self._arrivals) < _BURST_WINDOW:
             return None
-        rate_burst = self.rate_estimate(self.burst_window)
+        rate_burst = self.rate_estimate(_BURST_WINDOW)
         rate_long = self.rate_estimate()
         if rate_burst is None or rate_long is None:
             return None
 
-        tail_ok = len(self._hist) >= self.min_samples
+        tail_ok = len(self._hist) >= _MIN_SAMPLES
         p99 = self._hist.percentile(99) if tail_ok else 0.0
 
         # Feedforward: the observed rate does not fit this allocation.
-        up_k = self._smallest_fitting(rate_burst, self.headroom)
+        up_k = self._smallest_fitting(rate_burst, _HEADROOM)
         # Feedback: the tail breached while genuinely near capacity (an
         # over-provisioned breach is just backlog draining).
         breached = (tail_ok and p99 > self.slo_p99
-                    and rate_burst > self.down_headroom * self._capacity_at(devices))
+                    and rate_burst > _DOWN_HEADROOM * self._capacity_at(devices))
         if up_k > devices or breached:
             self._up_streak += 1
             self._down_streak = 0
-            if self._up_streak < self.persistence:
+            if self._up_streak < _PERSISTENCE:
                 return None
             return self._act(max(up_k, self._next_above(devices)) if breached
                              else up_k, now, rate_burst, devices)
         self._up_streak = 0
 
         down_k = self._smallest_fitting(
-            max(rate_long, rate_burst), self.down_headroom, respect_floor=True)
+            max(rate_long, rate_burst), _DOWN_HEADROOM, respect_floor=True)
         if (down_k < devices and tail_ok
-                and p99 < self.slo_p99 * self.scale_down_margin):
+                and p99 < self.slo_p99 * _SCALE_DOWN_MARGIN):
             self._down_streak += 1
-            if (self._down_streak >= self.persistence
+            if (self._down_streak >= _PERSISTENCE
                     and (self._last_action is None
-                         or now - self._last_action >= self.cooldown)):
+                         or now - self._last_action >= _COOLDOWN)):
                 return self._act(down_k, now, rate_long, devices)
         else:
             self._down_streak = 0

@@ -76,7 +76,6 @@ from repro.elastic.trace import ServingPhase
 from repro.framework.models import Workload, get_workload
 from repro.hardware.cluster import Cluster
 from repro.hardware.interconnect import DegradedInterconnect
-from repro.hardware.perfmodel import PerfModel
 from repro.runtime import (
     DeviceLease,
     DevicePool,
@@ -109,9 +108,7 @@ _FORWARD_ROWS = 512
 
 
 def capacity_table(workload: Workload, vn_set: VirtualNodeSet, pool: Cluster,
-                   max_batch: int,
-                   perf: Optional[PerfModel] = None,
-                   ) -> Dict[int, AllocationProfile]:
+                   max_batch: int) -> Dict[int, AllocationProfile]:
     """Model-priced serving profile per allocation size.
 
     For every prefix of the pool that can hold a validated plan, price one
@@ -131,7 +128,7 @@ def capacity_table(workload: Workload, vn_set: VirtualNodeSet, pool: Cluster,
     for k in range(1, min(len(ids), vn_set.num_nodes) + 1):
         try:
             mapping = Mapping.even(vn_set, pool.subset(ids[:k]))
-            engine = VirtualNodeEngine(workload, mapping, perf=perf)
+            engine = VirtualNodeEngine(workload, mapping)
         except PlanValidationError:
             continue
         latency, _ = engine.inference_latency(sizes)
@@ -955,8 +952,7 @@ def _build_router(workload_name: str, cluster: Cluster,
             capacity=ladder_capacity(workload, vn_set, cluster, max_batch,
                                      len(device_ids),
                                      extra_rungs=(grantable,)),
-            min_devices=1, max_devices=min(grantable, num_vns),
-            cooldown=0.25)
+            max_devices=min(grantable, num_vns))
     return RequestRouter(
         inference, source,
         policy=MicroBatchPolicy(max_batch=max_batch, max_wait=max_wait),

@@ -152,59 +152,56 @@ class LatencyHistogram:
         }
 
 
+# StreamingHistogram's bins (its docstring says why these).
+_BINS_PER_DECADE = 128
+_MIN_VALUE = 1e-6
+_MAX_VALUE = 1e4
+_NBINS = int(math.ceil(math.log10(_MAX_VALUE / _MIN_VALUE) * _BINS_PER_DECADE)) + 1
+_SCALE = _BINS_PER_DECADE / math.log(10.0)
+_LOG_MIN = math.log(_MIN_VALUE)
+
+
 class StreamingHistogram:
     """Fixed-bin log-bucket histogram: O(1) insert, O(bins) quantiles.
 
     The approximate companion to :class:`LatencyHistogram` for runs where
     holding (or sorting) every observation is the bottleneck: values are
-    counted into log-spaced bins covering ``[min_value, max_value)``, so
+    counted into log-spaced bins covering ``[1e-6, 1e4)`` seconds, so
     memory is a fixed few-KB array regardless of how many observations
     stream through, inserts are a bincount add, and a quantile walks the
-    cumulative counts once.  With ``bins_per_decade=128`` adjacent bin
-    edges are a factor of ``10**(1/128) ≈ 1.018`` apart, bounding the
-    relative quantile error at ~2% — well inside the noise of a p99 SLO
-    check, which is what the serving benchmark uses it for.
+    cumulative counts once.  With 128 bins per decade adjacent bin edges
+    are a factor of ``10**(1/128) ≈ 1.018`` apart, bounding the relative
+    quantile error at ~2% — well inside the noise of a p99 SLO check,
+    which is what the serving benchmark uses it for.
 
-    Values at or below zero (or under ``min_value``) land in an underflow
-    bin pinned at ``min_value``; values beyond ``max_value`` clamp to the
-    last bin.  Exact min/max/sum are tracked on the side so ``mean``,
-    ``min`` and ``max`` stay exact; only interior quantiles are binned.
+    Values at or below zero (or under ``1e-6``) land in an underflow bin
+    pinned at ``1e-6``; values beyond ``1e4`` clamp to the last bin.  Exact
+    min/max/sum are tracked on the side so ``mean``, ``min`` and ``max``
+    stay exact; only interior quantiles are binned.
     """
 
-    def __init__(self, *, bins_per_decade: int = 128,
-                 min_value: float = 1e-6, max_value: float = 1e4) -> None:
-        if bins_per_decade < 1:
-            raise ValueError(
-                f"bins_per_decade must be >= 1, got {bins_per_decade}")
-        if not (0 < min_value < max_value):
-            raise ValueError("need 0 < min_value < max_value")
-        self.bins_per_decade = bins_per_decade
-        self.min_value = min_value
-        self.max_value = max_value
-        decades = math.log10(max_value / min_value)
-        self._nbins = int(math.ceil(decades * bins_per_decade)) + 1
-        self._counts = np.zeros(self._nbins, dtype=np.int64)
-        self._scale = bins_per_decade / math.log(10.0)
-        self._log_min = math.log(min_value)
+    def __init__(self) -> None:
+        self._counts = np.zeros(_NBINS, dtype=np.int64)
         self.count = 0
         self._sum = 0.0
         self._min = math.inf
         self._max = -math.inf
 
-    def _edges(self, idx: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _edges(idx: np.ndarray) -> np.ndarray:
         """Lower value edge of each bin index."""
-        return np.exp(self._log_min + idx / self._scale)
+        return np.exp(_LOG_MIN + idx / _SCALE)
 
     def observe(self, value: float) -> None:
         if not 0 <= value < math.inf:  # also false for NaN
             raise ValueError(
                 f"latencies must be finite and non-negative, got {value}")
-        if value <= self.min_value:
+        if value <= _MIN_VALUE:
             idx = 0
         else:
-            idx = int((math.log(value) - self._log_min) * self._scale) + 1
-            if idx >= self._nbins:
-                idx = self._nbins - 1
+            idx = int((math.log(value) - _LOG_MIN) * _SCALE) + 1
+            if idx >= _NBINS:
+                idx = _NBINS - 1
         self._counts[idx] += 1
         self.count += 1
         self._sum += value
@@ -221,12 +218,12 @@ class StreamingHistogram:
             raise ValueError(
                 f"latencies must be finite and non-negative, got {bad}")
         idx = np.zeros(arr.shape, dtype=np.int64)
-        above = arr > self.min_value
+        above = arr > _MIN_VALUE
         if bool(above.any()):
-            idx[above] = ((np.log(arr[above]) - self._log_min)
-                          * self._scale).astype(np.int64) + 1
-            np.clip(idx, 0, self._nbins - 1, out=idx)
-        self._counts += np.bincount(idx, minlength=self._nbins)
+            idx[above] = ((np.log(arr[above]) - _LOG_MIN)
+                          * _SCALE).astype(np.int64) + 1
+            np.clip(idx, 0, _NBINS - 1, out=idx)
+        self._counts += np.bincount(idx, minlength=_NBINS)
         self.count += arr.size
         self._sum += float(arr.sum())
         self._min = min(self._min, lo)
@@ -260,17 +257,17 @@ class StreamingHistogram:
         rank = (q / 100.0) * (self.count - 1)
         cum = np.cumsum(self._counts)
         idx = int(np.searchsorted(cum, rank, side="right"))
-        if idx >= self._nbins:
-            idx = self._nbins - 1
+        if idx >= _NBINS:
+            idx = _NBINS - 1
         below = int(cum[idx - 1]) if idx else 0
         in_bin = int(self._counts[idx])
         frac = ((rank - below) / in_bin) if in_bin else 0.0
         # The underflow bin reaches down to the true observed minimum and
         # the top bin up to the true maximum, so extreme quantiles anchor
         # on exact values instead of the bin grid.
-        lo = min(self.min_value, self._min) if idx == 0 else \
+        lo = min(_MIN_VALUE, self._min) if idx == 0 else \
             float(self._edges(np.asarray(idx - 1)))
-        hi = self._max if idx == self._nbins - 1 else \
+        hi = self._max if idx == _NBINS - 1 else \
             float(self._edges(np.asarray(idx)))
         value = lo + (max(hi, lo) - lo) * frac
         return float(min(max(value, self._min), self._max))

@@ -14,7 +14,6 @@ _EXPORTS = {
     "format_duration": "repro.utils.units",
     "format_table": "repro.utils.tabulate",
     "power_of_two_like_sizes": "repro.utils.validation",
-    "spawn_streams": "repro.utils.seeding",
     "vn_rng": "repro.utils.seeding",
 }
 __all__ = list(_EXPORTS)

@@ -10,11 +10,9 @@ derivation so every consumer draws from the same, placement-free streams.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
-__all__ = ["derive_seed", "derive_rng", "vn_rng", "augment_rng", "spawn_streams"]
+__all__ = ["derive_seed", "derive_rng", "vn_rng", "augment_rng"]
 
 # Domain tags keep independent subsystems (data shuffling, dropout, init)
 # from colliding even when they share the same logical coordinates.
@@ -61,11 +59,6 @@ def augment_rng(root_seed: int, epoch: int, step: int, vn_index: int) -> np.rand
     pixels are identical under any virtual-node-to-device mapping.
     """
     return derive_rng(root_seed, DOMAIN_AUGMENT, epoch, step, vn_index)
-
-
-def spawn_streams(root_seed: int, n: int, domain: int = 0) -> List[np.random.Generator]:
-    """Spawn ``n`` independent generators under a common domain tag."""
-    return [derive_rng(root_seed, domain, i) for i in range(n)]
 
 
 def data_order(root_seed: int, epoch: int, n_examples: int) -> np.ndarray:

@@ -14,17 +14,6 @@ class TestTFStarConfig:
                               num_devices=4)
         assert config.global_batch_size == 64
 
-    def test_at_memory_max_matches_footprint(self):
-        config = TFStarConfig.at_memory_max("resnet50_imagenet", "V100", 2)
-        from repro.framework import get_workload
-        from repro.hardware import get_spec
-
-        wl = get_workload("resnet50_imagenet")
-        cap = wl.footprint.max_batch(get_spec("V100").memory_bytes,
-                                     wl.optimizer_slots, grad_buffer=False)
-        assert config.local_batch_size == cap
-        assert config.global_batch_size == 2 * cap
-
     def test_validation(self):
         with pytest.raises(ValueError):
             TFStarConfig(workload="w", local_batch_size=0)

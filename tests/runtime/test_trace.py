@@ -14,16 +14,16 @@ from repro.runtime.trace import open_trace
 class TestBuffering:
     def test_lines_are_held_until_the_buffer_fills(self):
         fh = StringIO()
-        trace = EventTrace(fh, buffer_lines=8)
-        for i in range(7):
+        trace = EventTrace(fh)  # 1,024 lines to a write
+        for i in range(1023):
             trace.emit(float(i), i, "tick", "t")
         assert fh.getvalue() == ""  # nothing written yet
-        trace.emit(7.0, 7, "tick", "t")
-        assert len(fh.getvalue().splitlines()) == 8
+        trace.emit(1023.0, 1023, "tick", "t")
+        assert len(fh.getvalue().splitlines()) == 1024
 
     def test_close_flushes_and_is_idempotent(self):
         fh = StringIO()
-        trace = EventTrace(fh, buffer_lines=1000)
+        trace = EventTrace(fh)
         trace.emit(0.5, 0, "tick", "t", {"k": 1})
         trace.close()
         trace.close()
@@ -34,7 +34,7 @@ class TestBuffering:
 
     def test_runtime_run_flushes_without_close(self):
         fh = StringIO()
-        trace = EventTrace(fh, buffer_lines=1000)
+        trace = EventTrace(fh)
         runtime = Runtime(trace=trace)
         runtime.queue.post(1.0, lambda t: None, kind="ping", actor="p")
         runtime.run()
@@ -43,8 +43,6 @@ class TestBuffering:
     def test_validation(self):
         with pytest.raises(ValueError):
             EventTrace(StringIO(), sample=0)
-        with pytest.raises(ValueError):
-            EventTrace(StringIO(), buffer_lines=0)
 
 
 class TestSampling:
@@ -70,7 +68,7 @@ class TestCrashDurability:
         def boom(t):
             raise RuntimeError("injected failure")
 
-        trace = EventTrace(path, buffer_lines=1000)
+        trace = EventTrace(path)
         runtime = Runtime(trace=trace)
         runtime.queue.post(1.0, lambda t: None, kind="ok", actor="a")
         runtime.queue.post(2.0, boom, kind="bad", actor="a")

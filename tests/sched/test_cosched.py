@@ -125,8 +125,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             resident_training_jobs(0)
         with pytest.raises(ValueError, match="divide"):
-            resident_training_jobs(1, demand_gpus=3, global_batch_size=64,
-                                   vn_per_gpu=1)
+            resident_training_jobs(1, demand_gpus=3)  # 6 nodes, batch 64
 
     def test_short_quiet_trace_still_reports(self):
         report = _run(phases=[ServingPhase(0.5, 50.0)])

@@ -8,7 +8,9 @@ from repro.serving import LatencyAutoscaler
 from repro.serving.autoscaler import AllocationProfile
 from repro.serving.request import BatchRecord, RecordBlock
 
-CAPACITY = {1: 500.0, 2: 1000.0, 4: 2000.0, 8: 4000.0}
+# No burst-latency floor: every allocation is a scale-down target.
+CAPACITY = {k: AllocationProfile(k, rps, 0.0)
+            for k, rps in {1: 500.0, 2: 1000.0, 4: 2000.0, 8: 4000.0}.items()}
 
 
 def _records(start_id, arrivals, latency, batch_id=0, devices=1):
@@ -67,19 +69,26 @@ class TestScaleUp:
 
 class TestScaleDown:
     def test_idle_allocation_sheds_devices(self):
-        scaler = LatencyAutoscaler(0.030, CAPACITY, cooldown=0.0)
+        scaler = LatencyAutoscaler(0.030, CAPACITY)
         target = _drive(scaler, rate=300.0, latency=0.004, devices=8,
                         batch_size=2)
         assert target is not None and target < 8
 
     def test_cooldown_defers_scale_down(self):
-        scaler = LatencyAutoscaler(0.030, CAPACITY, cooldown=1e9)
+        scaler = LatencyAutoscaler(0.030, CAPACITY)
         scaler._last_action = 0.0
+        # The shrink condition holds well before t = 0.25 s; the cooldown
+        # holds it back until then (the last batch below completes at
+        # 0.247 s), and the first batch past it acts.
+        gap = 2 / 300.0
         assert _drive(scaler, rate=300.0, latency=0.004, devices=8,
-                      batch_size=2) is None
+                      batch_size=2, batches=37) is None
+        target = _drive(scaler, rate=300.0, latency=0.004, devices=8,
+                        batch_size=2, batches=1, start_t=37 * gap)
+        assert target is not None and target < 8
 
     def test_unhealthy_tail_blocks_scale_down(self):
-        scaler = LatencyAutoscaler(0.030, CAPACITY, cooldown=0.0)
+        scaler = LatencyAutoscaler(0.030, CAPACITY)
         # Rate would fit fewer devices but p99 is not comfortably low.
         assert _drive(scaler, rate=300.0, latency=0.020, devices=8,
                       batch_size=2) is None
@@ -90,7 +99,7 @@ class TestScaleDown:
             2: AllocationProfile(2, 1000.0, 0.008),
             4: AllocationProfile(4, 2000.0, 0.004),
         }
-        scaler = LatencyAutoscaler(0.030, profiles, cooldown=0.0)
+        scaler = LatencyAutoscaler(0.030, profiles)
         target = _drive(scaler, rate=100.0, latency=0.004, devices=4,
                         batch_size=1, batches=80)
         # 100 req/s fits 1 device by rate, but its full-batch latency cannot
@@ -100,7 +109,7 @@ class TestScaleDown:
 
 class TestDebounce:
     def test_single_excursion_does_not_act(self):
-        scaler = LatencyAutoscaler(0.030, CAPACITY, persistence=3)
+        scaler = LatencyAutoscaler(0.030, CAPACITY)
         # Warm up within capacity at 2 devices.
         assert _drive(scaler, rate=600.0, latency=0.004, devices=2,
                       batches=15, batch_size=4) is None
@@ -110,7 +119,7 @@ class TestDebounce:
                               now=10.2, devices=2) is None
 
     def test_persistent_breach_acts(self):
-        scaler = LatencyAutoscaler(0.030, CAPACITY, persistence=3)
+        scaler = LatencyAutoscaler(0.030, CAPACITY)
         target = _drive(scaler, rate=1500.0, latency=0.004, devices=2)
         assert target == 4
 
@@ -119,14 +128,7 @@ class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         {"slo_p99": 0.0},
         {"capacity": {}},
-        {"min_devices": 0},
-        {"min_devices": 9, "max_devices": 8},
-        {"headroom": 0.5, "down_headroom": 0.6},
-        {"persistence": 0},
-        {"burst_window": 1},
-        {"rate_window": 4, "burst_window": 48},
-        {"scale_down_margin": 1.5},
-        {"min_samples": 0},
+        {"max_devices": 0},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         defaults = dict(slo_p99=0.030, capacity=CAPACITY)
@@ -135,6 +137,5 @@ class TestValidation:
             LatencyAutoscaler(**defaults)
 
     def test_candidates_respect_bounds(self):
-        scaler = LatencyAutoscaler(0.030, CAPACITY, min_devices=2,
-                                   max_devices=4)
-        assert scaler.candidates == [2, 4]
+        scaler = LatencyAutoscaler(0.030, CAPACITY, max_devices=4)
+        assert scaler.candidates == [1, 2, 4]

@@ -382,7 +382,9 @@ class TestServeWorkloadValidation:
         source = OpenLoopPoissonSource([ServingPhase(0.1, 10.0)],
                                        _example_bank("mlp_synthetic", 0))
         from repro.serving import LatencyAutoscaler
+        from repro.serving.autoscaler import AllocationProfile
 
-        scaler = LatencyAutoscaler(SLO, {1: 100.0, 2: 200.0})
+        scaler = LatencyAutoscaler(SLO, {1: AllocationProfile(1, 100.0, 0.0),
+                                         2: AllocationProfile(2, 200.0, 0.0)})
         with pytest.raises(ValueError):
             RequestRouter(engine, source, autoscaler=scaler)

@@ -374,6 +374,15 @@ class TestUsageErrors:
         "solve --workload mlp_synthetic --batch 64 --pool V100=0",
         "solve --workload mlp_synthetic --batch 64 --pool H100=2",
         f"train {_JOB} --resize 0:0",
+        # Values each valid alone, but not with the others (default pools:
+        # serve 4 devices, cosched 8; resident jobs batch 64 over 2 virtual
+        # nodes per GPU; the default trace has a 4-GPU job).
+        f"serve {_SERVING} --virtual-nodes 2",
+        f"serve {_SERVING} --initial-devices 9",
+        f"cosched {_SERVING} --train-floor 8",
+        f"cosched {_SERVING} --train-demand 3",
+        f"chaos {_SERVING} --train-demand 3",
+        "simulate --gpus 2",
     ])
     def test_bad_value_is_a_usage_error(self, argv, capsys):
         argv = argv.split()

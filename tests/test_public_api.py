@@ -61,6 +61,36 @@ def test_the_cluster_simulator_takes_a_cluster_and_a_trace_only():
     assert run["trace"].default is None
 
 
+@pytest.mark.parametrize("target, parameters", [
+    ("repro.serving.LatencyAutoscaler", ["slo_p99", "capacity", "max_devices"]),
+    ("repro.hetero.HeterogeneousSolver", ["workload_name", "profiles"]),
+    ("repro.telemetry.StreamingHistogram", []),
+    ("repro.sched.resident_training_jobs",
+     ["num_jobs", "demand_gpus", "workload"]),
+    ("repro.core.InferenceEngine", ["workload", "model", "mapping", "vn_states"]),
+    ("repro.core.VirtualFlowExecutor",
+     ["workload", "model", "loss_fn", "optimizer", "mapping", "seed", "augment"]),
+])
+def test_tuning_values_are_constants_not_parameters(target, parameters):
+    """A value no run sets differently is a module constant: the
+    autoscaler's windows, margins, cooldown and persistence, the solver's
+    derating, the histogram's bins, the resident jobs' batch and budget and
+    every perf-model override take no argument."""
+    import inspect
+
+    module, _, name = target.rpartition(".")
+    obj = getattr(importlib.import_module(module), name)
+    assert list(inspect.signature(obj).parameters) == parameters
+
+
+def test_a_recovery_policy_is_its_mode_only():
+    import dataclasses
+
+    from repro.core import RecoveryPolicy
+
+    assert [f.name for f in dataclasses.fields(RecoveryPolicy)] == ["mode"]
+
+
 class TestOneProductionPath:
     """How a run executes is the system's business: nothing lets a caller
     pick between implementations that are bit-identical by contract.  The

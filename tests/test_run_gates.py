@@ -29,6 +29,22 @@ def run_gates():
         sys.modules.pop(name, None)
 
 
+class TestChildEnv:
+    def test_relative_pythonpath_resolves_against_the_callers_cwd(
+            self, run_gates, monkeypatch, tmp_path):
+        # Children run in benchmarks/, where "src" names nothing.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(["src", "/abs/lib", ""]))
+        assert run_gates._child_env()["PYTHONPATH"].split(os.pathsep) == [
+            str(tmp_path / "src"), os.path.abspath("/abs/lib"), str(tmp_path)]
+
+    def test_unset_pythonpath_points_at_the_source_tree(self, run_gates,
+                                                        monkeypatch):
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+        path = run_gates._child_env()["PYTHONPATH"]
+        assert os.path.isfile(os.path.join(path, "repro", "__init__.py"))
+
+
 class TestRegistry:
     def test_every_bench_json_emitter_is_registered(self, run_gates, capsys):
         # The real tree: any benchmark emitting a BENCH_*.json that is not
