@@ -24,11 +24,16 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from typing import Any, Dict, Iterable, Sequence
 
 from repro.utils import format_table
 
-RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
+HERE = os.path.dirname(os.path.abspath(__file__))
+RESULTS_DIR = os.path.join(HERE, "results")
+# Benchmarks that hold production to a test oracle import it as the tests
+# do, ``oracles.<name>`` from ``tests/``.
+sys.path.append(os.path.join(HERE, os.pardir, "tests"))
 
 
 def report(name: str, headers: Sequence[str], rows: Iterable[Sequence[Any]],

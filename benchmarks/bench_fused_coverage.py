@@ -14,7 +14,7 @@ paper's Table 1 / Fig 8 / Fig 2 workloads live in.
 Serving takes the same kernels at a different shape — micro-batches of a
 few requests over as many one-example virtual nodes as the pool has devices
 — so (c) times ``backend.infer`` per micro-batch length over one and four
-virtual nodes (one segment; uniform, and two-run shard tables) and on a conv
+virtual nodes (one segment; uniform, and two size runs) and on a conv
 model, under the same rule, with the two backends timed in interleaved
 pairs and the rule read off the median paired ratio.
 
@@ -43,8 +43,8 @@ from typing import Dict, List
 import numpy as np
 
 from _common import report, save_bench_json
+from oracles.reference_backend import ReferenceBackend
 from repro.core import InferenceEngine, Mapping, TrainerConfig, VirtualFlowTrainer
-from repro.core.backends.reference import ReferenceBackend
 from repro.core.backends.vectorized import UnsupportedModule, kernel_plan, loss_kernel
 from repro.core.virtual_node import VirtualNodeSet
 from repro.data import make_dataset
@@ -150,9 +150,9 @@ def _infer_times(workload_name: str, num_vns: int, length: int,
         engine = InferenceEngine(workload, model, mapping)
         if key == "reference_s":
             engine.engine.backend = ReferenceBackend()
-        bounds, _, _ = engine.engine.inference_plan(length)
+        runs, _, _ = engine.engine.inference_plan(length)
         batches[key] = functools.partial(
-            engine.backend.infer, model, vn_set, x, bounds)
+            engine.backend.infer, model, vn_set, x, runs)
     logits = {key: one_batch() for key, one_batch in batches.items()}  # warm
     assert logits["reference_s"].tobytes() == logits["fused_s"].tobytes()
     best = dict.fromkeys(keys, float("inf"))
@@ -226,7 +226,7 @@ def run(smoke: bool = False) -> Dict:
             "fused us/batch", "speedup", "paired fused/ref"],
            infer_rows,
            title="Fused-backend coverage: serving micro-batches through "
-                 "backend.infer, one model.forward per shard vs one cached "
+                 "backend.infer, one model.forward per shard vs one "
                  "segmented pass (bit-identical logits)",
            notes="fused must be bit-identical, and the median of its "
                  "per-rep paired ratios to the reference at most 1.05; "

@@ -503,9 +503,16 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _check_batch_split(args) -> None:
+    if args.batch % args.virtual_nodes:
+        _usage_error("--batch", f"{args.batch} is not divisible by "
+                                f"--virtual-nodes {args.virtual_nodes}")
+
+
 def _cmd_train(args) -> int:
     from repro.core.trainer import TrainerConfig
 
+    _check_batch_split(args)
     resizes = dict(args.resize)
     trainer = _module.VirtualFlowTrainer(TrainerConfig(
         workload=args.workload, global_batch_size=args.batch,
@@ -536,6 +543,7 @@ def _job_mapping(args):
     from repro.framework.models import get_workload
     from repro.hardware.cluster import Cluster
 
+    _check_batch_split(args)
     return get_workload(args.workload), Mapping.even(
         VirtualNodeSet.even(args.batch, args.virtual_nodes),
         Cluster.homogeneous(args.device_type, args.devices))
@@ -642,6 +650,9 @@ def _cmd_cosched(args, fault_plan=None, recovery=None,
 
     if args.train_floor >= args.devices:
         _usage_error("--train-floor", "must be < --devices")
+    if args.initial_serving > args.devices - args.train_floor:
+        _usage_error("--initial-serving", f"must be <= --devices - --train-floor "
+                                        f"({args.devices - args.train_floor})")
     try:
         train_specs = resident_training_jobs(
             args.train_jobs, demand_gpus=args.train_demand,

@@ -17,7 +17,7 @@ The core is organized around two seams:
   the host is a strategy behind one interface.  Every engine runs the fused
   backend, which executes all of a step's waves — or an inference batch's
   shards — as one segmented vectorized pass, bit-identical to the canonical
-  serial loop tests import from :mod:`repro.core.backends.reference`.
+  serial loop tests import from ``tests/oracles/reference_backend.py``.
 """
 
 from repro._lazy import lazy_exports
@@ -52,7 +52,6 @@ _EXPORTS = {
     "save_checkpoint": "repro.core.checkpoint",
     "shard_batch": "repro.core.sharding",
     "shard_sizes": "repro.core.sharding",
-    "weighted_average": "repro.core.sync",
     "weighted_average_flat": "repro.core.sync",
 }
 __all__ = list(_EXPORTS)

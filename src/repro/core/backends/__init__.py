@@ -7,9 +7,9 @@ state) is fixed; *how* waves execute on the host sits behind the
 * :class:`FusedBackend` — what every engine runs: every wave of a step,
   equal- or mixed-size, stateless or stateful, as one segmented vectorized
   pass over the model's kernel plan, bit-identical to the serial loop;
-* ``reference.ReferenceBackend`` — the canonical serial wave loop, the
-  bit-exactness oracle tests import from its module and assign to an
-  engine's ``backend``.  It is not exported here, so no run loads it.
+* the canonical serial wave loop, the bit-exactness oracle, lives with
+  the tests (``tests/oracles/reference_backend.py``), which assign it to
+  an engine's ``backend``.
 """
 
 from repro._lazy import lazy_exports

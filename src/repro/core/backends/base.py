@@ -11,18 +11,14 @@ one request batch into logits.  Everything a backend may *not* change —
 sharding, weighting, optimizer application, simulated time — lives in the
 engine/executor layer above.
 
-Two implementations exist, and nothing selects between them:
-
-:class:`~repro.core.backends.fused.FusedBackend`
-    What every engine runs (one shared instance, see
-    :mod:`repro.core.engine`): every wave of a step — equal- or mixed-size,
-    stateless or stateful (BatchNorm) — as one segmented forward/backward,
-    bit-identical to the serial loop for all built-in workloads; a model it
-    cannot run raises ``UnsupportedModule``.
-
-:class:`~repro.core.backends.reference.ReferenceBackend`
-    The canonical serial wave loop: the bit-exactness oracle the tests
-    compare against by assigning it to an engine's ``backend``.
+:class:`~repro.core.backends.fused.FusedBackend` is what every engine
+runs (one shared instance, see :mod:`repro.core.engine`): every wave of a
+step — equal- or mixed-size, stateless or stateful (BatchNorm) — as one
+segmented forward/backward, bit-identical to the serial loop for all
+built-in workloads; a model it cannot run raises ``UnsupportedModule``.
+The canonical serial wave loop, the bit-exactness oracle, lives with the
+tests (``tests/oracles/reference_backend.py``), which assign it to an
+engine's ``backend``.
 """
 
 from __future__ import annotations
@@ -106,7 +102,7 @@ class ExecutionBackend(ABC):
     state lives in the executor, per-step scratch in the step's
     ``workspace``) so a single backend instance can be shared by training,
     inference, and the elastic simulator's job runner.  Caches of what is
-    constant per model or per shard table are not step state.
+    constant per model are not step state.
     """
 
     name: str = "abstract"
@@ -129,20 +125,19 @@ class ExecutionBackend(ABC):
 
     @abstractmethod
     def infer(self, model: Module, vn_set: VirtualNodeSet, x: np.ndarray,
-              bounds: Optional[Sequence[Tuple[int, int]]] = None) -> np.ndarray:
+              runs: Sequence[Tuple[int, int]]) -> np.ndarray:
         """Run one inference batch sharded across virtual nodes.
 
         Returns logits concatenated in canonical virtual-node order;
         inference is deterministic (no dropout) so results must be identical
-        across backends and mappings.  ``bounds`` are the batch's
-        :func:`~repro.core.sharding.shard_indices` when the caller already
-        holds them (the engine memoizes them per batch length).  They may
-        also be **size runs**, an ``(R, 2)`` integer array of ``(size,
-        count)`` rows: ``count`` consecutive segments of ``size`` rows
-        each, the rows in order tiling ``x`` — such as the
-        node segments of several micro-batches gathered into one pass and
-        grouped by size
+        across backends and mappings.  ``runs`` are the batch's **size
+        runs**: an ``(R, 2)`` integer array (or a sequence of pairs) of
+        ``(size, count)`` rows, ``count`` consecutive segments of ``size``
+        rows each, the rows in order tiling ``x`` — one batch's non-empty
+        node shards (:meth:`~repro.core.engine.VirtualNodeEngine.
+        inference_plan`), or the node segments of several micro-batches
+        gathered into one pass and grouped by size
         (:meth:`~repro.core.inference.InferenceEngine.predict_stacked`).
-        Either way each segment's rows must equal ``model.forward`` of that
-        segment alone, bit for bit, whatever the rest of the table holds.
+        Each segment's rows must equal ``model.forward`` of that segment
+        alone, bit for bit, whatever the other rows hold.
         """

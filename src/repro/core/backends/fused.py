@@ -18,23 +18,18 @@ for the entire built-in workload zoo:
   ``(V, S)`` matrix (:class:`repro.core.state.StateMatrix`), and the run
   reads and updates them in place through its ``(V, ...)``-stacked views,
   built once per matrix — no per-node copy in or out of a step.
-* Inference batches run the same kernels over a **stateless** run.  The
-  run for a shard-bounds table (its segment runs, validated once) is cached
-  on first use and reused for every later batch of that shape — an
-  inference engine asks for one table per batch length; the cache is
-  bounded (oldest table out) and an inference run stashes nothing, so it
-  pins no arrays.  A serving router's micro-batches arrive instead stacked,
-  every micro-batch's node segments grouped by size and handed over as
-  size runs, one ``(size, count)`` row per segment size
-  (:meth:`~repro.core.inference.InferenceEngine.predict_stacked`): that
-  run is built from those few rows for its one call and never cached.
+* Inference batches run the same kernels over a **stateless** run, built
+  for its one call from the size runs the caller hands over: an inference
+  engine's memoized per-length plan, or a serving router's micro-batches
+  stacked with every node segment grouped by size
+  (:meth:`~repro.core.inference.InferenceEngine.predict_stacked`).
 * Kernel dispatch is resolved once per model, at :meth:`bind`, into one
   plan (:func:`~repro.core.backends.vectorized.kernel_plan`) that training
   and inference walk.  There is no serial fallback: what the pass cannot
   run raises ``UnsupportedModule`` — a module at ``bind``; a loss, or a
   stateful step without a state matrix, at the first step before any row
   changes.  Every engine shares one instance of this backend
-  (:mod:`repro.core.engine`), so its caches serve them all.
+  (:mod:`repro.core.engine`), so its plan cache serves them all.
 
 Fusing changes *host wall-clock* cost only: the simulated device schedule
 (waves, memory, step time) is a property of the mapping and is accounted by
@@ -44,7 +39,7 @@ the engine layer.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -60,16 +55,12 @@ from repro.core.backends.vectorized import (
     kernel_plan,
     loss_kernel,
 )
-from repro.core.sharding import check_shard_bounds, shard_indices
+from repro.core.sharding import size_runs
 from repro.core.virtual_node import VirtualNodeSet
 from repro.framework.layers import Module
 from repro.utils.seeding import augment_rng, vn_rng
 
 __all__ = ["FusedBackend"]
-
-# Distinct shard-bounds tables whose inference run is kept.  An inference
-# engine asks for one per batch length, so this is many engines' worth.
-_MAX_INFERENCE_RUNS = 256
 
 
 class FusedBackend(ExecutionBackend):
@@ -79,10 +70,8 @@ class FusedBackend(ExecutionBackend):
 
     def __init__(self) -> None:
         # Module graphs are immutable, so a model's kernel plan is a
-        # constant; memoize it (weakly, models outlive no executor), and one
-        # stateless inference run per shard-bounds table.
+        # constant; memoize it (weakly, models outlive no executor).
         self._plans: "weakref.WeakKeyDictionary[Module, List]" = weakref.WeakKeyDictionary()
-        self._inference_runs: Dict[Tuple[Tuple[int, int], ...], VectorizedRun] = {}
 
     def bind(self, model: Module) -> None:
         """Resolve ``model``'s kernel plan (see the module doc)."""
@@ -99,20 +88,18 @@ class FusedBackend(ExecutionBackend):
         loss = loss_kernel(step.loss_fn)  # before any kernel writes a state row
 
         # Concatenate shards along the batch axis in canonical virtual-node
-        # order; the segment table keeps each node's rows addressable.
+        # order; their size runs keep each node's rows addressable.
         nodes = list(step.vn_set)
         xs: List[np.ndarray] = []
         ys: List[np.ndarray] = []
-        segments: List[Tuple[int, int]] = []
-        start = 0
+        sizes: List[int] = []
         for node, (x_vn, y_vn) in zip(nodes, step.shards):
             if step.augment is not None:
                 x_vn = step.augment.apply(
                     x_vn, augment_rng(step.seed, step.epoch, step.step, node.index))
             xs.append(x_vn)
             ys.append(y_vn)
-            segments.append((start, start + len(x_vn)))
-            start += len(x_vn)
+            sizes.append(len(x_vn))
         x = np.concatenate(xs, axis=0)
         y = np.concatenate(ys, axis=0)
 
@@ -123,7 +110,7 @@ class FusedBackend(ExecutionBackend):
         # Stateful kernels update every node's row of the state matrix in
         # place, through its stacked views.
         states = step.state_matrix
-        run = VectorizedRun(segments, training=True, rngs=rngs,
+        run = VectorizedRun(size_runs(sizes), training=True, rngs=rngs,
                             state_views=None if states is None else states.stacked,
                             workspace=step.workspace)
         for forward, _, module, prefix in plan:
@@ -135,13 +122,14 @@ class FusedBackend(ExecutionBackend):
             grad = backward(module, run, prefix, grad, i > 0)
 
         # Segment reduction in canonical virtual-node order — the exact
-        # arithmetic of sync.weighted_average, including its sorted key
-        # iteration (grad_norm later sums values in dict order).  Scaling the
-        # (V, ...) stack row-wise and reducing over the stack axis (a
-        # sequential, in-order accumulation in NumPy) is bit-identical to the
-        # canonical loop — in one vector op per parameter.  The averages
-        # land in one flat buffer (returned as an arena view) so the
-        # optimizer's whole-arena update engages downstream.
+        # arithmetic of the §5.2 per-key weighted average, including its
+        # sorted key iteration (grad_norm later sums values in dict order).
+        # Scaling the (V, ...) stack row-wise and reducing over the stack
+        # axis (a sequential, in-order accumulation in NumPy) is
+        # bit-identical to the canonical loop — in one vector op per
+        # parameter.  The averages land in one flat buffer (returned as an
+        # arena view) so the optimizer's whole-arena update engages
+        # downstream.
         total = float(sum(float(node.batch_size) for node in nodes))
         scales = [float(node.batch_size) / total for node in nodes]
         params = step.arena.layout
@@ -164,41 +152,16 @@ class FusedBackend(ExecutionBackend):
 
     # -- inference -----------------------------------------------------------
 
-    def _inference_run(self, bounds: Sequence[Tuple[int, int]],
-                       batch_size: int) -> VectorizedRun:
-        """The run for ``bounds``, built (and checked) on first use: cached
-        per shard table; size runs (stacked micro-batches, see the module
-        doc) get a run for their one call."""
-        if isinstance(bounds, np.ndarray):
-            return VectorizedRun(bounds, training=False)
-        table = tuple((int(start), int(end)) for start, end in bounds)
-        run = self._inference_runs.get(table)
-        if run is None:
-            check_shard_bounds(table, batch_size)
-            # Non-empty shards tile the batch contiguously in canonical
-            # order, so the request batch already *is* the run's input.
-            run = VectorizedRun([(start, end) for start, end in table if end > start],
-                                training=False)
-            if len(self._inference_runs) >= _MAX_INFERENCE_RUNS:
-                del self._inference_runs[next(iter(self._inference_runs))]
-            self._inference_runs[table] = run
-        return run
-
     def infer(self, model: Module, vn_set: VirtualNodeSet, x: np.ndarray,
-              bounds: Optional[Sequence[Tuple[int, int]]] = None) -> np.ndarray:
+              runs: Sequence[Tuple[int, int]]) -> np.ndarray:
         try:
             plan = self._plans[model]
         except KeyError:  # a model no engine bound
             plan = self._plans[model] = kernel_plan(model)
-        if bounds is None:
-            bounds = shard_indices(vn_set, len(x))
-        try:
-            run = self._inference_runs[bounds]
-        except (KeyError, TypeError):  # first use, a list, or size runs
-            run = self._inference_run(bounds, len(x))
-        if run.batch != len(x):  # another length's table, or short size runs
+        run = VectorizedRun(runs, training=False)
+        if run.batch != len(x):
             raise ValueError(
-                f"shard bounds cover {run.batch} rows of a batch of {len(x)}")
+                f"size runs cover {run.batch} rows of a batch of {len(x)}")
         for forward, _, module, prefix in plan:
             if forward is not _dropout_fwd:  # the identity outside training
                 x = forward(module, run, prefix, x)

@@ -3,11 +3,12 @@
 The fused backend executes every wave of a step simultaneously.  Shards are
 concatenated along the batch axis in canonical virtual-node order — where
 the reference loop runs ``V`` forwards of shape ``(b_i, ...)``, these
-kernels run one forward of shape ``(B, ...)`` with ``B = sum(b_i)`` and a
-per-virtual-node *segment table* ``[(start, end), ...]``.  Equal-size wave
-groups are the degenerate case where the segments are uniform and the
-concatenated batch reshapes (for free, as a view) into the classic
-``(V, b, ...)`` stack.
+kernels run one forward of shape ``(B, ...)`` with ``B = sum(b_i)``, split
+by its **size runs**: ``(size, count)`` rows, ``count`` consecutive
+virtual-node segments of ``size`` rows each (:func:`~repro.core.sharding.
+size_runs`).  Equal-size wave groups are the degenerate case of one row,
+where the concatenated batch reshapes (for free, as a view) into the
+classic ``(V, b, ...)`` stack.
 
 Bit-exactness contract
 ----------------------
@@ -17,20 +18,18 @@ the reference wave loop *bit for bit*.  That constrains every kernel:
 * **GEMM geometry is sacred.**  OpenBLAS picks kernels (and therefore
   last-ulp rounding) by matrix shape, so any matmul whose M dimension
   contains the batch must present the *reference's* per-virtual-node shape.
-  The segment table is compressed, once per run, into maximal **runs** of
-  consecutive equal-size segments, and each run's rows reshape (for free)
-  to a ``(count, rows, K)`` stack: NumPy maps a stacked matmul onto one
-  GEMM per stack slice, so every node's GEMM keeps exactly the reference
-  M whatever its neighbours' sizes are, at one Python-level op per run
-  instead of one per node.  :func:`~repro.core.sharding.shard_indices`
-  gives the first ``n mod V`` nodes of an even set one extra row, so a
-  serving micro-batch of any length is at most two runs; a heterogeneous
-  (§5) set is one run per device type; uniform segments are one run, whose
-  stacked result is returned as it is.  Matmuls that are
-  already per-example in the reference (``(b, t, K) @ (K, N)``, attention's
+  Each size run's rows reshape (for free) to a ``(count, rows, K)`` stack:
+  NumPy maps a stacked matmul onto one GEMM per stack slice, so every
+  node's GEMM keeps exactly the reference M whatever its neighbours' sizes
+  are, at one Python-level op per run instead of one per node.
+  :func:`~repro.core.sharding.shard_sizes` gives the first ``n mod V``
+  nodes of an even set one extra row, so a serving micro-batch of any
+  length is at most two runs; a heterogeneous (§5) set is one run per
+  device type; uniform segments are one run, whose stacked result is
+  returned as it is.  Matmuls that are already per-example in the reference (``(b, t, K) @ (K, N)``, attention's
   per-head products) concatenate freely: the per-slice shapes are unchanged.
   (Folding the batch into one big-M GEMM was measured to differ in the last
-  ulp on OpenBLAS — see ``seg_matmul`` — hence the segment table.)
+  ulp on OpenBLAS — see ``seg_matmul`` — hence the size runs.)
 * **Reductions keep the reference's accumulation order.**  A per-wave
   reduction over a ``(b_i, ...)`` shard becomes a per-slice reduction over
   the middle axes of its run's ``(count, b, ...)`` stack: each slice is
@@ -115,6 +114,7 @@ from __future__ import annotations
 import math
 import weakref
 from importlib import import_module
+from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
@@ -208,20 +208,23 @@ def _pixels(a: np.ndarray) -> np.ndarray:
 class VectorizedRun:
     """One fused forward/backward over a segmented stack of wave shards.
 
-    ``segments`` are the per-virtual-node ``[start, end)`` row ranges of the
-    concatenated batch, in canonical virtual-node order — or, for an
-    inference run, an ``(R, 2)`` integer array of ``(size, count)`` size
-    runs, which leaves ``segments`` and ``sizes`` None.  The run owns all
-    transient state (activation caches, per-node parameter gradients) so the
-    model instance itself is never mutated — its own caches, gradients, and
-    buffers are untouched.  Per-virtual-node stateful buffers, when present,
+    ``runs`` are the pass's **size runs**: an ``(R, 2)`` integer array (or
+    a sequence of pairs) of ``(size, count)`` rows, ``count`` consecutive
+    virtual-node segments of ``size`` rows each, in canonical order, the
+    rows tiling the concatenated batch (:func:`~repro.core.sharding.
+    size_runs`).  A training run also derives the per-node ``sizes`` and
+    ``[start, end)`` ``segments`` that its loss, dropout and per-node
+    broadcast kernels read; an inference run leaves them None.  The run
+    owns all transient state (activation caches, per-node parameter
+    gradients) so the model instance itself is never mutated — its own
+    caches, gradients, and buffers are untouched.  Per-virtual-node stateful buffers, when present,
     arrive as ``state_views`` — ``name -> (V,) + shape`` views of the job's
     state matrix, which the kernels update in place.
 
     ``workspace`` is the training step's buffer dict, owned by the executor
     and reused from step to step; a training run built without one gets an
     empty dict of its own.  Inference runs have none and allocate as they
-    go, so a cached inference run pins nothing.
+    go.
     It holds only what is too large for malloc to keep between steps:
 
     * each convolution's ``im2col`` patch rows under ``("cols", prefix)``
@@ -238,51 +241,44 @@ class VectorizedRun:
     alias, e.g., a ``Residual``'s skip add.
     """
 
-    def __init__(self, segments: Sequence[Tuple[int, int]], training: bool,
+    # What only a training run sets (``_rngs``: by node_rngs); an inference
+    # run reads these.
+    sizes = segments = state_views = workspace = _derive_rngs = _rngs = None
+
+    def __init__(self, runs: Sequence[Tuple[int, int]], training: bool,
                  rngs: Optional[Callable[[], List[np.random.Generator]]] = None,
                  state_views: Optional[Dict[str, np.ndarray]] = None,
                  workspace: Optional[Dict[tuple, object]] = None) -> None:
-        # Runs of consecutive equal-size segments, each as (first row, end
-        # row, first node, end node, segment size): what the seg_*
-        # primitives stack over.  A uniform table is one run.
+        # Each (size, count) row as (first row, end row, first node, end
+        # node, segment size): what the seg_* primitives stack over.
         self.runs: List[Tuple[int, int, int, int, int]] = []
-        if not training and isinstance(segments, np.ndarray):
-            # An inference pass over size runs (see ExecutionBackend.infer):
-            # one step per (size, count) row, however many segments it holds.
-            # No per-segment lists: only training kernels read them.
-            if segments.min() < 0:
-                raise ValueError("shard bounds (size runs) hold a negative number")
-            self.segments = self.sizes = None
-            row = node = 0
-            for size, count in segments.tolist():
-                self.runs.append((row, row + size * count, node, node + count, size))
-                row += size * count
-                node += count
-            self.num_stacked = node
-        else:
-            self.segments = list(segments)
-            self.sizes = [end - start for start, end in self.segments]
-            self.num_stacked = len(self.segments)
-            first = 0  # the runs are maximal
-            for node in range(1, self.num_stacked + 1):
-                if node == self.num_stacked or self.sizes[node] != self.sizes[first]:
-                    self.runs.append((self.segments[first][0], self.segments[node - 1][1],
-                                      first, node, self.sizes[first]))
-                    first = node
+        sizes: List[int] = []
+        row = node = 0
+        for size, count in runs.tolist() if isinstance(runs, np.ndarray) else runs:
+            if size < 0 or count < 0:
+                raise ValueError(f"size runs {runs!r} hold a negative number")
+            self.runs.append((row, row + size * count, node, node + count, size))
+            if training:
+                sizes += [size] * count
+            row += size * count
+            node += count
         if not self.runs:
             raise ValueError("a vectorized run needs at least one segment")
-        self.batch = self.runs[-1][1]
+        self.batch = row
+        self.num_stacked = node
         # Uniform segment size, or None when the wave group mixes sizes.
         self.uniform: Optional[int] = (
-            self.runs[0][4] if self.runs[0][3] == self.num_stacked else None)
+            self.runs[0][4] if self.runs[0][3] == node else None)
         self.training = training
-        self._derive_rngs = rngs
-        self._rngs: Optional[List[np.random.Generator]] = None
-        self.state_views = state_views
-        self.workspace = {} if training and workspace is None else workspace
-        self._cache: Dict[str, Tuple] = {}
-        # flat parameter name -> (V,) + param.shape per-virtual-node gradients
-        self.param_grads: Dict[str, np.ndarray] = {}
+        if training:
+            ends = list(accumulate(sizes, initial=0))
+            self.sizes, self.segments = sizes, list(zip(ends, ends[1:]))
+            self._derive_rngs = rngs
+            self.state_views = state_views
+            self.workspace = {} if workspace is None else workspace
+            self._cache: Dict[str, Tuple] = {}
+            # flat parameter name -> (V,) + param.shape per-node gradients
+            self.param_grads: Dict[str, np.ndarray] = {}
 
     # -- dispatch -----------------------------------------------------------
 
@@ -577,10 +573,13 @@ def _dense_fwd(m: L.Dense, run: VectorizedRun, prefix: str, x):
         run.put(prefix, x)
     if x.ndim == 2 and run.num_stacked > 1:
         # Batch in the GEMM's M dimension: keep per-node geometry.
-        return run.seg_matmul(x, m.params["w"]) + m.params["b"]
-    # (B, t, K) @ (K, N) is one GEMM per example and one node's (b, K) @
-    # (K, N) is one GEMM: both already are the reference's.
-    return x @ m.params["w"] + m.params["b"]
+        out = run.seg_matmul(x, m.params["w"])
+    else:
+        # (B, t, K) @ (K, N) is one GEMM per example and one node's (b, K) @
+        # (K, N) is one GEMM: both already are the reference's.
+        out = x @ m.params["w"]
+    out += m.params["b"]  # the product is this kernel's own array
+    return out
 
 
 @_bwd(L.Dense)

@@ -15,10 +15,9 @@ that physical half exactly once:
   and the per-batch-size serving plan memo (:meth:`inference_plan`);
 * the execution backend (:mod:`repro.core.backends`) that decides *how*
   waves run on the host: one :class:`~repro.core.backends.FusedBackend`
-  shared by every engine, so its per-model kernel plans and per-bounds
-  inference runs are built once per process.  Tests compare against the
-  serial oracle by assigning a
-  :class:`~repro.core.backends.reference.ReferenceBackend` to an engine's
+  shared by every engine, so its per-model kernel plans are built once per
+  process.  Tests compare against the serial oracle
+  (``tests/oracles/reference_backend.py``) by assigning it to an engine's
   ``backend``.
 """
 
@@ -26,10 +25,12 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.backends import ExecutionBackend, FusedBackend
 from repro.core.mapping import Mapping
 from repro.core.plan import ExecutionPlan
-from repro.core.sharding import shard_indices
+from repro.core.sharding import shard_sizes, size_runs
 from repro.core.virtual_node import VirtualNodeSet
 from repro.hardware.device import DeviceSpec, get_spec
 
@@ -37,8 +38,8 @@ from repro.framework.models import Workload
 
 __all__ = ["VirtualNodeEngine"]
 
-# Backends hold no step state, only caches of what is constant per model or
-# per shard table: one instance serves every engine in the process.
+# Backends hold no step state, only caches of what is constant per model:
+# one instance serves every engine in the process.
 _BACKEND = FusedBackend()
 
 
@@ -62,9 +63,8 @@ class VirtualNodeEngine:
         # serving engine never asks for the training step time, a training
         # engine never for an inference plan.
         self._step_time: Optional[float] = None
-        # batch length -> (shard bounds, latency, waves)
-        self._inference_plans: Dict[
-            int, Tuple[Tuple[Tuple[int, int], ...], float, int]] = {}
+        # batch length -> (size runs, latency, waves)
+        self._inference_plans: Dict[int, Tuple[np.ndarray, float, int]] = {}
 
     # -- queries -------------------------------------------------------------
 
@@ -98,24 +98,24 @@ class VirtualNodeEngine:
                 waves = sum(1 for i in dp.vn_indices if shard_sizes[i] > 0)
         return latency, waves
 
-    def inference_plan(self, batch_size: int,
-                       ) -> Tuple[Tuple[Tuple[int, int], ...], float, int]:
-        """``(shard bounds, latency, waves)`` for a batch of ``batch_size``.
+    def inference_plan(self, batch_size: int) -> Tuple[np.ndarray, float, int]:
+        """``(size runs, latency, waves)`` for a batch of ``batch_size``.
 
-        The bounds are :func:`~repro.core.sharding.shard_indices` and the
-        latency/waves :meth:`inference_latency` of their sizes, computed
-        once per batch length and mapping — a serving run asks for at most
-        ``max_batch`` distinct lengths, thousands of times each.  Every
-        caller receives the same plan object, so the bounds are a tuple of
-        tuples: immutable, and hashable — the fused backend keys its cached
-        inference run on them.
+        The runs are :func:`~repro.core.sharding.size_runs` of the batch's
+        non-empty :func:`~repro.core.sharding.shard_sizes` (what the
+        backend's ``infer`` takes) and the latency/waves
+        :meth:`inference_latency` of the sizes, computed once per batch
+        length and mapping — a serving run asks for at most ``max_batch``
+        distinct lengths, thousands of times each.  Every caller receives
+        the same plan object, so the runs are read-only.
         """
         plan = self._inference_plans.get(batch_size)
         if plan is None:
-            bounds = tuple(shard_indices(self.vn_set, batch_size))
-            latency, waves = self.inference_latency(
-                [end - start for start, end in bounds])
-            plan = self._inference_plans[batch_size] = (bounds, latency, waves)
+            sizes = shard_sizes(self.vn_set, batch_size)
+            runs = size_runs([size for size in sizes if size])
+            runs.flags.writeable = False
+            latency, waves = self.inference_latency(sizes)
+            plan = self._inference_plans[batch_size] = (runs, latency, waves)
         return plan
 
     # -- elasticity ----------------------------------------------------------

@@ -240,7 +240,7 @@ class VirtualFlowExecutor:
         correct_weighted = 0.0
         for start in range(0, len(x), batch_size):
             xb, yb = x[start : start + batch_size], y[start : start + batch_size]
-            logits = infer(self.model, self.vn_set, xb, ((0, len(xb)),))
+            logits = infer(self.model, self.vn_set, xb, [[len(xb), 1]])
             total_loss += self.loss_fn.forward(logits, yb) * len(xb)
             correct_weighted += accuracy(logits, yb) * len(xb)
         self.model.load_state_dict(saved)

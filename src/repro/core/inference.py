@@ -9,10 +9,10 @@ latency) or spread out (fewer waves, less latency) without changing results.
 :class:`~repro.core.engine.VirtualNodeEngine`: sharding and the numeric
 forward passes go through the engine's execution backend (the fused
 backend runs all shards — equal- or mixed-size — as one segmented
-vectorized pass over a run it caches per shard-bounds table: bounded, and
-stateless, so nothing of one micro-batch outlives it), and per-request
-latency accounting uses the engine's validated plan — the same plan/latency
-logic training uses, not a private reimplementation.
+vectorized pass over the size runs of the engine's memoized per-length
+plan, in a stateless run, so nothing of one batch outlives it), and
+per-request latency accounting uses the engine's validated plan — the
+same plan/latency logic training uses, not a private reimplementation.
 
 Serving
 -------
@@ -26,8 +26,8 @@ compute.  The numbers come later: completed micro-batches queue up and
 micro-batch gathered by segment size into one backend call, so each layer
 runs one stacked op per segment size instead of a few per micro-batch.
 Every segment keeps the shape it has in its own micro-batch, so each
-micro-batch's logits are byte-equal to :meth:`predict_requests` of it — a
-one-shot batch of the same examples — on every backend.  A serving engine
+micro-batch's logits are byte-equal to :meth:`predict` of it — a one-shot
+batch of the same examples — on every backend.  A serving engine
 built from a trained job (:meth:`from_executor`, or ``vn_states=...``)
 copies the per-virtual-node stateful kernels into a state matrix of its own
 and evaluates under their canonical merged view
@@ -171,27 +171,11 @@ class InferenceEngine:
         # ~1/3 of a full training wave in the analytic model's spirit; we use
         # the full wave time as a conservative envelope).
         engine = self.engine
-        bounds, latency, waves = engine.inference_plan(len(x))
-        logits = engine.backend.infer(self.model, engine.vn_set, x, bounds)
+        runs, latency, waves = engine.inference_plan(len(x))
+        logits = engine.backend.infer(self.model, engine.vn_set, x, runs)
         self.requests_served += 1
         self.sim_time += latency
         return InferenceResult(logits=logits, sim_latency=latency, waves=waves)
-
-    def predict_requests(self, examples: Sequence[np.ndarray]) -> InferenceResult:
-        """Serve one micro-batch of single-example requests.
-
-        ``examples`` are request payloads without a batch axis, in queue
-        order; they are stacked into one batch and served through the exact
-        :meth:`predict` path, so row ``i`` of the returned logits is
-        request ``i``'s result and the whole micro-batch is bit-identical to
-        a one-shot batch of the same examples.  The merged-eval-state cache
-        persists across calls.
-        """
-        if len(examples) == 0:
-            raise ValueError("cannot serve an empty micro-batch")
-        # One array construction gathers the rows (ragged payloads raise
-        # ValueError here, as stacking them would).
-        return self.predict(np.array(examples))
 
     def price(self, batch_size: int) -> Tuple[float, int]:
         """``(latency, waves)`` of one batch of ``batch_size``, charged to the
@@ -211,8 +195,8 @@ class InferenceEngine:
         ``rows`` index the micro-batches' payloads in ``bank``, back to back,
         and ``lengths`` are their sizes, in order; row ``i`` of the result is
         ``bank[rows[i]]``'s, and each micro-batch's rows are byte-equal to
-        :meth:`predict_requests` of that micro-batch.  That call splits a
-        micro-batch of length ``L`` along its plan's node segments
+        :meth:`predict` of that micro-batch's payloads.  That call splits a
+        micro-batch of length ``L`` along its plan's size runs
         (``inference_plan(L)``); here every row is labelled with the size of
         its node segment (each length's labels are computed once, and
         dropped with the plans on :meth:`remap`), a stable sort by that
@@ -230,12 +214,12 @@ class InferenceEngine:
         engine = self.engine
         labels = self._row_labels
         for length in set(lengths).difference(labels):
-            node_sizes = [end - start for start, end in engine.inference_plan(length)[0]]
-            labels[length] = np.repeat(node_sizes, node_sizes)
+            sizes, counts = engine.inference_plan(length)[0].T
+            labels[length] = np.repeat(sizes, sizes * counts)
         row_sizes = np.concatenate([labels[length] for length in lengths])
         order = row_sizes.argsort(kind="stable")
-        runs = np.array([(size, count // size) for size, count
-                         in enumerate(np.bincount(row_sizes).tolist()) if count])
+        runs = [(size, count // size) for size, count
+                in enumerate(np.bincount(row_sizes).tolist()) if count]
         gathered = engine.backend.infer(self.model, engine.vn_set,
                                         bank[np.take(rows, order)], runs)
         logits = np.empty_like(gathered)

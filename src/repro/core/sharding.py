@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.virtual_node import VirtualNodeSet
 
-__all__ = ["shard_sizes", "shard_batch", "shard_indices", "check_shard_bounds"]
+__all__ = ["shard_sizes", "shard_batch", "size_runs"]
 
 
 def shard_sizes(vn_set: VirtualNodeSet, batch_size: int) -> List[int]:
@@ -42,47 +42,30 @@ def shard_sizes(vn_set: VirtualNodeSet, batch_size: int) -> List[int]:
     return floors
 
 
-def shard_indices(vn_set: VirtualNodeSet, batch_size: int) -> List[Tuple[int, int]]:
-    """Contiguous [start, end) slices of the batch, one per virtual node."""
-    sizes = shard_sizes(vn_set, batch_size)
-    bounds: List[Tuple[int, int]] = []
-    start = 0
-    for s in sizes:
-        bounds.append((start, start + s))
-        start += s
-    if start != batch_size:
-        raise AssertionError(f"shard sizes {sizes} do not cover batch {batch_size}")
-    return bounds
-
-
-def check_shard_bounds(bounds: Sequence[Tuple[int, int]], batch_size: int) -> None:
-    """Raise ``ValueError`` unless ``bounds`` tile ``[0, batch_size)``.
-
-    What :func:`shard_indices` guarantees and what a backend handed
-    caller-made bounds must check: contiguous ``[start, end)`` slices in
-    order from row 0 (empty ones allowed) that end at the batch length.  A
-    gap, an overlap or a short table would otherwise drop rows or regroup
-    them into shards no virtual node ever had.
+def size_runs(sizes: Sequence[int]) -> np.ndarray:
+    """``sizes`` run-length encoded: an ``(R, 2)`` integer array of ``(size,
+    count)`` rows, ``count`` consecutive nodes of ``size`` rows each, in
+    order — the one form in which a vectorized pass takes its split.
+    Maximal: neighbouring rows differ in size (``[2, 3, 2]`` is three).
     """
-    row = 0
-    for start, end in bounds:
-        if start != row or end < start:
-            raise ValueError(
-                f"shard bounds {list(bounds)} do not tile the batch "
-                f"contiguously from row 0")
-        row = end
-    if row != batch_size:
-        raise ValueError(
-            f"shard bounds {list(bounds)} cover {row} rows of a batch of "
-            f"{batch_size}")
+    runs: List[List[int]] = []
+    for size in sizes:
+        if runs and runs[-1][0] == size:
+            runs[-1][1] += 1
+        else:
+            runs.append([size, 1])
+    return np.array(runs)
 
 
 def shard_batch(vn_set: VirtualNodeSet, x: np.ndarray, y: np.ndarray,
                 ) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Split one global batch into per-virtual-node (x, y) shards."""
+    """Split one global batch into per-virtual-node (x, y) shards: contiguous
+    slices of :func:`shard_sizes` rows, in canonical order."""
     if len(x) != len(y):
         raise ValueError(f"x and y lengths differ: {len(x)} vs {len(y)}")
     shards = []
-    for start, end in shard_indices(vn_set, len(x)):
-        shards.append((x[start:end], y[start:end]))
+    start = 0
+    for size in shard_sizes(vn_set, len(x)):
+        shards.append((x[start:start + size], y[start:start + size]))
+        start += size
     return shards

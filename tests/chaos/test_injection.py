@@ -296,12 +296,12 @@ class TestChaosDeterminism:
 class TestInferencePlanMemo:
     def test_autoscaled_chaos_run_equals_memo_free_recomputation(
             self, monkeypatch):
-        """The engine memoizes (shard bounds, latency, waves) per batch
+        """The engine memoizes (size runs, latency, waves) per batch
         length and mapping; autoscaler rescales and chaos remaps must
         re-price.  Recomputing every plan from scratch serves every request
         at the same instants on the same devices."""
         from repro.core.engine import VirtualNodeEngine
-        from repro.core.sharding import shard_indices, shard_sizes
+        from repro.core.sharding import shard_sizes, size_runs
 
         plan = random_plan(seed=9, duration=2.0, devices=8, crash_rate=1.0,
                            straggler_rate=0.5, network_rate=0.3,
@@ -323,7 +323,7 @@ class TestInferencePlanMemo:
 
         def memo_free(self, batch_size):
             sizes = shard_sizes(self.vn_set, batch_size)
-            return (shard_indices(self.vn_set, batch_size),
+            return (size_runs([size for size in sizes if size]),
                     *self.inference_latency(sizes))
 
         monkeypatch.setattr(VirtualNodeEngine, "_install", counting_install)

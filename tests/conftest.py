@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from repro.core import Mapping, VirtualFlowExecutor, VirtualNodeSet
-from repro.core.backends.reference import ReferenceBackend
 from repro.data import make_dataset
 from repro.framework import ArenaView, FlatLayout, SoftmaxCrossEntropy, get_workload
 from repro.hardware import Cluster
+
+from oracles.reference_backend import ReferenceBackend
 
 
 def numeric_gradient(f: Callable[[], float], array: np.ndarray,
@@ -66,6 +67,20 @@ def build_executor(workload_name: str = "mlp_synthetic", global_batch: int = 32,
         mapping=mapping,
         seed=seed,
     )
+
+
+@pytest.fixture
+def built_runs(monkeypatch):
+    """Every ``VectorizedRun`` built while the test runs, in order."""
+    from repro.core.backends.vectorized import VectorizedRun
+
+    runs, init = [], VectorizedRun.__init__
+
+    def record(run, *args, **kwargs):
+        init(run, *args, **kwargs)
+        runs.append(run)
+    monkeypatch.setattr(VectorizedRun, "__init__", record)
+    return runs
 
 
 def on_reference(runner):

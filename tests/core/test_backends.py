@@ -37,7 +37,7 @@ from repro.core.backends.vectorized import (
     kernel_plan,
     loss_kernel,
 )
-from repro.core.sharding import shard_batch
+from repro.core.sharding import shard_batch, size_runs
 from repro.core.state import StateMatrix, VirtualNodeState
 from repro.data import make_dataset
 from repro.data.augment import GaussianNoise
@@ -295,7 +295,8 @@ class TestOnePath:
         fused.bind(step.model)
         (plan,) = fused._plans.values()
         fused.train_step(step)
-        fused.infer(step.model, step.vn_set, np.concatenate([x for x, _ in step.shards]))
+        fused.infer(step.model, step.vn_set, np.concatenate([x for x, _ in step.shards]),
+                    size_runs(step.vn_set.sizes))
         assert list(fused._plans.values()) == [plan]
 
     @pytest.mark.parametrize("child, message", [
@@ -342,7 +343,7 @@ class TestOnePath:
             first.add_child("extra", Dense(10, 3, rng))
         assert list(model.children()) == children and not list(first.children())
         x = make_dataset(wl.dataset, n=8, seed=0).x_train[:4]
-        out = FusedBackend().infer(model, VirtualNodeSet.even(4, 2), x)
+        out = FusedBackend().infer(model, VirtualNodeSet.even(4, 2), x, [[2, 2]])
         assert out.shape == model.forward(x).shape
 
     def test_a_hand_built_step_on_such_a_module_is_rejected_before_it_runs(self):
@@ -429,7 +430,7 @@ class TestBatchNormKernels:
                  "running_var": rng.uniform(0.5, 2.0, size=(nodes, channels))}
         before = {key: value.copy() for key, value in state.items()}
 
-        run = VectorizedRun(_segments(sizes), training=True, state_views=state)
+        run = VectorizedRun(size_runs(sizes), training=True, state_views=state)
         out = run.forward(layer, x)
         dx = run.backward(layer, grad)
         assert out.shape == dx.shape == shape
@@ -469,7 +470,7 @@ class TestBatchNormKernels:
         layer.buffers["running_mean"][...] = rng.normal(size=channels)
         layer.buffers["running_var"][...] = rng.uniform(0.5, 2.0, size=channels)
 
-        out = VectorizedRun(_segments(sizes), training=False).forward(layer, x)
+        out = VectorizedRun(size_runs(sizes), training=False).forward(layer, x)
         want = layer.forward(x, training=False)
         assert out.dtype == want.dtype and out.shape == want.shape
         assert out.tobytes() == want.tobytes()
@@ -635,10 +636,10 @@ class TestBatchInputHasNoGradient:
         x, grad = rng.normal(size=(8, 6)), rng.normal(size=(8, 6))
         model.forward(x, training=True)
         want = model.backward(grad)
-        run = VectorizedRun(_segments([4, 4]), training=True)
+        run = VectorizedRun([[4, 2]], training=True)
         run.forward(model, x)
         np.testing.assert_array_equal(run.backward(model, grad), want)
-        skipped = VectorizedRun(_segments([4, 4]), training=True)
+        skipped = VectorizedRun([[4, 2]], training=True)
         skipped.forward(model, x)
         assert skipped.backward(model, grad, input_grad=False) is None
         for key, stack in run.param_grads.items():

@@ -68,24 +68,23 @@ class TestPredict:
         assert engine.sim_time > 0
 
 
-class TestPredictRequests:
+class TestMicroBatches:
     def test_micro_batch_equals_one_shot_batch(self, batch):
         engine = _engine()
         rows = [batch[i] for i in range(6)]
-        micro = engine.predict_requests(rows)
+        micro = engine.predict(np.array(rows))  # gathered request payloads
         oneshot = _engine().predict(batch[:6])
         np.testing.assert_array_equal(micro.logits, oneshot.logits)
         assert micro.logits.shape[0] == 6
 
-    def test_empty_micro_batch_rejected(self):
+    @pytest.mark.parametrize("rows, lengths", [([], []), ([0], [1, 0])])
+    def test_empty_micro_batch_rejected(self, batch, rows, lengths):
         with pytest.raises(ValueError):
-            _engine().predict_requests([])
+            _engine().predict_stacked(batch, rows, lengths)
 
     def test_latency_matches_equivalent_batch(self, batch):
-        engine = _engine()
-        rows = [batch[i] for i in range(5)]
-        assert (engine.predict_requests(rows).sim_latency
-                == _engine().predict(batch[:5]).sim_latency)
+        result = _engine().predict(batch[:5])
+        assert _engine().price(5) == (result.sim_latency, result.waves)
 
 
 class TestEvalStateCache:
@@ -118,7 +117,7 @@ class TestEvalStateCache:
         engine.predict(batch)
         cached = engine._eval_state
         assert cached is not None
-        engine.predict_requests([batch[0], batch[1]])
+        engine.predict_stacked(batch, [0, 1], [2])
         assert engine._eval_state is cached  # reused, not recomputed
 
     def test_shared_model_training_between_requests_does_not_leak(self):
@@ -178,7 +177,7 @@ class TestRemap:
 
     def test_remap_reprices_every_memoized_batch_size(self, batch):
         """The per-batch-size plan memo dies with the mapping it priced."""
-        from repro.core.sharding import shard_indices, shard_sizes
+        from repro.core.sharding import shard_sizes, size_runs
 
         engine = _engine(num_devices=4, num_vns=4, batch=4)
         vn_set = engine.mapping.vn_set
@@ -196,31 +195,32 @@ class TestRemap:
                 latency, waves = fresh.engine.inference_latency(
                     shard_sizes(vn_set, size))
                 assert (got.sim_latency, got.waves) == (latency, waves)
-                bounds, *_ = engine.engine.inference_plan(size)
-                assert bounds == tuple(shard_indices(vn_set, size))
+                runs, *_ = engine.engine.inference_plan(size)
+                sizes = [s for s in shard_sizes(vn_set, size) if s]
+                assert runs.tolist() == size_runs(sizes).tolist()
                 np.testing.assert_array_equal(
                     got.logits, fresh.predict(batch[:size]).logits)
             seen.add(engine.predict(batch[:8]).sim_latency)
         assert len(seen) == 3  # 4xV100 twice; the others price differently
 
     def test_plan_memo_hands_out_one_immutable_plan(self):
-        """Every caller of a batch length gets the same object — the fused
-        backend keys its cached run on the bounds — so nothing in it may be
-        mutable; a remap re-prices the latency and leaves the table equal."""
+        """Every caller of a batch length gets the same object, so nothing
+        in it may be mutable; a remap re-prices the latency and leaves the
+        size runs equal.  Empty shards are dropped from the runs."""
         engine = _engine(num_devices=4, num_vns=4, batch=4)
         plan = engine.engine.inference_plan(6)
         assert engine.engine.inference_plan(6) is plan
-        bounds, latency, _ = plan
-        assert bounds == ((0, 2), (2, 4), (4, 5), (5, 6))
-        assert type(bounds) is tuple and {type(b) for b in bounds} == {tuple}
-        assert hash(bounds) == hash(((0, 2), (2, 4), (4, 5), (5, 6)))
-        with pytest.raises(AttributeError):
-            bounds.append((6, 7))
+        runs, latency, _ = plan
+        assert runs.tolist() == [[2, 2], [1, 2]]  # shard sizes (2, 2, 1, 1)
+        assert not runs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            runs[0, 0] = 3
+        assert engine.engine.inference_plan(3)[0].tolist() == [[1, 3]]  # (1, 1, 1, 0)
         engine.remap(Mapping.even(engine.mapping.vn_set,
                                   Cluster.homogeneous("RTX2080Ti", 1)))
         repriced = engine.engine.inference_plan(6)
         assert repriced is not plan and repriced[1] != latency
-        assert repriced[0] == bounds
+        assert repriced[0].tolist() == runs.tolist()
 
     def test_remap_vn_set_guard(self, batch):
         engine = _engine()

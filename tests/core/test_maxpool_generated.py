@@ -25,6 +25,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.backends.vectorized import VectorizedRun
+from repro.core.sharding import size_runs
 from repro.framework.conv import MaxPool2D
 
 DTYPES = {np.float32: np.uint32, np.float64: np.uint64}
@@ -80,11 +81,6 @@ def _layout(x, layout):
     return view
 
 
-def _segments(sizes):
-    bounds = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
 def _assert_same_array(got, want, strides=True):
     assert got.dtype == want.dtype
     assert got.shape == want.shape
@@ -92,9 +88,9 @@ def _assert_same_array(got, want, strides=True):
     assert got.tobytes() == want.tobytes()
 
 
-def _check(x, grad, pool, segments, layout):
+def _check(x, grad, pool, sizes, layout):
     layer = MaxPool2D(pool)
-    run = VectorizedRun(segments, training=True)
+    run = VectorizedRun(size_runs(sizes), training=True)
     with np.errstate(invalid="ignore"):  # a NaN window has no maximum to share
         out = run.forward(layer, x)
         dx = run.backward(layer, grad)
@@ -127,7 +123,7 @@ def test_forward_and_backward_equal_the_layer(sizes, pool, windows, c, dtype,
     x = _layout(_values(rng, shape, dtype, any_nan=True), layout)
     grad_shape = (shape[0], windows[0], windows[1], c)
     grad = _values(rng, grad_shape, dtype, any_nan=True)
-    _check(x, grad, pool, _segments(sizes), layout)
+    _check(x, grad, pool, sizes, layout)
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "channels-first", "columns-first"])
@@ -147,7 +143,7 @@ def test_every_tie_pattern(windows, pool, palette, c, dtype, layout):
     x = _layout(np.tile(x, (1, windows, windows, 1)), layout)
     grad_shape = (len(x), windows, windows, c)
     grad = np.random.default_rng(c).normal(size=grad_shape).astype(dtype)
-    _check(x, grad, pool, _segments([len(x) // 2, len(x) - len(x) // 2]), layout)
+    _check(x, grad, pool, [len(x) // 2, len(x) - len(x) // 2], layout)
 
 
 class _NoMax(np.ndarray):
@@ -162,7 +158,7 @@ def test_the_fold_runs_on_channels_last_inputs():
     layer = MaxPool2D(2)
     want_out = layer.forward(x, training=True)
     want_dx = layer.backward(grad)
-    run = VectorizedRun([(0, 1), (1, 4)], training=True)
+    run = VectorizedRun([(1, 1), (3, 1)], training=True)
     out = run.forward(layer, x.view(_NoMax))
     _assert_same_array(out, want_out)
     _assert_same_array(run.backward(layer, grad), want_dx)
@@ -171,6 +167,6 @@ def test_the_fold_runs_on_channels_last_inputs():
 
 
 def test_indivisible_input_is_rejected():
-    run = VectorizedRun([(0, 2)], training=True)
+    run = VectorizedRun([(2, 1)], training=True)
     with pytest.raises(ValueError, match="not divisible by pool 2"):
         run.forward(MaxPool2D(2), np.zeros((2, 4, 5, 3)))

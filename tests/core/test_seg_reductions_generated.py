@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.backends.vectorized import VectorizedRun
+from repro.core.sharding import size_runs
 
 WIDTHS = [1, 2, 3, 6, 17, 31, 32, 33, 64, 128]
 
@@ -59,7 +60,7 @@ def test_sum_and_mean_equal_the_reference_per_segment(sizes, c, inner, dtype, se
     rng = np.random.default_rng(seed)
     t = _tensor(rng, (sum(sizes),) + inner + (c,), dtype)
     segments = _segments(sizes)
-    run = VectorizedRun(segments, training=True)
+    run = VectorizedRun(size_runs(sizes), training=True)
     with np.errstate(invalid="ignore"):
         means = run.seg_mean(t)
     _assert_rows_equal(run.seg_sum(t), _reference(t, segments, np.sum))
@@ -79,7 +80,7 @@ def test_several_tensors_sum_as_each_alone(sizes, c, dtypes, seed):
     shape = (sum(sizes), 2, 3, c)
     ts = [_tensor(rng, shape, dtype) for dtype in dtypes]
     segments = _segments(sizes)
-    run = VectorizedRun(segments, training=True)
+    run = VectorizedRun(size_runs(sizes), training=True)
     sums = run.seg_sum(*ts)
     assert len(sums) == len(ts)
     for got, t in zip(sums, ts):
@@ -123,7 +124,7 @@ def test_strided_inputs_sum_as_their_bytes(sizes, c, inner, layouts, dtype, seed
     views = [t if layout == "contiguous" else _strided(t, layout)
              for t, layout in zip(ts, layouts)]
     segments = _segments(sizes)
-    run = VectorizedRun(segments, training=True)
+    run = VectorizedRun(size_runs(sizes), training=True)
     sums = run.seg_sum(*views)
     if len(views) == 1:
         sums = [sums]
@@ -144,7 +145,7 @@ def test_one_channel_is_never_interleaved():
     sequential = np.add.reduce(t.reshape(2, 300, 1).transpose(1, 0, 2).copy(), 0)
     assert sequential.tobytes() != np.stack(want).tobytes()  # the pin has teeth
     ws = {}
-    _assert_rows_equal(VectorizedRun(_segments(sizes), training=True,
+    _assert_rows_equal(VectorizedRun(size_runs(sizes), training=True,
                                      workspace=ws).seg_sum(t), want)
     assert not ws
 
@@ -153,7 +154,7 @@ def test_one_channel_is_never_interleaved():
 def test_interleave_buffers_are_reused_and_shared_by_geometry(c):
     rng = np.random.default_rng(c)
     ws = {}
-    run = VectorizedRun(_segments([3, 3, 2, 2]), training=True, workspace=ws)
+    run = VectorizedRun(size_runs([3, 3, 2, 2]), training=True, workspace=ws)
     run.seg_sum(_tensor(rng, (10, 4, 4, c), np.float64))
     held = {key: value[0] for key, value in ws.items()}
     assert len(held) == 2  # one buffer per run of equal-size segments

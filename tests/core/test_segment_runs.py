@@ -1,29 +1,30 @@
-"""Segment runs: the fused backend against the serial oracle on generated tables.
+"""Size runs: the fused backend against the serial oracle on generated tables.
 
-``VectorizedRun`` compresses its segment table into maximal runs of
-equal-size segments and issues one stacked op per run.  These tests hold
-that to the reference loop bit for bit — logits of an inference batch, and
-averaged gradients, loss and per-node BatchNorm state of a training step —
-over drawn tables (every ``shard_indices`` of an even set, arbitrary uneven
-sets) and the explicit shapes that matter: two device types, many runs,
+A vectorized pass takes its split as size runs — ``(size, count)`` rows,
+maximal when :func:`~repro.core.sharding.size_runs` encodes them — and
+issues one stacked op per run.  These tests hold that to the reference loop
+bit for bit — logits of an inference batch, and averaged gradients, loss
+and per-node BatchNorm state of a training step — over drawn tables (every
+shard split of an even set, arbitrary uneven sets, runs that are not
+maximal) and the explicit shapes that matter: two device types, many runs,
 alternating sizes, all ones, one segment.  They also pin what makes the
-serving path cheap: inference runs are cached per table, bounded, and hold
-no arrays; bounds that do not tile the batch are an error on both backends;
-and ``fused.infer`` makes no more Python/C calls than the loop it replaces.
+serving path cheap: an inference run holds no arrays and the backend keeps
+nothing of a batch; runs that do not tile the batch are an error on both
+backends; and ``fused.infer`` makes no more Python/C calls than the loop
+it replaces.
 """
 
 from __future__ import annotations
 
 import functools
 import gc
-import itertools
 import pathlib
 import sys
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import (
     FusedBackend,
@@ -31,10 +32,8 @@ from repro.core import (
     Mapping,
     VirtualNodeSet,
 )
-from repro.core.backends import fused as fused_module
-from repro.core.backends.reference import ReferenceBackend
 from repro.core.backends.vectorized import VectorizedRun
-from repro.core.sharding import shard_indices
+from repro.core.sharding import shard_sizes, size_runs
 from repro.core.state import merged_eval_state
 from repro.framework import MSELoss, SoftmaxCrossEntropy, get_workload
 from repro.framework.attention import GELU, LayerNorm
@@ -42,6 +41,8 @@ from repro.framework.conv import BatchNorm, Conv2D, MaxPool2D
 from repro.framework.layers import Dense, Flatten, ReLU, Sequential
 from repro.hardware import Cluster
 from tests.conftest import on_reference
+
+from oracles.reference_backend import ReferenceBackend
 
 from test_backends import _segments, _train_step
 
@@ -112,11 +113,11 @@ def _assert_same_array(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def _assert_same_logits(name, vn_set, n, bounds):
+def _assert_same_logits(name, vn_set, n, runs):
     model = _serving_model(name)
     x, _ = _batch(name, n, seed=n)
-    want = ReferenceBackend().infer(model, vn_set, x, bounds)
-    got = FusedBackend().infer(model, vn_set, x, bounds)
+    want = ReferenceBackend().infer(model, vn_set, x, runs)
+    got = FusedBackend().infer(model, vn_set, x, runs)
     _assert_same_array(got, want)
     assert len(got) == n
 
@@ -136,8 +137,21 @@ def _assert_same_step(name, sizes):
 class TestRuns:
     @settings(max_examples=100, deadline=None)
     @given(sizes=st.lists(st.integers(0, 4), min_size=1, max_size=12))
+    @example(sizes=[2, 3, 2])
+    @example(sizes=[1, 1, 0, 0, 1])
+    def test_size_runs_are_maximal_and_round_trip_to_the_sizes(self, sizes):
+        runs = size_runs(sizes)
+        assert runs.shape == (len(runs), 2) and runs.dtype.kind == "i"
+        assert np.repeat(runs[:, 0], runs[:, 1]).tolist() == sizes  # in order
+        assert (runs[:, 1] >= 1).all()
+        # Maximal: neighbouring rows differ in size; equal sizes that are
+        # not neighbours stay apart.
+        assert (runs[1:, 0] != runs[:-1, 0]).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(sizes=st.lists(st.integers(0, 4), min_size=1, max_size=12))
     def test_runs_partition_the_table_in_order(self, sizes):
-        run = VectorizedRun(_segments(sizes), training=False)
+        run = VectorizedRun(size_runs(sizes), training=False)
         rebuilt, row, node = [], 0, 0
         for start, end, first, last, size in run.runs:
             assert (start, first) == (row, node) and last > first
@@ -149,30 +163,29 @@ class TestRuns:
         assert all(a[4] != b[4] for a, b in zip(run.runs, run.runs[1:]))
         assert (run.uniform is not None) == (len(run.runs) == 1)
 
+    @settings(max_examples=100, deadline=None)
+    @given(sizes=st.lists(st.integers(0, 4), min_size=1, max_size=12))
+    def test_a_training_run_derives_the_segment_table(self, sizes):
+        """The per-node segments the loss, dropout and broadcast kernels
+        read, from the runs alone; an inference run derives none."""
+        for runs in (size_runs(sizes), [(size, 1) for size in sizes]):
+            run = VectorizedRun(runs, training=True)
+            assert run.segments == _segments(sizes) and run.sizes == sizes
+            assert VectorizedRun(runs, training=False).runs == run.runs
+        inference = VectorizedRun(size_runs(sizes), training=False)
+        assert inference.segments is None and inference.sizes is None
+
     @pytest.mark.parametrize("v", range(1, 10))
     def test_an_even_set_never_shards_into_more_than_two_runs(self, v):
         vn_set = VirtualNodeSet.even(v, v)
         for n in range(1, 4 * v + 1):
-            shards = [b for b in shard_indices(vn_set, n) if b[1] > b[0]]
-            assert len(VectorizedRun(shards, training=False).runs) <= 2
+            sizes = [size for size in shard_sizes(vn_set, n) if size]
+            assert len(VectorizedRun(size_runs(sizes), training=False).runs) <= 2
 
     def test_one_run_per_device_type(self):
-        run = VectorizedRun(_segments([24] * 3 + [8] * 5), training=False)
+        run = VectorizedRun(size_runs([24] * 3 + [8] * 5), training=False)
         assert run.runs == [(0, 72, 0, 3, 24), (72, 112, 3, 8, 8)]
-        assert len(VectorizedRun(_segments([2, 1, 2, 1]), training=False).runs) == 4
-
-    @settings(max_examples=100, deadline=None)
-    @given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=12))
-    def test_size_runs_give_the_run_their_segments_give(self, sizes):
-        """An inference run built from ``(size, count)`` rows — the stacked
-        serving pass's form — equals the one its segment table builds, with
-        no per-segment lists."""
-        pairs = [(size, len(list(group))) for size, group in itertools.groupby(sizes)]
-        got = VectorizedRun(np.array(pairs), training=False)
-        want = VectorizedRun(_segments(sizes), training=False)
-        assert (got.runs, got.uniform, got.batch, got.num_stacked) == (
-            want.runs, want.uniform, want.batch, want.num_stacked)
-        assert got.segments is None and got.sizes is None
+        assert len(VectorizedRun(size_runs([2, 1, 2, 1]), training=False).runs) == 4
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -180,25 +193,28 @@ class TestInferenceEqualsTheOracle:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_every_shard_table_of_an_even_set(self, name, data):
-        """``shard_indices(V, n)`` for n < V (empty shards) up to 4V, handed
-        over as the engine does and left for the backend to compute."""
+        """``shard_sizes(V, n)`` for n < V (empty shards) up to 4V, handed
+        over as the engine does (empty shards dropped) and with its empty
+        shards kept as ``(0, count)`` rows."""
         v = data.draw(st.integers(1, 9))
         n = data.draw(st.integers(1, 4 * v))
         vn_set = VirtualNodeSet.even(v, v)
-        _assert_same_logits(name, vn_set, n, tuple(shard_indices(vn_set, n)))
-        _assert_same_logits(name, vn_set, n, None)
+        sizes = shard_sizes(vn_set, n)
+        _assert_same_logits(name, vn_set, n, size_runs([size for size in sizes if size]))
+        _assert_same_logits(name, vn_set, n, size_runs(sizes))
 
     @pytest.mark.parametrize("sizes", TABLES, ids=str)
     def test_explicit_tables(self, name, sizes):
         vn_set = VirtualNodeSet.uneven(sizes)
-        _assert_same_logits(name, vn_set, sum(sizes), _segments(sizes))
-        _assert_same_logits(name, vn_set, sum(sizes), None)
+        _assert_same_logits(name, vn_set, sum(sizes), size_runs(sizes))
+        # One row per segment, as a list: not maximal.
+        _assert_same_logits(name, vn_set, sum(sizes), [(size, 1) for size in sizes])
 
     @settings(max_examples=25, deadline=None)
     @given(sizes=drawn_tables)
     def test_drawn_uneven_tables(self, name, sizes):
         _assert_same_logits(name, VirtualNodeSet.uneven(sizes), sum(sizes),
-                            tuple(_segments(sizes)))
+                            size_runs(sizes))
 
     @settings(max_examples=25, deadline=None)
     @given(runs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4)),
@@ -210,19 +226,22 @@ class TestInferenceEqualsTheOracle:
         _assert_same_logits(name, VirtualNodeSet.even(1, 1),
                             sum(size * count for size, count in runs), np.array(runs))
 
-    def test_a_cached_run_serves_every_batch_like_a_fresh_backend(self, name):
+    def test_a_shared_backend_serves_every_batch_like_a_fresh_one(self, name, built_runs):
         backend = FusedBackend()
         vn_set = VirtualNodeSet.even(4, 4)
-        bounds = tuple(shard_indices(vn_set, 6))  # (2, 2, 1, 1): two runs
+        runs = size_runs(shard_sizes(vn_set, 6))  # (2, 2, 1, 1): two runs
         model = _serving_model(name)
         for seed in (1, 2, 1):
             x, _ = _batch(name, 6, seed=seed)
-            _assert_same_array(backend.infer(model, vn_set, x, bounds),
-                               FusedBackend().infer(model, vn_set, x, bounds))
-        (run,) = backend._inference_runs.values()
-        # Stateless: nothing of a served batch outlives the call.
-        assert run._cache == {} and run.param_grads == {}
-        assert not [k for k, v in vars(run).items() if isinstance(v, np.ndarray)]
+            _assert_same_array(backend.infer(model, vn_set, x, runs),
+                               FusedBackend().infer(model, vn_set, x, runs))
+        # Stateless: nothing of a served batch outlives the call, in the
+        # run (no activation cache, gradients or workspace) or in the
+        # backend, which keeps its kernel plans only.
+        for run in built_runs:
+            assert sorted(vars(run)) == ["batch", "num_stacked", "runs", "training", "uniform"]
+            assert run.workspace is None and run.segments is None
+        assert list(vars(backend)) == ["_plans"]
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -237,25 +256,7 @@ class TestTrainingStepEqualsTheOracle:
         _assert_same_step(name, sizes)
 
 
-class TestInferenceRunCache:
-    def test_bounded(self, monkeypatch):
-        monkeypatch.setattr(fused_module, "_MAX_INFERENCE_RUNS", 3)
-        backend, model = FusedBackend(), _serving_model("mlp")
-        vn_set = VirtualNodeSet.even(1, 1)
-        for n in (1, 2, 3, 4, 5, 2):
-            x, _ = _batch("mlp", n)
-            backend.infer(model, vn_set, x, ((0, n),))
-        # Oldest out; a table seen again (n=2, dropped) is simply rebuilt.
-        assert list(backend._inference_runs) == [((0, 4),), ((0, 5),), ((0, 2),)]
-
-    def test_list_and_tuple_bounds_share_one_run(self):
-        backend, model = FusedBackend(), _serving_model("mlp")
-        vn_set = VirtualNodeSet.even(4, 4)
-        x, _ = _batch("mlp", 6)
-        for bounds in (shard_indices(vn_set, 6), tuple(shard_indices(vn_set, 6)), None):
-            backend.infer(model, vn_set, x, bounds)
-        assert len(backend._inference_runs) == 1
-
+class TestPlanCache:
     def test_the_plan_cache_does_not_keep_a_model_alive(self):
         """Also for a model that is one step itself (no ``Sequential`` to
         flatten): the cached plan must not pin its own weak key, after a
@@ -266,8 +267,9 @@ class TestInferenceRunCache:
         backend.train_step(step)
         model = step.model
         x = np.random.default_rng(0).normal(size=(4, 8, 8, 3))
-        want = ReferenceBackend().infer(model, VirtualNodeSet.even(4, 2), x)
-        _assert_same_array(backend.infer(model, VirtualNodeSet.even(4, 2), x), want)
+        want = ReferenceBackend().infer(model, VirtualNodeSet.even(4, 2), x, [[2, 2]])
+        _assert_same_array(backend.infer(model, VirtualNodeSet.even(4, 2), x, [[2, 2]]),
+                           want)
         assert len(backend._plans) == 1
         alive = weakref.ref(model)
         del model, step
@@ -276,23 +278,11 @@ class TestInferenceRunCache:
 
 
 @pytest.mark.parametrize("backend", [ReferenceBackend, FusedBackend])
-class TestBoundsMustTileTheBatch:
-    """Bounds that do not tile ``[0, len(x))`` contiguously from row 0 are a
-    caller error — not four rows from one backend and six from the other,
-    the six through GEMMs at a shape no virtual node ever had."""
-
-    @pytest.mark.parametrize("bounds", [
-        [(0, 2), (2, 4)],            # short of the batch
-        [(0, 2), (3, 5)],            # a gap
-        [(0, 3), (2, 6)],            # an overlap
-        [(1, 3), (3, 6)],            # not from row 0
-        [(0, 4), (4, 8)],            # past the batch
-        ((0, 2), (2, 4)),            # ... and as the hashable table
-    ])
-    def test_rejected(self, backend, bounds):
-        x, _ = _batch("mlp", 6)
-        with pytest.raises(ValueError, match="shard bounds"):
-            backend().infer(_serving_model("mlp"), VirtualNodeSet.even(2, 2), x, bounds)
+class TestRunsMustTileTheBatch:
+    """Size runs that do not cover ``len(x)`` rows, or hold a negative
+    number, are a caller error — not four rows from one backend and six
+    from the other, the six through GEMMs at a shape no virtual node ever
+    had."""
 
     @pytest.mark.parametrize("runs", [
         [[2, 2]],                    # short of the batch
@@ -300,18 +290,12 @@ class TestBoundsMustTileTheBatch:
         [[2, 4], [-1, 2]],           # a negative size
         [[2, 4], [1, -2]],           # a negative count
     ])
-    def test_size_runs_rejected(self, backend, runs):
+    @pytest.mark.parametrize("form", [np.array, list], ids=["array", "list"])
+    def test_size_runs_rejected(self, backend, runs, form):
         x, _ = _batch("mlp", 6)
-        with pytest.raises(ValueError, match="shard bounds|negative"):
+        with pytest.raises(ValueError, match="size runs"):
             backend().infer(_serving_model("mlp"), VirtualNodeSet.even(2, 2), x,
-                            np.array(runs))
-
-    def test_a_cached_table_still_checks_the_batch_length(self, backend):
-        instance, model = backend(), _serving_model("mlp")
-        vn_set, bounds = VirtualNodeSet.even(2, 2), ((0, 2), (2, 4))
-        assert len(instance.infer(model, vn_set, _batch("mlp", 4)[0], bounds)) == 4
-        with pytest.raises(ValueError, match="shard bounds"):
-            instance.infer(model, vn_set, _batch("mlp", 6)[0], bounds)
+                            form(runs))
 
 
 def _count_without_gc(fn):
@@ -348,23 +332,10 @@ class TestCallBudget:
             x, _ = _batch("mlp", n)
             counts = []
             for engine in engines:
-                bounds, _, _ = engine.engine.inference_plan(n)
-                infer = functools.partial(engine.backend.infer, model, vn_set, x, bounds)
-                infer()  # plans, kernel list and run are memoized on first use
+                runs, _, _ = engine.engine.inference_plan(n)
+                infer = functools.partial(engine.backend.infer, model, vn_set, x, runs)
+                infer()  # the kernel plan is memoized on first use
                 counts.append(_count_without_gc(infer))
             loop, fused = counts
             assert fused <= loop, (v, n, counts)
             assert fused <= self.LOOP_CALLS[min(n, v)], (v, n, counts)
-
-    def test_predict_requests_gathers_rows_in_one_construction(self, monkeypatch):
-        workload = get_workload("mlp_synthetic")
-        vn_set = VirtualNodeSet.even(4, 4)
-        engine = InferenceEngine(workload, workload.build_model(0),
-                                 Mapping.even(vn_set, Cluster.homogeneous("V100", 1)))
-        rows = list(_batch("mlp", 5)[0])
-        # Outside ``predict``: a stub that hands the gathered batch back.
-        monkeypatch.setattr(InferenceEngine, "predict", lambda self, x: x)
-        assert _count_without_gc(lambda: engine.predict_requests(rows)) <= 6
-        _assert_same_array(engine.predict_requests(rows), np.stack(rows, axis=0))
-        with pytest.raises(ValueError):
-            engine.predict_requests([np.zeros(32), np.zeros(31)])

@@ -6,10 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.sharding import shard_batch, shard_indices, shard_sizes
-from repro.core.sync import naive_average, weighted_average, weighted_average_flat
+from repro.core.sharding import shard_batch, shard_sizes
+from repro.core.sync import weighted_average_flat
 from repro.core.virtual_node import VirtualNodeSet
 from repro.framework.arena import FlatLayout
+
+from oracles.reference_backend import weighted_average
+
+
+def _mean_of_means(contributions):
+    """The unweighted mean of per-worker means: what vanilla frameworks do."""
+    return {key: sum(grads[key] for grads, _ in contributions) / len(contributions)
+            for key in contributions[0][0]}
 
 
 class TestSharding:
@@ -26,10 +34,11 @@ class TestSharding:
         assert sum(shard_sizes(vns, 4)) == 4
         assert shard_sizes(vns, 4) == [3, 1]
 
-    def test_indices_contiguous_and_disjoint(self):
+    def test_shards_contiguous_and_disjoint(self):
         vns = VirtualNodeSet.uneven([3, 5, 2])
-        bounds = shard_indices(vns, 10)
-        assert bounds == [(0, 3), (3, 8), (8, 10)]
+        x = np.arange(10)
+        shards = [xs.tolist() for xs, _ in shard_batch(vns, x, x)]
+        assert shards == [[0, 1, 2], [3, 4, 5, 6, 7], [8, 9]]
 
     def test_shard_batch_exactly_once(self):
         vns = VirtualNodeSet.uneven([4, 2, 2])
@@ -57,10 +66,11 @@ class TestSharding:
         got = shard_sizes(vns, batch)
         assert sum(got) == batch
         assert all(s >= 0 for s in got)
-        bounds = shard_indices(vns, batch)
-        assert bounds[0][0] == 0 and bounds[-1][1] == batch
-        for (a0, a1), (b0, b1) in zip(bounds, bounds[1:]):
-            assert a1 == b0  # contiguous, disjoint
+        x = np.arange(batch)
+        shards = shard_batch(vns, x, x)
+        assert [len(xs) for xs, _ in shards] == got
+        # Contiguous, disjoint, in order: the rows come back as they went in.
+        np.testing.assert_array_equal(np.concatenate([xs for xs, _ in shards]), x)
 
     @given(st.lists(st.integers(1, 20), min_size=1, max_size=6))
     def test_property_native_batch_matches_sizes(self, sizes):
@@ -86,13 +96,13 @@ class TestWeightedSync:
         for k in mean_all:
             np.testing.assert_allclose(weighted[k], mean_all[k], rtol=1e-12)
         # ... and the naive mean-of-means is wrong (the paper's bug).
-        naive = naive_average([(gpu0, 6.0), (gpu1, 2.0)])
+        naive = _mean_of_means([(gpu0, 6.0), (gpu1, 2.0)])
         assert any(not np.allclose(naive[k], mean_all[k]) for k in mean_all)
 
     def test_naive_equals_weighted_for_even_split(self, rng):
         a, b = _grads(rng), _grads(rng)
         w = weighted_average([(a, 4.0), (b, 4.0)])
-        n = naive_average([(a, 4.0), (b, 4.0)])
+        n = _mean_of_means([(a, 4.0), (b, 4.0)])
         for k in w:
             np.testing.assert_allclose(w[k], n[k], rtol=1e-12)
 

@@ -10,8 +10,8 @@ the virtual node set (1–8 nodes, even or
 uneven), the device count and 1–40 micro-batches of 1–8 requests — lengths
 below V leave nodes empty — and holds every row byte-equal to ``predict``
 of its own micro-batch, on the fused backend and on the serial
-``ReferenceBackend``.  The pass leaves no table in the fused backend's run
-cache, and its interpreter-level cost does not grow with the number of
+``ReferenceBackend``.  The pass memoizes one plan per micro-batch length,
+and its interpreter-level cost does not grow with the number of
 micro-batches or segments.
 """
 
@@ -35,6 +35,7 @@ from repro.core import (
     VirtualNodeSet,
 )
 from repro.core.backends.vectorized import UnsupportedModule
+from repro.core.sharding import size_runs
 from repro.data import make_dataset
 from repro.framework import get_workload
 from repro.framework.layers import Dense, Module, ReLU, Sequential
@@ -78,7 +79,7 @@ def _engine(workload_name, vn_set, devices, reference):
         vn_states=vn_states)
     if reference:
         return on_reference(engine)
-    engine.engine.backend = FusedBackend()  # a cache of its own to inspect
+    engine.engine.backend = FusedBackend()  # a plan cache of its own to inspect
     return engine
 
 
@@ -120,11 +121,11 @@ def test_stacked_rows_equal_each_micro_batch_predicted_alone(reference, case):
         alone = engine.predict(np.array(examples[start:start + length])).logits
         _same_bytes(stacked[start:start + length], alone)
         start += length
+    # One memoized plan per micro-batch length, and one kernel plan.
+    assert set(engine.engine._inference_plans) == set(case["lengths"])
     if not reference:
-        # Every cached table is one micro-batch's shard table: V entries.
-        tables = engine.backend._inference_runs
-        assert all(len(t) == case["vn_set"].num_nodes for t in tables)
-        assert len(tables) == len(set(case["lengths"]))
+        assert list(engine.backend._plans.values()) == [
+            engine.backend._plans[engine.model]]
 
 
 def test_a_model_with_a_kernel_less_layer_is_refused_when_its_engine_is_built():
@@ -136,15 +137,15 @@ def test_a_model_with_a_kernel_less_layer_is_refused_when_its_engine_is_built():
     with pytest.raises(UnsupportedModule, match=message):
         InferenceEngine(get_workload("mlp_synthetic"), model, mapping)
     with pytest.raises(UnsupportedModule, match=message):
-        backend.infer(model, mapping.vn_set, _served("mlp_synthetic")[3][:6])
-    assert len(backend._plans) == 0 and backend._inference_runs == {}
+        backend.infer(model, mapping.vn_set, _served("mlp_synthetic")[3][:6],
+                      size_runs([2, 2, 1, 1]))
+    assert len(backend._plans) == 0
 
 
-def test_a_stacked_pass_caches_no_table_and_charges_nothing():
+def test_a_stacked_pass_charges_nothing():
     engine = _engine("mlp_synthetic", VirtualNodeSet.even(4, 4), 2, reference=False)
     bank = _served("mlp_synthetic")[3]
     engine.predict_stacked(bank, list(range(25)), [1, 5, 8, 3, 8])
-    assert engine.backend._inference_runs == {}
     assert (engine.requests_served, engine.sim_time) == (0, 0.0)
     assert engine.price(5) == engine.engine.inference_plan(5)[1:]
     assert engine.requests_served == 1

@@ -92,14 +92,15 @@ def test_fused_steps_and_remap_equal_the_reference_loop(build, sizes):
         assert _buffers(workspace) == pinned, step
 
 
-def test_cached_inference_runs_hold_no_workspace():
+def test_inference_runs_hold_no_workspace(built_runs):
     ex = _executor(_skip_add_model, [6, 6, 6, 6])
-    backend = ex.engine.backend = FusedBackend()
+    ex.engine.backend = FusedBackend()
     data = make_dataset("synthetic_cifar10", n=64, seed=0)
     ex.run_step(data.x_train[:24], data.y_train[:24], 0, 0)
     before = _buffers(ex._workspace)
+    del built_runs[:]  # the training step's
     ex.evaluate(data.x_val, data.y_val, batch_size=5)
-    assert backend._inference_runs
-    for run in backend._inference_runs.values():
-        assert run.workspace is None and not run._cache
+    assert built_runs
+    for run in built_runs:
+        assert run.workspace is None and not hasattr(run, "_cache")
     assert _buffers(ex._workspace) == before

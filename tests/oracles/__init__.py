@@ -10,7 +10,8 @@ patches and one scatter over a per-call index; evaluation as the reference
 layers' ``model.forward`` per batch; serving accounting as one tuple per
 shed arrival and one record per completed request; a training step as
 per-key gradient copies, a per-key weighted average and a per-key optimizer
-update) in the plainest code that satisfies it,
+update; a step or an inference batch as the serial wave loop, one
+``model.forward`` per virtual node) in the plainest code that satisfies it,
 and differential tests hold the production implementation to them on
 generated inputs.
 """

@@ -11,27 +11,29 @@ guarantee.
 
 This backend is deliberately unoptimized: it is the *oracle* the fused
 backend (:mod:`repro.core.backends.fused`) is tested against, wave for wave
-and bit for bit.  No run loads it: tests and benchmark gates import it from
-this module.
+and bit for bit, by tests and benchmark gates that assign it to an engine's
+``backend``.
 Each wave's gradients are snapshotted as one contiguous row of a reused
 ``(V, P)`` stack over the model's flat tensor arena, and the §5.2 weighted
-average is one scaled stack reduction — the same arithmetic as the per-key
-loop (``tests/oracles/serial_step.py``) in a handful of vector ops.
+average is one scaled stack reduction — the same arithmetic as
+:func:`weighted_average`, the canonical per-key loop, in a handful of
+vector ops.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.backends.base import ExecutionBackend, TrainStep, TrainStepOutput
-from repro.core.sharding import check_shard_bounds, shard_indices
 from repro.core.virtual_node import VirtualNodeSet
 from repro.framework.layers import Module
 from repro.utils.seeding import augment_rng, vn_rng
 
-__all__ = ["ReferenceBackend"]
+__all__ = ["ReferenceBackend", "weighted_average"]
+
+Grads = Dict[str, np.ndarray]
 
 
 class ReferenceBackend(ExecutionBackend):
@@ -80,16 +82,43 @@ class ReferenceBackend(ExecutionBackend):
         )
 
     def infer(self, model: Module, vn_set: VirtualNodeSet, x: np.ndarray,
-              bounds: Optional[Sequence[Tuple[int, int]]] = None) -> np.ndarray:
-        if bounds is None:
-            bounds = shard_indices(vn_set, len(x))
-        else:
-            if isinstance(bounds, np.ndarray):  # size runs: their segments
-                sizes = np.repeat(*bounds.T)
-                bounds = list(zip(np.cumsum(sizes) - sizes, np.cumsum(sizes)))
-            check_shard_bounds(bounds, len(x))
+              runs: Sequence[Tuple[int, int]]) -> np.ndarray:
         outputs: List[np.ndarray] = []
-        for start, end in bounds:
-            if end > start:
-                outputs.append(model.forward(x[start:end], training=False))
+        row = 0
+        for size, count in np.asarray(runs).tolist():
+            if size < 0 or count < 0:
+                raise ValueError(f"size runs {runs!r} hold a negative number")
+            for _ in range(count):  # one forward per non-empty segment
+                if size:
+                    outputs.append(model.forward(x[row:row + size], training=False))
+                row += size
+        if row != len(x):
+            raise ValueError(f"size runs cover {row} rows of a batch of {len(x)}")
         return np.concatenate(outputs, axis=0)
+
+
+def weighted_average(contributions: Sequence[Tuple[Grads, float]]) -> Grads:
+    """Example-weighted average of per-worker mean gradients (§5.2).
+
+    Each contribution is ``(mean_grads, example_count)``.  The result equals
+    the plain mean over all examples, however they were split.  Keys are
+    visited in sorted order and contributions summed in the given
+    (canonical) order, so results are bit-reproducible.
+    """
+    if not contributions:
+        raise ValueError("no gradient contributions to synchronize")
+    keys = sorted(contributions[0][0])
+    for grads, _ in contributions[1:]:
+        if sorted(grads) != keys:
+            raise KeyError("gradient contributions disagree on parameter keys")
+    # A plain sequential Python sum: the canonical accumulation order.
+    total = float(sum(weight for _, weight in contributions))
+    if total <= 0:
+        raise ValueError(f"total weight must be positive, got {total}")
+    out: Grads = {}
+    for key in keys:
+        acc = np.zeros_like(contributions[0][0][key])
+        for grads, weight in contributions:
+            acc += (weight / total) * grads[key]
+        out[key] = acc
+    return out

@@ -4,8 +4,8 @@ Kept as the executor ran it with ``arena=False`` on the reference backend:
 each virtual node's wave runs in canonical order (load its stateful kernels,
 forward under its RNG stream, backward, save its kernels), its gradients are
 snapshotted as a dict of per-key copies, the §5.2 example-weighted average
-is ``sync.weighted_average``'s per-key loop over those dicts, and
-:class:`PerKeyOptimizer` updates the model one parameter at a time, in
+is ``reference_backend.weighted_average``'s per-key loop over those dicts,
+and :class:`PerKeyOptimizer` updates the model one parameter at a time, in
 sorted key order, with the update rules the optimizers ran before they
 became whole-arena updates.  The model carries no arena, so nothing here
 touches a flat buffer.  ``VirtualFlowExecutor.run_step`` — arena, stacked
@@ -22,10 +22,11 @@ import numpy as np
 
 from repro.core.sharding import shard_batch
 from repro.core.state import VirtualNodeState
-from repro.core.sync import weighted_average
 from repro.framework.arena import FlatLayout
 from repro.framework.optimizers import LAMB, SGD, Adam, AdamW, Momentum
 from repro.utils.seeding import vn_rng
+
+from oracles.reference_backend import weighted_average
 
 __all__ = ["PerKeyOptimizer", "SerialExecutor"]
 

@@ -7,7 +7,7 @@ loop, multi-tenant, closed loop), the virtual node set, the device count,
 the load and the batching policy, and optionally crashes a device with a
 batch in flight, so a crash-requeued batch is served (and forwarded) later.
 Every completed micro-batch's collected logits must be byte-equal to
-``predict_requests`` of the bank rows its entries name, and every entry
+``predict`` of the bank rows its entries name, and every entry
 must name the row its request id cycles to.
 """
 
@@ -114,7 +114,7 @@ def test_stacked_rows_equal_each_batch_of_bank_rows(kind, v, devices, rate,
     for batch in batches:
         rows = [e[4] for e in batch]
         assert rows == [e[1] % len(BANK) for e in batch]
-        want = oneshot.predict_requests([BANK[i] for i in rows]).logits
+        want = oneshot.predict(BANK[rows]).logits
         got = np.stack([report.logits[e[1]] for e in batch])
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()

@@ -382,6 +382,9 @@ class TestUsageErrors:
         f"cosched {_SERVING} --train-floor 8",
         f"cosched {_SERVING} --train-demand 3",
         f"chaos {_SERVING} --train-demand 3",
+        f"cosched {_SERVING} --initial-serving 9",
+        f"chaos {_SERVING} --initial-serving 9",
+        *(f"{command} {_JOB} --batch 30" for command in ("train", "infer", "plan")),
         "simulate --gpus 2",
     ])
     def test_bad_value_is_a_usage_error(self, argv, capsys):

@@ -243,12 +243,13 @@ class TestOneDefaultBackend:
 
     def test_the_default_is_fused_and_the_oracle_is_not_exported(self):
         """The one backend engines share is ``fused``, exported where the
-        backends live; the serial ``reference`` loop stays as the oracle in
-        its own module, which no export table names."""
+        backends live; the serial ``reference`` loop stays as the oracle
+        under ``tests/oracles/``, which no export table names."""
         import repro.core
         import repro.core.backends as backends
-        from repro.core.backends.reference import ReferenceBackend
         from repro.core.engine import _BACKEND
+
+        from oracles.reference_backend import ReferenceBackend
 
         assert isinstance(_BACKEND, backends.FusedBackend)
         assert _BACKEND.name == "fused"
@@ -341,3 +342,58 @@ class TestOneDefaultBackend:
             hits = [line for line in path.read_text().splitlines()
                     if default.search(line) and not line.lstrip().startswith("name =")]
             assert not hits, (path, hits)
+
+
+class TestOneInputForm:
+    """A vectorized pass takes its split as size runs, and only so: no
+    default, no shard-bounds table, no run cache, no second serving entry;
+    the test-only helpers live under ``tests/``."""
+
+    def test_infer_takes_size_runs_with_no_default(self):
+        import inspect
+
+        from repro.core.backends import ExecutionBackend, FusedBackend
+
+        for infer in (ExecutionBackend.infer, FusedBackend.infer):
+            parameters = inspect.signature(infer).parameters
+            assert list(parameters) == ["self", "model", "vn_set", "x", "runs"], infer
+            assert all(p.default is inspect.Parameter.empty
+                       for p in parameters.values()), infer
+
+    def test_no_run_cache_and_no_micro_batch_entry(self):
+        from repro.core import InferenceEngine
+        from repro.core.backends import FusedBackend, fused
+
+        assert not hasattr(InferenceEngine, "predict_requests")
+        assert list(vars(FusedBackend())) == ["_plans"]
+        assert not [name for name in vars(fused) if "inference_run" in name.lower()]
+
+    def test_sharding_exports_size_runs_and_no_bounds_check(self):
+        from repro.core import sharding
+
+        assert "size_runs" in sharding.__all__
+        for bounds in ("check_shard_bounds", "shard_indices"):
+            assert bounds not in sharding.__all__ and not hasattr(sharding, bounds)
+
+    def test_the_oracle_and_the_per_key_averages_are_absent_from_src(self):
+        import ast
+        import pathlib
+
+        import repro
+
+        gone = {"ReferenceBackend", "weighted_average", "naive_average"}
+        found = []
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = ()
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                    names = (node.name,)
+                elif isinstance(node, (ast.Name, ast.Attribute)):
+                    names = (getattr(node, "id", None), getattr(node, "attr", None))
+                elif isinstance(node, ast.alias):
+                    names = (node.name, node.asname)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names = (node.value,)
+                found += [(path.name, n) for n in names if n in gone]
+        assert not found
+
