@@ -25,11 +25,12 @@ for the entire built-in workload zoo:
   (:meth:`~repro.core.inference.InferenceEngine.predict_stacked`).
 * Kernel dispatch is resolved once per model, at :meth:`bind`, into one
   plan (:func:`~repro.core.backends.vectorized.kernel_plan`) that training
-  and inference walk.  There is no serial fallback: what the pass cannot
-  run raises ``UnsupportedModule`` — a module at ``bind``; a loss, or a
-  stateful step without a state matrix, at the first step before any row
-  changes.  Every engine shares one instance of this backend
-  (:mod:`repro.core.engine`), so its plan cache serves them all.
+  and inference walk; the model keeps it, beside its arena.  There is no
+  serial fallback: what the pass cannot run raises ``UnsupportedModule`` —
+  a module at ``bind``; a loss, or a stateful step without a state
+  matrix, at the first step before any row changes.  Every engine shares
+  one instance of this backend (:mod:`repro.core.engine`), which holds no
+  state of its own.
 
 Fusing changes *host wall-clock* cost only: the simulated device schedule
 (waves, memory, step time) is a property of the mapping and is accounted by
@@ -38,7 +39,6 @@ the engine layer.
 
 from __future__ import annotations
 
-import weakref
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -68,23 +68,18 @@ class FusedBackend(ExecutionBackend):
 
     name = "fused"
 
-    def __init__(self) -> None:
-        # Module graphs are immutable, so a model's kernel plan is a
-        # constant; memoize it (weakly, models outlive no executor).
-        self._plans: "weakref.WeakKeyDictionary[Module, List]" = weakref.WeakKeyDictionary()
-
-    def bind(self, model: Module) -> None:
-        """Resolve ``model``'s kernel plan (see the module doc)."""
-        if model not in self._plans:
-            self._plans[model] = kernel_plan(model)
+    def bind(self, model: Module) -> List:
+        """Resolve ``model``'s kernel plan (see the module doc) and return
+        it.  Module graphs are immutable, so the plan is a constant: the
+        model keeps it, and a model no engine bound gets it on first use."""
+        if model._kernel_plan is None:
+            model._kernel_plan = kernel_plan(model)
+        return model._kernel_plan
 
     # -- training ------------------------------------------------------------
 
     def train_step(self, step: TrainStep) -> TrainStepOutput:
-        try:
-            plan = self._plans[step.model]
-        except KeyError:  # a hand-built step on an unbound model
-            plan = self._plans[step.model] = kernel_plan(step.model)
+        plan = step.model._kernel_plan or self.bind(step.model)
         loss = loss_kernel(step.loss_fn)  # before any kernel writes a state row
 
         # Concatenate shards along the batch axis in canonical virtual-node
@@ -154,10 +149,7 @@ class FusedBackend(ExecutionBackend):
 
     def infer(self, model: Module, vn_set: VirtualNodeSet, x: np.ndarray,
               runs: Sequence[Tuple[int, int]]) -> np.ndarray:
-        try:
-            plan = self._plans[model]
-        except KeyError:  # a model no engine bound
-            plan = self._plans[model] = kernel_plan(model)
+        plan = model._kernel_plan or self.bind(model)
         run = VectorizedRun(runs, training=False)
         if run.batch != len(x):
             raise ValueError(

@@ -112,7 +112,6 @@ What has no kernel raises :class:`UnsupportedModule`: no serial fallback.
 from __future__ import annotations
 
 import math
-import weakref
 from importlib import import_module
 from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Type
@@ -531,9 +530,7 @@ def kernel_plan(model: Module) -> List[Step]:
     needs both kernels, and one with buffers a kernel that updates them:
     otherwise :class:`UnsupportedModule` names its class and path.  Every
     module walked records its path in ``planned_at``, so a child added to
-    it later raises instead of being skipped by every cached plan.  A step
-    on ``model`` itself holds it through a weak proxy, so a weak per-model
-    cache never keeps its own key alive.
+    it later raises instead of being skipped by every cached plan.
     """
     steps: List[Step] = []
 
@@ -555,8 +552,6 @@ def kernel_plan(model: Module) -> List[Step]:
             walk(child, f"{prefix}{name}.", flat_children)
 
     walk(model, "", True)
-    if steps and steps[0][2] is model:
-        steps[0] = steps[0][:2] + (weakref.proxy(model), "")
     return steps
 
 

@@ -9,7 +9,7 @@ schedulers), and completion times are re-predicted.
 The simulation runs on the shared discrete-event runtime
 (:mod:`repro.runtime`): :class:`TrainingClusterProcess` posts the whole
 trace's arrival wave in one ``post_many`` call and per-job completion-
-prediction (ETA) events on the slab-backed
+prediction (ETA) events on the shared
 :class:`~repro.runtime.core.EventQueue`, invalidating and rescheduling an
 ETA whenever a reallocation (or float drift from an advance) moves the
 prediction — replacing the old per-iteration linear next-finish scan.  Job

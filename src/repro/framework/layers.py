@@ -63,6 +63,9 @@ class Module:
     # kernel plan holds this module (set by ``core.backends.vectorized.
     # kernel_plan``), so no child can join it.
     planned_at = None
+    # The fused backend's kernel plan of this model, beside its ``_arena``
+    # (set by ``FusedBackend.bind``).
+    _kernel_plan = None
 
     def __init__(self) -> None:
         self.params: Dict[str, np.ndarray] = {}

@@ -1,9 +1,9 @@
 """The shared discrete-event runtime under every simulated subsystem.
 
-One event loop — :class:`Runtime` over a slab-backed :class:`EventQueue`
-with deterministic ``(time, seq)`` tie-breaking — drives the elastic
-cluster simulator, the serving request router, and the co-scheduler that
-runs both on one shared :class:`DevicePool`.  Processes (:class:`Process`)
+One event loop — :class:`Runtime` over one :class:`EventQueue` with
+deterministic ``(time, seq)`` tie-breaking — drives the elastic cluster
+simulator, the serving request router, and the co-scheduler that runs
+both on one shared :class:`DevicePool`.  Processes (:class:`Process`)
 post events on ``runtime.queue`` and cancel or test them by the integer
 handle ``post`` returns; the runtime dispatches them in time order, keeps
 the simulated time in ``runtime.now``, and can journal every fired event

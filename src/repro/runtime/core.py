@@ -9,18 +9,17 @@ devices to a serving spike on one shared pool — inexpressible.  This is the
 one event loop all three run on:
 
 * :class:`EventQueue` — the scheduler, and the one way to schedule an
-  event.  Events live in **slab storage** (:class:`_EventSlab`:
-  preallocated lists of sequence numbers and slot generations plus a free
-  list, addressed by integer handles) so the hot path allocates no
-  per-event objects, and one binary heap of ``(time, seq, slot)`` tuples
-  orders them.  :meth:`EventQueue.post` schedules one event and returns
-  its integer handle; :meth:`EventQueue.post_many` schedules a whole wave
-  sharing one action in a single call, sequence-numbered exactly as a
-  loop of ``post()`` calls would be.
+  event.  A dict keyed by sequence number holds the live events' ``(action,
+  kind, actor)`` triples, and one binary heap of ``(time, seq)`` tuples
+  orders them.  :meth:`EventQueue.post` schedules one event and returns its
+  *handle*, which is its sequence number; :meth:`EventQueue.post_many`
+  schedules a whole wave sharing one action in a single call,
+  sequence-numbered exactly as a loop of ``post()`` calls would be.
 
   Cancellation by handle is O(1) (ETA invalidation: a completion
   prediction that a reallocation obsoletes is cancelled in place, not
-  searched for), and ``len(queue)`` is an O(1) live counter, not a scan.
+  searched for), and ``len(queue)`` is the size of the live dict, not a
+  scan.
 * :class:`Process` — the actor protocol: anything that posts events on
   ``runtime.queue`` and reacts to them (a training cluster, a request
   router, a chaos plan);
@@ -41,7 +40,7 @@ from __future__ import annotations
 
 import heapq
 from typing import (Any, Callable, Dict, List, Optional, Protocol, Sequence,
-                    Tuple, Union, runtime_checkable)
+                    Tuple, Union)
 
 import numpy as np
 
@@ -57,135 +56,46 @@ __all__ = [
 # journal on the trace timeline (or None for no extra fields).
 Action = Callable[[float], Optional[Dict[str, Any]]]
 
-_SLOT_BITS = 32
-_SLOT_MASK = (1 << _SLOT_BITS) - 1
-# Slots a new slab starts with; it doubles when a post finds none free.
-_SLAB_SLOTS = 256
-
-
-class _EventSlab:
-    """Array-of-struct event storage: parallel lists plus a free list.
-
-    Each live event occupies one *slot*: ``seq`` and ``gen`` are plain
-    Python lists of ints (an event reads and writes them one slot at a
-    time, where a list index costs less than a numpy scalar), and
-    ``payload`` holds the ``(action, kind, actor)`` triple — one shared
-    tuple per ``post_many`` wave.  :meth:`EventQueue.post` and
-    :meth:`EventQueue.pop_dispatch` take and release their slot inline.
-    Handles encode ``generation << 32 | slot``; releasing a slot bumps its
-    generation, so a handle held across the slot's reuse is detectably
-    stale: ``cancel_handle()`` on a fired-and-recycled event is a no-op,
-    never a misfire on the new tenant.
-
-    Released slots go back on the free list immediately — memory is bounded
-    by the peak *live* event count, not the total scheduled count.  Heap
-    entries pointing at a released slot identify themselves as dead because
-    the slot's ``seq`` is reset to -1 (sequence numbers are never reused).
-    """
-
-    __slots__ = ("seq", "gen", "payload", "_free", "live")
-
-    def __init__(self) -> None:
-        self.seq: List[int] = [-1] * _SLAB_SLOTS
-        self.gen: List[int] = [0] * _SLAB_SLOTS
-        self.payload: List[Optional[Tuple[Action, str, str]]] = [None] * _SLAB_SLOTS
-        self._free: List[int] = list(range(_SLAB_SLOTS - 1, -1, -1))
-        self.live = 0
-
-    def _grow(self, need: int = 1) -> None:
-        old = len(self.payload)
-        new = old
-        while new - old + len(self._free) < need:
-            new *= 2
-        extra = new - old
-        self.seq.extend([-1] * extra)
-        self.gen.extend([0] * extra)
-        self.payload.extend([None] * extra)
-        # New slots go under the free ones (a bulk allocation pops those
-        # first, as single pops would) and pop in ascending order.
-        self._free[:0] = range(new - 1, old - 1, -1)
-
-    def alloc_many(self, n: int, seq0: int,
-                   payload: Tuple[Action, str, str]) -> np.ndarray:
-        """Allocate ``n`` slots; seqs run ``seq0..seq0+n-1`` in order.
-
-        Returns generation-encoded handles as an int64 array, equal to
-        those ``n`` single :meth:`EventQueue.post` calls would return.  All
-        events share one payload tuple — no per-event allocation beyond the
-        slot bookkeeping itself.
-        """
-        if len(self._free) < n:
-            self._grow(n)
-        # Identical slot order to n single pops.
-        slots = self._free[: -n - 1: -1]
-        del self._free[-n:]
-        seqs, gens, store = self.seq, self.gen, self.payload
-        for seq, slot in zip(range(seq0, seq0 + n), slots):
-            seqs[slot] = seq
-            store[slot] = payload
-        self.live += n
-        return np.array([(gens[slot] << _SLOT_BITS) | slot for slot in slots],
-                        dtype=np.int64)
-
-    def free(self, slot: int) -> None:
-        """Release a slot: stale-mark its heap entry and recycle it."""
-        self.seq[slot] = -1
-        self.gen[slot] += 1
-        self.payload[slot] = None
-        self._free.append(slot)
-        self.live -= 1
-
-    def handle_live(self, handle: int) -> bool:
-        return self.gen[handle & _SLOT_MASK] == handle >> _SLOT_BITS
-
 
 class EventQueue:
-    """The scheduler: slab-stored events ordered by one binary heap.
+    """The scheduler: a dict of live events ordered by one binary heap.
 
-    Heap entries are ``(time, seq, slot)`` tuples — ``(time, seq)`` is
-    unique, so the slot never takes part in a comparison — which gives the
-    deterministic ``(time, seq)`` order.  Cancellation frees the slot in
-    place and leaves its entry behind: a dead entry (its slot's seq
-    changed) is skipped lazily when it reaches the head, and the heap is
-    compacted wholesale once dead entries outnumber live ones, so a
-    cancellation storm cannot grow it without bound.  ``len()`` counts
-    live events in O(1).
+    Heap entries are ``(time, seq)`` tuples, which gives the deterministic
+    ``(time, seq)`` order; ``_live`` maps each live event's ``seq`` to its
+    ``(action, kind, actor)``.  A handle is the event's ``seq``, and
+    sequence numbers are never reused, so a handle held past its event's
+    firing or cancellation is stale by construction.  Cancellation removes
+    the event from ``_live`` and leaves its heap entry behind: a dead entry
+    is skipped lazily when it reaches the head, and the heap is compacted
+    wholesale once dead entries outnumber live ones, so a cancellation
+    storm cannot grow it without bound.
     """
 
     def __init__(self) -> None:
-        self._slab = _EventSlab()
-        self._heap: List[Tuple[float, int, int]] = []
+        self._live: Dict[int, Tuple[Action, str, str]] = {}
+        self._heap: List[Tuple[float, int]] = []
         self._dead = 0   # cancelled entries still in the heap
         self._seq = 0
 
     def __len__(self) -> int:
-        return self._slab.live
+        return len(self._live)
 
     # -- scheduling ----------------------------------------------------------
 
     def post(self, time: float, action: Action, *, kind: str = "event",
              actor: str = "runtime") -> int:
-        """Schedule ``action`` at ``time`` and return its *handle*.
-
-        The handle is an int that drives :meth:`cancel_handle` and
-        :meth:`handle_alive`; it stays safe to use after its event fired
-        (see :class:`_EventSlab`).  ``time`` must be finite.
-        """
+        """Schedule ``action`` at ``time`` and return its *handle* (its
+        ``seq``), which drives :meth:`cancel_handle` and
+        :meth:`handle_alive`.  ``time`` must be finite."""
         if type(time) is not float:
             time = float(time)
         if time - time != 0.0:  # inf - inf and nan - nan are nan
             raise ValueError(f"event time must be finite, got {time!r}")
         seq = self._seq
         self._seq = seq + 1
-        slab = self._slab
-        if not slab._free:
-            slab._grow()
-        slot = slab._free.pop()
-        slab.seq[slot] = seq
-        slab.payload[slot] = (action, kind, actor)
-        slab.live += 1
-        heapq.heappush(self._heap, (time, seq, slot))
-        return (slab.gen[slot] << _SLOT_BITS) | slot
+        self._live[seq] = (action, kind, actor)
+        heapq.heappush(self._heap, (time, seq))
+        return seq
 
     def post_many(self, times: Union[Sequence[float], np.ndarray],
                   action: Action, *, kind: str = "event",
@@ -193,10 +103,9 @@ class EventQueue:
         """Schedule one event per entry of ``times``, all sharing ``action``.
 
         Equivalent to (and sequence-numbered exactly like) a loop of
-        :meth:`post` calls in array order, but with bulk slab allocation
-        and bulk heap insertion — this is how a process schedules a whole
-        arrival wave in one call.  Returns an int64 array of event
-        *handles*.
+        :meth:`post` calls in array order, but with one shared payload and
+        bulk heap insertion — this is how a process schedules a whole
+        arrival wave in one call.  Returns the handles as an int64 array.
         """
         times = np.ascontiguousarray(times, dtype=np.float64)
         if times.ndim != 1:
@@ -207,10 +116,10 @@ class EventQueue:
         if not bool(np.isfinite(times).all()):
             raise ValueError("event times must be finite")
         seq0 = self._seq
-        self._seq += n
-        handles = self._slab.alloc_many(n, seq0, (action, kind, actor))
-        entries = list(zip(times.tolist(), range(seq0, seq0 + n),
-                           (handles & _SLOT_MASK).tolist()))
+        self._seq = seq0 + n
+        seqs = range(seq0, seq0 + n)
+        self._live.update(dict.fromkeys(seqs, (action, kind, actor)))
+        entries = list(zip(times.tolist(), seqs))
         heap = self._heap
         if n > max(8, len(heap) // 8):
             heap.extend(entries)
@@ -218,26 +127,24 @@ class EventQueue:
         else:
             for entry in entries:
                 heapq.heappush(heap, entry)
-        return handles
+        return np.arange(seq0, seq0 + n, dtype=np.int64)
 
     # -- handle API ----------------------------------------------------------
 
     def cancel_handle(self, handle: int) -> bool:
         """Cancel the event behind ``handle``; False if already dead/fired."""
-        slab = self._slab
-        if not slab.handle_live(handle):
+        if self._live.pop(handle, None) is None:
             return False
-        slab.free(handle & _SLOT_MASK)
         self._dead += 1
         if self._dead > 64 and self._dead * 2 > len(self._heap):
-            seqs = slab.seq
-            self._heap = [e for e in self._heap if seqs[e[2]] == e[1]]
+            live = self._live
+            self._heap = [e for e in self._heap if e[1] in live]
             heapq.heapify(self._heap)
             self._dead = 0
         return True
 
     def handle_alive(self, handle: int) -> bool:
-        return self._slab.handle_live(handle)
+        return handle in self._live
 
     # -- consumption ---------------------------------------------------------
 
@@ -250,11 +157,10 @@ class EventQueue:
         on the way to the head are dropped.
         """
         heap = self._heap
-        slab = self._slab
-        seqs = slab.seq
+        live = self._live
         while heap:
-            time, seq, slot = heap[0]
-            if seqs[slot] == seq:
+            time, seq = heap[0]
+            if seq in live:
                 break
             heapq.heappop(heap)
             self._dead -= 1
@@ -263,18 +169,10 @@ class EventQueue:
         if until is not None and time > until:
             return None
         heapq.heappop(heap)
-        # Release the slot (as _EventSlab.free does).
-        payload = slab.payload
-        action, kind, actor = payload[slot]
-        seqs[slot] = -1
-        slab.gen[slot] += 1
-        payload[slot] = None
-        slab._free.append(slot)
-        slab.live -= 1
+        action, kind, actor = live.pop(seq)
         return (time, seq, kind, actor, action)
 
 
-@runtime_checkable
 class Process(Protocol):
     """The actor protocol: a named participant in the event loop.
 

@@ -652,15 +652,15 @@ class RequestRouter:
         """
         if self._halted:
             return
-        deadline = policy.deadline(self._pending.oldest_arrival())
-        horizon = max(deadline, self._server_free)
-        self._admit(horizon, policy)
+        now = self._runtime.now
         # The clamp to the clock matters only after a crash reset
         # _server_free: every normal plan already launches at or after now.
-        launch = max(
-            policy.trigger_time(self._pending.arrival_times()),
-            self._server_free, self._runtime.now)
-        self._admit(launch, policy)
+        # The trigger never passes the oldest request's deadline, so the
+        # launch never passes this horizon and one pull serves both.
+        self._admit(max(policy.deadline(self._pending.oldest_arrival()),
+                        self._server_free, now), policy)
+        launch = max(policy.trigger_time(self._pending.arrival_times()),
+                     self._server_free, now)
         self._dispatch_handle = self._queue.post(
             launch, self._dispatch, kind="dispatch", actor=self.name)
 

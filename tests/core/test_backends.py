@@ -292,12 +292,11 @@ class TestOnePath:
     def test_one_plan_serves_training_and_inference(self):
         step = self._step("mlp_synthetic")
         fused = FusedBackend()
-        fused.bind(step.model)
-        (plan,) = fused._plans.values()
+        plan = fused.bind(step.model)
         fused.train_step(step)
         fused.infer(step.model, step.vn_set, np.concatenate([x for x, _ in step.shards]),
                     size_runs(step.vn_set.sizes))
-        assert list(fused._plans.values()) == [plan]
+        assert step.model._kernel_plan is plan and fused.bind(step.model) is plan
 
     @pytest.mark.parametrize("child, message", [
         (lambda: Residual(Sequential(_NoKernel())),

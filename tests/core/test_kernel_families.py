@@ -51,7 +51,7 @@ trainer.train_epoch()
 print(json.dumps({
     "model": type(executor.model).__name__,
     "before": before, "bound": bound, "after": families(),
-    "planned": executor.model in executor.backend._plans,
+    "planned": executor.model._kernel_plan is not None,
     "reference": "repro.core.backends.reference" in sys.modules,
 }))
 """ % (_FAMILIES,)

@@ -237,11 +237,11 @@ class TestInferenceEqualsTheOracle:
                                FusedBackend().infer(model, vn_set, x, runs))
         # Stateless: nothing of a served batch outlives the call, in the
         # run (no activation cache, gradients or workspace) or in the
-        # backend, which keeps its kernel plans only.
+        # backend, which keeps nothing (the model keeps its kernel plan).
         for run in built_runs:
             assert sorted(vars(run)) == ["batch", "num_stacked", "runs", "training", "uniform"]
             assert run.workspace is None and run.segments is None
-        assert list(vars(backend)) == ["_plans"]
+        assert vars(backend) == {}
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -257,24 +257,28 @@ class TestTrainingStepEqualsTheOracle:
 
 
 class TestPlanCache:
-    def test_the_plan_cache_does_not_keep_a_model_alive(self):
+    def test_the_plan_is_built_once_and_does_not_keep_its_model_alive(self):
         """Also for a model that is one step itself (no ``Sequential`` to
-        flatten): the cached plan must not pin its own weak key, after a
-        training step as well as an inference pass."""
+        flatten), whose plan holds the model: the first training step builds
+        the plan, the inference pass reuses it, and the model is collected
+        once dropped."""
         backend = FusedBackend()
         workload = get_workload("resnet56_cifar10")
         step = _train_step(workload.build_model(0), workload.dataset, [2, 1, 1])
-        backend.train_step(step)
         model = step.model
+        assert model._kernel_plan is None
+        backend.train_step(step)
+        plan = model._kernel_plan
+        assert plan[0][2] is model
         x = np.random.default_rng(0).normal(size=(4, 8, 8, 3))
         want = ReferenceBackend().infer(model, VirtualNodeSet.even(4, 2), x, [[2, 2]])
         _assert_same_array(backend.infer(model, VirtualNodeSet.even(4, 2), x, [[2, 2]]),
                            want)
-        assert len(backend._plans) == 1
+        assert model._kernel_plan is plan
         alive = weakref.ref(model)
-        del model, step
+        del model, step, plan
         gc.collect()
-        assert alive() is None and len(backend._plans) == 0
+        assert alive() is None
 
 
 @pytest.mark.parametrize("backend", [ReferenceBackend, FusedBackend])

@@ -77,10 +77,7 @@ def _engine(workload_name, vn_set, devices, reference):
     engine = InferenceEngine(
         workload, model, Mapping.even(vn_set, Cluster.homogeneous("V100", devices)),
         vn_states=vn_states)
-    if reference:
-        return on_reference(engine)
-    engine.engine.backend = FusedBackend()  # a plan cache of its own to inspect
-    return engine
+    return on_reference(engine) if reference else engine
 
 
 @st.composite
@@ -112,6 +109,7 @@ def _same_bytes(got, want):
 @given(case=scenarios())
 def test_stacked_rows_equal_each_micro_batch_predicted_alone(reference, case):
     engine = _engine(case["family"], case["vn_set"], case["devices"], reference)
+    plan = engine.model._kernel_plan
     bank = _served(case["family"])[3]
     examples = [bank[i] for i in case["rows"]]
     stacked = engine.predict_stacked(bank, case["rows"], case["lengths"])
@@ -121,11 +119,10 @@ def test_stacked_rows_equal_each_micro_batch_predicted_alone(reference, case):
         alone = engine.predict(np.array(examples[start:start + length])).logits
         _same_bytes(stacked[start:start + length], alone)
         start += length
-    # One memoized plan per micro-batch length, and one kernel plan.
+    # One memoized plan per micro-batch length, and the one kernel plan the
+    # engine's construction built.
     assert set(engine.engine._inference_plans) == set(case["lengths"])
-    if not reference:
-        assert list(engine.backend._plans.values()) == [
-            engine.backend._plans[engine.model]]
+    assert plan is not None and engine.model._kernel_plan is plan
 
 
 def test_a_model_with_a_kernel_less_layer_is_refused_when_its_engine_is_built():
@@ -139,7 +136,7 @@ def test_a_model_with_a_kernel_less_layer_is_refused_when_its_engine_is_built():
     with pytest.raises(UnsupportedModule, match=message):
         backend.infer(model, mapping.vn_set, _served("mlp_synthetic")[3][:6],
                       size_runs([2, 2, 1, 1]))
-    assert len(backend._plans) == 0
+    assert model._kernel_plan is None
 
 
 def test_a_stacked_pass_charges_nothing():

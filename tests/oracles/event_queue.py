@@ -2,13 +2,14 @@
 
 :class:`HeapQueueOracle` answers every call :class:`repro.runtime.EventQueue`
 answers in production — ``post`` / ``post_many`` / ``cancel_handle`` /
-``handle_alive`` / ``pop_dispatch`` / ``len`` — with one Python tuple per
-event on a ``heapq``, a dict of live events, lazy deletion, and no slab or
-vectorisation: the pre-slab event core, kept as the thing the production
-queue must be indistinguishable from.  Assign one to ``runtime.queue``
-before any process is added (processes read the queue in ``start``), or
-substitute the class for ``EventQueue`` while a run builds its own
-runtime, and the run must not change by a byte.
+``handle_alive`` / ``pop_dispatch`` / ``len`` — with the production design
+(a ``heapq`` of ``(time, seq)`` tuples, a dict of live events keyed by
+``seq``, lazy deletion) minus its two shortcuts: ``post_many`` is a loop of
+``post`` calls, not one bulk insertion, and cancelled entries are never
+compacted out of the heap.  Assign one to ``runtime.queue`` before any
+process is added (processes read the queue in ``start``), or substitute
+the class for ``EventQueue`` while a run builds its own runtime, and the
+run must not change by a byte.
 
 A handle is the event's sequence number: sequence numbers are never reused,
 so a handle held past its event's firing is stale by construction.

@@ -5,8 +5,8 @@ The production queue must be observably indistinguishable from the
 ``(time, seq)`` heap model in ``tests/oracles/event_queue.py``: same fired
 order, same survivors under heavy ETA-invalidation (>50% of scheduled events
 cancelled), on small populations and on thousands of live events — and it
-may not let dead entries accumulate without bound: the slab recycles slots
-on cancel and the heap compacts its stale entries.
+may not let dead entries accumulate without bound: a cancelled or fired
+event leaves the live dict at once, and the heap compacts its stale entries.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ class TestBackendAgreement:
 
 
 class TestBoundedMemory:
-    def test_cancellation_storm_reclaims_slots_and_index(self):
+    def test_cancellation_storm_reclaims_the_index(self):
         q = EventQueue()
         rng = np.random.default_rng(11)
         survivors = 0
@@ -143,10 +143,6 @@ class TestBoundedMemory:
             survivors += int((~doomed).sum())
         stats = queue_stats(q)
         assert stats["live"] == survivors == len(q)
-        # Slab capacity is a function of peak live events, not of the
-        # 20k scheduled: with ~90% cancelled it must stay well below the
-        # total scheduled count (power-of-two growth from 256).
-        assert stats["slab_capacity"] < 20_000
         # The heap compacts dead entries instead of hoarding them.
         assert stats["index_entries"] <= 2 * survivors + 128
 
@@ -167,38 +163,33 @@ class TestBoundedMemory:
                 assert q.cancel_handle(live.pop())
         stats = queue_stats(q)
         assert stats["live"] == len(live) == len(q)
-        assert stats["slab_capacity"] <= 256
         assert stats["index_entries"] <= 2 * len(live) + 128
 
     # Rounds below and above the 128 live events at which the queue once
     # switched from a heap to a time wheel.
     @pytest.mark.parametrize("per_round", [100, 300],
                              ids=["heap", "production"])
-    def test_slab_slots_recycled_after_fire(self, per_round):
-        """Slots recycle whether a round holds 100 or 300 events."""
+    def test_fired_events_leave_nothing_behind(self, per_round):
+        """A drained round keeps no event state, whether it held 100 or
+        300 events."""
         q = EventQueue()
         for round_ in range(50):
             q.post_many(np.linspace(round_, round_ + 0.9, per_round),
                         lambda t: None)
             while q.pop_dispatch() is not None:
                 pass
-        assert len(q) == 0
-        # 50 rounds x per_round events reuse the same slots.
-        assert queue_stats(q)["slab_capacity"] <= 512
+            assert queue_stats(q) == {"live": 0, "index_entries": 0}
 
     @QUEUES
     def test_cancel_after_fire_is_harmless(self, make_queue):
-        """A stale handle must never kill the slot's new tenant."""
+        """A stale handle must never kill a later event."""
         q = make_queue()
         first = q.post(1.0, lambda t: None, kind="first")
         assert q.pop_dispatch()[2] == "first"
         assert not q.handle_alive(first)
-        # The slot is recycled by the next post; cancelling the fired
-        # event must not touch it.
+        # Cancelling the fired event must not touch the next one.
         second = q.post(2.0, lambda t: None, kind="second")
-        if make_queue is EventQueue:
-            slot = (1 << 32) - 1
-            assert second & slot == first & slot and second != first
+        assert second != first
         assert not q.cancel_handle(first)
         assert q.handle_alive(second)
         assert q.pop_dispatch()[2] == "second"
@@ -206,9 +197,8 @@ class TestBoundedMemory:
 
 class TestStructureObservability:
     def test_serving_run_never_leaves_the_sparse_heap(self, monkeypatch):
-        """The serve chain keeps one or two events alive: the slab never
-        grows past its first 256 slots, and the run ends with an empty
-        heap."""
+        """The serve chain keeps one or two events alive, and the run
+        ends with an empty queue and an empty heap."""
         from repro.elastic import ServingPhase
         from repro.serving import TenantRegistry, serve_workload
 
@@ -229,4 +219,4 @@ class TestStructureObservability:
                 "prem:class=premium,weight=8,quota=300;flood:share=4"))
         (events, stats), = finished
         assert len(report.records) > 1500 and events > 500
-        assert stats == {"live": 0, "slab_capacity": 256, "index_entries": 0}
+        assert stats == {"live": 0, "index_entries": 0}

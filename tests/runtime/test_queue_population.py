@@ -8,15 +8,16 @@ Every interleaving of ``post`` / ``post_many`` / ``cancel_handle`` /
 ``queue_stats(queue)["live"]`` (``tests/runtime_state.py``) exact after
 every step.
 
-One harness applies each operation to the sorted list, the oracle and two
+One harness applies each operation to the sorted list, the oracle (the
+production design without bulk insertion or heap compaction) and two
 production queues — one takes each wave through ``post_many``, the other
-through a loop of ``post``, and their handles must be equal, wave or not
-(the slab's handle contract); a hypothesis state machine draws the
-interleavings, and a
-seeded walk steers the population across ``LINE`` live events (where the
-queue once switched from a heap to a time wheel) in both directions, with
-waves, drains and cancellation storms, so large populations are guaranteed,
-not left to the draw.
+through a loop of ``post`` — whose handles must equal the oracle's and the
+model's sequence numbers, wave or not (a handle is its event's ``seq``).
+A hypothesis state machine draws the interleavings, and a seeded walk
+steers the population across ``LINE`` live events (where the queue once
+switched from a heap to a time wheel) in both directions, with waves,
+drains and cancellation storms, so large populations are guaranteed, not
+left to the draw.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class QueueHarness:
 
     def post(self, time: float) -> None:
         handles = {b: q.post(time, self.action) for b, q in self.queues.items()}
-        assert handles["production"] == handles["post_loop"]
+        assert set(handles.values()) == {self.seq}
         self._scheduled(time, handles)
 
     def post_many(self, times) -> None:
@@ -71,7 +72,8 @@ class QueueHarness:
                        for b, q in self.queues.items() if b != "post_loop"}
         per_backend["post_loop"] = [self.queues["post_loop"].post(t, self.action)
                                     for t in times]
-        assert per_backend["production"] == per_backend["post_loop"]
+        seqs = list(range(self.seq, self.seq + len(times)))
+        assert all(hs == seqs for hs in per_backend.values())
         for i, t in enumerate(times):
             self._scheduled(t, {b: hs[i] for b, hs in per_backend.items()})
 

@@ -11,15 +11,11 @@ from typing import Dict, Tuple
 
 
 def queue_stats(queue) -> Dict[str, int]:
-    """An :class:`~repro.runtime.EventQueue`'s memory shape: live events,
-    slab slots, and heap entries (live ones plus cancelled ones not yet
-    dropped) — the first thing to print when an event-ordering or memory
-    question comes up."""
-    return {
-        "live": queue._slab.live,
-        "slab_capacity": len(queue._slab.payload),
-        "index_entries": len(queue._heap),
-    }
+    """An :class:`~repro.runtime.EventQueue`'s memory shape: live events
+    and heap entries (live ones plus cancelled ones not yet dropped) — the
+    first thing to print when an event-ordering or memory question comes
+    up."""
+    return {"live": len(queue._live), "index_entries": len(queue._heap)}
 
 
 def free_ids(pool) -> Tuple[int, ...]:

@@ -365,7 +365,7 @@ class TestOneInputForm:
         from repro.core.backends import FusedBackend, fused
 
         assert not hasattr(InferenceEngine, "predict_requests")
-        assert list(vars(FusedBackend())) == ["_plans"]
+        assert vars(FusedBackend()) == {}
         assert not [name for name in vars(fused) if "inference_run" in name.lower()]
 
     def test_sharding_exports_size_runs_and_no_bounds_check(self):
